@@ -4,7 +4,6 @@
 use conductor_bench::experiments::solver_options;
 use conductor_cloud::Catalog;
 use conductor_core::{Goal, JobController, Planner, ResourcePool};
-use conductor_lp::Engine;
 use conductor_mapreduce::Workload;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
@@ -35,37 +34,5 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-/// The same end-to-end run driven by the preserved seed solver, so the
-/// planner-level impact of the solver rework stays measurable.
-fn bench_end_to_end_seed_solver(c: &mut Criterion) {
-    let mut group = c.benchmark_group("end_to_end");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(15));
-    group.bench_function("plan_and_deploy_cloud_only_seed_solver", |b| {
-        let catalog = Catalog::aws_july_2011();
-        let pool = ResourcePool::from_catalog(&catalog, 1.0).with_compute_only(&["m1.large"]);
-        let options = conductor_lp::SolveOptions {
-            engine: Engine::SeedBaseline,
-            ..solver_options()
-        };
-        let planner = Planner::new(pool).with_solve_options(options);
-        let controller =
-            JobController::new(catalog, planner).expect("planner pool matches the catalog");
-        let spec = Workload::KMeans32Gb.spec();
-        b.iter(|| {
-            controller
-                .run(
-                    &spec,
-                    Goal::MinimizeCost {
-                        deadline_hours: 6.0,
-                    },
-                )
-                .unwrap()
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_end_to_end, bench_end_to_end_seed_solver);
+criterion_group!(benches, bench_end_to_end);
 criterion_main!(benches);

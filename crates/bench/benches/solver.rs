@@ -1,11 +1,10 @@
 //! Criterion bench: LP/MILP solve time for Conductor models of growing size
-//! (the statistical counterpart of Figure 16), plus before/after comparisons
-//! of the solver configurations: the preserved seed implementation, the
-//! flat-tableau solver cold, and the warm-started solver (the default).
+//! (the statistical counterpart of Figure 16), plus a comparison of the
+//! cold and warm-started (default) node starts.
 
 use conductor_cloud::Catalog;
 use conductor_core::{Goal, ModelConfig, ModelInstance, Planner, ResourcePool};
-use conductor_lp::{Engine, SolveOptions};
+use conductor_lp::SolveOptions;
 use conductor_mapreduce::Workload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -56,22 +55,15 @@ fn bench_plan_solve(c: &mut Criterion) {
     group.finish();
 }
 
-/// Seed vs cold vs warm on the same planning workload — the headline
-/// comparison this PR's tentpole is about. Expect warm << cold < seed.
+/// Cold vs warm node starts on the same planning workload. Expect
+/// warm << cold.
 fn bench_solver_configurations(c: &mut Criterion) {
     let spec = Workload::KMeans32Gb.spec();
     let mut group = c.benchmark_group("solver_config");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(10));
-    let configs: [(&str, SolveOptions); 3] = [
-        (
-            "seed",
-            SolveOptions {
-                engine: Engine::SeedBaseline,
-                ..Default::default()
-            },
-        ),
+    let configs: [(&str, SolveOptions); 2] = [
         (
             "cold",
             SolveOptions {

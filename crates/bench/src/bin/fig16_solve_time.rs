@@ -1,5 +1,5 @@
-//! Regenerates fig16_solve_time of the paper, then runs the solver
-//! before/after comparison and writes `BENCH_solver.json` (committed at the
+//! Regenerates fig16_solve_time of the paper, then runs the solver-core
+//! flag ablation and writes `BENCH_solver.json` (committed at the
 //! repo root so the perf trajectory is tracked across PRs). Run with:
 //! `cargo run --release -p conductor-bench --bin fig16_solve_time`
 
@@ -8,7 +8,7 @@ use conductor_bench::solver_bench;
 fn main() {
     println!("{}", conductor_bench::experiments::fig16_solve_time());
 
-    println!("\nSolver before/after comparison (seed vs flat-tableau vs warm-started):\n");
+    println!();
     let report = solver_bench::solver_benchmark();
     print!("{}", solver_bench::render_report(&report));
 

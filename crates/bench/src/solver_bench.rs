@@ -1,22 +1,21 @@
-//! Engine-vs-engine comparison harness for the planner's MIP solver.
+//! Solver-configuration comparison harness for the planner's MIP solver.
 //!
-//! Runs the fig16-style planning workloads through the three selectable LP
-//! engines — the preserved seed implementation (`Engine::SeedBaseline`), the
-//! flat dense tableau (`Engine::DenseTableau`) and the sparse revised
-//! simplex (`Engine::RevisedSparse`, the default) — and reports wall-clock,
-//! plan cost per engine and the revised engine's warm-start/factorization
+//! Runs the fig16-style planning workloads through the revised engine as
+//! the three solver-core `SolveOptions` flags stack up — default (all off),
+//! `+bounded_variables`, `+forrest_tomlin`, `+dual_steepest_edge` — and
+//! reports wall-clock, plan cost and the warm-start/factorization
 //! statistics. The `fig16_solve_time` binary serializes this report to
 //! `BENCH_solver.json` so the perf trajectory is tracked across PRs.
 
 use crate::experiments::{churn_fixture, run_fleet_online, run_sharded_session};
 use conductor_cloud::{catalog::mbps_to_gb_per_hour, Catalog};
 use conductor_core::{Goal, Planner, PlanningReport, ResourcePool};
-use conductor_lp::{Engine, SolveOptions};
+use conductor_lp::SolveOptions;
 use conductor_mapreduce::{JobSpec, Workload};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// One workload × three-engine measurement.
+/// One workload × four-configuration measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolverBenchRow {
     /// Workload label, e.g. `kmeans-64gb-mig` for the migration-enabled run.
@@ -28,28 +27,19 @@ pub struct SolverBenchRow {
     pub interval_hours: f64,
     /// Whether the model includes migration variables.
     pub migration: bool,
-    /// End-to-end planning wall-clock (model build + solve), milliseconds.
-    /// Seed columns are `None` when the seed engine cannot complete the
-    /// workload (its fragile pivoting exhausts the per-LP iteration cap on
-    /// the larger residency-charged models — itself a headline result).
-    pub seed_total_ms: Option<f64>,
-    pub dense_total_ms: f64,
+    /// End-to-end planning wall-clock (model build + solve) under the
+    /// default options, milliseconds.
     pub revised_total_ms: f64,
-    /// Solver-only wall-clock, milliseconds.
-    pub seed_solve_ms: Option<f64>,
-    pub dense_solve_ms: f64,
+    /// Solver-only wall-clock under the default options, milliseconds.
     pub revised_solve_ms: f64,
-    /// Plan cost (objective) per engine — dense and revised must agree to
-    /// ~1e-4 relative (identical incumbents except where the 1 % gap stops
-    /// the two searches at different-but-equivalent solutions).
-    pub seed_cost: Option<f64>,
-    pub dense_cost: f64,
+    /// Plan cost (objective) under the default options.
     pub revised_cost: f64,
-    /// Revised engine with each flagged solver-core upgrade stacked on:
-    /// bounded-variable simplex alone, then with Forrest–Tomlin updates,
-    /// then with dual steepest-edge pricing too (the full new
-    /// configuration). All four revised columns must land on the same
-    /// plan cost.
+    /// Each flagged solver-core upgrade stacked on: bounded-variable
+    /// simplex alone, then with Forrest–Tomlin updates, then with dual
+    /// steepest-edge pricing too (the full new configuration). The default
+    /// and full columns must land on the same plan cost to ~1e-4 relative
+    /// (identical incumbents except where the 1 % gap stops the two
+    /// searches at different-but-equivalent solutions).
     pub bounded_solve_ms: f64,
     pub bounded_ft_solve_ms: f64,
     pub full_solve_ms: f64,
@@ -57,7 +47,7 @@ pub struct SolverBenchRow {
     /// `revised_solve_ms / full_solve_ms` — the rebuild's per-row gain
     /// over the legacy (span-row, eta-file, Dantzig-repair) engine.
     pub speedup_full_vs_legacy: f64,
-    /// Revised-engine branch & bound statistics.
+    /// Branch & bound statistics of the default-options run.
     pub nodes: usize,
     pub simplex_iterations: usize,
     /// Pivot counters for the full new configuration: ratio-test bound
@@ -68,14 +58,10 @@ pub struct SolverBenchRow {
     pub warm_start_hits: usize,
     pub warm_start_misses: usize,
     pub warm_start_rate: f64,
-    /// LU factorizations performed by the revised engine, and the subset
+    /// LU factorizations of the default-options run, and the subset
     /// triggered mid-stream by the eta limit / drift checks.
     pub basis_factorizations: usize,
     pub basis_refactorizations: usize,
-    /// `seed_solve_ms / revised_solve_ms` (`None` when the seed engine DNF'd).
-    pub speedup_vs_seed: Option<f64>,
-    /// `dense_solve_ms / revised_solve_ms`.
-    pub speedup_vs_dense: f64,
 }
 
 /// Admission throughput on the canonical churn fleet: the same Poisson
@@ -120,9 +106,10 @@ pub struct AdmissionBenchRow {
 /// Sharded-runtime throughput on the canonical churn fleet: the same
 /// 200-arrival fixture drained through a [`conductor_core::ShardedFleet`]
 /// at 1, 2 and 4 shards (hash routing, no rebalancer, one scoped thread
-/// per shard). `threads_available` records the host's parallelism —
-/// speedups are only meaningful when it is ≥ the shard count, so CI
-/// gates its floor on that field rather than trusting a 1-CPU runner.
+/// per shard). Speedups only mean anything when the host has a thread per
+/// shard: on fewer than 4 threads the row keeps its wall columns but
+/// reports `status: "unmeasured"` and no speedups, and CI's floor reads
+/// that status.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardScalingRow {
     /// Poisson arrivals in the fixture.
@@ -130,6 +117,8 @@ pub struct ShardScalingRow {
     /// `std::thread::available_parallelism()` on the machine that
     /// generated this row.
     pub threads_available: usize,
+    /// `"measured"` with at least 4 threads available, else `"unmeasured"`.
+    pub status: String,
     /// End-to-end wall clock at 1 / 2 / 4 shards, seconds.
     pub n1_wall_s: f64,
     pub n2_wall_s: f64,
@@ -138,9 +127,10 @@ pub struct ShardScalingRow {
     pub n1_jobs_per_sec: f64,
     pub n2_jobs_per_sec: f64,
     pub n4_jobs_per_sec: f64,
-    /// `n1_wall_s / n2_wall_s` and `n1_wall_s / n4_wall_s`.
-    pub n2_speedup: f64,
-    pub n4_speedup: f64,
+    /// `n1_wall_s / n2_wall_s` and `n1_wall_s / n4_wall_s`; `None` when
+    /// unmeasured.
+    pub n2_speedup: Option<f64>,
+    pub n4_speedup: Option<f64>,
 }
 
 /// Measures [`ShardScalingRow`] on a `jobs`-arrival churn fleet.
@@ -158,25 +148,28 @@ pub fn shard_scaling_benchmark(jobs: usize) -> ShardScalingRow {
         );
     }
     let [n1, n2, n4] = walls;
+    let threads_available = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let measured = threads_available >= 4;
     ShardScalingRow {
         jobs,
-        threads_available: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        threads_available,
+        status: if measured { "measured" } else { "unmeasured" }.to_string(),
         n1_wall_s: n1,
         n2_wall_s: n2,
         n4_wall_s: n4,
         n1_jobs_per_sec: jobs as f64 / n1.max(1e-9),
         n2_jobs_per_sec: jobs as f64 / n2.max(1e-9),
         n4_jobs_per_sec: jobs as f64 / n4.max(1e-9),
-        n2_speedup: n1 / n2.max(1e-9),
-        n4_speedup: n1 / n4.max(1e-9),
+        n2_speedup: measured.then(|| n1 / n2.max(1e-9)),
+        n4_speedup: measured.then(|| n1 / n4.max(1e-9)),
     }
 }
 
 /// The full new solver configuration on top of `base`: bounded-variable
 /// simplex, Forrest–Tomlin updates and dual steepest-edge pricing.
-fn full_flags(base: SolveOptions) -> SolveOptions {
+pub fn full_flags(base: SolveOptions) -> SolveOptions {
     SolveOptions {
         bounded_variables: true,
         forrest_tomlin: true,
@@ -219,29 +212,15 @@ pub fn admission_benchmark(jobs: usize) -> AdmissionBenchRow {
 pub struct SolverBenchReport {
     /// How to regenerate this file.
     pub generated_by: String,
-    /// The relative MIP gap all engines solve to.
+    /// The relative MIP gap all configurations solve to.
     pub relative_gap: f64,
     pub rows: Vec<SolverBenchRow>,
-    /// Minimum per-row speedup of the revised engine over the seed engine,
-    /// over the rows the seed engine completed at all.
-    pub min_speedup_vs_seed: Option<f64>,
-    /// Geometric mean of the per-row revised-vs-seed speedups (completed
-    /// rows only).
-    pub geomean_speedup_vs_seed: Option<f64>,
-    /// Rows the seed engine failed to complete (per-LP iteration cap).
-    pub seed_dnf_rows: usize,
-    /// Minimum per-row speedup of the revised engine over the dense tableau.
-    pub min_speedup_vs_dense: f64,
-    /// Geometric mean of the per-row revised-vs-dense speedups.
-    pub geomean_speedup_vs_dense: f64,
     /// Minimum / geometric-mean per-row speedup of the full new solver
-    /// configuration (bounded-variables + FT + DSE) over the legacy
-    /// revised engine — the CI floor is on the geomean.
-    #[serde(default)]
+    /// configuration (bounded-variables + FT + DSE) over the default
+    /// (legacy) one — the CI floor is on the geomean.
     pub min_speedup_full_vs_legacy: f64,
-    #[serde(default)]
     pub geomean_speedup_full_vs_legacy: f64,
-    /// Revised-engine warm-start hits / attempts across all rows.
+    /// Default-options warm-start hits / attempts across all rows.
     pub overall_warm_start_rate: f64,
     /// Churn-fleet admission throughput, plan cache off vs on (`None` in
     /// reports generated before the cache existed).
@@ -253,9 +232,9 @@ pub struct SolverBenchReport {
     pub shard_scaling: Option<ShardScalingRow>,
 }
 
-/// Solve options shared by every engine (fig16's gap, a generous cap so none
-/// of the measured sizes are time-limited).
-fn bench_options() -> SolveOptions {
+/// Solve options shared by every configuration (fig16's gap, a generous cap
+/// so none of the measured sizes are time-limited).
+pub fn bench_options() -> SolveOptions {
     SolveOptions {
         time_limit: Duration::from_secs(120),
         ..Default::default()
@@ -282,11 +261,13 @@ fn spec_for(input_gb: u32) -> (JobSpec, f64) {
     (spec, deadline)
 }
 
-fn run_one(
+/// Plans one bench workload once under `options`; returns `(total ms,
+/// solve ms, plan cost, planning report)`.
+pub fn plan_once(
     input_gb: u32,
     migration: bool,
     options: SolveOptions,
-) -> Option<(f64, f64, f64, PlanningReport)> {
+) -> (f64, f64, f64, PlanningReport) {
     let planner = planner_for(input_gb, migration).with_solve_options(options);
     let (spec, deadline) = spec_for(input_gb);
     let t0 = Instant::now();
@@ -297,82 +278,57 @@ fn run_one(
                 deadline_hours: deadline,
             },
         )
-        .ok()?;
+        .expect("the revised engine must complete the bench workloads");
     let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-    Some((
+    (
         total_ms,
         report.solve_time.as_secs_f64() * 1e3,
         plan.expected_cost,
         report,
-    ))
+    )
 }
 
-/// Repetitions per engine; the minimum is reported (standard practice for
-/// wall-clock microbenchmarks — the minimum is the least noisy estimator of
-/// the true cost).
+/// Repetitions per configuration; the minimum is reported (standard
+/// practice for wall-clock microbenchmarks — the minimum is the least noisy
+/// estimator of the true cost).
 const REPS: usize = 5;
 
 fn run_best(
     input_gb: u32,
     migration: bool,
     options: SolveOptions,
-) -> Option<(f64, f64, f64, PlanningReport)> {
-    // A DNF on the first repetition is a DNF for the row (deterministic).
-    let mut best: Option<(f64, f64, f64, PlanningReport)> = None;
-    for _ in 0..REPS {
-        let r = run_one(input_gb, migration, options.clone())?;
-        if best.as_ref().is_none_or(|b| r.1 < b.1) {
-            best = Some(r);
-        }
-    }
-    best
+) -> (f64, f64, f64, PlanningReport) {
+    (0..REPS)
+        .map(|_| plan_once(input_gb, migration, options.clone()))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("REPS > 0")
 }
 
-/// Measures one workload under all three engines.
+/// Measures one workload under the default options and the stacked flags.
 pub fn bench_workload(input_gb: u32, migration: bool) -> SolverBenchRow {
-    let engine_opts = |engine: Engine| SolveOptions {
-        engine,
-        ..bench_options()
-    };
-
-    let seed = run_best(input_gb, migration, engine_opts(Engine::SeedBaseline));
-    let (dense_total, dense_solve, dense_cost, _) =
-        run_best(input_gb, migration, engine_opts(Engine::DenseTableau))
-            .expect("dense engine must complete the bench workloads");
     let (revised_total, revised_solve, revised_cost, report) =
-        run_best(input_gb, migration, engine_opts(Engine::RevisedSparse))
-            .expect("revised engine must complete the bench workloads");
+        run_best(input_gb, migration, bench_options());
 
     // The flagged solver-core upgrades, stacked in the order the ablation
     // reads: bounded-variable simplex, + Forrest–Tomlin, + dual
     // steepest-edge (the full new configuration).
-    let flagged = |bounded: bool, ft: bool, dse: bool| SolveOptions {
-        bounded_variables: bounded,
-        forrest_tomlin: ft,
-        dual_steepest_edge: dse,
-        ..engine_opts(Engine::RevisedSparse)
+    let bounded = |forrest_tomlin: bool| SolveOptions {
+        bounded_variables: true,
+        forrest_tomlin,
+        ..bench_options()
     };
-    let (_, bounded_solve, _, _) = run_best(input_gb, migration, flagged(true, false, false))
-        .expect("bounded-variable engine must complete the bench workloads");
-    let (_, bounded_ft_solve, _, _) = run_best(input_gb, migration, flagged(true, true, false))
-        .expect("bounded+FT engine must complete the bench workloads");
+    let (_, bounded_solve, _, _) = run_best(input_gb, migration, bounded(false));
+    let (_, bounded_ft_solve, _, _) = run_best(input_gb, migration, bounded(true));
     let (_, full_solve, full_cost, full_report) =
-        run_best(input_gb, migration, flagged(true, true, true))
-            .expect("full new configuration must complete the bench workloads");
+        run_best(input_gb, migration, full_flags(bench_options()));
 
     SolverBenchRow {
         workload: format!("kmeans-{input_gb}gb{}", if migration { "-mig" } else { "" }),
         input_gb,
         interval_hours: if input_gb > 32 { 2.0 } else { 1.0 },
         migration,
-        seed_total_ms: seed.as_ref().map(|s| s.0),
-        dense_total_ms: dense_total,
         revised_total_ms: revised_total,
-        seed_solve_ms: seed.as_ref().map(|s| s.1),
-        dense_solve_ms: dense_solve,
         revised_solve_ms: revised_solve,
-        seed_cost: seed.as_ref().map(|s| s.2),
-        dense_cost,
         revised_cost,
         bounded_solve_ms: bounded_solve,
         bounded_ft_solve_ms: bounded_ft_solve,
@@ -388,8 +344,6 @@ pub fn bench_workload(input_gb: u32, migration: bool) -> SolverBenchRow {
         warm_start_rate: report.warm_start_rate(),
         basis_factorizations: report.basis_factorizations,
         basis_refactorizations: report.basis_refactorizations,
-        speedup_vs_seed: seed.as_ref().map(|s| s.1 / revised_solve.max(1e-9)),
-        speedup_vs_dense: dense_solve / revised_solve.max(1e-9),
     }
 }
 
@@ -402,17 +356,9 @@ pub fn solver_benchmark() -> SolverBenchReport {
         .map(|&(gb, mig)| bench_workload(gb, mig))
         .collect();
 
-    let vs_seed: Vec<f64> = rows.iter().filter_map(|r| r.speedup_vs_seed).collect();
-    let geomean = |xs: &[f64]| {
-        if xs.is_empty() {
-            None
-        } else {
-            Some((xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp())
-        }
-    };
-    let min_of = |xs: &[f64]| xs.iter().copied().reduce(f64::min);
-    let vs_dense: Vec<f64> = rows.iter().map(|r| r.speedup_vs_dense).collect();
     let full_vs_legacy: Vec<f64> = rows.iter().map(|r| r.speedup_full_vs_legacy).collect();
+    let geomean =
+        (full_vs_legacy.iter().map(|x| x.ln()).sum::<f64>() / full_vs_legacy.len() as f64).exp();
     let hits: usize = rows.iter().map(|r| r.warm_start_hits).sum();
     let misses: usize = rows.iter().map(|r| r.warm_start_misses).sum();
     let overall_rate = if hits + misses == 0 {
@@ -424,13 +370,8 @@ pub fn solver_benchmark() -> SolverBenchReport {
     SolverBenchReport {
         generated_by: "cargo run --release -p conductor-bench --bin fig16_solve_time".to_string(),
         relative_gap: bench_options().relative_gap,
-        min_speedup_vs_seed: min_of(&vs_seed),
-        geomean_speedup_vs_seed: geomean(&vs_seed),
-        seed_dnf_rows: rows.iter().filter(|r| r.seed_solve_ms.is_none()).count(),
-        min_speedup_vs_dense: min_of(&vs_dense).expect("non-empty matrix"),
-        geomean_speedup_vs_dense: geomean(&vs_dense).expect("non-empty matrix"),
-        min_speedup_full_vs_legacy: min_of(&full_vs_legacy).expect("non-empty matrix"),
-        geomean_speedup_full_vs_legacy: geomean(&full_vs_legacy).expect("non-empty matrix"),
+        min_speedup_full_vs_legacy: full_vs_legacy.iter().copied().fold(f64::INFINITY, f64::min),
+        geomean_speedup_full_vs_legacy: geomean,
         overall_warm_start_rate: overall_rate,
         admission: Some(admission_benchmark(200)),
         shard_scaling: Some(shard_scaling_benchmark(200)),
@@ -441,45 +382,12 @@ pub fn solver_benchmark() -> SolverBenchReport {
 /// Renders the report as a human-readable table (printed next to the JSON).
 pub fn render_report(report: &SolverBenchReport) -> String {
     let mut out = String::from(
-        "workload          seed ms   dense ms  revised ms  vs seed  vs dense  warm-rate  cost (seed/dense/revised)\n",
-    );
-    let opt = |v: Option<f64>, decimals: usize, unit: &str| match v {
-        Some(x) => format!("{x:>8.decimals$}{unit}"),
-        None => format!("{:>8}{unit}", "DNF"),
-    };
-    for r in &report.rows {
-        out.push_str(&format!(
-            "{:<16} {} {:>10.1} {:>11.1} {} {:>8.2}x {:>9.0}% {}/{:.2}/{:.2}\n",
-            r.workload,
-            opt(r.seed_solve_ms, 1, ""),
-            r.dense_solve_ms,
-            r.revised_solve_ms,
-            opt(r.speedup_vs_seed, 2, "x"),
-            r.speedup_vs_dense,
-            r.warm_start_rate * 100.0,
-            r.seed_cost
-                .map(|c| format!("{c:.2}"))
-                .unwrap_or_else(|| "DNF".into()),
-            r.dense_cost,
-            r.revised_cost,
-        ));
-    }
-    out.push_str(&format!(
-        "revised vs seed: min {} geomean {} ({} seed DNF rows) | vs dense: min {:.2}x geomean {:.2}x | warm-start rate {:.0}%\n",
-        opt(report.min_speedup_vs_seed, 2, "x"),
-        opt(report.geomean_speedup_vs_seed, 2, "x"),
-        report.seed_dnf_rows,
-        report.min_speedup_vs_dense,
-        report.geomean_speedup_vs_dense,
-        report.overall_warm_start_rate * 100.0
-    ));
-    out.push_str(
-        "\nsolver-core ablation (revised engine, flags stacked):\n\
-         workload          legacy ms  +bounded  +bounded+ft      full  full vs legacy  iterations  bound-flips  ft-updates\n",
+        "solver-core ablation (revised engine, flags stacked):\n\
+         workload          legacy ms  +bounded  +bounded+ft      full  full vs legacy  iterations  bound-flips  ft-updates  warm-rate  cost (legacy/full)\n",
     );
     for r in &report.rows {
         out.push_str(&format!(
-            "{:<16} {:>10.1} {:>9.1} {:>12.1} {:>9.1} {:>14.2}x {:>11} {:>12} {:>11}\n",
+            "{:<16} {:>10.1} {:>9.1} {:>12.1} {:>9.1} {:>14.2}x {:>11} {:>12} {:>11} {:>9.0}% {:.2}/{:.2}\n",
             r.workload,
             r.revised_solve_ms,
             r.bounded_solve_ms,
@@ -489,11 +397,16 @@ pub fn render_report(report: &SolverBenchReport) -> String {
             r.simplex_iterations,
             r.bound_flips,
             r.ft_updates,
+            r.warm_start_rate * 100.0,
+            r.revised_cost,
+            r.full_cost,
         ));
     }
     out.push_str(&format!(
-        "full config vs legacy revised: min {:.2}x geomean {:.2}x\n",
-        report.min_speedup_full_vs_legacy, report.geomean_speedup_full_vs_legacy,
+        "full config vs legacy revised: min {:.2}x geomean {:.2}x | warm-start rate {:.0}%\n",
+        report.min_speedup_full_vs_legacy,
+        report.geomean_speedup_full_vs_legacy,
+        report.overall_warm_start_rate * 100.0
     ));
     if let Some(a) = &report.admission {
         out.push_str(&format!(
@@ -511,16 +424,18 @@ pub fn render_report(report: &SolverBenchReport) -> String {
         ));
     }
     if let Some(s) = &report.shard_scaling {
+        let speedup = |x: Option<f64>| x.map_or("unmeasured".to_string(), |x| format!("{x:.2}x"));
         out.push_str(&format!(
-            "shard scaling ({} jobs, {} threads): 1 shard {:.1}/s ({:.2} s), 2 shards {:.1}/s = {:.2}x, 4 shards {:.1}/s = {:.2}x\n",
+            "shard scaling ({} jobs, {} threads, {}): 1 shard {:.1}/s ({:.2} s), 2 shards {:.1}/s = {}, 4 shards {:.1}/s = {}\n",
             s.jobs,
             s.threads_available,
+            s.status,
             s.n1_jobs_per_sec,
             s.n1_wall_s,
             s.n2_jobs_per_sec,
-            s.n2_speedup,
+            speedup(s.n2_speedup),
             s.n4_jobs_per_sec,
-            s.n4_speedup,
+            speedup(s.n4_speedup),
         ));
     }
     out
@@ -530,28 +445,22 @@ pub fn render_report(report: &SolverBenchReport) -> String {
 mod tests {
     use super::*;
 
-    /// The smallest workload: all three engines must agree on cost within
-    /// the configured gap, and revised-engine warm starts must actually fire.
+    /// The smallest workload: the default and full configurations must agree
+    /// on cost within the configured gap, and warm starts must actually fire.
     #[test]
-    fn engines_agree_and_warm_starts_fire() {
+    fn configurations_agree_and_warm_starts_fire() {
         let row = bench_workload(32, false);
-        let seed_cost = row.seed_cost.expect("seed completes the 32 GB workload");
-        let tol = bench_options().relative_gap * seed_cost.abs() + 1e-6;
+        let tol = bench_options().relative_gap * row.revised_cost.abs() + 1e-6;
         assert!(
-            (seed_cost - row.revised_cost).abs() <= 2.0 * tol,
-            "seed {seed_cost} vs revised {}",
-            row.revised_cost
-        );
-        assert!(
-            (row.dense_cost - row.revised_cost).abs() <= 2.0 * tol,
-            "dense {} vs revised {}",
-            row.dense_cost,
+            (row.full_cost - row.revised_cost).abs() <= 2.0 * tol,
+            "full {} vs default {}",
+            row.full_cost,
             row.revised_cost
         );
         assert!(row.warm_start_hits > 0, "no warm-start hits: {row:?}");
         assert!(
             row.basis_factorizations > 0,
-            "revised engine reported no factorizations: {row:?}"
+            "no factorizations reported: {row:?}"
         );
     }
 }

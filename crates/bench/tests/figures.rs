@@ -1,7 +1,7 @@
 //! Integration tests over the experiment harness: the regenerated figures
 //! must show the same qualitative shape the paper reports.
 
-use conductor_bench::experiments;
+use conductor_bench::{experiments, solver_bench};
 
 /// §6.2 (Figures 5/6): Conductor's cost is close to the cheapest manual
 /// alternative, and the Hadoop-S3 option costs roughly twice as much.
@@ -73,44 +73,33 @@ fn fig08_storage_mix_curve_matches_paper_ordering() {
     );
 }
 
-/// Figure 16 smoke for the solver engines: the revised sparse engine and the
-/// dense tableau must plan the fig16 workload to identical costs (they solve
-/// the same relaxations to the same optima; only the linear algebra
-/// differs).
+/// Figure 16 pin: the four bench workloads plan to the costs committed in
+/// `BENCH_solver.json` when the solver-core rebuild landed — the default
+/// options to the `revised_cost` column, all three flags on to `full_cost`.
+/// A pivot-changing solver change has to move these numbers on purpose.
 #[test]
-fn fig16_revised_and_dense_plan_costs_are_identical() {
-    use conductor_cloud::{catalog::mbps_to_gb_per_hour, Catalog};
-    use conductor_core::{Goal, Planner, ResourcePool};
-    use conductor_lp::{Engine, SolveOptions};
-    use conductor_mapreduce::Workload;
-
-    let spec = Workload::KMeansScaled { input_gb: 32 }.spec();
-    let upload_hours = spec.input_gb / mbps_to_gb_per_hour(16.0);
-    let deadline = (upload_hours * 1.3).ceil().max(6.0);
-    let plan_cost = |engine: Engine| {
-        let pool = ResourcePool::from_catalog(&Catalog::aws_july_2011(), 1.0)
-            .with_compute_only(&["m1.large"]);
-        let planner = Planner::new(pool).with_solve_options(SolveOptions {
-            engine,
-            time_limit: std::time::Duration::from_secs(60),
-            ..Default::default()
-        });
-        let (plan, _) = planner
-            .plan(
-                &spec,
-                Goal::MinimizeCost {
-                    deadline_hours: deadline,
-                },
-            )
-            .expect("fig16 smoke plan");
-        plan.expected_cost
-    };
-    let dense = plan_cost(Engine::DenseTableau);
-    let revised = plan_cost(Engine::RevisedSparse);
-    assert!(
-        (dense - revised).abs() < 1e-9,
-        "dense {dense} vs revised {revised}"
-    );
+fn fig16_plan_costs_match_the_committed_bench_columns() {
+    // (input GB, migration, revised_cost, full_cost)
+    let pins = [
+        (32, false, 25.71986478477859, 25.719864784778597),
+        (128, false, 103.13652103826342, 103.13662103826343),
+        (256, false, 207.91613632782136, 207.9149363278214),
+        (128, true, 103.03789908754416, 103.03789908754416),
+    ];
+    for (input_gb, migration, revised_cost, full_cost) in pins {
+        let default = solver_bench::bench_options();
+        let full = solver_bench::full_flags(default.clone());
+        for (label, options, pinned) in [
+            ("default", default, revised_cost),
+            ("full", full, full_cost),
+        ] {
+            let (_, _, cost, _) = solver_bench::plan_once(input_gb, migration, options);
+            assert!(
+                (cost - pinned).abs() <= 1e-4,
+                "{input_gb} GB (migration {migration}), {label} options: {cost} vs pinned {pinned}"
+            );
+        }
+    }
 }
 
 /// Figure 16: the model and its solve time grow with the input size, and

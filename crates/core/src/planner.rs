@@ -33,8 +33,7 @@ pub struct PlanningReport {
     /// Nodes whose warm-start attempt fell back to the cold path.
     #[serde(default)]
     pub warm_start_misses: usize,
-    /// LU factorizations of the simplex basis (revised engine; 0 for the
-    /// tableau engines).
+    /// LU factorizations of the simplex basis.
     #[serde(default)]
     pub basis_factorizations: usize,
     /// Factorizations triggered mid-stream by the eta limit or a drift

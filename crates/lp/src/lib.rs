@@ -10,9 +10,9 @@
 //! * **semi-continuous** variables (the Map→Reduce phase barrier of §4.3),
 //! * linear constraints (`<=`, `>=`, `=`),
 //! * linear objectives (minimize or maximize),
-//! * three selectable LP-relaxation engines — the preserved seed tableau,
-//!   a flat dense tableau, and the default **sparse revised simplex** with
-//!   an LU-factorized basis (see [`problem::Engine`]) — and
+//! * one LP-relaxation engine — a **sparse revised simplex** with an
+//!   LU-factorized basis ([`revised`]), solved against a once-per-problem
+//!   standard-form skeleton ([`simplex::StandardFormSkeleton`]) — and
 //! * branch & bound with a relative gap tolerance, node limit and wall-clock
 //!   time limit (mirroring the paper's "bound the solving time to three
 //!   minutes and use the best solution computed so far", §4.8).
@@ -34,13 +34,11 @@
 //! ```
 
 pub mod branch_bound;
-pub mod dense;
 pub mod error;
 pub mod expr;
 pub mod lu;
 pub mod problem;
 pub mod revised;
-pub mod seed_baseline;
 pub mod simplex;
 pub mod solution;
 pub mod sparse;
@@ -49,8 +47,16 @@ pub mod state;
 pub use branch_bound::SolveContext;
 pub use error::LpError;
 pub use expr::{LinExpr, VarId};
-pub use problem::{ConstraintOp, Engine, Problem, Sense, SolveOptions, VarKind};
+pub use problem::{ConstraintOp, Problem, Sense, SolveOptions, VarKind};
 pub use revised::RevisedWorkspace;
-pub use simplex::{SimplexWorkspace, StandardFormSkeleton, WarmStart};
+pub use simplex::{StandardFormSkeleton, WarmStart};
 pub use solution::{Solution, SolveStats, SolveStatus};
 pub use state::StateError;
+
+// The revised engine's unit tests check it against the workspace's test-only
+// reference solver, which addresses this crate by its external name.
+#[cfg(test)]
+extern crate self as conductor_lp;
+#[cfg(test)]
+#[path = "../../../tests/support/oracle.rs"]
+mod oracle;

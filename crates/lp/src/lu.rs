@@ -26,9 +26,8 @@
 //! (`B⁻ᵀ·c`, pricing / dual row extraction) both run in O(nnz(L)+nnz(U)+
 //! Σ nnz(updates)). When the update file grows past its limit — or a drift
 //! check fails — the factorization is rebuilt from the basis columns, which
-//! bounds both fill-in and accumulated floating-point error. This replaces
-//! the dense engine's blind `REUSE_REFRESH` cold-refill ceiling with an
-//! explicit, observable refresh policy (counts surface in `SolveStats`).
+//! bounds both fill-in and accumulated floating-point error: an explicit,
+//! observable refresh policy (counts surface in `SolveStats`).
 
 use crate::sparse::CscMatrix;
 

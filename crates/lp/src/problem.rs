@@ -70,33 +70,6 @@ pub struct Constraint {
     pub rhs: f64,
 }
 
-/// Which LP-relaxation engine backs the solve.
-///
-/// All three engines accept the same problems and agree on statuses and
-/// objectives (the cross-engine equivalence battery in `tests/properties.rs`
-/// enforces this); they differ in how each branch & bound node's relaxation
-/// is solved:
-///
-/// * [`Engine::SeedBaseline`] — the straightforward `Vec<Vec<f64>>` tableau
-///   preserved from the seed for honest before/after benchmarks.
-/// * [`Engine::DenseTableau`] — the flat contiguous tableau with embedded
-///   basis inverse and warm-started RHS re-derivation (PR 1).
-/// * [`Engine::RevisedSparse`] — sparse revised simplex: CSC matrix,
-///   LU-factorized basis with eta-file updates and periodic
-///   refactorization, sparse FTRAN/BTRAN, partial pricing. The default:
-///   Conductor models are ~95 % sparse, so per-pivot cost drops from
-///   O(m·cols) to O(nnz).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Engine {
-    /// The preserved seed implementation (`crate::seed_baseline`).
-    SeedBaseline,
-    /// The flat dense tableau simplex (`crate::simplex`).
-    DenseTableau,
-    /// The sparse revised simplex (`crate::revised`).
-    #[default]
-    RevisedSparse,
-}
-
 /// Knobs bounding the solve, mirroring the paper's CPLEX configuration
 /// (1 % optimality gap, three-minute wall-clock cap; §4.8 and §6.6).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -117,31 +90,26 @@ pub struct SolveOptions {
     /// out while debugging.
     #[serde(default = "default_true")]
     pub warm_start: bool,
-    /// Which LP-relaxation engine to use. The seed and dense engines stay
-    /// selectable so benchmarks can report honest engine-vs-engine
-    /// comparisons; production paths use the default revised engine.
-    #[serde(default)]
-    pub engine: Engine,
-    /// Bounded-variable simplex (revised engine only): handle finite upper
-    /// bounds implicitly via a nonbasic-at-upper status and a bound-flip
-    /// ratio test instead of materializing a span row per bounded variable
-    /// in the standard form. Roughly halves the row count on the
-    /// integer-heavy admission models, and turns branch & bound's bound
-    /// overrides into status flips instead of RHS patches. Default off so
-    /// existing bitwise pins keep anchoring the legacy path; the benchmarks
-    /// and the cross-engine battery exercise both settings.
+    /// Bounded-variable simplex: handle finite upper bounds implicitly via
+    /// a nonbasic-at-upper status and a bound-flip ratio test instead of
+    /// materializing a span row per bounded variable in the standard form.
+    /// Roughly halves the row count on the integer-heavy admission models,
+    /// and turns branch & bound's bound overrides into status flips instead
+    /// of RHS patches. Default off so existing bitwise pins keep anchoring
+    /// the legacy path; the benchmarks and the oracle battery
+    /// (`tests/properties.rs`) exercise both settings.
     #[serde(default)]
     pub bounded_variables: bool,
-    /// Forrest–Tomlin basis updates (revised engine only): update the U
-    /// factor in place at each pivot instead of appending product-form eta
-    /// vectors, keeping FTRAN/BTRAN cost flat between refactorizations.
+    /// Forrest–Tomlin basis updates: update the U factor in place at each
+    /// pivot instead of appending product-form eta vectors, keeping
+    /// FTRAN/BTRAN cost flat between refactorizations.
     /// Default off (see `bounded_variables` for the determinism story).
     #[serde(default)]
     pub forrest_tomlin: bool,
-    /// Dual steepest-edge pricing (revised engine only) for the dual-repair
-    /// path every warm-started node runs: pick the leaving row by the
-    /// steepest-edge criterion with Forrest–Goldfarb weight updates instead
-    /// of the most-violated rule. Fewer, better pivots on re-solve-dominated
+    /// Dual steepest-edge pricing for the dual-repair path every
+    /// warm-started node runs: pick the leaving row by the steepest-edge
+    /// criterion with Forrest–Goldfarb weight updates instead of the
+    /// most-violated rule. Fewer, better pivots on re-solve-dominated
     /// workloads. Default off (see `bounded_variables`).
     #[serde(default)]
     pub dual_steepest_edge: bool,
@@ -160,7 +128,6 @@ impl Default for SolveOptions {
             time_limit: Duration::from_secs(180),
             integrality_tol: 1e-6,
             warm_start: true,
-            engine: Engine::default(),
             bounded_variables: false,
             forrest_tomlin: false,
             dual_steepest_edge: false,

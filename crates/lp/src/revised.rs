@@ -1,9 +1,9 @@
 //! Sparse revised simplex with an LU-factorized basis.
 //!
-//! Third solver engine next to [`crate::seed_baseline`] and the dense
-//! tableau of [`crate::simplex`]. It shares the dense engine's
-//! [`StandardFormSkeleton`] (same variable mapping, row layout, span rows and
-//! per-node RHS patching) but replaces the O(m·cols)-per-pivot tableau with:
+//! The LP-relaxation engine behind branch & bound. It solves against a
+//! [`StandardFormSkeleton`] (variable mapping, row layout, span rows and
+//! per-node RHS patching) and, where a textbook tableau pays O(m·cols) per
+//! pivot, keeps:
 //!
 //! * the constraint matrix held once in CSC form ([`crate::sparse`]),
 //! * the basis kept as a sparse LU factorization with product-form eta
@@ -14,20 +14,18 @@
 //!   Dantzig scan every few iterations shortlists the most negative
 //!   reduced-cost columns, and the iterations in between price only that
 //!   shortlist. Pivot quality stays near-Dantzig (the entering column right
-//!   after a scan *is* the global most-negative one, so branch & bound sees
-//!   the same vertices as the dense engine) while the per-iteration pricing
-//!   cost drops from O(nnz(A)) to O(shortlist).
+//!   after a scan *is* the global most-negative one) while the
+//!   per-iteration pricing cost drops from O(nnz(A)) to O(shortlist).
 //!
 //! Per-iteration cost drops from O(m·cols) to O(nnz). Warm starts across
 //! branch & bound nodes re-derive the node RHS *through the factorization*
-//! (`x_B = B⁻¹·b`) instead of through a basis inverse embedded in a reused
-//! tableau, so there is no analogue of the dense engine's `REUSE_REFRESH`
-//! drift ceiling: every refactorization recomputes `x_B` from scratch, and
-//! an explicit residual check (`‖B·x_B − b‖∞`) at each reuse converts drift
-//! into a counted refresh instead of a blind cold refill.
+//! (`x_B = B⁻¹·b`), so there is no ceiling on consecutive reuses: every
+//! refactorization recomputes `x_B` from scratch, and an explicit residual
+//! check (`‖B·x_B − b‖∞`) at each reuse converts drift into a counted
+//! refresh instead of a blind cold refill.
 //!
 //! Infinite span-row right-hand sides (branchable variables with no upper
-//! bound) cannot flow through LU solves the way they flow through dense
+//! bound) cannot flow through LU solves the way they would through dense
 //! tableau arithmetic, so the RHS is carried as the pair `b = b_f + ∞·b_w`
 //! and the basic solution as `x = x_f + ∞·x_w`; a basic value is "infinite"
 //! exactly when its `x_w` weight is positive, which is what the ratio tests
@@ -207,7 +205,7 @@ impl RevisedWorkspace {
     }
 }
 
-/// Outcome of a warm-start attempt (mirrors the dense engine).
+/// Outcome of a warm-start attempt.
 enum ReuseOutcome {
     Reused(usize),
     Infeasible,
@@ -223,9 +221,11 @@ enum RepairResult {
 /// Solves the continuous relaxation described by `skeleton` under the given
 /// bound overrides with the sparse revised simplex.
 ///
-/// Drop-in equivalent of [`crate::simplex::solve_with_skeleton`]: same
-/// skeleton, same warm-start contract (`basis_hint` authorizes reusing the
-/// workspace's last optimal basis), same result type.
+/// `basis_hint` (a basis returned by a previous solve against the *same*
+/// skeleton) authorizes a warm start from the workspace's last optimal
+/// basis; `None` forces the cold two-phase path. The caller must ensure
+/// `skeleton.compatible(lower, upper)` holds; branch & bound guarantees it
+/// structurally.
 pub fn solve_with_skeleton_revised(
     skeleton: &StandardFormSkeleton,
     ws: &mut RevisedWorkspace,
@@ -332,7 +332,8 @@ pub fn solve_with_skeleton_revised(
     })
 }
 
-/// One-shot convenience mirroring [`crate::simplex::solve_relaxation`].
+/// One-shot convenience: builds a fresh span-row skeleton and workspace and
+/// solves the relaxation of `problem` under the given bound overrides cold.
 pub fn solve_relaxation_revised(
     problem: &Problem,
     lower: &[f64],
@@ -751,9 +752,8 @@ impl<'a> RSolver<'a> {
                 ws.bf.ftran(&mut ws.w);
             }
 
-            // Two-pass ratio test with the dense engine's exact semantics
-            // (minimum ratio, largest pivot among near-ties) so both engines
-            // walk the same vertices — plus a Harris-style fallback: when
+            // Two-pass ratio test (minimum ratio, largest pivot among
+            // near-ties) plus a Harris-style fallback: when
             // the exact rule would pivot on a noise-level entry (|w| ≲ 1e-7,
             // which de-conditions the LU factorization), the minimum ratio
             // is relaxed by the feasibility tolerance to reach a safe pivot.
@@ -1614,8 +1614,8 @@ impl RevisedWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{self, Outcome};
     use crate::problem::{ConstraintOp, Problem, Sense};
-    use crate::simplex;
 
     fn bounds(p: &Problem) -> (Vec<f64>, Vec<f64>) {
         (
@@ -1624,26 +1624,26 @@ mod tests {
         )
     }
 
+    /// Checks one engine answer against the dense reference simplex (the
+    /// workspace's test-only oracle): same status, same objective.
+    fn assert_same_as_dense(label: &str, dense: &Outcome, revised: Result<SimplexResult, LpError>) {
+        match (dense, revised) {
+            (Outcome::Optimal { objective, .. }, Ok(r)) => assert!(
+                (objective - r.objective).abs() < 1e-7,
+                "{label}: dense {objective} vs revised {}",
+                r.objective
+            ),
+            (Outcome::Infeasible, Err(LpError::Infeasible))
+            | (Outcome::Unbounded, Err(LpError::Unbounded)) => {}
+            (d, r) => panic!("{label}: dense {d:?} vs revised {r:?}"),
+        }
+    }
+
     fn assert_matches_dense(p: &Problem) {
         let (lower, upper) = bounds(p);
-        let dense = simplex::solve_relaxation(p, &lower, &upper, 100_000);
+        let dense = oracle::solve_lp(p, &lower, &upper);
         let revised = solve_relaxation_revised(p, &lower, &upper, 100_000);
-        match (dense, revised) {
-            (Ok(d), Ok(r)) => {
-                assert!(
-                    (d.objective - r.objective).abs() < 1e-7,
-                    "dense {} vs revised {}",
-                    d.objective,
-                    r.objective
-                );
-            }
-            (Err(de), Err(re)) => assert_eq!(
-                std::mem::discriminant(&de),
-                std::mem::discriminant(&re),
-                "dense {de:?} vs revised {re:?}"
-            ),
-            (d, r) => panic!("dense {d:?} vs revised {r:?}"),
-        }
+        assert_same_as_dense("span rows", &dense, revised);
     }
 
     #[test]
@@ -1798,23 +1798,10 @@ mod tests {
 
     fn assert_bounded_matches_dense(p: &Problem) {
         let (lower, upper) = bounds(p);
-        let dense = simplex::solve_relaxation(p, &lower, &upper, 100_000);
+        let dense = oracle::solve_lp(p, &lower, &upper);
         for (ft, dse) in [(false, false), (true, false), (false, true), (true, true)] {
             let bounded = solve_bounded_with(p, &lower, &upper, ft, dse);
-            match (&dense, &bounded) {
-                (Ok(d), Ok(r)) => assert!(
-                    (d.objective - r.objective).abs() < 1e-7,
-                    "ft={ft} dse={dse}: dense {} vs bounded {}",
-                    d.objective,
-                    r.objective
-                ),
-                (Err(de), Err(re)) => assert_eq!(
-                    std::mem::discriminant(de),
-                    std::mem::discriminant(re),
-                    "ft={ft} dse={dse}: dense {de:?} vs bounded {re:?}"
-                ),
-                (d, r) => panic!("ft={ft} dse={dse}: dense {d:?} vs bounded {r:?}"),
-            }
+            assert_same_as_dense(&format!("bounded ft={ft} dse={dse}"), &dense, bounded);
         }
     }
 
@@ -1997,14 +1984,9 @@ mod tests {
             assert!(sk.compatible(&l, &u));
             let warm =
                 solve_with_skeleton_revised(&sk, &mut ws, &l, &u, Some(&basis), 10_000).unwrap();
-            let dense = simplex::solve_relaxation(&p, &l, &u, 10_000).unwrap();
-            assert!(
-                (warm.objective - dense.objective).abs() < 1e-6,
-                "var {var} in [{lo},{hi}]: warm {} dense {}",
-                warm.objective,
-                dense.objective
-            );
-            basis = warm.basis;
+            basis = warm.basis.clone();
+            let dense = oracle::solve_lp(&p, &l, &u);
+            assert_same_as_dense(&format!("var {var} in [{lo},{hi}]"), &dense, Ok(warm));
         }
         let (hits, misses) = ws.warm_start_counts();
         assert!(hits > 0, "hits {hits} misses {misses}");

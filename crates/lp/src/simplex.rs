@@ -1,45 +1,28 @@
-//! Two-phase dense tableau simplex for LP relaxations, rebuilt for
-//! throughput.
+//! The standard-form rewrite every LP relaxation is solved against, and the
+//! small types a relaxation solve hands back.
 //!
-//! The solver works on a *standard form* rewrite of the user problem:
-//! every variable is shifted/split so that it is non-negative, finite upper
-//! bounds become extra rows, and each row receives a slack and/or artificial
-//! column. Phase 1 minimizes the sum of artificials to find a feasible
-//! basis; Phase 2 optimizes the user objective.
-//!
-//! Three things distinguish this implementation from the straightforward one
-//! preserved in [`crate::seed_baseline`]:
-//!
-//! 1. **Flat tableau** — the tableau lives in one contiguous
-//!    [`DenseMatrix`] (stride = `cols + 1`, last column is the RHS), so the
-//!    pivot elimination loop is a linear scan the compiler vectorizes, and
-//!    the buffer is reused across solves.
-//! 2. **Standard-form skeleton** — [`StandardFormSkeleton`] performs the
-//!    expensive standard-form rewrite (variable classification, sparse row
-//!    scatter layout, slack/artificial column layout, objective mapping)
-//!    *once per problem*. Branch & bound nodes only patch shifts and
-//!    right-hand sides into the reused workspace, instead of re-walking
-//!    every constraint expression per node.
-//! 3. **Warm starts** — a node can seed the solve with a basis hint
-//!    ([`solve_with_skeleton`]'s `basis_hint`, the parent's final basis in
-//!    branch & bound). Because the objective never changes between nodes,
-//!    the workspace's last optimal tableau stays *dual feasible* for every
-//!    sibling node: the solver re-derives the node's right-hand side through
-//!    the basis inverse embedded in the slack/artificial columns and repairs
-//!    any negative entries with a handful of dual simplex pivots, skipping
-//!    phase 1 (and usually phase 2) entirely. When the repair cannot be
-//!    completed the solver falls back to the cold two-phase path. The
-//!    outcome is reported in [`SimplexResult::warm`] so callers can track
-//!    hit rates.
+//! [`StandardFormSkeleton`] rewrites a user problem into *standard form*
+//! once per problem: every variable is shifted/split so that it is
+//! non-negative, each row receives a slack and/or artificial column, and the
+//! sparse row scatter layout and objective mapping are precomputed. Finite
+//! upper bounds become extra *span rows* ([`StandardFormSkeleton::new`]) or
+//! implicit column bounds ([`StandardFormSkeleton::new_bounded`]). Branch &
+//! bound nodes only patch shifts and right-hand sides (or flip column
+//! statuses) against it instead of re-walking every constraint expression
+//! per node; [`crate::revised`] is the solver that consumes it.
 //!
 //! The column layout is *stable across nodes of one skeleton*: branching
 //! only tightens variable bounds, which the skeleton expresses as per-node
 //! shifts and span-row RHS patches (a span row `x' + s = upper - lower`
 //! exists for every branchable variable; an unbounded side simply makes the
 //! RHS `+inf`, which the ratio test ignores). Stability is what makes a
-//! parent basis directly meaningful to its children.
+//! parent basis directly meaningful to its children, so a node can
+//! warm-start from its parent's final basis: the objective never changes
+//! between nodes, the last optimal basis stays *dual feasible* for every
+//! sibling, and a handful of dual simplex pivots repair the re-derived
+//! right-hand side. The outcome is reported in [`SimplexResult::warm`] so
+//! callers can track hit rates.
 
-use crate::dense::DenseMatrix;
 use crate::error::LpError;
 use crate::problem::{ConstraintOp, Problem, Sense, VarKind};
 
@@ -48,15 +31,12 @@ pub(crate) const PIVOT_TOL: f64 = 1e-9;
 pub(crate) const COST_TOL: f64 = 1e-9;
 pub(crate) const FEAS_TOL: f64 = 1e-7;
 /// Minimum pivot magnitude accepted by the dual-repair ratio test. Stricter
-/// than `PIVOT_TOL`: reused tableaus accumulate drift across nodes, and a
-/// tiny dual pivot amplifies it by its reciprocal.
+/// than `PIVOT_TOL`: reused factorizations accumulate drift across nodes,
+/// and a tiny dual pivot amplifies it by its reciprocal.
 pub(crate) const DUAL_PIVOT_TOL: f64 = 1e-7;
-/// Reused tableau entries above this magnitude mean the basis inverse has
+/// Re-derived basic values above this magnitude mean the basis inverse has
 /// degraded too far to trust; the solve falls back to a cold refill.
 pub(crate) const REUSE_HEALTH_LIMIT: f64 = 1e10;
-/// Warm-started solves reuse the previous tableau; after this many
-/// consecutive reuses a cold refill bounds accumulated floating-point drift.
-const REUSE_REFRESH: usize = 32;
 /// Cap on dual-simplex repair pivots before giving up on a warm start.
 pub(crate) fn repair_pivot_cap(rows: usize, cols: usize) -> usize {
     4 * (rows + cols)
@@ -65,10 +45,10 @@ pub(crate) fn repair_pivot_cap(rows: usize, cols: usize) -> usize {
 /// How a solve obtained its starting basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarmStart {
-    /// No basis hint was supplied (or no reusable tableau existed yet); the
+    /// No basis hint was supplied (or no reusable basis existed yet); the
     /// classic two-phase path ran.
     Cold,
-    /// The previous optimal tableau was reused (RHS re-derived, dual-simplex
+    /// The previous optimal basis was reused (RHS re-derived, dual-simplex
     /// repaired if needed): phase 1 was skipped.
     Hit,
     /// A warm start was attempted but could not be completed; the solver
@@ -86,7 +66,8 @@ pub struct SimplexResult {
     /// Simplex iterations used (both phases, plus warm-start installation pivots).
     pub iterations: usize,
     /// Final basis (basic column per row) — feed to the next
-    /// [`solve_with_skeleton`] call as a warm-start hint.
+    /// [`crate::revised::solve_with_skeleton_revised`] call against the same
+    /// skeleton as a warm-start hint.
     pub basis: Vec<usize>,
     /// Whether this solve warm-started from a parent basis.
     pub warm: WarmStart,
@@ -127,7 +108,7 @@ pub(crate) struct SkelRow {
 /// The once-per-problem part of the standard-form rewrite.
 ///
 /// Building this walks every constraint expression exactly once; solving a
-/// node against it only touches the dense workspace.
+/// node against it only touches the solver's workspace.
 #[derive(Debug, Clone)]
 pub struct StandardFormSkeleton {
     pub(crate) var_map: Vec<VarMap>,
@@ -180,8 +161,7 @@ impl StandardFormSkeleton {
     /// finite upper bounds (and branch & bound bound overrides) are handled
     /// implicitly by the revised engine as nonbasic-at-upper statuses, so
     /// `m_total == m_constraints` (about half the rows of [`Self::new`] on
-    /// integer-heavy models). Only [`crate::revised`] understands this
-    /// layout; the dense tableau engine rejects it.
+    /// integer-heavy models).
     pub fn new_bounded(problem: &Problem, lower: &[f64], upper: &[f64]) -> Result<Self, LpError> {
         Self::build(problem, lower, upper, true)
     }
@@ -496,767 +476,6 @@ impl StandardFormSkeleton {
     }
 }
 
-/// Reusable buffers for [`solve_with_skeleton`]: the flat tableau, basis
-/// bookkeeping, and scratch vectors. One workspace serves an entire branch &
-/// bound run; after the first node, solving allocates nothing but the
-/// returned result vectors.
-#[derive(Debug, Clone, Default)]
-pub struct SimplexWorkspace {
-    t: DenseMatrix,
-    basis: Vec<usize>,
-    is_basic: Vec<bool>,
-    cost_row: Vec<f64>,
-    /// Per-variable mapping constant for the current node (see [`VarMap`]).
-    shifts: Vec<f64>,
-    /// Phase-1 cost vector (1 on artificial columns), rebuilt on reshape.
-    phase1_cost: Vec<f64>,
-    /// Largest finite |RHS|, used to scale the phase-1 feasibility test.
-    b_scale: f64,
-    /// Objective constant of the current node (minimization orientation).
-    obj_constant: f64,
-    /// `true` when the tableau holds a phase-2-optimal state that the next
-    /// solve may warm-start from (reset by fills and by failed solves).
-    reusable: bool,
-    /// Identity of the skeleton the tableau was built from (guards against
-    /// one workspace being shared across different skeletons).
-    skeleton_tag: usize,
-    /// Row-sign convention (`±1`) chosen by the fill that built the current
-    /// tableau; RHS re-derivation must use the same convention.
-    fill_flip: Vec<f64>,
-    /// Per row: the `(column, sign)` whose tableau column equals
-    /// `sign · B⁻¹ eⱼ` (the slack for `<=`/span rows, the artificial for
-    /// `>=`/`=` rows) — the embedded basis inverse used to re-derive RHS.
-    binv_cols: Vec<(usize, f64)>,
-    /// Scratch: per-row `sign · flip · rhs` weights during RHS re-derivation.
-    reuse_w: Vec<f64>,
-    /// Scratch: the re-derived RHS column.
-    reuse_rhs: Vec<f64>,
-    /// Consecutive warm reuses since the last cold fill (drift bound).
-    reuse_streak: usize,
-    /// Lifetime warm-start hits (including dual-certified infeasible nodes).
-    warm_hits: usize,
-    /// Lifetime warm-start misses (fell back to the cold path).
-    warm_misses: usize,
-}
-
-impl SimplexWorkspace {
-    /// Cumulative `(hits, misses)` of warm-start attempts made through this
-    /// workspace. A hit skipped phase 1 (tableau reuse, including nodes the
-    /// dual repair certified infeasible); a miss fell back to the cold path.
-    pub fn warm_start_counts(&self) -> (usize, usize) {
-        (self.warm_hits, self.warm_misses)
-    }
-}
-
-/// Outcome of a tableau-reuse attempt.
-enum ReuseOutcome {
-    /// Reused: primal feasibility restored after this many repair pivots.
-    Reused(usize),
-    /// The dual repair produced a certificate that the node is infeasible;
-    /// the tableau stays dual feasible and therefore reusable.
-    Infeasible,
-    /// Reuse impossible (layout/numerical reasons); fall back to cold.
-    Fallback,
-}
-
-/// Outcome of the dual-simplex repair loop.
-enum RepairResult {
-    /// Primal feasibility restored after this many pivots.
-    Done(usize),
-    /// A row certified the node primal infeasible.
-    Infeasible,
-    /// Pivot cap exceeded (likely numerical trouble); fall back to cold.
-    GaveUp,
-}
-
-/// Solves the continuous relaxation described by `skeleton` under the given
-/// bound overrides.
-///
-/// `basis_hint` (a basis returned by a previous solve against the *same*
-/// skeleton) authorizes a warm start. The solver does not replay the hinted
-/// basis pivot-by-pivot: it reuses the workspace's last optimal tableau —
-/// which represents an optimal basis of the same constraint matrix, i.e. a
-/// generalization of whatever basis the hint names — re-derives the RHS and
-/// dual-repairs it. Passing `None` forces the cold two-phase path.
-///
-/// The caller must ensure `skeleton.compatible(lower, upper)` holds; branch
-/// & bound guarantees it structurally, and [`solve_relaxation`] builds a
-/// fresh skeleton per call.
-pub fn solve_with_skeleton(
-    skeleton: &StandardFormSkeleton,
-    ws: &mut SimplexWorkspace,
-    lower: &[f64],
-    upper: &[f64],
-    basis_hint: Option<&[usize]>,
-    max_iterations: usize,
-) -> Result<SimplexResult, LpError> {
-    // Bounded-variable skeletons carry upper bounds as implicit column
-    // bounds, which only the revised engine's ratio tests understand.
-    assert!(
-        !skeleton.bounded,
-        "the dense tableau engine requires a span-row (legacy) skeleton"
-    );
-    // Branching can make bound pairs cross; that node is infeasible.
-    for i in 0..lower.len() {
-        if lower[i] > upper[i] + FEAS_TOL {
-            return Err(LpError::Infeasible);
-        }
-    }
-    debug_assert!(
-        skeleton.compatible(lower, upper),
-        "bound overrides changed the layout"
-    );
-
-    let tag = skeleton as *const StandardFormSkeleton as usize;
-    let mut solver = Solver { sk: skeleton, ws };
-
-    // Warm path: reuse the previous optimal tableau. The basis hint (the
-    // parent's final basis in branch & bound) is the caller's signal that a
-    // warm start makes sense; the live tableau generalizes it — any optimal
-    // basis of the same constraint matrix is dual feasible for this node,
-    // so re-deriving the RHS and running a short dual-simplex repair skips
-    // phase 1 no matter which sibling was solved last.
-    let mut warm = WarmStart::Cold;
-    let mut warm_iterations: Option<usize> = None;
-    if basis_hint.is_some()
-        && solver.ws.reusable
-        && solver.ws.skeleton_tag == tag
-        && solver.ws.reuse_streak < REUSE_REFRESH
-    {
-        solver.ws.reusable = false; // re-armed only on success
-        match solver.try_reuse(lower, upper) {
-            ReuseOutcome::Reused(pivots) => {
-                // The repaired basis is primal feasible and (numerically)
-                // dual feasible; the phase-2 polish normally terminates in a
-                // handful of iterations. A tight budget converts numerical
-                // trouble (drifted tableau grinding forever) into a cold
-                // restart instead of burning the whole iteration allowance.
-                let m = skeleton.m_total;
-                let polish_cap = (2 * (m + skeleton.cols)).max(64).min(max_iterations);
-                match solver.optimize(&skeleton.c, polish_cap, false) {
-                    Ok(n) => {
-                        warm = WarmStart::Hit;
-                        warm_iterations = Some(n + pivots);
-                        solver.ws.warm_hits += 1;
-                        solver.ws.reuse_streak += 1;
-                    }
-                    // Any trouble on the reused tableau (iteration budget,
-                    // apparent unboundedness) is resolved by the cold path
-                    // rather than trusted.
-                    Err(_) => warm = WarmStart::Miss,
-                }
-            }
-            ReuseOutcome::Infeasible => {
-                // The dual certificate settles the node without a cold
-                // solve, and the tableau (still dual feasible) remains
-                // warm-startable for the next node.
-                solver.ws.warm_hits += 1;
-                solver.ws.reuse_streak += 1;
-                solver.ws.reusable = true;
-                return Err(LpError::Infeasible);
-            }
-            ReuseOutcome::Fallback => warm = WarmStart::Miss,
-        }
-        if warm == WarmStart::Miss {
-            solver.ws.warm_misses += 1;
-        }
-    }
-
-    let iterations = match warm_iterations {
-        Some(n) => n,
-        None => {
-            solver.fill(lower, upper);
-            solver.ws.skeleton_tag = tag;
-            solver.ws.reuse_streak = 0;
-            match solver.optimize_two_phase(max_iterations) {
-                Ok(n) => n,
-                Err(e) => {
-                    solver.ws.reusable = false;
-                    return Err(e);
-                }
-            }
-        }
-    };
-
-    let values = solver.extract_original_values(lower, upper);
-    let min_obj = solver.objective_for(&solver.sk.c) + solver.ws.obj_constant;
-    let objective = min_obj * skeleton.sense_factor;
-    let basis = solver.ws.basis.clone();
-    solver.ws.reusable = true;
-
-    Ok(SimplexResult {
-        values,
-        objective,
-        iterations,
-        basis,
-        warm,
-    })
-}
-
-/// Solves the continuous relaxation of `problem` using the supplied bound
-/// overrides (`lower[i]`, `upper[i]` replace the declared bounds of variable
-/// `i`; semi-continuous variables are treated as continuous within those
-/// bounds).
-///
-/// One-shot convenience over [`StandardFormSkeleton`] +
-/// [`solve_with_skeleton`]; branch & bound uses those directly so the
-/// skeleton and workspace are shared across the whole tree.
-pub fn solve_relaxation(
-    problem: &Problem,
-    lower: &[f64],
-    upper: &[f64],
-    max_iterations: usize,
-) -> Result<SimplexResult, LpError> {
-    let skeleton = StandardFormSkeleton::new(problem, lower, upper)?;
-    let mut ws = SimplexWorkspace::default();
-    solve_with_skeleton(&skeleton, &mut ws, lower, upper, None, max_iterations)
-}
-
-/// The solver proper: a skeleton plus the mutable workspace.
-struct Solver<'a> {
-    sk: &'a StandardFormSkeleton,
-    ws: &'a mut SimplexWorkspace,
-}
-
-impl<'a> Solver<'a> {
-    /// Computes the per-node variable shifts and objective constant (shared
-    /// by the cold fill and the warm reuse path).
-    fn compute_node_scalars(&mut self, lower: &[f64], upper: &[f64]) {
-        let sk = self.sk;
-        let ws = &mut *self.ws;
-        ws.shifts.clear();
-        ws.shifts.resize(sk.var_map.len(), 0.0);
-        for (i, map) in sk.var_map.iter().enumerate() {
-            ws.shifts[i] = match *map {
-                VarMap::Shifted { .. } => lower[i],
-                VarMap::Mirrored { .. } => upper[i],
-                VarMap::Fixed => lower[i],
-                VarMap::Split { .. } => 0.0,
-            };
-        }
-        ws.obj_constant = sk.obj_base
-            + sk.obj_terms
-                .iter()
-                .map(|&(var, coef)| coef * ws.shifts[var])
-                .sum::<f64>();
-    }
-
-    /// Specializes the skeleton to one node's bounds: computes shifts,
-    /// patches RHS values, scatters coefficients into the reused tableau and
-    /// installs the default (slack/artificial) basis.
-    fn fill(&mut self, lower: &[f64], upper: &[f64]) {
-        self.compute_node_scalars(lower, upper);
-        let sk = self.sk;
-        let ws = &mut *self.ws;
-        ws.reusable = false;
-        let stride = sk.cols + 1;
-        ws.t.reset(sk.m_total, stride);
-        ws.basis.clear();
-        ws.basis.resize(sk.m_total, 0);
-        ws.is_basic.clear();
-        ws.is_basic.resize(sk.cols, false);
-        ws.cost_row.clear();
-        ws.cost_row.resize(sk.cols, 0.0);
-        // Rebuilt unconditionally: two skeletons can share `cols` yet differ
-        // in `artificial_start`, so caching on length alone would leave stale
-        // phase-1 costs when one workspace serves several skeletons.
-        ws.phase1_cost.clear();
-        ws.phase1_cost.resize(sk.cols, 0.0);
-        for j in sk.artificial_start..sk.cols {
-            ws.phase1_cost[j] = 1.0;
-        }
-        ws.b_scale = 0.0;
-        ws.fill_flip.clear();
-        ws.fill_flip.resize(sk.m_total, 1.0);
-        ws.binv_cols.clear();
-        ws.binv_cols.resize(sk.m_total, (0, 1.0));
-
-        // Constraint rows.
-        for (ri, row) in sk.rows.iter().enumerate() {
-            let rhs = row.base_rhs
-                - row
-                    .terms
-                    .iter()
-                    .map(|&(var, coef)| coef * ws.shifts[var])
-                    .sum::<f64>();
-            let flip = rhs < 0.0;
-            let sign = if flip { -1.0 } else { 1.0 };
-            let effective_op = match (row.op, flip) {
-                (ConstraintOp::Le, false) | (ConstraintOp::Ge, true) => ConstraintOp::Le,
-                (ConstraintOp::Ge, false) | (ConstraintOp::Le, true) => ConstraintOp::Ge,
-                (ConstraintOp::Eq, _) => ConstraintOp::Eq,
-            };
-            let slack_col = sk.num_struct + ri;
-            let art_col = sk.artificial_start + ri;
-            ws.fill_flip[ri] = sign;
-            let r = ws.t.row_mut(ri);
-            for &(col, coef) in &row.scatter {
-                r[col] += sign * coef;
-            }
-            let b = sign * rhs;
-            r[sk.cols] = b;
-            if b.is_finite() {
-                ws.b_scale = ws.b_scale.max(b.abs());
-            }
-            let basic = match effective_op {
-                ConstraintOp::Le => {
-                    r[slack_col] = 1.0;
-                    ws.binv_cols[ri] = (slack_col, 1.0);
-                    slack_col
-                }
-                ConstraintOp::Ge => {
-                    r[slack_col] = -1.0;
-                    r[art_col] = 1.0;
-                    ws.binv_cols[ri] = (art_col, 1.0);
-                    art_col
-                }
-                ConstraintOp::Eq => {
-                    r[art_col] = 1.0;
-                    ws.binv_cols[ri] = (art_col, 1.0);
-                    art_col
-                }
-            };
-            ws.basis[ri] = basic;
-            ws.is_basic[basic] = true;
-        }
-
-        // Span rows: `x_std[col] + slack = upper - lower` (RHS may be +inf,
-        // which the ratio test treats as "never binding").
-        for (k, &(col, var)) in sk.span_rows.iter().enumerate() {
-            let ri = sk.m_constraints + k;
-            let span = (upper[var] - lower[var]).max(0.0);
-            let slack_col = sk.num_struct + ri;
-            ws.binv_cols[ri] = (slack_col, 1.0);
-            let r = ws.t.row_mut(ri);
-            r[col] = 1.0;
-            r[slack_col] = 1.0;
-            r[sk.cols] = span;
-            if span.is_finite() {
-                ws.b_scale = ws.b_scale.max(span);
-            }
-            ws.basis[ri] = slack_col;
-            ws.is_basic[slack_col] = true;
-        }
-    }
-
-    /// Warm start: reuse the previous optimal tableau for this node.
-    ///
-    /// The constraint *matrix* is identical for every node of a skeleton
-    /// (bounds only move shifts and right-hand sides), so the tableau left
-    /// behind by the last solve is a valid representation `B⁻¹A` for this
-    /// node too — only the RHS column `B⁻¹b` must be re-derived, via the
-    /// unit columns recorded in `binv_cols`. The result is dual feasible
-    /// (the objective never changes), so any negative RHS entries are
-    /// repaired with dual simplex pivots.
-    fn try_reuse(&mut self, lower: &[f64], upper: &[f64]) -> ReuseOutcome {
-        let sk = self.sk;
-        let m = sk.m_total;
-        if m == 0
-            || self.ws.binv_cols.len() != m
-            || self.ws.t.rows() != m
-            || self.ws.t.stride() != sk.cols + 1
-        {
-            return ReuseOutcome::Fallback;
-        }
-        self.compute_node_scalars(lower, upper);
-        let ws = &mut *self.ws;
-
-        // Per-row weights `flip · raw_rhs` in the conventions of the fill
-        // that built this tableau. Constraint rows are always finite
-        // (validated coefficients, finite shifts); span rows may be +inf.
-        ws.reuse_w.clear();
-        ws.reuse_w.resize(m, 0.0);
-        for (ri, row) in sk.rows.iter().enumerate() {
-            let raw = row.base_rhs
-                - row
-                    .terms
-                    .iter()
-                    .map(|&(var, coef)| coef * ws.shifts[var])
-                    .sum::<f64>();
-            ws.reuse_w[ri] = ws.fill_flip[ri] * raw;
-        }
-        for (k, &(_, var)) in sk.span_rows.iter().enumerate() {
-            ws.reuse_w[sk.m_constraints + k] = (upper[var] - lower[var]).max(0.0);
-        }
-
-        // Re-derive the RHS column: rhs[i] = Σ_j sign_j · T[i, col_j] · w_j.
-        ws.reuse_rhs.clear();
-        ws.reuse_rhs.resize(m, 0.0);
-        let mut b_scale = 0.0f64;
-        for i in 0..m {
-            let row = ws.t.row(i);
-            let mut acc = 0.0;
-            let mut inf_positive = false;
-            for j in 0..m {
-                let (cj, sj) = ws.binv_cols[j];
-                let w = ws.reuse_w[j];
-                let mij = sj * row[cj];
-                if mij.abs() > REUSE_HEALTH_LIMIT {
-                    // The embedded basis inverse has blown up numerically;
-                    // nothing derived from it can be trusted.
-                    return ReuseOutcome::Fallback;
-                }
-                if w.is_finite() {
-                    acc += mij * w;
-                } else if mij > 1e-9 {
-                    inf_positive = true;
-                } else if mij < -1e-9 {
-                    // A −inf contribution cannot be repaired; go cold.
-                    return ReuseOutcome::Fallback;
-                }
-            }
-            let rhs = if inf_positive { f64::INFINITY } else { acc };
-            if rhs == f64::INFINITY && ws.basis[i] < sk.num_struct {
-                // A structural variable pinned at +inf means this tableau
-                // cannot represent the node; go cold.
-                return ReuseOutcome::Fallback;
-            }
-            if rhs.is_finite() {
-                b_scale = b_scale.max(rhs.abs());
-            }
-            ws.reuse_rhs[i] = rhs;
-        }
-        ws.b_scale = b_scale;
-        let tol = FEAS_TOL * (1.0 + b_scale);
-        for i in 0..m {
-            ws.t.set(i, sk.cols, ws.reuse_rhs[i]);
-        }
-        // Basic artificials must stay at (numerical) zero; a positive value
-        // is an equality violation dual simplex cannot repair.
-        for i in 0..m {
-            if ws.basis[i] >= sk.artificial_start && ws.t.get(i, sk.cols) > tol {
-                return ReuseOutcome::Fallback;
-            }
-        }
-
-        let pivots = match self.dual_repair(repair_pivot_cap(m, sk.cols)) {
-            RepairResult::Done(pivots) => pivots,
-            RepairResult::Infeasible => return ReuseOutcome::Infeasible,
-            RepairResult::GaveUp => return ReuseOutcome::Fallback,
-        };
-
-        // Repair pivots move every RHS entry; re-check the artificial rows.
-        let sk = self.sk;
-        for i in 0..m {
-            if self.ws.basis[i] >= sk.artificial_start && self.ws.t.get(i, sk.cols) > tol {
-                return ReuseOutcome::Fallback;
-            }
-        }
-        ReuseOutcome::Reused(pivots)
-    }
-
-    /// Dual simplex: restore primal feasibility while keeping dual
-    /// feasibility, starting from a dual-feasible tableau whose RHS was just
-    /// patched.
-    fn dual_repair(&mut self, cap: usize) -> RepairResult {
-        let sk = self.sk;
-        let m = sk.m_total;
-        let cols = sk.cols;
-        let tol = FEAS_TOL * (1.0 + self.ws.b_scale);
-        let mut pivots = 0usize;
-        loop {
-            // Leaving row: most negative (finite) RHS.
-            let mut leave: Option<(usize, f64)> = None;
-            for i in 0..m {
-                let rhs = self.ws.t.get(i, cols);
-                if rhs.is_finite() && rhs < -tol && leave.is_none_or(|(_, r)| rhs < r) {
-                    leave = Some((i, rhs));
-                }
-            }
-            let Some((r, _)) = leave else {
-                return RepairResult::Done(pivots);
-            };
-            // Entering column: dual ratio test over nonbasic, non-artificial
-            // columns with a negative entry in the leaving row.
-            let row = self.ws.t.row(r);
-            let mut enter: Option<(usize, f64)> = None;
-            let mut saw_tiny_negative = false;
-            for (j, &a) in row[..sk.artificial_start].iter().enumerate() {
-                if self.ws.is_basic[j] {
-                    continue;
-                }
-                if a < -DUAL_PIVOT_TOL {
-                    let ratio = self.ws.cost_row[j].max(0.0) / -a;
-                    if enter.is_none_or(|(_, best)| ratio < best - 1e-12) {
-                        enter = Some((j, ratio));
-                    }
-                } else if a < -PIVOT_TOL {
-                    // Usable in principle but too small to pivot on safely.
-                    saw_tiny_negative = true;
-                }
-            }
-            let Some((j, _)) = enter else {
-                if saw_tiny_negative {
-                    // Can't certify infeasibility (a tiny negative entry
-                    // exists) and can't pivot safely: let the cold path decide.
-                    return RepairResult::GaveUp;
-                }
-                // Row `r` reads `x_basic + Σ aⱼxⱼ = rhs < 0` with every
-                // usable aⱼ ≥ 0 and xⱼ ≥ 0: a certificate of infeasibility.
-                return RepairResult::Infeasible;
-            };
-            self.pivot(r, j);
-            pivots += 1;
-            if pivots >= cap {
-                return RepairResult::GaveUp;
-            }
-        }
-    }
-
-    /// Runs phase 1 (when artificials are basic) and phase 2; returns the
-    /// total iteration count.
-    fn optimize_two_phase(&mut self, max_iterations: usize) -> Result<usize, LpError> {
-        let sk = self.sk;
-        if sk.m_total == 0 {
-            // No constraints: the optimum is every variable at its mapping
-            // origin (all standard-form columns at zero) unless some column
-            // could still improve the objective, in which case the LP is
-            // unbounded.
-            if sk.c.iter().any(|&c| c < -COST_TOL) {
-                return Err(LpError::Unbounded);
-            }
-            return Ok(0);
-        }
-
-        let mut it1 = 0usize;
-        let needs_phase1 = self.ws.basis.iter().any(|&b| b >= sk.artificial_start);
-        if needs_phase1 {
-            let phase1_cost = std::mem::take(&mut self.ws.phase1_cost);
-            let r = self.optimize(&phase1_cost, max_iterations, true);
-            let phase1_obj = self.objective_for(&phase1_cost);
-            self.ws.phase1_cost = phase1_cost;
-            it1 = r?;
-            if phase1_obj > FEAS_TOL * (1.0 + self.ws.b_scale) {
-                return Err(LpError::Infeasible);
-            }
-            self.expel_artificials();
-        }
-
-        let cost = &self.sk.c;
-        let it2 = self.optimize(cost, max_iterations.saturating_sub(it1), false)?;
-        Ok(it1 + it2)
-    }
-
-    /// Rebuilds the reduced-cost row `d_j = c_j - c_B^T * column_j` for a new
-    /// cost vector (done once per phase; pivots keep it up to date after
-    /// that).
-    fn reset_cost_row(&mut self, cost: &[f64]) {
-        let cols = self.sk.cols;
-        self.ws.cost_row.copy_from_slice(&cost[..cols]);
-        for i in 0..self.sk.m_total {
-            let cb = cost[self.ws.basis[i]];
-            if cb != 0.0 {
-                let row = self.ws.t.row(i);
-                for (d, &a) in self.ws.cost_row.iter_mut().zip(row[..cols].iter()) {
-                    *d -= cb * a;
-                }
-            }
-        }
-    }
-
-    /// Primal simplex iterations for the given cost vector.
-    ///
-    /// `allow_artificials` controls whether artificial columns may enter the
-    /// basis (phase 1 only).
-    fn optimize(
-        &mut self,
-        cost: &[f64],
-        max_iterations: usize,
-        allow_artificials: bool,
-    ) -> Result<usize, LpError> {
-        let sk = self.sk;
-        let m = sk.m_total;
-        let cols = sk.cols;
-        let enterable_end = if allow_artificials {
-            cols
-        } else {
-            sk.artificial_start
-        };
-        // Switch to Bland's rule after this many iterations to guarantee
-        // termination on degenerate problems.
-        let bland_threshold = 4 * (m + cols);
-
-        self.reset_cost_row(cost);
-
-        let mut iterations = 0usize;
-        loop {
-            if iterations >= max_iterations {
-                return Err(LpError::IterationLimit { iterations });
-            }
-            // Entering column: most negative reduced cost (Dantzig) or first
-            // negative (Bland, anti-cycling).
-            let use_bland = iterations >= bland_threshold;
-            let mut entering: Option<usize> = None;
-            let mut best = -COST_TOL;
-            for (j, &d) in self.ws.cost_row[..enterable_end].iter().enumerate() {
-                if self.ws.is_basic[j] {
-                    continue;
-                }
-                if use_bland {
-                    if d < -COST_TOL {
-                        entering = Some(j);
-                        break;
-                    }
-                } else if d < best {
-                    best = d;
-                    entering = Some(j);
-                }
-            }
-            let Some(enter) = entering else {
-                return Ok(iterations);
-            };
-            #[cfg(feature = "solver-trace")]
-            if iterations > max_iterations.saturating_sub(20) {
-                eprintln!(
-                    "it {iterations}: enter {enter} d {} basic? {}",
-                    self.ws.cost_row[enter], self.ws.is_basic[enter]
-                );
-            }
-
-            // Ratio test, two passes (infinite RHS rows never bind).
-            // Pass 1 finds the minimum ratio; pass 2 picks the row among
-            // near-ties — the *largest* pivot element under Dantzig (tiny
-            // pivots multiply the tableau by their reciprocal and blow it up
-            // numerically), the smallest basic index under Bland
-            // (anti-cycling).
-            let mut best_ratio = f64::INFINITY;
-            for i in 0..m {
-                let row = self.ws.t.row(i);
-                let a = row[enter];
-                if a > PIVOT_TOL {
-                    let ratio = row[cols] / a;
-                    if ratio < best_ratio {
-                        best_ratio = ratio;
-                    }
-                }
-            }
-            if best_ratio.is_infinite() {
-                return Err(LpError::Unbounded);
-            }
-            let tie_window = best_ratio.abs() * 1e-9 + 1e-12;
-            let mut leave: Option<usize> = None;
-            let mut best_pivot = 0.0f64;
-            for i in 0..m {
-                let row = self.ws.t.row(i);
-                let a = row[enter];
-                if a > PIVOT_TOL && row[cols] / a <= best_ratio + tie_window {
-                    let better = if use_bland {
-                        leave.is_none_or(|l| self.ws.basis[i] < self.ws.basis[l])
-                    } else {
-                        a > best_pivot
-                    };
-                    if better {
-                        best_pivot = a;
-                        leave = Some(i);
-                    }
-                }
-            }
-            let Some(leave) = leave else {
-                return Err(LpError::Unbounded);
-            };
-
-            self.pivot(leave, enter);
-            iterations += 1;
-        }
-    }
-
-    /// Gauss-Jordan pivot on `(row, col)`; also updates the reduced-cost row.
-    /// This is the hot loop: all updates are linear scans over contiguous
-    /// slices of the flat tableau.
-    fn pivot(&mut self, row: usize, col: usize) {
-        let cols = self.sk.cols;
-        let m = self.sk.m_total;
-        let pivot = self.ws.t.get(row, col);
-        debug_assert!(pivot.abs() > PIVOT_TOL);
-        let inv = 1.0 / pivot;
-        for v in self.ws.t.row_mut(row).iter_mut() {
-            *v *= inv;
-        }
-        for i in 0..m {
-            if i == row {
-                continue;
-            }
-            let factor = self.ws.t.get(i, col);
-            if factor != 0.0 {
-                let (pivot_row, r) = self.ws.t.row_pair_mut(row, i);
-                for (x, &p) in r.iter_mut().zip(pivot_row.iter()) {
-                    *x -= factor * p;
-                }
-                // Clean tiny numerical noise on the pivot column.
-                r[col] = 0.0;
-            }
-        }
-        let d = self.ws.cost_row[col];
-        if d != 0.0 {
-            let pivot_row = self.ws.t.row(row);
-            for (x, &p) in self.ws.cost_row.iter_mut().zip(pivot_row[..cols].iter()) {
-                *x -= d * p;
-            }
-            self.ws.cost_row[col] = 0.0;
-        }
-        let old_basic = self.ws.basis[row];
-        self.ws.is_basic[old_basic] = false;
-        self.ws.is_basic[col] = true;
-        self.ws.basis[row] = col;
-    }
-
-    /// After phase 1, pivot basic artificials (value ≈ 0) out of the basis,
-    /// or leave them if their row is entirely zero (redundant constraint).
-    fn expel_artificials(&mut self) {
-        let sk = self.sk;
-        for i in 0..sk.m_total {
-            if self.ws.basis[i] < sk.artificial_start {
-                continue;
-            }
-            let row = self.ws.t.row(i);
-            let target =
-                (0..sk.artificial_start).find(|&j| row[j].abs() > 1e-7 && !self.ws.is_basic[j]);
-            if let Some(j) = target {
-                self.pivot(i, j);
-            }
-        }
-    }
-
-    /// `Σ cost[basis[i]] · rhs[i]` — the current objective under `cost`
-    /// (zero-cost basic columns are skipped so inert infinite span RHS never
-    /// pollutes the sum).
-    fn objective_for(&self, cost: &[f64]) -> f64 {
-        let cols = self.sk.cols;
-        let mut total = 0.0;
-        for i in 0..self.sk.m_total {
-            let cb = cost[self.ws.basis[i]];
-            if cb != 0.0 {
-                total += cb * self.ws.t.get(i, cols);
-            }
-        }
-        total
-    }
-
-    /// Maps the standard-form solution back onto the original variables.
-    fn extract_original_values(&self, lower: &[f64], upper: &[f64]) -> Vec<f64> {
-        let sk = self.sk;
-        let cols = sk.cols;
-        // Dense standard-form values (non-basic columns are zero).
-        let mut std_values = vec![0.0; sk.num_struct];
-        for i in 0..sk.m_total {
-            let b = self.ws.basis[i];
-            if b < sk.num_struct {
-                std_values[b] = self.ws.t.get(i, cols).max(0.0);
-            }
-        }
-        let mut values = vec![0.0; sk.var_map.len()];
-        for (i, map) in sk.var_map.iter().enumerate() {
-            values[i] = match *map {
-                VarMap::Shifted { col } => lower[i] + std_values[col],
-                VarMap::Mirrored { col } => upper[i] - std_values[col],
-                VarMap::Split { pos, neg } => std_values[pos] - std_values[neg],
-                VarMap::Fixed => lower[i],
-            };
-        }
-        values
-    }
-}
-
 // --- Checkpoint codec -------------------------------------------------------
 
 use crate::state::{Reader, StateError, Writer};
@@ -1385,12 +604,41 @@ impl StandardFormSkeleton {
 mod tests {
     use super::*;
     use crate::expr::LinExpr;
-    use crate::problem::{ConstraintOp, Problem, Sense};
+    use crate::revised::{solve_relaxation_revised, solve_with_skeleton_revised, RevisedWorkspace};
+
+    fn bounds(p: &Problem) -> (Vec<f64>, Vec<f64>) {
+        (
+            p.variables().iter().map(|v| v.lower).collect(),
+            p.variables().iter().map(|v| v.upper).collect(),
+        )
+    }
+
+    /// Solves the relaxation of `p` cold through both skeleton layouts (span
+    /// rows and implicit column bounds), which must agree, and returns the
+    /// span-row result.
+    fn try_solve(p: &Problem) -> Result<SimplexResult, LpError> {
+        let (lower, upper) = bounds(p);
+        let run = |sk: StandardFormSkeleton| {
+            let mut ws = RevisedWorkspace::default();
+            solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 100_000)
+        };
+        let spans = run(StandardFormSkeleton::new(p, &lower, &upper)?);
+        let bounded = run(StandardFormSkeleton::new_bounded(p, &lower, &upper)?);
+        match (&spans, &bounded) {
+            (Ok(a), Ok(b)) => assert!(
+                (a.objective - b.objective).abs() < 1e-7,
+                "span rows {} vs bounded {}",
+                a.objective,
+                b.objective
+            ),
+            (Err(a), Err(b)) => assert_eq!(std::mem::discriminant(a), std::mem::discriminant(b)),
+            (a, b) => panic!("span rows {a:?} vs bounded {b:?}"),
+        }
+        spans
+    }
 
     fn solve(p: &Problem) -> SimplexResult {
-        let lower: Vec<f64> = p.variables().iter().map(|v| v.lower).collect();
-        let upper: Vec<f64> = p.variables().iter().map(|v| v.upper).collect();
-        solve_relaxation(p, &lower, &upper, 100_000).unwrap()
+        try_solve(p).unwrap()
     }
 
     #[test]
@@ -1434,12 +682,7 @@ mod tests {
         p.set_objective([(x, 1.0)]);
         p.add_constraint("c1", [(x, 1.0)], ConstraintOp::Le, 1.0);
         p.add_constraint("c2", [(x, 1.0)], ConstraintOp::Ge, 2.0);
-        let lower = vec![0.0];
-        let upper = vec![f64::INFINITY];
-        assert!(matches!(
-            solve_relaxation(&p, &lower, &upper, 10_000),
-            Err(LpError::Infeasible)
-        ));
+        assert!(matches!(try_solve(&p), Err(LpError::Infeasible)));
     }
 
     #[test]
@@ -1447,12 +690,7 @@ mod tests {
         let mut p = Problem::new("t", Sense::Maximize);
         let x = p.add_var("x", 0.0, f64::INFINITY);
         p.set_objective([(x, 1.0)]);
-        let lower = vec![0.0];
-        let upper = vec![f64::INFINITY];
-        assert!(matches!(
-            solve_relaxation(&p, &lower, &upper, 10_000),
-            Err(LpError::Unbounded)
-        ));
+        assert!(matches!(try_solve(&p), Err(LpError::Unbounded)));
     }
 
     #[test]
@@ -1605,20 +843,24 @@ mod tests {
     // ----- skeleton / warm-start specific coverage -----
 
     /// A small knapsack-ish MIP whose branch nodes exercise span-row patches.
-    fn knapsack() -> (Problem, Vec<f64>, Vec<f64>) {
+    fn knapsack_with(prices: [f64; 3], weight_b: f64, cap: f64) -> Problem {
         let mut p = Problem::new("k", Sense::Maximize);
         let a = p.add_int_var("a", 0.0, 1.0);
         let b = p.add_int_var("b", 0.0, 1.0);
         let c = p.add_int_var("c", 0.0, 1.0);
-        p.set_objective([(a, 8.0), (b, 11.0), (c, 6.0)]);
+        p.set_objective([(a, prices[0]), (b, prices[1]), (c, prices[2])]);
         p.add_constraint(
             "cap",
-            [(a, 5.0), (b, 7.0), (c, 4.0)],
+            [(a, 5.0), (b, weight_b), (c, 4.0)],
             ConstraintOp::Le,
-            10.0,
+            cap,
         );
-        let lower: Vec<f64> = p.variables().iter().map(|v| v.lower).collect();
-        let upper: Vec<f64> = p.variables().iter().map(|v| v.upper).collect();
+        p
+    }
+
+    fn knapsack() -> (Problem, Vec<f64>, Vec<f64>) {
+        let p = knapsack_with([8.0, 11.0, 6.0], 7.0, 10.0);
+        let (lower, upper) = bounds(&p);
         (p, lower, upper)
     }
 
@@ -1627,9 +869,9 @@ mod tests {
         let (p, lower, upper) = knapsack();
         let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
         assert!(sk.nodes_stable());
-        let mut ws = SimplexWorkspace::default();
-        let a = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
-        let b = solve_relaxation(&p, &lower, &upper, 10_000).unwrap();
+        let mut ws = RevisedWorkspace::default();
+        let a = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+        let b = solve_relaxation_revised(&p, &lower, &upper, 10_000).unwrap();
         assert!((a.objective - b.objective).abs() < 1e-9);
         assert_eq!(a.warm, WarmStart::Cold);
     }
@@ -1638,8 +880,8 @@ mod tests {
     fn warm_start_child_matches_cold_child() {
         let (p, lower, upper) = knapsack();
         let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-        let mut ws = SimplexWorkspace::default();
-        let root = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+        let mut ws = RevisedWorkspace::default();
+        let root = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
 
         // Branch b (index 1) down to 0 and up to 1, warm-starting each child.
         for (lo_b, hi_b) in [(0.0, 0.0), (1.0, 1.0)] {
@@ -1649,8 +891,11 @@ mod tests {
             hi[1] = hi_b;
             assert!(sk.compatible(&lo, &hi));
             let warm =
-                solve_with_skeleton(&sk, &mut ws, &lo, &hi, Some(&root.basis), 10_000).unwrap();
-            let cold = solve_with_skeleton(&sk, &mut ws, &lo, &hi, None, 10_000).unwrap();
+                solve_with_skeleton_revised(&sk, &mut ws, &lo, &hi, Some(&root.basis), 10_000)
+                    .unwrap();
+            let mut cold_ws = RevisedWorkspace::default();
+            let cold =
+                solve_with_skeleton_revised(&sk, &mut cold_ws, &lo, &hi, None, 10_000).unwrap();
             assert!(
                 (warm.objective - cold.objective).abs() < 1e-7,
                 "warm {} vs cold {} for b in [{lo_b}, {hi_b}]",
@@ -1663,8 +908,9 @@ mod tests {
 
     #[test]
     fn span_row_with_infinite_upper_is_inert() {
-        // Integer variable with no upper bound: the skeleton still allocates
-        // a span row (RHS = +inf) so children can tighten it later.
+        // Integer variable with no upper bound: the span-row skeleton still
+        // allocates a span row (RHS = +inf) so children can tighten it later;
+        // the bounded skeleton needs none.
         let mut p = Problem::new("inf-span", Sense::Minimize);
         let x = p.add_int_var("x", 0.0, f64::INFINITY);
         p.set_objective([(x, 1.0)]);
@@ -1673,32 +919,68 @@ mod tests {
         let upper = vec![f64::INFINITY];
         let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
         assert_eq!(sk.num_rows(), 2, "constraint row + span row");
-        let mut ws = SimplexWorkspace::default();
-        let r = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+        let bounded = StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap();
+        assert_eq!(bounded.num_rows(), 1, "constraint row only");
+        let mut ws = RevisedWorkspace::default();
+        let r = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
         assert!((r.objective - 3.0).abs() < 1e-6);
         // Tightening the upper bound is a pure RHS patch on the span row.
-        let r2 = solve_with_skeleton(&sk, &mut ws, &lower, &[5.0], Some(&r.basis), 10_000).unwrap();
+        let r2 = solve_with_skeleton_revised(&sk, &mut ws, &lower, &[5.0], Some(&r.basis), 10_000)
+            .unwrap();
         assert!((r2.objective - 3.0).abs() < 1e-6);
     }
 
     #[test]
     fn incompatible_bounds_are_detected() {
         let (p, lower, upper) = knapsack();
-        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-        // An infinite lower bound changes the classification of variable 0.
+        // An infinite lower bound changes the classification of variable 0
+        // in either layout.
         let mut lo = lower.clone();
         lo[0] = f64::NEG_INFINITY;
-        assert!(!sk.compatible(&lo, &upper));
-        assert!(sk.compatible(&lower, &upper));
+        for sk in [
+            StandardFormSkeleton::new(&p, &lower, &upper).unwrap(),
+            StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap(),
+        ] {
+            assert!(!sk.compatible(&lo, &upper));
+            assert!(sk.compatible(&lower, &upper));
+        }
+    }
+
+    #[test]
+    fn rebind_takes_a_new_rhs_and_objective_but_not_a_new_matrix() {
+        let (p, lower, upper) = knapsack();
+        let mut sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
+        let mut ws = RevisedWorkspace::default();
+        let first =
+            solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+
+        // Same matrix, new capacity and prices: rebinds in place, and a warm
+        // solve against the rebound skeleton matches a fresh build.
+        let repriced = knapsack_with([9.0, 10.0, 7.0], 7.0, 12.0);
+        assert!(sk.rebind(&repriced, &lower, &upper));
+        let warm =
+            solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, Some(&first.basis), 10_000)
+                .unwrap();
+        assert_ne!(warm.warm, WarmStart::Cold);
+        assert!((warm.objective - solve(&repriced).objective).abs() < 1e-7);
+
+        // A changed coefficient or a changed bound pattern is a different
+        // layout: refused, and the skeleton keeps serving the bound problem.
+        assert!(!sk.rebind(&knapsack_with([9.0, 10.0, 7.0], 7.5, 12.0), &lower, &upper));
+        assert!(!sk.rebind(&repriced, &[f64::NEG_INFINITY, 0.0, 0.0], &upper));
+        let again =
+            solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, Some(&warm.basis), 10_000)
+                .unwrap();
+        assert!((again.objective - warm.objective).abs() < 1e-9);
     }
 
     #[test]
     fn workspace_shared_across_skeletons_with_equal_cols_stays_correct() {
-        // Skeleton A: one free variable in one `>=` row — 2 structural
-        // columns + 1 slack + 1 artificial... padded with a second free var
-        // to land on the same total column count as skeleton B below, whose
-        // artificial_start differs. A stale phase-1 cost vector (cached on
-        // length alone) would let B's infeasibility go undetected.
+        // Skeleton A (two free variables, one `>=` row) and skeleton B (one
+        // free variable, two contradictory `=` rows) land on the same total
+        // column count with different artificial_start. State left over
+        // from A (cached on length alone) would let B's infeasibility go
+        // undetected.
         let mut a = Problem::new("a", Sense::Minimize);
         let x = a.add_var("x", f64::NEG_INFINITY, f64::INFINITY);
         let y = a.add_var("y", f64::NEG_INFINITY, f64::INFINITY);
@@ -1715,12 +997,10 @@ mod tests {
         let (lb, ub) = (vec![f64::NEG_INFINITY], vec![f64::INFINITY]);
         let sk_b = StandardFormSkeleton::new(&b, &lb, &ub).unwrap();
 
-        let mut ws = SimplexWorkspace::default();
-        let ra = solve_with_skeleton(&sk_a, &mut ws, &la, &ua, None, 1_000).unwrap();
+        let mut ws = RevisedWorkspace::default();
+        let ra = solve_with_skeleton_revised(&sk_a, &mut ws, &la, &ua, None, 1_000).unwrap();
         assert!((ra.objective - 1.0).abs() < 1e-6);
-        // Contradictory equalities: must be infeasible even though the
-        // workspace was just used for a different skeleton.
-        let rb = solve_with_skeleton(&sk_b, &mut ws, &lb, &ub, None, 1_000);
+        let rb = solve_with_skeleton_revised(&sk_b, &mut ws, &lb, &ub, Some(&ra.basis), 1_000);
         assert!(matches!(rb, Err(LpError::Infeasible)), "{rb:?}");
     }
 
@@ -1728,12 +1008,13 @@ mod tests {
     fn workspace_is_reusable_across_many_solves() {
         let (p, lower, upper) = knapsack();
         let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-        let mut ws = SimplexWorkspace::default();
-        let reference = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000)
+        let mut ws = RevisedWorkspace::default();
+        let reference = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000)
             .unwrap()
             .objective;
         for _ in 0..50 {
-            let r = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+            let r =
+                solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
             assert!((r.objective - reference).abs() < 1e-9);
         }
     }

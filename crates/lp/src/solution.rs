@@ -34,13 +34,12 @@ pub struct SolveStats {
     /// path (parent basis infeasible or not installable).
     #[serde(default)]
     pub warm_start_misses: usize,
-    /// LU factorizations of the simplex basis (revised engine only; 0 for
-    /// the tableau engines, which carry the basis inverse in the tableau).
+    /// LU factorizations of the simplex basis.
     #[serde(default)]
     pub basis_factorizations: usize,
     /// The subset of `basis_factorizations` triggered mid-stream by the
     /// eta-file limit or a drift check — the revised engine's refresh
-    /// policy, replacing the dense engine's blind `REUSE_REFRESH` refill.
+    /// policy.
     #[serde(default)]
     pub basis_refactorizations: usize,
     /// Bound flips performed by the bounded-variable ratio test: the

@@ -1,7 +1,7 @@
 //! Compressed-sparse-column (CSC) matrix for the revised simplex engine.
 //!
 //! Conductor's planning models are ~95 % sparse: each constraint touches a
-//! handful of the per-interval variables. The dense tableau engine pays
+//! handful of the per-interval variables. A dense tableau would pay
 //! O(m·cols) per pivot regardless; the revised engine keeps the constraint
 //! matrix in CSC form so FTRAN/BTRAN/pricing all cost O(nnz) instead.
 //!

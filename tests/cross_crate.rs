@@ -5,10 +5,14 @@
 
 use conductor_cloud::{Catalog, ServiceDescription};
 use conductor_core::{ExecutionPlan, Goal, ModelConfig, ModelInstance, Planner, ResourcePool};
+use conductor_lp::{SolveContext, SolveOptions};
 use conductor_mapreduce::engine::{DataLocation, DeploymentOptions, Engine};
 use conductor_mapreduce::scheduler::{LocalityScheduler, PlanFollowingScheduler};
 use conductor_mapreduce::Workload;
 use conductor_storage::{FileSystemShim, InMemoryBackend, StorageClient};
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 /// The published-description workflow of §4.2: a pool built from JSON service
 /// descriptions plans the same scenario as a pool built from the catalog.
@@ -54,6 +58,21 @@ fn plan_estimates_agree_with_engine_measurements() {
     let model = ModelInstance::build(&pool, &spec, &ModelConfig::default()).unwrap();
     let solution = model.problem.solve().unwrap();
     let plan = ExecutionPlan::from_solution(&model, &solution);
+
+    // The engine's root LP bound on a real planner model is the independent
+    // oracle's, and the plan it returns respects that bound.
+    let problem = &model.problem;
+    let lower: Vec<f64> = problem.variables().iter().map(|v| v.lower).collect();
+    let upper: Vec<f64> = problem.variables().iter().map(|v| v.upper).collect();
+    let bound = oracle::solve_lp(problem, &lower, &upper).objective();
+    let root = SolveContext::new()
+        .relaxation_bound(problem, &SolveOptions::default(), 200_000)
+        .unwrap();
+    assert!(
+        (root - bound).abs() <= 1e-6 * (1.0 + bound.abs()),
+        "engine root bound {root} vs oracle {bound}"
+    );
+    assert!(solution.objective() >= bound - 1e-6);
 
     let engine = Engine::new(catalog);
     let options = plan.to_deployment_options(

@@ -2,9 +2,13 @@
 //! the LP solver, the billing rules, the spot traces and the storage layer.
 
 use conductor_cloud::{BillingAccount, Catalog, SpotMarket, SpotTrace, TraceKind};
-use conductor_lp::{ConstraintOp, Engine, LpError, Problem, Sense, SolveOptions};
+use conductor_lp::{ConstraintOp, LpError, Problem, Sense, Solution, SolveOptions};
 use conductor_storage::{BlockKey, FileSystemShim, InMemoryBackend, StorageClient};
 use proptest::prelude::*;
+
+mod support;
+use support::oracle::{self, Outcome};
+use support::revised_configs;
 
 /// Builds a random bounded knapsack-style MIP from flat coefficient vectors
 /// (always feasible: the origin satisfies every `<=` capacity row).
@@ -28,7 +32,7 @@ fn random_mip(values: &[f64], weights: &[f64], capacities: &[f64]) -> Problem {
     p
 }
 
-/// Builds a *sparse* random MIP with the pathologies the revised engine must
+/// Builds a *sparse* random MIP with the pathologies the engine must
 /// survive: a controlled constraint density (each row touches only a random
 /// subset of the variables), exact duplicated rows (degenerate ratio-test
 /// ties), and variables with no upper bound (infinite span-row RHS).
@@ -60,7 +64,7 @@ fn sparse_random_mip(
         .collect();
     p.set_objective(vars.iter().zip(values).map(|(&v, &c)| (v, c)));
     // Deterministic xorshift so the sparsity pattern is a pure function of
-    // the generated seed (reproducible across engines and reruns).
+    // the generated seed (reproducible across configurations and reruns).
     let mut state = density_seed | 1;
     let mut next = move || {
         state ^= state << 13;
@@ -80,8 +84,8 @@ fn sparse_random_mip(
         }
         p.add_constraint(format!("cap{k}"), terms.clone(), ConstraintOp::Le, cap);
         if duplicate_row && k == 0 {
-            // An exact duplicate row: every engine's ratio test faces the
-            // same degenerate tie and must break it to the same optimum.
+            // An exact duplicate row: every configuration's ratio test faces
+            // the same degenerate tie and must break it to the same optimum.
             p.add_constraint("cap0-dup", terms, ConstraintOp::Le, cap);
         }
     }
@@ -144,63 +148,81 @@ fn doubly_bounded_mip(
     p
 }
 
-/// The solver configurations the cross-engine battery exercises: the seed
-/// baseline, the dense engine (warm and cold), and the revised engine over
-/// the full flag matrix — bounded-variables × Forrest–Tomlin × dual
-/// steepest-edge, each on both the warm and the cold path.
-fn engine_configs() -> Vec<(String, SolveOptions)> {
-    let mut cfgs: Vec<(String, SolveOptions)> = vec![
-        (
-            "seed".into(),
-            SolveOptions {
-                engine: Engine::SeedBaseline,
-                ..Default::default()
-            },
-        ),
-        (
-            "dense-warm".into(),
-            SolveOptions {
-                engine: Engine::DenseTableau,
-                warm_start: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "dense-cold".into(),
-            SolveOptions {
-                engine: Engine::DenseTableau,
-                warm_start: false,
-                ..Default::default()
-            },
-        ),
-    ];
-    for warm_start in [true, false] {
-        for bounded_variables in [false, true] {
-            for forrest_tomlin in [false, true] {
-                for dual_steepest_edge in [false, true] {
-                    let label = format!(
-                        "revised-{}{}{}{}",
-                        if warm_start { "warm" } else { "cold" },
-                        if bounded_variables { "+bv" } else { "" },
-                        if forrest_tomlin { "+ft" } else { "" },
-                        if dual_steepest_edge { "+dse" } else { "" },
-                    );
-                    cfgs.push((
-                        label,
-                        SolveOptions {
-                            engine: Engine::RevisedSparse,
-                            warm_start,
-                            bounded_variables,
-                            forrest_tomlin,
-                            dual_steepest_edge,
-                            ..Default::default()
-                        },
-                    ));
-                }
+/// Independent check of an engine answer: the first `n_int` values are
+/// integral, every value is within its bounds, every row holds within the
+/// engine's documented feasibility tolerance (1e-6 relative), and the
+/// reported objective is the objective of the reported point.
+fn assert_point_is_valid(p: &Problem, label: &str, sol: &Solution, n_int: usize) {
+    let x = sol.values();
+    for (i, (v, var)) in x.iter().zip(p.variables()).enumerate() {
+        prop_assert!(
+            i >= n_int || (v - v.round()).abs() < 1e-6,
+            "{label}: x{i} = {v} not integral"
+        );
+        prop_assert!(
+            *v >= var.lower - 1e-6 && *v <= var.upper + 1e-6,
+            "{label}: x{i} = {v} out of bounds"
+        );
+    }
+    for c in p.constraints() {
+        let (lhs, tol) = (c.expr.evaluate(x), 1e-6 * (1.0 + c.rhs.abs()));
+        let holds = match c.op {
+            ConstraintOp::Le => lhs <= c.rhs + tol,
+            ConstraintOp::Ge => lhs >= c.rhs - tol,
+            ConstraintOp::Eq => (lhs - c.rhs).abs() <= tol,
+        };
+        prop_assert!(
+            holds,
+            "{label}: row {} violated: {lhs} vs {}",
+            c.name,
+            c.rhs
+        );
+    }
+    let objective = p.objective().evaluate(x);
+    prop_assert!(
+        (sol.objective() - objective).abs() <= 1e-6 * (1.0 + objective.abs()),
+        "{label}: reported objective {} vs {objective} at the reported point",
+        sol.objective()
+    );
+}
+
+/// The oracle battery: solves the maximization `p` to a zero gap under all
+/// 16 revised configurations and holds each to the oracle's exhaustive
+/// answer — same status, a valid point (see [`assert_point_is_valid`]) no
+/// worse than the exact optimum, and the oracle's own assignment (the
+/// generators draw generic coefficients, so the optimum is unique). The one
+/// way past the exact optimum is a point on a row's tolerance band, which
+/// the oracle's exact rows exclude; such a point is only required to be
+/// valid.
+fn assert_configs_match_oracle(p: &Problem, n_int: usize) {
+    let exact = SolveOptions {
+        relative_gap: 0.0,
+        ..Default::default()
+    };
+    let reference = oracle::solve(p);
+    for (label, opts) in revised_configs(&exact) {
+        let (sol, optimum, expected) = match (&reference, p.solve_with(&opts)) {
+            (Outcome::Optimal { objective, values }, Ok(sol)) => (sol, *objective, values),
+            (Outcome::Infeasible, Err(LpError::Infeasible | LpError::NoIncumbent))
+            | (Outcome::Unbounded, Err(LpError::Unbounded)) => continue,
+            (oracle, got) => panic!("{label}: oracle {oracle:?} vs {got:?}"),
+        };
+        assert_point_is_valid(p, &label, &sol, n_int);
+        let slack = 1e-6 * (1.0 + optimum.abs());
+        prop_assert!(
+            sol.objective() >= optimum - slack,
+            "{label} objective {} vs oracle {optimum}",
+            sol.objective()
+        );
+        if sol.objective() <= optimum + slack {
+            for (i, (a, b)) in sol.values().iter().zip(expected).enumerate() {
+                prop_assert!(
+                    (a - b).abs() < 1e-4,
+                    "{label} assignment x{i} = {a} vs oracle {b}"
+                );
             }
         }
     }
-    cfgs
 }
 
 proptest! {
@@ -281,38 +303,31 @@ proptest! {
         prop_assert!(sol.objective() <= lp + 1e-6);
     }
 
-    /// The three engines (on both warm and cold paths) reach the same
-    /// objective within the configured relative gap on randomized MIPs.
+    /// At the paper's 1 % gap every configuration returns a valid point
+    /// within the gap of the oracle's exhaustive optimum on randomized MIPs.
     #[test]
-    fn warm_cold_and_seed_solvers_agree_on_random_mips(
+    fn revised_configurations_stay_within_the_gap_of_the_oracle_on_random_mips(
         values in proptest::collection::vec(0.5f64..9.5, 2..7),
         weights in proptest::collection::vec(0.2f64..4.0, 2..7),
         capacities in proptest::collection::vec(3.0f64..20.0, 1..4),
     ) {
         let p = random_mip(&values, &weights, &capacities);
         let gap = 0.01;
-        let reference = p.solve_with(&SolveOptions { relative_gap: gap, ..Default::default() }).unwrap();
-        let scale = reference.objective().abs().max(1.0);
-        let tol = 2.0 * gap * scale + 1e-6;
-        for (label, base) in engine_configs() {
-            let sol = p
-                .solve_with(&SolveOptions { relative_gap: gap, ..base })
-                .unwrap();
-            prop_assert!((sol.objective() - reference.objective()).abs() <= tol,
-                "{label} {} vs reference {}", sol.objective(), reference.objective());
-            for (i, v) in sol.values().iter().enumerate() {
-                prop_assert!((v - v.round()).abs() < 1e-6, "{label}: x{i} = {v} not integral");
-            }
+        let optimum = oracle::solve(&p).objective();
+        let base = SolveOptions { relative_gap: gap, ..Default::default() };
+        for (label, opts) in revised_configs(&base) {
+            let sol = p.solve_with(&opts).unwrap();
+            assert_point_is_valid(&p, &label, &sol, p.num_vars());
+            prop_assert!(
+                sol.objective() >= optimum - gap * optimum.abs() - 1e-6,
+                "{label} {} vs oracle optimum {optimum}", sol.objective());
         }
     }
 
-    /// Cross-engine equivalence battery on *sparse* MIPs (controlled
-    /// density, degenerate duplicated rows, unbounded spans): seed, dense
-    /// and revised — warm and cold paths both — must agree on status, on the
-    /// objective to 1e-6 (all solve to a zero gap) and on the integer
-    /// assignment itself.
+    /// The oracle battery on *sparse* MIPs (controlled density, degenerate
+    /// duplicated rows, unbounded spans).
     #[test]
-    fn engine_battery_agrees_on_sparse_mips(
+    fn revised_configurations_match_oracle_on_sparse_mips(
         values in proptest::collection::vec(0.5f64..9.5, 3..9),
         weights in proptest::collection::vec(0.2f64..4.0, 3..9),
         caps in proptest::collection::vec(4.0f64..25.0, 1..4),
@@ -326,38 +341,15 @@ proptest! {
             &values[..n], &weights[..n], &caps, density, density_seed,
             unbounded_stride, duplicate_row,
         );
-        let mut reference: Option<(String, f64, Vec<f64>)> = None;
-        for (label, base) in engine_configs() {
-            let sol = p
-                .solve_with(&SolveOptions { relative_gap: 0.0, ..base })
-                .unwrap_or_else(|e| panic!("{label} failed: {e:?}"));
-            for (i, v) in sol.values().iter().enumerate() {
-                prop_assert!((v - v.round()).abs() < 1e-6, "{label}: x{i} = {v} not integral");
-            }
-            match &reference {
-                None => reference = Some((label, sol.objective(), sol.values().to_vec())),
-                Some((ref_label, obj, vals)) => {
-                    prop_assert!(
-                        (sol.objective() - obj).abs() <= 1e-6 * (1.0 + obj.abs()),
-                        "{label} objective {} vs {ref_label} {}",
-                        sol.objective(), obj
-                    );
-                    for (i, (a, b)) in sol.values().iter().zip(vals).enumerate() {
-                        prop_assert!((a - b).abs() < 1e-4,
-                            "{label} assignment x{i} = {a} vs {ref_label} {b}");
-                    }
-                }
-            }
-        }
+        assert_configs_match_oracle(&p, n);
     }
 
-    /// The same cross-engine battery on doubly-bounded, free-variable-heavy
-    /// instances — the shapes the bounded-variable mode rewrites most
-    /// aggressively (every integer variable's two finite bounds become one
-    /// implicit column bound; free variables stay split). Status, objective
-    /// and assignment must agree across the whole flag matrix.
+    /// The same battery on doubly-bounded, free-variable-heavy instances —
+    /// the shapes the bounded-variable mode rewrites most aggressively
+    /// (every integer variable's two finite bounds become one implicit
+    /// column bound; free variables stay split).
     #[test]
-    fn engine_battery_agrees_on_doubly_bounded_mips(
+    fn revised_configurations_match_oracle_on_doubly_bounded_mips(
         values in proptest::collection::vec(0.5f64..9.5, 2..7),
         lows in proptest::collection::vec(0usize..4, 2..7),
         spans in proptest::collection::vec(0usize..4, 2..7),
@@ -365,37 +357,15 @@ proptest! {
         free_vars in 0usize..3,
     ) {
         let p = doubly_bounded_mip(&values, &lows, &spans, &caps, free_vars);
-        let mut reference: Option<(String, f64, Vec<f64>)> = None;
-        for (label, base) in engine_configs() {
-            let sol = p
-                .solve_with(&SolveOptions { relative_gap: 0.0, ..base })
-                .unwrap_or_else(|e| panic!("{label} failed: {e:?}"));
-            let n_int = values.len().min(lows.len()).min(spans.len()).max(1);
-            for (i, v) in sol.values().iter().take(n_int).enumerate() {
-                prop_assert!((v - v.round()).abs() < 1e-6, "{label}: x{i} = {v} not integral");
-            }
-            match &reference {
-                None => reference = Some((label, sol.objective(), sol.values().to_vec())),
-                Some((ref_label, obj, vals)) => {
-                    prop_assert!(
-                        (sol.objective() - obj).abs() <= 1e-6 * (1.0 + obj.abs()),
-                        "{label} objective {} vs {ref_label} {}",
-                        sol.objective(), obj
-                    );
-                    for (i, (a, b)) in sol.values().iter().zip(vals).enumerate() {
-                        prop_assert!((a - b).abs() < 1e-4,
-                            "{label} assignment x{i} = {a} vs {ref_label} {b}");
-                    }
-                }
-            }
-        }
+        let n_int = values.len().min(lows.len()).min(spans.len()).max(1);
+        assert_configs_match_oracle(&p, n_int);
     }
 
     /// The same battery on instances that are infeasible — either at the LP
     /// level (contradictory bounds rows) or only at the MIP level (feasible
-    /// relaxation, no integer point): every engine must agree on the status.
+    /// relaxation, no integer point).
     #[test]
-    fn engine_battery_agrees_on_infeasible_sparse_mips(
+    fn revised_configurations_match_oracle_on_infeasible_sparse_mips(
         n in 2usize..6,
         demand in 30.0f64..60.0,
         mip_level in any::<bool>(),
@@ -406,8 +376,7 @@ proptest! {
             .collect();
         p.set_objective(vars.iter().map(|&v| (v, 1.0)));
         if mip_level {
-            // Relaxation feasible (x0 = demand/31 after scaling) but no
-            // integer point: 2·x0 = odd.
+            // Relaxation feasible (x0 = 1.5) but no integer point: 2·x0 = odd.
             p.add_constraint("odd", [(vars[0], 2.0)], ConstraintOp::Eq, 3.0);
         } else {
             // Max attainable lhs is 4n·1 < 24 < demand: LP-infeasible.
@@ -418,11 +387,37 @@ proptest! {
                 demand,
             );
         }
-        for (label, base) in engine_configs() {
-            let r = p.solve_with(&base);
-            match r {
-                Err(LpError::Infeasible) | Err(LpError::NoIncumbent) => {}
-                other => panic!("{label}: expected infeasibility, got {other:?}"),
+        prop_assert_eq!(oracle::solve(&p), Outcome::Infeasible);
+        assert_configs_match_oracle(&p, n);
+    }
+
+    /// Metamorphic: scaling the objective by `k > 0` scales the optimum by
+    /// `k` and moves neither the status nor the integer assignment, under
+    /// every configuration.
+    #[test]
+    fn objective_scaling_keeps_the_assignment_under_every_configuration(
+        values in proptest::collection::vec(0.5f64..9.5, 3..8),
+        weights in proptest::collection::vec(0.2f64..4.0, 3..8),
+        caps in proptest::collection::vec(4.0f64..25.0, 1..4),
+        density_seed in 1u64..1_000_000_000,
+        k in 0.25f64..8.0,
+    ) {
+        let n = values.len().min(weights.len());
+        let scaled_values: Vec<f64> = values.iter().map(|v| k * v).collect();
+        let build = |values: &[f64]| {
+            sparse_random_mip(&values[..n], &weights[..n], &caps, 0.6, density_seed, 3, false)
+        };
+        let (p, scaled) = (build(&values), build(&scaled_values));
+        let exact = SolveOptions { relative_gap: 0.0, ..Default::default() };
+        for (label, opts) in revised_configs(&exact) {
+            let a = p.solve_with(&opts).unwrap();
+            let b = scaled.solve_with(&opts).unwrap();
+            prop_assert_eq!(a.status(), b.status(), "{}", label);
+            prop_assert!(
+                (b.objective() - k * a.objective()).abs() <= 1e-6 * (1.0 + b.objective().abs()),
+                "{label}: scaled objective {} vs {k} × {}", b.objective(), a.objective());
+            for (i, (x, y)) in a.values().iter().zip(b.values()).enumerate() {
+                prop_assert!((x - y).abs() < 1e-4, "{label}: x{i} moved from {x} to {y}");
             }
         }
     }
@@ -439,7 +434,7 @@ proptest! {
         p.set_objective([(x, 1.0)]);
         let lower = vec![lo];
         let upper = vec![lo - delta];
-        let r = conductor_lp::simplex::solve_relaxation(&p, &lower, &upper, 1_000);
+        let r = conductor_lp::revised::solve_relaxation_revised(&p, &lower, &upper, 1_000);
         prop_assert!(matches!(r, Err(LpError::Infeasible)));
     }
 

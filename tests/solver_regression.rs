@@ -1,16 +1,17 @@
-//! Fixed regression instances for the LP/MIP solver rework: the
-//! infeasible / unbounded / iteration-limit error paths, agreement between
-//! the warm-started, cold and seed-baseline configurations, and the
-//! skeleton/warm-start machinery exposed by `conductor_lp::simplex`.
+//! Fixed regression instances for the LP/MIP solver: the infeasible /
+//! unbounded / iteration-limit error paths under every revised
+//! configuration, agreement with the independent oracle, and the
+//! skeleton/warm-start machinery of `conductor_lp::revised`.
 
 use conductor_lp::lu::eta_limit;
 use conductor_lp::revised::{solve_with_skeleton_revised, RevisedWorkspace};
-use conductor_lp::simplex::{solve_with_skeleton, WarmStart};
 use conductor_lp::{
-    ConstraintOp, Engine, LpError, Problem, Sense, SimplexWorkspace, SolveOptions,
-    StandardFormSkeleton,
+    ConstraintOp, LpError, Problem, Sense, SolveOptions, StandardFormSkeleton, WarmStart,
 };
 use std::time::Duration;
+
+mod support;
+use support::oracle::{self, Outcome};
 
 fn bounds(p: &Problem) -> (Vec<f64>, Vec<f64>) {
     (
@@ -19,25 +20,12 @@ fn bounds(p: &Problem) -> (Vec<f64>, Vec<f64>) {
     )
 }
 
-/// All solver configurations (three engines; warm and cold paths for the
-/// two skeleton-based ones), tightest gap.
-fn configs() -> [(&'static str, SolveOptions); 5] {
-    let exact = SolveOptions {
+/// All 16 revised configurations at the tightest gap.
+fn configs() -> Vec<(String, SolveOptions)> {
+    support::revised_configs(&SolveOptions {
         relative_gap: 0.0,
         ..Default::default()
-    };
-    let with = |engine: Engine, warm_start: bool| SolveOptions {
-        engine,
-        warm_start,
-        ..exact.clone()
-    };
-    [
-        ("revised-warm", with(Engine::RevisedSparse, true)),
-        ("revised-cold", with(Engine::RevisedSparse, false)),
-        ("dense-warm", with(Engine::DenseTableau, true)),
-        ("dense-cold", with(Engine::DenseTableau, false)),
-        ("seed", with(Engine::SeedBaseline, true)),
-    ]
+    })
 }
 
 #[test]
@@ -47,6 +35,7 @@ fn infeasible_lp_is_reported_by_every_configuration() {
     p.set_objective([(x, 1.0)]);
     p.add_constraint("lo", [(x, 1.0)], ConstraintOp::Ge, 5.0);
     p.add_constraint("hi", [(x, 1.0)], ConstraintOp::Le, 4.0);
+    assert_eq!(oracle::solve(&p), Outcome::Infeasible);
     for (label, opts) in configs() {
         assert!(
             matches!(p.solve_with(&opts), Err(LpError::Infeasible)),
@@ -62,6 +51,7 @@ fn infeasible_mip_with_feasible_relaxation() {
     let x = p.add_int_var("x", 0.0, 10.0);
     p.set_objective([(x, 1.0)]);
     p.add_constraint("half", [(x, 2.0)], ConstraintOp::Eq, 3.0);
+    assert_eq!(oracle::solve(&p), Outcome::Infeasible);
     for (label, opts) in configs() {
         let err = p.solve_with(&opts).unwrap_err();
         assert!(
@@ -78,6 +68,7 @@ fn unbounded_lp_is_reported_by_every_configuration() {
     let y = p.add_var("y", 0.0, f64::INFINITY);
     p.set_objective([(x, 1.0), (y, 1.0)]);
     p.add_constraint("only-y", [(y, 1.0)], ConstraintOp::Le, 3.0);
+    assert_eq!(oracle::solve(&p), Outcome::Unbounded);
     for (label, opts) in configs() {
         assert!(
             matches!(p.solve_with(&opts), Err(LpError::Unbounded)),
@@ -92,6 +83,7 @@ fn unbounded_direction_via_free_variable() {
     let x = p.add_var("x", f64::NEG_INFINITY, f64::INFINITY);
     p.set_objective([(x, 1.0)]);
     p.add_constraint("ub", [(x, 1.0)], ConstraintOp::Le, 10.0);
+    assert_eq!(oracle::solve(&p), Outcome::Unbounded);
     for (label, opts) in configs() {
         assert!(
             matches!(p.solve_with(&opts), Err(LpError::Unbounded)),
@@ -163,7 +155,8 @@ fn time_limit_returns_best_feasible_solution() {
 }
 
 /// The branched-variable pattern branch & bound produces: the warm path must
-/// agree with a cold solve on every child, including infeasible children.
+/// agree with a cold solve — and both with the oracle's LP — on every child,
+/// including infeasible children.
 #[test]
 fn warm_and_cold_agree_on_branching_children() {
     let mut p = Problem::new("children", Sense::Maximize);
@@ -175,8 +168,8 @@ fn warm_and_cold_agree_on_branching_children() {
     p.add_constraint("r2", [(a, 1.0), (b, 1.0)], ConstraintOp::Ge, 1.0);
     let (lower, upper) = bounds(&p);
     let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-    let mut ws = SimplexWorkspace::default();
-    let root = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+    let mut ws = RevisedWorkspace::default();
+    let root = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
 
     // Sweep bound overrides a branch-and-bound run could produce.
     for (var, lo, hi) in [
@@ -190,20 +183,21 @@ fn warm_and_cold_agree_on_branching_children() {
         let mut u = upper.clone();
         l[var] = lo;
         u[var] = hi;
-        let warm = solve_with_skeleton(&sk, &mut ws, &l, &u, Some(&root.basis), 10_000);
-        let mut cold_ws = SimplexWorkspace::default();
-        let cold = solve_with_skeleton(&sk, &mut cold_ws, &l, &u, None, 10_000);
-        match (warm, cold) {
-            (Ok(w), Ok(c)) => {
+        let warm = solve_with_skeleton_revised(&sk, &mut ws, &l, &u, Some(&root.basis), 10_000);
+        let mut cold_ws = RevisedWorkspace::default();
+        let cold = solve_with_skeleton_revised(&sk, &mut cold_ws, &l, &u, None, 10_000);
+        match (warm, cold, oracle::solve_lp(&p, &l, &u)) {
+            (Ok(w), Ok(c), Outcome::Optimal { objective, .. }) => {
                 assert!(
-                    (w.objective - c.objective).abs() < 1e-6,
-                    "var {var} in [{lo}, {hi}]: warm {} cold {}",
+                    (w.objective - objective).abs() < 1e-6
+                        && (c.objective - objective).abs() < 1e-6,
+                    "var {var} in [{lo}, {hi}]: warm {} cold {} oracle {objective}",
                     w.objective,
                     c.objective
                 );
             }
-            (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}
-            (w, c) => panic!("var {var} in [{lo}, {hi}]: warm {w:?} vs cold {c:?}"),
+            (Err(LpError::Infeasible), Err(LpError::Infeasible), Outcome::Infeasible) => {}
+            (w, c, o) => panic!("var {var} in [{lo}, {hi}]: warm {w:?} vs cold {c:?} vs {o:?}"),
         }
     }
 }
@@ -218,11 +212,12 @@ fn warm_start_outcomes_are_reported() {
     p.add_constraint("lo", [(x, 2.0)], ConstraintOp::Ge, 7.0);
     let (lower, upper) = bounds(&p);
     let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-    let mut ws = SimplexWorkspace::default();
-    let first = solve_with_skeleton(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+    let mut ws = RevisedWorkspace::default();
+    let first = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
     assert_eq!(first.warm, WarmStart::Cold);
     let again =
-        solve_with_skeleton(&sk, &mut ws, &lower, &upper, Some(&first.basis), 10_000).unwrap();
+        solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, Some(&first.basis), 10_000)
+            .unwrap();
     assert_ne!(again.warm, WarmStart::Cold);
     assert!((first.objective - again.objective).abs() < 1e-9);
     let (hits, misses) = ws.warm_start_counts();
@@ -262,10 +257,9 @@ fn degenerate_instances_terminate() {
 }
 
 /// Long-horizon drift regression for the revised engine: thousands of
-/// consecutive warm reuses through one `RevisedWorkspace` — far beyond the
-/// dense engine's retired 32-reuse `REUSE_REFRESH` ceiling — must stay
-/// within the stale-state tolerance (1e-6) of an independent cold dense
-/// solve of every node, with the factorization *refresh policy* (periodic
+/// consecutive warm reuses through one `RevisedWorkspace` must stay within
+/// the stale-state tolerance (1e-6) of the oracle's independent dense solve
+/// of every node, with the factorization *refresh policy* (periodic
 /// refactorization on the eta limit plus the per-reuse residual check) as
 /// the only safety mechanism.
 #[test]
@@ -294,7 +288,6 @@ fn revised_warm_reuse_never_drifts_over_thousands_of_reuses() {
     let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
 
     let mut revised = RevisedWorkspace::default();
-    let mut dense_ref = SimplexWorkspace::default();
     let root =
         solve_with_skeleton_revised(&sk, &mut revised, &lower, &upper, None, 100_000).unwrap();
     let mut last_basis = root.basis;
@@ -313,15 +306,13 @@ fn revised_warm_reuse_never_drifts_over_thousands_of_reuses() {
         let warm =
             solve_with_skeleton_revised(&sk, &mut revised, &lo, &hi, Some(&last_basis), 100_000)
                 .unwrap_or_else(|e| panic!("round {round}: revised warm solve failed: {e:?}"));
-        let cold = solve_with_skeleton(&sk, &mut dense_ref, &lo, &hi, None, 100_000)
-            .unwrap_or_else(|e| panic!("round {round}: dense reference failed: {e:?}"));
-        let dev = (warm.objective - cold.objective).abs() / (1.0 + cold.objective.abs());
+        let reference = oracle::solve_lp(&p, &lo, &hi).objective();
+        let dev = (warm.objective - reference).abs() / (1.0 + reference.abs());
         worst = worst.max(dev);
         assert!(
             dev < 1e-6,
-            "round {round}: revised warm {} drifted from dense cold {} (relative {dev:e})",
-            warm.objective,
-            cold.objective
+            "round {round}: revised warm {} drifted from the oracle's {reference} (relative {dev:e})",
+            warm.objective
         );
         total_iterations += warm.iterations;
         last_basis = warm.basis;
@@ -364,8 +355,9 @@ fn revised_warm_reuse_never_drifts_over_thousands_of_reuses() {
     );
 }
 
-/// The revised engine inside full branch & bound agrees with the dense
-/// engine at a zero gap and reports its factorization counters.
+/// Full branch & bound at a zero gap agrees with the oracle's exhaustive
+/// optimum (enumeration over its dense simplex) and reports its
+/// factorization counters.
 #[test]
 fn revised_branch_and_bound_matches_dense_and_reports_factorizations() {
     let mut p = Problem::new("bb-engines", Sense::Maximize);
@@ -387,37 +379,22 @@ fn revised_branch_and_bound_matches_dense_and_reports_factorizations() {
             17.0 + 2.0 * k as f64,
         );
     }
-    let exact = SolveOptions {
-        relative_gap: 0.0,
-        ..Default::default()
-    };
     let revised = p
         .solve_with(&SolveOptions {
-            engine: Engine::RevisedSparse,
-            ..exact.clone()
+            relative_gap: 0.0,
+            ..Default::default()
         })
         .unwrap();
-    let dense = p
-        .solve_with(&SolveOptions {
-            engine: Engine::DenseTableau,
-            ..exact
-        })
-        .unwrap();
+    let dense = oracle::solve(&p).objective();
     assert!(
-        (revised.objective() - dense.objective()).abs() < 1e-6,
-        "revised {} vs dense {}",
-        revised.objective(),
-        dense.objective()
+        (revised.objective() - dense).abs() < 1e-6,
+        "revised {} vs oracle {dense}",
+        revised.objective()
     );
     let stats = revised.stats();
     assert!(
         stats.basis_factorizations >= 1,
         "revised engine must report factorizations: {stats:?}"
-    );
-    assert_eq!(
-        dense.stats().basis_factorizations,
-        0,
-        "dense engine has no LU factorizations"
     );
 }
 
