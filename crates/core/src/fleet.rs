@@ -2220,7 +2220,7 @@ impl Fleet {
         let (plan, planning, cache_key) = match cached {
             Some((plan, planning, key)) => (plan, planning, Some(key)),
             None => {
-                match planner.plan_with_config_ctx(
+                match planner.plan_or_effort(
                     &request.spec,
                     request.goal,
                     &config,
@@ -2257,9 +2257,11 @@ impl Fleet {
                         }
                         (result.0, result.1, None)
                     }
-                    Err(e) => {
-                        self.outcomes[request_idx].rejection =
-                            Some(format!("admission planning failed: {e}"));
+                    Err(failed) => {
+                        let outcome = &mut self.outcomes[request_idx];
+                        outcome.rejection =
+                            Some(format!("admission planning failed: {}", failed.error));
+                        outcome.planning = failed.planning.map(|report| *report);
                         return None;
                     }
                 }

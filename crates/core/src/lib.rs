@@ -62,7 +62,7 @@ pub use fleet::{
 pub use goal::Goal;
 pub use model::{InitialState, ModelConfig, ModelInstance};
 pub use plan::{ExecutionPlan, IntervalPlan};
-pub use planner::{Planner, PlanningReport};
+pub use planner::{FailedPlanning, Planner, PlanningReport};
 pub use policy::{
     BreakerState, CircuitBreakerConfig, DeadLetter, FailurePolicy, FailureThreshold, FallbackTier,
     FaultKind, FaultPlan, RetryPolicy,

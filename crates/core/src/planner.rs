@@ -6,7 +6,7 @@ use crate::goal::Goal;
 use crate::model::{ModelConfig, ModelInstance};
 use crate::plan::ExecutionPlan;
 use crate::resources::ResourcePool;
-use conductor_lp::{LpError, SolveContext, SolveOptions};
+use conductor_lp::{LpError, SolveContext, SolveOptions, SolveStats};
 use conductor_mapreduce::JobSpec;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -51,6 +51,24 @@ pub struct PlanningReport {
 }
 
 impl PlanningReport {
+    /// The report of one solve of `model`, from the solver's own counters.
+    fn of_solve(model: &ModelInstance, model_build_time: Duration, stats: &SolveStats) -> Self {
+        Self {
+            model_vars: model.num_vars(),
+            model_constraints: model.num_constraints(),
+            model_build_time,
+            solve_time: stats.solve_time,
+            simplex_iterations: stats.simplex_iterations,
+            nodes_explored: stats.nodes_explored,
+            warm_start_hits: stats.warm_start_hits,
+            warm_start_misses: stats.warm_start_misses,
+            basis_factorizations: stats.basis_factorizations,
+            basis_refactorizations: stats.basis_refactorizations,
+            bound_flips: stats.bound_flips,
+            ft_updates: stats.ft_updates,
+        }
+    }
+
     /// Fraction of warm-start attempts that hit (0 when none were attempted).
     pub fn warm_start_rate(&self) -> f64 {
         let attempts = self.warm_start_hits + self.warm_start_misses;
@@ -58,6 +76,28 @@ impl PlanningReport {
             0.0
         } else {
             self.warm_start_hits as f64 / attempts as f64
+        }
+    }
+}
+
+/// A planning attempt that produced no plan, with the effort it cost: a
+/// branch & bound that ends at its node cap without an incumbent has done
+/// as much work as one that found a plan.
+#[derive(Debug)]
+pub struct FailedPlanning {
+    /// Why there is no plan.
+    pub error: ConductorError,
+    /// The failed solve's effort (boxed to keep the error small). `None`
+    /// when planning failed before the solver ran, or ran without a
+    /// [`SolveContext`] to keep the counters.
+    pub planning: Option<Box<PlanningReport>>,
+}
+
+impl From<ConductorError> for FailedPlanning {
+    fn from(error: ConductorError) -> Self {
+        Self {
+            error,
+            planning: None,
         }
     }
 }
@@ -164,6 +204,19 @@ impl Planner {
         base_config: &ModelConfig,
         ctx: Option<&mut SolveContext>,
     ) -> Result<(ExecutionPlan, PlanningReport), ConductorError> {
+        self.plan_or_effort(spec, goal, base_config, ctx)
+            .map_err(|failed| failed.error)
+    }
+
+    /// [`Self::plan_with_config_ctx`], except that a failure also reports
+    /// the solver effort it cost (see [`FailedPlanning`]).
+    pub fn plan_or_effort(
+        &self,
+        spec: &JobSpec,
+        goal: Goal,
+        base_config: &ModelConfig,
+        ctx: Option<&mut SolveContext>,
+    ) -> Result<(ExecutionPlan, PlanningReport), FailedPlanning> {
         match goal {
             Goal::MinimizeCost { deadline_hours } => {
                 let config = self.min_cost_config(deadline_hours, base_config);
@@ -230,30 +283,31 @@ impl Planner {
         spec: &JobSpec,
         config: &ModelConfig,
         ctx: Option<&mut SolveContext>,
-    ) -> Result<(ExecutionPlan, PlanningReport), ConductorError> {
+    ) -> Result<(ExecutionPlan, PlanningReport), FailedPlanning> {
         let build_start = std::time::Instant::now();
         let model = ModelInstance::build(&self.pool, spec, config)?;
         let model_build_time = build_start.elapsed();
-        let solution = match ctx {
-            Some(ctx) => model.problem.solve_with_context(&self.solve_options, ctx)?,
-            None => model.problem.solve_with(&self.solve_options)?,
+        let report = |stats: &SolveStats| PlanningReport::of_solve(&model, model_build_time, stats);
+        let solved = match ctx {
+            Some(ctx) => model
+                .problem
+                .solve_with_context(&self.solve_options, ctx)
+                .map_err(|e| (e, ctx.last_solve_stats())),
+            None => model
+                .problem
+                .solve_with(&self.solve_options)
+                .map_err(|e| (e, None)),
         };
-        let plan = ExecutionPlan::from_solution(&model, &solution);
-        let report = PlanningReport {
-            model_vars: model.num_vars(),
-            model_constraints: model.num_constraints(),
-            model_build_time,
-            solve_time: solution.stats().solve_time,
-            simplex_iterations: solution.stats().simplex_iterations,
-            nodes_explored: solution.stats().nodes_explored,
-            warm_start_hits: solution.stats().warm_start_hits,
-            warm_start_misses: solution.stats().warm_start_misses,
-            basis_factorizations: solution.stats().basis_factorizations,
-            basis_refactorizations: solution.stats().basis_refactorizations,
-            bound_flips: solution.stats().bound_flips,
-            ft_updates: solution.stats().ft_updates,
-        };
-        Ok((plan, report))
+        match solved {
+            Ok(solution) => {
+                let plan = ExecutionPlan::from_solution(&model, &solution);
+                Ok((plan, report(solution.stats())))
+            }
+            Err((e, stats)) => Err(FailedPlanning {
+                error: e.into(),
+                planning: stats.as_ref().map(|stats| Box::new(report(stats))),
+            }),
+        }
     }
 
     /// Minimize completion time under a budget: find the smallest horizon `T`
@@ -266,7 +320,7 @@ impl Planner {
         max_hours: f64,
         base_config: &ModelConfig,
         mut ctx: Option<&mut SolveContext>,
-    ) -> Result<(ExecutionPlan, PlanningReport), ConductorError> {
+    ) -> Result<(ExecutionPlan, PlanningReport), FailedPlanning> {
         let max_horizon = (max_hours / self.interval_hours).ceil().max(1.0) as usize;
         let mut lo = 1usize;
         let mut hi = max_horizon;
@@ -282,14 +336,20 @@ impl Planner {
         };
         match self.solve_config(spec, &config_at(max_horizon), ctx.as_deref_mut()) {
             Ok(result) => best = Some(result),
-            Err(ConductorError::Planning(LpError::Infeasible | LpError::NoIncumbent)) => {
-                return Err(ConductorError::GoalUnattainable {
-                    reason: format!(
-                        "no plan finishes within {max_hours} h under a {budget_usd} USD budget"
-                    ),
+            Err(FailedPlanning {
+                error: ConductorError::Planning(LpError::Infeasible | LpError::NoIncumbent),
+                planning,
+            }) => {
+                return Err(FailedPlanning {
+                    error: ConductorError::GoalUnattainable {
+                        reason: format!(
+                            "no plan finishes within {max_hours} h under a {budget_usd} USD budget"
+                        ),
+                    },
+                    planning,
                 });
             }
-            Err(e) => return Err(e),
+            Err(failed) => return Err(failed),
         }
 
         while lo < hi {
@@ -299,14 +359,20 @@ impl Planner {
                     best = Some(result);
                     hi = mid;
                 }
-                Err(ConductorError::Planning(LpError::Infeasible | LpError::NoIncumbent)) => {
+                Err(FailedPlanning {
+                    error: ConductorError::Planning(LpError::Infeasible | LpError::NoIncumbent),
+                    ..
+                }) => {
                     lo = mid + 1;
                 }
-                Err(e) => return Err(e),
+                Err(failed) => return Err(failed),
             }
         }
-        best.ok_or(ConductorError::GoalUnattainable {
-            reason: "no feasible horizon found".into(),
+        best.ok_or_else(|| {
+            ConductorError::GoalUnattainable {
+                reason: "no feasible horizon found".into(),
+            }
+            .into()
         })
     }
 
@@ -326,7 +392,9 @@ impl Planner {
             fixed_storage_fraction: Some((storage.to_string(), fraction)),
             ..ModelConfig::default()
         };
-        let (plan, _) = self.solve_config(spec, &config, None)?;
+        let (plan, _) = self
+            .solve_config(spec, &config, None)
+            .map_err(|failed| failed.error)?;
         Ok(plan.expected_cost)
     }
 }

@@ -42,11 +42,31 @@ pub struct SolveContext {
     last_basis: Vec<usize>,
     skeleton_reuses: usize,
     skeleton_rebuilds: usize,
+    /// Effort of the most recent [`solve_with_context`], failed or not.
+    /// Observational only: not part of [`SolveContext::export_state`].
+    last_stats: Option<SolveStats>,
 }
 
 impl SolveContext {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The effort of the most recent [`solve_with_context`] through this
+    /// context — also when that solve returned an error, whose branch &
+    /// bound nodes would otherwise go unreported. `None` before the first
+    /// solve and after one that failed before reaching the solver.
+    pub fn last_solve_stats(&self) -> Option<SolveStats> {
+        self.last_stats
+    }
+
+    /// Lifetime `(factorizations, refactorizations)` of the shared
+    /// workspace; each solve's [`SolveStats`] carries its own share.
+    pub fn factorization_counts(&self) -> (usize, usize) {
+        self.cached
+            .as_ref()
+            .map(|(_, ws)| ws.factorization_counts())
+            .unwrap_or((0, 0))
     }
 
     /// `(reuses, rebuilds)` — how many solves rebound the cached skeleton in
@@ -163,6 +183,7 @@ impl SolveContext {
             last_basis: r.vec_usize()?,
             skeleton_reuses: r.usize()?,
             skeleton_rebuilds: r.usize()?,
+            last_stats: None,
         };
         r.finish()?;
         Ok(ctx)
@@ -182,7 +203,9 @@ pub fn solve_with_context(
     let lower: Vec<f64> = problem.variables().iter().map(|v| v.lower).collect();
     let upper: Vec<f64> = problem.variables().iter().map(|v| v.upper).collect();
 
+    ctx.last_stats = None;
     let (skeleton, workspace) = ctx.engine_for(problem, options, &lower, &upper)?;
+    let entry = WorkspaceCounts::read(&workspace);
     let root_basis = {
         let prev = std::mem::take(&mut ctx.last_basis);
         if prev.is_empty() {
@@ -197,19 +220,66 @@ pub fn solve_with_context(
         skeleton,
         workspace,
     };
-    let result = if problem.is_mip() {
+    let (result, nodes_explored, simplex_iterations) = if problem.is_mip() {
         let mut bb = BranchAndBound::new(problem, options, start, solver);
         let result = bb.run(lower, upper, root_basis);
         solver = bb.node_solver;
-        result
+        (result, bb.nodes_explored, bb.simplex_iterations)
     } else {
         let hint = root_basis.as_ref().map(|b| b.as_slice());
-        solver.solve_pure_lp(start, &lower, &upper, hint)
+        match solver.solve_node(&lower, &upper, hint) {
+            Ok(r) => {
+                let found = (SolveStatus::Optimal, r.objective, r.values, 0.0);
+                (Ok(found), 1, r.iterations)
+            }
+            Err(e) => (Err(e), 0, 0),
+        }
+    };
+    // The workspace outlives the solve under a shared context, so its
+    // counters are lifetime totals: this solve's share is what they moved by.
+    let exit = WorkspaceCounts::read(&solver.workspace);
+    let mut stats = SolveStats {
+        simplex_iterations,
+        nodes_explored,
+        solve_time: start.elapsed(),
+        relative_gap: 0.0,
+        warm_start_hits: exit.warm_start.0 - entry.warm_start.0,
+        warm_start_misses: exit.warm_start.1 - entry.warm_start.1,
+        basis_factorizations: exit.factorizations.0 - entry.factorizations.0,
+        basis_refactorizations: exit.factorizations.1 - entry.factorizations.1,
+        bound_flips: exit.pivots.0 - entry.pivots.0,
+        ft_updates: exit.pivots.1 - entry.pivots.1,
     };
     ctx.last_basis = solver.workspace.last_basis().to_vec();
     ctx.cached = Some((solver.skeleton, solver.workspace));
-    result
+    let solution = result.map(|(status, objective, values, gap)| {
+        stats.relative_gap = gap;
+        Solution::new(status, objective, values, stats)
+    });
+    ctx.last_stats = Some(stats);
+    solution
 }
+
+/// One reading of a workspace's cumulative counters.
+struct WorkspaceCounts {
+    warm_start: (usize, usize),
+    factorizations: (usize, usize),
+    pivots: (usize, usize),
+}
+
+impl WorkspaceCounts {
+    fn read(ws: &RevisedWorkspace) -> Self {
+        Self {
+            warm_start: ws.warm_start_counts(),
+            factorizations: ws.factorization_counts(),
+            pivots: ws.pivot_counts(),
+        }
+    }
+}
+
+/// What a search found: status, objective, variable values, final relative
+/// gap.
+type Found = (SolveStatus, f64, Vec<f64>, f64);
 
 /// The skeleton layout `options` selects: implicit column bounds in
 /// bounded-variable mode, span rows otherwise.
@@ -244,37 +314,6 @@ struct NodeSolver<'a> {
 }
 
 impl NodeSolver<'_> {
-    /// The single-relaxation path of a problem with no discrete variable.
-    fn solve_pure_lp(
-        &mut self,
-        start: Instant,
-        lower: &[f64],
-        upper: &[f64],
-        basis_hint: Option<&[usize]>,
-    ) -> Result<Solution, LpError> {
-        let r = self.solve_node(lower, upper, basis_hint)?;
-        let (basis_factorizations, basis_refactorizations) = self.workspace.factorization_counts();
-        let (bound_flips, ft_updates) = self.workspace.pivot_counts();
-        let stats = SolveStats {
-            simplex_iterations: r.iterations,
-            nodes_explored: 1,
-            solve_time: start.elapsed(),
-            relative_gap: 0.0,
-            warm_start_hits: 0,
-            warm_start_misses: 0,
-            basis_factorizations,
-            basis_refactorizations,
-            bound_flips,
-            ft_updates,
-        };
-        Ok(Solution::new(
-            SolveStatus::Optimal,
-            r.objective,
-            r.values,
-            stats,
-        ))
-    }
-
     /// Solves one relaxation. `basis_hint` is the parent's final basis; the
     /// hint is only meaningful against the shared skeleton, so the fallback
     /// path ignores it and solves cold.
@@ -401,7 +440,7 @@ impl<'a> BranchAndBound<'a> {
         root_lower: Vec<f64>,
         root_upper: Vec<f64>,
         root_basis: Option<Rc<Vec<usize>>>,
-    ) -> Result<Solution, LpError> {
+    ) -> Result<Found, LpError> {
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         heap.push(HeapEntry {
             order: f64::NEG_INFINITY,
@@ -492,11 +531,6 @@ impl<'a> BranchAndBound<'a> {
             }
         }
 
-        let workspace = &self.node_solver.workspace;
-        let (warm_start_hits, warm_start_misses) = workspace.warm_start_counts();
-        let (basis_factorizations, basis_refactorizations) = workspace.factorization_counts();
-        let (bound_flips, ft_updates) = workspace.pivot_counts();
-
         let sense_factor = self.sense_factor;
         match self.incumbent.take() {
             Some((obj, values)) => {
@@ -508,19 +542,7 @@ impl<'a> BranchAndBound<'a> {
                 } else {
                     SolveStatus::Feasible
                 };
-                let stats = SolveStats {
-                    simplex_iterations: self.simplex_iterations,
-                    nodes_explored: self.nodes_explored,
-                    solve_time: self.start.elapsed(),
-                    relative_gap: gap,
-                    warm_start_hits,
-                    warm_start_misses,
-                    basis_factorizations,
-                    basis_refactorizations,
-                    bound_flips,
-                    ft_updates,
-                };
-                Ok(Solution::new(status, obj, values, stats))
+                Ok((status, obj, values, gap))
             }
             None => {
                 if saw_unbounded {
@@ -659,9 +681,11 @@ impl<'a> BranchAndBound<'a> {
                     }
                 }
             }
-            if self.is_feasible(&values) {
-                let obj = self.problem.objective().evaluate(&values);
-                self.offer_incumbent(obj, values);
+            // The objective is one expression, feasibility one per
+            // constraint: ask first whether the point could be accepted.
+            let obj = self.problem.objective().evaluate(&values);
+            if self.improves_incumbent(obj) && self.is_feasible(&values) {
+                self.incumbent = Some((obj, values));
             }
         }
     }
@@ -704,12 +728,17 @@ impl<'a> BranchAndBound<'a> {
         true
     }
 
-    fn offer_incumbent(&mut self, objective: f64, values: Vec<f64>) {
-        let better = match &self.incumbent {
+    /// `true` when a feasible point with this objective would replace the
+    /// incumbent.
+    fn improves_incumbent(&self, objective: f64) -> bool {
+        match &self.incumbent {
             None => true,
             Some((best, _)) => self.min_obj(objective) < self.min_obj(*best) - 1e-12,
-        };
-        if better {
+        }
+    }
+
+    fn offer_incumbent(&mut self, objective: f64, values: Vec<f64>) {
+        if self.improves_incumbent(objective) {
             self.incumbent = Some((objective, values));
         }
     }
@@ -738,23 +767,64 @@ mod tests {
         assert_eq!(sol.stats().nodes_explored, 1);
     }
 
+    /// max c·x over four 0/1 items of weight 5, 7, 4, 3 with `weight op cap`.
+    fn knapsack(op: ConstraintOp, cap: f64, c: [f64; 4]) -> Problem {
+        let mut p = Problem::new("knapsack", Sense::Maximize);
+        let a = p.add_int_var("a", 0.0, 1.0);
+        let b = p.add_int_var("b", 0.0, 1.0);
+        let cc = p.add_int_var("c", 0.0, 1.0);
+        let d = p.add_int_var("d", 0.0, 1.0);
+        p.set_objective([(a, c[0]), (b, c[1]), (cc, c[2]), (d, c[3])]);
+        p.add_constraint("cap", [(a, 5.0), (b, 7.0), (cc, 4.0), (d, 3.0)], op, cap);
+        p
+    }
+
+    /// Under a shared context the workspace counters are lifetime totals; a
+    /// solve reports only what it moved them by, and a failed solve's effort
+    /// stays readable on the context.
+    #[test]
+    fn stats_under_a_shared_context_are_per_solve() {
+        let opts = SolveOptions {
+            relative_gap: 0.0,
+            ..Default::default()
+        };
+        let mut ctx = SolveContext::new();
+        assert_eq!(ctx.last_solve_stats(), None);
+        let (mut factorizations, mut refactorizations) = (0, 0);
+        let (mut hits, mut misses) = (0, 0);
+        let mut absorb = |stats: &SolveStats, ctx: &SolveContext| {
+            factorizations += stats.basis_factorizations;
+            refactorizations += stats.basis_refactorizations;
+            hits += stats.warm_start_hits;
+            misses += stats.warm_start_misses;
+            assert_eq!(
+                (factorizations, refactorizations),
+                ctx.factorization_counts()
+            );
+            assert_eq!((hits, misses), ctx.warm_start_counts());
+        };
+        for (cap, c) in [(14.0, [8.0, 11.0, 6.0, 4.0]), (12.0, [7.0, 10.0, 6.5, 4.0])] {
+            let sol = solve_with_context(&knapsack(ConstraintOp::Le, cap, c), &opts, &mut ctx);
+            let stats = *sol.unwrap().stats();
+            assert!(stats.basis_factorizations > 0 && stats.nodes_explored > 0);
+            assert_eq!(ctx.last_solve_stats(), Some(stats));
+            absorb(&stats, &ctx);
+        }
+        // No subset of {5, 7, 4, 3} weighs 6: the relaxations solve, the
+        // tree is searched and nothing integral turns up.
+        let hopeless = knapsack(ConstraintOp::Eq, 6.0, [8.0, 11.0, 6.0, 4.0]);
+        let err = solve_with_context(&hopeless, &opts, &mut ctx).unwrap_err();
+        assert!(matches!(err, LpError::NoIncumbent), "{err:?}");
+        let failed = ctx
+            .last_solve_stats()
+            .expect("a failed solve's effort is kept");
+        assert!(failed.nodes_explored > 1 && failed.simplex_iterations > 0);
+        absorb(&failed, &ctx);
+    }
+
     #[test]
     fn solve_context_state_roundtrip_is_bitwise() {
-        let make = |cap: f64, c: [f64; 4]| {
-            let mut p = Problem::new("knapsack", Sense::Maximize);
-            let a = p.add_int_var("a", 0.0, 1.0);
-            let b = p.add_int_var("b", 0.0, 1.0);
-            let cc = p.add_int_var("c", 0.0, 1.0);
-            let d = p.add_int_var("d", 0.0, 1.0);
-            p.set_objective([(a, c[0]), (b, c[1]), (cc, c[2]), (d, c[3])]);
-            p.add_constraint(
-                "cap",
-                [(a, 5.0), (b, 7.0), (cc, 4.0), (d, 3.0)],
-                ConstraintOp::Le,
-                cap,
-            );
-            p
-        };
+        let make = |cap, c| knapsack(ConstraintOp::Le, cap, c);
         for (bounded, ft, dse) in [(false, false, false), (true, true, true)] {
             let opts = SolveOptions {
                 relative_gap: 0.0,

@@ -30,6 +30,7 @@
 //! observable refresh policy (counts surface in `SolveStats`).
 
 use crate::sparse::CscMatrix;
+use std::sync::OnceLock;
 
 /// Largest admissible eta-file length before a refactorization is forced:
 /// long products both slow the solves down and accumulate rounding error.
@@ -418,7 +419,10 @@ impl BasisFactorization {
             &mut self.heap,
         )?;
         std::mem::swap(&mut self.lu, &mut self.lu_next);
-        if std::env::var_os("LU_TRACE").is_some() {
+        // Debug aid: `LU_TRACE=1` logs the fill of every factorization. Read
+        // once — branch & bound refactorizes on every node.
+        static LU_TRACE: OnceLock<bool> = OnceLock::new();
+        if *LU_TRACE.get_or_init(|| std::env::var_os("LU_TRACE").is_some()) {
             let lnnz: usize = self.lu.l_cols.iter().map(Vec::len).sum();
             let unnz: usize = self.lu.u_cols.iter().map(Vec::len).sum();
             eprintln!("LU m={} nnzA={} nnzL={} nnzU={}", m, a.nnz(), lnnz, unnz);

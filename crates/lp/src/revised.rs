@@ -57,6 +57,7 @@ use crate::simplex::{
     DUAL_PIVOT_TOL, FEAS_TOL, PIVOT_TOL, REUSE_HEALTH_LIMIT,
 };
 use crate::sparse::CscMatrix;
+use std::sync::OnceLock;
 
 /// `x_w` weights below this magnitude count as exactly finite.
 const INF_W_TOL: f64 = 1e-9;
@@ -64,7 +65,8 @@ const INF_W_TOL: f64 = 1e-9;
 /// Debug aid: set `REVISED_TRACE=1` to log why warm-start reuses fall back
 /// to the cold path (each label marks one bail-out site in `try_reuse`).
 fn trace(label: &str) {
-    if std::env::var_os("REVISED_TRACE").is_some() {
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    if *ENABLED.get_or_init(|| std::env::var_os("REVISED_TRACE").is_some()) {
         eprintln!("reuse-fallback: {label}");
     }
 }

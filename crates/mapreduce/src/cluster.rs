@@ -97,19 +97,23 @@ impl Cluster {
     }
 
     /// Removes exactly the listed nodes (ids not present are ignored) at hour
-    /// `now` and returns the ids actually removed.
+    /// `now` and returns the ids actually removed, in cluster order.
     pub fn remove_specific(&mut self, ids: &[NodeId], now: f64) -> Vec<NodeId> {
-        let before = self.nodes.len();
-        let mut removed = Vec::new();
+        if ids.is_empty() {
+            // A scale-down waiting on busy nodes asks at every wakeup.
+            return Vec::new();
+        }
+        let mut doomed = ids.to_vec();
+        doomed.sort_unstable();
+        let mut removed = Vec::with_capacity(doomed.len());
         self.nodes.retain(|n| {
-            if ids.contains(&n.id) {
+            let leaves = doomed.binary_search(&n.id).is_ok();
+            if leaves {
                 removed.push(n.id);
-                false
-            } else {
-                true
             }
+            !leaves
         });
-        if self.nodes.len() != before {
+        if !removed.is_empty() {
             self.record(now);
         }
         removed
@@ -147,9 +151,12 @@ impl Cluster {
         self.nodes.iter().map(|n| n.throughput_gbph).sum()
     }
 
-    /// Looks up a node by id.
+    /// Looks up a node by id. Ids are handed out in increasing order and
+    /// removals keep the survivors' order, so `nodes` is always sorted by
+    /// id and the lookup is a binary search.
     pub fn node(&self, id: NodeId) -> Option<&SimNode> {
-        self.nodes.iter().find(|n| n.id == id)
+        let at = self.nodes.binary_search_by_key(&id, |n| n.id).ok()?;
+        Some(&self.nodes[at])
     }
 
     /// The `(hour, node_count)` membership-change samples recorded so far —

@@ -40,6 +40,17 @@
 //! the distinction that keeps fleet-churn simulations flat as executions
 //! grow.
 //!
+//! # The idle-node index
+//!
+//! A wakeup is usually one task finishing, so nothing in it may cost
+//! nodes² or the number of tasks. `dispatch` and scale-downs used to find
+//! the idle nodes by asking, for every cluster node, whether any running
+//! task held it; the idle set is now kept current where it changes (node
+//! added / removed / killed, task dispatched / retired), in cluster order —
+//! the order work is handed out in. It is *derived*: [`ExecutionSnapshot`]
+//! does not carry it, [`ExecutionSnapshot::restore`] rebuilds it, and debug
+//! builds check it against the serialized state after every wakeup.
+//!
 //! # Spot revocations
 //!
 //! Under [`SessionPricing::Spot`] the shared market can take the cluster
@@ -250,6 +261,15 @@ struct Running {
     on_cloud_node: bool,
 }
 
+/// The cluster's nodes that run no task, in cluster (= ascending id) order.
+fn idle_nodes(cluster: &Cluster, running: &[Running]) -> BTreeSet<NodeId> {
+    let mut idle: BTreeSet<NodeId> = cluster.nodes().iter().map(|n| n.id).collect();
+    for r in running {
+        idle.remove(&r.node);
+    }
+    idle
+}
+
 /// The full runtime state of one deployment, advanced by wakeups.
 pub struct JobExecution<'a> {
     catalog: Catalog,
@@ -263,17 +283,17 @@ pub struct JobExecution<'a> {
     sessions: BTreeMap<NodeId, u64>,
     tasks: Vec<Task>,
     splits: Vec<Split>,
+    /// Tasks in flight, in dispatch order (load-bearing: the report's float
+    /// sums and task timeline accumulate in it).
     running: Vec<Running>,
     schedule_points: Vec<f64>,
 
     // ---- dispatch index -------------------------------------------------
-    // `dispatch` used to scan every task for every idle node — O(tasks ·
-    // idle nodes) per wakeup, the fleet-churn hot path. The index keeps
-    // exactly the dispatchable tasks, bucketed the way the scan consumed
+    // Exactly the dispatchable tasks, bucketed the way `dispatch` consumes
     // them: pending map tasks by the location their input is available at,
     // pending reduce tasks in one set (their location is a function of the
     // node). Sets are ordered, so "lowest task index at this location" is
-    // `first()` — preserving the scan's deterministic tie-breaking.
+    // `first()` — the tie-breaking of a scan over every task, without it.
     /// Pending map tasks whose input is available now, by location.
     runnable_maps: BTreeMap<DataLocation, BTreeSet<usize>>,
     /// Pending reduce tasks (dispatchable once `map_remaining == 0`).
@@ -303,6 +323,12 @@ pub struct JobExecution<'a> {
     /// derived view of the schedule (the fleet's incremental residual
     /// index) compare epochs instead of diffing the steps.
     schedule_epoch: u64,
+
+    // ---- derived index (not serialized; see the module docs) ------------
+    /// Cluster nodes with no running task, in cluster (= ascending id)
+    /// order — the order `dispatch` hands out work in. Invariant: equals
+    /// `cluster.nodes()` minus the nodes of `running`.
+    idle: BTreeSet<NodeId>,
 
     phase: JobPhase,
     report: Option<ExecutionReport>,
@@ -339,6 +365,7 @@ impl<'a> JobExecution<'a> {
             spec.reduce_tasks,
             spec.shuffle_gb(),
         );
+        let task_count = tasks.len();
         let splits = plan_splits(spec, &options);
         // Only data headed for *cloud* storage crosses the customer uplink;
         // splits assigned to the local cluster's disks move over the LAN.
@@ -372,7 +399,7 @@ impl<'a> JobExecution<'a> {
         let map_remaining = spec.map_tasks();
         let mut runnable_maps: BTreeMap<DataLocation, BTreeSet<usize>> = BTreeMap::new();
         let mut runnable_reduces = BTreeSet::new();
-        let mut upload_pending: Vec<(f64, usize, DataLocation)> = Vec::new();
+        let mut upload_pending: Vec<(f64, usize, DataLocation)> = Vec::with_capacity(map_remaining);
         for (idx, task) in tasks.iter().enumerate() {
             match task.kind {
                 TaskKind::Map => {
@@ -410,7 +437,7 @@ impl<'a> JobExecution<'a> {
             runnable_reduces,
             upload_pending,
             upload_cursor: 0,
-            task_timeline: Vec::new(),
+            task_timeline: Vec::with_capacity(task_count),
             completed: 0,
             map_remaining,
             wan_in_extra: 0.0,
@@ -420,6 +447,7 @@ impl<'a> JobExecution<'a> {
             s3_gb,
             straggler_extensions: 0,
             schedule_epoch: 0,
+            idle: BTreeSet::new(),
             phase: JobPhase::Processing,
             report: None,
         })
@@ -429,7 +457,8 @@ impl<'a> JobExecution<'a> {
     /// one marker per schedule step and distinct split-availability time.
     /// All times are job-relative hours.
     pub fn initial_events(&self) -> Vec<(f64, JobEvent)> {
-        let mut events = vec![(0.0, JobEvent::Kickoff)];
+        let mut events = Vec::with_capacity(1 + self.schedule_points.len() + self.splits.len());
+        events.push((0.0, JobEvent::Kickoff));
         for &t in &self.schedule_points {
             if t > EPS {
                 events.push((t, JobEvent::ScheduleChange));
@@ -513,14 +542,16 @@ impl<'a> JobExecution<'a> {
                     .copied()
                     .filter(|&t| t > now + EPS)
                     .fold(f64::INFINITY, f64::min);
+                // `upload_pending` holds every split that is ever uploaded,
+                // sorted by availability: the next arrival is the first
+                // entry past `now`.
+                let arrived = self
+                    .upload_pending
+                    .partition_point(|&(available_at, ..)| available_at <= now + EPS);
                 let next_split = self
-                    .splits
-                    .iter()
-                    .filter(|s| {
-                        s.location != DataLocation::ClientSite && s.available_at > now + EPS
-                    })
-                    .map(|s| s.available_at)
-                    .fold(f64::INFINITY, f64::min);
+                    .upload_pending
+                    .get(arrived)
+                    .map_or(f64::INFINITY, |&(available_at, ..)| available_at);
                 // A spot job starved by an out-bid market is not stuck: its
                 // next state change is the hour the price readmits its bid.
                 // `recovery_hours` is the cheap discriminator (`None` unless
@@ -577,7 +608,39 @@ impl<'a> JobExecution<'a> {
             self.phase = JobPhase::Downloading { completion };
             out.push((completion, JobEvent::DownloadDone));
         }
+        self.debug_check_idle_index();
         out
+    }
+
+    /// Debug builds re-derive the idle index from the serialized state
+    /// after every wakeup (and every kill) and compare.
+    fn debug_check_idle_index(&self) {
+        debug_assert_eq!(self.idle, idle_nodes(&self.cluster, &self.running));
+    }
+
+    /// The node schedule was edited: bumps [`Self::schedule_epoch`] and
+    /// re-derives the step markers.
+    fn schedule_changed(&mut self) {
+        self.schedule_epoch += 1;
+        self.schedule_points = self
+            .options
+            .node_schedule
+            .iter()
+            .map(|a| a.from_hour)
+            .collect();
+        self.schedule_points
+            .sort_by(|a, b| a.partial_cmp(b).unwrap());
+        self.schedule_points.dedup();
+    }
+
+    /// The `ScheduleChange` wakeups for every schedule step after `now`.
+    fn schedule_wakeups_after(&self, now: f64) -> Vec<(f64, JobEvent)> {
+        self.schedule_points
+            .iter()
+            .copied()
+            .filter(|&t| t > now + EPS)
+            .map(|t| (t, JobEvent::ScheduleChange))
+            .collect()
     }
 
     /// Work can outlive the node schedule: the plan's fluid model was
@@ -640,11 +703,7 @@ impl<'a> JobExecution<'a> {
             nodes: step.nodes.min(stragglers),
         };
         self.options.node_schedule.push(extension);
-        self.schedule_epoch += 1;
-        self.schedule_points.push(now);
-        self.schedule_points
-            .sort_by(|a, b| a.partial_cmp(b).unwrap());
-        self.schedule_points.dedup();
+        self.schedule_changed();
         self.straggler_extensions += 1;
         true
     }
@@ -753,25 +812,11 @@ impl<'a> JobExecution<'a> {
             }
         }
         self.options.node_schedule.extend(new_steps);
-        self.schedule_epoch += 1;
         self.options
             .node_schedule
             .sort_by(|a, b| a.from_hour.partial_cmp(&b.from_hour).unwrap());
-        self.schedule_points = self
-            .options
-            .node_schedule
-            .iter()
-            .map(|a| a.from_hour)
-            .collect();
-        self.schedule_points
-            .sort_by(|a, b| a.partial_cmp(b).unwrap());
-        self.schedule_points.dedup();
-        self.schedule_points
-            .iter()
-            .copied()
-            .filter(|&t| t > now + EPS)
-            .map(|t| (t, JobEvent::ScheduleChange))
-            .collect()
+        self.schedule_changed();
+        self.schedule_wakeups_after(now)
     }
 
     /// Terminates every rented cloud node at job-relative hour `now` — the
@@ -812,33 +857,33 @@ impl<'a> JobExecution<'a> {
         if doomed.is_empty() {
             return (0, Vec::new());
         }
-        let mut still_running = Vec::with_capacity(self.running.len());
-        for r in self.running.drain(..) {
-            if doomed.contains(&r.node) {
-                self.tasks[r.task_idx].state = TaskState::Runnable;
-                // Back into the dispatch index: a map task re-buckets under
-                // its split's location (already uploaded — it was running),
-                // a reduce under the shared reduce set.
-                match self.tasks[r.task_idx].kind {
-                    TaskKind::Map => {
-                        let split =
-                            &self.splits[r.task_idx.min(self.splits.len().saturating_sub(1))];
-                        self.runnable_maps
-                            .entry(split.location)
-                            .or_default()
-                            .insert(r.task_idx);
-                    }
-                    TaskKind::Reduce => {
-                        self.runnable_reduces.insert(r.task_idx);
-                    }
+        // `doomed` is in cluster order, i.e. sorted by id.
+        let (killed, survivors): (Vec<Running>, Vec<Running>) = self
+            .running
+            .iter()
+            .partition(|r| doomed.binary_search(&r.node).is_ok());
+        self.running = survivors;
+        for r in killed {
+            self.tasks[r.task_idx].state = TaskState::Runnable;
+            // Back into the dispatch index: a map task re-buckets under
+            // its split's location (already uploaded — it was running),
+            // a reduce under the shared reduce set.
+            match self.tasks[r.task_idx].kind {
+                TaskKind::Map => {
+                    let split = &self.splits[r.task_idx.min(self.splits.len().saturating_sub(1))];
+                    self.runnable_maps
+                        .entry(split.location)
+                        .or_default()
+                        .insert(r.task_idx);
                 }
-            } else {
-                still_running.push(r);
+                TaskKind::Reduce => {
+                    self.runnable_reduces.insert(r.task_idx);
+                }
             }
         }
-        self.running = still_running;
         let removed = self.cluster.remove_specific(&doomed, now);
         for rid in &removed {
+            self.idle.remove(rid);
             if let Some(session) = self.sessions.remove(rid) {
                 self.billing.stop_instance_revoked(session, now);
             }
@@ -857,25 +902,11 @@ impl<'a> JobExecution<'a> {
                         step.from_hour += shift;
                     }
                 }
-                self.schedule_epoch += 1;
-                self.schedule_points = self
-                    .options
-                    .node_schedule
-                    .iter()
-                    .map(|a| a.from_hour)
-                    .collect();
-                self.schedule_points
-                    .sort_by(|a, b| a.partial_cmp(b).unwrap());
-                self.schedule_points.dedup();
-                wakeups = self
-                    .schedule_points
-                    .iter()
-                    .copied()
-                    .filter(|&t| t > now + EPS)
-                    .map(|t| (t, JobEvent::ScheduleChange))
-                    .collect();
+                self.schedule_changed();
+                wakeups = self.schedule_wakeups_after(now);
             }
         }
+        self.debug_check_idle_index();
         (removed.len(), wakeups)
     }
 
@@ -913,33 +944,39 @@ impl<'a> JobExecution<'a> {
 
     // ---- event handlers -------------------------------------------------
 
-    /// Retires every running task whose finish time is due at `now`.
+    /// Retires every running task whose finish time is due at `now`, in
+    /// dispatch order; the others stay where they are.
     fn retire_finished(&mut self, now: f64) {
-        let mut still_running = Vec::with_capacity(self.running.len());
-        for r in self.running.drain(..) {
-            if r.finish_at <= now + EPS {
-                let idx = r.task_idx;
-                self.tasks[idx].state = TaskState::Completed { at: r.finish_at };
-                self.completed += 1;
-                if self.tasks[idx].kind == TaskKind::Map {
-                    self.map_remaining -= 1;
-                    if self.map_remaining == 0 {
-                        self.phases.map_done_at = r.finish_at;
-                    }
-                } else if self.completed == self.tasks.len() {
-                    self.phases.reduce_done_at = r.finish_at;
+        let mut kept = 0;
+        for at in 0..self.running.len() {
+            if self.running[at].finish_at > now + EPS {
+                if kept != at {
+                    self.running[kept] = self.running[at];
                 }
-                self.wan_in_extra += r.wan_gb;
-                self.total_s3_gets += r.s3_gets;
-                if r.on_cloud_node && self.tasks[idx].kind == TaskKind::Map {
-                    self.cloud_processed_gb += self.tasks[idx].data_gb;
-                }
-                self.task_timeline.push((r.finish_at, self.completed));
-            } else {
-                still_running.push(r);
+                kept += 1;
+                continue;
             }
+            let r = self.running[at];
+            let idx = r.task_idx;
+            self.tasks[idx].state = TaskState::Completed { at: r.finish_at };
+            self.completed += 1;
+            if self.tasks[idx].kind == TaskKind::Map {
+                self.map_remaining -= 1;
+                if self.map_remaining == 0 {
+                    self.phases.map_done_at = r.finish_at;
+                }
+            } else if self.completed == self.tasks.len() {
+                self.phases.reduce_done_at = r.finish_at;
+            }
+            self.wan_in_extra += r.wan_gb;
+            self.total_s3_gets += r.s3_gets;
+            if r.on_cloud_node && self.tasks[idx].kind == TaskKind::Map {
+                self.cloud_processed_gb += self.tasks[idx].data_gb;
+            }
+            self.task_timeline.push((r.finish_at, self.completed));
+            self.idle.insert(r.node);
         }
-        self.running = still_running;
+        self.running.truncate(kept);
     }
 
     /// `true` while the schedule demands more cloud nodes of some type than
@@ -975,6 +1012,9 @@ impl<'a> JobExecution<'a> {
     /// bid) are skipped, and a retry wakeup for the recovery hour is pushed
     /// onto `out` instead.
     fn reconcile_cluster(&mut self, now: f64, out: &mut Vec<(f64, JobEvent)>) {
+        // Per wakeup this still builds the set of type names and counts the
+        // cluster once per type (`count_of`): linear, a few ns a node. Read
+        // EXPERIMENTS.md, *Execution kernel*, before caching either.
         let types: Vec<String> = self
             .options
             .node_schedule
@@ -1007,23 +1047,27 @@ impl<'a> JobExecution<'a> {
                 for id in ids {
                     self.sessions
                         .insert(id, self.billing.start_instance_at_price(itype, now, price));
+                    self.idle.insert(id);
                 }
             } else if desired < current {
                 // Remove idle nodes only (busy nodes finish their task
                 // first; the reconciliation is retried at the next wakeup),
                 // newest first so long-lived nodes keep their data.
-                let busy: Vec<NodeId> = self.running.iter().map(|r| r.node).collect();
-                let idle_ids: Vec<NodeId> = self
-                    .cluster
-                    .nodes()
+                let leaving: Vec<NodeId> = self
+                    .idle
                     .iter()
                     .rev()
-                    .filter(|n| n.instance_type == itype_name && !busy.contains(&n.id))
-                    .map(|n| n.id)
+                    .copied()
+                    .filter(|&id| {
+                        self.cluster
+                            .node(id)
+                            .is_some_and(|n| n.instance_type == itype_name)
+                    })
                     .take(current - desired)
                     .collect();
-                let removed = self.cluster.remove_specific(&idle_ids, now);
+                let removed = self.cluster.remove_specific(&leaving, now);
                 for rid in removed {
+                    self.idle.remove(&rid);
                     if let Some(session) = self.sessions.remove(&rid) {
                         self.billing.stop_instance(session, now);
                     }
@@ -1056,21 +1100,25 @@ impl<'a> JobExecution<'a> {
         self.promote_available(now);
         let upload_gate_open =
             !self.options.upload_before_processing || now >= self.upload_done_at - EPS;
-        let busy: Vec<NodeId> = self.running.iter().map(|r| r.node).collect();
-        let idle_nodes: Vec<NodeId> = self
-            .cluster
-            .nodes()
-            .iter()
-            .map(|n| n.id)
-            .filter(|id| !busy.contains(id))
-            .collect();
-
-        for node_id in idle_nodes {
+        // Idle nodes in cluster order, the set shrinking as they take work.
+        let mut next = NodeId(0);
+        loop {
+            // With no task left to hand out every remaining node would come
+            // up empty: most wakeups end here, whatever the cluster's size.
+            let maps_waiting =
+                upload_gate_open && self.runnable_maps.values().any(|set| !set.is_empty());
+            let reduces_waiting = self.map_remaining == 0 && !self.runnable_reduces.is_empty();
+            if !maps_waiting && !reduces_waiting {
+                break;
+            }
+            let Some(&node_id) = self.idle.range(next..).next() else {
+                break;
+            };
+            next = NodeId(node_id.0 + 1);
             let node = self
                 .cluster
                 .node(node_id)
-                .expect("idle node still in cluster")
-                .clone();
+                .expect("idle node still in cluster");
             // Find the best dispatchable task for this node: max preference,
             // ties to the lowest task index (the order the old linear scan
             // produced, since preference depends only on location + node).
@@ -1084,10 +1132,10 @@ impl<'a> JobExecution<'a> {
                     let Some(&idx) = pending.first() else {
                         continue;
                     };
-                    if !self.scheduler.may_run(&self.tasks[idx], location, &node) {
+                    if !self.scheduler.may_run(&self.tasks[idx], location, node) {
                         continue;
                     }
-                    consider(idx, location, self.scheduler.preference(location, &node));
+                    consider(idx, location, self.scheduler.preference(location, node));
                 }
             }
             if self.map_remaining == 0 {
@@ -1098,13 +1146,13 @@ impl<'a> JobExecution<'a> {
                     } else {
                         DataLocation::InstanceDisk
                     };
-                    if self.scheduler.may_run(&self.tasks[idx], location, &node) {
-                        consider(idx, location, self.scheduler.preference(location, &node));
+                    if self.scheduler.may_run(&self.tasks[idx], location, node) {
+                        consider(idx, location, self.scheduler.preference(location, node));
                     }
                 }
             }
             if let Some((idx, location, _)) = best {
-                let rate = self.effective_rate(&node, location, self.cluster.len());
+                let rate = self.effective_rate(node, location, self.cluster.len());
                 if rate <= 0.0 {
                     continue;
                 }
@@ -1144,6 +1192,7 @@ impl<'a> JobExecution<'a> {
                     s3_gets,
                     on_cloud_node: !node.is_local,
                 });
+                self.idle.remove(&node_id);
                 out.push((now + duration, JobEvent::TaskFinish));
             }
         }
@@ -1330,9 +1379,11 @@ impl JobExecution<'_> {
 impl ExecutionSnapshot {
     /// Rebuilds the execution exactly as captured; the scheduler is
     /// reconstructed from its snapshot, so the result owns all its state
-    /// (hence the `'static` lifetime).
+    /// (hence the `'static` lifetime). The idle-node index is not part of
+    /// the snapshot and is recomputed here.
     pub fn restore(&self) -> JobExecution<'static> {
         JobExecution {
+            idle: idle_nodes(&self.cluster, &self.running),
             catalog: self.catalog.clone(),
             spec: self.spec.clone(),
             options: self.options.clone(),

@@ -111,6 +111,12 @@ impl<E> EventHeap<E> {
         }
     }
 
+    /// Makes room for `additional` more events, so that scheduling a known
+    /// number of them at once does not grow the heap by doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
+    }
+
     /// Schedules `event` at absolute hour `at` in ordering class `class`.
     pub fn push(&mut self, at: f64, class: u8, event: E) {
         let seq = self.next_seq;

@@ -102,6 +102,8 @@ impl<E> Simulator<E> {
 
     /// Schedules a batch of `(at, class, event)` triples.
     pub fn schedule_all(&mut self, events: impl IntoIterator<Item = (f64, u8, E)>) {
+        let events = events.into_iter();
+        self.heap.reserve(events.size_hint().0);
         for (at, class, event) in events {
             self.heap.push(at, class, event);
         }

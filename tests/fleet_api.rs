@@ -390,6 +390,20 @@ fn infeasible_residual_rejects_the_submission_with_an_event() {
         report.tenants_by_outcome(OutcomeClass::Completed).count(),
         1
     );
+    // The solve that found no plan (an infeasible root relaxation) still
+    // cost a model build and basis factorizations, and the rejected
+    // tenant's outcome says how much — its own share, not the shared solve
+    // context's running total.
+    let planning = |tenant: &str| report.tenant(tenant).unwrap().planning.clone().unwrap();
+    let (first, refused) = (planning("first"), planning("crowded-out"));
+    assert!(refused.model_vars > 0 && refused.model_constraints > 0);
+    assert!(refused.basis_factorizations > 0 && refused.nodes_explored == 0);
+    assert!(
+        refused.basis_factorizations < first.basis_factorizations,
+        "the refusal reports {} factorizations after the admission's {}",
+        refused.basis_factorizations,
+        first.basis_factorizations
+    );
 }
 
 #[test]
