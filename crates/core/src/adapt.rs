@@ -143,7 +143,10 @@ impl AdaptiveController {
         let deadline = goal.deadline_hours();
 
         // ---- 1. Plan with the (wrong) predicted throughput.
-        let optimistic_pool = self.pool_with_throughput(spec, predicted_gbph);
+        let optimistic_pool = self
+            .pool
+            .clone()
+            .with_observed_throughput(spec, predicted_gbph);
         let optimistic_planner =
             Planner::new(optimistic_pool).with_solve_options(self.solve_options.clone());
         let (initial_plan, _) = optimistic_planner.plan(spec, goal)?;
@@ -202,22 +205,13 @@ impl AdaptiveController {
 
         // ---- 4. Re-plan from the observed state with the corrected
         // throughput and the time remaining until the deadline.
-        let realistic_pool = self.pool_with_throughput(spec, actual_gbph);
+        let realistic_pool = self
+            .pool
+            .clone()
+            .with_observed_throughput(spec, actual_gbph);
         let realistic_planner =
             Planner::new(realistic_pool).with_solve_options(self.solve_options.clone());
-        let margin = self.replan_margin_hours;
-        let remaining_goal = match goal {
-            Goal::MinimizeCost { deadline_hours } => Goal::MinimizeCost {
-                deadline_hours: (deadline_hours - replan_after_hours - margin).max(1.0),
-            },
-            Goal::MinimizeTime {
-                budget_usd,
-                max_hours,
-            } => Goal::MinimizeTime {
-                budget_usd,
-                max_hours: (max_hours - replan_after_hours - margin).max(1.0),
-            },
-        };
+        let remaining_goal = goal.remaining(replan_after_hours, self.replan_margin_hours);
         let config = ModelConfig {
             initial: observed,
             ..ModelConfig::default()
@@ -299,29 +293,11 @@ impl AdaptiveController {
         state
     }
 
-    /// Pool whose nodes deliver `gbph` *for this spec's workload*. The model
-    /// scales capacities by `spec.reference_throughput_gbph` relative to the
-    /// reference workload (see `ComputeResource::capacity_for_spec`), so the
-    /// observed rate is converted back into reference-workload units here —
-    /// otherwise a non-reference workload would be scaled twice.
-    fn pool_with_throughput(&self, spec: &JobSpec, gbph: f64) -> ResourcePool {
-        let reference_units = if spec.reference_throughput_gbph > 0.0 {
-            gbph * (crate::resources::REFERENCE_WORKLOAD_GBPH / spec.reference_throughput_gbph)
-        } else {
-            gbph
-        };
-        let mut pool = self.pool.clone();
-        for c in &mut pool.compute {
-            c.capacity_gbph = reference_units;
-        }
-        pool
-    }
-
     /// Catalog whose instances deliver `gbph` *for this spec's workload*
     /// when simulated. The engine multiplies catalog throughputs by
     /// `spec.throughput_scale()`, so the observed rate is converted back
     /// into reference-workload units here (mirror of
-    /// [`Self::pool_with_throughput`]).
+    /// `ResourcePool::with_observed_throughput`).
     fn catalog_with_throughput(&self, spec: &JobSpec, gbph: f64) -> Catalog {
         let reference_units = gbph / spec.throughput_scale();
         let mut catalog = self.catalog.clone();

@@ -1,0 +1,646 @@
+//! Admission: the one module that plans.
+//!
+//! [`AdmissionControl`] owns what a planning decision reads or warms — the
+//! cross-solve [`SolveContext`], the certified plan cache, the shadow probe,
+//! the residual index — and answers three questions: *admit this request
+//! now*, *re-plan this job now*, *what is left of the pool at hour t*. The
+//! cache's entry format and certification rule are private to this file;
+//! the session sees a plan, or a reason there is none.
+
+use super::request::{FleetConfig, FleetJobRequest, PlanCacheMode};
+use super::residual::ResidualIndex;
+use super::session::ActiveJob;
+use crate::controller::scheduler_for_plan;
+use crate::error::ConductorError;
+use crate::model::{InitialState, ModelConfig};
+use crate::plan::ExecutionPlan;
+use crate::planner::{Planner, PlanningReport, RootBound};
+use crate::policy::{FallbackTier, SpotBreaker};
+use crate::resources::ResourcePool;
+use conductor_cloud::Catalog;
+use conductor_lp::SolveContext;
+use conductor_mapreduce::execution::{ExecutionProgress, JobExecution, SessionPricing};
+use conductor_mapreduce::{DataLocation, JobSpec};
+use conductor_sim::{ProcessId, TIME_EPSILON};
+use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+
+/// Key of the admission plan cache: the planning horizon plus the exact
+/// bit patterns of the job-spec fields that shape the model. Prices,
+/// residual caps and bids are deliberately *not* part of the key — a
+/// candidate entry is re-priced under the current forecast and certified
+/// against the current model's root LP bound instead, so look-alike
+/// arrivals share plans across market drift and capacity churn.
+///
+/// Public because cache-served admissions record their key on
+/// [`FleetEvent::Admitted`](super::FleetEvent::Admitted), making the event log self-describing.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct PlanCacheKey {
+    /// Planning horizon in intervals.
+    pub horizon: usize,
+    /// The spec's reduce-task count.
+    pub reduce_tasks: usize,
+    /// Exact bit patterns of the model-shaping spec floats: `input_gb`,
+    /// `split_mb`, `map_output_ratio`, `reduce_output_ratio`,
+    /// `reference_throughput_gbph`.
+    pub spec_bits: [u64; 5],
+}
+
+impl PlanCacheKey {
+    fn new(spec: &JobSpec, horizon: usize) -> Self {
+        Self {
+            horizon,
+            reduce_tasks: spec.reduce_tasks,
+            spec_bits: [
+                spec.input_gb.to_bits(),
+                spec.split_mb.to_bits(),
+                spec.map_output_ratio.to_bits(),
+                spec.reduce_output_ratio.to_bits(),
+                spec.reference_throughput_gbph.to_bits(),
+            ],
+        }
+    }
+}
+
+/// One cached admission plan: the shape, the objective it solved to, and
+/// the resolved per-interval price vector it solved under. The model's
+/// objective is linear in prices with node counts as coefficients, so
+/// `cost + Σ nodes·(p_new − p_old)·dt` is *exactly* the current model's
+/// objective for this shape — no approximation in the re-pricing.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct PlanCacheEntry {
+    plan: ExecutionPlan,
+    /// Objective the shape solved to under `prices`.
+    cost: f64,
+    /// `cost / root LP bound` of the solve that produced this entry — the
+    /// integrality-plus-termination quality a *fresh* branch & bound
+    /// achieved on this key. These models carry a large, key-specific
+    /// integrality gap (the fluid relaxation rents fractional nodes), so
+    /// absolute closeness to the root bound is the wrong bar; closeness
+    /// relative to what fresh solves of the same key actually attain is
+    /// the certifiable one.
+    ratio: f64,
+    /// Resolved per-interval price per compute type at solve time
+    /// (forecast price, or the type's on-demand hourly price).
+    prices: BTreeMap<String, Vec<f64>>,
+    /// Peak per-interval node count per type — the feasibility screen
+    /// against the current residual caps (the model bounds `nodes[c][t]`
+    /// by the cap in every interval).
+    peaks: BTreeMap<String, usize>,
+}
+
+/// How many shapes each key retains (oldest evicted first, so the pool
+/// tracks the price regimes arrivals actually solve under).
+const PLAN_CACHE_POOL: usize = 8;
+
+/// How many recent fresh-solve quality ratios each key remembers for the
+/// certification bar.
+const PLAN_CACHE_RATIO_WINDOW: usize = 8;
+
+/// What a probe learned: the certified sibling plan, if one qualified, and
+/// what the insert after a miss needs to grade the fresh solve it records.
+struct Probed {
+    hit: Option<ExecutionPlan>,
+    planning: PlanningReport,
+    key: PlanCacheKey,
+    bound: f64,
+    prices: BTreeMap<String, Vec<f64>>,
+}
+
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct PlanCache {
+    entries: BTreeMap<PlanCacheKey, Vec<PlanCacheEntry>>,
+    /// Rolling window of `cost / root bound` ratios fresh solves achieved
+    /// per key. The *median* of this window is what a typical branch &
+    /// bound delivers on this key — the bar a reused shape must meet.
+    fresh_ratios: BTreeMap<PlanCacheKey, Vec<f64>>,
+    hits: usize,
+    misses: usize,
+}
+
+impl PlanCache {
+    /// Median fresh-solve quality ratio observed for `key` (`None` until a
+    /// fresh solve has been recorded).
+    fn typical_ratio(&self, key: &PlanCacheKey) -> Option<f64> {
+        let window = self.fresh_ratios.get(key)?;
+        if window.is_empty() {
+            return None;
+        }
+        let mut sorted = window.clone();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        Some(sorted[sorted.len() / 2])
+    }
+
+    /// Probes for a certified sibling plan. A hit must pass two screens
+    /// against *this* admission's state: the shape's peak allocations fit
+    /// the current residual caps, and its re-priced objective is within
+    /// the solver's relative gap of the fresh model's root LP bound — a
+    /// certificate of near-optimality that the cold path's node-cap
+    /// terminations do not even carry. Among qualifying entries the
+    /// cheapest re-priced shape wins. `root` is this admission's root
+    /// relaxation.
+    fn probe(
+        &mut self,
+        root: RootBound,
+        key: PlanCacheKey,
+        prices_now: BTreeMap<String, Vec<f64>>,
+        residual: &ResourcePool,
+        gap: f64,
+    ) -> Probed {
+        let mut best: Option<(f64, usize)> = None;
+        if let (Some(pool), Some(typical)) = (self.entries.get(&key), self.typical_ratio(&key)) {
+            // The certification bar: what a *typical* fresh branch &
+            // bound delivers on this key (median cost-to-bound ratio of
+            // the recent fresh solves), scaled by today's root bound. A
+            // reused shape must re-price at or below that — i.e. be
+            // equal-or-better than the solve it replaces — with the
+            // solver's relative gap as the indifference band.
+            let bar = typical * (1.0 + gap) * root.bound;
+            for (i, entry) in pool.iter().enumerate() {
+                if !entry_fits(entry, residual) {
+                    continue;
+                }
+                let Some(repriced) = reprice_entry(entry, &prices_now) else {
+                    continue;
+                };
+                if repriced <= bar && best.is_none_or(|(cost, _)| repriced < cost) {
+                    best = Some((repriced, i));
+                }
+            }
+        }
+        let hit = best.map(|(repriced, i)| ExecutionPlan {
+            expected_cost: repriced,
+            ..self.entries[&key][i].plan.clone()
+        });
+        match hit {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        Probed {
+            hit,
+            planning: PlanningReport::root_only(&root),
+            key,
+            bound: root.bound,
+            prices: prices_now,
+        }
+    }
+
+    /// Records the fresh solve that followed `probed`'s miss (oldest shape
+    /// evicted once a key holds [`PLAN_CACHE_POOL`] entries).
+    fn insert(&mut self, probed: Probed, plan: &ExecutionPlan) {
+        let Probed {
+            key, bound, prices, ..
+        } = probed;
+        if !bound.is_finite() || bound <= 0.0 || !plan.expected_cost.is_finite() {
+            return;
+        }
+        let mut peaks: BTreeMap<String, usize> = BTreeMap::new();
+        for interval in &plan.intervals {
+            for (ty, &n) in &interval.nodes {
+                let peak = peaks.entry(ty.clone()).or_insert(0);
+                *peak = (*peak).max(n);
+            }
+        }
+        let entry = PlanCacheEntry {
+            plan: plan.clone(),
+            cost: plan.expected_cost,
+            ratio: plan.expected_cost / bound,
+            prices,
+            peaks,
+        };
+        let ratios = self.fresh_ratios.entry(key.clone()).or_default();
+        ratios.push(entry.ratio);
+        if ratios.len() > PLAN_CACHE_RATIO_WINDOW {
+            ratios.remove(0);
+        }
+        let pool = self.entries.entry(key).or_default();
+        pool.push(entry);
+        if pool.len() > PLAN_CACHE_POOL {
+            pool.remove(0);
+        }
+    }
+}
+
+/// The per-interval price per compute type the model objective would use
+/// under `forecast`: the forecast price when one exists for the type and
+/// interval, else the type's on-demand hourly price (mirrors the model's
+/// price resolution exactly).
+fn resolved_prices(
+    pool: &ResourcePool,
+    forecast: &BTreeMap<String, Vec<f64>>,
+    horizon: usize,
+) -> BTreeMap<String, Vec<f64>> {
+    let mut out = BTreeMap::new();
+    for c in &pool.compute {
+        let prices: Vec<f64> = (0..horizon)
+            .map(|t| {
+                forecast
+                    .get(&c.name)
+                    .and_then(|f| f.get(t))
+                    .copied()
+                    .unwrap_or(c.hourly_price)
+            })
+            .collect();
+        out.insert(c.name.clone(), prices);
+    }
+    out
+}
+
+/// The entry's objective under today's prices (`None` if a node type in
+/// the shape has no price row — cannot happen for entries built from the
+/// same pool, but degrade to a miss rather than panic).
+fn reprice_entry(entry: &PlanCacheEntry, prices_now: &BTreeMap<String, Vec<f64>>) -> Option<f64> {
+    let dt = entry.plan.interval_hours;
+    let mut cost = entry.cost;
+    for (t, interval) in entry.plan.intervals.iter().enumerate() {
+        for (ty, &n) in &interval.nodes {
+            if n == 0 {
+                continue;
+            }
+            let old = entry.prices.get(ty)?.get(t)?;
+            let new = prices_now.get(ty)?.get(t)?;
+            cost += n as f64 * (new - old) * dt;
+        }
+    }
+    Some(cost)
+}
+
+/// Whether the shape fits the current residual capacity: every capped
+/// compute type has room for the entry's peak allocation.
+fn entry_fits(entry: &PlanCacheEntry, residual: &ResourcePool) -> bool {
+    residual.compute.iter().all(|c| match c.max_nodes {
+        Some(cap) => entry.peaks.get(&c.name).copied().unwrap_or(0) <= cap,
+        None => true,
+    })
+}
+
+/// Shadow mode's findings (see `Fleet::plan_cache_shadow_stats`).
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub(super) struct ShadowStats {
+    pub(super) checked: usize,
+    pub(super) worse: usize,
+    pub(super) excess_max: Option<f64>,
+    pub(super) excess_sum: f64,
+}
+
+impl ShadowStats {
+    /// Records how a would-be hit's re-priced cost compares with the
+    /// fresh solve that actually decided the admission.
+    fn compare(&mut self, would_be: f64, fresh: f64, gap: f64) {
+        if fresh.is_finite() && fresh.abs() > f64::EPSILON {
+            let excess = (would_be - fresh) / fresh;
+            self.checked += 1;
+            if excess > gap {
+                self.worse += 1;
+            }
+            self.excess_max = Some(self.excess_max.map_or(excess, |max| max.max(excess)));
+            self.excess_sum += excess;
+        }
+    }
+}
+
+/// The session state a planning decision reads, borrowed per call.
+pub(super) struct Env<'a> {
+    pub(super) catalog: &'a Catalog,
+    pub(super) pool: &'a ResourcePool,
+    pub(super) config: &'a FleetConfig,
+    pub(super) breaker: Option<&'a SpotBreaker>,
+    pub(super) active: &'a BTreeMap<ProcessId, ActiveJob>,
+}
+
+/// A successful admission: the execution process and the plan it runs under.
+pub(super) struct Admitted {
+    pub(super) exec: JobExecution<'static>,
+    pub(super) plan: ExecutionPlan,
+    pub(super) planning: PlanningReport,
+    /// The plan-cache key the plan was served from (fast path only).
+    pub(super) cache_key: Option<PlanCacheKey>,
+    /// The breaker's on-demand fallback tier was engaged: sessions are
+    /// priced on-demand and revocation sweeps skip the job.
+    pub(super) fallback: bool,
+}
+
+/// A refused admission: why, and the solver effort it cost (if a solve ran).
+pub(super) struct Refused(pub(super) String, pub(super) Option<Box<PlanningReport>>);
+
+/// The admission module's state — see the [module docs](self).
+pub(super) struct AdmissionControl {
+    /// Cross-solve skeleton/basis reuse for admission and re-plan solves:
+    /// look-alike models drain through one factorization instead of each
+    /// paying a cold two-phase fill.
+    solve_ctx: SolveContext,
+    /// Admission plan cache (stays empty under [`PlanCacheMode::Off`]).
+    cache: PlanCache,
+    /// [`PlanCacheMode::Shadow`] only: the separate solve context
+    /// validation probes run through, so they never perturb the basis
+    /// chain of the real solves, and what they measured.
+    shadow: Option<(SolveContext, ShadowStats)>,
+    /// Interior mutability: queries lazily refresh the index but are
+    /// logically reads.
+    residual: RefCell<ResidualIndex>,
+}
+
+impl AdmissionControl {
+    pub(super) fn new(mode: PlanCacheMode) -> Self {
+        Self {
+            solve_ctx: SolveContext::new(),
+            cache: PlanCache::default(),
+            shadow: (mode == PlanCacheMode::Shadow).then(Default::default),
+            residual: RefCell::new(ResidualIndex::default()),
+        }
+    }
+
+    /// The capacity left at fleet hour `at` once every active job's future
+    /// node commitments are subtracted, `exclude` excepted (the job being
+    /// re-planned: its schedule is about to be replaced).
+    pub(super) fn residual(&self, env: &Env, at: f64, exclude: Option<ProcessId>) -> ResourcePool {
+        self.residual
+            .borrow_mut()
+            .residual_at(env.pool, env.active, at, exclude)
+    }
+
+    /// Plan-cache `(hits, misses)` and the shadow comparison, for reports.
+    pub(super) fn cache_stats(&self) -> (usize, usize, ShadowStats) {
+        let shadow = self.shadow.as_ref().map(|(_, stats)| *stats);
+        (
+            self.cache.hits,
+            self.cache.misses,
+            shadow.unwrap_or_default(),
+        )
+    }
+
+    /// Plans one arrival against the residual capacity at `now` and, on
+    /// success, builds its execution process.
+    pub(super) fn admit(
+        &mut self,
+        env: &Env,
+        request: &FleetJobRequest,
+        now: f64,
+    ) -> Result<Admitted, Refused> {
+        let residual = self.residual(env, now, None);
+        if let Err(reason) = residual.validate() {
+            return Err(Refused(format!("no residual capacity: {reason}"), None));
+        }
+        let planner =
+            Planner::new(residual.clone()).with_solve_options(env.config.solve_options.clone());
+        let config = ModelConfig {
+            price_forecast: price_forecast(
+                env,
+                now,
+                request.goal.horizon_hours(),
+                request.spot_bid,
+            ),
+            ..ModelConfig::default()
+        };
+        let gap = env.config.solve_options.relative_gap;
+        // The fast path: a cached sibling plan that fits the residual and
+        // re-prices within the certified gap of this admission's root LP
+        // bound skips branch & bound entirely. In shadow mode the probe
+        // still runs (through its own solve context) but only for
+        // comparison — the full solve below keeps deciding.
+        let mode = env.config.plan_cache;
+        // Only deadline goals (`MinimizeCost`) are cached.
+        let cached_deadline =
+            (request.goal.deadline_hours()).filter(|_| mode != PlanCacheMode::Off);
+        let probed = cached_deadline.and_then(|deadline_hours| {
+            // The root relaxation runs through the shared context when
+            // serving, so a miss's full solve warm-starts from it, and
+            // through the shadow probe's own in shadow mode, so the real
+            // solve sequence stays bitwise identical to cache-off.
+            let ctx = match &mut self.shadow {
+                Some((shadow_ctx, _)) => shadow_ctx,
+                None => &mut self.solve_ctx,
+            };
+            let root = planner.root_bound_with_ctx(&request.spec, deadline_hours, &config, ctx);
+            let Ok(root) = root else {
+                // An infeasible/failed relaxation is a miss with nothing to
+                // certify against or record; the full solve below surfaces
+                // the identical error to the caller.
+                self.cache.misses += 1;
+                return None;
+            };
+            let horizon = (deadline_hours / planner.interval_hours).ceil().max(1.0) as usize;
+            let key = PlanCacheKey::new(&request.spec, horizon);
+            let prices = resolved_prices(&residual, &config.price_forecast, horizon);
+            Some(self.cache.probe(root, key, prices, &residual, gap))
+        });
+        let (plan, planning, cache_key) = match probed {
+            Some(Probed {
+                hit: Some(plan),
+                planning,
+                key,
+                ..
+            }) if mode == PlanCacheMode::Serve => (plan, planning, Some(key)),
+            probed => {
+                let (plan, planning) = planner
+                    .plan_or_effort(
+                        &request.spec,
+                        request.goal,
+                        &config,
+                        Some(&mut self.solve_ctx),
+                    )
+                    .map_err(|failed| {
+                        let reason = format!("admission planning failed: {}", failed.error);
+                        Refused(reason, failed.planning)
+                    })?;
+                if let Some(probed) = probed {
+                    if let (Some((_, stats)), Some(would_be)) = (&mut self.shadow, &probed.hit) {
+                        stats.compare(would_be.expected_cost, plan.expected_cost, gap);
+                    }
+                    self.cache.insert(probed, &plan);
+                }
+                (plan, planning, None)
+            }
+        };
+
+        let options = plan.to_deployment_options(
+            request.tenant.clone(),
+            env.pool.uplink_gbph,
+            request.goal.deadline_hours(),
+            &ExecutionPlan::default_location_map(),
+        );
+        let scheduler = scheduler_for_plan(&plan, env.pool);
+        // While the breaker is open, the on-demand fallback tier pays the
+        // ceiling for real instead of buying (revocable) spot: the
+        // deadline is kept at the price of the discount. Without the
+        // fallback tier the session still buys spot — at ceiling-priced
+        // forecasts, it simply plans as if the discount were gone.
+        let fallback = env
+            .breaker
+            .is_some_and(|b| b.is_engaged() && b.config().fallback == FallbackTier::OnDemand);
+        let pricing = match &env.config.spot_market {
+            Some(_) if fallback => SessionPricing::OnDemand,
+            Some(market) => SessionPricing::Spot {
+                market: market.clone(),
+                start_offset_hours: now,
+                bid: request
+                    .spot_bid
+                    .unwrap_or_else(|| env.config.effective_bid(market)),
+            },
+            None => SessionPricing::OnDemand,
+        };
+        let exec = JobExecution::new(
+            env.catalog,
+            &request.spec,
+            options,
+            Box::new(scheduler),
+            pricing,
+        )
+        .map_err(|e| Refused(format!("deployment rejected: {e}"), None))?;
+        Ok(Admitted {
+            exec,
+            plan,
+            planning,
+            cache_key,
+            fallback,
+        })
+    }
+
+    /// Re-plans lagging job `pid` from its observed state (`progress`,
+    /// `rel` hours in) and throughput, against the residual capacity the
+    /// *other* jobs leave. `None`: keep the schedule; the next tick may retry.
+    pub(super) fn replan(
+        &mut self,
+        env: &Env,
+        pid: ProcessId,
+        now: f64,
+        rel: f64,
+        progress: &ExecutionProgress,
+        observed_gbph: f64,
+    ) -> Option<ExecutionPlan> {
+        let job = env.active.get(&pid)?;
+        let spec = &job.info.spec;
+
+        let residual = self
+            .residual(env, now, Some(pid))
+            .with_observed_throughput(spec, observed_gbph);
+        if residual.validate().is_err() {
+            return None;
+        }
+
+        // Observed state, with the conservatism the fluid model needs.
+        let mut initial = InitialState::default();
+        for (loc, gb) in &progress.stored_gb {
+            if let Some(name) = storage_name(*loc) {
+                initial.stored_gb.insert(name.to_string(), *gb);
+            }
+        }
+        let remaining = (spec.input_gb - progress.map_done_gb).max(0.0);
+        initial.map_done_gb =
+            (spec.input_gb - remaining * (1.0 + env.config.monitor_conservatism)).max(0.0);
+
+        let remaining_goal = job.info.goal.remaining(rel, env.config.replan_margin_hours);
+        let config = ModelConfig {
+            initial,
+            price_forecast: price_forecast(
+                env,
+                now,
+                remaining_goal.horizon_hours(),
+                job.info.tenant_bid,
+            ),
+            ..ModelConfig::default()
+        };
+        let planner = Planner::new(residual).with_solve_options(env.config.solve_options.clone());
+        planner
+            .plan_with_config_ctx(spec, remaining_goal, &config, Some(&mut self.solve_ctx))
+            .ok()
+            .map(|(updated, _)| updated)
+    }
+
+    /// Everything above but the residual index (rebuilt lazily on use).
+    pub(super) fn export(&self) -> AdmissionSnapshot {
+        AdmissionSnapshot {
+            solve_ctx: self.solve_ctx.export_state(),
+            plan_cache: self.cache.clone(),
+            shadow: self
+                .shadow
+                .as_ref()
+                .map(|(ctx, stats)| (ctx.export_state(), *stats)),
+        }
+    }
+
+    /// The inverse of [`export`](Self::export), under the session's mode.
+    pub(super) fn import(
+        snapshot: &AdmissionSnapshot,
+        mode: PlanCacheMode,
+    ) -> Result<Self, ConductorError> {
+        let context = |name: &str, blob: &str| {
+            SolveContext::import_state(blob).map_err(|e| {
+                ConductorError::InvalidInput(format!("corrupt {name}-context blob: {e:?}"))
+            })
+        };
+        let mut admission = Self::new(mode);
+        admission.solve_ctx = context("solver", &snapshot.solve_ctx)?;
+        admission.cache = snapshot.plan_cache.clone();
+        if let (Some(shadow), Some((ctx, stats))) = (&mut admission.shadow, &snapshot.shadow) {
+            *shadow = (context("shadow", ctx)?, *stats);
+        }
+        Ok(admission)
+    }
+}
+
+/// The exact solver-context bytes, the plan cache, and (shadow mode only)
+/// the shadow probe's context bytes and findings.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(super) struct AdmissionSnapshot {
+    solve_ctx: String,
+    plan_cache: PlanCache,
+    shadow: Option<(String, ShadowStats)>,
+}
+
+/// Per-interval price expectations from the shared spot market (empty
+/// when the fleet buys on-demand). A per-tenant bid below the market's
+/// spikes makes the out-bid hours *unavailable* to that tenant; the
+/// fluid model cannot express unavailability, so those hours are
+/// forecast at the on-demand ceiling — the price of the fallback that
+/// would actually keep the plan's node-hours.
+fn price_forecast(
+    env: &Env,
+    now: f64,
+    horizon: usize,
+    tenant_bid: Option<f64>,
+) -> BTreeMap<String, Vec<f64>> {
+    let mut forecast = BTreeMap::new();
+    if let Some(market) = &env.config.spot_market {
+        // Epsilon-nudged like every other hour-bucket conversion in
+        // the fleet: a clock sitting just below an hour boundary
+        // (e.g. 5.999999999 after accumulated float steps) must
+        // forecast from hour 6, not re-read the expiring hour 5
+        // price for the whole horizon window.
+        let start = (now + TIME_EPSILON).floor().max(0.0) as usize;
+        let mut prices = market.price_forecast(start, horizon);
+        // An open breaker prices every remote hour at the on-demand
+        // ceiling: the fleet has stopped trusting the trace, so plans
+        // must pencil in the price of the capacity they would
+        // actually get (on-demand fallback, or ceiling-priced spot).
+        if env.breaker.is_some_and(|b| b.is_engaged()) {
+            for price in prices.iter_mut() {
+                *price = market.on_demand_price;
+            }
+        } else if let Some(bid) = tenant_bid {
+            for (offset, price) in prices.iter_mut().enumerate() {
+                if market.out_bid_at(start + offset, bid) {
+                    *price = market.on_demand_price;
+                }
+            }
+        }
+        for c in &env.pool.compute {
+            if !c.is_local {
+                forecast.insert(c.name.clone(), prices.clone());
+            }
+        }
+    }
+    forecast
+}
+
+/// Inverse of [`ExecutionPlan::default_location_map`]: an engine location
+/// back to its pool storage-resource name, for building re-planning state.
+fn storage_name(location: DataLocation) -> Option<&'static str> {
+    match location {
+        DataLocation::S3 => Some("S3"),
+        DataLocation::InstanceDisk => Some("EC2-disk"),
+        DataLocation::LocalDisk => Some("local-disk"),
+        DataLocation::ClientSite => None,
+    }
+}

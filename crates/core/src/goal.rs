@@ -41,6 +41,20 @@ impl Goal {
         }
     }
 
+    /// The goal for the rest of a job re-planned `elapsed_hours` in: the
+    /// time bound shrinks by the elapsed hours and a safety `margin_hours`
+    /// (never below one hour); a budget carries over.
+    pub(crate) fn remaining(mut self, elapsed_hours: f64, margin_hours: f64) -> Goal {
+        let (Goal::MinimizeCost {
+            deadline_hours: bound,
+        }
+        | Goal::MinimizeTime {
+            max_hours: bound, ..
+        }) = &mut self;
+        *bound = (*bound - elapsed_hours - margin_hours).max(1.0);
+        self
+    }
+
     /// The budget, if this goal has one.
     pub fn budget_usd(&self) -> Option<f64> {
         match self {

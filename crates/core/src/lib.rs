@@ -28,9 +28,10 @@
 //!    concurrent jobs share one discrete-event clock, are planned against
 //!    the residual capacity and a shared spot market, and are re-planned
 //!    by monitor events, with per-tenant billing.
-//! 8. [`service`] — [`service::ConductorService`], the closed-world batch
-//!    facade over the fleet session (submit everything, drain, report),
-//!    pinned bitwise-identical to the incremental path.
+//! 8. [`service`] — [`service::ConductorService`], the configured factory
+//!    fleets are opened through, and its closed-world batch call (submit
+//!    everything, drain, report), pinned bitwise-identical to the
+//!    incremental path.
 //! 9. [`policy`] — the failure-policy layer: seeded fault injection
 //!    ([`policy::FaultPlan`]), per-tenant retry with exponential backoff
 //!    and a dead-letter queue, an admission gate over a sliding window of
@@ -57,7 +58,7 @@ pub use controller::{DeploymentOutcome, JobController};
 pub use error::ConductorError;
 pub use fleet::{
     Fleet, FleetConfig, FleetEvent, FleetJobRequest, FleetObserver, FleetReport, FleetSnapshot,
-    OutcomeClass, PlanCacheKey, TenantId, TenantOutcome, TenantState, TenantStatus,
+    OutcomeClass, PlanCacheKey, PlanCacheMode, TenantId, TenantOutcome, TenantState, TenantStatus,
 };
 pub use goal::Goal;
 pub use model::{InitialState, ModelConfig, ModelInstance};

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 /// Statistics about one planning run (model size, solver effort) — the data
 /// behind the overhead evaluation of §6.6 / Figure 16.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PlanningReport {
     /// Number of decision variables in the generated model.
     pub model_vars: usize,
@@ -66,6 +66,18 @@ impl PlanningReport {
             basis_refactorizations: stats.basis_refactorizations,
             bound_flips: stats.bound_flips,
             ft_updates: stats.ft_updates,
+        }
+    }
+
+    /// The report of a decision taken at the root relaxation alone (a
+    /// plan-cache hit): the model's size and timings, no tree effort.
+    pub(crate) fn root_only(root: &RootBound) -> Self {
+        Self {
+            model_vars: root.model_vars,
+            model_constraints: root.model_constraints,
+            model_build_time: root.model_build_time,
+            solve_time: root.solve_time,
+            ..Self::default()
         }
     }
 

@@ -7,6 +7,7 @@
 //! (instance-disk storage only exists while instances are rented).
 
 use conductor_cloud::{Catalog, InstanceType, ServiceDescription, StorageKind, StorageService};
+use conductor_mapreduce::JobSpec;
 use serde::{Deserialize, Serialize};
 
 /// Measured m1.large throughput (GB/h) of the reference workload — the
@@ -171,6 +172,24 @@ impl ResourcePool {
                 Some(existing) => existing.min(cap),
                 None => cap,
             });
+        }
+        self
+    }
+
+    /// This pool with every node delivering the *observed* `gbph` for
+    /// `spec`'s workload. The model scales capacities by
+    /// `spec.reference_throughput_gbph` relative to the reference workload
+    /// (see `ComputeResource::capacity_for_spec`), so the observed rate is
+    /// converted back into reference-workload units here — otherwise a
+    /// non-reference workload would be scaled twice.
+    pub(crate) fn with_observed_throughput(mut self, spec: &JobSpec, gbph: f64) -> Self {
+        let reference_units = if spec.reference_throughput_gbph > 0.0 {
+            gbph * (REFERENCE_WORKLOAD_GBPH / spec.reference_throughput_gbph)
+        } else {
+            gbph
+        };
+        for c in &mut self.compute {
+            c.capacity_gbph = reference_units;
         }
         self
     }

@@ -5,23 +5,21 @@
 //! residual capacity, one shared [`SpotMarket`] and clock, per-tenant
 //! billing, revocation storms, monitor-event re-planning — lives in the
 //! incremental [`Fleet`] session API (see [`crate::fleet`]).
-//! [`ConductorService`] is the closed-world wrapper
-//! kept for batch workloads and backwards compatibility: configure once,
-//! hand it the full request list, get the drained [`FleetReport`].
+//! [`ConductorService`] is the configured factory in front of it — what
+//! the benchmark, the tests and the examples open their fleets through: the
+//! `with_*` builders accumulate a [`FleetConfig`] (checked once, when a
+//! session is opened), `open` / `open_sharded` / `restore` / `replay` hand
+//! out sessions, and `run` is the closed-world batch call: hand it the full
+//! request list, get the drained [`FleetReport`].
 //!
 //! `run` is *pinned bitwise identical* to the pre-redesign driver (and to
 //! the incremental path): it opens a [`Fleet`],
 //! submits every request up front, drains to quiescence and returns the
 //! report — `tests/fleet_api.rs` asserts the equivalence on the
 //! multi-job, revocation-storm and Poisson-churn suites.
-//!
-//! The `with_*` builders survive as a convenience layer over
-//! [`FleetConfig`]; new code should construct a `FleetConfig` directly
-//! (validated once at [`Fleet::new`](crate::fleet::Fleet::new) /
-//! [`ConductorService::open`]) and drive the session incrementally.
 
 use crate::error::ConductorError;
-use crate::fleet::{Fleet, FleetConfig};
+use crate::fleet::{Fleet, FleetConfig, PlanCacheMode};
 use crate::resources::ResourcePool;
 use conductor_cloud::{Catalog, SpotMarket};
 use conductor_lp::SolveOptions;
@@ -75,9 +73,10 @@ impl ConductorService {
     /// running spot session is terminated (the partial hour uncharged) and
     /// new requests are refused until the price comes back down.
     /// Individual tenants can override this per job via
-    /// [`FleetJobRequest::with_spot_bid`].
+    /// [`FleetJobRequest::with_spot_bid`]. Stored as given: a negative or
+    /// non-finite bid is refused when the fleet is opened.
     pub fn with_spot_bid(mut self, bid: f64) -> Self {
-        self.config.spot_bid = Some(bid.max(0.0));
+        self.config.spot_bid = Some(bid);
         self
     }
 
@@ -92,24 +91,21 @@ impl ConductorService {
         self
     }
 
-    /// Enables the admission plan cache: look-alike arrivals reuse a
-    /// sibling's plan shape when it fits the current residual capacity
-    /// and its re-priced cost is certified against a fresh root LP
-    /// relaxation bound, skipping the branch & bound solve entirely (see
-    /// [`FleetConfig::plan_cache`]). Off by default.
-    pub fn with_plan_cache(mut self, enable: bool) -> Self {
-        self.config.plan_cache = enable;
-        self
+    /// Serves admissions from the plan cache ([`PlanCacheMode::Serve`]) when
+    /// `enable`, else switches the cache off (the default).
+    pub fn with_plan_cache(self, enable: bool) -> Self {
+        self.with_plan_cache_mode(enable, PlanCacheMode::Serve)
     }
 
-    /// Enables plan-cache *shadow* validation: every admission probes the
-    /// cache and records how the would-be hit compares against the full
-    /// solve that actually decides, without ever using a cached plan (see
-    /// [`FleetConfig::plan_cache_shadow`]). The trajectory stays bitwise
-    /// identical to a cache-off run; query the comparison through
+    /// Shadow-validates the plan cache ([`PlanCacheMode::Shadow`]) when
+    /// `enable`, else switches the cache off; query the comparison through
     /// [`Fleet::plan_cache_shadow_stats`](crate::fleet::Fleet::plan_cache_shadow_stats).
-    pub fn with_plan_cache_shadow(mut self, enable: bool) -> Self {
-        self.config.plan_cache_shadow = enable;
+    pub fn with_plan_cache_shadow(self, enable: bool) -> Self {
+        self.with_plan_cache_mode(enable, PlanCacheMode::Shadow)
+    }
+
+    fn with_plan_cache_mode(mut self, enable: bool, mode: PlanCacheMode) -> Self {
+        self.config.plan_cache = if enable { mode } else { PlanCacheMode::Off };
         self
     }
 
@@ -193,9 +189,8 @@ impl ConductorService {
     /// per-tenant outcomes and the fleet roll-up. Individual admission
     /// failures and job failures are reported per tenant, not as errors.
     ///
-    /// This is the submit-all-then-drain compatibility path over the
-    /// incremental session; it reproduces the pre-redesign reports bit
-    /// for bit.
+    /// This is submit-all-then-drain over the incremental session; it
+    /// reproduces the pre-redesign reports bit for bit.
     pub fn run(&self, requests: &[FleetJobRequest]) -> Result<FleetReport, ConductorError> {
         let mut fleet = self.open()?;
         for request in requests {

@@ -317,12 +317,12 @@ impl ShardedFleet {
         if let Some(period) = self.rebalance_period {
             while self.next_rebalance < hours {
                 let boundary = self.next_rebalance;
-                self.parallel_step(boundary);
+                self.parallel(|shard| shard.step_until(boundary));
                 self.rebalance(boundary);
                 self.next_rebalance = boundary + period;
             }
         }
-        self.parallel_step(hours);
+        self.parallel(|shard| shard.step_until(hours));
     }
 
     /// Drains every shard. With the rebalancer off, shards are fully
@@ -344,12 +344,12 @@ impl ShardedFleet {
                     break;
                 }
                 let boundary = self.next_rebalance;
-                self.parallel_step(boundary);
+                self.parallel(|shard| shard.step_until(boundary));
                 self.rebalance(boundary);
                 self.next_rebalance = boundary + period;
             }
         }
-        self.parallel_drain();
+        self.parallel(Fleet::run_to_quiescence);
     }
 
     /// Total pending events across all shard clocks.
@@ -463,30 +463,16 @@ impl ShardedFleet {
         ConductorError::InvalidInput(format!("no such shard: {shard}"))
     }
 
-    /// Advances every shard to the same hour on a scoped thread pool.
-    /// Shards share nothing mutable, so thread interleaving is
-    /// unobservable; the barrier join restores shard order.
-    fn parallel_step(&mut self, hours: f64) {
-        if self.shards.len() == 1 {
-            self.shards[0].step_until(hours);
-            return;
+    /// Runs `step` on every shard, on a scoped thread pool when there is
+    /// more than one. Shards share nothing mutable, so thread interleaving
+    /// is unobservable; the barrier join restores shard order.
+    fn parallel(&mut self, step: impl Fn(&mut Fleet) + Sync) {
+        if let [only] = self.shards.as_mut_slice() {
+            return step(only);
         }
         std::thread::scope(|scope| {
             for shard in &mut self.shards {
-                scope.spawn(move || shard.step_until(hours));
-            }
-        });
-    }
-
-    /// Drains every shard completely, in parallel.
-    fn parallel_drain(&mut self) {
-        if self.shards.len() == 1 {
-            self.shards[0].run_to_quiescence();
-            return;
-        }
-        std::thread::scope(|scope| {
-            for shard in &mut self.shards {
-                scope.spawn(move || shard.run_to_quiescence());
+                scope.spawn(|| step(shard));
             }
         });
     }

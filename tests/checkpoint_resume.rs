@@ -548,6 +548,113 @@ fn snapshot_rejects_non_finite_floats() {
     );
 }
 
+/// A snapshot whose cross-references do not resolve — an index past the
+/// submissions, a process the registry never issued, a request list and an
+/// outcome list of different lengths, a pending-arrival count the heap does
+/// not back — is refused by `from_json` and `restore` alike. Before the
+/// check, each of these restored fine and panicked at the next step.
+#[test]
+fn snapshot_rejects_dangling_indices() {
+    use serde_json::Json;
+
+    /// The first value stored under `key`, depth first.
+    fn find<'a>(v: &'a mut Json, key: &str) -> Option<&'a mut Json> {
+        match v {
+            Json::Object(fields) => {
+                if let Some(at) = fields.iter().position(|(k, _)| k == key) {
+                    return Some(&mut fields[at].1);
+                }
+                fields.iter_mut().find_map(|(_, child)| find(child, key))
+            }
+            Json::Array(items) => items.iter_mut().find_map(|item| find(item, key)),
+            _ => None,
+        }
+    }
+
+    // Mid-run on the faulted fixture: live jobs, pending arrivals, job
+    // wakeups on the heap, admitted tenants in `tenant_pids`.
+    let (requests, service) = faulted_churn_fixture(6, 1.0);
+    let mut fleet = open_with(&service, &requests);
+    while fleet.now_hours() < 2.0 && fleet.step_one_batch() {}
+    let snapshot = fleet.checkpoint();
+    let pristine = serde_json::parse(&snapshot.to_json()).unwrap();
+    service
+        .restore(&snapshot)
+        .expect("the pristine snapshot restores");
+
+    /// Overwrites the first number inside `v` (ids render as nested
+    /// one-element arrays: `ProcessId(3)` is `[3]`, `Job(ProcessId(3))` is
+    /// `{"Job":[[3]]}`) with one no session ever issued.
+    fn dangle(v: &mut Json) {
+        match v {
+            Json::Number(n) => *n = 1_000_000.0,
+            Json::Array(items) => dangle(&mut items[0]),
+            other => panic!("no number in {other:?}"),
+        }
+    }
+    type Tamper = fn(&mut Json);
+    let tampers: [(&str, Tamper); 8] = [
+        ("a running job's request index", |v| {
+            dangle(find(find(v, "active").unwrap(), "request_idx").unwrap());
+        }),
+        ("a running job's process id", |v| {
+            dangle(find(v, "active").unwrap());
+        }),
+        // Maps render as arrays of `[key, value]` pairs.
+        ("an admitted tenant's index", |v| {
+            dangle(find(v, "tenant_pids").unwrap());
+        }),
+        ("an admitted tenant's process id", |v| {
+            let Json::Array(pairs) = find(v, "tenant_pids").unwrap() else {
+                panic!("a map renders as an array");
+            };
+            let Json::Array(pair) = &mut pairs[0] else {
+                panic!("a pair renders as an array");
+            };
+            dangle(&mut pair[1]);
+        }),
+        ("a pending arrival's index", |v| {
+            dangle(find(find(v, "heap").unwrap(), "Arrival").unwrap());
+        }),
+        ("a pending wakeup's process id", |v| {
+            dangle(find(find(v, "heap").unwrap(), "Job").unwrap());
+        }),
+        ("the pending-arrival count", |v| {
+            dangle(find(v, "arrivals_pending").unwrap());
+        }),
+        ("the request list's length", |v| {
+            let Json::Array(requests) = find(v, "requests").unwrap() else {
+                panic!("requests is an array");
+            };
+            requests.pop();
+        }),
+    ];
+    for (what, tamper) in tampers {
+        let mut v = pristine.clone();
+        tamper(&mut v);
+        let Err(err) = FleetSnapshot::from_json(&serde_json::to_string(&v).unwrap()) else {
+            panic!("tampered {what} must be refused");
+        };
+        assert!(
+            matches!(err, ConductorError::InvalidInput(_)),
+            "{what}: {err}"
+        );
+        // Refused by the cross-reference check, not by the JSON decoder.
+        let message = err.to_string();
+        assert!(
+            [
+                "out of range",
+                "never registered",
+                "requests for",
+                "arrivals pending"
+            ]
+            .iter()
+            .any(|reason| message.contains(reason)),
+            "{what}: {message}"
+        );
+    }
+}
+
 // ---- satellite: WAL integration --------------------------------------
 
 /// End to end through the durable path: events → WAL file → torn tail →

@@ -506,4 +506,13 @@ fn invalid_submissions_and_configs_are_refused() {
         ..FleetConfig::default()
     };
     assert!(conductor_core::Fleet::new(catalog, pool, bad).is_err());
+
+    // The service's bid builder stores what it is given, so an invalid fleet
+    // bid reaches the same validation instead of being clamped to zero.
+    for bid in [-1.0, f64::NAN] {
+        assert!(
+            plain_service(50).with_spot_bid(bid).open().is_err(),
+            "fleet bid {bid} must be refused"
+        );
+    }
 }
