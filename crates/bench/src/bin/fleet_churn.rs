@@ -1,325 +1,9 @@
-//! Fleet churn at scale: N Poisson arrivals on the shared event kernel,
-//! with revocation storms from an AWS-like spot trace along the way.
-//!
-//! Arrivals are driven **online** through the incremental `Fleet` session
-//! API — the clock is stepped to each arrival hour and the job submitted
-//! then, exactly how an open-world client uses Conductor (the batch
-//! `ConductorService::run` path is pinned bitwise-identical by
-//! `tests/fleet_api.rs`).
-//!
-//! This is the canonical fleet-scale wall-clock metric (the number to
-//! watch as the kernel hot path evolves) **and** an invariant check: it
-//! asserts that every admitted job reaches a terminal state, that the
-//! per-tenant bills sum to the fleet bill, and — when
-//! `CHURN_VERIFY_DETERMINISM=1` — that a second run reproduces the first
-//! bit for bit. With `CHURN_FAULTS=1` the fleet runs under the full
-//! failure policy (seeded task failures and node crashes, retry/backoff,
-//! dead-letter queue, admission gate, spot circuit breaker) and the
-//! invariants adapt: injected faults *may* abort jobs, but every tenant
-//! must still end terminal and the bills must still sum. CI runs a small
-//! fleet as a smoke test in both modes; run it with an argument for the
-//! full scenario:
-//!
-//! With `CHURN_CACHE=1` the binary additionally replays the unfaulted
-//! fleet with the admission plan cache off and on and reports admission
-//! decisions/sec for both; `CHURN_CACHE_BAR=<x>` also asserts the cached
-//! path clears `x`× the cold throughput (the CI regression gate). With
-//! `CHURN_REPLAY=1` it re-drives the session's own event log through
-//! `Fleet::replay` and asserts the reconstruction is bitwise identical
-//! (events, bills, makespan) — the event-log-as-source-of-truth gate.
-//! With `CHURN_SHARDS=<n>` it additionally drains the same unfaulted
-//! fixture through an n-shard `ShardedFleet` (hash routing, no
-//! rebalancer) and asserts the sharded run reaches quiescence with every
-//! admitted job terminal and a second sharded run bitwise identical.
-//!
-//! ```sh
-//! cargo run --release -p conductor-bench --bin fleet_churn        # 200 jobs
-//! cargo run --release -p conductor-bench --bin fleet_churn -- 40  # smaller
-//! CHURN_FAULTS=1 cargo run --release -p conductor-bench --bin fleet_churn -- 40
-//! CHURN_CACHE_BAR=2 cargo run --release -p conductor-bench --bin fleet_churn -- 120
-//! ```
-
-use conductor_bench::experiments::{
-    churn_fixture, dispatch_hot_path_report, faulted_churn_fixture, run_fleet_online,
-    run_fleet_session, run_sharded_session,
-};
-use conductor_bench::solver_bench::admission_benchmark;
-use conductor_core::FleetReport;
-use std::time::Instant;
-
-fn run(jobs: usize, faults: bool) -> (FleetReport, std::time::Duration) {
-    let (requests, service) = if faults {
-        faulted_churn_fixture(jobs, 1.0)
-    } else {
-        churn_fixture(jobs, 1.0)
-    };
-    let start = Instant::now();
-    let report = run_fleet_online(&service, &requests);
-    (report, start.elapsed())
-}
+//! Runs the fleet churn scenario: 200 Poisson arrivals submitted online to
+//! one fleet under a shared node cap and a stormy spot trace. Its
+//! invariants are asserted by `cargo test` (ARCHITECTURE.md, *Testing
+//! notes*) and its wall clock is measured by `benchmark/`. Run with:
+//! `cargo run --release -p conductor-bench --bin fleet_churn`
 
 fn main() {
-    let jobs: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
-    let faults = std::env::var("CHURN_FAULTS").as_deref() == Ok("1");
-    let (report, elapsed) = run(jobs, faults);
-
-    let revocation_hits: usize = report
-        .tenants
-        .iter()
-        .map(|t| t.revoked_at_hours.len())
-        .sum();
-    let replans: usize = report
-        .tenants
-        .iter()
-        .map(|t| t.replanned_at_hours.len())
-        .sum();
-    let failed: usize = report
-        .tenants
-        .iter()
-        .filter(|t| t.failure.is_some())
-        .count();
-    println!(
-        "=== fleet churn: {jobs} Poisson arrivals{} ===",
-        if faults { " + injected faults" } else { "" }
-    );
-    println!(
-        "admitted {} / completed {} / failed {failed} / deadlines met {}",
-        report.jobs_admitted, report.jobs_completed, report.deadlines_met
-    );
-    println!("revocation hits {revocation_hits} / monitor re-plans {replans}");
-    if faults {
-        println!(
-            "retries {} / dead-lettered {} / breaker open {:.1} h",
-            report.retries, report.dead_lettered, report.breaker_open_hours
-        );
-    }
-    println!(
-        "fleet cost ${:.2}, makespan {:.1} h",
-        report.fleet_cost, report.makespan_hours
-    );
-    println!("wall clock: {:.3} s", elapsed.as_secs_f64());
-
-    // ---- invariants the CI smoke step relies on ------------------------
-    // Every admitted job reached a terminal state (report or explicit
-    // failure), and completions tally.
-    for t in &report.tenants {
-        if t.admitted {
-            assert!(
-                t.execution.is_some(),
-                "{}: admitted but no execution report",
-                t.tenant
-            );
-        } else {
-            assert!(
-                t.rejection.is_some(),
-                "{}: neither admitted nor rejected",
-                t.tenant
-            );
-        }
-    }
-    assert_eq!(
-        report.jobs_completed + failed,
-        report.jobs_admitted,
-        "admitted jobs unaccounted for"
-    );
-    if faults {
-        // Faults abort jobs by design; the policy's job is to keep the
-        // chains terminal. Every dead letter is the end of an exhausted
-        // retry chain, never a first attempt (the default policy grants
-        // at least one retry).
-        for dl in &report.tenants {
-            if dl.failure.is_some() {
-                assert!(dl.admitted, "{}: failed but never admitted", dl.tenant);
-            }
-        }
-    } else {
-        assert_eq!(
-            report.jobs_completed,
-            report.jobs_admitted,
-            "a job failed mid-run: {:?}",
-            report
-                .tenants
-                .iter()
-                .filter_map(|t| t.failure.as_ref())
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(report.retries, 0, "retries without a policy");
-        assert_eq!(report.dead_lettered, 0, "dead letters without a policy");
-    }
-    // Per-tenant bills sum to the fleet bill, and the category roll-up is
-    // consistent with the total.
-    let tenant_sum: f64 = report
-        .tenants
-        .iter()
-        .filter_map(|t| t.execution.as_ref())
-        .map(|e| e.total_cost)
-        .sum();
-    assert!(
-        (report.fleet_cost - tenant_sum).abs() < 1e-6 * report.fleet_cost.max(1.0),
-        "fleet {} vs tenant sum {}",
-        report.fleet_cost,
-        tenant_sum
-    );
-    assert!(
-        (report.fleet_breakdown.total() - report.fleet_cost).abs()
-            < 1e-6 * report.fleet_cost.max(1.0),
-        "breakdown {} vs fleet {}",
-        report.fleet_breakdown.total(),
-        report.fleet_cost
-    );
-
-    if std::env::var("CHURN_VERIFY_DETERMINISM").as_deref() == Ok("1") {
-        let (again, _) = run(jobs, faults);
-        assert_eq!(report.fleet_cost.to_bits(), again.fleet_cost.to_bits());
-        assert_eq!(
-            report.makespan_hours.to_bits(),
-            again.makespan_hours.to_bits()
-        );
-        assert_eq!(report.retries, again.retries);
-        assert_eq!(report.dead_lettered, again.dead_lettered);
-        assert_eq!(
-            report.breaker_open_hours.to_bits(),
-            again.breaker_open_hours.to_bits()
-        );
-        for (a, b) in report.tenants.iter().zip(&again.tenants) {
-            assert_eq!(a.revoked_at_hours, b.revoked_at_hours, "{}", a.tenant);
-            assert_eq!(a.replanned_at_hours, b.replanned_at_hours, "{}", a.tenant);
-        }
-        println!("determinism: second run identical (bills, makespan, storms)");
-    }
-
-    // ---- event-log replay ----------------------------------------------
-    // Opt-in (`CHURN_REPLAY=1`): reconstruct the same fleet from its own
-    // event log (`Fleet::replay` re-drives every submission from the
-    // `Submitted` payloads and verifies each regenerated event against
-    // the log) and assert the reconstruction is exact — the log is a
-    // sufficient record of the session, proven at churn scale.
-    if std::env::var("CHURN_REPLAY").as_deref() == Ok("1") {
-        let (requests, service) = if faults {
-            faulted_churn_fixture(jobs, 1.0)
-        } else {
-            churn_fixture(jobs, 1.0)
-        };
-        let session = run_fleet_session(&service, &requests);
-        let start = Instant::now();
-        let mut replayed = service
-            .replay(session.events())
-            .expect("event log replays cleanly");
-        replayed.run_to_quiescence();
-        assert_eq!(
-            replayed.events(),
-            session.events(),
-            "replayed event log diverged"
-        );
-        let again = replayed.report();
-        assert_eq!(report.fleet_cost.to_bits(), again.fleet_cost.to_bits());
-        assert_eq!(
-            report.makespan_hours.to_bits(),
-            again.makespan_hours.to_bits()
-        );
-        println!(
-            "replay: {} events reconstructed the session bitwise in {:.3} s",
-            session.events().len(),
-            start.elapsed().as_secs_f64()
-        );
-    }
-
-    // ---- sharded runtime -----------------------------------------------
-    // Opt-in (`CHURN_SHARDS=<n>`): drain the same unfaulted fixture
-    // through an n-shard `ShardedFleet` (hash routing, no rebalancer)
-    // on the parallel stepping driver. The smoke gate: the sharded run
-    // reaches quiescence, every admitted job is terminal, and a second
-    // sharded run reproduces the first bit for bit — partitioning plus
-    // scoped threads must not cost determinism.
-    if let Some(shards) = std::env::var("CHURN_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        let (requests, service) = churn_fixture(jobs, 1.0);
-        let start = Instant::now();
-        let fleet = run_sharded_session(&service, shards, None, &requests);
-        let wall = start.elapsed().as_secs_f64();
-        assert_eq!(fleet.pending_events(), 0, "sharded run did not drain");
-        let sharded = fleet.report();
-        assert_eq!(
-            sharded.jobs_completed, sharded.jobs_admitted,
-            "a sharded job failed mid-run"
-        );
-        let again = run_sharded_session(&service, shards, None, &requests);
-        assert_eq!(
-            fleet.fleet_bill().to_bits(),
-            again.fleet_bill().to_bits(),
-            "sharded bills diverged between identical runs"
-        );
-        assert_eq!(
-            fleet.merged_events(),
-            again.merged_events(),
-            "sharded event streams diverged between identical runs"
-        );
-        println!(
-            "sharded runtime ({shards} shards): {} admitted / {} completed in {:.3} s, \
-             bill ${:.2}, second run identical",
-            sharded.jobs_admitted,
-            sharded.jobs_completed,
-            wall,
-            fleet.fleet_bill(),
-        );
-    }
-
-    // ---- admission plan cache throughput --------------------------------
-    // Opt-in (`CHURN_CACHE=1`, or `CHURN_CACHE_BAR=<x>` to also assert):
-    // replay the same unfaulted fleet with the admission plan cache off
-    // and on, reporting admission decisions per second for both paths.
-    // With a bar set, the cached path must beat the cold path's
-    // throughput by at least that factor — the CI regression gate for
-    // the admission fast path.
-    let cache_bar: Option<f64> = std::env::var("CHURN_CACHE_BAR")
-        .ok()
-        .and_then(|s| s.parse().ok());
-    if cache_bar.is_some() || std::env::var("CHURN_CACHE").as_deref() == Ok("1") {
-        let row = admission_benchmark(jobs);
-        println!(
-            "admission throughput: cold {:.1}/s ({:.3} s), plan cache {:.1}/s ({:.3} s) = {:.2}x, {} hits / {} misses",
-            row.cold_admissions_per_sec,
-            row.cold_wall_s,
-            row.cached_admissions_per_sec,
-            row.cached_wall_s,
-            row.wall_speedup,
-            row.plan_cache_hits,
-            row.plan_cache_misses,
-        );
-        if let Some(bar) = cache_bar {
-            assert!(
-                row.wall_speedup >= bar,
-                "plan cache regressed: {:.2}x end-to-end vs the {bar:.1}x bar",
-                row.wall_speedup
-            );
-            println!(
-                "admission cache bar ok: {:.2}x >= {bar:.1}x",
-                row.wall_speedup
-            );
-        }
-    }
-
-    // ---- kernel hot path ------------------------------------------------
-    // The churn fleet above is planner-dominated (its jobs are small); the
-    // dispatch cost is O(index lookups) instead of O(tasks · idle nodes)
-    // per wakeup, which shows up once a single execution is large. Time
-    // one big planner-free deployment so the kernel term is visible on its
-    // own (this is the number the dispatch index halves).
-    let start = Instant::now();
-    let big = dispatch_hot_path_report();
-    println!(
-        "dispatch hot path (256 GB, 100 nodes, {} tasks, no planner): {:.3} s",
-        big.total_tasks,
-        start.elapsed().as_secs_f64()
-    );
-    assert_eq!(
-        big.task_timeline.last().map(|&(_, c)| c),
-        Some(big.total_tasks)
-    );
-    println!("invariants ok");
+    println!("{}", conductor_bench::experiments::fleet_churn(200, 1.0));
 }

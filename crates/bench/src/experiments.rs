@@ -681,8 +681,8 @@ pub fn fig16_solve_time() -> Table {
 /// The standard multi-job contention scenario: four tenants with mixed
 /// deadlines arriving half-hourly, one shared electricity-like spot trace,
 /// and a fleet-wide cap of 90 m1.large nodes. Shared by the
-/// `fleet_contention` binary, the criterion bench and the integration
-/// tests, so every consumer measures the same fleet.
+/// `fleet_contention` binary and the integration tests, so every consumer
+/// runs the same fleet.
 pub fn fleet_contention_requests() -> Vec<FleetJobRequest> {
     vec![
         FleetJobRequest::new(
@@ -844,31 +844,11 @@ pub fn churn_service(seed: u64, cap: usize, trace_hours: usize) -> ConductorServ
         .with_spot_bid(0.30)
 }
 
-/// One big planner-free deployment (256 GB input → 4096 map tasks on 100
-/// m1.large nodes over a fat uplink): the kernel-only hot path that the
-/// dispatch index in `JobExecution::dispatch` optimizes. Shared by the
-/// `fleet_churn` binary and the criterion `churn` bench so both report the
-/// same scenario.
-pub fn dispatch_hot_path_report() -> ExecutionReport {
-    let catalog = Catalog::aws_july_2011();
-    let engine = Engine::new(catalog);
-    let spec = Workload::KMeansScaled { input_gb: 256 }.spec();
-    let uplink = mbps_to_gb_per_hour(200.0);
-    let opts = DeploymentOptions {
-        max_hours: 2_000.0,
-        ..DeploymentOptions::new("dispatch-hot-path", uplink).with_nodes("m1.large", 100, 0.0)
-    };
-    let scheduler = conductor_mapreduce::scheduler::PlanFollowingScheduler::cloud_only_defaults();
-    engine
-        .run(&spec, &opts, &scheduler)
-        .expect("hot-path deployment")
-}
-
 /// The canonical churn scenario: `jobs` arrivals from one shared seed, the
 /// storm-bearing service from [`churn_service`] with a 150-node cap, and a
 /// trace long enough to outlive the last tenant. One definition, so the
-/// `fleet_churn` binary, the criterion `churn` bench and the experiments
-/// table all measure the *same* fleet and cannot drift apart.
+/// `fleet_churn` table and every integration test that pins churn
+/// behaviour run the *same* fleet and cannot drift apart.
 pub fn churn_fixture(jobs: usize, mean_gap_hours: f64) -> (Vec<FleetJobRequest>, ConductorService) {
     let requests = churn_requests(20_260_729, jobs, mean_gap_hours);
     let horizon = requests.last().map(|r| r.arrival_hours).unwrap_or(0.0) + 200.0;
@@ -918,8 +898,7 @@ pub fn faulted_churn_fixture(
 /// open-world client: the clock is stepped to each arrival hour and the
 /// job submitted *then* — online, not pre-listed. The batch
 /// `ConductorService::run` path is pinned bitwise-identical to this
-/// driver by `tests/fleet_api.rs`, so the churn bench measuring this
-/// function measures the same fleet the batch figures report.
+/// driver by `tests/fleet_api.rs`.
 pub fn run_fleet_online(service: &ConductorService, requests: &[FleetJobRequest]) -> FleetReport {
     // Out-of-order arrivals would be silently clamped forward by the
     // mid-run submit (changing the fleet vs the batch path); this driver
@@ -960,9 +939,8 @@ pub fn run_fleet_session(
 /// [`run_fleet_session`] over a [`ShardedFleet`]: the same online driver
 /// (step to each arrival, submit, drain) against `shards` partitions of
 /// the service's pool, with the queue-rebalancer at `rebalance_period`
-/// (or off when `None`). Shared by the shard-scaling bench rows, the
-/// `CHURN_SHARDS` smoke and the determinism tests so they all drive the
-/// identical fleet.
+/// (or off when `None`). Shared by the sharded determinism and pin tests
+/// so they all drive the identical fleet.
 pub fn run_sharded_session(
     service: &ConductorService,
     shards: usize,

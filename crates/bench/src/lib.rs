@@ -4,9 +4,10 @@
 //! table/figure of the paper's evaluation (§6), each returning a printable
 //! [`table::Table`] with the same rows/series the paper reports. The
 //! `figNN_*` binaries in `src/bin/` are thin wrappers that run one experiment
-//! and print its table; the Criterion benches in `benches/` measure the
-//! planner/solver and storage-layer overheads (Figures 15 and 16) with
-//! statistical rigor.
+//! and print its table. Two binaries gate on a same-process ratio instead:
+//! `fig16_solve_time` (the solver-flag ablation in [`solver_bench`]) and
+//! `exec_scaling` (the execution kernel at 200 vs 50 nodes). Wall-clock is
+//! recorded in one place only, the repo's `benchmark/` package.
 
 pub mod experiments;
 pub mod solver_bench;

@@ -1,35 +1,25 @@
-//! Solver-configuration comparison harness for the planner's MIP solver.
+//! Solver-configuration ablation for the planner's MIP solver.
 //!
 //! Runs the fig16-style planning workloads through the revised engine as
 //! the three solver-core `SolveOptions` flags stack up — default (all off),
 //! `+bounded_variables`, `+forrest_tomlin`, `+dual_steepest_edge` — and
 //! reports wall-clock, plan cost and the warm-start/factorization
-//! statistics. The `fig16_solve_time` binary serializes this report to
-//! `BENCH_solver.json` so the perf trajectory is tracked across PRs.
+//! statistics. The `fig16_solve_time` binary prints the table and gates on
+//! the same-process full-vs-default geomean; nothing is written to disk
+//! (every other wall-clock number in the repo lives in `benchmark/`, which
+//! never names a solver flag).
 
-use crate::experiments::{churn_fixture, run_fleet_online, run_sharded_session};
 use conductor_cloud::{catalog::mbps_to_gb_per_hour, Catalog};
 use conductor_core::{Goal, Planner, PlanningReport, ResourcePool};
 use conductor_lp::SolveOptions;
 use conductor_mapreduce::{JobSpec, Workload};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// One workload × four-configuration measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SolverBenchRow {
-    /// Workload label, e.g. `kmeans-64gb-mig` for the migration-enabled run.
+    /// Workload label, e.g. `kmeans-128gb-mig` for the migration-enabled run.
     pub workload: String,
-    /// Input size driving the model's horizon.
-    pub input_gb: u32,
-    /// Planning interval length (larger inputs use coarser intervals, as in
-    /// Figure 16).
-    pub interval_hours: f64,
-    /// Whether the model includes migration variables.
-    pub migration: bool,
-    /// End-to-end planning wall-clock (model build + solve) under the
-    /// default options, milliseconds.
-    pub revised_total_ms: f64,
     /// Solver-only wall-clock under the default options, milliseconds.
     pub revised_solve_ms: f64,
     /// Plan cost (objective) under the default options.
@@ -58,113 +48,8 @@ pub struct SolverBenchRow {
     pub warm_start_hits: usize,
     pub warm_start_misses: usize,
     pub warm_start_rate: f64,
-    /// LU factorizations of the default-options run, and the subset
-    /// triggered mid-stream by the eta limit / drift checks.
+    /// LU factorizations of the default-options run.
     pub basis_factorizations: usize,
-    pub basis_refactorizations: usize,
-}
-
-/// Admission throughput on the canonical churn fleet: the same Poisson
-/// fixture ([`churn_fixture`]) driven end to end with the admission plan
-/// cache off (the deterministic pinned path every figure uses) and on
-/// (the certified fast path). `*_admissions_per_sec` counts admission
-/// *decisions* — every arrival is planned and then admitted or rejected —
-/// over the full end-to-end wall clock including execution simulation,
-/// so the number is the fleet-scale metric an operator sees, not a
-/// solver microbenchmark.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AdmissionBenchRow {
-    /// Poisson arrivals in the fixture.
-    pub jobs: usize,
-    /// End-to-end wall clock with the plan cache off / on, seconds. The
-    /// cold and cached runs use the full new solver configuration
-    /// (bounded-variables + Forrest–Tomlin + dual steepest-edge) — the
-    /// engine this rebuild ships; the legacy columns below keep the
-    /// span-row engine's cold path for comparison.
-    pub cold_wall_s: f64,
-    pub cached_wall_s: f64,
-    /// Admission decisions per second of end-to-end wall clock.
-    pub cold_admissions_per_sec: f64,
-    pub cached_admissions_per_sec: f64,
-    /// `cold_wall_s / cached_wall_s` (equals the admissions/sec ratio).
-    pub wall_speedup: f64,
-    /// Cold path under the legacy revised engine (all new flags off).
-    #[serde(default)]
-    pub legacy_cold_wall_s: f64,
-    #[serde(default)]
-    pub legacy_cold_admissions_per_sec: f64,
-    /// `legacy_cold_wall_s / cold_wall_s` — the solver-core rebuild's
-    /// end-to-end gain on the cold admission path.
-    #[serde(default)]
-    pub cold_speedup_vs_legacy: f64,
-    /// Certified cache hits (branch & bound skipped) and misses on the
-    /// cached run.
-    pub plan_cache_hits: usize,
-    pub plan_cache_misses: usize,
-}
-
-/// Sharded-runtime throughput on the canonical churn fleet: the same
-/// 200-arrival fixture drained through a [`conductor_core::ShardedFleet`]
-/// at 1, 2 and 4 shards (hash routing, no rebalancer, one scoped thread
-/// per shard). Speedups only mean anything when the host has a thread per
-/// shard: on fewer than 4 threads the row keeps its wall columns but
-/// reports `status: "unmeasured"` and no speedups, and CI's floor reads
-/// that status.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardScalingRow {
-    /// Poisson arrivals in the fixture.
-    pub jobs: usize,
-    /// `std::thread::available_parallelism()` on the machine that
-    /// generated this row.
-    pub threads_available: usize,
-    /// `"measured"` with at least 4 threads available, else `"unmeasured"`.
-    pub status: String,
-    /// End-to-end wall clock at 1 / 2 / 4 shards, seconds.
-    pub n1_wall_s: f64,
-    pub n2_wall_s: f64,
-    pub n4_wall_s: f64,
-    /// Jobs drained per second of end-to-end wall clock.
-    pub n1_jobs_per_sec: f64,
-    pub n2_jobs_per_sec: f64,
-    pub n4_jobs_per_sec: f64,
-    /// `n1_wall_s / n2_wall_s` and `n1_wall_s / n4_wall_s`; `None` when
-    /// unmeasured.
-    pub n2_speedup: Option<f64>,
-    pub n4_speedup: Option<f64>,
-}
-
-/// Measures [`ShardScalingRow`] on a `jobs`-arrival churn fleet.
-pub fn shard_scaling_benchmark(jobs: usize) -> ShardScalingRow {
-    let (requests, service) = churn_fixture(jobs, 1.0);
-    let mut walls = [0.0f64; 3];
-    for (slot, shards) in [(0usize, 1usize), (1, 2), (2, 4)] {
-        let t0 = Instant::now();
-        let fleet = run_sharded_session(&service, shards, None, &requests);
-        walls[slot] = t0.elapsed().as_secs_f64();
-        assert_eq!(
-            fleet.pending_events(),
-            0,
-            "the {shards}-shard run drains to quiescence"
-        );
-    }
-    let [n1, n2, n4] = walls;
-    let threads_available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let measured = threads_available >= 4;
-    ShardScalingRow {
-        jobs,
-        threads_available,
-        status: if measured { "measured" } else { "unmeasured" }.to_string(),
-        n1_wall_s: n1,
-        n2_wall_s: n2,
-        n4_wall_s: n4,
-        n1_jobs_per_sec: jobs as f64 / n1.max(1e-9),
-        n2_jobs_per_sec: jobs as f64 / n2.max(1e-9),
-        n4_jobs_per_sec: jobs as f64 / n4.max(1e-9),
-        n2_speedup: measured.then(|| n1 / n2.max(1e-9)),
-        n4_speedup: measured.then(|| n1 / n4.max(1e-9)),
-    }
 }
 
 /// The full new solver configuration on top of `base`: bounded-variable
@@ -178,58 +63,17 @@ pub fn full_flags(base: SolveOptions) -> SolveOptions {
     }
 }
 
-/// Measures [`AdmissionBenchRow`] on a `jobs`-arrival churn fleet.
-pub fn admission_benchmark(jobs: usize) -> AdmissionBenchRow {
-    let (requests, service) = churn_fixture(jobs, 1.0);
-    let t0 = Instant::now();
-    let _legacy_cold = run_fleet_online(&service, &requests);
-    let legacy_cold_wall = t0.elapsed().as_secs_f64();
-    let full_service = service.with_solve_options(full_flags(crate::experiments::solver_options()));
-    let t1 = Instant::now();
-    let _cold = run_fleet_online(&full_service, &requests);
-    let cold_wall = t1.elapsed().as_secs_f64();
-    let cached_service = full_service.with_plan_cache(true);
-    let t2 = Instant::now();
-    let cached = run_fleet_online(&cached_service, &requests);
-    let cached_wall = t2.elapsed().as_secs_f64();
-    AdmissionBenchRow {
-        jobs,
-        cold_wall_s: cold_wall,
-        cached_wall_s: cached_wall,
-        cold_admissions_per_sec: jobs as f64 / cold_wall.max(1e-9),
-        cached_admissions_per_sec: jobs as f64 / cached_wall.max(1e-9),
-        wall_speedup: cold_wall / cached_wall.max(1e-9),
-        legacy_cold_wall_s: legacy_cold_wall,
-        legacy_cold_admissions_per_sec: jobs as f64 / legacy_cold_wall.max(1e-9),
-        cold_speedup_vs_legacy: legacy_cold_wall / cold_wall.max(1e-9),
-        plan_cache_hits: cached.plan_cache_hits,
-        plan_cache_misses: cached.plan_cache_misses,
-    }
-}
-
 /// The full report: rows plus aggregate summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SolverBenchReport {
-    /// How to regenerate this file.
-    pub generated_by: String,
-    /// The relative MIP gap all configurations solve to.
-    pub relative_gap: f64,
     pub rows: Vec<SolverBenchRow>,
     /// Minimum / geometric-mean per-row speedup of the full new solver
     /// configuration (bounded-variables + FT + DSE) over the default
-    /// (legacy) one — the CI floor is on the geomean.
+    /// (legacy) one — `fig16_solve_time`'s gate is on the geomean.
     pub min_speedup_full_vs_legacy: f64,
     pub geomean_speedup_full_vs_legacy: f64,
     /// Default-options warm-start hits / attempts across all rows.
     pub overall_warm_start_rate: f64,
-    /// Churn-fleet admission throughput, plan cache off vs on (`None` in
-    /// reports generated before the cache existed).
-    #[serde(default)]
-    pub admission: Option<AdmissionBenchRow>,
-    /// Sharded-runtime throughput at 1/2/4 shards (`None` in reports
-    /// generated before the sharded fleet existed).
-    #[serde(default)]
-    pub shard_scaling: Option<ShardScalingRow>,
 }
 
 /// Solve options shared by every configuration (fig16's gap, a generous cap
@@ -306,8 +150,7 @@ fn run_best(
 
 /// Measures one workload under the default options and the stacked flags.
 pub fn bench_workload(input_gb: u32, migration: bool) -> SolverBenchRow {
-    let (revised_total, revised_solve, revised_cost, report) =
-        run_best(input_gb, migration, bench_options());
+    let (_, revised_solve, revised_cost, report) = run_best(input_gb, migration, bench_options());
 
     // The flagged solver-core upgrades, stacked in the order the ablation
     // reads: bounded-variable simplex, + Forrest–Tomlin, + dual
@@ -324,10 +167,6 @@ pub fn bench_workload(input_gb: u32, migration: bool) -> SolverBenchRow {
 
     SolverBenchRow {
         workload: format!("kmeans-{input_gb}gb{}", if migration { "-mig" } else { "" }),
-        input_gb,
-        interval_hours: if input_gb > 32 { 2.0 } else { 1.0 },
-        migration,
-        revised_total_ms: revised_total,
         revised_solve_ms: revised_solve,
         revised_cost,
         bounded_solve_ms: bounded_solve,
@@ -343,7 +182,6 @@ pub fn bench_workload(input_gb: u32, migration: bool) -> SolverBenchRow {
         warm_start_misses: report.warm_start_misses,
         warm_start_rate: report.warm_start_rate(),
         basis_factorizations: report.basis_factorizations,
-        basis_refactorizations: report.basis_refactorizations,
     }
 }
 
@@ -368,32 +206,29 @@ pub fn solver_benchmark() -> SolverBenchReport {
     };
 
     SolverBenchReport {
-        generated_by: "cargo run --release -p conductor-bench --bin fig16_solve_time".to_string(),
-        relative_gap: bench_options().relative_gap,
         min_speedup_full_vs_legacy: full_vs_legacy.iter().copied().fold(f64::INFINITY, f64::min),
         geomean_speedup_full_vs_legacy: geomean,
         overall_warm_start_rate: overall_rate,
-        admission: Some(admission_benchmark(200)),
-        shard_scaling: Some(shard_scaling_benchmark(200)),
         rows,
     }
 }
 
-/// Renders the report as a human-readable table (printed next to the JSON).
+/// Renders the report as a human-readable table.
 pub fn render_report(report: &SolverBenchReport) -> String {
     let mut out = String::from(
         "solver-core ablation (revised engine, flags stacked):\n\
-         workload          legacy ms  +bounded  +bounded+ft      full  full vs legacy  iterations  bound-flips  ft-updates  warm-rate  cost (legacy/full)\n",
+         workload          legacy ms  +bounded  +bounded+ft      full  full vs legacy    nodes  iterations  bound-flips  ft-updates  warm-rate  cost (legacy/full)\n",
     );
     for r in &report.rows {
         out.push_str(&format!(
-            "{:<16} {:>10.1} {:>9.1} {:>12.1} {:>9.1} {:>14.2}x {:>11} {:>12} {:>11} {:>9.0}% {:.2}/{:.2}\n",
+            "{:<16} {:>10.1} {:>9.1} {:>12.1} {:>9.1} {:>14.2}x {:>8} {:>11} {:>12} {:>11} {:>9.0}% {:.2}/{:.2}\n",
             r.workload,
             r.revised_solve_ms,
             r.bounded_solve_ms,
             r.bounded_ft_solve_ms,
             r.full_solve_ms,
             r.speedup_full_vs_legacy,
+            r.nodes,
             r.simplex_iterations,
             r.bound_flips,
             r.ft_updates,
@@ -408,36 +243,6 @@ pub fn render_report(report: &SolverBenchReport) -> String {
         report.geomean_speedup_full_vs_legacy,
         report.overall_warm_start_rate * 100.0
     ));
-    if let Some(a) = &report.admission {
-        out.push_str(&format!(
-            "churn admissions ({} jobs): cold {:.1}/s ({:.2} s; legacy engine {:.1}/s = {:.2}x), plan cache {:.1}/s ({:.2} s) = {:.2}x, {} hits / {} misses\n",
-            a.jobs,
-            a.cold_admissions_per_sec,
-            a.cold_wall_s,
-            a.legacy_cold_admissions_per_sec,
-            a.cold_speedup_vs_legacy,
-            a.cached_admissions_per_sec,
-            a.cached_wall_s,
-            a.wall_speedup,
-            a.plan_cache_hits,
-            a.plan_cache_misses,
-        ));
-    }
-    if let Some(s) = &report.shard_scaling {
-        let speedup = |x: Option<f64>| x.map_or("unmeasured".to_string(), |x| format!("{x:.2}x"));
-        out.push_str(&format!(
-            "shard scaling ({} jobs, {} threads, {}): 1 shard {:.1}/s ({:.2} s), 2 shards {:.1}/s = {}, 4 shards {:.1}/s = {}\n",
-            s.jobs,
-            s.threads_available,
-            s.status,
-            s.n1_jobs_per_sec,
-            s.n1_wall_s,
-            s.n2_jobs_per_sec,
-            speedup(s.n2_speedup),
-            s.n4_jobs_per_sec,
-            speedup(s.n4_speedup),
-        ));
-    }
     out
 }
 

@@ -73,9 +73,10 @@ fn fig08_storage_mix_curve_matches_paper_ordering() {
     );
 }
 
-/// Figure 16 pin: the four bench workloads plan to the costs committed in
-/// `BENCH_solver.json` when the solver-core rebuild landed — the default
-/// options to the `revised_cost` column, all three flags on to `full_cost`.
+/// Figure 16 pin: the four bench workloads plan to the costs recorded when
+/// the solver-core rebuild landed (PR 8's `BENCH_solver.json`, since
+/// retired) — the default options to its `revised_cost` column, all three
+/// flags on to `full_cost`.
 /// A pivot-changing solver change has to move these numbers on purpose.
 #[test]
 fn fig16_plan_costs_match_the_committed_bench_columns() {

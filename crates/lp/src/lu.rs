@@ -30,7 +30,6 @@
 //! observable refresh policy (counts surface in `SolveStats`).
 
 use crate::sparse::CscMatrix;
-use std::sync::OnceLock;
 
 /// Largest admissible eta-file length before a refactorization is forced:
 /// long products both slow the solves down and accumulate rounding error.
@@ -419,14 +418,6 @@ impl BasisFactorization {
             &mut self.heap,
         )?;
         std::mem::swap(&mut self.lu, &mut self.lu_next);
-        // Debug aid: `LU_TRACE=1` logs the fill of every factorization. Read
-        // once — branch & bound refactorizes on every node.
-        static LU_TRACE: OnceLock<bool> = OnceLock::new();
-        if *LU_TRACE.get_or_init(|| std::env::var_os("LU_TRACE").is_some()) {
-            let lnnz: usize = self.lu.l_cols.iter().map(Vec::len).sum();
-            let unnz: usize = self.lu.u_cols.iter().map(Vec::len).sum();
-            eprintln!("LU m={} nnzA={} nnzL={} nnzU={}", m, a.nnz(), lnnz, unnz);
-        }
         self.etas.clear();
         if self.ft_mode {
             self.rebuild_ft_aux();

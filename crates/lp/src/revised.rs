@@ -57,19 +57,9 @@ use crate::simplex::{
     DUAL_PIVOT_TOL, FEAS_TOL, PIVOT_TOL, REUSE_HEALTH_LIMIT,
 };
 use crate::sparse::CscMatrix;
-use std::sync::OnceLock;
 
 /// `x_w` weights below this magnitude count as exactly finite.
 const INF_W_TOL: f64 = 1e-9;
-
-/// Debug aid: set `REVISED_TRACE=1` to log why warm-start reuses fall back
-/// to the cold path (each label marks one bail-out site in `try_reuse`).
-fn trace(label: &str) {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    if *ENABLED.get_or_init(|| std::env::var_os("REVISED_TRACE").is_some()) {
-        eprintln!("reuse-fallback: {label}");
-    }
-}
 
 /// Eta-file length (as a multiple of [`eta_limit`]) beyond which a solve
 /// whose refactorizations keep failing is declared numerically lost.
@@ -263,10 +253,7 @@ pub fn solve_with_skeleton_revised(
                         warm_iterations = Some(n + pivots);
                         solver.ws.warm_hits += 1;
                     }
-                    Err(_) => {
-                        trace("polish-err");
-                        warm = WarmStart::Miss
-                    }
+                    Err(_) => warm = WarmStart::Miss,
                 }
             }
             ReuseOutcome::Infeasible => {
@@ -1039,7 +1026,6 @@ impl<'a> RSolver<'a> {
             || self.ws.a.cols() != sk.cols
             || self.ws.at_upper.len() != sk.cols
         {
-            trace("shape");
             return ReuseOutcome::Fallback;
         }
         self.compute_node_scalars(lower, upper);
@@ -1051,7 +1037,6 @@ impl<'a> RSolver<'a> {
         if self.ws.bf.eta_count() >= self.ws.bf.update_limit(m) {
             let ws = &mut *self.ws;
             if ws.bf.refactorize(&ws.a, &ws.basis, true).is_err() {
-                trace("refactor");
                 return ReuseOutcome::Fallback;
             }
             ws.refactor_after = 0;
@@ -1110,7 +1095,6 @@ impl<'a> RSolver<'a> {
         let mut b_scale = 0.0f64;
         for i in 0..m {
             if ws.x_f[i].abs() > REUSE_HEALTH_LIMIT {
-                trace("health");
                 return ReuseOutcome::Fallback;
             }
             if ws.x_w[i].abs() <= INF_W_TOL {
@@ -1137,13 +1121,11 @@ impl<'a> RSolver<'a> {
         if !self.node_residual_ok()
             && (!self.refactor_and_recompute(true) || !self.node_residual_ok())
         {
-            trace("residual");
             return ReuseOutcome::Fallback;
         }
 
         for i in 0..m {
             if self.ws.basis[i] >= sk.artificial_start && self.ws.x_f[i] > tol {
-                trace("art-pre");
                 return ReuseOutcome::Fallback;
             }
         }
@@ -1152,7 +1134,6 @@ impl<'a> RSolver<'a> {
             RepairResult::Done(p) => p,
             RepairResult::Infeasible => return ReuseOutcome::Infeasible,
             RepairResult::GaveUp => {
-                trace("repair-gaveup");
                 return ReuseOutcome::Fallback;
             }
         };
@@ -1162,14 +1143,12 @@ impl<'a> RSolver<'a> {
             if self.ws.basis[i] >= sk.artificial_start
                 && (self.ws.x_f[i] > tol || self.ws.x_w[i] != 0.0)
             {
-                trace("art-post");
                 return ReuseOutcome::Fallback;
             }
             // Repair pivots on −∞ rows can park a variable at +∞; that is
             // fine for slacks (an unbinding row) but unrepresentable for
             // structural variables.
             if self.ws.basis[i] < sk.num_struct && self.ws.x_w[i] != 0.0 {
-                trace("struct-post");
                 return ReuseOutcome::Fallback;
             }
         }

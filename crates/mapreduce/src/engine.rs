@@ -498,6 +498,33 @@ mod tests {
             eng.run(&spec, &bad_type, &LocalityScheduler),
             Err(EngineError::InvalidOptions(_))
         ));
+        // Non-finite numbers used to slip past every `<=` comparison and
+        // panic in the schedule sort.
+        let ok = || DeploymentOptions::new("bad", 1.0);
+        let non_finite = [
+            DeploymentOptions::new("bad", f64::NAN),
+            DeploymentOptions::new("bad", f64::INFINITY),
+            ok().with_nodes("m1.large", 1, f64::NAN),
+            ok().with_nodes("m1.large", 1, f64::INFINITY),
+            ok().with_nodes("m1.large", 1, -1.0),
+            DeploymentOptions {
+                s3_throughput_factor: f64::NAN,
+                ..ok()
+            },
+            DeploymentOptions {
+                max_hours: f64::INFINITY,
+                ..ok()
+            },
+        ];
+        for options in &non_finite {
+            assert!(
+                matches!(
+                    eng.run(&spec, options, &LocalityScheduler),
+                    Err(EngineError::InvalidOptions(_))
+                ),
+                "accepted {options:?}"
+            );
+        }
     }
 
     #[test]

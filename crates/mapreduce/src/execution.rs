@@ -1422,10 +1422,21 @@ fn crosses_wan(loc: DataLocation) -> bool {
 }
 
 fn validate(catalog: &Catalog, options: &DeploymentOptions) -> Result<(), EngineError> {
-    if options.uplink_gbph <= 0.0 {
+    // `!(x > 0.0)` rather than `x <= 0.0`: a NaN must fail the check too.
+    if !(options.uplink_gbph > 0.0 && options.uplink_gbph.is_finite()) {
         return Err(EngineError::InvalidOptions(
-            "uplink bandwidth must be positive".into(),
+            "uplink bandwidth must be positive and finite".into(),
         ));
+    }
+    for (name, value) in [
+        ("s3_throughput_factor", options.s3_throughput_factor),
+        ("max_hours", options.max_hours),
+    ] {
+        if !value.is_finite() {
+            return Err(EngineError::InvalidOptions(format!(
+                "{name} must be finite (got {value})"
+            )));
+        }
     }
     let frac: f64 = options.upload_plan.iter().map(|(_, f)| *f).sum();
     if !(0.0..=1.0 + EPS).contains(&frac) {
@@ -1443,6 +1454,12 @@ fn validate(catalog: &Catalog, options: &DeploymentOptions) -> Result<(), Engine
         ));
     }
     for alloc in &options.node_schedule {
+        if !(alloc.from_hour >= 0.0 && alloc.from_hour.is_finite()) {
+            return Err(EngineError::InvalidOptions(format!(
+                "node schedule for `{}` starts at hour {}, which is not a finite hour >= 0",
+                alloc.instance_type, alloc.from_hour
+            )));
+        }
         if catalog.instance(&alloc.instance_type).is_none() {
             return Err(EngineError::InvalidOptions(format!(
                 "unknown instance type `{}` in node schedule",

@@ -13,6 +13,8 @@
 //! only tolerated difference; everything else — billing floats, event
 //! hours, retry/breaker/gate state — must match to the last bit.
 
+mod support;
+
 use conductor_bench::experiments::{churn_fixture, faulted_churn_fixture, run_fleet_session};
 use conductor_core::policy::FaultKind;
 use conductor_core::{
@@ -22,28 +24,7 @@ use conductor_core::{
 use conductor_mapreduce::Workload;
 use proptest::prelude::*;
 use std::sync::OnceLock;
-
-/// Serializes a report with the wall-clock planner timings removed (host
-/// metadata, not simulation state); every simulated float participates
-/// bit for bit via the renderer's injective shortest-round-trip output.
-fn canonical_json(report: &conductor_core::FleetReport) -> String {
-    fn strip(v: &mut serde_json::Json) {
-        match v {
-            serde_json::Json::Object(fields) => {
-                fields.retain(|(k, _)| k != "solve_time" && k != "model_build_time");
-                for (_, child) in fields.iter_mut() {
-                    strip(child);
-                }
-            }
-            serde_json::Json::Array(items) => items.iter_mut().for_each(strip),
-            _ => {}
-        }
-    }
-    let rendered = serde_json::to_string(report).unwrap();
-    let mut v = serde_json::parse(&rendered).unwrap();
-    strip(&mut v);
-    serde_json::to_string(&v).unwrap()
-}
+use support::fleet::canonical_json;
 
 /// Opens a session and submits every request up front (arrivals fire as
 /// the clock reaches them). With the submissions done, the rest of the

@@ -6,26 +6,18 @@
 //! over a no-policy fleet on the same faulted churn fixture, bitwise
 //! reproducibly.
 
+mod support;
+
 use conductor_bench::experiments::{churn_fixture, churn_policy, run_fleet_online};
-use conductor_cloud::{Catalog, SpotMarket, SpotTrace, TraceKind};
+use conductor_cloud::Catalog;
 use conductor_core::policy::FaultEvent;
 use conductor_core::{
     BreakerState, CircuitBreakerConfig, ConductorService, FailurePolicy, FailureThreshold,
     FallbackTier, FaultKind, FaultPlan, FleetEvent, FleetJobRequest, Goal, OutcomeClass,
     ResourcePool, RetryPolicy, TenantState,
 };
-use conductor_lp::SolveOptions;
 use conductor_mapreduce::Workload;
-use std::time::Duration;
-
-fn fast_options() -> SolveOptions {
-    SolveOptions {
-        relative_gap: 0.02,
-        max_nodes: 2_000,
-        time_limit: Duration::from_secs(30),
-        ..Default::default()
-    }
-}
+use support::fleet::{canonical_json, fast_options, storm_prices, storm_service};
 
 fn plain_service(cap: usize) -> ConductorService {
     let catalog = Catalog::aws_july_2011();
@@ -33,35 +25,6 @@ fn plain_service(cap: usize) -> ConductorService {
         .with_compute_only(&["m1.large"])
         .with_compute_cap("m1.large", cap);
     ConductorService::new(catalog, pool).with_solve_options(fast_options())
-}
-
-/// A service over an explicit hourly price trace with the given fleet bid
-/// (matching the revocation-storm fixtures in `tests/fleet_api.rs`).
-fn storm_service(prices: Vec<f64>, bid: f64, cap: usize) -> ConductorService {
-    let catalog = Catalog::aws_july_2011();
-    let pool = ResourcePool::from_catalog(&catalog, 1.0)
-        .with_compute_only(&["m1.large"])
-        .with_compute_cap("m1.large", cap);
-    ConductorService::new(catalog, pool)
-        .with_solve_options(fast_options())
-        .with_spot_market(SpotMarket::new(
-            SpotTrace::from_prices(TraceKind::AwsLike, prices),
-            0.34,
-        ))
-        .with_spot_bid(bid)
-}
-
-/// Cheap everywhere except a storm at hours `[storm_start, storm_end)`.
-fn storm_prices(hours: usize, storm_start: usize, storm_end: usize) -> Vec<f64> {
-    (0..hours)
-        .map(|t| {
-            if (storm_start..storm_end).contains(&t) {
-                0.50
-            } else {
-                0.20
-            }
-        })
-        .collect()
 }
 
 fn small_request(tenant: &str, arrival: f64, deadline: f64) -> FleetJobRequest {
@@ -482,30 +445,6 @@ fn faulted_churn_reruns_are_bitwise_identical() {
             &jb[lo..(at + 120).min(jb.len())]
         );
     }
-}
-
-/// Serializes a report with the wall-clock planner timings removed: the
-/// solver's `solve_time`/`model_build_time` are host metadata, not
-/// simulation state, and are the only fields allowed to vary between
-/// reruns. Every simulated float still participates bit for bit (the
-/// renderer's shortest-round-trip float formatting is injective).
-fn canonical_json(report: &conductor_core::FleetReport) -> String {
-    fn strip(v: &mut serde_json::Json) {
-        match v {
-            serde_json::Json::Object(fields) => {
-                fields.retain(|(k, _)| k != "solve_time" && k != "model_build_time");
-                for (_, child) in fields.iter_mut() {
-                    strip(child);
-                }
-            }
-            serde_json::Json::Array(items) => items.iter_mut().for_each(strip),
-            _ => {}
-        }
-    }
-    let rendered = serde_json::to_string(report).unwrap();
-    let mut v = serde_json::parse(&rendered).unwrap();
-    strip(&mut v);
-    serde_json::to_string(&v).unwrap()
 }
 
 /// The ISSUE's full-size determinism criterion (200 jobs). Expensive, so

@@ -4,54 +4,17 @@
 //! submit/cancel semantics, per-tenant spot bids, and the
 //! rejected-submission paths.
 
+mod support;
+
 use conductor_bench::experiments::{churn_fixture, run_fleet_online};
-use conductor_cloud::{Catalog, SpotMarket, SpotTrace, TraceKind};
+use conductor_cloud::Catalog;
 use conductor_core::{
     ConductorService, FleetConfig, FleetEvent, FleetJobRequest, FleetReport, Goal, OutcomeClass,
     ResourcePool, TenantState,
 };
-use conductor_lp::SolveOptions;
 use conductor_mapreduce::Workload;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
-
-fn fast_options() -> SolveOptions {
-    SolveOptions {
-        relative_gap: 0.02,
-        max_nodes: 2_000,
-        time_limit: Duration::from_secs(30),
-        ..Default::default()
-    }
-}
-
-/// A service over an explicit hourly price trace with the given fleet bid
-/// (the revocation-storm fixture, matching `tests/revocation.rs`).
-fn storm_service(prices: Vec<f64>, bid: f64, cap: usize) -> ConductorService {
-    let catalog = Catalog::aws_july_2011();
-    let pool = ResourcePool::from_catalog(&catalog, 1.0)
-        .with_compute_only(&["m1.large"])
-        .with_compute_cap("m1.large", cap);
-    ConductorService::new(catalog, pool)
-        .with_solve_options(fast_options())
-        .with_spot_market(SpotMarket::new(
-            SpotTrace::from_prices(TraceKind::AwsLike, prices),
-            0.34,
-        ))
-        .with_spot_bid(bid)
-}
-
-/// Cheap everywhere except a storm at hours `[storm_start, storm_end)`.
-fn storm_prices(hours: usize, storm_start: usize, storm_end: usize) -> Vec<f64> {
-    (0..hours)
-        .map(|t| {
-            if (storm_start..storm_end).contains(&t) {
-                0.50
-            } else {
-                0.20
-            }
-        })
-        .collect()
-}
+use support::fleet::{fast_options, storm_prices, storm_service};
 
 fn plain_service(cap: usize) -> ConductorService {
     let catalog = Catalog::aws_july_2011();

@@ -15,17 +15,17 @@
 //! wall-clock `solve_time`) and snapshot bytes (a layout, not behaviour;
 //! `tests/checkpoint_resume.rs` pins resume-equivalence at every boundary).
 
+mod support;
+
 use conductor_bench::experiments::{churn_fixture, faulted_churn_fixture, run_fleet_session};
-use conductor_cloud::{Catalog, SpotMarket, SpotTrace, TraceKind};
 use conductor_core::policy::FaultEvent;
 use conductor_core::{
     CircuitBreakerConfig, ConductorService, FailurePolicy, FailureThreshold, FallbackTier,
     FaultKind, FaultPlan, Fleet, FleetEvent, FleetJobRequest, FleetReport, FleetSnapshot, Goal,
-    ResourcePool, RetryPolicy, ShardRouter, ShardedFleet, ShardedFleetConfig, TenantId,
+    RetryPolicy, ShardRouter, ShardedFleet, ShardedFleetConfig, TenantId,
 };
-use conductor_lp::SolveOptions;
 use conductor_mapreduce::Workload;
-use std::time::Duration;
+use support::fleet::assert_accounts_balance;
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for b in bytes {
@@ -90,8 +90,15 @@ fn cold_churn_with_storms() {
             .any(|e| matches!(e, FleetEvent::Revoked { .. })),
         "the fixture's storms must strike"
     );
+    let report = fleet.report();
+    assert_accounts_balance(&report);
+    // No failure policy: storms delay jobs but abort none, and nothing retries.
     assert_eq!(
-        fleet_fingerprint(fleet.events(), &fleet.report()),
+        (report.jobs_completed, report.retries, report.dead_lettered),
+        (report.jobs_admitted, 0, 0)
+    );
+    assert_eq!(
+        fleet_fingerprint(fleet.events(), &report),
         Fingerprint {
             events: 10_760_242_527_267_098_016,
             bills: 306_261_446_380_240_311,
@@ -105,8 +112,10 @@ fn cold_churn_with_storms() {
 fn cached_churn_with_storms() {
     let (requests, service) = churn_fixture(32, 1.0);
     let fleet = run_fleet_session(&service.with_plan_cache(true), &requests);
+    let report = fleet.report();
+    assert_accounts_balance(&report);
     assert_eq!(
-        fleet_fingerprint(fleet.events(), &fleet.report()),
+        fleet_fingerprint(fleet.events(), &report),
         Fingerprint {
             events: 3_851_645_938_217_205_875,
             bills: 12_121_279_907_100_363_447,
@@ -130,8 +139,10 @@ fn faulted_churn_under_the_full_policy() {
             "the faulted fixture must emit {needed}"
         );
     }
+    let report = fleet.report();
+    assert_accounts_balance(&report);
     assert_eq!(
-        fleet_fingerprint(fleet.events(), &fleet.report()),
+        fleet_fingerprint(fleet.events(), &report),
         Fingerprint {
             events: 16_220_571_726_198_174_839,
             bills: 16_201_250_246_344_606_465,
@@ -172,13 +183,15 @@ fn sharded_churn_with_the_rebalancer() {
         !fleet.transfers().is_empty(),
         "the rebalancer must move work"
     );
+    let report = fleet.report();
+    assert_accounts_balance(&report);
     assert_eq!(
         fingerprint(
             &[
                 serde_json::to_string(&fleet.merged_events()).unwrap(),
                 serde_json::to_string(&fleet.transfers().to_vec()).unwrap(),
             ],
-            &fleet.report()
+            &report
         ),
         Fingerprint {
             events: 3_033_937_125_582_330_611,
@@ -192,26 +205,10 @@ fn sharded_churn_with_the_rebalancer() {
 // (e) Directed sessions: the paths the churn fixtures do not reach.
 // ---------------------------------------------------------------------------
 
-/// One m1.large pool under an explicit hourly price trace, fleet bid 0.30
-/// against a 0.34 on-demand ceiling (the storm fixture of `tests/fleet_api.rs`).
+/// The shared storm fixture (one m1.large pool under an explicit hourly
+/// price trace) at fleet bid 0.30 against the 0.34 on-demand ceiling.
 fn storm_service(prices: Vec<f64>, cap: usize, policy: FailurePolicy) -> ConductorService {
-    let catalog = Catalog::aws_july_2011();
-    let pool = ResourcePool::from_catalog(&catalog, 1.0)
-        .with_compute_only(&["m1.large"])
-        .with_compute_cap("m1.large", cap);
-    ConductorService::new(catalog, pool)
-        .with_solve_options(SolveOptions {
-            relative_gap: 0.02,
-            max_nodes: 2_000,
-            time_limit: Duration::from_secs(30),
-            ..Default::default()
-        })
-        .with_spot_market(SpotMarket::new(
-            SpotTrace::from_prices(TraceKind::AwsLike, prices),
-            0.34,
-        ))
-        .with_spot_bid(0.30)
-        .with_failure_policy(policy)
+    support::fleet::storm_service(prices, 0.30, cap).with_failure_policy(policy)
 }
 
 /// Cheap (0.20) except out-bid (0.50) during `storm`.

@@ -3,28 +3,20 @@
 //! scenario the `ConductorService` tentpole exists for).
 //!
 //! The contention fixture itself lives in
-//! `conductor_bench::experiments` — the `fleet_contention` binary, the
-//! criterion `fleet` bench and these tests all measure the same fleet:
+//! `conductor_bench::experiments` — the `fleet_contention` binary and
+//! these tests all run the same fleet:
 //! four tenants with mixed deadlines arriving half-hourly, one shared
 //! electricity-like spot trace, and a fleet-wide 90-node m1.large cap
 //! (the shared spot trough herds every tenant into the same cheap hours,
 //! so the cap genuinely binds across tenants, not per job).
 
+mod support;
+
 use conductor_bench::experiments::{fleet_contention_requests, fleet_contention_service};
 use conductor_cloud::Catalog;
 use conductor_core::{ConductorService, FleetJobRequest, FleetReport, Goal, ResourcePool};
-use conductor_lp::SolveOptions;
 use conductor_mapreduce::Workload;
-use std::time::Duration;
-
-fn fast_options() -> SolveOptions {
-    SolveOptions {
-        relative_gap: 0.02,
-        max_nodes: 2_000,
-        time_limit: Duration::from_secs(30),
-        ..Default::default()
-    }
-}
+use support::fleet::fast_options;
 
 fn run_fleet(seed: u64) -> FleetReport {
     fleet_contention_service(seed)

@@ -15,37 +15,12 @@
 //! the fixtures traverse every schedule-epoch mutation site, and that
 //! the trajectories they produce stay deterministic.
 
+mod support;
+
 use conductor_bench::experiments::{churn_fixture, run_fleet_online};
-use conductor_cloud::{Catalog, SpotMarket, SpotTrace, TraceKind};
-use conductor_core::{ConductorService, FleetJobRequest, FleetReport, Goal, ResourcePool};
-use conductor_lp::SolveOptions;
+use conductor_core::{FleetJobRequest, FleetReport, Goal};
 use conductor_mapreduce::Workload;
-use std::time::Duration;
-
-fn fast_options() -> SolveOptions {
-    SolveOptions {
-        relative_gap: 0.02,
-        max_nodes: 2_000,
-        time_limit: Duration::from_secs(30),
-        ..Default::default()
-    }
-}
-
-/// A storm-bearing service over an explicit price trace (mirrors the
-/// revocation-storm fixture in `tests/fleet_api.rs`).
-fn storm_service(prices: Vec<f64>, bid: f64, cap: usize) -> ConductorService {
-    let catalog = Catalog::aws_july_2011();
-    let pool = ResourcePool::from_catalog(&catalog, 1.0)
-        .with_compute_only(&["m1.large"])
-        .with_compute_cap("m1.large", cap);
-    ConductorService::new(catalog, pool)
-        .with_solve_options(fast_options())
-        .with_spot_market(SpotMarket::new(
-            SpotTrace::from_prices(TraceKind::AwsLike, prices),
-            0.34,
-        ))
-        .with_spot_bid(bid)
-}
+use support::fleet::storm_service;
 
 fn request(tenant: &str, arrival: f64, deadline: f64) -> FleetJobRequest {
     FleetJobRequest::new(

@@ -7,49 +7,12 @@
 //! sit exactly where the scenario needs them; the churn-scale determinism
 //! test reuses the Poisson fixture from `conductor_bench::experiments`.
 
+mod support;
+
 use conductor_bench::experiments::churn_fixture;
-use conductor_cloud::{Catalog, SpotMarket, SpotTrace, TraceKind};
-use conductor_core::{ConductorService, FleetJobRequest, FleetReport, Goal, ResourcePool};
-use conductor_lp::SolveOptions;
+use conductor_core::{FleetJobRequest, Goal};
 use conductor_mapreduce::Workload;
-use std::time::Duration;
-
-fn fast_options() -> SolveOptions {
-    SolveOptions {
-        relative_gap: 0.02,
-        max_nodes: 2_000,
-        time_limit: Duration::from_secs(30),
-        ..Default::default()
-    }
-}
-
-/// A service over an explicit hourly price trace with the given fleet bid.
-fn storm_service(prices: Vec<f64>, bid: f64, cap: usize) -> ConductorService {
-    let catalog = Catalog::aws_july_2011();
-    let pool = ResourcePool::from_catalog(&catalog, 1.0)
-        .with_compute_only(&["m1.large"])
-        .with_compute_cap("m1.large", cap);
-    ConductorService::new(catalog, pool)
-        .with_solve_options(fast_options())
-        .with_spot_market(SpotMarket::new(
-            SpotTrace::from_prices(TraceKind::AwsLike, prices),
-            0.34,
-        ))
-        .with_spot_bid(bid)
-}
-
-/// Cheap everywhere except a storm at hours `[storm_start, storm_end)`.
-fn storm_prices(hours: usize, storm_start: usize, storm_end: usize) -> Vec<f64> {
-    (0..hours)
-        .map(|t| {
-            if (storm_start..storm_end).contains(&t) {
-                0.50
-            } else {
-                0.20
-            }
-        })
-        .collect()
-}
+use support::fleet::{assert_accounts_balance, storm_prices, storm_service};
 
 fn request(tenant: &str, deadline: f64) -> FleetJobRequest {
     FleetJobRequest::new(
@@ -60,27 +23,6 @@ fn request(tenant: &str, deadline: f64) -> FleetJobRequest {
         },
         0.0,
     )
-}
-
-fn bills_sum_to_fleet(report: &FleetReport) {
-    let tenant_sum: f64 = report
-        .tenants
-        .iter()
-        .filter_map(|t| t.execution.as_ref())
-        .map(|e| e.total_cost)
-        .sum();
-    assert!(
-        (report.fleet_cost - tenant_sum).abs() < 1e-9,
-        "fleet {} vs tenant sum {}",
-        report.fleet_cost,
-        tenant_sum
-    );
-    assert!(
-        (report.fleet_breakdown.total() - report.fleet_cost).abs() < 1e-9,
-        "breakdown {} vs fleet {}",
-        report.fleet_breakdown.total(),
-        report.fleet_cost
-    );
 }
 
 #[test]
@@ -116,7 +58,7 @@ fn total_storm_kills_every_node_and_the_job_still_finishes() {
     }
     // The deadline verdict is honest either way; the accounting must add up.
     assert_eq!(report.jobs_completed, 1);
-    bills_sum_to_fleet(&report);
+    assert_accounts_balance(&report);
 }
 
 #[test]
@@ -138,7 +80,7 @@ fn storm_with_slack_is_rescued_by_a_forced_replan() {
     assert!(rescued.replanned_at_hours[0] >= 2.0);
     let exec = rescued.execution.as_ref().unwrap();
     assert_eq!(exec.met_deadline, Some(true), "{:?}", exec.completion_hours);
-    bills_sum_to_fleet(&report);
+    assert_accounts_balance(&report);
 }
 
 #[test]
@@ -161,7 +103,7 @@ fn storms_hit_every_concurrent_tenant_and_bills_still_add_up() {
             t.revoked_at_hours
         );
     }
-    bills_sum_to_fleet(&report);
+    assert_accounts_balance(&report);
 }
 
 #[test]
@@ -209,5 +151,5 @@ fn churn_fleet_with_storms_is_bitwise_deterministic() {
             assert_eq!(ea.total_cost.to_bits(), eb.total_cost.to_bits());
         }
     }
-    bills_sum_to_fleet(&a);
+    assert_accounts_balance(&a);
 }

@@ -3,6 +3,8 @@
 //! mid-run checkpoint/resume of one shard), cross-shard transfer
 //! bookkeeping, WAL tailing, and per-tenant retry-policy overrides.
 
+mod support;
+
 use conductor_bench::experiments::{churn_fixture, churn_requests, run_sharded_session};
 use conductor_cloud::{Catalog, SpotMarket, SpotTrace};
 use conductor_core::policy::FaultEvent;
@@ -11,19 +13,9 @@ use conductor_core::{
     FleetSnapshot, Goal, OutcomeClass, ResourcePool, RetryPolicy, ShardedFleetConfig, TenantId,
     WalReader, WalWriter,
 };
-use conductor_lp::SolveOptions;
 use conductor_mapreduce::Workload;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-fn fast_options() -> SolveOptions {
-    SolveOptions {
-        relative_gap: 0.02,
-        max_nodes: 2_000,
-        time_limit: Duration::from_secs(30),
-        ..Default::default()
-    }
-}
+use support::fleet::{canonical_json, fast_options};
 
 /// An *uncontended* service: the m1.large pool is left uncapped, so a
 /// shard slice has the same (unbounded) capacity as the whole pool and
@@ -46,28 +38,6 @@ fn plain_service(cap: usize) -> ConductorService {
         .with_compute_only(&["m1.large"])
         .with_compute_cap("m1.large", cap);
     ConductorService::new(catalog, pool).with_solve_options(fast_options())
-}
-
-/// Serializes a report with the wall-clock planner timings removed (host
-/// metadata, not simulation state); every simulated float participates
-/// bit for bit via the renderer's injective shortest-round-trip output.
-fn canonical_json(report: &conductor_core::FleetReport) -> String {
-    fn strip(v: &mut serde_json::Json) {
-        match v {
-            serde_json::Json::Object(fields) => {
-                fields.retain(|(k, _)| k != "solve_time" && k != "model_build_time");
-                for (_, child) in fields.iter_mut() {
-                    strip(child);
-                }
-            }
-            serde_json::Json::Array(items) => items.iter_mut().for_each(strip),
-            _ => {}
-        }
-    }
-    let rendered = serde_json::to_string(report).unwrap();
-    let mut v = serde_json::parse(&rendered).unwrap();
-    strip(&mut v);
-    serde_json::to_string(&v).unwrap()
 }
 
 /// [`canonical_json`] with the `plan` and `planning` payloads removed as

@@ -1,7 +1,9 @@
-//! Shared by the solver test suites: the independent [`oracle`] and the
-//! configuration matrix checked against it.
+//! Shared test support: the independent [`oracle`] and the configuration
+//! matrix the solver suites check against it, and the [`fleet`] fixtures
+//! and invariants of the fleet suites.
 #![allow(dead_code)]
 
+pub mod fleet;
 pub mod oracle;
 
 use conductor_lp::SolveOptions;
