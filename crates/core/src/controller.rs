@@ -1,18 +1,20 @@
-//! The job controller (§5.2): plan → deploy → execute → account.
+//! The job controller (§5.2): plan → deploy → execute → account, for one
+//! job.
 //!
-//! The controller wires the pieces together: it asks the [`crate::Planner`]
-//! for an execution plan, converts the plan into engine deployment options
-//! and a plan-following scheduler configuration, runs the job on the
-//! simulated Hadoop cluster, and reports the measured cost and completion
-//! time next to the plan's expectations.
+//! A single job is a one-tenant [`Fleet`](crate::Fleet): [`JobController`]
+//! opens a [`ConductorService`] session over its catalog and its planner's
+//! pool, submits the job at hour zero with the monitor's trigger disabled,
+//! and reports the measured cost and completion time next to the plan's
+//! expectations. Planning, the plan-following scheduler and the engine run
+//! are the fleet's; nothing here duplicates them.
 
 use crate::error::ConductorError;
 use crate::goal::Goal;
 use crate::plan::ExecutionPlan;
 use crate::planner::{Planner, PlanningReport};
+use crate::service::ConductorService;
 use conductor_cloud::Catalog;
-use conductor_mapreduce::engine::{DataLocation, DeploymentOptions, Engine, ExecutionReport};
-use conductor_mapreduce::scheduler::PlanFollowingScheduler;
+use conductor_mapreduce::engine::ExecutionReport;
 use conductor_mapreduce::JobSpec;
 use serde::{Deserialize, Serialize};
 
@@ -44,8 +46,7 @@ impl DeploymentOutcome {
 #[derive(Debug, Clone)]
 pub struct JobController {
     planner: Planner,
-    engine: Engine,
-    uplink_gbph: f64,
+    catalog: Catalog,
 }
 
 impl JobController {
@@ -56,8 +57,17 @@ impl JobController {
     /// resource must name a catalog storage service. A mismatched pair
     /// would produce plans whose costs and rates the deployment engine
     /// silently disagrees with, so the invariant is checked here and
-    /// violations are reported as [`ConductorError::InvalidInput`].
+    /// violations are reported as [`ConductorError::InvalidInput`]. (A
+    /// deliberate disagreement — a misprediction — is an input of
+    /// [`crate::AdaptiveController`] and of [`crate::Fleet::new`].) The
+    /// fleet plans on one-hour intervals without migration variables, so a
+    /// planner configured otherwise is refused as well.
     pub fn new(catalog: Catalog, planner: Planner) -> Result<Self, ConductorError> {
+        if planner.interval_hours != 1.0 || planner.enable_migration {
+            return Err(ConductorError::InvalidInput(
+                "the job controller deploys one-hour-interval plans without migration".into(),
+            ));
+        }
         for c in &planner.pool().compute {
             let Some(i) = catalog.instance(&c.name) else {
                 return Err(ConductorError::InvalidInput(format!(
@@ -87,12 +97,7 @@ impl JobController {
                 )));
             }
         }
-        let uplink_gbph = catalog.uplink_gb_per_hour();
-        Ok(Self {
-            planner,
-            engine: Engine::new(catalog),
-            uplink_gbph,
-        })
+        Ok(Self { planner, catalog })
     }
 
     /// The planner in use.
@@ -100,103 +105,19 @@ impl JobController {
         &self.planner
     }
 
-    /// The execution engine in use.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
     /// Plans and deploys `spec` under `goal`, returning plan, planning report
-    /// and measured execution.
+    /// and measured execution. No plan is [`ConductorError::GoalUnattainable`]
+    /// with the admission's reason; a run the engine gave up on is
+    /// [`ConductorError::Deployment`].
     pub fn run(&self, spec: &JobSpec, goal: Goal) -> Result<DeploymentOutcome, ConductorError> {
-        let (plan, planning) = self.planner.plan(spec, goal)?;
-        let execution = self.deploy(spec, &plan, goal.deadline_hours())?;
-        Ok(DeploymentOutcome {
-            plan,
-            planning,
-            execution,
-        })
+        // Tolerance 1.0: the monitor never finds the job behind, so the
+        // admission plan is followed to the end.
+        let (outcome, _) = ConductorService::new(self.catalog.clone(), self.planner.pool().clone())
+            .with_solve_options(self.planner.solve_options().clone())
+            .with_monitor(1.0, 1.0)
+            .run_one(spec, goal)?;
+        Ok(outcome)
     }
-
-    /// Deploys an existing plan (used by the adaptation loop after re-planning
-    /// and by ablation experiments that perturb plans).
-    pub fn deploy(
-        &self,
-        spec: &JobSpec,
-        plan: &ExecutionPlan,
-        deadline_hours: Option<f64>,
-    ) -> Result<ExecutionReport, ConductorError> {
-        let options = self.deployment_options(plan, deadline_hours);
-        let scheduler = self.scheduler_for(plan);
-        Ok(self.engine.run(spec, &options, &scheduler)?)
-    }
-
-    /// Builds engine deployment options from a plan.
-    pub fn deployment_options(
-        &self,
-        plan: &ExecutionPlan,
-        deadline_hours: Option<f64>,
-    ) -> DeploymentOptions {
-        plan.to_deployment_options(
-            "conductor",
-            self.uplink_gbph,
-            deadline_hours,
-            &ExecutionPlan::default_location_map(),
-        )
-    }
-
-    /// Builds the plan-following scheduler configuration implied by a plan:
-    /// each compute resource used by the plan may read from the storage
-    /// locations the plan stores data on (§5.3).
-    pub fn scheduler_for(&self, plan: &ExecutionPlan) -> PlanFollowingScheduler {
-        scheduler_for_plan(plan, self.planner.pool())
-    }
-}
-
-/// Derives the plan-following scheduler permissions a plan implies over a
-/// resource pool (§5.3): every compute resource the plan rents may read
-/// from its own disks and from the storage services the plan uploads to;
-/// local nodes may additionally read the on-site input directly. Shared by
-/// [`JobController`] and the fleet-level `ConductorService`.
-pub(crate) fn scheduler_for_plan(
-    plan: &ExecutionPlan,
-    pool: &crate::resources::ResourcePool,
-) -> PlanFollowingScheduler {
-    let mut scheduler = PlanFollowingScheduler::new();
-    let location_map = ExecutionPlan::default_location_map();
-    let storages: Vec<DataLocation> = plan
-        .storage_mix()
-        .keys()
-        .filter_map(|name| location_map.get(name).copied())
-        .collect();
-    let computes: std::collections::BTreeSet<String> = plan
-        .intervals
-        .iter()
-        .flat_map(|p| p.nodes.keys().cloned())
-        .collect();
-    for compute in computes {
-        let is_local = pool
-            .compute_resource(&compute)
-            .map(|c| c.is_local)
-            .unwrap_or(false);
-        // Every compute resource may read its own disks...
-        scheduler.allow(
-            compute.clone(),
-            if is_local {
-                DataLocation::LocalDisk
-            } else {
-                DataLocation::InstanceDisk
-            },
-        );
-        if is_local {
-            // ...local nodes additionally read the on-site input directly.
-            scheduler.allow(compute.clone(), DataLocation::ClientSite);
-        }
-        // ...and the storage services the plan uses.
-        for loc in &storages {
-            scheduler.allow(compute.clone(), *loc);
-        }
-    }
-    scheduler
 }
 
 #[cfg(test)]
@@ -267,46 +188,11 @@ mod tests {
         pool.storage[0].name = "S9".into();
         let err = JobController::new(catalog.clone(), Planner::new(pool)).unwrap_err();
         assert!(err.to_string().contains("S9"));
-        // A *restriction* of the catalog is fine.
+        // A *restriction* of the catalog is fine...
         let pool = ResourcePool::from_catalog(&catalog, 1.0).with_compute_only(&["m1.large"]);
-        assert!(JobController::new(catalog, Planner::new(pool)).is_ok());
-    }
-
-    #[test]
-    fn scheduler_permissions_follow_the_plan() {
-        let ctl = controller();
-        let (plan, _) = ctl
-            .planner()
-            .plan(
-                &Workload::KMeans32Gb.spec(),
-                Goal::MinimizeCost {
-                    deadline_hours: 6.0,
-                },
-            )
-            .unwrap();
-        let scheduler = ctl.scheduler_for(&plan);
-        // The plan uses m1.large nodes reading from their instance disks.
-        let allowed = scheduler.allowed_for("m1.large");
-        assert!(allowed.contains(&DataLocation::InstanceDisk));
-        // No permissions for instance types the plan does not use.
-        assert!(scheduler.allowed_for("c1.xlarge").is_empty());
-    }
-
-    #[test]
-    fn deployment_options_carry_schedule_and_deadline() {
-        let ctl = controller();
-        let (plan, _) = ctl
-            .planner()
-            .plan(
-                &Workload::KMeans32Gb.spec(),
-                Goal::MinimizeCost {
-                    deadline_hours: 6.0,
-                },
-            )
-            .unwrap();
-        let opts = ctl.deployment_options(&plan, Some(6.0));
-        assert_eq!(opts.deadline_hours, Some(6.0));
-        assert!(!opts.node_schedule.is_empty());
-        assert!(!opts.upload_plan.is_empty());
+        assert!(JobController::new(catalog.clone(), Planner::new(pool.clone())).is_ok());
+        // ...a planner the fleet's admission would not reproduce is not.
+        let migrating = Planner::new(pool).with_migration(true);
+        assert!(JobController::new(catalog, migrating).is_err());
     }
 }

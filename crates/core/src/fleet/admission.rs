@@ -10,7 +10,6 @@
 use super::request::{FleetConfig, FleetJobRequest, PlanCacheMode};
 use super::residual::ResidualIndex;
 use super::session::ActiveJob;
-use crate::controller::scheduler_for_plan;
 use crate::error::ConductorError;
 use crate::model::{InitialState, ModelConfig};
 use crate::plan::ExecutionPlan;
@@ -20,6 +19,7 @@ use crate::resources::ResourcePool;
 use conductor_cloud::Catalog;
 use conductor_lp::SolveContext;
 use conductor_mapreduce::execution::{ExecutionProgress, JobExecution, SessionPricing};
+use conductor_mapreduce::scheduler::PlanFollowingScheduler;
 use conductor_mapreduce::{DataLocation, JobSpec};
 use conductor_sim::{ProcessId, TIME_EPSILON};
 use serde::{Deserialize, Serialize};
@@ -543,7 +543,7 @@ impl AdmissionControl {
         };
         let planner = Planner::new(residual).with_solve_options(env.config.solve_options.clone());
         planner
-            .plan_with_config_ctx(spec, remaining_goal, &config, Some(&mut self.solve_ctx))
+            .plan_or_effort(spec, remaining_goal, &config, Some(&mut self.solve_ctx))
             .ok()
             .map(|(updated, _)| updated)
     }
@@ -634,6 +634,49 @@ fn price_forecast(
     forecast
 }
 
+/// Derives the plan-following scheduler permissions a plan implies over a
+/// resource pool (§5.3): every compute resource the plan rents may read
+/// from its own disks and from the storage services the plan uploads to;
+/// local nodes may additionally read the on-site input directly.
+fn scheduler_for_plan(plan: &ExecutionPlan, pool: &ResourcePool) -> PlanFollowingScheduler {
+    let mut scheduler = PlanFollowingScheduler::new();
+    let location_map = ExecutionPlan::default_location_map();
+    let storages: Vec<DataLocation> = plan
+        .storage_mix()
+        .keys()
+        .filter_map(|name| location_map.get(name).copied())
+        .collect();
+    let computes: std::collections::BTreeSet<String> = plan
+        .intervals
+        .iter()
+        .flat_map(|p| p.nodes.keys().cloned())
+        .collect();
+    for compute in computes {
+        let is_local = pool
+            .compute_resource(&compute)
+            .map(|c| c.is_local)
+            .unwrap_or(false);
+        // Every compute resource may read its own disks...
+        scheduler.allow(
+            compute.clone(),
+            if is_local {
+                DataLocation::LocalDisk
+            } else {
+                DataLocation::InstanceDisk
+            },
+        );
+        if is_local {
+            // ...local nodes additionally read the on-site input directly.
+            scheduler.allow(compute.clone(), DataLocation::ClientSite);
+        }
+        // ...and the storage services the plan uses.
+        for loc in &storages {
+            scheduler.allow(compute.clone(), *loc);
+        }
+    }
+    scheduler
+}
+
 /// Inverse of [`ExecutionPlan::default_location_map`]: an engine location
 /// back to its pool storage-resource name, for building re-planning state.
 fn storage_name(location: DataLocation) -> Option<&'static str> {
@@ -642,5 +685,30 @@ fn storage_name(location: DataLocation) -> Option<&'static str> {
         DataLocation::InstanceDisk => Some("EC2-disk"),
         DataLocation::LocalDisk => Some("local-disk"),
         DataLocation::ClientSite => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::goal::Goal;
+    use conductor_mapreduce::Workload;
+
+    #[test]
+    fn scheduler_permissions_follow_the_plan() {
+        let pool = ResourcePool::from_catalog(&Catalog::aws_july_2011(), 1.0)
+            .with_compute_only(&["m1.large"]);
+        let goal = Goal::MinimizeCost {
+            deadline_hours: 6.0,
+        };
+        let (plan, _) = Planner::new(pool.clone())
+            .plan(&Workload::KMeans32Gb.spec(), goal)
+            .unwrap();
+        let scheduler = scheduler_for_plan(&plan, &pool);
+        // The plan uses m1.large nodes reading from their instance disks.
+        let allowed = scheduler.allowed_for("m1.large");
+        assert!(allowed.contains(&DataLocation::InstanceDisk));
+        // No permissions for instance types the plan does not use.
+        assert!(scheduler.allowed_for("c1.xlarge").is_empty());
     }
 }

@@ -132,6 +132,13 @@ impl Fleet {
     /// validated [`FleetConfig`]. With a spot market configured, the
     /// trace's out-bid hours (at the fleet bid) are scheduled as
     /// revocation sweeps up front — first-class events on the shared clock.
+    ///
+    /// Admission plans with `pool`'s throughputs; the engine runs on
+    /// `catalog`'s. They are deliberately not required to agree: a pool
+    /// that overstates (or understates) its catalog is the supported way to
+    /// model a *misprediction* — the monitor then measures the real rate
+    /// and re-plans with it (Figure 12; `AdaptiveController` is exactly
+    /// that session with one tenant).
     pub fn new(
         catalog: Catalog,
         pool: ResourcePool,

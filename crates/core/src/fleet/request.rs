@@ -129,9 +129,18 @@ pub struct FleetConfig {
     /// projection. Must be finite and within `[0, 1]`.
     pub monitor_tolerance: f64,
     /// Safety margin subtracted from the remaining deadline when
-    /// re-planning (see `AdaptiveController::replan_margin_hours`).
+    /// re-planning. The model is deliberately optimistic (fluid
+    /// upload/processing, no task granularity), so a re-plan that exactly
+    /// fills the remaining time finishes its node ramp-down too early and
+    /// leaves the real engine a long single-node tail. Planning one
+    /// interval short absorbs that optimism; it mirrors how the paper's
+    /// controller keeps monitoring after each re-plan instead of trusting a
+    /// single projection (§5.4).
     pub replan_margin_hours: f64,
-    /// Fractional inflation of the remaining work at re-plan time.
+    /// Fractional inflation of the *remaining* work the monitor reports at
+    /// re-plan time (0.15 = plan for 15 % more work). Covers the node-hours
+    /// the task-granular engine loses to data starvation and
+    /// interval-boundary stragglers, which the fluid model cannot see.
     pub monitor_conservatism: f64,
     /// The failure policy: fault injection, retry/backoff with
     /// dead-lettering, the admission gate and the spot-market circuit

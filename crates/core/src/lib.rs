@@ -15,10 +15,12 @@
 //!    and the user's goal as a [`conductor_lp::Problem`] (§4.3–§4.7).
 //! 3. [`planner`] — dispatches the model to the solver and extracts an
 //!    [`plan::ExecutionPlan`] (§4.8).
-//! 4. [`controller`] — the job controller deploys the plan on the MapReduce
-//!    engine through the plan-following scheduler and meters cost (§5.2).
-//! 5. [`adapt`] — monitors progress, detects deviations (mispredicted
-//!    throughput, §5.4) and re-plans from the current state (Figure 12).
+//! 4. [`controller`] — the job controller deploys one job: a one-tenant
+//!    fleet session (items 7–8) that plans, follows the plan on the
+//!    MapReduce engine and meters cost (§5.2).
+//! 5. [`adapt`] — the Figure 12 experiment: a one-tenant session whose pool
+//!    mispredicts its catalog's throughput, rescued by the fleet's monitor
+//!    (§5.4).
 //! 6. [`spot`] — bid predictors and the spot-market deployment simulation of
 //!    §6.5 (Figure 14).
 //! 7. [`fleet`] — the open-world fleet: [`fleet::Fleet`] is a long-lived

@@ -183,6 +183,11 @@ impl Planner {
         &self.pool
     }
 
+    /// The solver options in use.
+    pub(crate) fn solve_options(&self) -> &SolveOptions {
+        &self.solve_options
+    }
+
     /// Plans `spec` under `goal`. Returns the plan and a report of the
     /// planning effort.
     pub fn plan(
@@ -190,38 +195,18 @@ impl Planner {
         spec: &JobSpec,
         goal: Goal,
     ) -> Result<(ExecutionPlan, PlanningReport), ConductorError> {
-        self.plan_with_config(spec, goal, &ModelConfig::default())
-    }
-
-    /// Plans with extra model configuration (initial state for re-planning,
-    /// price forecasts, pinned storage mixes). The horizon and budget fields
-    /// of `base_config` are overridden from `goal`.
-    pub fn plan_with_config(
-        &self,
-        spec: &JobSpec,
-        goal: Goal,
-        base_config: &ModelConfig,
-    ) -> Result<(ExecutionPlan, PlanningReport), ConductorError> {
-        self.plan_with_config_ctx(spec, goal, base_config, None)
-    }
-
-    /// [`Self::plan_with_config`] with a cross-solve [`SolveContext`]: a
-    /// stream of look-alike admissions drains through one standard-form
-    /// skeleton and factorized basis, each solve warm-starting its root
-    /// from the previous solve's optimum instead of a cold two-phase fill.
-    pub fn plan_with_config_ctx(
-        &self,
-        spec: &JobSpec,
-        goal: Goal,
-        base_config: &ModelConfig,
-        ctx: Option<&mut SolveContext>,
-    ) -> Result<(ExecutionPlan, PlanningReport), ConductorError> {
-        self.plan_or_effort(spec, goal, base_config, ctx)
+        self.plan_or_effort(spec, goal, &ModelConfig::default(), None)
             .map_err(|failed| failed.error)
     }
 
-    /// [`Self::plan_with_config_ctx`], except that a failure also reports
-    /// the solver effort it cost (see [`FailedPlanning`]).
+    /// [`Self::plan`] with extra model configuration (initial state for
+    /// re-planning, price forecasts; the horizon and budget fields of
+    /// `base_config` are overridden from `goal`) and an optional cross-solve
+    /// [`SolveContext`]: a stream of look-alike admissions drains through
+    /// one standard-form skeleton and factorized basis, each solve
+    /// warm-starting its root from the previous solve's optimum instead of
+    /// a cold two-phase fill. A failure also reports the solver effort it
+    /// cost (see [`FailedPlanning`]).
     pub fn plan_or_effort(
         &self,
         spec: &JobSpec,

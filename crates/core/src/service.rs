@@ -18,11 +18,15 @@
 //! report — `tests/fleet_api.rs` asserts the equivalence on the
 //! multi-job, revocation-storm and Poisson-churn suites.
 
+use crate::controller::DeploymentOutcome;
 use crate::error::ConductorError;
 use crate::fleet::{Fleet, FleetConfig, PlanCacheMode};
+use crate::goal::Goal;
 use crate::resources::ResourcePool;
 use conductor_cloud::{Catalog, SpotMarket};
 use conductor_lp::SolveOptions;
+use conductor_mapreduce::engine::EngineError;
+use conductor_mapreduce::JobSpec;
 
 pub use crate::fleet::{FleetJobRequest, FleetReport, TenantOutcome};
 
@@ -199,13 +203,46 @@ impl ConductorService {
         fleet.run_to_quiescence();
         Ok(fleet.report())
     }
+
+    /// Runs `spec` as the only tenant of a fresh session, arriving at hour
+    /// zero — what the single-job front ends ([`crate::JobController`],
+    /// [`crate::AdaptiveController`]) are — and returns its outcome with the
+    /// hours the monitor re-planned it at. A refused admission becomes
+    /// [`ConductorError::GoalUnattainable`], a job aborted mid-run
+    /// [`ConductorError::Deployment`].
+    pub(crate) fn run_one(
+        &self,
+        spec: &JobSpec,
+        goal: Goal,
+    ) -> Result<(DeploymentOutcome, Vec<f64>), ConductorError> {
+        let request = FleetJobRequest::new("conductor", spec.clone(), goal, 0.0);
+        let solo = self.run(&[request])?.tenants.swap_remove(0);
+        if let Some(reason) = solo.rejection {
+            return Err(ConductorError::GoalUnattainable { reason });
+        }
+        let (Some(plan), Some(planning), Some(execution)) =
+            (solo.plan, solo.planning, solo.execution)
+        else {
+            unreachable!("a drained fleet's admitted tenant has a plan, its effort and a run");
+        };
+        if solo.failure.is_some() {
+            return Err(ConductorError::Deployment(EngineError::DidNotFinish {
+                simulated_hours: execution.completion_hours,
+                completed_tasks: execution.task_timeline.last().map_or(0, |&(_, done)| done),
+            }));
+        }
+        let outcome = DeploymentOutcome {
+            plan,
+            planning,
+            execution,
+        };
+        Ok((outcome, solo.replanned_at_hours))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::goal::Goal;
-    use crate::planner::Planner;
     use conductor_cloud::SpotTrace;
     use conductor_mapreduce::Workload;
     use std::time::Duration;
@@ -236,41 +273,6 @@ mod tests {
             },
             arrival,
         )
-    }
-
-    #[test]
-    fn single_job_fleet_matches_job_controller() {
-        // A one-tenant fleet with ample capacity behaves exactly like the
-        // single-job controller pipeline: same planner inputs, same engine.
-        let svc = service(200);
-        let report = svc.run(&[request("solo", 0.0, 6.0)]).unwrap();
-        assert_eq!(report.jobs_admitted, 1);
-        assert_eq!(report.jobs_completed, 1);
-        let solo = report.tenant("solo").unwrap();
-        let exec = solo.execution.as_ref().unwrap();
-        assert_eq!(exec.met_deadline, Some(true));
-        assert!(
-            solo.replanned_at_hours.is_empty(),
-            "monitor should stay quiet"
-        );
-
-        let catalog = Catalog::aws_july_2011();
-        let pool = ResourcePool::from_catalog(&catalog, 1.0).with_compute_only(&["m1.large"]);
-        let ctl = crate::controller::JobController::new(
-            catalog,
-            Planner::new(pool).with_solve_options(fast_options()),
-        )
-        .unwrap();
-        let outcome = ctl
-            .run(
-                &Workload::KMeans32Gb.spec(),
-                Goal::MinimizeCost {
-                    deadline_hours: 6.0,
-                },
-            )
-            .unwrap();
-        assert!((exec.total_cost - outcome.execution.total_cost).abs() < 1e-9);
-        assert!((exec.completion_hours - outcome.execution.completion_hours).abs() < 1e-9);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Adapting to mispredicted performance (§6.4, Figure 12).
 //!
 //! The model is seeded with an optimistic per-node throughput of 1.44 GB/h
-//! while the nodes actually deliver 0.44 GB/h. After the first hour the
-//! progress monitor detects the shortfall; Conductor re-plans from the
-//! observed state and allocates enough extra nodes to still meet the
-//! deadline, while a run that sticks to the initial plan misses it.
+//! while the nodes actually deliver 0.44 GB/h. The job runs as the only
+//! tenant of a fleet session; once the hourly progress monitor has a
+//! fielded node-hour to measure it detects the shortfall, Conductor
+//! re-plans from the observed state and allocates enough extra nodes to
+//! still meet the deadline, while a run that sticks to the initial plan
+//! misses it.
 //!
 //! Run with: `cargo run --example adaptive_replanning -p conductor-core`
 
@@ -25,7 +27,7 @@ fn main() {
             },
             1.44, // predicted GB/h per node
             0.44, // actual GB/h per node
-            1.0,  // re-plan after one hour
+            1.0,  // the monitor ticks every hour
         )
         .expect("adaptive run");
 
@@ -35,21 +37,18 @@ fn main() {
         report.initial_plan.peak_nodes("m1.large"),
         report.initial_plan.expected_cost
     );
+    let fielded = &report.execution.allocation_timeline;
     match report.replanned_at_hours {
         Some(at) => println!(
-            "updated plan : peak {} nodes (re-planned at {at:.0} h), expected cost ${:.2}",
-            report.updated_plan.peak_nodes("m1.large"),
-            report.updated_plan.expected_cost
+            "deployed     : peak {} nodes (re-planned at {at:.0} h)",
+            fielded.iter().map(|&(_, nodes)| nodes).max().unwrap_or(0)
         ),
         None => println!("monitor stayed quiet: no deviation, initial plan kept"),
     }
     println!();
     println!("node allocation actually deployed (Figure 12a):");
-    for step in &report.spliced_schedule {
-        println!(
-            "  from hour {:>4.1}: {:>3} x {}",
-            step.from_hour, step.nodes, step.instance_type
-        );
+    for &(hour, nodes) in fielded {
+        println!("  from hour {hour:>5.2}: {nodes:>3} x m1.large");
     }
     println!();
     println!(
