@@ -15,13 +15,13 @@
 //! benchmarks can verify the warm-start rate.
 
 use crate::error::LpError;
-use crate::problem::{Problem, Sense, SolveOptions, VarKind};
-use crate::revised::{solve_with_skeleton_revised, RevisedWorkspace};
-use crate::simplex::{SimplexResult, StandardFormSkeleton};
+use crate::expr::LinExpr;
+use crate::problem::{ConstraintOp, Problem, Sense, SolveOptions, VarKind};
+use crate::revised::{solve_node_revised, RevisedWorkspace};
+use crate::simplex::StandardFormSkeleton;
 use crate::solution::{Solution, SolveStats, SolveStatus};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 use std::time::Instant;
 
 /// Solves `problem` (LP or MIP) under `options`: a one-shot
@@ -130,17 +130,19 @@ impl SolveContext {
         let lower: Vec<f64> = problem.variables().iter().map(|v| v.lower).collect();
         let upper: Vec<f64> = problem.variables().iter().map(|v| v.upper).collect();
         let (skeleton, mut ws) = self.engine_for(problem, options, &lower, &upper)?;
-        let prev = std::mem::take(&mut self.last_basis);
-        let hint = if prev.is_empty() {
-            None
-        } else {
-            Some(prev.as_slice())
-        };
-        let result =
-            solve_with_skeleton_revised(&skeleton, &mut ws, &lower, &upper, hint, max_iterations);
-        match &result {
-            Ok(r) => self.last_basis = r.basis.clone(),
-            Err(_) => self.last_basis.clear(),
+        let warm = !self.last_basis.is_empty();
+        let result = solve_node_revised(
+            &skeleton,
+            &mut ws,
+            &lower,
+            &upper,
+            warm,
+            max_iterations,
+            &mut Vec::new(),
+        );
+        self.last_basis.clear();
+        if result.is_ok() {
+            self.last_basis.extend_from_slice(ws.last_basis());
         }
         self.cached = Some((skeleton, ws));
         result.map(|r| r.objective)
@@ -168,6 +170,19 @@ impl SolveContext {
     }
 
     /// Rebuilds a context from [`SolveContext::export_state`] output.
+    ///
+    /// The blob crosses a trust boundary, so beyond framing (truncation,
+    /// trailing bytes, invalid tags) every decoded part is checked
+    /// structurally before it is accepted: per-row and per-column vectors
+    /// have the lengths the layout implies, every stored row, step, column
+    /// or variable index is in range, permutations and their inverses agree,
+    /// every pivot a solve divides by is finite and non-zero, and the basis
+    /// agrees with its flags. A blob that fails is an `Err`, not a panic
+    /// inside the next solve. (One that passes may still carry damaged
+    /// *numbers*: the warm start's residual check sends a corrupted
+    /// factorization to the cold path, but a flipped matrix coefficient is
+    /// simply another problem. Integrity of the bytes is the checkpoint
+    /// store's job; this decoder's is never to crash on them.)
     pub fn import_state(blob: &str) -> Result<Self, crate::state::StateError> {
         let bytes = crate::state::from_hex(blob)?;
         let mut r = crate::state::Reader::new(&bytes);
@@ -206,14 +221,9 @@ pub fn solve_with_context(
     ctx.last_stats = None;
     let (skeleton, workspace) = ctx.engine_for(problem, options, &lower, &upper)?;
     let entry = WorkspaceCounts::read(&workspace);
-    let root_basis = {
-        let prev = std::mem::take(&mut ctx.last_basis);
-        if prev.is_empty() {
-            None
-        } else {
-            Some(Rc::new(prev))
-        }
-    };
+    // A context's last basis authorizes the root's warm start; what it
+    // holds is never read (the workspace resumes from its own).
+    let root_warm = !ctx.last_basis.is_empty();
     let mut solver = NodeSolver {
         problem,
         options,
@@ -222,14 +232,14 @@ pub fn solve_with_context(
     };
     let (result, nodes_explored, simplex_iterations) = if problem.is_mip() {
         let mut bb = BranchAndBound::new(problem, options, start, solver);
-        let result = bb.run(lower, upper, root_basis);
+        let result = bb.run(lower, upper, root_warm);
         solver = bb.node_solver;
         (result, bb.nodes_explored, bb.simplex_iterations)
     } else {
-        let hint = root_basis.as_ref().map(|b| b.as_slice());
-        match solver.solve_node(&lower, &upper, hint) {
+        let mut values = Vec::new();
+        match solver.solve_node(&lower, &upper, root_warm, &mut values) {
             Ok(r) => {
-                let found = (SolveStatus::Optimal, r.objective, r.values, 0.0);
+                let found = (SolveStatus::Optimal, r.objective, values, 0.0);
                 (Ok(found), 1, r.iterations)
             }
             Err(e) => (Err(e), 0, 0),
@@ -250,7 +260,9 @@ pub fn solve_with_context(
         bound_flips: exit.pivots.0 - entry.pivots.0,
         ft_updates: exit.pivots.1 - entry.pivots.1,
     };
-    ctx.last_basis = solver.workspace.last_basis().to_vec();
+    ctx.last_basis.clear();
+    ctx.last_basis
+        .extend_from_slice(solver.workspace.last_basis());
     ctx.cached = Some((solver.skeleton, solver.workspace));
     let solution = result.map(|(status, objective, values, gap)| {
         stats.relative_gap = gap;
@@ -313,49 +325,61 @@ struct NodeSolver<'a> {
     workspace: RevisedWorkspace,
 }
 
+/// One node's relaxation; the point itself is in the caller's buffer.
+struct Relaxation {
+    objective: f64,
+    iterations: usize,
+    /// `true` when children may warm-start from the state this solve left
+    /// in the shared workspace.
+    inheritable: bool,
+}
+
 impl NodeSolver<'_> {
-    /// Solves one relaxation. `basis_hint` is the parent's final basis; the
-    /// hint is only meaningful against the shared skeleton, so the fallback
-    /// path ignores it and solves cold.
+    /// Solves one relaxation into `values`. `warm` says the parent left a
+    /// basis worth resuming from; it is only meaningful against the shared
+    /// skeleton, so the fallback path ignores it and solves cold.
     fn solve_node(
         &mut self,
         lower: &[f64],
         upper: &[f64],
-        basis_hint: Option<&[usize]>,
-    ) -> Result<SimplexResult, LpError> {
+        warm: bool,
+        values: &mut Vec<f64>,
+    ) -> Result<Relaxation, LpError> {
         let max_iterations = self.options.max_simplex_iterations;
-        let hint = if self.options.warm_start {
-            basis_hint
-        } else {
-            None
-        };
         if self.skeleton.compatible(lower, upper) {
-            return solve_with_skeleton_revised(
+            let r = solve_node_revised(
                 &self.skeleton,
                 &mut self.workspace,
                 lower,
                 upper,
-                hint,
+                warm && self.options.warm_start,
                 max_iterations,
-            );
+                values,
+            )?;
+            return Ok(Relaxation {
+                objective: r.objective,
+                iterations: r.iterations,
+                inheritable: !self.workspace.last_basis().is_empty(),
+            });
         }
         // The rare node whose bounds change a variable's standard-form
         // classification (e.g. branching on a variable that the root
         // fixed): build a one-off skeleton and solve it cold with a fresh
-        // workspace. The basis indices of such a solve are meaningless
-        // against the shared skeleton's layout, so they are stripped before
-        // children can inherit them as hints.
+        // workspace. Such a solve leaves nothing in the shared workspace,
+        // so children must not inherit a warm start from it.
         let fresh = build_skeleton(self.problem, self.options, lower, upper)?;
         let mut ws = fresh_workspace(self.options);
-        let mut r =
-            solve_with_skeleton_revised(&fresh, &mut ws, lower, upper, None, max_iterations)?;
-        r.basis = Vec::new();
-        Ok(r)
+        let r = solve_node_revised(&fresh, &mut ws, lower, upper, false, max_iterations, values)?;
+        Ok(Relaxation {
+            objective: r.objective,
+            iterations: r.iterations,
+            inheritable: false,
+        })
     }
 }
 
 /// A pending search node: bound overrides plus the parent relaxation bound
-/// and the parent's final basis for warm starting.
+/// and whether the parent left a basis to warm-start from.
 struct Node {
     lower: Vec<f64>,
     upper: Vec<f64>,
@@ -363,8 +387,9 @@ struct Node {
     /// (used for best-bound ordering and pruning).
     bound: f64,
     depth: usize,
-    /// Parent's final simplex basis (shared by both children).
-    basis: Option<Rc<Vec<usize>>>,
+    /// `true` when the parent's solve left the shared workspace on a basis
+    /// this node may resume from.
+    warm: bool,
 }
 
 /// Max-heap entry ordered so the node with the smallest minimization bound
@@ -394,6 +419,58 @@ impl Ord for HeapEntry {
     }
 }
 
+/// The problem's constraint rows and, last, its objective, flattened once
+/// per tree for the rounding heuristic, which evaluates them at every node.
+/// A row keeps its expression's terms in `LinExpr`'s variable order and
+/// starts from its constant, so [`Self::evaluate`] performs
+/// [`LinExpr::evaluate`]'s additions on the same operands in the same order
+/// — without walking a `BTreeMap` per row per node.
+struct FlatRows {
+    /// Row `r` owns `vars[starts[r]..starts[r + 1]]` and the same of `coefs`.
+    starts: Vec<usize>,
+    vars: Vec<usize>,
+    coefs: Vec<f64>,
+    constants: Vec<f64>,
+}
+
+impl FlatRows {
+    fn new(problem: &Problem) -> Self {
+        let mut rows = Self {
+            starts: vec![0],
+            vars: Vec::new(),
+            coefs: Vec::new(),
+            constants: Vec::new(),
+        };
+        for c in problem.constraints() {
+            rows.push(&c.expr);
+        }
+        rows.push(problem.objective());
+        rows
+    }
+
+    fn push(&mut self, expr: &LinExpr) {
+        for (var, coef) in expr.terms() {
+            self.vars.push(var.index());
+            self.coefs.push(coef);
+        }
+        self.starts.push(self.vars.len());
+        self.constants.push(expr.constant());
+    }
+
+    fn objective_row(&self) -> usize {
+        self.constants.len() - 1
+    }
+
+    fn evaluate(&self, row: usize, values: &[f64]) -> f64 {
+        let span = self.starts[row]..self.starts[row + 1];
+        let mut acc = self.constants[row];
+        for (&var, &coef) in self.vars[span.clone()].iter().zip(&self.coefs[span]) {
+            acc += coef * values[var];
+        }
+        acc
+    }
+}
+
 struct BranchAndBound<'a> {
     problem: &'a Problem,
     options: &'a SolveOptions,
@@ -404,6 +481,14 @@ struct BranchAndBound<'a> {
     best_bound: f64,
     nodes_explored: usize,
     simplex_iterations: usize,
+    rows: FlatRows,
+    /// The current node's relaxation point.
+    values: Vec<f64>,
+    /// The rounding heuristic's candidate point.
+    rounded: Vec<f64>,
+    /// The constraint that refuted the last rounded point: feasibility is a
+    /// pure conjunction, so the likeliest refuter may be asked first.
+    last_refuter: usize,
 }
 
 impl<'a> BranchAndBound<'a> {
@@ -427,6 +512,10 @@ impl<'a> BranchAndBound<'a> {
             best_bound: f64::NEG_INFINITY,
             nodes_explored: 0,
             simplex_iterations: 0,
+            rows: FlatRows::new(problem),
+            values: Vec::new(),
+            rounded: Vec::new(),
+            last_refuter: 0,
         }
     }
 
@@ -439,7 +528,7 @@ impl<'a> BranchAndBound<'a> {
         &mut self,
         root_lower: Vec<f64>,
         root_upper: Vec<f64>,
-        root_basis: Option<Rc<Vec<usize>>>,
+        root_warm: bool,
     ) -> Result<Found, LpError> {
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         heap.push(HeapEntry {
@@ -449,7 +538,7 @@ impl<'a> BranchAndBound<'a> {
                 upper: root_upper,
                 bound: f64::NEG_INFINITY,
                 depth: 0,
-                basis: root_basis,
+                warm: root_warm,
             },
         });
 
@@ -471,9 +560,11 @@ impl<'a> BranchAndBound<'a> {
                 }
             }
 
-            let hint = node.basis.as_ref().map(|b| b.as_slice());
             attempted_any_node = true;
-            let relax = match self.node_solver.solve_node(&node.lower, &node.upper, hint) {
+            let solved =
+                self.node_solver
+                    .solve_node(&node.lower, &node.upper, node.warm, &mut self.values);
+            let relax = match solved {
                 Ok(r) => r,
                 Err(LpError::Infeasible) => continue,
                 Err(LpError::Unbounded) => {
@@ -502,16 +593,18 @@ impl<'a> BranchAndBound<'a> {
                 }
             }
 
-            match self.most_violated(&relax) {
+            match self.most_violated() {
                 None => {
                     // Integral (and semi-continuous feasible): candidate incumbent.
-                    self.offer_incumbent(relax.objective, relax.values);
+                    if self.improves_incumbent(relax.objective) {
+                        set_incumbent(&mut self.incumbent, relax.objective, &self.values);
+                    }
                 }
                 Some(branch_var) => {
                     // Cheap rounding heuristics give early incumbents and keep
                     // the tree small (most of our models are near-integral).
-                    self.try_rounding_heuristic(&relax, &node);
-                    self.branch(&node, branch_var, &relax, relax_min, &mut heap);
+                    self.try_rounding_heuristic(&node);
+                    self.branch(node, branch_var, relax.inheritable, relax_min, &mut heap);
                 }
             }
 
@@ -565,13 +658,13 @@ impl<'a> BranchAndBound<'a> {
     }
 
     /// Returns the index of the integrality/semi-continuity-violating variable
-    /// whose fractional part is largest, or `None` if the relaxation is feasible
-    /// for the MIP.
-    fn most_violated(&self, relax: &SimplexResult) -> Option<usize> {
+    /// of the current relaxation point whose fractional part is largest, or
+    /// `None` if the point is feasible for the MIP.
+    fn most_violated(&self) -> Option<usize> {
         let tol = self.options.integrality_tol;
         let mut best: Option<(usize, f64)> = None;
         for (i, var) in self.problem.variables().iter().enumerate() {
-            let x = relax.values[i];
+            let x = self.values[i];
             let violation = match var.kind {
                 VarKind::Continuous => 0.0,
                 VarKind::Integer => {
@@ -604,15 +697,17 @@ impl<'a> BranchAndBound<'a> {
         best.map(|(i, _)| i)
     }
 
+    /// Pushes the two children of `node` on `var`. The node's own bound
+    /// vectors become the second child's; the first child's are the one copy.
     fn branch(
         &mut self,
-        node: &Node,
+        node: Node,
         var: usize,
-        relax: &SimplexResult,
+        warm: bool,
         relax_min: f64,
         heap: &mut BinaryHeap<HeapEntry>,
     ) {
-        let x = relax.values[var];
+        let x = self.values[var];
         let kind = self.problem.variables()[var].kind;
         let (left, right): ((f64, f64), (f64, f64)) = match kind {
             VarKind::Integer => {
@@ -625,42 +720,50 @@ impl<'a> BranchAndBound<'a> {
             }
             VarKind::Continuous => unreachable!("continuous variables are never branched on"),
         };
-        // Both children share the parent's final basis as their warm-start
-        // hint; nodes solved via fallback paths return an empty basis, which
-        // children must not inherit.
-        let parent_basis = if relax.basis.is_empty() {
-            None
-        } else {
-            Some(Rc::new(relax.basis.clone()))
-        };
-        for (lo, hi) in [left, right] {
-            if lo > hi + 1e-12 {
-                continue;
-            }
-            let mut lower = node.lower.clone();
-            let mut upper = node.upper.clone();
-            lower[var] = lo;
-            upper[var] = hi;
+        let empty = |(lo, hi): (f64, f64)| lo > hi + 1e-12;
+        let Node {
+            mut lower,
+            mut upper,
+            depth,
+            ..
+        } = node;
+        let mut push = |lower: Vec<f64>, upper: Vec<f64>| {
             heap.push(HeapEntry {
                 order: relax_min,
                 node: Node {
                     lower,
                     upper,
                     bound: relax_min,
-                    depth: node.depth + 1,
-                    basis: parent_basis.clone(),
+                    depth: depth + 1,
+                    warm,
                 },
             });
+        };
+        if !empty(left) {
+            let (mut l, mut u) = if empty(right) {
+                (std::mem::take(&mut lower), std::mem::take(&mut upper))
+            } else {
+                (lower.clone(), upper.clone())
+            };
+            (l[var], u[var]) = left;
+            push(l, u);
+        }
+        if !empty(right) {
+            (lower[var], upper[var]) = right;
+            push(lower, upper);
         }
     }
 
-    /// Rounds the relaxation to a MIP-feasible point and offers it as an
-    /// incumbent if it satisfies all constraints. Two roundings are tried:
-    /// nearest-integer and ceiling (rounding resource counts *up* is usually
-    /// the safe direction in Conductor's capacity-style constraints).
-    fn try_rounding_heuristic(&mut self, relax: &SimplexResult, node: &Node) {
+    /// Rounds the relaxation point to a MIP-feasible one and makes it the
+    /// incumbent if it satisfies all constraints and improves on it. Two
+    /// roundings are tried: nearest-integer and ceiling (rounding resource
+    /// counts *up* is usually the safe direction in Conductor's
+    /// capacity-style constraints).
+    fn try_rounding_heuristic(&mut self, node: &Node) {
+        let mut values = std::mem::take(&mut self.rounded);
         for ceiling in [false, true] {
-            let mut values = relax.values.clone();
+            values.clear();
+            values.extend_from_slice(&self.values);
             for (i, var) in self.problem.variables().iter().enumerate() {
                 match var.kind {
                     VarKind::Continuous => {}
@@ -681,17 +784,38 @@ impl<'a> BranchAndBound<'a> {
                     }
                 }
             }
-            // The objective is one expression, feasibility one per
-            // constraint: ask first whether the point could be accepted.
-            let obj = self.problem.objective().evaluate(&values);
+            // The objective is one row, feasibility one per constraint:
+            // ask first whether the point could be accepted.
+            let obj = self.rows.evaluate(self.rows.objective_row(), &values);
             if self.improves_incumbent(obj) && self.is_feasible(&values) {
-                self.incumbent = Some((obj, values));
+                set_incumbent(&mut self.incumbent, obj, &values);
             }
         }
+        self.rounded = values;
     }
 
     /// Checks all constraints, bounds and integrality of a candidate point.
-    fn is_feasible(&self, values: &[f64]) -> bool {
+    fn is_feasible(&mut self, values: &[f64]) -> bool {
+        // One failing conjunct settles it, and consecutive nodes round to
+        // look-alike points: ask the last refuter before anything else.
+        let rows = self.problem.constraints().len();
+        let first = self.last_refuter;
+        if first < rows && !self.row_holds(first, values) {
+            return false;
+        }
+        if !self.within_variable_domains(values) {
+            return false;
+        }
+        for row in (0..rows).filter(|&row| row != first) {
+            if !self.row_holds(row, values) {
+                self.last_refuter = row;
+                return false;
+            }
+        }
+        true
+    }
+
+    fn within_variable_domains(&self, values: &[f64]) -> bool {
         let tol = 1e-6;
         for (i, var) in self.problem.variables().iter().enumerate() {
             let x = values[i];
@@ -712,20 +836,18 @@ impl<'a> BranchAndBound<'a> {
                 }
             }
         }
-        for c in self.problem.constraints() {
-            let lhs = c.expr.evaluate(values);
-            let ok = match c.op {
-                crate::problem::ConstraintOp::Le => lhs <= c.rhs + tol * (1.0 + c.rhs.abs()),
-                crate::problem::ConstraintOp::Ge => lhs >= c.rhs - tol * (1.0 + c.rhs.abs()),
-                crate::problem::ConstraintOp::Eq => {
-                    (lhs - c.rhs).abs() <= tol * (1.0 + c.rhs.abs())
-                }
-            };
-            if !ok {
-                return false;
-            }
-        }
         true
+    }
+
+    fn row_holds(&self, row: usize, values: &[f64]) -> bool {
+        let tol = 1e-6;
+        let c = &self.problem.constraints()[row];
+        let lhs = self.rows.evaluate(row, values);
+        match c.op {
+            ConstraintOp::Le => lhs <= c.rhs + tol * (1.0 + c.rhs.abs()),
+            ConstraintOp::Ge => lhs >= c.rhs - tol * (1.0 + c.rhs.abs()),
+            ConstraintOp::Eq => (lhs - c.rhs).abs() <= tol * (1.0 + c.rhs.abs()),
+        }
     }
 
     /// `true` when a feasible point with this objective would replace the
@@ -736,11 +858,17 @@ impl<'a> BranchAndBound<'a> {
             Some((best, _)) => self.min_obj(objective) < self.min_obj(*best) - 1e-12,
         }
     }
+}
 
-    fn offer_incumbent(&mut self, objective: f64, values: Vec<f64>) {
-        if self.improves_incumbent(objective) {
-            self.incumbent = Some((objective, values));
+/// Replaces the incumbent, reusing its point's storage.
+fn set_incumbent(incumbent: &mut Option<(f64, Vec<f64>)>, objective: f64, values: &[f64]) {
+    match incumbent {
+        Some((best, point)) => {
+            *best = objective;
+            point.clear();
+            point.extend_from_slice(values);
         }
+        None => *incumbent = Some((objective, values.to_vec())),
     }
 }
 
@@ -833,11 +961,16 @@ mod tests {
                 dual_steepest_edge: dse,
                 ..Default::default()
             };
-            // Accumulate real warm-start state across two look-alike solves.
+            // Accumulate real warm-start state across two look-alike solves,
+            // then take the plan cache's certify step (a root LP solved to
+            // optimality), so the export happens while the workspace carries
+            // certified reduced costs — which the blob must not.
             let mut live = SolveContext::new();
             for (cap, c) in [(14.0, [8.0, 11.0, 6.0, 4.0]), (12.0, [7.0, 10.0, 6.5, 4.0])] {
                 solve_with_context(&make(cap, c), &opts, &mut live).unwrap();
             }
+            live.relaxation_bound(&make(12.5, [7.5, 10.0, 6.0, 4.5]), &opts, 10_000)
+                .unwrap();
             let blob = live.export_state();
             let mut restored = SolveContext::import_state(&blob).unwrap();
             assert_eq!(restored.reuse_counts(), live.reuse_counts());
@@ -848,7 +981,11 @@ mod tests {
             let sa = solve_with_context(&next, &opts, &mut live).unwrap();
             let sb = solve_with_context(&next, &opts, &mut restored).unwrap();
             assert_eq!(sa.objective().to_bits(), sb.objective().to_bits());
-            assert_eq!(sa.stats().nodes_explored, sb.stats().nodes_explored);
+            let effort = |s: &SolveStats| SolveStats {
+                solve_time: Default::default(),
+                ..*s
+            };
+            assert_eq!(effort(sa.stats()), effort(sb.stats()));
             assert_eq!(live.reuse_counts(), restored.reuse_counts());
             assert_eq!(live.warm_start_counts(), restored.warm_start_counts());
             // Strongest check: the post-solve states re-export to the exact
@@ -871,6 +1008,102 @@ mod tests {
         assert!(SolveContext::import_state(&blob[..blob.len() - 8]).is_err());
         // Trailing garbage is detected by the exhaustion check.
         assert!(SolveContext::import_state(&format!("{blob}00")).is_err());
+    }
+
+    /// Two LPs over one matrix whose optima sit at different vertices: the
+    /// first prefers `x`, its re-priced twin `y`.
+    fn repriced_twins() -> (Problem, Problem) {
+        let build = |cx: f64, cy: f64| {
+            let mut p = Problem::new("twin", Sense::Maximize);
+            let x = p.add_var("x", 0.0, f64::INFINITY);
+            let y = p.add_var("y", 0.0, f64::INFINITY);
+            p.set_objective([(x, cx), (y, cy)]);
+            p.add_constraint("a", [(x, 1.0), (y, 2.0)], ConstraintOp::Le, 8.0);
+            p.add_constraint("b", [(x, 3.0), (y, 1.0)], ConstraintOp::Le, 9.0);
+            p
+        };
+        (build(5.0, 1.0), build(1.0, 5.0))
+    }
+
+    /// A rebind swaps the objective under a live workspace at an unchanged
+    /// skeleton address, matrix and right-hand side, so the warm start of
+    /// the twin repairs nothing — and reduced costs certified for the first
+    /// objective would declare the old vertex optimal for the second.
+    #[test]
+    fn a_rebind_retires_the_certified_reduced_costs() {
+        let opts = SolveOptions::default();
+        let (first, twin) = repriced_twins();
+        let fresh = solve_with_context(&twin, &opts, &mut SolveContext::new()).unwrap();
+        assert!((fresh.objective() - 20.0).abs() < 1e-9);
+
+        let mut ctx = SolveContext::new();
+        let before = solve_with_context(&first, &opts, &mut ctx).unwrap();
+        assert!((before.objective() - 15.0).abs() < 1e-9);
+        let after = solve_with_context(&twin, &opts, &mut ctx).unwrap();
+        assert_eq!(ctx.reuse_counts(), (1, 1), "the twin must rebind");
+        assert_eq!(after.status(), SolveStatus::Optimal);
+        assert!(
+            (after.objective() - fresh.objective()).abs() < 1e-9,
+            "warm {} vs fresh {}",
+            after.objective(),
+            fresh.objective()
+        );
+        assert!(after.stats().warm_start_hits == 1 && after.stats().simplex_iterations > 0);
+
+        // The plan cache's certify step takes the same road.
+        let mut ctx = SolveContext::new();
+        ctx.relaxation_bound(&first, &opts, 10_000).unwrap();
+        let bound = ctx.relaxation_bound(&twin, &opts, 10_000).unwrap();
+        assert!((bound - fresh.objective()).abs() < 1e-9, "bound {bound}");
+        assert_eq!(ctx.warm_start_counts(), (1, 0));
+    }
+
+    /// A well-framed blob with one damaged byte — a length, an index, a flag,
+    /// a float — is either refused at import or restores a context whose next
+    /// solve returns (an answer or an error) without panicking.
+    #[test]
+    fn import_state_survives_every_single_byte_flip() {
+        let make = |cap, c| knapsack(ConstraintOp::Le, cap, c);
+        let next = make(13.0, [8.5, 11.0, 5.5, 4.25]);
+        let (mut refused, mut survived) = (0usize, 0usize);
+        for (bounded, ft, dse) in [(false, false, false), (true, true, true)] {
+            let opts = SolveOptions {
+                relative_gap: 0.0,
+                bounded_variables: bounded,
+                forrest_tomlin: ft,
+                dual_steepest_edge: dse,
+                ..Default::default()
+            };
+            let mut ctx = SolveContext::new();
+            for (cap, c) in [(14.0, [8.0, 11.0, 6.0, 4.0]), (12.0, [7.0, 10.0, 6.5, 4.0])] {
+                solve_with_context(&make(cap, c), &opts, &mut ctx).unwrap();
+            }
+            let bytes = crate::state::from_hex(&ctx.export_state()).unwrap();
+            for at in 0..bytes.len() {
+                for mask in [0xff, 0x01] {
+                    let mut damaged = bytes.clone();
+                    damaged[at] ^= mask;
+                    let blob = crate::state::to_hex(&damaged);
+                    let Ok(mut restored) = SolveContext::import_state(&blob) else {
+                        refused += 1;
+                        continue;
+                    };
+                    let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let _ = solve_with_context(&next, &opts, &mut restored);
+                    }));
+                    assert!(
+                        solved.is_ok(),
+                        "byte {at} ^ {mask:#04x} (bounded {bounded}): imported, then panicked"
+                    );
+                    survived += 1;
+                }
+            }
+        }
+        // Both outcomes must occur, or the sweep is not testing what it says.
+        assert!(
+            refused > 0 && survived > 0,
+            "{refused} refused, {survived} survived"
+        );
     }
 
     #[test]
@@ -1089,7 +1322,7 @@ mod tests {
                 upper: vec![],
                 bound: order,
                 depth: 0,
-                basis: None,
+                warm: false,
             },
         };
         let mut heap = BinaryHeap::new();

@@ -64,6 +64,45 @@ pub struct Singular {
     pub step: usize,
 }
 
+/// The pending elimination steps of one column (or, in a Forrest–Tomlin
+/// update, logical positions of one row), drained in ascending order. Both
+/// users only ever add a step above the one they just took, so a bitmap read
+/// by a forward cursor is the priority queue: the order of the drain — and
+/// with it every float the elimination produces — is the ascending order
+/// any other queue would give.
+#[derive(Debug, Clone, Default)]
+struct StepQueue {
+    words: Vec<u64>,
+    /// No bit is set in a word before this one.
+    cursor: usize,
+}
+
+impl StepQueue {
+    /// Empties the queue and sizes it for steps `0..n`.
+    fn reset(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        self.cursor = 0;
+    }
+
+    fn push(&mut self, step: usize) {
+        self.words[step / 64] |= 1 << (step % 64);
+        self.cursor = self.cursor.min(step / 64);
+    }
+
+    /// Removes and returns the smallest pending step.
+    fn pop(&mut self) -> Option<usize> {
+        while let Some(&word) = self.words.get(self.cursor) {
+            if word != 0 {
+                self.words[self.cursor] = word & (word - 1);
+                return Some(self.cursor * 64 + word.trailing_zeros() as usize);
+            }
+            self.cursor += 1;
+        }
+        None
+    }
+}
+
 /// `B₀ = L·U` with row permutation `prow` (step `k` pivoted original row
 /// `prow[k]`); `L` unit lower triangular stored by columns in original row
 /// space, `U` upper triangular stored by columns in step space.
@@ -86,8 +125,8 @@ impl LuFactors {
     /// Left-looking factorization of the basis columns `A[:, basis[k]]`.
     ///
     /// The elimination per column is worklist-driven (Gilbert–Peierls
-    /// flavor): pivot steps present in the column are drained from a min
-    /// binary heap in ascending order, and applying `L`'s column may push
+    /// flavor): pivot steps present in the column are drained from a
+    /// [`StepQueue`] in ascending order, and applying `L`'s column may push
     /// newly-reached steps. Cost is O(nnz(column's elimination subtree)),
     /// not O(k) — simplex bases from Conductor models factor with almost no
     /// fill, so this is the difference between O(nnz) and O(m²) per
@@ -101,7 +140,7 @@ impl LuFactors {
         work: &mut Vec<f64>,
         in_work: &mut Vec<bool>,
         touched: &mut Vec<usize>,
-        heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<usize>>,
+        queue: &mut StepQueue,
     ) -> Result<(), Singular> {
         self.m = m;
         self.l_cols.iter_mut().for_each(Vec::clear);
@@ -119,7 +158,7 @@ impl LuFactors {
         in_work.clear();
         in_work.resize(m, false);
         touched.clear();
-        heap.clear();
+        queue.reset(m);
 
         for (k, &bcol) in basis.iter().enumerate() {
             // Scatter column k of B, seeding the worklist with the pivot
@@ -130,16 +169,16 @@ impl LuFactors {
                     in_work[r] = true;
                     touched.push(r);
                     if self.step_of_row[r] != usize::MAX {
-                        heap.push(std::cmp::Reverse(self.step_of_row[r]));
+                        queue.push(self.step_of_row[r]);
                     }
                 }
                 work[r] += v;
             }
             // Eliminate reached pivot steps in ascending order.
-            while let Some(std::cmp::Reverse(j)) = heap.pop() {
+            while let Some(j) = queue.pop() {
                 let u = work[self.prow[j]];
                 work[self.prow[j]] = 0.0;
-                // A row can enter the heap once only (guarded by `in_work`),
+                // A row enters the queue once only (guarded by `in_work`),
                 // but its value may have cancelled to zero meanwhile.
                 if u.abs() > DROP_TOL {
                     self.u_cols[k].push((j, u));
@@ -148,7 +187,7 @@ impl LuFactors {
                             in_work[r] = true;
                             touched.push(r);
                             if self.step_of_row[r] != usize::MAX {
-                                heap.push(std::cmp::Reverse(self.step_of_row[r]));
+                                queue.push(self.step_of_row[r]);
                             }
                         }
                         work[r] -= u * v;
@@ -364,6 +403,10 @@ pub struct BasisFactorization {
     /// factors (the old LU + eta file still represent the current basis).
     lu_next: LuFactors,
     etas: Vec<Eta>,
+    /// Entry lists of retired etas, kept for the next ones: an eta column is
+    /// collected once per pivot and dropped at every refactorization, so
+    /// without this the file reallocates its way up to size ~m/2 per pivot.
+    spare_nz: Vec<Vec<(usize, f64)>>,
     // --- Forrest–Tomlin state (live only when `ft_mode`) ---
     ft_mode: bool,
     /// Row-wise mirror of `lu.u_cols`: `u_rows[j]` lists `(step k, u_jk)`
@@ -387,7 +430,7 @@ pub struct BasisFactorization {
     work: Vec<f64>,
     in_work: Vec<bool>,
     touched: Vec<usize>,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>>,
+    queue: StepQueue,
     /// Lifetime LU factorizations through this handle.
     pub factorizations: usize,
     /// Factorizations triggered *mid-stream* by the eta limit or a drift
@@ -415,10 +458,10 @@ impl BasisFactorization {
             &mut self.work,
             &mut self.in_work,
             &mut self.touched,
-            &mut self.heap,
+            &mut self.queue,
         )?;
         std::mem::swap(&mut self.lu, &mut self.lu_next);
-        self.etas.clear();
+        self.retire_etas();
         if self.ft_mode {
             self.rebuild_ft_aux();
         }
@@ -439,7 +482,7 @@ impl BasisFactorization {
             return;
         }
         self.ft_mode = on;
-        self.etas.clear();
+        self.retire_etas();
         self.ft_etas.clear();
         self.ft_since_refactor = 0;
         if on && self.lu.m > 0 {
@@ -513,13 +556,22 @@ impl BasisFactorization {
     /// `w[r]` must be safely away from zero (the caller's ratio test
     /// guarantees it).
     pub fn push_eta(&mut self, r: usize, w: &[f64]) {
-        let nz = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
+        let mut nz = self.spare_nz.pop().unwrap_or_default();
+        nz.extend(
+            w.iter()
+                .enumerate()
+                .filter(|&(i, &v)| i != r && v != 0.0)
+                .map(|(i, &v)| (i, v)),
+        );
         self.etas.push(Eta { r, wr: w[r], nz });
+    }
+
+    /// Empties the eta file, keeping its entry lists' storage.
+    fn retire_etas(&mut self) {
+        for mut eta in self.etas.drain(..) {
+            eta.nz.clear();
+            self.spare_nz.push(eta.nz);
+        }
     }
 
     /// Forrest–Tomlin update: replaces column `r` of `U` with the spike
@@ -544,7 +596,7 @@ impl BasisFactorization {
         }
         // Eliminate the old row r against the rows logically after it,
         // accumulating fill in `work` and draining positions in ascending
-        // logical order (same heap discipline as `factorize`).
+        // logical order (same queue discipline as `factorize`).
         let pt = self.pos[r];
         let acc = &mut self.work;
         acc.clear();
@@ -552,17 +604,17 @@ impl BasisFactorization {
         let inq = &mut self.in_work;
         inq.clear();
         inq.resize(m, false);
-        self.heap.clear();
+        self.queue.reset(m);
         for &(l, ul) in &self.u_rows[r] {
             acc[l] = ul;
             if !inq[l] {
                 inq[l] = true;
-                self.heap.push(std::cmp::Reverse(self.pos[l]));
+                self.queue.push(self.pos[l]);
             }
         }
         let mut eta_nz: Vec<(usize, f64)> = Vec::new();
         let mut d = v[r];
-        while let Some(std::cmp::Reverse(t)) = self.heap.pop() {
+        while let Some(t) = self.queue.pop() {
             let j = self.order[t];
             let c = acc[j];
             acc[j] = 0.0;
@@ -576,7 +628,7 @@ impl BasisFactorization {
                 for &(l, ujl) in &self.u_rows[j] {
                     if !inq[l] {
                         inq[l] = true;
-                        self.heap.push(std::cmp::Reverse(self.pos[l]));
+                        self.queue.push(self.pos[l]);
                     }
                     acc[l] -= mj * ujl;
                 }
@@ -661,12 +713,12 @@ impl BasisFactorization {
 //
 // The factor content is the accumulated result of the exact pivot sequence:
 // refactorizing the same basis from scratch lands on bitwise-different
-// floats, so a resumed run must carry these bytes verbatim. `lu_next` and
-// `heap` are staging/scratch fully reinitialized at the start of every use
-// and restore empty; the solve scratch vectors are tiny and travel anyway so
+// floats, so a resumed run must carry these bytes verbatim. `lu_next`,
+// `queue` and `spare_nz` are staging/scratch fully reinitialized at the start
+// of every use and restore empty; the solve scratch vectors are tiny and travel anyway so
 // a restored handle is indistinguishable field-for-field.
 
-use crate::state::{Reader, StateError, Writer};
+use crate::state::{ensure, is_permutation_pair, Reader, StateError, Writer};
 
 impl LuFactors {
     fn encode_state(&self, w: &mut Writer) {
@@ -687,6 +739,36 @@ impl LuFactors {
             prow: r.vec_usize()?,
             step_of_row: r.vec_usize()?,
         })
+    }
+}
+
+/// Every `(index, value)` entry of every list addresses one of `m` slots.
+fn indices_below(lists: &[Vec<(usize, f64)>], m: usize) -> bool {
+    lists.iter().flatten().all(|&(i, _)| i < m)
+}
+
+impl LuFactors {
+    /// The relations the solves index by: `m` columns each way, every stored
+    /// row/step inside `0..m`, `prow` a permutation with `step_of_row` its
+    /// inverse, and a diagonal that can be divided by.
+    fn validate(&self) -> Result<(), StateError> {
+        let m = self.m;
+        ensure(
+            self.l_cols.len() == m && self.u_cols.len() == m && self.u_diag.len() == m,
+            || format!("LU factors: a column list or the diagonal is not {m} long"),
+        )?;
+        ensure(
+            indices_below(&self.l_cols, m) && indices_below(&self.u_cols, m),
+            || format!("LU factors: an entry lies outside 0..{m}"),
+        )?;
+        ensure(
+            self.prow.len() == m && is_permutation_pair(&self.prow, &self.step_of_row),
+            || "LU factors: the row permutation and its inverse disagree".into(),
+        )?;
+        ensure(
+            self.u_diag.iter().all(|d| d.is_finite() && *d != 0.0),
+            || "LU factors: a zero or non-finite diagonal".into(),
+        )
     }
 }
 
@@ -740,11 +822,48 @@ impl BasisFactorization {
         w.usize(self.ft_updates);
     }
 
+    /// Dimension of the factorized basis (0 before the first factorization).
+    pub(crate) fn rows(&self) -> usize {
+        self.lu.m
+    }
+
+    /// Structural check of a decoded handle: everything an FTRAN, a BTRAN,
+    /// an update or a refactorization would index or divide by. The scratch
+    /// vectors are resized by every use and need none.
+    pub(crate) fn validate(&self) -> Result<(), StateError> {
+        self.lu.validate()?;
+        let m = self.lu.m;
+        ensure(
+            self.etas.iter().all(|e| {
+                e.r < m && e.wr.is_finite() && e.wr != 0.0 && e.nz.iter().all(|&(i, _)| i < m)
+            }),
+            || format!("eta file: a position outside 0..{m} or an unusable pivot"),
+        )?;
+        if !self.ft_mode {
+            return Ok(());
+        }
+        ensure(
+            self.u_rows.len() == m && indices_below(&self.u_rows, m),
+            || format!("Forrest–Tomlin rows: not {m} lists over 0..{m}"),
+        )?;
+        ensure(
+            self.order.len() == m && is_permutation_pair(&self.order, &self.pos),
+            || "Forrest–Tomlin order: the logical order and its inverse disagree".into(),
+        )?;
+        ensure(
+            self.ft_etas
+                .iter()
+                .all(|e| e.r < m && e.nz.iter().all(|&(j, _)| j < m)),
+            || format!("Forrest–Tomlin row etas: a step outside 0..{m}"),
+        )
+    }
+
     pub(crate) fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
         Ok(Self {
             lu: LuFactors::decode_state(r)?,
             lu_next: LuFactors::default(),
             etas: r.seq(Eta::decode_state)?,
+            spare_nz: Vec::new(),
             ft_mode: r.bool()?,
             u_rows: r.seq(|r| r.vec_idx_f64())?,
             order: r.vec_usize()?,
@@ -756,7 +875,7 @@ impl BasisFactorization {
             work: r.vec_f64()?,
             in_work: r.vec_bool()?,
             touched: r.vec_usize()?,
-            heap: std::collections::BinaryHeap::new(),
+            queue: StepQueue::default(),
             factorizations: r.usize()?,
             refactorizations: r.usize()?,
             ft_updates: r.usize()?,

@@ -47,6 +47,53 @@
 //! * **Dual steepest-edge pricing** for the warm-start repair: leaving rows
 //!   are ranked by `δ²/γ` with reference-framework weights (`γ = 1` at
 //!   repair start) maintained by the Forrest–Goldfarb update formula.
+//!
+//! # Bit-exactness: what may be skipped, cached or reordered
+//!
+//! Which tenant a fleet admits is chaotic in the pivot path (one different
+//! bit in one reduced cost can re-order a ratio test a thousand nodes
+//! later), so this engine is optimised under one rule: **every
+//! floating-point operation that survives is performed on the same operands
+//! in the same order**, and `tests/solver_pins.rs` pins the resulting
+//! trajectory per solve. Under that rule
+//!
+//! * a *recomputation whose every input is unchanged* may be replaced by
+//!   the value it produced last time. That is the whole of the carried
+//!   certificate ([`RevisedWorkspace`]'s `d_certified`): the full pricing
+//!   scan that ends phase 2 has computed every `d_j = c_j − a_j·y`; the next
+//!   node's dual repair starts from the same basis, factors and `c`, so it
+//!   takes `d` as it stands, and a repair that needs no pivot skips the
+//!   polish, whose scan would price the same bits and find nothing again.
+//!   The mark is cleared by every pivot and bound flip (`update_factors`,
+//!   `bound_flip`), every refactorization (eta limit, drift refresh, cold
+//!   `fill`), a demoted at-upper status, `invalidate`/`configure`, decoding
+//!   a checkpoint — and by a [`StandardFormSkeleton::rebind`], which swaps
+//!   `c` under a live workspace at an unchanged address (hence the epoch
+//!   the mark carries). Debug builds re-derive `d` at every use and assert
+//!   bit equality (`debug_check_certificate`). The per-row right-hand sides
+//!   (`rhs_epoch`) are carried by the same argument: a row none of whose
+//!   variables moved its shift re-sums to the bits it already holds;
+//! * a *pure boolean conjunction* may be evaluated in any order and stopped
+//!   at the first `false` (the rounding heuristic asks the constraint that
+//!   refuted the last point first);
+//! * *storage* may change shape — reused buffers, pooled eta entry lists,
+//!   an ascending list of the non-basic columns instead of a flag test per
+//!   column, a bitmap instead of a binary heap for a drain whose order is
+//!   ascending either way — as long as every loop still visits the same
+//!   elements in the same order wherever the order reaches a float (a sum,
+//!   a tie-break).
+//!
+//! What may **not** change: a division replaced by a multiplication with a
+//! reciprocal, a re-associated or vectorised sum, a fused multiply-add, the
+//! order of the terms of a dot product, or the cadence of pivots and
+//! refactorizations. Nor may work be skipped *because an operand is an
+//! exact zero* unless the sign of that zero provably cannot escape:
+//! `0.0 / u_diag[k]` is `−0.0` under a negative pivot, `(−0.0) − (−0.0)` is
+//! `+0.0`, `f64::max(-0.0, 0.0)` in `extract_original_values` may return
+//! either, the vendored `serde_json` prints `-0.0`, and branch & bound's
+//! `HeapEntry` orders nodes with `total_cmp`, for which the two zeros
+//! differ. The `!= 0.0` guards the LU solves already carry are part of the
+//! pinned arithmetic; adding another one is a behaviour change.
 
 use crate::error::LpError;
 use crate::lu::BasisFactorization;
@@ -96,6 +143,15 @@ pub struct RevisedWorkspace {
     x_w: Vec<f64>,
     /// Per-variable mapping constant for the current node.
     shifts: Vec<f64>,
+    /// `Some(epoch)` while the constraint rows of `b_f` are the skeleton's
+    /// (at that epoch) right-hand sides under `shifts`: every fill and every
+    /// warm start leaves them so, and the next warm start re-sums only the
+    /// rows holding a variable whose shift moved — re-summing any other row
+    /// would reproduce the bits it holds. Never encoded: a decoded workspace
+    /// re-sums every row once.
+    rhs_epoch: Option<u64>,
+    /// The variables whose shift the current node moved (scratch).
+    moved: Vec<usize>,
     obj_constant: f64,
     b_scale: f64,
     has_inf: bool,
@@ -106,13 +162,33 @@ pub struct RevisedWorkspace {
     // Scratch (retained across solves).
     y: Vec<f64>,
     w: Vec<f64>,
+    /// Phase-2 reduced costs `d_j = c_j − a_j·y` of the non-basic,
+    /// non-artificial columns (zero elsewhere): written by every full
+    /// pricing scan, updated in place by the dual repair.
     d: Vec<f64>,
+    /// `Some(epoch)` while `d` is *certified*: the full pricing scan that
+    /// ended the last phase-2 optimization found no entering column, at
+    /// skeleton cost epoch `epoch`, and neither the basis, the factors nor
+    /// a column status has changed since. The next warm start then begins
+    /// its dual repair from `d` as it stands, and a repair that needs no
+    /// pivot is already optimal. Cleared by everything that could make a
+    /// recomputation differ by a bit (the module doc lists them); never
+    /// encoded — a decoded workspace recomputes, which is the original
+    /// arithmetic.
+    d_certified: Option<u64>,
     alpha: Vec<f64>,
     resid: Vec<f64>,
     /// Multiple-pricing shortlist: the most negative reduced-cost columns
     /// found by the last full pricing scan, re-priced (cheaply) each
     /// iteration until the list dries up.
     candidates: Vec<usize>,
+    // Scratch rebuilt from nothing by every use, and so not encoded: the
+    // full scan's bounded insertion list behind `candidates`, the
+    // standard-form values behind a solve's returned point, and the
+    // non-basic, non-artificial columns (ascending) during a dual repair.
+    scored: Vec<(usize, f64)>,
+    std_values: Vec<f64>,
+    nonbasic: Vec<usize>,
     /// Eta count at which the next refactorization attempt is allowed
     /// (backed off after a failed attempt so a temporarily singular basis
     /// cannot trigger an O(m²) factorization per pivot).
@@ -174,6 +250,8 @@ impl RevisedWorkspace {
     /// *addresses*, and a fresh allocation can legally reuse a freed one.
     pub fn invalidate(&mut self) {
         self.reusable = false;
+        self.d_certified = None;
+        self.rhs_epoch = None;
         self.skeleton_tag = 0;
     }
 
@@ -186,6 +264,7 @@ impl RevisedWorkspace {
         if forrest_tomlin != self.bf.ft_mode() {
             self.bf.set_ft_mode(forrest_tomlin);
             self.reusable = false;
+            self.d_certified = None;
         }
         self.use_dse = dual_steepest_edge;
     }
@@ -210,6 +289,15 @@ enum RepairResult {
     GaveUp,
 }
 
+/// One relaxation's outcome when the point itself went into the caller's
+/// buffer: objective in the original sense, simplex iterations (both phases
+/// plus warm-start repair pivots), and how the starting basis was obtained.
+pub(crate) struct NodeLp {
+    pub(crate) objective: f64,
+    pub(crate) iterations: usize,
+    pub(crate) warm: WarmStart,
+}
+
 /// Solves the continuous relaxation described by `skeleton` under the given
 /// bound overrides with the sparse revised simplex.
 ///
@@ -226,6 +314,39 @@ pub fn solve_with_skeleton_revised(
     basis_hint: Option<&[usize]>,
     max_iterations: usize,
 ) -> Result<SimplexResult, LpError> {
+    let mut values = Vec::new();
+    let node = solve_node_revised(
+        skeleton,
+        ws,
+        lower,
+        upper,
+        basis_hint.is_some(),
+        max_iterations,
+        &mut values,
+    )?;
+    Ok(SimplexResult {
+        values,
+        objective: node.objective,
+        iterations: node.iterations,
+        basis: ws.basis.clone(),
+        warm: node.warm,
+    })
+}
+
+/// [`solve_with_skeleton_revised`] for a caller that solves node after node:
+/// the point is written into `values` (cleared first), the final basis stays
+/// in the workspace ([`RevisedWorkspace::last_basis`]), and `warm` is all a
+/// basis hint ever said — the warm start resumes from the workspace's own
+/// last optimal basis, whatever the hint held.
+pub(crate) fn solve_node_revised(
+    skeleton: &StandardFormSkeleton,
+    ws: &mut RevisedWorkspace,
+    lower: &[f64],
+    upper: &[f64],
+    warm: bool,
+    max_iterations: usize,
+    values: &mut Vec<f64>,
+) -> Result<NodeLp, LpError> {
     for i in 0..lower.len() {
         if lower[i] > upper[i] + FEAS_TOL {
             return Err(LpError::Infeasible);
@@ -239,21 +360,32 @@ pub fn solve_with_skeleton_revised(
     let tag = skeleton as *const StandardFormSkeleton as usize;
     let mut solver = RSolver { sk: skeleton, ws };
 
-    let mut warm = WarmStart::Cold;
+    let mut start = WarmStart::Cold;
     let mut warm_iterations: Option<usize> = None;
-    if basis_hint.is_some() && solver.ws.reusable && solver.ws.skeleton_tag == tag {
+    if warm && solver.ws.reusable && solver.ws.skeleton_tag == tag {
         solver.ws.reusable = false; // re-armed only on success
         match solver.try_reuse(lower, upper) {
             ReuseOutcome::Reused(pivots) => {
                 let m = skeleton.m_total;
                 let polish_cap = (2 * (m + skeleton.cols)).max(64).min(max_iterations);
-                match solver.optimize(&skeleton.c, polish_cap, false) {
+                // A repair that needed no pivot under a certificate that
+                // survived it stands on the basis, the factors and the
+                // costs the certifying scan saw: the polish would rebuild
+                // the same duals, rescan the same reduced costs, find no
+                // entering column and leave the workspace as it is. (The
+                // repair's debug check has already re-priced this state.)
+                let polished = if pivots == 0 && polish_cap > 0 && solver.certified() {
+                    Ok(0)
+                } else {
+                    solver.optimize(&skeleton.c, polish_cap, false)
+                };
+                match polished {
                     Ok(n) => {
-                        warm = WarmStart::Hit;
+                        start = WarmStart::Hit;
                         warm_iterations = Some(n + pivots);
                         solver.ws.warm_hits += 1;
                     }
-                    Err(_) => warm = WarmStart::Miss,
+                    Err(_) => start = WarmStart::Miss,
                 }
             }
             ReuseOutcome::Infeasible => {
@@ -261,9 +393,9 @@ pub fn solve_with_skeleton_revised(
                 solver.ws.reusable = true;
                 return Err(LpError::Infeasible);
             }
-            ReuseOutcome::Fallback => warm = WarmStart::Miss,
+            ReuseOutcome::Fallback => start = WarmStart::Miss,
         }
-        if warm == WarmStart::Miss {
+        if start == WarmStart::Miss {
             solver.ws.warm_misses += 1;
         }
     }
@@ -306,18 +438,14 @@ pub fn solve_with_skeleton_revised(
         }
     };
 
-    let values = solver.extract_original_values(lower, upper);
+    solver.extract_original_values(lower, upper, values);
     let min_obj = solver.objective_for(&solver.sk.c) + solver.ws.obj_constant;
-    let objective = min_obj * skeleton.sense_factor;
-    let basis = solver.ws.basis.clone();
     solver.ws.reusable = true;
 
-    Ok(SimplexResult {
-        values,
-        objective,
+    Ok(NodeLp {
+        objective: min_obj * skeleton.sense_factor,
         iterations,
-        basis,
-        warm,
+        warm: start,
     })
 }
 
@@ -340,18 +468,28 @@ struct RSolver<'a> {
 }
 
 impl<'a> RSolver<'a> {
+    /// `true` while `ws.d` holds the certified reduced costs of *this*
+    /// skeleton's current objective.
+    fn certified(&self) -> bool {
+        self.ws.d_certified == Some(self.sk.epoch)
+    }
+
     fn compute_node_scalars(&mut self, lower: &[f64], upper: &[f64]) {
         let sk = self.sk;
         let ws = &mut *self.ws;
-        ws.shifts.clear();
         ws.shifts.resize(sk.var_map.len(), 0.0);
+        ws.moved.clear();
         for (i, map) in sk.var_map.iter().enumerate() {
-            ws.shifts[i] = match *map {
+            let shift = match *map {
                 VarMap::Shifted { .. } => lower[i],
                 VarMap::Mirrored { .. } => upper[i],
                 VarMap::Fixed => lower[i],
                 VarMap::Split { .. } => 0.0,
             };
+            if shift.to_bits() != ws.shifts[i].to_bits() {
+                ws.shifts[i] = shift;
+                ws.moved.push(i);
+            }
         }
         ws.obj_constant = sk.obj_base
             + sk.obj_terms
@@ -384,6 +522,7 @@ impl<'a> RSolver<'a> {
         let sk = self.sk;
         let ws = &mut *self.ws;
         ws.reusable = false;
+        ws.d_certified = None;
         let m = sk.m_total;
         ws.triplets.clear();
         ws.fill_flip.clear();
@@ -404,14 +543,10 @@ impl<'a> RSolver<'a> {
         ws.b_scale = 0.0;
         ws.has_inf = false;
         ws.refactor_after = 0;
+        ws.rhs_epoch = Some(sk.epoch);
 
         for (ri, row) in sk.rows.iter().enumerate() {
-            let rhs = row.base_rhs
-                - row
-                    .terms
-                    .iter()
-                    .map(|&(var, coef)| coef * ws.shifts[var])
-                    .sum::<f64>();
+            let rhs = row.rhs_under(&ws.shifts);
             let flip = rhs < 0.0;
             let sign = if flip { -1.0 } else { 1.0 };
             let effective_op = match (row.op, flip) {
@@ -518,6 +653,7 @@ impl<'a> RSolver<'a> {
     /// numerically singular.
     fn refactor_and_recompute(&mut self, refresh: bool) -> bool {
         let ws = &mut *self.ws;
+        ws.d_certified = None;
         if ws.bf.refactorize(&ws.a, &ws.basis, refresh).is_err() {
             return false;
         }
@@ -588,6 +724,7 @@ impl<'a> RSolver<'a> {
     /// and refactorizes at the scheme's update limit.
     fn update_factors(&mut self, leave: usize) -> Result<(), SolveAbort> {
         let m = self.sk.m_total;
+        self.ws.d_certified = None;
         if self.ws.bf.update(leave, &self.ws.w).is_err() {
             // Forrest–Tomlin rejected the replacement as numerically
             // singular. The basis bookkeeping already changed, so the old
@@ -689,6 +826,7 @@ impl<'a> RSolver<'a> {
         let now_upper = !self.ws.at_upper[enter];
         self.set_at_upper(enter, now_upper);
         self.ws.bound_flips += 1;
+        self.ws.d_certified = None;
     }
 
     /// Primal revised simplex iterations for the given cost vector.
@@ -729,6 +867,13 @@ impl<'a> RSolver<'a> {
                 self.price_partial(cost, enterable_end)
             };
             let Some(enter) = entering else {
+                // A full scan just priced every non-basic column against
+                // these factors and found nothing to enter. For the
+                // phase-2 costs that is the certificate the next warm
+                // start resumes from (Bland's scan stores no `d`).
+                if !allow_artificials && !use_bland {
+                    self.ws.d_certified = Some(sk.epoch);
+                }
                 return Ok(iterations);
             };
 
@@ -884,9 +1029,11 @@ impl<'a> RSolver<'a> {
         const SHORTLIST: usize = 24;
         let RevisedWorkspace {
             candidates,
+            scored,
             a,
             is_basic,
             y,
+            d,
             at_upper,
             ..
         } = &mut *self.ws;
@@ -918,18 +1065,24 @@ impl<'a> RSolver<'a> {
         }
 
         // Full scan: rebuild the shortlist with the most negative columns
-        // (simple bounded insertion keeps the worst member at the tail).
+        // (simple bounded insertion keeps the worst member at the tail),
+        // leaving every reduced cost it computes in `d` — laid out as the
+        // dual repair lays them out, so a scan that ends phase 2 hands the
+        // next warm start its starting point.
         candidates.clear();
-        let mut scored: Vec<(usize, f64)> = Vec::with_capacity(SHORTLIST + 1);
+        scored.clear();
+        d.clear();
+        d.resize(a.cols(), 0.0);
         for j in 0..enterable_end {
             if is_basic[j] {
                 continue;
             }
-            let d = score_of(j, cost[j] - a.col_dot(j, y));
-            if d < -COST_TOL {
-                let at = scored.partition_point(|&(_, s)| s <= d);
+            d[j] = cost[j] - a.col_dot(j, y);
+            let score = score_of(j, d[j]);
+            if score < -COST_TOL {
+                let at = scored.partition_point(|&(_, s)| s <= score);
                 if at < SHORTLIST {
-                    scored.insert(at, (j, d));
+                    scored.insert(at, (j, score));
                     scored.truncate(SHORTLIST);
                 }
             }
@@ -1036,6 +1189,7 @@ impl<'a> RSolver<'a> {
         // x = B⁻¹·b computed from it, just below.)
         if self.ws.bf.eta_count() >= self.ws.bf.update_limit(m) {
             let ws = &mut *self.ws;
+            ws.d_certified = None;
             if ws.bf.refactorize(&ws.a, &ws.basis, true).is_err() {
                 return ReuseOutcome::Fallback;
             }
@@ -1044,15 +1198,18 @@ impl<'a> RSolver<'a> {
 
         let ws = &mut *self.ws;
         ws.has_inf = false;
-        for (ri, row) in sk.rows.iter().enumerate() {
-            let raw = row.base_rhs
-                - row
-                    .terms
-                    .iter()
-                    .map(|&(var, coef)| coef * ws.shifts[var])
-                    .sum::<f64>();
-            ws.b_f[ri] = ws.fill_flip[ri] * raw;
-            ws.b_w[ri] = 0.0;
+        if ws.rhs_epoch == Some(sk.epoch) {
+            for &var in &ws.moved {
+                for &ri in sk.rows_of(var) {
+                    ws.b_f[ri] = ws.fill_flip[ri] * sk.rows[ri].rhs_under(&ws.shifts);
+                }
+            }
+        } else {
+            for (ri, row) in sk.rows.iter().enumerate() {
+                ws.b_f[ri] = ws.fill_flip[ri] * row.rhs_under(&ws.shifts);
+                ws.b_w[ri] = 0.0;
+            }
+            ws.rhs_epoch = Some(sk.epoch);
         }
         for (k, &(_, var)) in sk.span_rows.iter().enumerate() {
             let ri = sk.m_constraints + k;
@@ -1076,6 +1233,8 @@ impl<'a> RSolver<'a> {
             for j in 0..sk.cols {
                 if ws.at_upper[j] && !ws.col_upper[j].is_finite() {
                     ws.at_upper[j] = false;
+                    // The certifying scan scored this column at its upper.
+                    ws.d_certified = None;
                 }
             }
         }
@@ -1202,22 +1361,17 @@ impl<'a> RSolver<'a> {
             ws.dse_gamma.resize(m, 1.0);
         }
 
-        // Reduced costs of the non-basic, non-artificial columns.
-        {
-            let ws = &mut *self.ws;
-            ws.y.clear();
-            ws.y.extend(ws.basis.iter().map(|&b| sk.c[b]));
-            ws.bf.btran(&mut ws.y);
-            ws.d.clear();
-            ws.d.resize(sk.cols, 0.0);
-            for j in 0..sk.artificial_start {
-                if !ws.is_basic[j] {
-                    ws.d[j] = sk.c[j] - ws.a.col_dot(j, &ws.y);
-                }
-            }
+        // Reduced costs of the non-basic, non-artificial columns: the
+        // certified ones as they stand, else `d = c − Aᵀ·B⁻ᵀ·c_B` afresh.
+        if self.certified() {
+            #[cfg(debug_assertions)]
+            self.debug_check_certificate();
+        } else {
+            self.price_phase2();
         }
 
         let mut pivots = 0usize;
+        let mut listed = false;
         loop {
             // Leaving row: any −∞ basic value first (most negative infinite
             // weight, then most negative finite part as tie-break), else the
@@ -1292,7 +1446,25 @@ impl<'a> RSolver<'a> {
             // its lower bound, +1 down to its upper.
             let s = if delta > 0.0 { 1.0 } else { -1.0 };
 
-            // Row r of B⁻¹·A via BTRAN(e_r), then the dual ratio test.
+            // The candidates of this repair's ratio tests, ascending (ties
+            // go to the lowest column): listed on the first pivot, kept in
+            // step with the basis by the pivots that follow.
+            if !listed {
+                let ws = &mut *self.ws;
+                ws.nonbasic.clear();
+                ws.nonbasic
+                    .extend((0..sk.artificial_start).filter(|&j| !ws.is_basic[j]));
+                listed = true;
+            }
+
+            // Row r of B⁻¹·A via BTRAN(e_r), and in the same pass over it
+            // the sign-aware dual ratio test: a candidate must move the
+            // leaving value toward its violated bound while keeping every
+            // reduced cost on its feasible side (`d ≥ 0` at lower, `d ≤ 0`
+            // at upper). With all columns at lower and `s = −1` this is the
+            // legacy `α < −tol`, `d/−α` test verbatim.
+            let mut enter: Option<(usize, f64)> = None;
+            let mut saw_tiny_negative = false;
             {
                 let ws = &mut *self.ws;
                 ws.y.clear();
@@ -1301,32 +1473,19 @@ impl<'a> RSolver<'a> {
                 ws.bf.btran(&mut ws.y);
                 ws.alpha.clear();
                 ws.alpha.resize(sk.artificial_start, 0.0);
-                for j in 0..sk.artificial_start {
-                    if !ws.is_basic[j] {
-                        ws.alpha[j] = ws.a.col_dot(j, &ws.y);
+                for &j in &ws.nonbasic {
+                    let alpha = ws.a.col_dot(j, &ws.y);
+                    ws.alpha[j] = alpha;
+                    let e = if ws.at_upper[j] { -1.0 } else { 1.0 };
+                    let a = s * e * alpha;
+                    if a > DUAL_PIVOT_TOL {
+                        let ratio = (e * ws.d[j]).max(0.0) / a;
+                        if enter.is_none_or(|(_, best)| ratio < best - 1e-12) {
+                            enter = Some((j, ratio));
+                        }
+                    } else if a > PIVOT_TOL {
+                        saw_tiny_negative = true;
                     }
-                }
-            }
-            // Sign-aware dual ratio test: a candidate must move the leaving
-            // value toward its violated bound while keeping every reduced
-            // cost on its feasible side (`d ≥ 0` at lower, `d ≤ 0` at
-            // upper). With all columns at lower and `s = −1` this is the
-            // legacy `α < −tol`, `d/−α` test verbatim.
-            let mut enter: Option<(usize, f64)> = None;
-            let mut saw_tiny_negative = false;
-            for j in 0..sk.artificial_start {
-                if self.ws.is_basic[j] {
-                    continue;
-                }
-                let e = if self.ws.at_upper[j] { -1.0 } else { 1.0 };
-                let a = s * e * self.ws.alpha[j];
-                if a > DUAL_PIVOT_TOL {
-                    let ratio = (e * self.ws.d[j]).max(0.0) / a;
-                    if enter.is_none_or(|(_, best)| ratio < best - 1e-12) {
-                        enter = Some((j, ratio));
-                    }
-                } else if a > PIVOT_TOL {
-                    saw_tiny_negative = true;
                 }
             }
             let Some((q, _)) = enter else {
@@ -1341,14 +1500,18 @@ impl<'a> RSolver<'a> {
             {
                 let ws = &mut *self.ws;
                 let theta_d = ws.d[q] / ws.alpha[q];
-                for j in 0..sk.artificial_start {
-                    if !ws.is_basic[j] && j != q {
+                for &j in &ws.nonbasic {
+                    if j != q {
                         ws.d[j] -= theta_d * ws.alpha[j];
                     }
                 }
+                let at = ws.nonbasic.binary_search(&q).expect("q is non-basic");
+                ws.nonbasic.remove(at);
                 let leaving_col = ws.basis[r];
                 if leaving_col < sk.artificial_start {
                     ws.d[leaving_col] = -theta_d;
+                    let at = ws.nonbasic.partition_point(|&j| j < leaving_col);
+                    ws.nonbasic.insert(at, leaving_col);
                 }
                 ws.d[q] = 0.0;
                 ws.w.clear();
@@ -1417,6 +1580,61 @@ impl<'a> RSolver<'a> {
         }
     }
 
+    /// The phase-2 pricing duals `y = B⁻ᵀ·c_B`, into `ws.y`.
+    fn phase2_duals(&mut self) {
+        let sk = self.sk;
+        let ws = &mut *self.ws;
+        ws.y.clear();
+        ws.y.extend(ws.basis.iter().map(|&b| sk.c[b]));
+        ws.bf.btran(&mut ws.y);
+    }
+
+    /// `d_j = c_j − a_j·y` for every non-basic, non-artificial column and
+    /// zero elsewhere, from fresh duals.
+    fn price_phase2(&mut self) {
+        self.phase2_duals();
+        let sk = self.sk;
+        let ws = &mut *self.ws;
+        ws.d.clear();
+        ws.d.resize(sk.cols, 0.0);
+        for j in 0..sk.artificial_start {
+            if !ws.is_basic[j] {
+                ws.d[j] = sk.c[j] - ws.a.col_dot(j, &ws.y);
+            }
+        }
+    }
+
+    /// Debug builds re-derive what a certificate stands in for, every time
+    /// one is used: the carried `d` must equal a from-scratch pricing bit
+    /// for bit, and no column may price as an entering candidate (what the
+    /// skipped polish would have scanned for). Tier-1 runs debug builds, so
+    /// every test of the solver is a test of the invalidation list. (`ws.y`
+    /// ends up holding the duals the uncertified path would have left.)
+    #[cfg(debug_assertions)]
+    fn debug_check_certificate(&mut self) {
+        self.phase2_duals();
+        let sk = self.sk;
+        let ws = &*self.ws;
+        assert_eq!(ws.d.len(), sk.cols, "certified d changed length");
+        for (j, &carried) in ws.d.iter().enumerate() {
+            let fresh = if j < sk.artificial_start && !ws.is_basic[j] {
+                sk.c[j] - ws.a.col_dot(j, &ws.y)
+            } else {
+                0.0
+            };
+            assert_eq!(
+                carried.to_bits(),
+                fresh.to_bits(),
+                "certified d[{j}] = {carried:e} but pricing afresh gives {fresh:e}"
+            );
+            let score = if ws.at_upper[j] { -fresh } else { fresh };
+            assert!(
+                score >= -COST_TOL,
+                "certified basis prices column {j} at {score:e}"
+            );
+        }
+    }
+
     /// `Σ cost[basis[i]] · x_f[i]` skipping zero-cost basic columns, so
     /// inert infinite span slacks never pollute the sum. Columns nonbasic
     /// at their upper bound (bounded-variable mode) contribute `c_j·u_j`.
@@ -1439,40 +1657,45 @@ impl<'a> RSolver<'a> {
         total
     }
 
-    fn extract_original_values(&self, lower: &[f64], upper: &[f64]) -> Vec<f64> {
+    /// Maps the basic solution back to the original variables, into
+    /// `values` (cleared first).
+    fn extract_original_values(&mut self, lower: &[f64], upper: &[f64], values: &mut Vec<f64>) {
         let sk = self.sk;
-        let mut std_values = vec![0.0; sk.num_struct];
-        for (i, &b) in self.ws.basis.iter().enumerate() {
+        let ws = &mut *self.ws;
+        let std_values = &mut ws.std_values;
+        std_values.clear();
+        std_values.resize(sk.num_struct, 0.0);
+        for (i, &b) in ws.basis.iter().enumerate() {
             if b < sk.num_struct {
-                std_values[b] = self.ws.x_f[i].max(0.0);
+                std_values[b] = ws.x_f[i].max(0.0);
             }
         }
         for (j, v) in std_values.iter_mut().enumerate() {
-            if self.ws.at_upper[j] {
-                *v = self.ws.col_upper[j];
+            if ws.at_upper[j] {
+                *v = ws.col_upper[j];
             }
         }
-        let mut values = vec![0.0; sk.var_map.len()];
-        for (i, map) in sk.var_map.iter().enumerate() {
-            values[i] = match *map {
-                VarMap::Shifted { col } => lower[i] + std_values[col],
-                VarMap::Mirrored { col } => upper[i] - std_values[col],
-                VarMap::Split { pos, neg } => std_values[pos] - std_values[neg],
-                VarMap::Fixed => lower[i],
-            };
-        }
-        values
+        values.clear();
+        values.extend(sk.var_map.iter().enumerate().map(|(i, map)| match *map {
+            VarMap::Shifted { col } => lower[i] + std_values[col],
+            VarMap::Mirrored { col } => upper[i] - std_values[col],
+            VarMap::Split { pos, neg } => std_values[pos] - std_values[neg],
+            VarMap::Fixed => lower[i],
+        }));
     }
 }
 
 // --- Checkpoint codec -------------------------------------------------------
 
-use crate::state::{Reader, StateError, Writer};
+use crate::state::{ensure, Reader, StateError, Writer};
 
 impl RevisedWorkspace {
-    /// Checkpoint encoding. Every field travels as exact bytes — the
-    /// factorized basis and the accumulated eta/Forrest–Tomlin updates are
-    /// path-dependent floats a rebuild cannot reproduce. The address-based
+    /// Checkpoint encoding. Every field that outlives a solve travels as
+    /// exact bytes — the factorized basis and the accumulated
+    /// eta/Forrest–Tomlin updates are path-dependent floats a rebuild
+    /// cannot reproduce. `d` travels, its certificate does not: the decoded
+    /// workspace prices afresh, which yields the carried bits, and a
+    /// tampered `d` can never be trusted into a solve. The address-based
     /// `skeleton_tag` cannot survive a round-trip literally, so it is
     /// encoded as "did it match `skeleton`?" and re-derived on decode from
     /// the restored skeleton's new address.
@@ -1553,7 +1776,7 @@ impl RevisedWorkspace {
         } else {
             0
         };
-        Ok(Self {
+        let ws = Self {
             a,
             triplets,
             bf,
@@ -1564,6 +1787,8 @@ impl RevisedWorkspace {
             x_f,
             x_w,
             shifts,
+            rhs_epoch: None,
+            moved: Vec::new(),
             obj_constant,
             b_scale,
             has_inf,
@@ -1572,9 +1797,13 @@ impl RevisedWorkspace {
             y,
             w,
             d,
+            d_certified: None,
             alpha,
             resid,
             candidates,
+            scored: Vec::new(),
+            std_values: Vec::new(),
+            nonbasic: Vec::new(),
             refactor_after,
             force_bland,
             reusable,
@@ -1588,6 +1817,44 @@ impl RevisedWorkspace {
             dse_tau: r.vec_f64()?,
             use_dse: r.bool()?,
             bound_flips: r.usize()?,
+        };
+        ws.validate(skeleton)?;
+        Ok(ws)
+    }
+
+    /// Structural check of a decoded workspace. The factors must be sound in
+    /// themselves whatever happens next (even a cold fill refactorizes
+    /// *through* them, and a mode switch rebuilds its mirrors from them).
+    /// Everything else a fill rebuilds from nothing, so it is only held to
+    /// `skeleton`'s shape when the next solve may warm-start from it as it
+    /// stands: a sound matrix, one entry per row or per column, a basis of
+    /// distinct in-range columns, and `is_basic` saying the same.
+    fn validate(&self, skeleton: &StandardFormSkeleton) -> Result<(), StateError> {
+        self.bf.validate()?;
+        let tag = skeleton as *const StandardFormSkeleton as usize;
+        if !self.reusable || self.skeleton_tag != tag {
+            return Ok(());
+        }
+        self.a.validate()?;
+        let (m, cols) = (skeleton.m_total, skeleton.cols);
+        let per_row = [&self.b_f, &self.b_w, &self.fill_flip];
+        ensure(
+            self.basis.len() == m
+                && self.bf.rows() == m
+                && self.a.rows() == m
+                && self.a.cols() == cols
+                && per_row.iter().all(|v| v.len() == m)
+                && self.is_basic.len() == cols
+                && self.at_upper.len() == cols,
+            || format!("workspace: not shaped for {m} rows and {cols} columns"),
+        )?;
+        let mut seen = vec![false; cols];
+        let distinct = self
+            .basis
+            .iter()
+            .all(|&b| b < cols && !std::mem::replace(&mut seen[b], true));
+        ensure(distinct && seen == self.is_basic, || {
+            "workspace: the basis and the basic-column flags disagree".into()
         })
     }
 }

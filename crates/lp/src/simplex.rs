@@ -105,6 +105,19 @@ pub(crate) struct SkelRow {
     pub(crate) base_rhs: f64,
 }
 
+impl SkelRow {
+    /// This row's right-hand side once every variable sits at its shift:
+    /// `base_rhs − Σ coef · shift[var]`, summed in term order.
+    pub(crate) fn rhs_under(&self, shifts: &[f64]) -> f64 {
+        self.base_rhs
+            - self
+                .terms
+                .iter()
+                .map(|&(var, coef)| coef * shifts[var])
+                .sum::<f64>()
+    }
+}
+
 /// The once-per-problem part of the standard-form rewrite.
 ///
 /// Building this walks every constraint expression exactly once; solving a
@@ -148,6 +161,28 @@ pub struct StandardFormSkeleton {
     /// `Shifted` with a span row, i.e. any branch-and-bound bound override
     /// stays expressible against this skeleton.
     nodes_stable: bool,
+    /// How many times [`Self::rebind`] has rewritten `c` and the rows'
+    /// `base_rhs` under this address. A workspace that carries reduced costs
+    /// or right-hand sides from one solve to the next records the epoch
+    /// they were computed at, so a rebind — which keeps the skeleton's
+    /// address, the matrix and therefore the factorized basis, but neither
+    /// the objective nor the RHS — cannot leave them looking current. Not
+    /// part of the checkpoint: a decoded workspace carries neither.
+    pub(crate) epoch: u64,
+    /// For each variable, the constraint rows whose `terms` mention it
+    /// (derived from `rows`; a rebind keeps the matrix, so it stands).
+    var_rows: Vec<Vec<usize>>,
+}
+
+/// Inverts `rows[..].terms`: which rows does each of `n` variables sit in?
+fn rows_by_var(rows: &[SkelRow], n: usize) -> Vec<Vec<usize>> {
+    let mut var_rows = vec![Vec::new(); n];
+    for (ri, row) in rows.iter().enumerate() {
+        for &(var, _) in &row.terms {
+            var_rows[var].push(ri);
+        }
+    }
+    var_rows
 }
 
 impl StandardFormSkeleton {
@@ -303,6 +338,7 @@ impl StandardFormSkeleton {
         let obj_base = problem.objective().constant() * sense_factor;
 
         Ok(Self {
+            var_rows: rows_by_var(&rows, n),
             var_map,
             root_lower: lower.to_vec(),
             root_upper: upper.to_vec(),
@@ -320,7 +356,13 @@ impl StandardFormSkeleton {
             obj_base,
             sense_factor,
             nodes_stable,
+            epoch: 0,
         })
+    }
+
+    /// The constraint rows whose right-hand side moves with `var`'s shift.
+    pub(crate) fn rows_of(&self, var: usize) -> &[usize] {
+        &self.var_rows[var]
     }
 
     /// `true` when branch & bound can solve every node of this problem
@@ -420,6 +462,7 @@ impl StandardFormSkeleton {
         };
         self.sense_factor = sense_factor;
         self.nodes_stable = nodes_stable;
+        self.epoch += 1;
         for (row, c) in self.rows.iter_mut().zip(problem.constraints()) {
             row.base_rhs = c.rhs - c.expr.constant();
         }
@@ -478,7 +521,7 @@ impl StandardFormSkeleton {
 
 // --- Checkpoint codec -------------------------------------------------------
 
-use crate::state::{Reader, StateError, Writer};
+use crate::state::{ensure, Reader, StateError, Writer};
 
 impl VarMap {
     fn encode_state(&self, w: &mut Writer) {
@@ -551,7 +594,9 @@ impl SkelRow {
 
 impl StandardFormSkeleton {
     /// Checkpoint encoding. A skeleton is plain data derived from the last
-    /// problem it was (re)bound to, so the whole struct travels verbatim —
+    /// problem it was (re)bound to, so the whole struct travels verbatim
+    /// (bar `epoch`, which only orders rebinds within one process, and
+    /// `var_rows`, which `rows` determines) —
     /// the decoded copy rebinds to the next matching problem exactly like
     /// the live one would have.
     pub(crate) fn encode_state(&self, w: &mut Writer) {
@@ -578,11 +623,23 @@ impl StandardFormSkeleton {
     }
 
     pub(crate) fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
-        Ok(Self {
-            var_map: r.seq(VarMap::decode_state)?,
-            root_lower: r.vec_f64()?,
-            root_upper: r.vec_f64()?,
-            rows: r.seq(SkelRow::decode_state)?,
+        let var_map = r.seq(VarMap::decode_state)?;
+        let root_lower = r.vec_f64()?;
+        let root_upper = r.vec_f64()?;
+        let rows: Vec<SkelRow> = r.seq(SkelRow::decode_state)?;
+        let n = var_map.len();
+        ensure(
+            rows.iter()
+                .flat_map(|row| &row.terms)
+                .all(|&(var, _)| var < n),
+            || format!("skeleton: a row term names a variable outside 0..{n}"),
+        )?;
+        let skeleton = Self {
+            var_rows: rows_by_var(&rows, n),
+            var_map,
+            root_lower,
+            root_upper,
+            rows,
             span_rows: r.seq(|r| Ok((r.usize()?, r.usize()?)))?,
             span_cols: r.vec_bool()?,
             bounded: r.bool()?,
@@ -596,6 +653,53 @@ impl StandardFormSkeleton {
             obj_base: r.f64()?,
             sense_factor: r.f64()?,
             nodes_stable: r.bool()?,
+            epoch: 0,
+        };
+        skeleton.validate()?;
+        Ok(skeleton)
+    }
+
+    /// Structural check of a decoded skeleton: the layout arithmetic
+    /// (`artificial_start`, `cols`, row counts) holds, every per-variable
+    /// vector has one entry per variable and every per-column one per
+    /// column, and every stored column or variable index is in range — what
+    /// `rebind`, `compatible` and a fill index without looking.
+    fn validate(&self) -> Result<(), StateError> {
+        let n = self.var_map.len();
+        let s = self.num_struct;
+        let layout = self.m_constraints == self.rows.len()
+            && self.m_constraints.checked_add(self.span_rows.len()) == Some(self.m_total)
+            && s.checked_add(self.m_total) == Some(self.artificial_start)
+            && self.artificial_start.checked_add(self.m_constraints) == Some(self.cols)
+            && (!self.bounded || self.span_rows.is_empty());
+        ensure(layout, || "skeleton: inconsistent row/column layout".into())?;
+        ensure(
+            self.root_lower.len() == n
+                && self.root_upper.len() == n
+                && self.span_cols.len() == s
+                && self.c.len() == self.cols,
+            || "skeleton: a per-variable or per-column vector has the wrong length".into(),
+        )?;
+        let cols_in_range = self.var_map.iter().all(|map| match *map {
+            VarMap::Shifted { col } | VarMap::Mirrored { col } => col < s,
+            VarMap::Split { pos, neg } => pos < s && neg < s,
+            VarMap::Fixed => true,
+        }) && self
+            .rows
+            .iter()
+            .flat_map(|row| &row.scatter)
+            .all(|&(col, _)| col < s);
+        ensure(cols_in_range, || {
+            format!("skeleton: a structural column outside 0..{s}")
+        })?;
+        let spans_ok = self.span_rows.iter().all(|&(col, var)| {
+            var < n && matches!(self.var_map[var], VarMap::Shifted { col: c } if c == col)
+        });
+        ensure(spans_ok, || {
+            "skeleton: a span row does not belong to a shifted variable".into()
+        })?;
+        ensure(self.obj_terms.iter().all(|&(var, _)| var < n), || {
+            format!("skeleton: an objective term names a variable outside 0..{n}")
         })
     }
 }

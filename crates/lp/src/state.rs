@@ -26,6 +26,27 @@ impl StateError {
     }
 }
 
+/// `Ok` when `ok`, else a [`StateError`] saying what a decoded blob got
+/// wrong — the one-line form of the structural checks the decoders run
+/// before a restored solver state is allowed near a solve.
+pub(crate) fn ensure(ok: bool, what: impl FnOnce() -> String) -> Result<(), StateError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(StateError::new(what()))
+    }
+}
+
+/// `true` when `perm` is a permutation of `0..perm.len()` and `inverse` its
+/// inverse (`inverse[perm[k]] == k`).
+pub(crate) fn is_permutation_pair(perm: &[usize], inverse: &[usize]) -> bool {
+    perm.len() == inverse.len()
+        && perm
+            .iter()
+            .enumerate()
+            .all(|(k, &p)| inverse.get(p) == Some(&k))
+}
+
 impl fmt::Display for StateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "solver state: {}", self.message)

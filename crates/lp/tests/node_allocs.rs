@@ -1,0 +1,154 @@
+//! A machine-independent gate on what a branch & bound node allocates.
+//!
+//! Its own test binary, because it installs a counting `#[global_allocator]`
+//! and must be the only thread allocating while it counts. Two solves share
+//! one [`SolveContext`], as a fleet's admissions do: a churn-class model
+//! (20 intervals, 80 variables, 83 standard-form rows) that no integer point
+//! satisfies, searched to its 2 000-node cap the way a refused admission is,
+//! and a Figure-16-class model (48 intervals, 192 variables) solved to a 2 %
+//! gap in 481 nodes. The gate is heap allocations per explored node over
+//! both — skeleton, workspace and heap growth included, so it also bounds
+//! the per-solve set-up.
+//!
+//! Readings (a count, so they repeat exactly, debug or release):
+//!
+//! | commit                                         | allocations | nodes | per node |
+//! |------------------------------------------------|------------:|------:|---------:|
+//! | parent `228560d`, before the node loop changed |      60 506 | 2 481 |    24.39 |
+//! | this change                                    |       6 666 | 2 481 |     2.69 |
+//!
+//! What is left is the one copy of the bound vectors a branch makes for its
+//! first child (two `Vec`s; the second child takes the parent's own) and the
+//! search heap's growth. The bound is the change's reading plus one: it
+//! fails the day a `clone()` or a `collect()` goes back into the node loop.
+
+use conductor_lp::{
+    ConstraintOp, LpError, Problem, Sense, SolveContext, SolveOptions, SolveStatus,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a relaxed statistic that publishes
+// no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout, forwarded as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same block, layout and size, forwarded as received.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// A deployment-plan look-alike over `intervals` hours: integer node counts
+/// `n_t`, continuous processing `w_t <= 0.44 n_t`, rate-capped uploads `u_t`
+/// into storage `s_t = s_{t-1} + u_t - w_t`, all of `input_gb` uploaded and
+/// processed, hourly prices that make late nodes cheaper. With `odd_nodes`
+/// the model also demands `sum 2 n_t` be odd — feasible for the relaxation,
+/// for no integer point — so the search runs to whatever cap it is given.
+fn plan_model(intervals: usize, input_gb: f64, odd_nodes: bool) -> Problem {
+    let mut p = Problem::new("plan", Sense::Minimize);
+    let n: Vec<_> = (0..intervals)
+        .map(|t| p.add_int_var(format!("n{t}"), 0.0, 15.0))
+        .collect();
+    let w: Vec<_> = (0..intervals)
+        .map(|t| p.add_var(format!("w{t}"), 0.0, f64::INFINITY))
+        .collect();
+    let u: Vec<_> = (0..intervals)
+        .map(|t| p.add_var(format!("u{t}"), 0.0, 1.7))
+        .collect();
+    let s: Vec<_> = (0..intervals)
+        .map(|t| p.add_var(format!("s{t}"), 0.0, f64::INFINITY))
+        .collect();
+    p.set_objective(
+        (0..intervals)
+            .map(|t| (n[t], 0.34 - 0.002 * (t % 7) as f64))
+            .chain((0..intervals).map(|t| (s[t], 0.01))),
+    );
+    for t in 0..intervals {
+        p.add_constraint(
+            format!("rate{t}"),
+            [(w[t], 1.0), (n[t], -0.44)],
+            ConstraintOp::Le,
+            0.0,
+        );
+        let mut balance = vec![(s[t], 1.0), (u[t], -1.0), (w[t], 1.0)];
+        if t > 0 {
+            balance.push((s[t - 1], -1.0));
+        }
+        p.add_constraint(format!("store{t}"), balance, ConstraintOp::Eq, 0.0);
+    }
+    p.add_constraint(
+        "upload",
+        u.iter().map(|&v| (v, 1.0)),
+        ConstraintOp::Eq,
+        input_gb,
+    );
+    p.add_constraint(
+        "process",
+        w.iter().map(|&v| (v, 1.0)),
+        ConstraintOp::Ge,
+        input_gb,
+    );
+    if odd_nodes {
+        let at_least = (input_gb / 0.44).ceil();
+        p.add_constraint(
+            "odd",
+            n.iter().map(|&v| (v, 2.0)),
+            ConstraintOp::Eq,
+            2.0 * at_least + 1.0,
+        );
+    }
+    p
+}
+
+#[test]
+fn a_node_allocates_next_to_nothing() {
+    let capped = plan_model(20, 30.0, true);
+    let fig16 = plan_model(48, 20.0, false);
+    let cap = SolveOptions {
+        max_nodes: 2_000,
+        ..SolveOptions::default()
+    };
+    let to_gap = SolveOptions {
+        relative_gap: 0.02,
+        ..SolveOptions::default()
+    };
+    let mut ctx = SolveContext::new();
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let refused = capped.solve_with_context(&cap, &mut ctx);
+    let capped_nodes = ctx.last_solve_stats().expect("searched").nodes_explored;
+    let planned = fig16.solve_with_context(&to_gap, &mut ctx);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert!(matches!(refused, Err(LpError::NoIncumbent)), "{refused:?}");
+    assert_eq!(capped_nodes, 2_000, "the capped model must reach its cap");
+    let planned = planned.expect("the Figure-16-class model plans");
+    assert_eq!(planned.status(), SolveStatus::Optimal);
+    let nodes = capped_nodes + planned.stats().nodes_explored;
+    let per_node = allocations as f64 / nodes as f64;
+    println!("{allocations} allocations over {nodes} nodes: {per_node:.2} per node");
+    assert!(
+        per_node <= 3.69,
+        "{allocations} allocations over {nodes} explored nodes is {per_node:.2} per node; \
+         the node loop read 2.69 when this gate was set"
+    );
+}
