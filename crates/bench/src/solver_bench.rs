@@ -1,13 +1,13 @@
 //! Solver-configuration ablation for the planner's MIP solver.
 //!
-//! Runs the fig16-style planning workloads through the revised engine as
-//! the three solver-core `SolveOptions` flags stack up — default (all off),
-//! `+bounded_variables`, `+forrest_tomlin`, `+dual_steepest_edge` — and
-//! reports wall-clock, plan cost and the warm-start/factorization
-//! statistics. The `fig16_solve_time` binary prints the table and gates on
-//! the same-process full-vs-default geomean; nothing is written to disk
-//! (every other wall-clock number in the repo lives in `benchmark/`, which
-//! never names a solver flag).
+//! Runs the fig16-style planning workloads through the revised engine under
+//! the whole 2 × 2 of the solver-core `SolveOptions` flags — default (both
+//! off), `+bounded_variables`, `+dual_steepest_edge`, both — and reports
+//! wall-clock, µs per simplex iteration, plan cost and the
+//! warm-start/factorization statistics. The `fig16_solve_time` binary
+//! prints the table and gates on the same-process full-vs-default geomean;
+//! nothing is written to disk (every other wall-clock number in the repo
+//! lives in `benchmark/`, which never names a solver flag).
 
 use conductor_cloud::{catalog::mbps_to_gb_per_hour, Catalog};
 use conductor_core::{Goal, Planner, PlanningReport, ResourcePool};
@@ -15,49 +15,54 @@ use conductor_lp::SolveOptions;
 use conductor_mapreduce::{JobSpec, Workload};
 use std::time::{Duration, Instant};
 
-/// One workload × four-configuration measurement.
+/// One configuration's fastest repetition on one workload.
+#[derive(Debug, Clone)]
+pub struct ConfigRun {
+    /// Solver-only wall-clock, milliseconds.
+    pub solve_ms: f64,
+    /// Plan cost (objective).
+    pub cost: f64,
+    /// The solve's own counters (deterministic per configuration).
+    pub report: PlanningReport,
+}
+
+impl ConfigRun {
+    /// Solver wall-clock per simplex iteration, microseconds: what a pivot
+    /// costs under this configuration, apart from how many it takes.
+    pub fn us_per_iteration(&self) -> f64 {
+        self.solve_ms * 1e3 / self.report.simplex_iterations.max(1) as f64
+    }
+}
+
+/// One workload under the four flag configurations. The default and full
+/// columns must land on the same plan cost to ~1e-4 relative (identical
+/// incumbents except where the 1 % gap stops the two searches at
+/// different-but-equivalent solutions).
 #[derive(Debug, Clone)]
 pub struct SolverBenchRow {
     /// Workload label, e.g. `kmeans-128gb-mig` for the migration-enabled run.
     pub workload: String,
-    /// Solver-only wall-clock under the default options, milliseconds.
-    pub revised_solve_ms: f64,
-    /// Plan cost (objective) under the default options.
-    pub revised_cost: f64,
-    /// Each flagged solver-core upgrade stacked on: bounded-variable
-    /// simplex alone, then with Forrest–Tomlin updates, then with dual
-    /// steepest-edge pricing too (the full new configuration). The default
-    /// and full columns must land on the same plan cost to ~1e-4 relative
-    /// (identical incumbents except where the 1 % gap stops the two
-    /// searches at different-but-equivalent solutions).
-    pub bounded_solve_ms: f64,
-    pub bounded_ft_solve_ms: f64,
-    pub full_solve_ms: f64,
-    pub full_cost: f64,
-    /// `revised_solve_ms / full_solve_ms` — the rebuild's per-row gain
-    /// over the legacy (span-row, eta-file, Dantzig-repair) engine.
-    pub speedup_full_vs_legacy: f64,
-    /// Branch & bound statistics of the default-options run.
-    pub nodes: usize,
-    pub simplex_iterations: usize,
-    /// Pivot counters for the full new configuration: ratio-test bound
-    /// flips (pivots the bounded-variable mode avoided entirely) and
-    /// Forrest–Tomlin factor updates (eta appends avoided).
-    pub bound_flips: usize,
-    pub ft_updates: usize,
-    pub warm_start_hits: usize,
-    pub warm_start_misses: usize,
-    pub warm_start_rate: f64,
-    /// LU factorizations of the default-options run.
-    pub basis_factorizations: usize,
+    /// Both flags off: span-row skeleton, most-violated repair pricing.
+    pub default: ConfigRun,
+    pub bounded: ConfigRun,
+    pub dse: ConfigRun,
+    /// Both flags on ([`full_flags`]).
+    pub full: ConfigRun,
 }
 
-/// The full new solver configuration on top of `base`: bounded-variable
-/// simplex, Forrest–Tomlin updates and dual steepest-edge pricing.
+impl SolverBenchRow {
+    /// `default.solve_ms / full.solve_ms` — the per-row gain of the full
+    /// configuration over the default one.
+    pub fn speedup_full_vs_default(&self) -> f64 {
+        self.default.solve_ms / self.full.solve_ms.max(1e-9)
+    }
+}
+
+/// Both solver-core flags on top of `base`: bounded-variable simplex and
+/// dual steepest-edge pricing.
 pub fn full_flags(base: SolveOptions) -> SolveOptions {
     SolveOptions {
         bounded_variables: true,
-        forrest_tomlin: true,
         dual_steepest_edge: true,
         ..base
     }
@@ -67,11 +72,10 @@ pub fn full_flags(base: SolveOptions) -> SolveOptions {
 #[derive(Debug, Clone)]
 pub struct SolverBenchReport {
     pub rows: Vec<SolverBenchRow>,
-    /// Minimum / geometric-mean per-row speedup of the full new solver
-    /// configuration (bounded-variables + FT + DSE) over the default
-    /// (legacy) one — `fig16_solve_time`'s gate is on the geomean.
-    pub min_speedup_full_vs_legacy: f64,
-    pub geomean_speedup_full_vs_legacy: f64,
+    /// Minimum / geometric-mean per-row speedup of the full configuration
+    /// over the default one — `fig16_solve_time`'s gate is on the geomean.
+    pub min_speedup_full_vs_default: f64,
+    pub geomean_speedup_full_vs_default: f64,
     /// Default-options warm-start hits / attempts across all rows.
     pub overall_warm_start_rate: f64,
 }
@@ -137,51 +141,34 @@ pub fn plan_once(
 /// estimator of the true cost).
 const REPS: usize = 5;
 
-fn run_best(
-    input_gb: u32,
-    migration: bool,
-    options: SolveOptions,
-) -> (f64, f64, f64, PlanningReport) {
+fn run_best(input_gb: u32, migration: bool, options: SolveOptions) -> ConfigRun {
     (0..REPS)
         .map(|_| plan_once(input_gb, migration, options.clone()))
         .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(_, solve_ms, cost, report)| ConfigRun {
+            solve_ms,
+            cost,
+            report,
+        })
         .expect("REPS > 0")
 }
 
-/// Measures one workload under the default options and the stacked flags.
+/// Measures one workload under the 2 × 2 of the solver-core flags.
 pub fn bench_workload(input_gb: u32, migration: bool) -> SolverBenchRow {
-    let (_, revised_solve, revised_cost, report) = run_best(input_gb, migration, bench_options());
-
-    // The flagged solver-core upgrades, stacked in the order the ablation
-    // reads: bounded-variable simplex, + Forrest–Tomlin, + dual
-    // steepest-edge (the full new configuration).
-    let bounded = |forrest_tomlin: bool| SolveOptions {
-        bounded_variables: true,
-        forrest_tomlin,
-        ..bench_options()
+    let run = |bounded_variables: bool, dual_steepest_edge: bool| {
+        let options = SolveOptions {
+            bounded_variables,
+            dual_steepest_edge,
+            ..bench_options()
+        };
+        run_best(input_gb, migration, options)
     };
-    let (_, bounded_solve, _, _) = run_best(input_gb, migration, bounded(false));
-    let (_, bounded_ft_solve, _, _) = run_best(input_gb, migration, bounded(true));
-    let (_, full_solve, full_cost, full_report) =
-        run_best(input_gb, migration, full_flags(bench_options()));
-
     SolverBenchRow {
         workload: format!("kmeans-{input_gb}gb{}", if migration { "-mig" } else { "" }),
-        revised_solve_ms: revised_solve,
-        revised_cost,
-        bounded_solve_ms: bounded_solve,
-        bounded_ft_solve_ms: bounded_ft_solve,
-        full_solve_ms: full_solve,
-        full_cost,
-        speedup_full_vs_legacy: revised_solve / full_solve.max(1e-9),
-        nodes: report.nodes_explored,
-        simplex_iterations: report.simplex_iterations,
-        bound_flips: full_report.bound_flips,
-        ft_updates: full_report.ft_updates,
-        warm_start_hits: report.warm_start_hits,
-        warm_start_misses: report.warm_start_misses,
-        warm_start_rate: report.warm_start_rate(),
-        basis_factorizations: report.basis_factorizations,
+        default: run(false, false),
+        bounded: run(true, false),
+        dse: run(false, true),
+        full: run_best(input_gb, migration, full_flags(bench_options())),
     }
 }
 
@@ -194,11 +181,17 @@ pub fn solver_benchmark() -> SolverBenchReport {
         .map(|&(gb, mig)| bench_workload(gb, mig))
         .collect();
 
-    let full_vs_legacy: Vec<f64> = rows.iter().map(|r| r.speedup_full_vs_legacy).collect();
+    let full_vs_default: Vec<f64> = rows
+        .iter()
+        .map(SolverBenchRow::speedup_full_vs_default)
+        .collect();
     let geomean =
-        (full_vs_legacy.iter().map(|x| x.ln()).sum::<f64>() / full_vs_legacy.len() as f64).exp();
-    let hits: usize = rows.iter().map(|r| r.warm_start_hits).sum();
-    let misses: usize = rows.iter().map(|r| r.warm_start_misses).sum();
+        (full_vs_default.iter().map(|x| x.ln()).sum::<f64>() / full_vs_default.len() as f64).exp();
+    let hits: usize = rows.iter().map(|r| r.default.report.warm_start_hits).sum();
+    let misses: usize = rows
+        .iter()
+        .map(|r| r.default.report.warm_start_misses)
+        .sum();
     let overall_rate = if hits + misses == 0 {
         0.0
     } else {
@@ -206,41 +199,49 @@ pub fn solver_benchmark() -> SolverBenchReport {
     };
 
     SolverBenchReport {
-        min_speedup_full_vs_legacy: full_vs_legacy.iter().copied().fold(f64::INFINITY, f64::min),
-        geomean_speedup_full_vs_legacy: geomean,
+        min_speedup_full_vs_default: full_vs_default
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min),
+        geomean_speedup_full_vs_default: geomean,
         overall_warm_start_rate: overall_rate,
         rows,
     }
 }
 
-/// Renders the report as a human-readable table.
+/// Renders the report as a human-readable table: per configuration the
+/// solve ms and, in brackets, the µs per simplex iteration; the node,
+/// iteration and warm-start counts are the default run's, the bound flips
+/// the full run's.
 pub fn render_report(report: &SolverBenchReport) -> String {
     let mut out = String::from(
-        "solver-core ablation (revised engine, flags stacked):\n\
-         workload          legacy ms  +bounded  +bounded+ft      full  full vs legacy    nodes  iterations  bound-flips  ft-updates  warm-rate  cost (legacy/full)\n",
+        "solver-core ablation (revised engine), solve ms [us per iteration]:\n\
+         workload                  default         +bounded             +dse     +bounded+dse  full vs default    nodes  iterations  bound-flips  warm-rate  cost (default/full)\n",
     );
     for r in &report.rows {
+        out.push_str(&format!("{:<16}", r.workload));
+        for run in [&r.default, &r.bounded, &r.dse, &r.full] {
+            out.push_str(&format!(
+                " {:>8.1} [{:>5.1}]",
+                run.solve_ms,
+                run.us_per_iteration()
+            ));
+        }
         out.push_str(&format!(
-            "{:<16} {:>10.1} {:>9.1} {:>12.1} {:>9.1} {:>14.2}x {:>8} {:>11} {:>12} {:>11} {:>9.0}% {:.2}/{:.2}\n",
-            r.workload,
-            r.revised_solve_ms,
-            r.bounded_solve_ms,
-            r.bounded_ft_solve_ms,
-            r.full_solve_ms,
-            r.speedup_full_vs_legacy,
-            r.nodes,
-            r.simplex_iterations,
-            r.bound_flips,
-            r.ft_updates,
-            r.warm_start_rate * 100.0,
-            r.revised_cost,
-            r.full_cost,
+            " {:>15.2}x {:>8} {:>11} {:>12} {:>9.0}% {:.2}/{:.2}\n",
+            r.speedup_full_vs_default(),
+            r.default.report.nodes_explored,
+            r.default.report.simplex_iterations,
+            r.full.report.bound_flips,
+            r.default.report.warm_start_rate() * 100.0,
+            r.default.cost,
+            r.full.cost,
         ));
     }
     out.push_str(&format!(
-        "full config vs legacy revised: min {:.2}x geomean {:.2}x | warm-start rate {:.0}%\n",
-        report.min_speedup_full_vs_legacy,
-        report.geomean_speedup_full_vs_legacy,
+        "full config vs default: min {:.2}x geomean {:.2}x | warm-start rate {:.0}%\n",
+        report.min_speedup_full_vs_default,
+        report.geomean_speedup_full_vs_default,
         report.overall_warm_start_rate * 100.0
     ));
     out
@@ -255,16 +256,17 @@ mod tests {
     #[test]
     fn configurations_agree_and_warm_starts_fire() {
         let row = bench_workload(32, false);
-        let tol = bench_options().relative_gap * row.revised_cost.abs() + 1e-6;
+        let tol = bench_options().relative_gap * row.default.cost.abs() + 1e-6;
         assert!(
-            (row.full_cost - row.revised_cost).abs() <= 2.0 * tol,
+            (row.full.cost - row.default.cost).abs() <= 2.0 * tol,
             "full {} vs default {}",
-            row.full_cost,
-            row.revised_cost
+            row.full.cost,
+            row.default.cost
         );
-        assert!(row.warm_start_hits > 0, "no warm-start hits: {row:?}");
+        let report = &row.default.report;
+        assert!(report.warm_start_hits > 0, "no warm-start hits: {row:?}");
         assert!(
-            row.basis_factorizations > 0,
+            report.basis_factorizations > 0,
             "no factorizations reported: {row:?}"
         );
     }

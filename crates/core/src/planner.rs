@@ -44,8 +44,10 @@ pub struct PlanningReport {
     /// `SolveOptions::bounded_variables` is on).
     #[serde(default)]
     pub bound_flips: usize,
-    /// Forrest–Tomlin factor updates (0 unless
-    /// `SolveOptions::forrest_tomlin` is on).
+    /// Always 0: the update scheme it counted is gone. Kept because
+    /// `benchmark/src/workloads/solver_effort.rs` reads it into
+    /// `lp.ft_updates`; delete it in the benchmark-only PR that drops that
+    /// metric.
     #[serde(default)]
     pub ft_updates: usize,
 }
@@ -65,7 +67,7 @@ impl PlanningReport {
             basis_factorizations: stats.basis_factorizations,
             basis_refactorizations: stats.basis_refactorizations,
             bound_flips: stats.bound_flips,
-            ft_updates: stats.ft_updates,
+            ft_updates: 0,
         }
     }
 

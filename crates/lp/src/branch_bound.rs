@@ -30,6 +30,13 @@ pub fn solve(problem: &Problem, options: &SolveOptions) -> Result<Solution, LpEr
     solve_with_context(problem, options, &mut SolveContext::new())
 }
 
+/// First byte of every [`SolveContext::export_state`] blob. The layout is
+/// positional, so a blob written under another one must be refused before
+/// any field is read; the value is neither `0x00` nor `0x01` because blobs
+/// written before the tag existed start with the `cached` bool. Bump it
+/// whenever an encoded field is added, removed or reordered.
+const STATE_FORMAT: u8 = 0x02;
+
 /// Cross-solve reuse state for a stream of structurally look-alike problems
 /// — the batched-admission fast path. Holds one boxed standard-form
 /// skeleton, rebound in place when the next problem matches (same matrix,
@@ -98,7 +105,7 @@ impl SolveContext {
         upper: &[f64],
     ) -> Result<(Box<StandardFormSkeleton>, RevisedWorkspace), LpError> {
         if let Some((mut skeleton, mut ws)) = self.cached.take() {
-            ws.configure(options.forrest_tomlin, options.dual_steepest_edge);
+            ws.configure(options.dual_steepest_edge);
             if skeleton.is_bounded() == options.bounded_variables
                 && skeleton.rebind(problem, lower, upper)
             {
@@ -155,6 +162,7 @@ impl SolveContext {
     /// (same warm-start path, same pivots, same floats).
     pub fn export_state(&self) -> String {
         let mut w = crate::state::Writer::new();
+        w.u8(STATE_FORMAT);
         match &self.cached {
             None => w.bool(false),
             Some((skeleton, ws)) => {
@@ -171,8 +179,9 @@ impl SolveContext {
 
     /// Rebuilds a context from [`SolveContext::export_state`] output.
     ///
-    /// The blob crosses a trust boundary, so beyond framing (truncation,
-    /// trailing bytes, invalid tags) every decoded part is checked
+    /// The blob crosses a trust boundary, so beyond framing (a format byte
+    /// other than this build's, truncation, trailing bytes, invalid tags)
+    /// every decoded part is checked
     /// structurally before it is accepted: per-row and per-column vectors
     /// have the lengths the layout implies, every stored row, step, column
     /// or variable index is in range, permutations and their inverses agree,
@@ -186,6 +195,10 @@ impl SolveContext {
     pub fn import_state(blob: &str) -> Result<Self, crate::state::StateError> {
         let bytes = crate::state::from_hex(blob)?;
         let mut r = crate::state::Reader::new(&bytes);
+        let format = r.u8()?;
+        crate::state::ensure(format == STATE_FORMAT, || {
+            format!("unsupported solver-state format {format:#04x} (this build reads {STATE_FORMAT:#04x})")
+        })?;
         let cached = if r.bool()? {
             let skeleton = Box::new(StandardFormSkeleton::decode_state(&mut r)?);
             let ws = RevisedWorkspace::decode_state(&mut r, &skeleton)?;
@@ -257,8 +270,7 @@ pub fn solve_with_context(
         warm_start_misses: exit.warm_start.1 - entry.warm_start.1,
         basis_factorizations: exit.factorizations.0 - entry.factorizations.0,
         basis_refactorizations: exit.factorizations.1 - entry.factorizations.1,
-        bound_flips: exit.pivots.0 - entry.pivots.0,
-        ft_updates: exit.pivots.1 - entry.pivots.1,
+        bound_flips: exit.bound_flips - entry.bound_flips,
     };
     ctx.last_basis.clear();
     ctx.last_basis
@@ -276,7 +288,7 @@ pub fn solve_with_context(
 struct WorkspaceCounts {
     warm_start: (usize, usize),
     factorizations: (usize, usize),
-    pivots: (usize, usize),
+    bound_flips: usize,
 }
 
 impl WorkspaceCounts {
@@ -284,7 +296,7 @@ impl WorkspaceCounts {
         Self {
             warm_start: ws.warm_start_counts(),
             factorizations: ws.factorization_counts(),
-            pivots: ws.pivot_counts(),
+            bound_flips: ws.bound_flips(),
         }
     }
 }
@@ -310,7 +322,7 @@ fn build_skeleton(
 
 fn fresh_workspace(options: &SolveOptions) -> RevisedWorkspace {
     let mut ws = RevisedWorkspace::default();
-    ws.configure(options.forrest_tomlin, options.dual_steepest_edge);
+    ws.configure(options.dual_steepest_edge);
     ws
 }
 
@@ -953,11 +965,10 @@ mod tests {
     #[test]
     fn solve_context_state_roundtrip_is_bitwise() {
         let make = |cap, c| knapsack(ConstraintOp::Le, cap, c);
-        for (bounded, ft, dse) in [(false, false, false), (true, true, true)] {
+        for (bounded, dse) in [(false, false), (true, true)] {
             let opts = SolveOptions {
                 relative_gap: 0.0,
                 bounded_variables: bounded,
-                forrest_tomlin: ft,
                 dual_steepest_edge: dse,
                 ..Default::default()
             };
@@ -1008,6 +1019,16 @@ mod tests {
         assert!(SolveContext::import_state(&blob[..blob.len() - 8]).is_err());
         // Trailing garbage is detected by the exhaustion check.
         assert!(SolveContext::import_state(&format!("{blob}00")).is_err());
+        // A blob from another layout is refused at byte 0, whatever follows
+        // it: one written before the format tag existed starts with the
+        // `cached` bool, a later layout with its own tag.
+        for other in ["00", "01", "ff"] {
+            let err = SolveContext::import_state(&format!("{other}{}", &blob[2..])).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported solver-state format"),
+                "{other}: {err}"
+            );
+        }
     }
 
     /// Two LPs over one matrix whose optima sit at different vertices: the
@@ -1066,11 +1087,10 @@ mod tests {
         let make = |cap, c| knapsack(ConstraintOp::Le, cap, c);
         let next = make(13.0, [8.5, 11.0, 5.5, 4.25]);
         let (mut refused, mut survived) = (0usize, 0usize);
-        for (bounded, ft, dse) in [(false, false, false), (true, true, true)] {
+        for (bounded, dse) in [(false, false), (true, true)] {
             let opts = SolveOptions {
                 relative_gap: 0.0,
                 bounded_variables: bounded,
-                forrest_tomlin: ft,
                 dual_steepest_edge: dse,
                 ..Default::default()
             };

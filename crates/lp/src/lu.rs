@@ -1,30 +1,24 @@
-//! Sparse LU factorization of the simplex basis with two pivot-update
-//! schemes: product-form (eta-file) updates and Forrest–Tomlin updates.
+//! Sparse LU factorization of the simplex basis with product-form
+//! (eta-file) pivot updates.
 //!
 //! The revised simplex engine never forms `B⁻¹` explicitly. Instead it keeps
 //!
 //! * a left-looking sparse **LU factorization** `B₀ = L·U` (with partial
 //!   pivoting, rows permuted implicitly through `prow`), refreshed by
 //!   [`BasisFactorization::refactorize`], and
-//! * one of two update schemes applied at each basis change:
-//!   - **eta file** (legacy, default): the new basis is `B₀·E₁·…·E_k` where
-//!     each `Eₖ` is the identity except for one column (the FTRAN'd entering
-//!     column). Applying `Eₖ⁻¹` costs O(nnz of the pivot column) — and that
-//!     cost is paid by *every* FTRAN/BTRAN, so solve cost grows linearly
-//!     with the eta file until the [`eta_limit`] refactorization.
-//!   - **Forrest–Tomlin** ([`BasisFactorization::set_ft_mode`]): the `U`
-//!     factor itself is updated in place. The spike `v = R_s⋯R₁·L⁻¹·a_q`
-//!     replaces column `r` of `U`, the replaced position moves to the end of
-//!     a *logical* column/row order, and the now below-diagonal old row `r`
-//!     is eliminated with row operations `Rₛ₊₁ = I − e_r·mᵀ` (multipliers
-//!     `m_j = u_rj/u_jj` in ascending logical order) recorded as one sparse
-//!     row eta. `U` stays triangular (under the logical order) and sparse,
-//!     so FTRAN/BTRAN cost stays flat between refactorizations and the
-//!     refactor interval stretches ([`ft_update_limit`]).
+//! * an **eta file**: after `k` basis changes the basis is `B₀·E₁·…·E_k`,
+//!   where each `Eₖ` is the identity except for one column (the FTRAN'd
+//!   entering column). Applying `Eₖ⁻¹` costs O(nnz of the pivot column) —
+//!   and that cost is paid by *every* FTRAN/BTRAN, so solve cost grows
+//!   linearly with the eta file until the [`eta_limit`] refactorization.
+//!   At the sizes this repo solves (m ≤ 255) that is every 20–28 pivots,
+//!   and a file that short is cheaper to replay than an in-place update of
+//!   `U` is to maintain (EXPERIMENTS.md, *Forrest–Tomlin never paid at
+//!   these sizes*).
 //!
 //! FTRAN (`B⁻¹·b`, entering-column transform / RHS re-derivation) and BTRAN
 //! (`B⁻ᵀ·c`, pricing / dual row extraction) both run in O(nnz(L)+nnz(U)+
-//! Σ nnz(updates)). When the update file grows past its limit — or a drift
+//! Σ nnz(etas)). When the eta file grows past its limit — or a drift
 //! check fails — the factorization is rebuilt from the basis columns, which
 //! bounds both fill-in and accumulated floating-point error: an explicit,
 //! observable refresh policy (counts surface in `SolveStats`).
@@ -40,17 +34,6 @@ pub fn eta_limit(m: usize) -> usize {
     12 + (m as f64).sqrt() as usize
 }
 
-/// Update-count ceiling in Forrest–Tomlin mode. An FT update appends one
-/// *row* eta (a handful of multipliers) instead of a full transformed
-/// column, so per-solve cost grows with the *fill* the spike columns add
-/// to `U` rather than with the raw update count, and the refactorization
-/// interval stretches. Measured on the fig16 models the spike fill makes
-/// intervals beyond ~2× the eta limit a net loss, so the stretch is kept
-/// moderate.
-pub fn ft_update_limit(m: usize) -> usize {
-    2 * eta_limit(m)
-}
-
 /// Pivot magnitude below which the basis is declared numerically singular.
 const SINGULAR_TOL: f64 = 1e-10;
 /// Entries below this magnitude are dropped during elimination (relative to
@@ -64,12 +47,11 @@ pub struct Singular {
     pub step: usize,
 }
 
-/// The pending elimination steps of one column (or, in a Forrest–Tomlin
-/// update, logical positions of one row), drained in ascending order. Both
-/// users only ever add a step above the one they just took, so a bitmap read
-/// by a forward cursor is the priority queue: the order of the drain — and
-/// with it every float the elimination produces — is the ascending order
-/// any other queue would give.
+/// The pending elimination steps of one column, drained in ascending order.
+/// The elimination only ever adds a step above the one it just took, so a
+/// bitmap read by a forward cursor is the priority queue: the order of the
+/// drain — and with it every float the elimination produces — is the
+/// ascending order any other queue would give.
 #[derive(Debug, Clone, Default)]
 struct StepQueue {
     words: Vec<u64>,
@@ -229,10 +211,12 @@ impl LuFactors {
         Ok(())
     }
 
-    /// Forward solve `L·z = x` (in place on the row-space vector), then
-    /// gather into step space: `z[k] = x[prow[k]]`.
-    fn ftran_l(&self, x: &mut [f64], z: &mut Vec<f64>) {
+    /// `x ← B₀⁻¹·x`; input in original row space, output in step (= basis
+    /// position) space. `z` is caller-provided scratch.
+    fn ftran(&self, x: &mut [f64], z: &mut Vec<f64>) {
         let m = self.m;
+        // Forward solve L·z = x (in place on the row-space vector), then
+        // gather into step space: z[k] = x[prow[k]].
         for k in 0..m {
             let zk = x[self.prow[k]];
             if zk != 0.0 {
@@ -243,12 +227,8 @@ impl LuFactors {
         }
         z.clear();
         z.extend((0..m).map(|k| x[self.prow[k]]));
-    }
-
-    /// Backward solve `U·y = z` in place, column-oriented, natural step order
-    /// (valid while `U` is untouched by Forrest–Tomlin updates).
-    fn ftran_u(&self, z: &mut [f64]) {
-        for k in (0..self.m).rev() {
+        // Backward solve U·y = z, column-oriented.
+        for k in (0..m).rev() {
             let yk = z[k] / self.u_diag[k];
             z[k] = yk;
             if yk != 0.0 {
@@ -257,35 +237,15 @@ impl LuFactors {
                 }
             }
         }
+        x[..m].copy_from_slice(z);
     }
 
-    /// Backward solve `U·y = z` under the Forrest–Tomlin *logical* column
-    /// order (`order[t]` is the step occupying logical position `t`).
-    fn ftran_u_logical(&self, z: &mut [f64], order: &[usize]) {
-        for &k in order.iter().rev() {
-            let yk = z[k] / self.u_diag[k];
-            z[k] = yk;
-            if yk != 0.0 {
-                for &(j, v) in &self.u_cols[k] {
-                    z[j] -= v * yk;
-                }
-            }
-        }
-    }
-
-    /// `x ← B₀⁻¹·x`; input in original row space, output in step (= basis
-    /// position) space. `z` is caller-provided scratch.
-    fn ftran(&self, x: &mut [f64], z: &mut Vec<f64>) {
-        self.ftran_l(x, z);
-        self.ftran_u(z);
-        x[..self.m].copy_from_slice(z);
-    }
-
-    /// Forward solve `Uᵀ·w = x` into `z` (step space), natural step order.
-    fn btran_u(&self, x: &[f64], z: &mut Vec<f64>) {
+    /// `x ← B₀⁻ᵀ·x`; input in step space, output in original row space.
+    fn btran(&self, x: &mut [f64], z: &mut Vec<f64>) {
         let m = self.m;
         z.clear();
         z.resize(m, 0.0);
+        // Forward solve Uᵀ·w = x.
         for k in 0..m {
             let mut s = x[k];
             for &(j, v) in &self.u_cols[k] {
@@ -293,39 +253,17 @@ impl LuFactors {
             }
             z[k] = s / self.u_diag[k];
         }
-    }
-
-    /// Forward solve `Uᵀ·w = x` into `z` under the logical column order.
-    fn btran_u_logical(&self, x: &[f64], z: &mut Vec<f64>, order: &[usize]) {
-        z.clear();
-        z.resize(self.m, 0.0);
-        for &k in order.iter() {
-            let mut s = x[k];
-            for &(j, v) in &self.u_cols[k] {
-                s -= v * z[j];
-            }
-            z[k] = s / self.u_diag[k];
-        }
-    }
-
-    /// Backward solve `Lᵀ·y = z`, landing in original row space in `x`.
-    fn btran_l(&self, z: &[f64], x: &mut [f64]) {
+        // Backward solve Lᵀ·y = w, landing in original row space.
         for v in x.iter_mut() {
             *v = 0.0;
         }
-        for k in (0..self.m).rev() {
+        for k in (0..m).rev() {
             let mut s = z[k];
             for &(r, v) in &self.l_cols[k] {
                 s -= v * x[r];
             }
             x[self.prow[k]] = s;
         }
-    }
-
-    /// `x ← B₀⁻ᵀ·x`; input in step space, output in original row space.
-    fn btran(&self, x: &mut [f64], z: &mut Vec<f64>) {
-        self.btran_u(x, z);
-        self.btran_l(z, x);
     }
 }
 
@@ -361,41 +299,7 @@ impl Eta {
     }
 }
 
-/// One Forrest–Tomlin row operation `R = I − e_r·mᵀ`: recorded when the
-/// replaced basis position `r` moved to the end of the logical order and its
-/// old row of `U` was eliminated against the rows logically after it.
-/// FTRAN applies `R` (after `L⁻¹`, before `U⁻¹`); BTRAN applies `Rᵀ`.
-#[derive(Debug, Clone)]
-struct RowEta {
-    r: usize,
-    /// Elimination multipliers `(step j, m_j = u_rj/u_jj)`.
-    nz: Vec<(usize, f64)>,
-}
-
-impl RowEta {
-    #[inline]
-    fn ftran(&self, z: &mut [f64]) {
-        let mut s = 0.0;
-        for &(j, m) in &self.nz {
-            s += m * z[j];
-        }
-        z[self.r] -= s;
-    }
-
-    #[inline]
-    fn btran(&self, z: &mut [f64]) {
-        let zr = z[self.r];
-        if zr != 0.0 {
-            for &(j, m) in &self.nz {
-                z[j] -= m * zr;
-            }
-        }
-    }
-}
-
-/// The live factorized basis plus refresh bookkeeping. In eta mode the basis
-/// is `B = B₀·E₁·…·E_k`; in Forrest–Tomlin mode it is
-/// `B = L·R₁⁻¹·…·R_s⁻¹·U` with `U` updated in place.
+/// The live factorized basis `B = B₀·E₁·…·E_k` plus refresh bookkeeping.
 #[derive(Debug, Clone, Default)]
 pub struct BasisFactorization {
     lu: LuFactors,
@@ -407,24 +311,6 @@ pub struct BasisFactorization {
     /// collected once per pivot and dropped at every refactorization, so
     /// without this the file reallocates its way up to size ~m/2 per pivot.
     spare_nz: Vec<Vec<(usize, f64)>>,
-    // --- Forrest–Tomlin state (live only when `ft_mode`) ---
-    ft_mode: bool,
-    /// Row-wise mirror of `lu.u_cols`: `u_rows[j]` lists `(step k, u_jk)`
-    /// for the strictly-right-of-diagonal entries of row `j` (in the
-    /// logical order). Needed by the update's row elimination; the solves
-    /// stay column-oriented.
-    u_rows: Vec<Vec<(usize, f64)>>,
-    /// Logical column/row order: `order[t]` is the step at logical
-    /// position `t`. `U` is upper triangular under this order.
-    order: Vec<usize>,
-    /// Inverse of `order`: `pos[order[t]] == t`.
-    pos: Vec<usize>,
-    ft_etas: Vec<RowEta>,
-    /// Spike scratch for [`Self::ft_update`].
-    ft_scratch: Vec<f64>,
-    /// Updates applied since the last refactorization (FT mode's analogue
-    /// of the eta count; compared against [`ft_update_limit`]).
-    ft_since_refactor: usize,
     // Scratch buffers (retained across calls).
     solve_scratch: Vec<f64>,
     work: Vec<f64>,
@@ -436,8 +322,6 @@ pub struct BasisFactorization {
     /// Factorizations triggered *mid-stream* by the eta limit or a drift
     /// check (a subset of `factorizations`; the rest are cold-start builds).
     pub refactorizations: usize,
-    /// Lifetime Forrest–Tomlin updates applied through this handle.
-    pub ft_updates: usize,
 }
 
 impl BasisFactorization {
@@ -462,9 +346,6 @@ impl BasisFactorization {
         )?;
         std::mem::swap(&mut self.lu, &mut self.lu_next);
         self.retire_etas();
-        if self.ft_mode {
-            self.rebuild_ft_aux();
-        }
         self.factorizations += 1;
         if refresh {
             self.refactorizations += 1;
@@ -472,84 +353,11 @@ impl BasisFactorization {
         Ok(())
     }
 
-    /// Selects the pivot-update scheme: `true` for Forrest–Tomlin, `false`
-    /// (the default) for the product-form eta file. Switching discards any
-    /// pending updates, so the caller must refactorize before the next
-    /// solve; the revised engine switches only on its cold `fill` path,
-    /// which refactorizes unconditionally.
-    pub fn set_ft_mode(&mut self, on: bool) {
-        if self.ft_mode == on {
-            return;
-        }
-        self.ft_mode = on;
-        self.retire_etas();
-        self.ft_etas.clear();
-        self.ft_since_refactor = 0;
-        if on && self.lu.m > 0 {
-            self.rebuild_ft_aux();
-        }
-    }
-
-    /// `true` when Forrest–Tomlin updates are active.
-    #[inline]
-    pub fn ft_mode(&self) -> bool {
-        self.ft_mode
-    }
-
-    /// Rebuilds the FT auxiliary state (row-wise `U`, logical order) from a
-    /// freshly factorized `lu`.
-    fn rebuild_ft_aux(&mut self) {
-        let m = self.lu.m;
-        self.u_rows.iter_mut().for_each(Vec::clear);
-        self.u_rows.resize(m, Vec::new());
-        for (k, col) in self.lu.u_cols.iter().enumerate().take(m) {
-            for &(j, v) in col {
-                self.u_rows[j].push((k, v));
-            }
-        }
-        self.order.clear();
-        self.order.extend(0..m);
-        self.pos.clear();
-        self.pos.extend(0..m);
-        self.ft_etas.clear();
-        self.ft_since_refactor = 0;
-    }
-
-    /// Number of pivot updates since the last refactorization (eta-file
-    /// length in eta mode, FT update count in FT mode). Compare against
-    /// [`eta_limit`] / [`ft_update_limit`] respectively.
+    /// Eta-file length: pivot updates since the last refactorization.
+    /// Compare against [`eta_limit`].
     #[inline]
     pub fn eta_count(&self) -> usize {
-        if self.ft_mode {
-            self.ft_since_refactor
-        } else {
-            self.etas.len()
-        }
-    }
-
-    /// Update-count ceiling for the active scheme before the caller should
-    /// refactorize.
-    #[inline]
-    pub fn update_limit(&self, m: usize) -> usize {
-        if self.ft_mode {
-            ft_update_limit(m)
-        } else {
-            eta_limit(m)
-        }
-    }
-
-    /// Records the basis change at position `r` with `w = B_old⁻¹·a_entering`
-    /// under the active update scheme. The product form cannot fail; a
-    /// Forrest–Tomlin update fails (leaving the *old* factors intact) when
-    /// the new diagonal is numerically zero, in which case the caller must
-    /// refactorize from the updated basis columns.
-    pub fn update(&mut self, r: usize, w: &[f64]) -> Result<(), Singular> {
-        if self.ft_mode {
-            self.ft_update(r, w)
-        } else {
-            self.push_eta(r, w);
-            Ok(())
-        }
+        self.etas.len()
     }
 
     /// Records the pivot `(position r, w = B⁻¹·a_entering)` as an eta.
@@ -574,138 +382,20 @@ impl BasisFactorization {
         }
     }
 
-    /// Forrest–Tomlin update: replaces column `r` of `U` with the spike
-    /// `v = U·w` (undoing `w`'s U-solve recovers `R_s⋯R₁·L⁻¹·a_entering`),
-    /// moves position `r` to the end of the logical order, and eliminates
-    /// the old row `r` with one recorded row eta. All mutation happens after
-    /// the new-diagonal stability check, so a rejected update leaves the
-    /// factors representing the *old* basis.
-    fn ft_update(&mut self, r: usize, w: &[f64]) -> Result<(), Singular> {
-        let m = self.lu.m;
-        // Spike v = U·w in step space.
-        let v = &mut self.ft_scratch;
-        v.clear();
-        v.resize(m, 0.0);
-        for (k, &wk) in w.iter().take(m).enumerate() {
-            if wk != 0.0 {
-                v[k] += self.lu.u_diag[k] * wk;
-                for &(j, u) in &self.lu.u_cols[k] {
-                    v[j] += u * wk;
-                }
-            }
-        }
-        // Eliminate the old row r against the rows logically after it,
-        // accumulating fill in `work` and draining positions in ascending
-        // logical order (same queue discipline as `factorize`).
-        let pt = self.pos[r];
-        let acc = &mut self.work;
-        acc.clear();
-        acc.resize(m, 0.0);
-        let inq = &mut self.in_work;
-        inq.clear();
-        inq.resize(m, false);
-        self.queue.reset(m);
-        for &(l, ul) in &self.u_rows[r] {
-            acc[l] = ul;
-            if !inq[l] {
-                inq[l] = true;
-                self.queue.push(self.pos[l]);
-            }
-        }
-        let mut eta_nz: Vec<(usize, f64)> = Vec::new();
-        let mut d = v[r];
-        while let Some(t) = self.queue.pop() {
-            let j = self.order[t];
-            let c = acc[j];
-            acc[j] = 0.0;
-            inq[j] = false;
-            if c.abs() > DROP_TOL {
-                let mj = c / self.lu.u_diag[j];
-                eta_nz.push((j, mj));
-                d -= mj * v[j];
-                // Fill lands strictly right of j in the logical order, so
-                // the ascending drain never revisits a popped position.
-                for &(l, ujl) in &self.u_rows[j] {
-                    if !inq[l] {
-                        inq[l] = true;
-                        self.queue.push(self.pos[l]);
-                    }
-                    acc[l] -= mj * ujl;
-                }
-            }
-        }
-        if d.abs() <= SINGULAR_TOL {
-            return Err(Singular { step: r });
-        }
-        // Commit. Remove the old column r from the row lists…
-        for &(j, _) in &self.lu.u_cols[r] {
-            if let Some(i) = self.u_rows[j].iter().position(|&(c, _)| c == r) {
-                self.u_rows[j].swap_remove(i);
-            }
-        }
-        self.lu.u_cols[r].clear();
-        // …and the old row r from the column lists (it eliminated to zero).
-        for &(l, _) in &self.u_rows[r] {
-            if let Some(i) = self.lu.u_cols[l].iter().position(|&(rr, _)| rr == r) {
-                self.lu.u_cols[l].swap_remove(i);
-            }
-        }
-        self.u_rows[r].clear();
-        // Insert the spike as column r — logically last, so every other row
-        // sits above its diagonal d.
-        for (j, &vj) in v.iter().enumerate() {
-            if j != r && vj.abs() > DROP_TOL {
-                self.lu.u_cols[r].push((j, vj));
-                self.u_rows[j].push((r, vj));
-            }
-        }
-        self.lu.u_diag[r] = d;
-        self.order.remove(pt);
-        self.order.push(r);
-        for (t, &k) in self.order.iter().enumerate().skip(pt) {
-            self.pos[k] = t;
-        }
-        if !eta_nz.is_empty() {
-            self.ft_etas.push(RowEta { r, nz: eta_nz });
-        }
-        self.ft_updates += 1;
-        self.ft_since_refactor += 1;
-        Ok(())
-    }
-
     /// `x ← B⁻¹·x` (row space in, basis-position space out).
     pub fn ftran(&mut self, x: &mut [f64]) {
-        if self.ft_mode {
-            self.lu.ftran_l(x, &mut self.solve_scratch);
-            for e in &self.ft_etas {
-                e.ftran(&mut self.solve_scratch);
-            }
-            self.lu
-                .ftran_u_logical(&mut self.solve_scratch, &self.order);
-            x[..self.lu.m].copy_from_slice(&self.solve_scratch);
-        } else {
-            self.lu.ftran(x, &mut self.solve_scratch);
-            for e in &self.etas {
-                e.ftran(x);
-            }
+        self.lu.ftran(x, &mut self.solve_scratch);
+        for e in &self.etas {
+            e.ftran(x);
         }
     }
 
     /// `x ← B⁻ᵀ·x` (basis-position space in, row space out).
     pub fn btran(&mut self, x: &mut [f64]) {
-        if self.ft_mode {
-            self.lu
-                .btran_u_logical(x, &mut self.solve_scratch, &self.order);
-            for e in self.ft_etas.iter().rev() {
-                e.btran(&mut self.solve_scratch);
-            }
-            self.lu.btran_l(&self.solve_scratch, x);
-        } else {
-            for e in self.etas.iter().rev() {
-                e.btran(x);
-            }
-            self.lu.btran(x, &mut self.solve_scratch);
+        for e in self.etas.iter().rev() {
+            e.btran(x);
         }
+        self.lu.btran(x, &mut self.solve_scratch);
     }
 }
 
@@ -788,38 +478,16 @@ impl Eta {
     }
 }
 
-impl RowEta {
-    fn encode_state(&self, w: &mut Writer) {
-        w.usize(self.r);
-        w.vec_idx_f64(&self.nz);
-    }
-
-    fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
-        Ok(Self {
-            r: r.usize()?,
-            nz: r.vec_idx_f64()?,
-        })
-    }
-}
-
 impl BasisFactorization {
     pub(crate) fn encode_state(&self, w: &mut Writer) {
         self.lu.encode_state(w);
         w.seq(&self.etas, |w, e| e.encode_state(w));
-        w.bool(self.ft_mode);
-        w.seq(&self.u_rows, |w, row| w.vec_idx_f64(row));
-        w.vec_usize(&self.order);
-        w.vec_usize(&self.pos);
-        w.seq(&self.ft_etas, |w, e| e.encode_state(w));
-        w.vec_f64(&self.ft_scratch);
-        w.usize(self.ft_since_refactor);
         w.vec_f64(&self.solve_scratch);
         w.vec_f64(&self.work);
         w.vec_bool(&self.in_work);
         w.vec_usize(&self.touched);
         w.usize(self.factorizations);
         w.usize(self.refactorizations);
-        w.usize(self.ft_updates);
     }
 
     /// Dimension of the factorized basis (0 before the first factorization).
@@ -838,23 +506,6 @@ impl BasisFactorization {
                 e.r < m && e.wr.is_finite() && e.wr != 0.0 && e.nz.iter().all(|&(i, _)| i < m)
             }),
             || format!("eta file: a position outside 0..{m} or an unusable pivot"),
-        )?;
-        if !self.ft_mode {
-            return Ok(());
-        }
-        ensure(
-            self.u_rows.len() == m && indices_below(&self.u_rows, m),
-            || format!("Forrest–Tomlin rows: not {m} lists over 0..{m}"),
-        )?;
-        ensure(
-            self.order.len() == m && is_permutation_pair(&self.order, &self.pos),
-            || "Forrest–Tomlin order: the logical order and its inverse disagree".into(),
-        )?;
-        ensure(
-            self.ft_etas
-                .iter()
-                .all(|e| e.r < m && e.nz.iter().all(|&(j, _)| j < m)),
-            || format!("Forrest–Tomlin row etas: a step outside 0..{m}"),
         )
     }
 
@@ -864,13 +515,6 @@ impl BasisFactorization {
             lu_next: LuFactors::default(),
             etas: r.seq(Eta::decode_state)?,
             spare_nz: Vec::new(),
-            ft_mode: r.bool()?,
-            u_rows: r.seq(|r| r.vec_idx_f64())?,
-            order: r.vec_usize()?,
-            pos: r.vec_usize()?,
-            ft_etas: r.seq(RowEta::decode_state)?,
-            ft_scratch: r.vec_f64()?,
-            ft_since_refactor: r.usize()?,
             solve_scratch: r.vec_f64()?,
             work: r.vec_f64()?,
             in_work: r.vec_bool()?,
@@ -878,7 +522,6 @@ impl BasisFactorization {
             queue: StepQueue::default(),
             factorizations: r.usize()?,
             refactorizations: r.usize()?,
-            ft_updates: r.usize()?,
         })
     }
 }
@@ -990,147 +633,6 @@ mod tests {
         }
         assert_eq!(bf.eta_count(), 1);
         assert_eq!(fresh.eta_count(), 0);
-    }
-
-    #[test]
-    fn ft_update_matches_refactorization() {
-        // Same scenario as `eta_update_matches_refactorization`, but with
-        // Forrest–Tomlin updates: swap column 3 into position 1 and compare
-        // FTRAN/BTRAN against a from-scratch factorization.
-        let a = matrix(
-            3,
-            5,
-            &[
-                (0, 0, 4.0),
-                (1, 1, 2.0),
-                (1, 2, 1.0),
-                (2, 2, 3.0),
-                (3, 0, 1.0),
-                (3, 1, 1.0),
-                (3, 2, 2.0),
-                (4, 0, 5.0),
-            ],
-        );
-        let mut bf = BasisFactorization::default();
-        bf.set_ft_mode(true);
-        bf.refactorize(&a, &[0, 1, 2], false).unwrap();
-        let mut w = vec![0.0; 3];
-        a.scatter_col(3, &mut w);
-        bf.ftran(&mut w);
-        bf.update(1, &w).unwrap();
-        let updated_basis = [0usize, 3, 2];
-
-        let mut fresh = BasisFactorization::default();
-        fresh.refactorize(&a, &updated_basis, false).unwrap();
-
-        let b = [1.0, 2.0, 3.0];
-        let (mut x1, mut x2) = (b.to_vec(), b.to_vec());
-        bf.ftran(&mut x1);
-        fresh.ftran(&mut x2);
-        for (p, q) in x1.iter().zip(&x2) {
-            assert!((p - q).abs() < 1e-12, "{x1:?} vs {x2:?}");
-        }
-        let c = [0.5, -1.0, 2.0];
-        let (mut y1, mut y2) = (c.to_vec(), c.to_vec());
-        bf.btran(&mut y1);
-        fresh.btran(&mut y2);
-        for (p, q) in y1.iter().zip(&y2) {
-            assert!((p - q).abs() < 1e-12, "{y1:?} vs {y2:?}");
-        }
-        assert_eq!(bf.ft_updates, 1);
-        assert_eq!(bf.eta_count(), 1);
-    }
-
-    #[test]
-    fn repeated_ft_updates_track_fresh_factorizations() {
-        // A 4x6 pool; pivot three different columns through three different
-        // basis positions and check the updated factors against a fresh
-        // factorization after every step (both FTRAN and BTRAN).
-        let a = matrix(
-            4,
-            6,
-            &[
-                (0, 0, 2.0),
-                (0, 1, 1.0),
-                (1, 1, 3.0),
-                (1, 2, 1.0),
-                (2, 2, 4.0),
-                (2, 3, 1.0),
-                (3, 3, 5.0),
-                (3, 0, 1.0),
-                (4, 0, 1.0),
-                (4, 2, 2.0),
-                (4, 3, 1.0),
-                (5, 1, 1.0),
-                (5, 3, 2.0),
-                (5, 0, 3.0),
-            ],
-        );
-        let mut bf = BasisFactorization::default();
-        bf.set_ft_mode(true);
-        let mut basis = vec![0usize, 1, 2, 3];
-        bf.refactorize(&a, &basis, false).unwrap();
-        for (step, &(pos, col)) in [(2usize, 4usize), (0, 5), (3, 0)].iter().enumerate() {
-            let mut w = vec![0.0; 4];
-            a.scatter_col(col, &mut w);
-            bf.ftran(&mut w);
-            bf.update(pos, &w).unwrap();
-            basis[pos] = col;
-
-            let mut fresh = BasisFactorization::default();
-            fresh.refactorize(&a, &basis, false).unwrap();
-            let b = [1.0, -2.0, 3.0, 0.5];
-            let (mut x1, mut x2) = (b.to_vec(), b.to_vec());
-            bf.ftran(&mut x1);
-            fresh.ftran(&mut x2);
-            for (p, q) in x1.iter().zip(&x2) {
-                assert!((p - q).abs() < 1e-10, "step {step}: {x1:?} vs {x2:?}");
-            }
-            let c = [2.0, 1.0, -1.0, 4.0];
-            let (mut y1, mut y2) = (c.to_vec(), c.to_vec());
-            bf.btran(&mut y1);
-            fresh.btran(&mut y2);
-            for (p, q) in y1.iter().zip(&y2) {
-                assert!((p - q).abs() < 1e-10, "step {step}: {y1:?} vs {y2:?}");
-            }
-        }
-        assert_eq!(bf.ft_updates, 3);
-        assert_eq!(bf.eta_count(), 3);
-        assert_eq!(bf.factorizations, 1);
-    }
-
-    #[test]
-    fn ft_update_rejects_singular_replacement_and_survives() {
-        // Replacing position 1 with a copy of the column already basic at
-        // position 0 would make the basis singular; the update must refuse
-        // and leave the old factors intact.
-        let a = matrix(
-            2,
-            3,
-            &[
-                (0, 0, 1.0),
-                (0, 1, 2.0),
-                (1, 0, 1.0),
-                (2, 0, 1.0),
-                (2, 1, 2.0),
-            ],
-        );
-        let mut bf = BasisFactorization::default();
-        bf.set_ft_mode(true);
-        bf.refactorize(&a, &[0, 1], false).unwrap();
-        // Column 2 equals column 0: basis {0, 2} is singular.
-        let mut w = vec![0.0; 2];
-        a.scatter_col(2, &mut w);
-        bf.ftran(&mut w);
-        assert!(bf.update(1, &w).is_err());
-        // Old factors still solve the old basis.
-        let mut x = vec![3.0, 4.0];
-        bf.ftran(&mut x);
-        let mut back = vec![0.0; 2];
-        a.axpy_col(0, x[0], &mut back);
-        a.axpy_col(1, x[1], &mut back);
-        assert!((back[0] - 3.0).abs() < 1e-12 && (back[1] - 4.0).abs() < 1e-12);
-        assert_eq!(bf.ft_updates, 0);
     }
 
     #[test]

@@ -96,19 +96,14 @@ pub struct SolveOptions {
     /// Roughly halves the row count on the integer-heavy admission models,
     /// and turns branch & bound's bound overrides into status flips instead
     /// of RHS patches. Default off so existing bitwise pins keep anchoring
-    /// the legacy path; the benchmarks and the oracle battery
-    /// (`tests/properties.rs`) exercise both settings.
+    /// the legacy path. The oracle battery (`tests/properties.rs`) and
+    /// `fig16_solve_time` exercise both settings; `benchmark/` never names
+    /// a flag, so its workloads measure whatever the default is.
     #[serde(default)]
     pub bounded_variables: bool,
-    /// Forrest–Tomlin basis updates: update the U factor in place at each
-    /// pivot instead of appending product-form eta vectors, keeping
-    /// FTRAN/BTRAN cost flat between refactorizations.
-    /// Default off (see `bounded_variables` for the determinism story).
-    #[serde(default)]
-    pub forrest_tomlin: bool,
     /// Dual steepest-edge pricing for the dual-repair path every
     /// warm-started node runs: pick the leaving row by the steepest-edge
-    /// criterion with Forrest–Goldfarb weight updates instead of the
+    /// criterion (Devex-style reference-framework weights) instead of the
     /// most-violated rule. Fewer, better pivots on re-solve-dominated
     /// workloads. Default off (see `bounded_variables`).
     #[serde(default)]
@@ -129,7 +124,6 @@ impl Default for SolveOptions {
             integrality_tol: 1e-6,
             warm_start: true,
             bounded_variables: false,
-            forrest_tomlin: false,
             dual_steepest_edge: false,
         }
     }

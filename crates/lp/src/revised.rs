@@ -31,7 +31,7 @@
 //! exactly when its `x_w` weight is positive, which is what the ratio tests
 //! check.
 //!
-//! Three optional upgrades, each flagged in
+//! Two optional upgrades, each flagged in
 //! [`crate::problem::SolveOptions`], modernize the hot path:
 //!
 //! * **Bounded-variable simplex** (skeleton built with
@@ -41,12 +41,10 @@
 //!   `b_eff = b − Σ_{j at upper} u_j·A_j` and branch & bound bound
 //!   overrides become status flips rather than span-RHS patches. The split
 //!   `∞·b_w` machinery is inert here (`has_inf` is never set).
-//! * **Forrest–Tomlin updates** ([`BasisFactorization::set_ft_mode`]):
-//!   basis changes rewrite U in place instead of appending product-form
-//!   etas, stretching the refactorization interval.
 //! * **Dual steepest-edge pricing** for the warm-start repair: leaving rows
-//!   are ranked by `δ²/γ` with reference-framework weights (`γ = 1` at
-//!   repair start) maintained by the Forrest–Goldfarb update formula.
+//!   are ranked by `δ²/γ` with Devex-style reference-framework weights
+//!   (`γ = 1` at repair start, `γ'_i = max(γ_i, (w_i/w_r)²γ_r)` per pivot —
+//!   no extra FTRAN).
 //!
 //! # Bit-exactness: what may be skipped, cached or reordered
 //!
@@ -66,7 +64,7 @@
 //!   polish, whose scan would price the same bits and find nothing again.
 //!   The mark is cleared by every pivot and bound flip (`update_factors`,
 //!   `bound_flip`), every refactorization (eta limit, drift refresh, cold
-//!   `fill`), a demoted at-upper status, `invalidate`/`configure`, decoding
+//!   `fill`), a demoted at-upper status, `invalidate`, decoding
 //!   a checkpoint — and by a [`StandardFormSkeleton::rebind`], which swaps
 //!   `c` under a live workspace at an unchanged address (hence the epoch
 //!   the mark carries). Debug builds re-derive `d` at every use and assert
@@ -96,7 +94,7 @@
 //! pinned arithmetic; adding another one is a behaviour change.
 
 use crate::error::LpError;
-use crate::lu::BasisFactorization;
+use crate::lu::{eta_limit, BasisFactorization};
 use crate::problem::ConstraintOp;
 use crate::problem::Problem;
 use crate::simplex::{
@@ -215,10 +213,8 @@ pub struct RevisedWorkspace {
     /// `at_upper`; equals `b_f` bitwise when no column is at its upper.
     b_eff: Vec<f64>,
     /// Dual steepest-edge weights `γ_i ≈ ‖B⁻ᵀe_i‖²` (reference framework:
-    /// reset to 1 at each repair start) and the `τ = B⁻¹ρ_r` scratch of the
-    /// Forrest–Goldfarb update.
+    /// reset to 1 at each repair start).
     dse_gamma: Vec<f64>,
-    dse_tau: Vec<f64>,
     /// Use dual steepest-edge row selection in the warm-start repair.
     use_dse: bool,
     /// Bound flips performed by the bounded-variable ratio test.
@@ -255,24 +251,15 @@ impl RevisedWorkspace {
         self.skeleton_tag = 0;
     }
 
-    /// Selects the factor-update scheme and the repair pricing rule for
-    /// every subsequent solve. Switching the Forrest–Tomlin mode changes
-    /// the factor representation, so the next solve is forced onto the cold
-    /// path (whose fill refactorizes from scratch); toggling steepest-edge
-    /// pricing needs no invalidation.
-    pub fn configure(&mut self, forrest_tomlin: bool, dual_steepest_edge: bool) {
-        if forrest_tomlin != self.bf.ft_mode() {
-            self.bf.set_ft_mode(forrest_tomlin);
-            self.reusable = false;
-            self.d_certified = None;
-        }
+    /// Selects the repair pricing rule for every subsequent solve. The
+    /// weights restart at every repair, so toggling needs no invalidation.
+    pub fn configure(&mut self, dual_steepest_edge: bool) {
         self.use_dse = dual_steepest_edge;
     }
 
-    /// Cumulative `(bound_flips, ft_updates)`: bound-flip ratio-test hits
-    /// (bounded-variable mode) and Forrest–Tomlin factor updates.
-    pub fn pivot_counts(&self) -> (usize, usize) {
-        (self.bound_flips, self.bf.ft_updates)
+    /// Cumulative bound flips by the bounded-variable ratio test.
+    pub fn bound_flips(&self) -> usize {
+        self.bound_flips
     }
 }
 
@@ -719,28 +706,19 @@ impl<'a> RSolver<'a> {
 
     /// Shared factor-update tail of every basis change: `ws.w` must hold
     /// the FTRAN'd entering column (`B_old⁻¹·a_enter`) and the basis
-    /// bookkeeping must already reflect the new basis. Applies the update
-    /// (product-form eta or Forrest–Tomlin, per the factorization's mode)
-    /// and refactorizes at the scheme's update limit.
+    /// bookkeeping must already reflect the new basis. Appends the eta and
+    /// refactorizes at the eta limit.
     fn update_factors(&mut self, leave: usize) -> Result<(), SolveAbort> {
         let m = self.sk.m_total;
         self.ws.d_certified = None;
-        if self.ws.bf.update(leave, &self.ws.w).is_err() {
-            // Forrest–Tomlin rejected the replacement as numerically
-            // singular. The basis bookkeeping already changed, so the old
-            // factors no longer match it: refactorize from scratch now.
-            if !self.refactor_and_recompute(true) {
-                return Err(SolveAbort::Numerical);
-            }
-            return Ok(());
-        }
-        let limit = self.ws.bf.update_limit(m);
+        self.ws.bf.push_eta(leave, &self.ws.w);
+        let limit = eta_limit(m);
         let count = self.ws.bf.eta_count();
         if count >= limit && count >= self.ws.refactor_after {
             if self.refactor_and_recompute(true) {
                 self.ws.refactor_after = 0;
             } else {
-                // The update representation stays valid; back off so a
+                // The eta file stays valid; back off so a
                 // (temporarily) singular basis cannot cost an O(m²)
                 // factorization attempt on every pivot.
                 self.ws.refactor_after = count + limit;
@@ -1187,7 +1165,7 @@ impl<'a> RSolver<'a> {
         // before trusting the factorization with a new node. (Only the
         // factorization is rebuilt here — this node's RHS is written, and
         // x = B⁻¹·b computed from it, just below.)
-        if self.ws.bf.eta_count() >= self.ws.bf.update_limit(m) {
+        if self.ws.bf.eta_count() >= eta_limit(m) {
             let ws = &mut *self.ws;
             ws.d_certified = None;
             if ws.bf.refactorize(&ws.a, &ws.basis, true).is_err() {
@@ -1339,22 +1317,13 @@ impl<'a> RSolver<'a> {
     /// a tightened branch bound surfaces after a status-flip warm start),
     /// and nonbasic-at-upper columns join the ratio test with negated
     /// signs. With dual steepest-edge enabled, leaving rows are ranked by
-    /// `δ²/γ` (reference framework: `γ = 1` at repair start, maintained by
-    /// the Forrest–Goldfarb update) instead of by worst violation.
+    /// `δ²/γ` (Devex-style weights over a reference framework: `γ = 1` at
+    /// repair start) instead of by worst violation.
     fn dual_repair(&mut self, cap: usize) -> RepairResult {
         let sk = self.sk;
         let m = sk.m_total;
         let tol = FEAS_TOL * (1.0 + self.ws.b_scale);
         let use_dse = self.ws.use_dse;
-        // Exact Forrest–Goldfarb weight maintenance costs one extra FTRAN
-        // per pivot. On every measured fig16/admission model (m ≤ 255) that
-        // FTRAN cost more than the pivots the sharper weights saved, so up
-        // to this size the weights use the FTRAN-free Devex-style
-        // approximation over the same reference framework; the exact update
-        // is kept for very large bases, where one FTRAN amortizes over the
-        // O(m) candidate rows it helps rank.
-        const DSE_EXACT_MIN_ROWS: usize = 512;
-        let dse_exact = use_dse && m >= DSE_EXACT_MIN_ROWS;
         if use_dse {
             let ws = &mut *self.ws;
             ws.dse_gamma.clear();
@@ -1524,20 +1493,6 @@ impl<'a> RSolver<'a> {
                     return RepairResult::GaveUp;
                 }
             }
-            let gamma_r = if dse_exact {
-                // Forrest–Goldfarb needs `τ = B⁻¹ρ_r`; `ws.y` still holds
-                // the row's BTRAN `ρ_r`, and the factors are still the
-                // pre-pivot ones here.
-                let ws = &mut *self.ws;
-                ws.dse_tau.clear();
-                ws.dse_tau.extend_from_slice(&ws.y);
-                ws.bf.ftran(&mut ws.dse_tau);
-                ws.dse_gamma[r]
-            } else if use_dse {
-                self.ws.dse_gamma[r]
-            } else {
-                0.0
-            };
             let pivot_ok = if sk.is_bounded() {
                 let dir = if self.ws.at_upper[q] { -1.0 } else { 1.0 };
                 self.pivot_step(r, q, dir, delta > 0.0).is_ok()
@@ -1548,12 +1503,12 @@ impl<'a> RSolver<'a> {
                 return RepairResult::GaveUp;
             }
             if use_dse {
-                // Exact: γ'_i = γ_i − 2(w_i/w_r)τ_i + (w_i/w_r)²γ_r for
-                // i ≠ r, γ'_r = γ_r/w_r² — clamped positive against drift.
-                // Devex fallback: γ'_i = max(γ_i, (w_i/w_r)²γ_r), weights
-                // kept ≥ 1 over the reference framework.
+                // Devex: γ'_i = max(γ_i, (w_i/w_r)²γ_r) for i ≠ r,
+                // γ'_r = γ_r/w_r², weights kept ≥ 1 over the reference
+                // framework.
                 let ws = &mut *self.ws;
                 let wr = ws.w[r];
+                let gamma_r = ws.dse_gamma[r];
                 for i in 0..m {
                     if i == r {
                         continue;
@@ -1563,15 +1518,9 @@ impl<'a> RSolver<'a> {
                         continue;
                     }
                     let t = wi / wr;
-                    if dse_exact {
-                        let g = ws.dse_gamma[i] - 2.0 * t * ws.dse_tau[i] + t * t * gamma_r;
-                        ws.dse_gamma[i] = g.max(1e-10);
-                    } else {
-                        ws.dse_gamma[i] = ws.dse_gamma[i].max(t * t * gamma_r);
-                    }
+                    ws.dse_gamma[i] = ws.dse_gamma[i].max(t * t * gamma_r);
                 }
-                let floor = if dse_exact { 1e-10 } else { 1.0 };
-                ws.dse_gamma[r] = (gamma_r / (wr * wr)).max(floor);
+                ws.dse_gamma[r] = (gamma_r / (wr * wr)).max(1.0);
             }
             pivots += 1;
             if pivots >= cap {
@@ -1691,9 +1640,8 @@ use crate::state::{ensure, Reader, StateError, Writer};
 
 impl RevisedWorkspace {
     /// Checkpoint encoding. Every field that outlives a solve travels as
-    /// exact bytes — the factorized basis and the accumulated
-    /// eta/Forrest–Tomlin updates are path-dependent floats a rebuild
-    /// cannot reproduce. `d` travels, its certificate does not: the decoded
+    /// exact bytes — the factorized basis and the accumulated eta file
+    /// are path-dependent floats a rebuild cannot reproduce. `d` travels, its certificate does not: the decoded
     /// workspace prices afresh, which yields the carried bits, and a
     /// tampered `d` can never be trusted into a solve. The address-based
     /// `skeleton_tag` cannot survive a round-trip literally, so it is
@@ -1735,7 +1683,6 @@ impl RevisedWorkspace {
         out.vec_bool(&self.at_upper);
         out.vec_f64(&self.b_eff);
         out.vec_f64(&self.dse_gamma);
-        out.vec_f64(&self.dse_tau);
         out.bool(self.use_dse);
         out.usize(self.bound_flips);
     }
@@ -1814,7 +1761,6 @@ impl RevisedWorkspace {
             at_upper: r.vec_bool()?,
             b_eff: r.vec_f64()?,
             dse_gamma: r.vec_f64()?,
-            dse_tau: r.vec_f64()?,
             use_dse: r.bool()?,
             bound_flips: r.usize()?,
         };
@@ -1824,7 +1770,7 @@ impl RevisedWorkspace {
 
     /// Structural check of a decoded workspace. The factors must be sound in
     /// themselves whatever happens next (even a cold fill refactorizes
-    /// *through* them, and a mode switch rebuilds its mirrors from them).
+    /// *through* them).
     /// Everything else a fill rebuilds from nothing, so it is only held to
     /// `skeleton`'s shape when the next solve may warm-start from it as it
     /// stands: a sound matrix, one entry per row or per column, a basis of
@@ -2029,27 +1975,26 @@ mod tests {
         assert!((r3.objective - 4.0).abs() < 1e-6);
     }
 
-    /// Solves `p` through a bounded-variable skeleton with the given update
-    /// and pricing flags, from a cold workspace.
+    /// Solves `p` through a bounded-variable skeleton with the given
+    /// pricing flag, from a cold workspace.
     fn solve_bounded_with(
         p: &Problem,
         lower: &[f64],
         upper: &[f64],
-        ft: bool,
         dse: bool,
     ) -> Result<SimplexResult, LpError> {
         let sk = StandardFormSkeleton::new_bounded(p, lower, upper)?;
         let mut ws = RevisedWorkspace::default();
-        ws.configure(ft, dse);
+        ws.configure(dse);
         solve_with_skeleton_revised(&sk, &mut ws, lower, upper, None, 100_000)
     }
 
     fn assert_bounded_matches_dense(p: &Problem) {
         let (lower, upper) = bounds(p);
         let dense = oracle::solve_lp(p, &lower, &upper);
-        for (ft, dse) in [(false, false), (true, false), (false, true), (true, true)] {
-            let bounded = solve_bounded_with(p, &lower, &upper, ft, dse);
-            assert_same_as_dense(&format!("bounded ft={ft} dse={dse}"), &dense, bounded);
+        for dse in [false, true] {
+            let bounded = solve_bounded_with(p, &lower, &upper, dse);
+            assert_same_as_dense(&format!("bounded dse={dse}"), &dense, bounded);
         }
     }
 
@@ -2150,59 +2095,8 @@ mod tests {
             r.objective
         );
         assert!((r.values[0] - 5.0).abs() < 1e-7 && (r.values[1] - 4.0).abs() < 1e-7);
-        let (bound_flips, _) = ws.pivot_counts();
+        let bound_flips = ws.bound_flips();
         assert!(bound_flips >= 2, "bound_flips {bound_flips}");
-    }
-
-    #[test]
-    fn exact_forrest_goldfarb_path_repairs_large_bases() {
-        // 520 constraints puts the basis past DSE_EXACT_MIN_ROWS, so the
-        // warm-start dual repair maintains exact steepest-edge weights
-        // (extra FTRAN per pivot) instead of the Devex approximation.
-        const N: usize = 520;
-        let mut p = Problem::new("dse-large", Sense::Maximize);
-        let vars: Vec<_> = (0..N)
-            .map(|i| p.add_var(format!("x{i}"), 0.0, 2.0 + (i % 3) as f64))
-            .collect();
-        p.set_objective(
-            vars.iter()
-                .enumerate()
-                .map(|(i, &v)| (v, 1.0 + (i % 7) as f64)),
-        );
-        for i in 0..N {
-            p.add_constraint(
-                format!("c{i}"),
-                [(vars[i], 1.0), (vars[(i + 1) % N], 1.0)],
-                ConstraintOp::Le,
-                3.0 + (i % 4) as f64,
-            );
-        }
-        let (lower, upper) = bounds(&p);
-        let sk = StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap();
-        let mut ws = RevisedWorkspace::default();
-        ws.configure(true, true);
-        let root =
-            solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 100_000).unwrap();
-        // Tighten a handful of upper bounds: the warm start flips statuses
-        // and the ensuing violations drive the exact-weight dual repair.
-        let mut u = upper.clone();
-        for i in (0..N).step_by(7) {
-            u[i] = 1.0;
-        }
-        let warm =
-            solve_with_skeleton_revised(&sk, &mut ws, &lower, &u, Some(&root.basis), 100_000)
-                .unwrap();
-        let mut cold_ws = RevisedWorkspace::default();
-        let cold =
-            solve_with_skeleton_revised(&sk, &mut cold_ws, &lower, &u, None, 100_000).unwrap();
-        assert!(
-            (warm.objective - cold.objective).abs() < 1e-6 * (1.0 + cold.objective.abs()),
-            "warm {} vs cold {}",
-            warm.objective,
-            cold.objective
-        );
-        let (hits, _) = ws.warm_start_counts();
-        assert!(hits > 0);
     }
 
     #[test]
@@ -2211,7 +2105,7 @@ mod tests {
         let (lower, upper) = bounds(&p);
         let sk = StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap();
         let mut ws = RevisedWorkspace::default();
-        ws.configure(true, true);
+        ws.configure(true);
         let root = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
         assert_eq!(root.warm, WarmStart::Cold);
 

@@ -48,10 +48,6 @@ pub struct SolveStats {
     /// Always 0 unless `SolveOptions::bounded_variables` is on.
     #[serde(default)]
     pub bound_flips: usize,
-    /// Forrest–Tomlin factor updates applied in place of product-form eta
-    /// appends. Always 0 unless `SolveOptions::forrest_tomlin` is on.
-    #[serde(default)]
-    pub ft_updates: usize,
 }
 
 impl SolveStats {

@@ -2,8 +2,8 @@
 //!
 //! A [`crate::branch_bound::SolveContext`] carries a factorized LU basis
 //! whose floating-point content is the *accumulated* result of pivots and
-//! Forrest–Tomlin updates — refactorizing the same basis from scratch lands
-//! on bitwise-different values. Checkpoint/resume of a fleet therefore
+//! eta updates — refactorizing the same basis from scratch lands on
+//! bitwise-different values. Checkpoint/resume of a fleet therefore
 //! cannot reconstruct this state from the problem; it has to transport the
 //! exact bytes. This module provides the little-endian [`Writer`]/[`Reader`]
 //! pair the solver structs use to encode themselves (`f64`s travel as raw

@@ -187,7 +187,7 @@ fn assert_point_is_valid(p: &Problem, label: &str, sol: &Solution, n_int: usize)
 }
 
 /// The oracle battery: solves the maximization `p` to a zero gap under all
-/// 16 revised configurations and holds each to the oracle's exhaustive
+/// 8 revised configurations and holds each to the oracle's exhaustive
 /// answer — same status, a valid point (see [`assert_point_is_valid`]) no
 /// worse than the exact optimum, and the oracle's own assignment (the
 /// generators draw generic coefficients, so the optimum is unique). The one

@@ -50,7 +50,7 @@ fn session_efforts(service: &ConductorService, requests: &[FleetJobRequest]) -> 
 
 /// Compares against the pin; on a mismatch prints the observed rows as
 /// source and names the first solve that diverged.
-fn assert_pinned(label: &str, actual: &[Effort], pinned: &[Effort]) {
+fn assert_pinned<T: PartialEq + std::fmt::Debug>(label: &str, actual: &[T], pinned: &[T]) {
     if actual == pinned {
         return;
     }
@@ -68,26 +68,49 @@ fn assert_pinned(label: &str, actual: &[Effort], pinned: &[Effort]) {
     );
 }
 
+/// The six Figure-16 models: `(input GB, migration)`.
+const FIG16_MODELS: [(u32, bool); 6] = [
+    (32, false),
+    (64, false),
+    (128, false),
+    (256, false),
+    (128, true),
+    (256, true),
+];
+
 /// (a) The six Figure-16 models, each planned single-shot (no context
 /// reuse) at the benchmark's solver configuration.
 #[test]
 fn fig16_models_planned_single_shot() {
-    let actual: Vec<Effort> = [
-        (32, false),
-        (64, false),
-        (128, false),
-        (256, false),
-        (128, true),
-        (256, true),
-    ]
-    .into_iter()
-    .map(|(input_gb, migration)| {
-        let (_, _, cost, report) =
-            solver_bench::plan_once(input_gb, migration, solver_bench::bench_options());
-        effort(Some(&report), Some(cost))
-    })
-    .collect();
+    let actual: Vec<Effort> = FIG16_MODELS
+        .into_iter()
+        .map(|(input_gb, migration)| {
+            let (_, _, cost, report) =
+                solver_bench::plan_once(input_gb, migration, solver_bench::bench_options());
+            effort(Some(&report), Some(cost))
+        })
+        .collect();
     assert_pinned("fig16", &actual, FIG16);
+}
+
+/// One solve's [`Effort`] and its bound flips.
+type BoundedEffort = (Effort, usize);
+
+/// (a′) The same six models under both solver-core flags, bounded variables
+/// and dual steepest-edge — the configuration ROADMAP's *One solver* would
+/// make the default. Taken when the stack lost its third flag, so the next
+/// change to `crates/lp` learns when it moves a pivot here too.
+#[test]
+fn fig16_models_under_bounded_dse() {
+    let actual: Vec<BoundedEffort> = FIG16_MODELS
+        .into_iter()
+        .map(|(input_gb, migration)| {
+            let options = solver_bench::full_flags(solver_bench::bench_options());
+            let (_, _, cost, report) = solver_bench::plan_once(input_gb, migration, options);
+            (effort(Some(&report), Some(cost)), report.bound_flips)
+        })
+        .collect();
+    assert_pinned("fig16 bounded+dse", &actual, FIG16_BOUNDED_DSE);
 }
 
 /// (b) Every arrival of the 32-job churn fixture through one shared
@@ -133,6 +156,15 @@ const FIG16: &[Effort] = &[
     (2529, 17443, 628, 627, 4641519415268070771),
     (151, 1136, 61, 60, 4636951064498365242),
     (5553, 35250, 1247, 1246, 4641509964103511506),
+];
+
+const FIG16_BOUNDED_DSE: &[BoundedEffort] = &[
+    ((30, 281, 19, 18, 4627932716023425673), 0),
+    ((18, 255, 18, 17, 4632473172147165812), 0),
+    ((51, 600, 36, 35, 4636958004401185708), 0),
+    ((1095, 6053, 253, 252, 4641519383602135892), 37),
+    ((127, 939, 53, 52, 4636951064134273289), 1),
+    ((3923, 18161, 697, 696, 4641509948954554412), 117),
 ];
 
 const COLD_CHURN: &[Effort] = &[

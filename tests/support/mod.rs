@@ -9,31 +9,27 @@ pub mod oracle;
 use conductor_lp::SolveOptions;
 
 /// Every configuration of the revised engine on top of `base`: warm and cold
-/// node starts × bounded-variables × Forrest–Tomlin × dual steepest-edge.
+/// node starts × bounded-variables × dual steepest-edge.
 pub fn revised_configs(base: &SolveOptions) -> Vec<(String, SolveOptions)> {
-    let mut cfgs = Vec::with_capacity(16);
+    let mut cfgs = Vec::with_capacity(8);
     for warm_start in [true, false] {
         for bounded_variables in [false, true] {
-            for forrest_tomlin in [false, true] {
-                for dual_steepest_edge in [false, true] {
-                    let label = format!(
-                        "{}{}{}{}",
-                        if warm_start { "warm" } else { "cold" },
-                        if bounded_variables { "+bv" } else { "" },
-                        if forrest_tomlin { "+ft" } else { "" },
-                        if dual_steepest_edge { "+dse" } else { "" },
-                    );
-                    cfgs.push((
-                        label,
-                        SolveOptions {
-                            warm_start,
-                            bounded_variables,
-                            forrest_tomlin,
-                            dual_steepest_edge,
-                            ..base.clone()
-                        },
-                    ));
-                }
+            for dual_steepest_edge in [false, true] {
+                let label = format!(
+                    "{}{}{}",
+                    if warm_start { "warm" } else { "cold" },
+                    if bounded_variables { "+bv" } else { "" },
+                    if dual_steepest_edge { "+dse" } else { "" },
+                );
+                cfgs.push((
+                    label,
+                    SolveOptions {
+                        warm_start,
+                        bounded_variables,
+                        dual_steepest_edge,
+                        ..base.clone()
+                    },
+                ));
             }
         }
     }
