@@ -206,9 +206,13 @@ pub struct FleetSnapshot {
 }
 
 impl FleetSnapshot {
-    /// Serializes the snapshot to a JSON string. The codec is exact:
-    /// floats render shortest-round-trip, u64s beyond 2^53 go through
-    /// strings, so `from_json(to_json(s))` reproduces `s` bit for bit.
+    /// Serializes the snapshot to a JSON string. The codec is exact up to
+    /// the sign of zero: floats render shortest-round-trip and u64s beyond
+    /// 2^53 go through strings, so `from_json(to_json(s))` reproduces `s`
+    /// bit for bit, except that a `-0.0` is written `0` and reads back as
+    /// `+0.0` (kept so the bytes stay those every earlier snapshot and pin
+    /// was written with). `to_json(from_json(t)) == t` for any `t` this
+    /// method wrote.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("fleet snapshot serializes")
     }

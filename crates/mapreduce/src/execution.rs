@@ -1728,8 +1728,8 @@ mod tests {
         // The whole end state — report, billing ledger, timeline — must be
         // identical, not merely close.
         assert_eq!(
-            live.snapshot().serialize(),
-            resumed.snapshot().serialize(),
+            serde_json::to_string(&live.snapshot()).unwrap(),
+            serde_json::to_string(&resumed.snapshot()).unwrap(),
             "resumed execution diverged from the uninterrupted run"
         );
     }
@@ -1737,6 +1737,6 @@ mod tests {
     /// Serializes and deserializes the snapshot so the test covers the full
     /// persistence path, not just the in-memory clone.
     fn snapshot_roundtrip(snap: &ExecutionSnapshot) -> ExecutionSnapshot {
-        ExecutionSnapshot::deserialize(&snap.serialize()).expect("snapshot round-trip")
+        serde_json::from_str(&serde_json::to_string(snap).unwrap()).expect("snapshot round-trip")
     }
 }
