@@ -1333,6 +1333,76 @@ mod tests {
         assert_eq!(cold.stats().warm_start_misses, 0);
     }
 
+    /// min n + 1.3m (+ 0.001s) over w ≤ 0.44n + 0.5m, w ≥ 0.44·3.000004 (and
+    /// s ≥ 100), n, m integers in 0..=15. The root LP puts n at 3.000004.
+    fn spinning_model(with_s: bool) -> Problem {
+        let mut p = Problem::new("spin", Sense::Minimize);
+        let n = p.add_int_var("n", 0.0, 15.0);
+        let m = p.add_int_var("m", 0.0, 15.0);
+        let w = p.add_var("w", 0.0, f64::INFINITY);
+        let mut objective = vec![(n, 1.0), (m, 1.3)];
+        p.add_constraint(
+            "rate",
+            [(w, 1.0), (n, -0.44), (m, -0.5)],
+            ConstraintOp::Le,
+            0.0,
+        );
+        p.add_constraint("work", [(w, 1.0)], ConstraintOp::Ge, 0.44 * 3.000004);
+        if with_s {
+            let s = p.add_var("s", 0.0, f64::INFINITY);
+            objective.push((s, 0.001));
+            p.add_constraint("floor", [(s, 1.0)], ConstraintOp::Ge, 100.0);
+        }
+        p.set_objective(objective);
+        p
+    }
+
+    /// A node whose point is fractional to the integrality test (|δ| > 1e-6)
+    /// but feasible to the LP (|δ| < 1e-7·(1 + b_scale), and `s ≥ 100` makes
+    /// `b_scale` 100): its down child is the node itself, the warm start
+    /// repairs nothing and the child is branched again, to the cap. Without
+    /// `s` the LP tolerance is tight enough that the tree solves in 6 nodes.
+    /// The counts and the objective bits were taken before branch & bound
+    /// replayed such nodes; never edit them.
+    #[test]
+    fn a_node_equal_to_its_parent_spins_to_the_cap() {
+        let capped = SolveOptions {
+            max_nodes: 200,
+            ..Default::default()
+        };
+        let sol = spinning_model(true).solve_with(&capped).unwrap();
+        let stats = *sol.stats();
+        // `Optimal` although the spinning node's bound (about 3.1) is far
+        // outside the 1 % gap: the node popped when the cap is reached is
+        // dropped, so the heap the final gap is read from is empty.
+        assert_eq!(
+            (sol.status(), stats.relative_gap),
+            (SolveStatus::Optimal, 0.0)
+        );
+        assert_eq!(
+            sol.objective().to_bits(),
+            4.1f64.to_bits(),
+            "{}",
+            sol.objective()
+        );
+        let point: Vec<u64> = sol.values().iter().map(|v| v.to_bits()).collect();
+        let pinned = [4.0, -0.0, 1.32000176, 100.0].map(f64::to_bits);
+        assert_eq!(point, pinned, "{:?}", sol.values());
+        assert_eq!(
+            (
+                stats.nodes_explored,
+                stats.simplex_iterations,
+                stats.warm_start_hits,
+                stats.warm_start_misses,
+                stats.basis_factorizations,
+            ),
+            (200, 6, 199, 0, 1)
+        );
+
+        let tight = spinning_model(false).solve_with(&capped).unwrap();
+        assert_eq!(tight.stats().nodes_explored, 6);
+    }
+
     #[test]
     fn heap_entry_ordering_is_total_even_for_nan() {
         let entry = |order: f64| HeapEntry {
