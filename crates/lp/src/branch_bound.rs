@@ -7,12 +7,26 @@
 //! relative optimality gap and a wall-clock limit after which the best
 //! feasible solution found so far is returned (§4.8).
 //!
-//! The solver hot path is built around three reuse layers (see
+//! The solver hot path is built around four reuse layers (see
 //! [`crate::simplex`]): one [`StandardFormSkeleton`] for the whole tree, one
-//! [`RevisedWorkspace`] reused by every node, and parent-basis warm starts
-//! threaded through each node's saved basis. Hit/miss counts land in
-//! [`SolveStats::warm_start_hits`] / [`SolveStats::warm_start_misses`] so
-//! benchmarks can verify the warm-start rate.
+//! [`RevisedWorkspace`] reused by every node, parent-basis warm starts
+//! threaded through each node's saved basis, and replayed nodes. Hit/miss
+//! counts land in [`SolveStats::warm_start_hits`] /
+//! [`SolveStats::warm_start_misses`] so benchmarks can verify the warm-start
+//! rate.
+//!
+//! A replayed node is a child whose bound vectors are bit-identical to its
+//! parent's. That happens when the branching variable sits at `k + δ` with
+//! `δ` above the integrality tolerance but inside the LP's feasibility
+//! tolerance: the child `x ≤ k` is the parent itself. When such a child is
+//! popped straight after its parent's solve, and that solve was a warm start
+//! needing no pivot (so it changed nothing it reads), solving the child
+//! would reproduce the parent's objective and point bit for bit. The child
+//! takes them without calling the engine, and skips the rounding heuristic,
+//! whose point, bounds and incumbent are the ones it was just offered. Its
+//! prune checks, branching and gap test run as for any node
+//! ([`SolveStats::replayed_nodes`]; `crates/lp/src/revised.rs`'s module doc
+//! states the rule).
 
 use crate::error::LpError;
 use crate::expr::LinExpr;
@@ -243,19 +257,24 @@ pub fn solve_with_context(
         skeleton,
         workspace,
     };
-    let (result, nodes_explored, simplex_iterations) = if problem.is_mip() {
+    let (result, nodes_explored, simplex_iterations, replayed_nodes) = if problem.is_mip() {
         let mut bb = BranchAndBound::new(problem, options, start, solver);
         let result = bb.run(lower, upper, root_warm);
         solver = bb.node_solver;
-        (result, bb.nodes_explored, bb.simplex_iterations)
+        (
+            result,
+            bb.nodes_explored,
+            bb.simplex_iterations,
+            bb.replayed_nodes,
+        )
     } else {
         let mut values = Vec::new();
         match solver.solve_node(&lower, &upper, root_warm, &mut values) {
             Ok(r) => {
                 let found = (SolveStatus::Optimal, r.objective, values, 0.0);
-                (Ok(found), 1, r.iterations)
+                (Ok(found), 1, r.iterations, 0)
             }
-            Err(e) => (Err(e), 0, 0),
+            Err(e) => (Err(e), 0, 0, 0),
         }
     };
     // The workspace outlives the solve under a shared context, so its
@@ -271,6 +290,7 @@ pub fn solve_with_context(
         basis_factorizations: exit.factorizations.0 - entry.factorizations.0,
         basis_refactorizations: exit.factorizations.1 - entry.factorizations.1,
         bound_flips: exit.bound_flips - entry.bound_flips,
+        replayed_nodes,
     };
     ctx.last_basis.clear();
     ctx.last_basis
@@ -344,6 +364,10 @@ struct Relaxation {
     /// `true` when children may warm-start from the state this solve left
     /// in the shared workspace.
     inheritable: bool,
+    /// `true` when re-solving the same bounds next, warm, would reproduce
+    /// this relaxation bit for bit (a shared-workspace warm start that took
+    /// the zero-pivot shortcut).
+    replayable: bool,
 }
 
 impl NodeSolver<'_> {
@@ -372,6 +396,7 @@ impl NodeSolver<'_> {
                 objective: r.objective,
                 iterations: r.iterations,
                 inheritable: !self.workspace.last_basis().is_empty(),
+                replayable: r.replayable,
             });
         }
         // The rare node whose bounds change a variable's standard-form
@@ -386,6 +411,7 @@ impl NodeSolver<'_> {
             objective: r.objective,
             iterations: r.iterations,
             inheritable: false,
+            replayable: false,
         })
     }
 }
@@ -402,6 +428,9 @@ struct Node {
     /// `true` when the parent's solve left the shared workspace on a basis
     /// this node may resume from.
     warm: bool,
+    /// `Some(k)` when these bound vectors are bit-identical to the parent's
+    /// and the parent's relaxation came from engine solve number `k`.
+    repeats: Option<usize>,
 }
 
 /// Max-heap entry ordered so the node with the smallest minimization bound
@@ -493,6 +522,12 @@ struct BranchAndBound<'a> {
     best_bound: f64,
     nodes_explored: usize,
     simplex_iterations: usize,
+    /// Relaxations solved by the engine so far, failed ones included.
+    solves: usize,
+    /// `(k, objective)` while engine solve `k` is the last one and was
+    /// replayable: its point is still in `values`.
+    replayable: Option<(usize, f64)>,
+    replayed_nodes: usize,
     rows: FlatRows,
     /// The current node's relaxation point.
     values: Vec<f64>,
@@ -524,6 +559,9 @@ impl<'a> BranchAndBound<'a> {
             best_bound: f64::NEG_INFINITY,
             nodes_explored: 0,
             simplex_iterations: 0,
+            solves: 0,
+            replayable: None,
+            replayed_nodes: 0,
             rows: FlatRows::new(problem),
             values: Vec::new(),
             rounded: Vec::new(),
@@ -551,6 +589,7 @@ impl<'a> BranchAndBound<'a> {
                 bound: f64::NEG_INFINITY,
                 depth: 0,
                 warm: root_warm,
+                repeats: None,
             },
         });
 
@@ -573,11 +612,32 @@ impl<'a> BranchAndBound<'a> {
             }
 
             attempted_any_node = true;
-            let solved =
-                self.node_solver
-                    .solve_node(&node.lower, &node.upper, node.warm, &mut self.values);
+            // Nothing has touched the workspace or `values` since the solve
+            // this node repeats, so that solve's result is this node's.
+            let replay = match (node.warm, node.repeats, self.replayable) {
+                (true, Some(k), Some((last, objective))) if k == last => Some(objective),
+                _ => None,
+            };
+            let solved = match replay {
+                Some(objective) => Ok(self.replay(&node, objective)),
+                None => {
+                    self.solves += 1;
+                    self.replayable = None;
+                    self.node_solver.solve_node(
+                        &node.lower,
+                        &node.upper,
+                        node.warm,
+                        &mut self.values,
+                    )
+                }
+            };
             let relax = match solved {
-                Ok(r) => r,
+                Ok(r) => {
+                    if r.replayable {
+                        self.replayable = Some((self.solves, r.objective));
+                    }
+                    r
+                }
                 Err(LpError::Infeasible) => continue,
                 Err(LpError::Unbounded) => {
                     // An unbounded relaxation at the root means the MIP is
@@ -615,7 +675,11 @@ impl<'a> BranchAndBound<'a> {
                 Some(branch_var) => {
                     // Cheap rounding heuristics give early incumbents and keep
                     // the tree small (most of our models are near-integral).
-                    self.try_rounding_heuristic(&node);
+                    // A replayed node's point, bounds and incumbent are the
+                    // ones the heuristic was just offered.
+                    if replay.is_none() {
+                        self.try_rounding_heuristic(&node);
+                    }
                     self.branch(node, branch_var, relax.inheritable, relax_min, &mut heap);
                 }
             }
@@ -709,8 +773,62 @@ impl<'a> BranchAndBound<'a> {
         best.map(|(i, _)| i)
     }
 
+    /// Replays engine solve `self.solves` for `node`, whose bounds repeat
+    /// that solve's: its objective, the point still in `values`, no pivot.
+    fn replay(&mut self, node: &Node, objective: f64) -> Relaxation {
+        // The skipped solve would have counted a warm hit, and the count is
+        // part of the exported solver state; a debug build's re-solve counts
+        // it itself.
+        if cfg!(debug_assertions) {
+            self.check_replay(node, objective);
+        } else {
+            self.node_solver.workspace.count_replayed_hit();
+        }
+        self.replayed_nodes += 1;
+        Relaxation {
+            objective,
+            iterations: 0,
+            inheritable: true,
+            replayable: true,
+        }
+    }
+
+    /// Debug builds prove every replay: the engine re-solves the node, and
+    /// its objective and point must equal the replayed ones bit for bit,
+    /// with no pivot and the solve replayable still. (The rounding
+    /// heuristic's buffer is the scratch: a replayed node skips it.)
+    fn check_replay(&mut self, node: &Node, objective: f64) {
+        let mut point = std::mem::take(&mut self.rounded);
+        let fresh = self
+            .node_solver
+            .solve_node(&node.lower, &node.upper, node.warm, &mut point)
+            .expect("a replayed node re-solves");
+        assert_eq!(
+            (
+                fresh.objective.to_bits(),
+                fresh.iterations,
+                fresh.replayable
+            ),
+            (objective.to_bits(), 0, true),
+            "replayed objective {objective:e}, re-solved {:e}",
+            fresh.objective
+        );
+        assert!(
+            point.len() == self.values.len()
+                && point
+                    .iter()
+                    .zip(&self.values)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "replayed point {:?}, re-solved {point:?}",
+            self.values
+        );
+        self.rounded = point;
+    }
+
     /// Pushes the two children of `node` on `var`. The node's own bound
     /// vectors become the second child's; the first child's are the one copy.
+    /// A child whose bounds are the node's own is tagged with the engine
+    /// solve the node's relaxation came from.
     fn branch(
         &mut self,
         node: Node,
@@ -733,13 +851,16 @@ impl<'a> BranchAndBound<'a> {
             VarKind::Continuous => unreachable!("continuous variables are never branched on"),
         };
         let empty = |(lo, hi): (f64, f64)| lo > hi + 1e-12;
+        let own = (node.lower[var].to_bits(), node.upper[var].to_bits());
+        let solve = self.solves;
+        let repeats = |(lo, hi): (f64, f64)| (own == (lo.to_bits(), hi.to_bits())).then_some(solve);
         let Node {
             mut lower,
             mut upper,
             depth,
             ..
         } = node;
-        let mut push = |lower: Vec<f64>, upper: Vec<f64>| {
+        let mut push = |lower: Vec<f64>, upper: Vec<f64>, repeats: Option<usize>| {
             heap.push(HeapEntry {
                 order: relax_min,
                 node: Node {
@@ -748,6 +869,7 @@ impl<'a> BranchAndBound<'a> {
                     bound: relax_min,
                     depth: depth + 1,
                     warm,
+                    repeats,
                 },
             });
         };
@@ -758,11 +880,11 @@ impl<'a> BranchAndBound<'a> {
                 (lower.clone(), upper.clone())
             };
             (l[var], u[var]) = left;
-            push(l, u);
+            push(l, u, repeats(left));
         }
         if !empty(right) {
             (lower[var], upper[var]) = right;
-            push(lower, upper);
+            push(lower, upper, repeats(right));
         }
     }
 
@@ -1398,9 +1520,13 @@ mod tests {
             ),
             (200, 6, 199, 0, 1)
         );
+        // Nearly every node of the spin repeats the one solved before it,
+        // and costs a heap pop instead of an LP solve.
+        assert_eq!(stats.replayed_nodes, 195);
 
         let tight = spinning_model(false).solve_with(&capped).unwrap();
         assert_eq!(tight.stats().nodes_explored, 6);
+        assert_eq!(tight.stats().replayed_nodes, 0);
     }
 
     #[test]
@@ -1413,6 +1539,7 @@ mod tests {
                 bound: order,
                 depth: 0,
                 warm: false,
+                repeats: None,
             },
         };
         let mut heap = BinaryHeap::new();

@@ -74,6 +74,15 @@
 //! * a *pure boolean conjunction* may be evaluated in any order and stopped
 //!   at the first `false` (the rounding heuristic asks the constraint that
 //!   refuted the last point first);
+//! * a *whole node solve* may be replayed by the same rule: a warm start
+//!   whose repair needed no pivot under a surviving certificate skips the
+//!   polish and changes nothing it reads (`NodeLp::replayable`), so when
+//!   branch & bound's very next solve has bit-identical bounds (the child of
+//!   a point that is fractional to the integrality test but feasible to the
+//!   LP's tolerance is its parent again) it takes the objective and point
+//!   it already holds and counts the warm hit the solve would have counted
+//!   (`count_replayed_hit`). Debug builds re-solve every replayed node and
+//!   assert bit equality;
 //! * *storage* may change shape — reused buffers, pooled eta entry lists,
 //!   an ascending list of the non-basic columns instead of a flag test per
 //!   column, a bitmap instead of a binary heap for a drain whose order is
@@ -261,6 +270,12 @@ impl RevisedWorkspace {
     pub fn bound_flips(&self) -> usize {
         self.bound_flips
     }
+
+    /// Counts the warm hit of a solve its caller replayed instead of
+    /// running (see [`NodeLp::replayable`]): the count is exported state.
+    pub(crate) fn count_replayed_hit(&mut self) {
+        self.warm_hits += 1;
+    }
 }
 
 /// Outcome of a warm-start attempt.
@@ -283,6 +298,12 @@ pub(crate) struct NodeLp {
     pub(crate) objective: f64,
     pub(crate) iterations: usize,
     pub(crate) warm: WarmStart,
+    /// `true` when the solve was a warm start whose repair needed no pivot
+    /// under a certificate that survived it, so the polish was skipped. Such
+    /// a solve changed nothing its inputs feed on: solving the same bounds
+    /// again, warm, before anything else touches the workspace reproduces
+    /// its objective and point bit for bit, and adds one warm hit.
+    pub(crate) replayable: bool,
 }
 
 /// Solves the continuous relaxation described by `skeleton` under the given
@@ -349,6 +370,7 @@ pub(crate) fn solve_node_revised(
 
     let mut start = WarmStart::Cold;
     let mut warm_iterations: Option<usize> = None;
+    let mut replayable = false;
     if warm && solver.ws.reusable && solver.ws.skeleton_tag == tag {
         solver.ws.reusable = false; // re-armed only on success
         match solver.try_reuse(lower, upper) {
@@ -361,7 +383,8 @@ pub(crate) fn solve_node_revised(
                 // the same duals, rescan the same reduced costs, find no
                 // entering column and leave the workspace as it is. (The
                 // repair's debug check has already re-priced this state.)
-                let polished = if pivots == 0 && polish_cap > 0 && solver.certified() {
+                let shortcut = pivots == 0 && polish_cap > 0 && solver.certified();
+                let polished = if shortcut {
                     Ok(0)
                 } else {
                     solver.optimize(&skeleton.c, polish_cap, false)
@@ -370,6 +393,7 @@ pub(crate) fn solve_node_revised(
                     Ok(n) => {
                         start = WarmStart::Hit;
                         warm_iterations = Some(n + pivots);
+                        replayable = shortcut;
                         solver.ws.warm_hits += 1;
                     }
                     Err(_) => start = WarmStart::Miss,
@@ -433,6 +457,7 @@ pub(crate) fn solve_node_revised(
         objective: min_obj * skeleton.sense_factor,
         iterations,
         warm: start,
+        replayable,
     })
 }
 

@@ -48,6 +48,12 @@ pub struct SolveStats {
     /// Always 0 unless `SolveOptions::bounded_variables` is on.
     #[serde(default)]
     pub bound_flips: usize,
+    /// The subset of `nodes_explored` whose bounds were bit-identical to
+    /// those of the node solved just before them, after a solve that needed
+    /// no pivot: branch & bound took that solve's objective and point again
+    /// instead of calling the LP engine (each still counts a warm-start hit).
+    #[serde(default)]
+    pub replayed_nodes: usize,
 }
 
 impl SolveStats {

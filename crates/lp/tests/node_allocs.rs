@@ -1,26 +1,34 @@
 //! A machine-independent gate on what a branch & bound node allocates.
 //!
 //! Its own test binary, because it installs a counting `#[global_allocator]`
-//! and must be the only thread allocating while it counts. Two solves share
+//! and must be the only thread allocating while it counts. Three solves share
 //! one [`SolveContext`], as a fleet's admissions do: a churn-class model
 //! (20 intervals, 80 variables, 83 standard-form rows) that no integer point
-//! satisfies, searched to its 2 000-node cap the way a refused admission is,
-//! and a Figure-16-class model (48 intervals, 192 variables) solved to a 2 %
-//! gap in 481 nodes. The gate is heap allocations per explored node over
-//! both — skeleton, workspace and heap growth included, so it also bounds
-//! the per-solve set-up.
+//! satisfies, searched to its 2 000-node cap the way a refused admission is
+//! (it never repeats a node), a Figure-16-class model (48 intervals, 192
+//! variables) solved to a 2 % gap in 481 nodes, and a four-variable model
+//! whose every node repeats the one before it, spun to a 200-node cap with
+//! 195 of them replayed. The gate is heap allocations per explored node over
+//! all three — skeleton, workspace and heap growth included, so it also
+//! bounds the per-solve set-up.
 //!
 //! Readings (a count, so they repeat exactly, debug or release):
 //!
 //! | commit                                         | allocations | nodes | per node |
 //! |------------------------------------------------|------------:|------:|---------:|
 //! | parent `228560d`, before the node loop changed |      60 506 | 2 481 |    24.39 |
-//! | this change                                    |       6 666 | 2 481 |     2.69 |
+//! | `d683251`, the node loop's allocations removed |       6 666 | 2 481 |     2.69 |
+//! | the spin added, before nodes were replayed     |       6 703 | 2 681 |     2.50 |
+//! | replayed nodes                                 |       6 703 | 2 681 |     2.50 |
 //!
 //! What is left is the one copy of the bound vectors a branch makes for its
 //! first child (two `Vec`s; the second child takes the parent's own) and the
-//! search heap's growth. The bound is the change's reading plus one: it
-//! fails the day a `clone()` or a `collect()` goes back into the node loop.
+//! search heap's growth. The bound is the 2.69 reading plus one: it fails
+//! the day a `clone()` or a `collect()` goes back into the node loop. A
+//! replayed node's only child is the node itself, which takes its vectors,
+//! so a replay allocates nothing: 200 more nodes of the spin cost 0
+//! allocations, and the test asserts exactly that (in debug builds too,
+//! whose re-solve of every replayed node writes into a reused buffer).
 
 use conductor_lp::{
     ConstraintOp, LpError, Problem, Sense, SolveContext, SolveOptions, SolveStatus,
@@ -119,10 +127,50 @@ fn plan_model(intervals: usize, input_gb: f64, odd_nodes: bool) -> Problem {
     p
 }
 
+/// min n + 1.3m + 0.001s over w ≤ 0.44n + 0.5m, w ≥ 0.44·3.000004, s ≥ 100,
+/// n, m integers in 0..=15: the root LP puts n at 3.000004, fractional to
+/// the integrality test and feasible to the LP's tolerance (the row
+/// `s ≥ 100` widens it), so the down child of every node is the node itself
+/// and the search spins to whatever cap it is given, replaying the node.
+fn spinning_model() -> Problem {
+    let mut p = Problem::new("spin", Sense::Minimize);
+    let n = p.add_int_var("n", 0.0, 15.0);
+    let m = p.add_int_var("m", 0.0, 15.0);
+    let w = p.add_var("w", 0.0, f64::INFINITY);
+    let s = p.add_var("s", 0.0, f64::INFINITY);
+    p.set_objective([(n, 1.0), (m, 1.3), (s, 0.001)]);
+    p.add_constraint(
+        "rate",
+        [(w, 1.0), (n, -0.44), (m, -0.5)],
+        ConstraintOp::Le,
+        0.0,
+    );
+    p.add_constraint("work", [(w, 1.0)], ConstraintOp::Ge, 0.44 * 3.000004);
+    p.add_constraint("floor", [(s, 1.0)], ConstraintOp::Ge, 100.0);
+    p
+}
+
+/// Allocations and replayed nodes of one spin to `max_nodes` under a fresh
+/// context.
+fn spin(max_nodes: usize) -> (usize, usize) {
+    let options = SolveOptions {
+        max_nodes,
+        ..SolveOptions::default()
+    };
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let solved = spinning_model()
+        .solve_with(&options)
+        .expect("the spin finds 4.1");
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(solved.stats().nodes_explored, max_nodes);
+    (allocations, solved.stats().replayed_nodes)
+}
+
 #[test]
 fn a_node_allocates_next_to_nothing() {
     let capped = plan_model(20, 30.0, true);
     let fig16 = plan_model(48, 20.0, false);
+    let spinning = spinning_model();
     let cap = SolveOptions {
         max_nodes: 2_000,
         ..SolveOptions::default()
@@ -131,24 +179,48 @@ fn a_node_allocates_next_to_nothing() {
         relative_gap: 0.02,
         ..SolveOptions::default()
     };
+    let spin_cap = SolveOptions {
+        max_nodes: 200,
+        ..SolveOptions::default()
+    };
     let mut ctx = SolveContext::new();
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let refused = capped.solve_with_context(&cap, &mut ctx);
-    let capped_nodes = ctx.last_solve_stats().expect("searched").nodes_explored;
+    let capped_stats = ctx.last_solve_stats().expect("searched");
     let planned = fig16.solve_with_context(&to_gap, &mut ctx);
+    let spun = spinning.solve_with_context(&spin_cap, &mut ctx);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     assert!(matches!(refused, Err(LpError::NoIncumbent)), "{refused:?}");
-    assert_eq!(capped_nodes, 2_000, "the capped model must reach its cap");
+    assert_eq!(
+        capped_stats.nodes_explored, 2_000,
+        "the capped model must reach its cap"
+    );
     let planned = planned.expect("the Figure-16-class model plans");
     assert_eq!(planned.status(), SolveStatus::Optimal);
-    let nodes = capped_nodes + planned.stats().nodes_explored;
+    let spun = spun.expect("the spin finds 4.1");
+    let replayed = [capped_stats, *planned.stats(), *spun.stats()].map(|s| s.replayed_nodes);
+    assert_eq!(replayed, [0, 0, 195], "replayed nodes per solve");
+    let nodes = capped_stats.nodes_explored + planned.stats().nodes_explored + 200;
     let per_node = allocations as f64 / nodes as f64;
     println!("{allocations} allocations over {nodes} nodes: {per_node:.2} per node");
     assert!(
         per_node <= 3.69,
         "{allocations} allocations over {nodes} explored nodes is {per_node:.2} per node; \
          the node loop read 2.69 when this gate was set"
+    );
+
+    // A replayed node's self-child takes its vectors, and nothing else in
+    // the node loop allocates: 200 more nodes of the spin, all replayed,
+    // cost no allocation at all (debug builds' re-solve included).
+    let (short, short_replays) = spin(200);
+    let (long, long_replays) = spin(400);
+    assert_eq!(long_replays - short_replays, 200);
+    assert_eq!(
+        long,
+        short,
+        "200 more replayed nodes allocated {}",
+        long - short
     );
 }
