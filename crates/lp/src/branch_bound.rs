@@ -1084,46 +1084,100 @@ mod tests {
         absorb(&failed, &ctx);
     }
 
+    /// Every `(bounded_variables, dual_steepest_edge)` configuration.
+    const CONFIGURATIONS: [(bool, bool); 4] =
+        [(false, false), (false, true), (true, false), (true, true)];
+
+    /// One step of [`roundtrip_steps`]: a full solve under a node cap, or
+    /// the plan cache's certify step (the root LP alone).
+    enum Step {
+        Solve(Problem, usize),
+        Certify(Problem),
+    }
+
+    /// Look-alike knapsacks (rebinds), the certify step — so a later export
+    /// happens while the workspace carries certified reduced costs — a
+    /// layout change to the spinning model capped at 200 nodes (most of them
+    /// replayed), the spin rebound under a cap of 50, its tight twin
+    /// (another layout) and its certify step, and a knapsack again.
+    fn roundtrip_steps() -> Vec<Step> {
+        let make = |cap, c| knapsack(ConstraintOp::Le, cap, c);
+        let uncapped = SolveOptions::default().max_nodes;
+        vec![
+            Step::Solve(make(14.0, [8.0, 11.0, 6.0, 4.0]), uncapped),
+            Step::Solve(make(12.0, [7.0, 10.0, 6.5, 4.0]), uncapped),
+            Step::Certify(make(12.5, [7.5, 10.0, 6.0, 4.5])),
+            Step::Solve(make(13.0, [8.5, 11.0, 5.5, 4.25]), uncapped),
+            Step::Solve(spinning_model(true), 200),
+            Step::Solve(spinning_model(true), 50),
+            Step::Solve(spinning_model(false), 200),
+            Step::Certify(spinning_model(false)),
+            Step::Solve(make(14.0, [8.0, 11.0, 6.0, 4.0]), uncapped),
+        ]
+    }
+
+    /// What a step returned, to the bit: the objective's and the point's
+    /// bits (a certify step has no point), or the error — and a solve's
+    /// effort, failed or not, without the clock.
+    type StepOutcome = (Result<(u64, Vec<u64>), LpError>, Option<SolveStats>);
+
+    fn run_step(step: &Step, config: (bool, bool), ctx: &mut SolveContext) -> StepOutcome {
+        let (bounded_variables, dual_steepest_edge) = config;
+        let opts = SolveOptions {
+            bounded_variables,
+            dual_steepest_edge,
+            ..Default::default()
+        };
+        match step {
+            Step::Solve(problem, max_nodes) => {
+                let opts = SolveOptions {
+                    max_nodes: *max_nodes,
+                    ..opts
+                };
+                let result = solve_with_context(problem, &opts, ctx).map(|sol| {
+                    let point = sol.values().iter().map(|v| v.to_bits()).collect();
+                    (sol.objective().to_bits(), point)
+                });
+                let effort = ctx.last_solve_stats().map(|s| SolveStats {
+                    solve_time: Default::default(),
+                    ..s
+                });
+                (result, effort)
+            }
+            Step::Certify(problem) => {
+                let bound = ctx.relaxation_bound(problem, &opts, 10_000);
+                (bound.map(|b| (b.to_bits(), Vec::new())), None)
+            }
+        }
+    }
+
+    /// Export → import after every step of [`roundtrip_steps`], under every
+    /// configuration: the live context and its imported twin must take the
+    /// next step identically — the same answer to the bit, the same effort
+    /// — and re-export the same bytes, every float in the factorization
+    /// included.
     #[test]
     fn solve_context_state_roundtrip_is_bitwise() {
-        let make = |cap, c| knapsack(ConstraintOp::Le, cap, c);
-        for (bounded, dse) in [(false, false), (true, true)] {
-            let opts = SolveOptions {
-                relative_gap: 0.0,
-                bounded_variables: bounded,
-                dual_steepest_edge: dse,
-                ..Default::default()
-            };
-            // Accumulate real warm-start state across two look-alike solves,
-            // then take the plan cache's certify step (a root LP solved to
-            // optimality), so the export happens while the workspace carries
-            // certified reduced costs — which the blob must not.
+        for config in CONFIGURATIONS {
             let mut live = SolveContext::new();
-            for (cap, c) in [(14.0, [8.0, 11.0, 6.0, 4.0]), (12.0, [7.0, 10.0, 6.5, 4.0])] {
-                solve_with_context(&make(cap, c), &opts, &mut live).unwrap();
+            let mut replayed = 0;
+            for (k, step) in roundtrip_steps().iter().enumerate() {
+                let mut twin = SolveContext::import_state(&live.export_state()).unwrap();
+                assert_eq!(twin.reuse_counts(), live.reuse_counts());
+                assert_eq!(twin.warm_start_counts(), live.warm_start_counts());
+                assert_eq!(twin.factorization_counts(), live.factorization_counts());
+                let ours = run_step(step, config, &mut live);
+                let theirs = run_step(step, config, &mut twin);
+                assert_eq!(ours, theirs, "step {k} under {config:?}");
+                assert_eq!(
+                    live.export_state(),
+                    twin.export_state(),
+                    "step {k} under {config:?}"
+                );
+                replayed += ours.1.map_or(0, |s| s.replayed_nodes);
             }
-            live.relaxation_bound(&make(12.5, [7.5, 10.0, 6.0, 4.5]), &opts, 10_000)
-                .unwrap();
-            let blob = live.export_state();
-            let mut restored = SolveContext::import_state(&blob).unwrap();
-            assert_eq!(restored.reuse_counts(), live.reuse_counts());
-            assert_eq!(restored.warm_start_counts(), live.warm_start_counts());
-
-            // The next solve must take the identical path in both contexts.
-            let next = make(13.0, [8.5, 11.0, 5.5, 4.25]);
-            let sa = solve_with_context(&next, &opts, &mut live).unwrap();
-            let sb = solve_with_context(&next, &opts, &mut restored).unwrap();
-            assert_eq!(sa.objective().to_bits(), sb.objective().to_bits());
-            let effort = |s: &SolveStats| SolveStats {
-                solve_time: Default::default(),
-                ..*s
-            };
-            assert_eq!(effort(sa.stats()), effort(sb.stats()));
-            assert_eq!(live.reuse_counts(), restored.reuse_counts());
-            assert_eq!(live.warm_start_counts(), restored.warm_start_counts());
-            // Strongest check: the post-solve states re-export to the exact
-            // same bytes — every float in the factorization agrees.
-            assert_eq!(live.export_state(), restored.export_state());
+            // The capped spins replay nodes under every configuration.
+            assert_eq!(replayed, 195 + 45, "{config:?}");
         }
     }
 
