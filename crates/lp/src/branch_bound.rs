@@ -49,7 +49,7 @@ pub fn solve(problem: &Problem, options: &SolveOptions) -> Result<Solution, LpEr
 /// any field is read; the value is neither `0x00` nor `0x01` because blobs
 /// written before the tag existed start with the `cached` bool. Bump it
 /// whenever an encoded field is added, removed or reordered.
-const STATE_FORMAT: u8 = 0x02;
+const STATE_FORMAT: u8 = 0x03;
 
 /// Cross-solve reuse state for a stream of structurally look-alike problems
 /// — the batched-admission fast path. Holds one boxed standard-form
@@ -60,7 +60,11 @@ const STATE_FORMAT: u8 = 0x02;
 #[derive(Debug, Default)]
 pub struct SolveContext {
     cached: Option<(Box<StandardFormSkeleton>, RevisedWorkspace)>,
-    last_basis: Vec<usize>,
+    /// Authorizes the next root's warm start: set when the last solve left
+    /// a basis in the workspace (a certify step only when it succeeded).
+    /// The warm start resumes from the workspace's own state, and only if
+    /// the workspace marked that state reusable.
+    root_warm: bool,
     skeleton_reuses: usize,
     skeleton_rebuilds: usize,
     /// Effort of the most recent [`solve_with_context`], failed or not.
@@ -127,7 +131,7 @@ impl SolveContext {
                 return Ok((skeleton, ws));
             }
             ws.invalidate();
-            self.last_basis.clear();
+            self.root_warm = false;
             let skeleton = Box::new(build_skeleton(problem, options, lower, upper)?);
             self.skeleton_rebuilds += 1;
             return Ok((skeleton, ws));
@@ -151,29 +155,27 @@ impl SolveContext {
         let lower: Vec<f64> = problem.variables().iter().map(|v| v.lower).collect();
         let upper: Vec<f64> = problem.variables().iter().map(|v| v.upper).collect();
         let (skeleton, mut ws) = self.engine_for(problem, options, &lower, &upper)?;
-        let warm = !self.last_basis.is_empty();
         let result = solve_node_revised(
             &skeleton,
             &mut ws,
             &lower,
             &upper,
-            warm,
+            self.root_warm,
             max_iterations,
             &mut Vec::new(),
         );
-        self.last_basis.clear();
-        if result.is_ok() {
-            self.last_basis.extend_from_slice(ws.last_basis());
-        }
+        self.root_warm = result.is_ok() && !ws.last_basis().is_empty();
         self.cached = Some((skeleton, ws));
         result.map(|r| r.objective)
     }
 
-    /// Serializes the full context — cached skeleton, factorized workspace
-    /// and last optimal basis — into a hex blob suitable for embedding in a
-    /// JSON checkpoint. [`SolveContext::import_state`] rebuilds a context
-    /// that solves the next problem bit-for-bit like this one would have
-    /// (same warm-start path, same pivots, same floats).
+    /// Serializes the context — the cached skeleton's layout, the
+    /// workspace's factorized basis and counters, and whether the root may
+    /// warm-start — into a hex blob suitable for embedding in a JSON
+    /// checkpoint: exactly what the next solve reads before it writes it
+    /// (`crate::state` states the rule). [`SolveContext::import_state`]
+    /// rebuilds a context that solves the next problem bit-for-bit like this
+    /// one would have (same warm-start path, same pivots, same floats).
     pub fn export_state(&self) -> String {
         let mut w = crate::state::Writer::new();
         w.u8(STATE_FORMAT);
@@ -185,7 +187,7 @@ impl SolveContext {
                 ws.encode_state(skeleton, &mut w);
             }
         }
-        w.vec_usize(&self.last_basis);
+        w.bool(self.root_warm);
         w.usize(self.skeleton_reuses);
         w.usize(self.skeleton_rebuilds);
         w.into_hex()
@@ -195,16 +197,17 @@ impl SolveContext {
     ///
     /// The blob crosses a trust boundary, so beyond framing (a format byte
     /// other than this build's, truncation, trailing bytes, invalid tags)
-    /// every decoded part is checked
-    /// structurally before it is accepted: per-row and per-column vectors
-    /// have the lengths the layout implies, every stored row, step, column
-    /// or variable index is in range, permutations and their inverses agree,
-    /// every pivot a solve divides by is finite and non-zero, and the basis
-    /// agrees with its flags. A blob that fails is an `Err`, not a panic
-    /// inside the next solve. (One that passes may still carry damaged
-    /// *numbers*: the warm start's residual check sends a corrupted
-    /// factorization to the cold path, but a flipped matrix coefficient is
-    /// simply another problem. Integrity of the bytes is the checkpoint
+    /// every decoded part is checked structurally before it is accepted:
+    /// per-row and per-column vectors have the lengths the layout implies,
+    /// every stored row, step, column or variable index is in range, span
+    /// rows belong to shifted variables, the LU row order is a permutation,
+    /// the basis names distinct columns, every pivot a solve divides by is
+    /// finite and non-zero, and every row sign is exactly `±1`. A blob that
+    /// fails is an `Err`, not a panic inside the next solve. (One that
+    /// passes may still carry damaged *numbers*: the warm start's residual
+    /// check sends a corrupted factorization to the cold path, and a
+    /// skeleton whose coefficients no longer match the next problem is
+    /// rebuilt rather than rebound. Integrity of the bytes is the checkpoint
     /// store's job; this decoder's is never to crash on them.)
     pub fn import_state(blob: &str) -> Result<Self, crate::state::StateError> {
         let bytes = crate::state::from_hex(blob)?;
@@ -222,7 +225,7 @@ impl SolveContext {
         };
         let ctx = Self {
             cached,
-            last_basis: r.vec_usize()?,
+            root_warm: r.bool()?,
             skeleton_reuses: r.usize()?,
             skeleton_rebuilds: r.usize()?,
             last_stats: None,
@@ -248,9 +251,7 @@ pub fn solve_with_context(
     ctx.last_stats = None;
     let (skeleton, workspace) = ctx.engine_for(problem, options, &lower, &upper)?;
     let entry = WorkspaceCounts::read(&workspace);
-    // A context's last basis authorizes the root's warm start; what it
-    // holds is never read (the workspace resumes from its own).
-    let root_warm = !ctx.last_basis.is_empty();
+    let root_warm = ctx.root_warm;
     let mut solver = NodeSolver {
         problem,
         options,
@@ -292,9 +293,7 @@ pub fn solve_with_context(
         bound_flips: exit.bound_flips - entry.bound_flips,
         replayed_nodes,
     };
-    ctx.last_basis.clear();
-    ctx.last_basis
-        .extend_from_slice(solver.workspace.last_basis());
+    ctx.root_warm = !solver.workspace.last_basis().is_empty();
     ctx.cached = Some((solver.skeleton, solver.workspace));
     let solution = result.map(|(status, objective, values, gap)| {
         stats.relative_gap = gap;
@@ -1181,14 +1180,36 @@ mod tests {
         }
     }
 
+    /// The blob's length after [`roundtrip_steps`], per configuration: what
+    /// the next solve reads and nothing it rebuilds or overwrites. A count,
+    /// the same on every machine; a field that starts travelling moves it.
+    /// Taken at solver-state format 0x03 — never edit a value without
+    /// bumping the format.
+    #[test]
+    fn export_state_carries_no_scratch() {
+        let lengths = CONFIGURATIONS.map(|config| {
+            let mut ctx = SolveContext::new();
+            for step in roundtrip_steps() {
+                let _ = run_step(&step, config, &mut ctx);
+            }
+            ctx.export_state().len() / 2
+        });
+        assert_eq!(lengths, [1_473, 1_473, 293, 293]);
+    }
+
     #[test]
     fn import_state_rejects_corrupt_blobs() {
         assert!(SolveContext::import_state("zz").is_err());
         assert!(SolveContext::import_state("0bad").is_err());
-        let mut ctx = SolveContext::new();
+        // x shifted with a span row, y mirrored, and the second row flipped:
+        // its right-hand side is −10 − (0 − 3) < 0 with y at its upper.
         let mut p = Problem::new("lp", Sense::Maximize);
         let x = p.add_var("x", 0.0, 4.0);
-        p.set_objective([(x, 1.0)]);
+        let y = p.add_var("y", f64::NEG_INFINITY, 3.0);
+        p.set_objective([(x, 1.0), (y, 1.0)]);
+        p.add_constraint("sum", [(x, 1.0), (y, 1.0)], ConstraintOp::Le, 5.0);
+        p.add_constraint("gap", [(x, 1.0), (y, -1.0)], ConstraintOp::Ge, -10.0);
+        let mut ctx = SolveContext::new();
         solve_with_context(&p, &SolveOptions::default(), &mut ctx).unwrap();
         let blob = ctx.export_state();
         // Truncation anywhere must error, never panic.
@@ -1197,14 +1218,59 @@ mod tests {
         assert!(SolveContext::import_state(&format!("{blob}00")).is_err());
         // A blob from another layout is refused at byte 0, whatever follows
         // it: one written before the format tag existed starts with the
-        // `cached` bool, a later layout with its own tag.
-        for other in ["00", "01", "ff"] {
+        // `cached` bool, an earlier or later layout with its own tag.
+        for other in ["00", "01", "02", "ff"] {
             let err = SolveContext::import_state(&format!("{other}{}", &blob[2..])).unwrap_err();
             assert!(
                 err.to_string().contains("unsupported solver-state format"),
                 "{other}: {err}"
             );
         }
+
+        // A well-framed blob whose layout lies is refused with the lie
+        // named. Each field is found by its bytes and what follows them.
+        let bytes = crate::state::from_hex(&blob).unwrap();
+        let encoded = |write: &dyn Fn(&mut crate::state::Writer)| {
+            let mut w = crate::state::Writer::new();
+            write(&mut w);
+            crate::state::from_hex(&w.into_hex()).unwrap()
+        };
+        let tampered = |from: Vec<u8>, to: Vec<u8>| {
+            let at: Vec<usize> = (0..bytes.len())
+                .filter(|&i| bytes[i..].starts_with(&from))
+                .collect();
+            assert_eq!(at.len(), 1, "the field to tamper with must occur once");
+            let mut damaged = bytes.clone();
+            damaged[at[0]..at[0] + from.len()].copy_from_slice(&to);
+            SolveContext::import_state(&crate::state::to_hex(&damaged))
+                .map(|_| ())
+                .unwrap_err()
+                .to_string()
+        };
+        // The row signs decide the rebuilt matrix: anything but ±1 is not
+        // another problem but a hostile blob. (The workspace's statuses, one
+        // per column, follow the signs.)
+        let signs = |middle: f64| {
+            encoded(&|w| {
+                w.vec_f64(&[1.0, middle, 1.0]);
+                w.usize(7);
+            })
+        };
+        for sign in [-0.5, 0.0, -0.0, f64::NAN, -1.0 - f64::EPSILON] {
+            let err = tampered(signs(-1.0), signs(sign));
+            assert!(err.contains("row sign"), "{sign}: {err}");
+        }
+        // A span row on the mirrored y. (The skeleton's span flags are
+        // followed by its mode and the three LU columns.)
+        let spans = |y_span: bool| {
+            encoded(&|w| {
+                w.vec_bool(&[true, y_span]);
+                w.bool(false);
+                w.usize(3);
+            })
+        };
+        let err = tampered(spans(false), spans(true));
+        assert!(err.contains("span column"), "{err}");
     }
 
     /// Two LPs over one matrix whose optima sit at different vertices: the

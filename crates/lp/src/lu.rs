@@ -401,36 +401,15 @@ impl BasisFactorization {
 
 // --- Checkpoint codec -------------------------------------------------------
 //
-// The factor content is the accumulated result of the exact pivot sequence:
-// refactorizing the same basis from scratch lands on bitwise-different
-// floats, so a resumed run must carry these bytes verbatim. `lu_next`,
-// `queue` and `spare_nz` are staging/scratch fully reinitialized at the start
-// of every use and restore empty; the solve scratch vectors are tiny and travel anyway so
-// a restored handle is indistinguishable field-for-field.
+// Carried: the factors, the eta file and the two counters. Their floats are
+// the accumulated result of the exact pivot sequence — refactorizing the
+// same basis from scratch lands on bitwise-different values — so a resumed
+// run must hold these bytes verbatim. Overwritten before any read, and so
+// left out: `step_of_row` (only `factorize` reads it, after resetting it),
+// the staging `lu_next`, the solve and elimination scratch and the
+// `spare_nz` pool. A decoded handle starts them empty.
 
-use crate::state::{ensure, is_permutation_pair, Reader, StateError, Writer};
-
-impl LuFactors {
-    fn encode_state(&self, w: &mut Writer) {
-        w.usize(self.m);
-        w.seq(&self.l_cols, |w, col| w.vec_idx_f64(col));
-        w.seq(&self.u_cols, |w, col| w.vec_idx_f64(col));
-        w.vec_f64(&self.u_diag);
-        w.vec_usize(&self.prow);
-        w.vec_usize(&self.step_of_row);
-    }
-
-    fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
-        Ok(Self {
-            m: r.usize()?,
-            l_cols: r.seq(|r| r.vec_idx_f64())?,
-            u_cols: r.seq(|r| r.vec_idx_f64())?,
-            u_diag: r.vec_f64()?,
-            prow: r.vec_usize()?,
-            step_of_row: r.vec_usize()?,
-        })
-    }
-}
+use crate::state::{distinct_below, ensure, Reader, StateError, Writer};
 
 /// Every `(index, value)` entry of every list addresses one of `m` slots.
 fn indices_below(lists: &[Vec<(usize, f64)>], m: usize) -> bool {
@@ -438,27 +417,43 @@ fn indices_below(lists: &[Vec<(usize, f64)>], m: usize) -> bool {
 }
 
 impl LuFactors {
-    /// The relations the solves index by: `m` columns each way, every stored
-    /// row/step inside `0..m`, `prow` a permutation with `step_of_row` its
-    /// inverse, and a diagonal that can be divided by.
-    fn validate(&self) -> Result<(), StateError> {
-        let m = self.m;
+    fn encode_state(&self, w: &mut Writer) {
+        w.seq(&self.l_cols, |w, col| w.vec_idx_f64(col));
+        w.seq(&self.u_cols, |w, col| w.vec_idx_f64(col));
+        w.vec_f64(&self.u_diag);
+        w.vec_usize(&self.prow);
+    }
+
+    /// Decodes the factors and checks what the solves index or divide by:
+    /// `m` columns each way, every stored row or step inside `0..m`, `prow`
+    /// a permutation, and a diagonal that can be divided by.
+    fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
+        let l_cols = r.seq(|r| r.vec_idx_f64())?;
+        let u_cols = r.seq(|r| r.vec_idx_f64())?;
+        let u_diag = r.vec_f64()?;
+        let prow = r.vec_usize()?;
+        let m = u_diag.len();
+        ensure(l_cols.len() == m && u_cols.len() == m, || {
+            format!("LU factors: a column list is not {m} long")
+        })?;
         ensure(
-            self.l_cols.len() == m && self.u_cols.len() == m && self.u_diag.len() == m,
-            || format!("LU factors: a column list or the diagonal is not {m} long"),
-        )?;
-        ensure(
-            indices_below(&self.l_cols, m) && indices_below(&self.u_cols, m),
+            indices_below(&l_cols, m) && indices_below(&u_cols, m),
             || format!("LU factors: an entry lies outside 0..{m}"),
         )?;
-        ensure(
-            self.prow.len() == m && is_permutation_pair(&self.prow, &self.step_of_row),
-            || "LU factors: the row permutation and its inverse disagree".into(),
-        )?;
-        ensure(
-            self.u_diag.iter().all(|d| d.is_finite() && *d != 0.0),
-            || "LU factors: a zero or non-finite diagonal".into(),
-        )
+        ensure(prow.len() == m && distinct_below(&prow, m), || {
+            "LU factors: the row order is not a permutation".into()
+        })?;
+        ensure(u_diag.iter().all(|d| d.is_finite() && *d != 0.0), || {
+            "LU factors: a zero or non-finite diagonal".into()
+        })?;
+        Ok(Self {
+            m,
+            l_cols,
+            u_cols,
+            u_diag,
+            prow,
+            step_of_row: Vec::new(),
+        })
     }
 }
 
@@ -469,12 +464,19 @@ impl Eta {
         w.vec_idx_f64(&self.nz);
     }
 
-    fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
-        Ok(Self {
+    /// Decodes one eta of an `m`-row file: a position inside `0..m` and a
+    /// pivot that can be divided by.
+    fn decode_state(r: &mut Reader<'_>, m: usize) -> Result<Self, StateError> {
+        let eta = Self {
             r: r.usize()?,
             wr: r.f64()?,
             nz: r.vec_idx_f64()?,
-        })
+        };
+        ensure(
+            eta.r < m && eta.wr.is_finite() && eta.wr != 0.0 && eta.nz.iter().all(|&(i, _)| i < m),
+            || format!("eta file: a position outside 0..{m} or an unusable pivot"),
+        )?;
+        Ok(eta)
     }
 }
 
@@ -482,10 +484,6 @@ impl BasisFactorization {
     pub(crate) fn encode_state(&self, w: &mut Writer) {
         self.lu.encode_state(w);
         w.seq(&self.etas, |w, e| e.encode_state(w));
-        w.vec_f64(&self.solve_scratch);
-        w.vec_f64(&self.work);
-        w.vec_bool(&self.in_work);
-        w.vec_usize(&self.touched);
         w.usize(self.factorizations);
         w.usize(self.refactorizations);
     }
@@ -495,33 +493,17 @@ impl BasisFactorization {
         self.lu.m
     }
 
-    /// Structural check of a decoded handle: everything an FTRAN, a BTRAN,
-    /// an update or a refactorization would index or divide by. The scratch
-    /// vectors are resized by every use and need none.
-    pub(crate) fn validate(&self) -> Result<(), StateError> {
-        self.lu.validate()?;
-        let m = self.lu.m;
-        ensure(
-            self.etas.iter().all(|e| {
-                e.r < m && e.wr.is_finite() && e.wr != 0.0 && e.nz.iter().all(|&(i, _)| i < m)
-            }),
-            || format!("eta file: a position outside 0..{m} or an unusable pivot"),
-        )
-    }
-
+    /// Decodes a handle whose factors and etas hold everything an FTRAN, a
+    /// BTRAN, an update or a refactorization would index or divide by.
     pub(crate) fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
+        let lu = LuFactors::decode_state(r)?;
+        let m = lu.m;
         Ok(Self {
-            lu: LuFactors::decode_state(r)?,
-            lu_next: LuFactors::default(),
-            etas: r.seq(Eta::decode_state)?,
-            spare_nz: Vec::new(),
-            solve_scratch: r.vec_f64()?,
-            work: r.vec_f64()?,
-            in_work: r.vec_bool()?,
-            touched: r.vec_usize()?,
-            queue: StepQueue::default(),
+            lu,
+            etas: r.seq(|r| Eta::decode_state(r, m))?,
             factorizations: r.usize()?,
             refactorizations: r.usize()?,
+            ..Self::default()
         })
     }
 }

@@ -135,13 +135,48 @@ impl From<LpError> for SolveAbort {
 /// Reusable state of the revised engine: the CSC matrix, the factorized
 /// basis, the split RHS/solution vectors and all scratch buffers. One
 /// workspace serves an entire branch & bound tree.
+///
+/// The fields fall in three groups, by what a checkpoint does with them
+/// (`crate::state`'s module doc states the rule).
 #[derive(Debug, Clone, Default)]
 pub struct RevisedWorkspace {
+    // Rebuilt on decode, from the skeleton's layout and the carried fields.
+    /// The constraint matrix, from the skeleton and `fill_flip`
+    /// ([`assemble_matrix`]).
     a: CscMatrix,
-    triplets: Vec<(usize, usize, f64)>,
+    /// Per standard column: is it in `basis`?
+    is_basic: Vec<bool>,
+
+    // Carried: read by the next solve before it writes them.
     bf: BasisFactorization,
     basis: Vec<usize>,
-    is_basic: Vec<bool>,
+    /// Row-sign convention chosen by the fill that built the CSC matrix:
+    /// `±1.0` per row.
+    fill_flip: Vec<f64>,
+    /// Per standard column: `true` when nonbasic at its (finite) upper
+    /// bound. This is the status the bound-flip ratio test toggles and the
+    /// status branch & bound bound overrides flip (bounded-variable mode;
+    /// all-false on span-row skeletons).
+    at_upper: Vec<bool>,
+    /// Eta count at which the next refactorization attempt is allowed
+    /// (backed off after a failed attempt so a temporarily singular basis
+    /// cannot trigger an O(m²) factorization per pivot).
+    refactor_after: usize,
+    /// `true` when the factorized state is phase-2 optimal and the next
+    /// solve may warm-start from it.
+    reusable: bool,
+    /// Address of the skeleton the state was filled against (a checkpoint
+    /// carries whether it matched, and a decode re-binds it).
+    skeleton_tag: usize,
+    warm_hits: usize,
+    warm_misses: usize,
+    /// Bound flips performed by the bounded-variable ratio test.
+    bound_flips: usize,
+
+    // Written before any read by every solve, and so never carried: the
+    // node's values and the scratch retained across solves.
+    /// The matrix's entries before assembly.
+    triplets: Vec<(usize, usize, f64)>,
     /// Node RHS, row space: actual value is `b_f + ∞·b_w`.
     b_f: Vec<f64>,
     b_w: Vec<f64>,
@@ -154,20 +189,19 @@ pub struct RevisedWorkspace {
     /// (at that epoch) right-hand sides under `shifts`: every fill and every
     /// warm start leaves them so, and the next warm start re-sums only the
     /// rows holding a variable whose shift moved — re-summing any other row
-    /// would reproduce the bits it holds. Never encoded: a decoded workspace
-    /// re-sums every row once.
+    /// would reproduce the bits it holds. A decoded workspace re-sums every
+    /// row once.
     rhs_epoch: Option<u64>,
-    /// The variables whose shift the current node moved (scratch).
+    /// The variables whose shift the current node moved.
     moved: Vec<usize>,
     obj_constant: f64,
     b_scale: f64,
     has_inf: bool,
-    /// Row-sign convention chosen by the fill that built the CSC matrix.
-    fill_flip: Vec<f64>,
     /// Phase-1 cost (1 on artificial columns).
     phase1_cost: Vec<f64>,
-    // Scratch (retained across solves).
+    /// Pricing duals, or the dual repair's pivot row `e_rᵀB⁻¹`.
     y: Vec<f64>,
+    /// The FTRAN'd entering column.
     w: Vec<f64>,
     /// Phase-2 reduced costs `d_j = c_j − a_j·y` of the non-basic,
     /// non-artificial columns (zero elsewhere): written by every full
@@ -179,55 +213,39 @@ pub struct RevisedWorkspace {
     /// a column status has changed since. The next warm start then begins
     /// its dual repair from `d` as it stands, and a repair that needs no
     /// pivot is already optimal. Cleared by everything that could make a
-    /// recomputation differ by a bit (the module doc lists them); never
-    /// encoded — a decoded workspace recomputes, which is the original
-    /// arithmetic.
+    /// recomputation differ by a bit (the module doc lists them); a decoded
+    /// workspace recomputes, which is the original arithmetic.
     d_certified: Option<u64>,
+    /// The dual repair's row of `B⁻¹·A` over the non-basic columns.
     alpha: Vec<f64>,
+    /// The drift check's residual.
     resid: Vec<f64>,
     /// Multiple-pricing shortlist: the most negative reduced-cost columns
     /// found by the last full pricing scan, re-priced (cheaply) each
-    /// iteration until the list dries up.
+    /// iteration until the list dries up. Cleared by every `optimize`.
     candidates: Vec<usize>,
-    // Scratch rebuilt from nothing by every use, and so not encoded: the
-    // full scan's bounded insertion list behind `candidates`, the
-    // standard-form values behind a solve's returned point, and the
-    // non-basic, non-artificial columns (ascending) during a dual repair.
+    /// The full scan's bounded insertion list behind `candidates`.
     scored: Vec<(usize, f64)>,
+    /// The standard-form values behind a solve's returned point.
     std_values: Vec<f64>,
+    /// The non-basic, non-artificial columns (ascending) during a dual
+    /// repair.
     nonbasic: Vec<usize>,
-    /// Eta count at which the next refactorization attempt is allowed
-    /// (backed off after a failed attempt so a temporarily singular basis
-    /// cannot trigger an O(m²) factorization per pivot).
-    refactor_after: usize,
     /// Force Bland's rule from iteration 0 (set for the stabilized retry
-    /// after numerical trouble).
+    /// after numerical trouble, and reset after it).
     force_bland: bool,
-    /// `true` when the factorized state is phase-2 optimal and the next
-    /// solve may warm-start from it.
-    reusable: bool,
-    skeleton_tag: usize,
-    warm_hits: usize,
-    warm_misses: usize,
-    // Bounded-variable mode (skeletons built with
-    // `StandardFormSkeleton::new_bounded`).
     /// Per standard column: its implicit upper bound for the current node
     /// (`+∞` when unbounded; recomputed per node from the bound overrides).
     col_upper: Vec<f64>,
-    /// Per standard column: `true` when nonbasic at its (finite) upper
-    /// bound. This is the status the bound-flip ratio test toggles and the
-    /// status branch & bound bound overrides flip.
-    at_upper: Vec<bool>,
     /// Effective RHS `b_f − Σ_{j at upper} u_j·A_j`, kept in sync with
     /// `at_upper`; equals `b_f` bitwise when no column is at its upper.
     b_eff: Vec<f64>,
     /// Dual steepest-edge weights `γ_i ≈ ‖B⁻ᵀe_i‖²` (reference framework:
     /// reset to 1 at each repair start).
     dse_gamma: Vec<f64>,
-    /// Use dual steepest-edge row selection in the warm-start repair.
+    /// Use dual steepest-edge row selection in the warm-start repair (set
+    /// by [`RevisedWorkspace::configure`] before every solve).
     use_dse: bool,
-    /// Bound flips performed by the bounded-variable ratio test.
-    bound_flips: usize,
 }
 
 impl RevisedWorkspace {
@@ -474,6 +492,55 @@ pub fn solve_relaxation_revised(
     solve_with_skeleton_revised(&skeleton, &mut ws, lower, upper, None, max_iterations)
 }
 
+/// The operator a constraint row takes once its sign is flipped (to make
+/// its right-hand side non-negative) or not.
+fn effective_op(op: ConstraintOp, flip: bool) -> ConstraintOp {
+    match (op, flip) {
+        (ConstraintOp::Le, false) | (ConstraintOp::Ge, true) => ConstraintOp::Le,
+        (ConstraintOp::Ge, false) | (ConstraintOp::Le, true) => ConstraintOp::Ge,
+        (ConstraintOp::Eq, _) => ConstraintOp::Eq,
+    }
+}
+
+/// Assembles `skeleton`'s constraint matrix under the row signs `fill_flip`
+/// (`±1.0` per row): each constraint row's scatter list times its sign,
+/// then its slack (`−1` when the flipped row is `≥`) and its artificial
+/// (unless the row is `≤`), then each span row's column and slack. A cold
+/// fill and a decoded checkpoint both build the matrix here, so every
+/// column holds its entries in the same order and every dot product over
+/// it sums the same terms in the same order.
+fn assemble_matrix(
+    skeleton: &StandardFormSkeleton,
+    fill_flip: &[f64],
+    triplets: &mut Vec<(usize, usize, f64)>,
+    a: &mut CscMatrix,
+) {
+    let sk = skeleton;
+    triplets.clear();
+    for (ri, row) in sk.rows.iter().enumerate() {
+        let sign = fill_flip[ri];
+        for &(col, coef) in &row.scatter {
+            triplets.push((col, ri, sign * coef));
+        }
+        let slack_col = sk.num_struct + ri;
+        let art_col = sk.artificial_start + ri;
+        match effective_op(row.op, sign < 0.0) {
+            ConstraintOp::Le => triplets.push((slack_col, ri, 1.0)),
+            ConstraintOp::Ge => {
+                triplets.push((slack_col, ri, -1.0));
+                triplets.push((art_col, ri, 1.0));
+            }
+            ConstraintOp::Eq => triplets.push((art_col, ri, 1.0)),
+        }
+    }
+    for (k, &(col, _)) in sk.span_rows.iter().enumerate() {
+        let ri = sk.m_constraints + k;
+        triplets.push((col, ri, 1.0));
+        triplets.push((sk.num_struct + ri, ri, 1.0));
+    }
+    a.assemble(sk.m_total, sk.cols, triplets);
+}
+
 struct RSolver<'a> {
     sk: &'a StandardFormSkeleton,
     ws: &'a mut RevisedWorkspace,
@@ -536,7 +603,6 @@ impl<'a> RSolver<'a> {
         ws.reusable = false;
         ws.d_certified = None;
         let m = sk.m_total;
-        ws.triplets.clear();
         ws.fill_flip.clear();
         ws.fill_flip.resize(m, 1.0);
         ws.b_f.clear();
@@ -561,44 +627,21 @@ impl<'a> RSolver<'a> {
             let rhs = row.rhs_under(&ws.shifts);
             let flip = rhs < 0.0;
             let sign = if flip { -1.0 } else { 1.0 };
-            let effective_op = match (row.op, flip) {
-                (ConstraintOp::Le, false) | (ConstraintOp::Ge, true) => ConstraintOp::Le,
-                (ConstraintOp::Ge, false) | (ConstraintOp::Le, true) => ConstraintOp::Ge,
-                (ConstraintOp::Eq, _) => ConstraintOp::Eq,
-            };
             ws.fill_flip[ri] = sign;
-            for &(col, coef) in &row.scatter {
-                ws.triplets.push((col, ri, sign * coef));
-            }
-            let slack_col = sk.num_struct + ri;
-            let art_col = sk.artificial_start + ri;
             let b = sign * rhs;
             ws.b_f[ri] = b;
             ws.b_scale = ws.b_scale.max(b.abs());
-            let basic = match effective_op {
-                ConstraintOp::Le => {
-                    ws.triplets.push((slack_col, ri, 1.0));
-                    slack_col
-                }
-                ConstraintOp::Ge => {
-                    ws.triplets.push((slack_col, ri, -1.0));
-                    ws.triplets.push((art_col, ri, 1.0));
-                    art_col
-                }
-                ConstraintOp::Eq => {
-                    ws.triplets.push((art_col, ri, 1.0));
-                    art_col
-                }
+            let basic = match effective_op(row.op, flip) {
+                ConstraintOp::Le => sk.num_struct + ri,
+                ConstraintOp::Ge | ConstraintOp::Eq => sk.artificial_start + ri,
             };
             ws.basis[ri] = basic;
             ws.is_basic[basic] = true;
         }
 
-        for (k, &(col, var)) in sk.span_rows.iter().enumerate() {
+        for (k, &(_, var)) in sk.span_rows.iter().enumerate() {
             let ri = sk.m_constraints + k;
             let slack_col = sk.num_struct + ri;
-            ws.triplets.push((col, ri, 1.0));
-            ws.triplets.push((slack_col, ri, 1.0));
             let span = (upper[var] - lower[var]).max(0.0);
             if span.is_finite() {
                 ws.b_f[ri] = span;
@@ -611,7 +654,7 @@ impl<'a> RSolver<'a> {
             ws.is_basic[slack_col] = true;
         }
 
-        ws.a.assemble(m, sk.cols, &ws.triplets);
+        assemble_matrix(sk, &ws.fill_flip, &mut ws.triplets, &mut ws.a);
         // Cold fills start every column at its lower bound, so the
         // effective RHS is the raw one.
         ws.at_upper.clear();
@@ -1661,172 +1704,82 @@ impl<'a> RSolver<'a> {
 
 // --- Checkpoint codec -------------------------------------------------------
 
-use crate::state::{ensure, Reader, StateError, Writer};
+use crate::state::{distinct_below, ensure, Reader, StateError, Writer};
 
 impl RevisedWorkspace {
-    /// Checkpoint encoding. Every field that outlives a solve travels as
-    /// exact bytes — the factorized basis and the accumulated eta file
-    /// are path-dependent floats a rebuild cannot reproduce. `d` travels, its certificate does not: the decoded
-    /// workspace prices afresh, which yields the carried bits, and a
-    /// tampered `d` can never be trusted into a solve. The address-based
-    /// `skeleton_tag` cannot survive a round-trip literally, so it is
-    /// encoded as "did it match `skeleton`?" and re-derived on decode from
-    /// the restored skeleton's new address.
+    /// Checkpoint encoding of the carried fields (the struct groups them).
+    /// The factorized basis and the accumulated eta file are path-dependent
+    /// floats a rebuild cannot reproduce, so they travel as exact bytes; the
+    /// matrix they factor is the skeleton's under `fill_flip`, so it does
+    /// not. The address-based `skeleton_tag` cannot survive a round-trip
+    /// literally, so it is encoded as "did it match `skeleton`?" and
+    /// re-derived on decode from the restored skeleton's new address.
     pub(crate) fn encode_state(&self, skeleton: &StandardFormSkeleton, out: &mut Writer) {
-        self.a.encode_state(out);
-        out.seq(&self.triplets, |o, &(r, c, v)| {
-            o.usize(r);
-            o.usize(c);
-            o.f64(v);
-        });
         self.bf.encode_state(out);
         out.vec_usize(&self.basis);
-        out.vec_bool(&self.is_basic);
-        out.vec_f64(&self.b_f);
-        out.vec_f64(&self.b_w);
-        out.vec_f64(&self.x_f);
-        out.vec_f64(&self.x_w);
-        out.vec_f64(&self.shifts);
-        out.f64(self.obj_constant);
-        out.f64(self.b_scale);
-        out.bool(self.has_inf);
         out.vec_f64(&self.fill_flip);
-        out.vec_f64(&self.phase1_cost);
-        out.vec_f64(&self.y);
-        out.vec_f64(&self.w);
-        out.vec_f64(&self.d);
-        out.vec_f64(&self.alpha);
-        out.vec_f64(&self.resid);
-        out.vec_usize(&self.candidates);
+        out.vec_bool(&self.at_upper);
         out.usize(self.refactor_after);
-        out.bool(self.force_bland);
         out.bool(self.reusable);
         out.bool(self.skeleton_tag == skeleton as *const StandardFormSkeleton as usize);
         out.usize(self.warm_hits);
         out.usize(self.warm_misses);
-        out.vec_f64(&self.col_upper);
-        out.vec_bool(&self.at_upper);
-        out.vec_f64(&self.b_eff);
-        out.vec_f64(&self.dse_gamma);
-        out.bool(self.use_dse);
         out.usize(self.bound_flips);
     }
 
     /// Decodes a workspace checkpoint, binding the tag to `skeleton`'s
-    /// (new) address when the encoded state recorded a match.
+    /// (new) address when the encoded state recorded a match. The factors
+    /// must be sound in themselves whatever happens next, and every row
+    /// sign is `±1.0` — a sign decides the rebuilt matrix. The rest is only
+    /// held to `skeleton`'s shape when the next solve may warm-start from
+    /// it (anything else is rebuilt by a fill first): one basis entry and
+    /// one sign per row, one status per column, the factors `m` rows wide,
+    /// and a basis of distinct in-range columns. Then the matrix and the
+    /// basic-column flags are rebuilt, and the right-hand sides sized for
+    /// the warm start that writes them row by row.
     pub(crate) fn decode_state(
         r: &mut Reader<'_>,
         skeleton: &StandardFormSkeleton,
     ) -> Result<Self, StateError> {
-        let a = CscMatrix::decode_state(r)?;
-        let triplets = r.seq(|r| Ok((r.usize()?, r.usize()?, r.f64()?)))?;
-        let bf = BasisFactorization::decode_state(r)?;
-        let basis = r.vec_usize()?;
-        let is_basic = r.vec_bool()?;
-        let b_f = r.vec_f64()?;
-        let b_w = r.vec_f64()?;
-        let x_f = r.vec_f64()?;
-        let x_w = r.vec_f64()?;
-        let shifts = r.vec_f64()?;
-        let obj_constant = r.f64()?;
-        let b_scale = r.f64()?;
-        let has_inf = r.bool()?;
-        let fill_flip = r.vec_f64()?;
-        let phase1_cost = r.vec_f64()?;
-        let y = r.vec_f64()?;
-        let w = r.vec_f64()?;
-        let d = r.vec_f64()?;
-        let alpha = r.vec_f64()?;
-        let resid = r.vec_f64()?;
-        let candidates = r.vec_usize()?;
-        let refactor_after = r.usize()?;
-        let force_bland = r.bool()?;
-        let reusable = r.bool()?;
-        let tag_matched = r.bool()?;
-        let skeleton_tag = if tag_matched {
-            skeleton as *const StandardFormSkeleton as usize
-        } else {
-            0
-        };
-        let ws = Self {
-            a,
-            triplets,
-            bf,
-            basis,
-            is_basic,
-            b_f,
-            b_w,
-            x_f,
-            x_w,
-            shifts,
-            rhs_epoch: None,
-            moved: Vec::new(),
-            obj_constant,
-            b_scale,
-            has_inf,
-            fill_flip,
-            phase1_cost,
-            y,
-            w,
-            d,
-            d_certified: None,
-            alpha,
-            resid,
-            candidates,
-            scored: Vec::new(),
-            std_values: Vec::new(),
-            nonbasic: Vec::new(),
-            refactor_after,
-            force_bland,
-            reusable,
-            skeleton_tag,
+        let tag = skeleton as *const StandardFormSkeleton as usize;
+        let mut ws = Self {
+            bf: BasisFactorization::decode_state(r)?,
+            basis: r.vec_usize()?,
+            fill_flip: r.vec_f64()?,
+            at_upper: r.vec_bool()?,
+            refactor_after: r.usize()?,
+            reusable: r.bool()?,
+            skeleton_tag: if r.bool()? { tag } else { 0 },
             warm_hits: r.usize()?,
             warm_misses: r.usize()?,
-            col_upper: r.vec_f64()?,
-            at_upper: r.vec_bool()?,
-            b_eff: r.vec_f64()?,
-            dse_gamma: r.vec_f64()?,
-            use_dse: r.bool()?,
             bound_flips: r.usize()?,
+            ..Self::default()
         };
-        ws.validate(skeleton)?;
-        Ok(ws)
-    }
-
-    /// Structural check of a decoded workspace. The factors must be sound in
-    /// themselves whatever happens next (even a cold fill refactorizes
-    /// *through* them).
-    /// Everything else a fill rebuilds from nothing, so it is only held to
-    /// `skeleton`'s shape when the next solve may warm-start from it as it
-    /// stands: a sound matrix, one entry per row or per column, a basis of
-    /// distinct in-range columns, and `is_basic` saying the same.
-    fn validate(&self, skeleton: &StandardFormSkeleton) -> Result<(), StateError> {
-        self.bf.validate()?;
-        let tag = skeleton as *const StandardFormSkeleton as usize;
-        if !self.reusable || self.skeleton_tag != tag {
-            return Ok(());
+        ensure(ws.fill_flip.iter().all(|&s| s == 1.0 || s == -1.0), || {
+            "workspace: a row sign other than ±1".into()
+        })?;
+        if !ws.reusable || ws.skeleton_tag != tag {
+            return Ok(ws);
         }
-        self.a.validate()?;
         let (m, cols) = (skeleton.m_total, skeleton.cols);
-        let per_row = [&self.b_f, &self.b_w, &self.fill_flip];
         ensure(
-            self.basis.len() == m
-                && self.bf.rows() == m
-                && self.a.rows() == m
-                && self.a.cols() == cols
-                && per_row.iter().all(|v| v.len() == m)
-                && self.is_basic.len() == cols
-                && self.at_upper.len() == cols,
+            ws.basis.len() == m
+                && ws.fill_flip.len() == m
+                && ws.bf.rows() == m
+                && ws.at_upper.len() == cols,
             || format!("workspace: not shaped for {m} rows and {cols} columns"),
         )?;
-        let mut seen = vec![false; cols];
-        let distinct = self
-            .basis
-            .iter()
-            .all(|&b| b < cols && !std::mem::replace(&mut seen[b], true));
-        ensure(distinct && seen == self.is_basic, || {
-            "workspace: the basis and the basic-column flags disagree".into()
-        })
+        ensure(distinct_below(&ws.basis, cols), || {
+            "workspace: the basis repeats a column or names one out of range".into()
+        })?;
+        assemble_matrix(skeleton, &ws.fill_flip, &mut ws.triplets, &mut ws.a);
+        ws.is_basic.resize(cols, false);
+        for &b in &ws.basis {
+            ws.is_basic[b] = true;
+        }
+        ws.b_f.resize(m, 0.0);
+        ws.b_w.resize(m, 0.0);
+        Ok(ws)
     }
 }
 

@@ -106,6 +106,29 @@ pub(crate) struct SkelRow {
 }
 
 impl SkelRow {
+    /// The row `terms op …` under `var_map`, its scatter list derived term
+    /// by term; `base_rhs` is left for [`StandardFormSkeleton::bind`].
+    fn new(var_map: &[VarMap], terms: Vec<(usize, f64)>, op: ConstraintOp) -> Self {
+        let mut scatter = Vec::with_capacity(terms.len() + 1);
+        for &(var, coef) in &terms {
+            match var_map[var] {
+                VarMap::Shifted { col } => scatter.push((col, coef)),
+                VarMap::Mirrored { col } => scatter.push((col, -coef)),
+                VarMap::Split { pos, neg } => {
+                    scatter.push((pos, coef));
+                    scatter.push((neg, -coef));
+                }
+                VarMap::Fixed => {}
+            }
+        }
+        Self {
+            scatter,
+            terms,
+            op,
+            base_rhs: 0.0,
+        }
+    }
+
     /// This row's right-hand side once every variable sits at its shift:
     /// `base_rhs − Σ coef · shift[var]`, summed in term order.
     pub(crate) fn rhs_under(&self, shifts: &[f64]) -> f64 {
@@ -212,15 +235,10 @@ impl StandardFormSkeleton {
         upper: &[f64],
         bounded: bool,
     ) -> Result<Self, LpError> {
-        let sense_factor = match problem.sense() {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
-
-        let n = problem.num_vars();
-        let mut var_map = Vec::with_capacity(n);
-        let mut span_vars: Vec<usize> = Vec::new();
-        let mut next_col = 0usize;
+        let mut var_map = Vec::with_capacity(problem.num_vars());
+        // Per structural column, allocated in variable order: does it get a
+        // span row?
+        let mut span_cols = Vec::new();
         let mut nodes_stable = true;
 
         for (i, v) in problem.variables().iter().enumerate() {
@@ -229,6 +247,7 @@ impl StandardFormSkeleton {
                 return Err(LpError::Infeasible);
             }
             let branchable = !matches!(v.kind, VarKind::Continuous);
+            let col = span_cols.len();
             let map = if lo.is_finite() && hi.is_finite() && (hi - lo).abs() <= 1e-12 {
                 if branchable {
                     // Branching could move this away from the fixed point;
@@ -237,16 +256,12 @@ impl StandardFormSkeleton {
                 }
                 VarMap::Fixed
             } else if lo.is_finite() {
-                let col = next_col;
-                next_col += 1;
-                if !bounded && (hi.is_finite() || branchable) {
-                    // Branchable variables always get a span row so a later
-                    // finite upper bound is a pure RHS patch (an unbounded
-                    // side is RHS = +inf, which the ratio test ignores).
-                    // Bounded-variable mode needs neither: any upper bound
-                    // is an implicit column bound.
-                    span_vars.push(i);
-                }
+                // Branchable variables always get a span row so a later
+                // finite upper bound is a pure RHS patch (an unbounded side
+                // is RHS = +inf, which the ratio test ignores).
+                // Bounded-variable mode needs neither: any upper bound is an
+                // implicit column bound.
+                span_cols.push(!bounded && (hi.is_finite() || branchable));
                 VarMap::Shifted { col }
             } else if hi.is_finite() {
                 if branchable && !bounded {
@@ -255,60 +270,58 @@ impl StandardFormSkeleton {
                     // branching stays expressible.
                     nodes_stable = false;
                 }
-                let col = next_col;
-                next_col += 1;
+                span_cols.push(false);
                 VarMap::Mirrored { col }
             } else {
                 if branchable {
                     nodes_stable = false;
                 }
-                let pos = next_col;
-                let neg = next_col + 1;
-                next_col += 2;
-                VarMap::Split { pos, neg }
+                span_cols.extend([false, false]);
+                VarMap::Split {
+                    pos: col,
+                    neg: col + 1,
+                }
             };
             var_map.push(map);
         }
 
-        let num_struct = next_col;
-
-        // Constraint rows: precompute the scatter list once.
-        let mut rows = Vec::with_capacity(problem.num_constraints());
-        for c in problem.constraints() {
-            let mut scatter: Vec<(usize, f64)> = Vec::with_capacity(c.expr.len() + 1);
-            let mut terms: Vec<(usize, f64)> = Vec::with_capacity(c.expr.len());
-            for (var, coef) in c.expr.terms() {
-                terms.push((var.index(), coef));
-                match var_map[var.index()] {
-                    VarMap::Shifted { col } => scatter.push((col, coef)),
-                    VarMap::Mirrored { col } => scatter.push((col, -coef)),
-                    VarMap::Split { pos, neg } => {
-                        scatter.push((pos, coef));
-                        scatter.push((neg, -coef));
-                    }
-                    VarMap::Fixed => {}
-                }
-            }
-            rows.push(SkelRow {
-                scatter,
-                terms,
-                op: c.op,
-                base_rhs: c.rhs - c.expr.constant(),
-            });
-        }
-
-        let span_rows: Vec<(usize, usize)> = span_vars
+        let rows = problem
+            .constraints()
             .iter()
-            .map(|&var| match var_map[var] {
-                VarMap::Shifted { col } => (col, var),
-                _ => unreachable!("span rows are only allocated for shifted variables"),
+            .map(|c| {
+                let terms: Vec<(usize, f64)> = c
+                    .expr
+                    .terms()
+                    .map(|(var, coef)| (var.index(), coef))
+                    .collect();
+                SkelRow::new(&var_map, terms, c.op)
             })
             .collect();
-        let mut span_cols = vec![false; num_struct];
-        for &(col, _) in &span_rows {
-            span_cols[col] = true;
-        }
+        let mut skeleton = Self::from_layout(var_map, rows, span_cols, bounded);
+        skeleton.bind(problem, lower, upper, nodes_stable);
+        Ok(skeleton)
+    }
 
+    /// Everything that follows from the layout — the span rows (one per
+    /// shifted variable whose column is in `span_cols`, in variable order),
+    /// the dimensions and the rows each variable sits in — with nothing
+    /// bound yet: `c` is all zeros at its length, the right-hand sides and
+    /// the objective are empty until [`Self::bind`].
+    fn from_layout(
+        var_map: Vec<VarMap>,
+        rows: Vec<SkelRow>,
+        span_cols: Vec<bool>,
+        bounded: bool,
+    ) -> Self {
+        let span_rows: Vec<(usize, usize)> = var_map
+            .iter()
+            .enumerate()
+            .filter_map(|(var, map)| match *map {
+                VarMap::Shifted { col } if span_cols[col] => Some((col, var)),
+                _ => None,
+            })
+            .collect();
+        let num_struct = span_cols.len();
         let m_constraints = rows.len();
         let m_total = m_constraints + span_rows.len();
         let artificial_start = num_struct + m_total;
@@ -318,30 +331,11 @@ impl StandardFormSkeleton {
         // per-node RHS signs — the price of a few inert columns buys basis
         // stability across the whole branch & bound tree.
         let cols = artificial_start + m_constraints;
-
-        // Phase-2 cost vector (fixed: classification decides the signs).
-        let mut c = vec![0.0; cols];
-        let mut obj_terms = Vec::with_capacity(problem.objective().len());
-        for (var, coef) in problem.objective().terms() {
-            let coef = coef * sense_factor;
-            obj_terms.push((var.index(), coef));
-            match var_map[var.index()] {
-                VarMap::Shifted { col } => c[col] += coef,
-                VarMap::Mirrored { col } => c[col] -= coef,
-                VarMap::Split { pos, neg } => {
-                    c[pos] += coef;
-                    c[neg] -= coef;
-                }
-                VarMap::Fixed => {}
-            }
-        }
-        let obj_base = problem.objective().constant() * sense_factor;
-
-        Ok(Self {
-            var_rows: rows_by_var(&rows, n),
+        Self {
+            var_rows: rows_by_var(&rows, var_map.len()),
             var_map,
-            root_lower: lower.to_vec(),
-            root_upper: upper.to_vec(),
+            root_lower: Vec::new(),
+            root_upper: Vec::new(),
             rows,
             span_rows,
             span_cols,
@@ -351,13 +345,13 @@ impl StandardFormSkeleton {
             m_total,
             artificial_start,
             cols,
-            c,
-            obj_terms,
-            obj_base,
-            sense_factor,
-            nodes_stable,
+            c: vec![0.0; cols],
+            obj_terms: Vec::new(),
+            obj_base: 0.0,
+            sense_factor: 1.0,
+            nodes_stable: true,
             epoch: 0,
-        })
+        }
     }
 
     /// The constraint rows whose right-hand side moves with `var`'s shift.
@@ -455,14 +449,21 @@ impl StandardFormSkeleton {
             }
         }
 
-        // Commit: refresh RHS, objective, sense and root bounds in place.
+        self.bind(problem, lower, upper, nodes_stable);
+        self.epoch += 1;
+        true
+    }
+
+    /// Writes what a problem of this layout may vary — the per-row RHS, the
+    /// objective (phase-2 costs `c`, zeroed slot by slot, and the constant's
+    /// terms), the sense and the root bounds — plus `nodes_stable`.
+    fn bind(&mut self, problem: &Problem, lower: &[f64], upper: &[f64], nodes_stable: bool) {
         let sense_factor = match problem.sense() {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
         self.sense_factor = sense_factor;
         self.nodes_stable = nodes_stable;
-        self.epoch += 1;
         for (row, c) in self.rows.iter_mut().zip(problem.constraints()) {
             row.base_rhs = c.rhs - c.expr.constant();
         }
@@ -488,7 +489,6 @@ impl StandardFormSkeleton {
         self.root_lower.extend_from_slice(lower);
         self.root_upper.clear();
         self.root_upper.extend_from_slice(upper);
-        true
     }
 
     /// `true` when the given bound overrides are expressible against this
@@ -520,187 +520,98 @@ impl StandardFormSkeleton {
 }
 
 // --- Checkpoint codec -------------------------------------------------------
+//
+// Carried: the layout — each variable's mapping (its columns re-derived in
+// variable order, as `build` allocates them), each row's terms and operator,
+// `span_cols` and `bounded`. Rebuilt on decode: the scatter lists, the span
+// rows, the dimensions, `var_rows`, and `c` at its length. Left out, because
+// the next solve's `rebind` writes them before anything reads them: the
+// values of `c`, `obj_terms`, `obj_base`, `sense_factor`, every `base_rhs`,
+// the root bounds and `nodes_stable` (a next problem of another layout
+// rebuilds the skeleton instead). `epoch` only orders rebinds within one
+// process.
 
 use crate::state::{ensure, Reader, StateError, Writer};
 
-impl VarMap {
-    fn encode_state(&self, w: &mut Writer) {
-        match *self {
-            VarMap::Shifted { col } => {
-                w.u8(0);
-                w.usize(col);
-            }
-            VarMap::Mirrored { col } => {
-                w.u8(1);
-                w.usize(col);
-            }
-            VarMap::Split { pos, neg } => {
-                w.u8(2);
-                w.usize(pos);
-                w.usize(neg);
-            }
-            VarMap::Fixed => w.u8(3),
-        }
-    }
-
-    fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
-        Ok(match r.u8()? {
-            0 => VarMap::Shifted { col: r.usize()? },
-            1 => VarMap::Mirrored { col: r.usize()? },
-            2 => VarMap::Split {
-                pos: r.usize()?,
-                neg: r.usize()?,
-            },
-            3 => VarMap::Fixed,
-            other => return Err(StateError::new(format!("invalid VarMap tag {other}"))),
-        })
-    }
-}
-
-fn encode_op(op: ConstraintOp, w: &mut Writer) {
-    w.u8(match op {
-        ConstraintOp::Le => 0,
-        ConstraintOp::Ge => 1,
-        ConstraintOp::Eq => 2,
-    });
-}
-
-fn decode_op(r: &mut Reader<'_>) -> Result<ConstraintOp, StateError> {
-    Ok(match r.u8()? {
-        0 => ConstraintOp::Le,
-        1 => ConstraintOp::Ge,
-        2 => ConstraintOp::Eq,
-        other => return Err(StateError::new(format!("invalid ConstraintOp tag {other}"))),
-    })
-}
-
-impl SkelRow {
-    fn encode_state(&self, w: &mut Writer) {
-        w.vec_idx_f64(&self.scatter);
-        w.vec_idx_f64(&self.terms);
-        encode_op(self.op, w);
-        w.f64(self.base_rhs);
-    }
-
-    fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
-        Ok(Self {
-            scatter: r.vec_idx_f64()?,
-            terms: r.vec_idx_f64()?,
-            op: decode_op(r)?,
-            base_rhs: r.f64()?,
-        })
-    }
-}
-
 impl StandardFormSkeleton {
-    /// Checkpoint encoding. A skeleton is plain data derived from the last
-    /// problem it was (re)bound to, so the whole struct travels verbatim
-    /// (bar `epoch`, which only orders rebinds within one process, and
-    /// `var_rows`, which `rows` determines) —
-    /// the decoded copy rebinds to the next matching problem exactly like
-    /// the live one would have.
     pub(crate) fn encode_state(&self, w: &mut Writer) {
-        w.seq(&self.var_map, |w, m| m.encode_state(w));
-        w.vec_f64(&self.root_lower);
-        w.vec_f64(&self.root_upper);
-        w.seq(&self.rows, |w, row| row.encode_state(w));
-        w.seq(&self.span_rows, |w, &(col, var)| {
-            w.usize(col);
-            w.usize(var);
+        w.seq(&self.var_map, |w, map| {
+            w.u8(match map {
+                VarMap::Shifted { .. } => 0,
+                VarMap::Mirrored { .. } => 1,
+                VarMap::Split { .. } => 2,
+                VarMap::Fixed => 3,
+            })
+        });
+        w.seq(&self.rows, |w, row| {
+            w.vec_idx_f64(&row.terms);
+            w.u8(match row.op {
+                ConstraintOp::Le => 0,
+                ConstraintOp::Ge => 1,
+                ConstraintOp::Eq => 2,
+            });
         });
         w.vec_bool(&self.span_cols);
         w.bool(self.bounded);
-        w.usize(self.num_struct);
-        w.usize(self.m_constraints);
-        w.usize(self.m_total);
-        w.usize(self.artificial_start);
-        w.usize(self.cols);
-        w.vec_f64(&self.c);
-        w.vec_idx_f64(&self.obj_terms);
-        w.f64(self.obj_base);
-        w.f64(self.sense_factor);
-        w.bool(self.nodes_stable);
     }
 
+    /// Decodes a layout and derives the rest of the skeleton from it,
+    /// checking every index a fill, `rebind` or `compatible` follows without
+    /// looking: row terms name variables in range, `span_cols` holds one
+    /// flag per structural column, and a span column belongs to a shifted
+    /// variable of a span-row skeleton.
     pub(crate) fn decode_state(r: &mut Reader<'_>) -> Result<Self, StateError> {
-        let var_map = r.seq(VarMap::decode_state)?;
-        let root_lower = r.vec_f64()?;
-        let root_upper = r.vec_f64()?;
-        let rows: Vec<SkelRow> = r.seq(SkelRow::decode_state)?;
+        let mut next_col = 0;
+        let var_map: Vec<VarMap> = r.seq(|r| {
+            let col = next_col;
+            let (map, width) = match r.u8()? {
+                0 => (VarMap::Shifted { col }, 1),
+                1 => (VarMap::Mirrored { col }, 1),
+                2 => (
+                    VarMap::Split {
+                        pos: col,
+                        neg: col + 1,
+                    },
+                    2,
+                ),
+                3 => (VarMap::Fixed, 0),
+                other => return Err(StateError::new(format!("invalid VarMap tag {other}"))),
+            };
+            next_col += width;
+            Ok(map)
+        })?;
         let n = var_map.len();
+        let rows = r.seq(|r| {
+            let terms = r.vec_idx_f64()?;
+            ensure(terms.iter().all(|&(var, _)| var < n), || {
+                format!("skeleton: a row term names a variable outside 0..{n}")
+            })?;
+            let op = match r.u8()? {
+                0 => ConstraintOp::Le,
+                1 => ConstraintOp::Ge,
+                2 => ConstraintOp::Eq,
+                other => return Err(StateError::new(format!("invalid ConstraintOp tag {other}"))),
+            };
+            Ok(SkelRow::new(&var_map, terms, op))
+        })?;
+        let span_cols = r.vec_bool()?;
+        let bounded = r.bool()?;
+        ensure(span_cols.len() == next_col, || {
+            format!(
+                "skeleton: {} span flags for {next_col} structural columns",
+                span_cols.len()
+            )
+        })?;
+        let skeleton = Self::from_layout(var_map, rows, span_cols, bounded);
+        let spans = skeleton.span_cols.iter().filter(|&&span| span).count();
         ensure(
-            rows.iter()
-                .flat_map(|row| &row.terms)
-                .all(|&(var, _)| var < n),
-            || format!("skeleton: a row term names a variable outside 0..{n}"),
+            spans == skeleton.span_rows.len() && !(bounded && spans > 0),
+            || {
+                "skeleton: a span column on a non-shifted variable or a bounded-variable layout"
+                    .into()
+            },
         )?;
-        let skeleton = Self {
-            var_rows: rows_by_var(&rows, n),
-            var_map,
-            root_lower,
-            root_upper,
-            rows,
-            span_rows: r.seq(|r| Ok((r.usize()?, r.usize()?)))?,
-            span_cols: r.vec_bool()?,
-            bounded: r.bool()?,
-            num_struct: r.usize()?,
-            m_constraints: r.usize()?,
-            m_total: r.usize()?,
-            artificial_start: r.usize()?,
-            cols: r.usize()?,
-            c: r.vec_f64()?,
-            obj_terms: r.vec_idx_f64()?,
-            obj_base: r.f64()?,
-            sense_factor: r.f64()?,
-            nodes_stable: r.bool()?,
-            epoch: 0,
-        };
-        skeleton.validate()?;
         Ok(skeleton)
-    }
-
-    /// Structural check of a decoded skeleton: the layout arithmetic
-    /// (`artificial_start`, `cols`, row counts) holds, every per-variable
-    /// vector has one entry per variable and every per-column one per
-    /// column, and every stored column or variable index is in range — what
-    /// `rebind`, `compatible` and a fill index without looking.
-    fn validate(&self) -> Result<(), StateError> {
-        let n = self.var_map.len();
-        let s = self.num_struct;
-        let layout = self.m_constraints == self.rows.len()
-            && self.m_constraints.checked_add(self.span_rows.len()) == Some(self.m_total)
-            && s.checked_add(self.m_total) == Some(self.artificial_start)
-            && self.artificial_start.checked_add(self.m_constraints) == Some(self.cols)
-            && (!self.bounded || self.span_rows.is_empty());
-        ensure(layout, || "skeleton: inconsistent row/column layout".into())?;
-        ensure(
-            self.root_lower.len() == n
-                && self.root_upper.len() == n
-                && self.span_cols.len() == s
-                && self.c.len() == self.cols,
-            || "skeleton: a per-variable or per-column vector has the wrong length".into(),
-        )?;
-        let cols_in_range = self.var_map.iter().all(|map| match *map {
-            VarMap::Shifted { col } | VarMap::Mirrored { col } => col < s,
-            VarMap::Split { pos, neg } => pos < s && neg < s,
-            VarMap::Fixed => true,
-        }) && self
-            .rows
-            .iter()
-            .flat_map(|row| &row.scatter)
-            .all(|&(col, _)| col < s);
-        ensure(cols_in_range, || {
-            format!("skeleton: a structural column outside 0..{s}")
-        })?;
-        let spans_ok = self.span_rows.iter().all(|&(col, var)| {
-            var < n && matches!(self.var_map[var], VarMap::Shifted { col: c } if c == col)
-        });
-        ensure(spans_ok, || {
-            "skeleton: a span row does not belong to a shifted variable".into()
-        })?;
-        ensure(self.obj_terms.iter().all(|&(var, _)| var < n), || {
-            format!("skeleton: an objective term names a variable outside 0..{n}")
-        })
     }
 }
 

@@ -106,44 +106,6 @@ impl CscMatrix {
             x[r] += factor * v;
         }
     }
-
-    /// Checkpoint encoding. `cursor` is scratch that [`CscMatrix::assemble`]
-    /// fully rebuilds, so only the matrix itself travels.
-    pub(crate) fn encode_state(&self, w: &mut crate::state::Writer) {
-        w.usize(self.rows);
-        w.usize(self.cols);
-        w.vec_usize(&self.col_ptr);
-        w.vec_usize(&self.row_idx);
-        w.vec_f64(&self.values);
-    }
-
-    /// Structural check of a decoded (assembled) matrix: one pointer per
-    /// column plus the end, ascending from 0 to the entry count, every row
-    /// inside `0..rows`.
-    pub(crate) fn validate(&self) -> Result<(), crate::state::StateError> {
-        let ok = self.col_ptr.len().checked_sub(1) == Some(self.cols)
-            && self.col_ptr[0] == 0
-            && self.col_ptr.windows(2).all(|w| w[0] <= w[1])
-            && self.col_ptr[self.cols] == self.row_idx.len()
-            && self.row_idx.len() == self.values.len()
-            && self.row_idx.iter().all(|&r| r < self.rows);
-        crate::state::ensure(ok, || {
-            "constraint matrix: column pointers or row indices out of range".into()
-        })
-    }
-
-    pub(crate) fn decode_state(
-        r: &mut crate::state::Reader<'_>,
-    ) -> Result<Self, crate::state::StateError> {
-        Ok(Self {
-            rows: r.usize()?,
-            cols: r.usize()?,
-            col_ptr: r.vec_usize()?,
-            row_idx: r.vec_usize()?,
-            values: r.vec_f64()?,
-            cursor: Vec::new(),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -9,6 +9,41 @@
 //! pair the solver structs use to encode themselves (`f64`s travel as raw
 //! bit patterns, so non-finite and signed-zero values survive untouched),
 //! plus the hex framing that lets the blob ride inside a JSON string.
+//!
+//! # What a checkpoint carries
+//!
+//! **Exactly what the next solve reads before it writes it.** A decoded
+//! context must solve the next problem bit for bit as the live one would
+//! have, and every field falls in one of three groups:
+//!
+//! * *carried* — read before written, and not derivable: the skeleton's
+//!   layout (each variable's mapping, each row's terms and operator, the
+//!   span flags, the mode), the LU factors, the eta file and its counters,
+//!   the basis, the row signs, the at-upper statuses, the refactorization
+//!   back-off, whether the state may be warm-started and against which
+//!   skeleton, and the lifetime counters;
+//! * *rebuilt on decode* — read before written, but a function of carried
+//!   fields: the constraint matrix (the skeleton's rows under the row
+//!   signs, assembled by the same function a cold fill calls, so every
+//!   column holds its entries in the fill's order), the basic-column
+//!   flags, the skeleton's scatter lists, span rows, dimensions and
+//!   per-variable row lists, and the cost vector's length;
+//! * *left out* — written before any read: what the next solve's `rebind`
+//!   rewrites (costs, objective terms, right-hand sides, sense, root
+//!   bounds), every per-node value, the reduced costs (their certificate
+//!   never travelled, so a decoded workspace prices afresh) and all
+//!   scratch.
+//!
+//! A field moves between groups only with a format bump, and scratch never
+//! travels: a copied scratch vector would pin bits the next solve
+//! overwrites (a `−0.0` a sparser kernel no longer writes would change the
+//! blob, not the answer). The struct definitions group their fields the
+//! same way, and `export_state_carries_no_scratch` pins the blob's length.
+//!
+//! Decoding runs every structural check a solve would otherwise trip over
+//! — lengths against the layout, indices in range, a permutation, a
+//! basis of distinct columns, divisible pivots, row signs of exactly `±1`
+//! — and returns a [`StateError`] instead of panicking in the next FTRAN.
 
 use std::fmt;
 
@@ -37,14 +72,13 @@ pub(crate) fn ensure(ok: bool, what: impl FnOnce() -> String) -> Result<(), Stat
     }
 }
 
-/// `true` when `perm` is a permutation of `0..perm.len()` and `inverse` its
-/// inverse (`inverse[perm[k]] == k`).
-pub(crate) fn is_permutation_pair(perm: &[usize], inverse: &[usize]) -> bool {
-    perm.len() == inverse.len()
-        && perm
-            .iter()
-            .enumerate()
-            .all(|(k, &p)| inverse.get(p) == Some(&k))
+/// `true` when the `items` are distinct and each is below `n` (with
+/// `items.len() == n`, a permutation of `0..n`).
+pub(crate) fn distinct_below(items: &[usize], n: usize) -> bool {
+    let mut seen = vec![false; n];
+    items
+        .iter()
+        .all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
 }
 
 impl fmt::Display for StateError {
