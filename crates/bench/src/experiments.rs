@@ -8,8 +8,8 @@ use crate::table::Table;
 use conductor_cloud::{catalog::mbps_to_gb_per_hour, Catalog, CostCategory, SpotMarket, SpotTrace};
 use conductor_core::{
     AdaptiveController, BidPredictor, CircuitBreakerConfig, ConductorService, FailurePolicy,
-    FailureThreshold, FaultPlan, FleetJobRequest, FleetReport, Goal, JobController, Planner,
-    ResourcePool, RetryPolicy, ShardedFleet, ShardedFleetConfig, SpotDeploymentSimulator,
+    FailureThreshold, FaultPlan, FleetConfig, FleetJobRequest, FleetReport, Goal, JobController,
+    Planner, ResourcePool, RetryPolicy, ShardedFleet, ShardedFleetConfig, SpotDeploymentSimulator,
 };
 use conductor_lp::SolveOptions;
 use conductor_mapreduce::engine::{DataLocation, DeploymentOptions, Engine, ExecutionReport};
@@ -21,15 +21,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
-/// Solver configuration used by the experiments: the paper's 1 % gap but a
-/// tighter wall-clock cap so a full experiment sweep stays interactive.
+/// Solver configuration used by the experiments: the fleet's, a 2 % gap, a
+/// node cap and a wall-clock cap, so a full experiment sweep stays
+/// interactive.
 pub fn solver_options() -> SolveOptions {
-    SolveOptions {
-        relative_gap: 0.02,
-        max_nodes: 2_000,
-        time_limit: Duration::from_secs(30),
-        ..Default::default()
-    }
+    FleetConfig::default().solve_options
 }
 
 fn uplink_16() -> f64 {
@@ -435,7 +431,6 @@ pub fn fig12_adaptation() -> (Table, Table) {
             },
             1.44,
             0.44,
-            1.0,
         )
         .expect("adaptation run");
 

@@ -90,18 +90,16 @@ impl AdaptiveController {
 
     /// Reproduces the §6.4 experiment: plan with `predicted_gbph` per node,
     /// execute against nodes that actually deliver `actual_gbph`, and let
-    /// the fleet's monitor — ticking every `monitor_period_hours`, at the
-    /// default [`FleetConfig::monitor_tolerance`], re-plan margin and
-    /// conservatism — re-plan the job when its *measured* progress falls
-    /// behind. The counterfactual is the same session with tolerance 1.0,
-    /// under which no job is ever behind.
+    /// the fleet's monitor — ticking every hour at the default
+    /// [`FleetConfig::monitor_tolerance`] — re-plan the job when its
+    /// *measured* progress falls behind. The counterfactual is the same
+    /// session with tolerance 1.0, under which no job is ever behind.
     pub fn run_with_misprediction(
         &self,
         spec: &JobSpec,
         goal: Goal,
         predicted_gbph: f64,
         actual_gbph: f64,
-        monitor_period_hours: f64,
     ) -> Result<AdaptationReport, ConductorError> {
         let believed = self
             .pool
@@ -113,7 +111,7 @@ impl AdaptiveController {
         let run = |tolerance: f64| {
             service
                 .clone()
-                .with_monitor(monitor_period_hours, tolerance)
+                .with_monitor_tolerance(tolerance)
                 .run_one(spec, goal)
         };
         let (monitored, replanned_at_hours) = run(FleetConfig::default().monitor_tolerance)?;
@@ -144,9 +142,7 @@ impl AdaptiveController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conductor_lp::SolveOptions;
     use conductor_mapreduce::Workload;
-    use std::time::Duration;
 
     /// Predicted `predicted_gbph`, actual 0.44 GB/h, hourly monitor, 7-hour
     /// deadline (the paper's Figure 12 spans ~7 hours).
@@ -157,19 +153,8 @@ mod tests {
             deadline_hours: 7.0,
         };
         AdaptiveController::new(catalog, pool)
-            .with_solve_options(SolveOptions {
-                relative_gap: 0.02,
-                max_nodes: 2_000,
-                time_limit: Duration::from_secs(30),
-                ..Default::default()
-            })
-            .run_with_misprediction(
-                &Workload::KMeans32Gb.spec(),
-                goal,
-                predicted_gbph,
-                0.44,
-                1.0,
-            )
+            .with_solve_options(FleetConfig::default().solve_options)
+            .run_with_misprediction(&Workload::KMeans32Gb.spec(), goal, predicted_gbph, 0.44)
             .unwrap()
     }
 

@@ -114,7 +114,7 @@ impl JobController {
         // admission plan is followed to the end.
         let (outcome, _) = ConductorService::new(self.catalog.clone(), self.planner.pool().clone())
             .with_solve_options(self.planner.solve_options().clone())
-            .with_monitor(1.0, 1.0)
+            .with_monitor_tolerance(1.0)
             .run_one(spec, goal)?;
         Ok(outcome)
     }
@@ -123,20 +123,14 @@ impl JobController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::FleetConfig;
     use crate::resources::ResourcePool;
-    use conductor_lp::SolveOptions;
     use conductor_mapreduce::Workload;
-    use std::time::Duration;
 
     fn controller() -> JobController {
         let catalog = Catalog::aws_july_2011();
         let pool = ResourcePool::from_catalog(&catalog, 1.0).with_compute_only(&["m1.large"]);
-        let planner = Planner::new(pool).with_solve_options(SolveOptions {
-            relative_gap: 0.02,
-            max_nodes: 2_000,
-            time_limit: Duration::from_secs(30),
-            ..Default::default()
-        });
+        let planner = Planner::new(pool).with_solve_options(FleetConfig::default().solve_options);
         JobController::new(catalog, planner).unwrap()
     }
 

@@ -1,15 +1,15 @@
 //! Admission: the one module that plans.
 //!
 //! [`AdmissionControl`] owns what a planning decision reads or warms — the
-//! cross-solve [`SolveContext`], the certified plan cache, the shadow probe,
-//! the residual index — and answers three questions: *admit this request
-//! now*, *re-plan this job now*, *what is left of the pool at hour t*. The
-//! cache's entry format and certification rule are private to this file;
-//! the session sees a plan, or a reason there is none.
+//! cross-solve [`SolveContext`], the certified plan cache, the residual
+//! index — and answers three questions: *admit this request now*, *re-plan
+//! this job now*, *what is left of the pool at hour t*. The cache's entry
+//! format and certification rule are private to this file; the session
+//! sees a plan, or a reason there is none.
 
-use super::request::{FleetConfig, FleetJobRequest, PlanCacheMode};
+use super::request::{FleetConfig, FleetJobRequest};
 use super::residual::ResidualIndex;
-use super::session::ActiveJob;
+use super::session::{ActiveJob, MONITOR_CONSERVATISM, REPLAN_MARGIN_HOURS};
 use crate::error::ConductorError;
 use crate::model::{InitialState, ModelConfig};
 use crate::plan::ExecutionPlan;
@@ -275,31 +275,6 @@ fn entry_fits(entry: &PlanCacheEntry, residual: &ResourcePool) -> bool {
     })
 }
 
-/// Shadow mode's findings (see `Fleet::plan_cache_shadow_stats`).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub(super) struct ShadowStats {
-    pub(super) checked: usize,
-    pub(super) worse: usize,
-    pub(super) excess_max: Option<f64>,
-    pub(super) excess_sum: f64,
-}
-
-impl ShadowStats {
-    /// Records how a would-be hit's re-priced cost compares with the
-    /// fresh solve that actually decided the admission.
-    fn compare(&mut self, would_be: f64, fresh: f64, gap: f64) {
-        if fresh.is_finite() && fresh.abs() > f64::EPSILON {
-            let excess = (would_be - fresh) / fresh;
-            self.checked += 1;
-            if excess > gap {
-                self.worse += 1;
-            }
-            self.excess_max = Some(self.excess_max.map_or(excess, |max| max.max(excess)));
-            self.excess_sum += excess;
-        }
-    }
-}
-
 /// The session state a planning decision reads, borrowed per call.
 pub(super) struct Env<'a> {
     pub(super) catalog: &'a Catalog,
@@ -325,32 +300,21 @@ pub(super) struct Admitted {
 pub(super) struct Refused(pub(super) String, pub(super) Option<Box<PlanningReport>>);
 
 /// The admission module's state — see the [module docs](self).
+#[derive(Default)]
 pub(super) struct AdmissionControl {
     /// Cross-solve skeleton/basis reuse for admission and re-plan solves:
     /// look-alike models drain through one factorization instead of each
     /// paying a cold two-phase fill.
     solve_ctx: SolveContext,
-    /// Admission plan cache (stays empty under [`PlanCacheMode::Off`]).
+    /// Admission plan cache (stays empty while
+    /// [`FleetConfig::plan_cache`] is off).
     cache: PlanCache,
-    /// [`PlanCacheMode::Shadow`] only: the separate solve context
-    /// validation probes run through, so they never perturb the basis
-    /// chain of the real solves, and what they measured.
-    shadow: Option<(SolveContext, ShadowStats)>,
     /// Interior mutability: queries lazily refresh the index but are
     /// logically reads.
     residual: RefCell<ResidualIndex>,
 }
 
 impl AdmissionControl {
-    pub(super) fn new(mode: PlanCacheMode) -> Self {
-        Self {
-            solve_ctx: SolveContext::new(),
-            cache: PlanCache::default(),
-            shadow: (mode == PlanCacheMode::Shadow).then(Default::default),
-            residual: RefCell::new(ResidualIndex::default()),
-        }
-    }
-
     /// The capacity left at fleet hour `at` once every active job's future
     /// node commitments are subtracted, `exclude` excepted (the job being
     /// re-planned: its schedule is about to be replaced).
@@ -360,14 +324,9 @@ impl AdmissionControl {
             .residual_at(env.pool, env.active, at, exclude)
     }
 
-    /// Plan-cache `(hits, misses)` and the shadow comparison, for reports.
-    pub(super) fn cache_stats(&self) -> (usize, usize, ShadowStats) {
-        let shadow = self.shadow.as_ref().map(|(_, stats)| *stats);
-        (
-            self.cache.hits,
-            self.cache.misses,
-            shadow.unwrap_or_default(),
-        )
+    /// Plan-cache `(hits, misses)`, for reports.
+    pub(super) fn cache_stats(&self) -> (usize, usize) {
+        (self.cache.hits, self.cache.misses)
     }
 
     /// Plans one arrival against the residual capacity at `now` and, on
@@ -396,23 +355,18 @@ impl AdmissionControl {
         let gap = env.config.solve_options.relative_gap;
         // The fast path: a cached sibling plan that fits the residual and
         // re-prices within the certified gap of this admission's root LP
-        // bound skips branch & bound entirely. In shadow mode the probe
-        // still runs (through its own solve context) but only for
-        // comparison — the full solve below keeps deciding.
-        let mode = env.config.plan_cache;
-        // Only deadline goals (`MinimizeCost`) are cached.
-        let cached_deadline =
-            (request.goal.deadline_hours()).filter(|_| mode != PlanCacheMode::Off);
+        // bound skips branch & bound entirely. Only deadline goals
+        // (`MinimizeCost`) are cached.
+        let cached_deadline = (request.goal.deadline_hours()).filter(|_| env.config.plan_cache);
         let probed = cached_deadline.and_then(|deadline_hours| {
-            // The root relaxation runs through the shared context when
-            // serving, so a miss's full solve warm-starts from it, and
-            // through the shadow probe's own in shadow mode, so the real
-            // solve sequence stays bitwise identical to cache-off.
-            let ctx = match &mut self.shadow {
-                Some((shadow_ctx, _)) => shadow_ctx,
-                None => &mut self.solve_ctx,
-            };
-            let root = planner.root_bound_with_ctx(&request.spec, deadline_hours, &config, ctx);
+            // The root relaxation runs through the shared context, so a
+            // miss's full solve warm-starts from it.
+            let root = planner.root_bound_with_ctx(
+                &request.spec,
+                deadline_hours,
+                &config,
+                &mut self.solve_ctx,
+            );
             let Ok(root) = root else {
                 // An infeasible/failed relaxation is a miss with nothing to
                 // certify against or record; the full solve below surfaces
@@ -431,7 +385,7 @@ impl AdmissionControl {
                 planning,
                 key,
                 ..
-            }) if mode == PlanCacheMode::Serve => (plan, planning, Some(key)),
+            }) => (plan, planning, Some(key)),
             probed => {
                 let (plan, planning) = planner
                     .plan_or_effort(
@@ -445,9 +399,6 @@ impl AdmissionControl {
                         Refused(reason, failed.planning)
                     })?;
                 if let Some(probed) = probed {
-                    if let (Some((_, stats)), Some(would_be)) = (&mut self.shadow, &probed.hit) {
-                        stats.compare(would_be.expected_cost, plan.expected_cost, gap);
-                    }
                     self.cache.insert(probed, &plan);
                 }
                 (plan, planning, None)
@@ -527,10 +478,9 @@ impl AdmissionControl {
             }
         }
         let remaining = (spec.input_gb - progress.map_done_gb).max(0.0);
-        initial.map_done_gb =
-            (spec.input_gb - remaining * (1.0 + env.config.monitor_conservatism)).max(0.0);
+        initial.map_done_gb = (spec.input_gb - remaining * (1.0 + MONITOR_CONSERVATISM)).max(0.0);
 
-        let remaining_goal = job.info.goal.remaining(rel, env.config.replan_margin_hours);
+        let remaining_goal = job.info.goal.remaining(rel, REPLAN_MARGIN_HOURS);
         let config = ModelConfig {
             initial,
             price_forecast: price_forecast(
@@ -553,40 +503,27 @@ impl AdmissionControl {
         AdmissionSnapshot {
             solve_ctx: self.solve_ctx.export_state(),
             plan_cache: self.cache.clone(),
-            shadow: self
-                .shadow
-                .as_ref()
-                .map(|(ctx, stats)| (ctx.export_state(), *stats)),
         }
     }
 
-    /// The inverse of [`export`](Self::export), under the session's mode.
-    pub(super) fn import(
-        snapshot: &AdmissionSnapshot,
-        mode: PlanCacheMode,
-    ) -> Result<Self, ConductorError> {
-        let context = |name: &str, blob: &str| {
-            SolveContext::import_state(blob).map_err(|e| {
-                ConductorError::InvalidInput(format!("corrupt {name}-context blob: {e:?}"))
-            })
-        };
-        let mut admission = Self::new(mode);
-        admission.solve_ctx = context("solver", &snapshot.solve_ctx)?;
-        admission.cache = snapshot.plan_cache.clone();
-        if let (Some(shadow), Some((ctx, stats))) = (&mut admission.shadow, &snapshot.shadow) {
-            *shadow = (context("shadow", ctx)?, *stats);
-        }
-        Ok(admission)
+    /// The inverse of [`export`](Self::export).
+    pub(super) fn import(snapshot: &AdmissionSnapshot) -> Result<Self, ConductorError> {
+        let solve_ctx = SolveContext::import_state(&snapshot.solve_ctx).map_err(|e| {
+            ConductorError::InvalidInput(format!("corrupt solver-context blob: {e:?}"))
+        })?;
+        Ok(Self {
+            solve_ctx,
+            cache: snapshot.plan_cache.clone(),
+            ..Self::default()
+        })
     }
 }
 
-/// The exact solver-context bytes, the plan cache, and (shadow mode only)
-/// the shadow probe's context bytes and findings.
+/// The exact solver-context bytes and the plan cache.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(super) struct AdmissionSnapshot {
     solve_ctx: String,
     plan_cache: PlanCache,
-    shadow: Option<(String, ShadowStats)>,
 }
 
 /// Per-interval price expectations from the shared spot market (empty

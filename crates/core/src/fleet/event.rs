@@ -32,8 +32,7 @@ pub enum FleetEvent {
         /// Admission hour.
         at_hours: f64,
         /// The plan-cache key the admission was served from, when the
-        /// fast path decided (`None` for full branch & bound solves and
-        /// in shadow mode, which never *uses* the cache).
+        /// fast path decided (`None` for full branch & bound solves).
         cache_key: Option<PlanCacheKey>,
     },
     /// The plan the tenant was admitted under.

@@ -80,7 +80,7 @@ mod snapshot;
 pub use admission::PlanCacheKey;
 pub use event::{FleetEvent, FleetObserver};
 pub use report::{FleetReport, OutcomeClass, TenantOutcome, TenantState, TenantStatus};
-pub use request::{FleetConfig, FleetJobRequest, PlanCacheMode, TenantId};
+pub use request::{FleetConfig, FleetJobRequest, TenantId};
 pub use snapshot::FleetSnapshot;
 
 use crate::error::ConductorError;
@@ -105,7 +105,7 @@ pub struct Fleet {
     active: BTreeMap<ProcessId, ActiveJob>,
     /// Tenants, monitor grid, policy runtime, clock, event log.
     state: SessionState,
-    /// Solve context, plan cache, shadow probe, residual index.
+    /// Solve context, plan cache, residual index.
     admission: AdmissionControl,
     observers: Vec<Box<dyn FleetObserver + Send>>,
     /// Write-ahead log tailing every emitted event (see
@@ -152,7 +152,7 @@ impl Fleet {
             _ => None, // without a market there is nothing to break
         };
         let mut fleet = Self {
-            admission: AdmissionControl::new(config.plan_cache),
+            admission: AdmissionControl::default(),
             catalog,
             pool,
             config,
@@ -579,23 +579,8 @@ impl Fleet {
         if let Some(breaker) = &self.state.breaker {
             report.breaker_open_hours = breaker.open_hours(self.state.stepped_to);
         }
-        (report.plan_cache_hits, report.plan_cache_misses, _) = self.admission.cache_stats();
+        (report.plan_cache_hits, report.plan_cache_misses) = self.admission.cache_stats();
         report
-    }
-
-    /// [`PlanCacheMode::Shadow`]'s findings,
-    /// `(compared, worse, max_excess, mean_excess)`: would-be cache hits
-    /// compared against the fresh solve that decided the admission, how
-    /// many re-priced worse than it by more than the solver's relative
-    /// gap, and the worst / mean relative excess (negative: the hit was
-    /// cheaper than the solve it would replace).
-    pub fn plan_cache_shadow_stats(&self) -> (usize, usize, f64, f64) {
-        let (_, _, shadow) = self.admission.cache_stats();
-        let mean = shadow.excess_sum / shadow.checked.max(1) as f64;
-        // −∞ until something is compared, so a final negative maximum is
-        // visible: every compared hit re-priced *cheaper* than its solve.
-        let max = shadow.excess_max.unwrap_or(f64::NEG_INFINITY);
-        (shadow.checked, shadow.worse, max, mean)
     }
 }
 
@@ -693,10 +678,6 @@ mod tests {
         for bad in [
             FleetConfig {
                 monitor_tolerance: f64::NAN,
-                ..default()
-            },
-            FleetConfig {
-                monitor_period_hours: -1.0,
                 ..default()
             },
             FleetConfig {

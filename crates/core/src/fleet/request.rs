@@ -80,31 +80,6 @@ impl FleetJobRequest {
     }
 }
 
-/// What the admission plan cache does with a certified sibling plan.
-///
-/// Serving changes which (equally certified) plan a tenant is admitted
-/// under, and churn outcomes are sensitive to that choice, so sessions that
-/// pin exact trajectories leave the cache [`Off`](Self::Off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanCacheMode {
-    /// Every admission runs a full branch & bound solve.
-    #[default]
-    Off,
-    /// Reuse admission plans across look-alike arrivals: a cached plan
-    /// whose shape fits the current residual capacity and whose re-priced
-    /// cost is certified against the fresh model's root LP relaxation
-    /// bound (within the solver's `relative_gap`) is admitted without a
-    /// branch & bound solve.
-    Serve,
-    /// Validation: probe the cache at every admission and record how each
-    /// would-be hit compares against the full solve that actually decides
-    /// — but never *use* a cached plan. The probe runs through its own
-    /// solve context, so the session's trajectory stays bitwise identical
-    /// to [`Off`](Self::Off). Query the comparison via
-    /// [`Fleet::plan_cache_shadow_stats`](super::Fleet::plan_cache_shadow_stats).
-    Shadow,
-}
-
 /// Configuration of a [`Fleet`](super::Fleet) session, validated once at
 /// construction. [`ConductorService`](crate::ConductorService)'s builders
 /// accumulate one of these; `Fleet::new` takes it directly.
@@ -121,35 +96,23 @@ pub struct FleetConfig {
     /// above the effective bid. Per-tenant
     /// [`FleetJobRequest::spot_bid`] overrides this for individual jobs.
     pub spot_bid: Option<f64>,
-    /// Hours between monitor ticks (1.0 = the paper's planning interval).
-    /// Must be finite and positive.
-    pub monitor_period_hours: f64,
     /// Relative shortfall that triggers a re-plan: the monitor stays quiet
     /// while observed progress is at least `(1 - tolerance)` of the plan's
     /// projection. Must be finite and within `[0, 1]`.
     pub monitor_tolerance: f64,
-    /// Safety margin subtracted from the remaining deadline when
-    /// re-planning. The model is deliberately optimistic (fluid
-    /// upload/processing, no task granularity), so a re-plan that exactly
-    /// fills the remaining time finishes its node ramp-down too early and
-    /// leaves the real engine a long single-node tail. Planning one
-    /// interval short absorbs that optimism; it mirrors how the paper's
-    /// controller keeps monitoring after each re-plan instead of trusting a
-    /// single projection (§5.4).
-    pub replan_margin_hours: f64,
-    /// Fractional inflation of the *remaining* work the monitor reports at
-    /// re-plan time (0.15 = plan for 15 % more work). Covers the node-hours
-    /// the task-granular engine loses to data starvation and
-    /// interval-boundary stragglers, which the fluid model cannot see.
-    pub monitor_conservatism: f64,
     /// The failure policy: fault injection, retry/backoff with
     /// dead-lettering, the admission gate and the spot-market circuit
     /// breaker (see [`crate::policy`]). The default is completely inert,
     /// so unpolicied sessions replay the pre-policy trajectories bit for
     /// bit.
     pub policy: FailurePolicy,
-    /// What the admission plan cache does (default [`PlanCacheMode::Off`]).
-    pub plan_cache: PlanCacheMode,
+    /// Serve admissions from the plan cache: a cached plan whose shape fits
+    /// the current residual capacity and whose re-priced cost is certified
+    /// against the fresh model's root LP bound (within the solver's
+    /// `relative_gap`) is admitted without a branch & bound solve. Off by
+    /// default: serving changes which (equally certified) plan a tenant is
+    /// admitted under, and churn outcomes are sensitive to that choice.
+    pub plan_cache: bool,
 }
 
 impl Default for FleetConfig {
@@ -163,43 +126,22 @@ impl Default for FleetConfig {
             },
             spot_market: None,
             spot_bid: None,
-            monitor_period_hours: 1.0,
             monitor_tolerance: 0.25,
-            replan_margin_hours: 1.0,
-            monitor_conservatism: 0.15,
             policy: FailurePolicy::default(),
-            plan_cache: PlanCacheMode::Off,
+            plan_cache: false,
         }
     }
 }
 
 impl FleetConfig {
     /// Checks every knob once, so NaN or negative values can never reach
-    /// the event heap (where a NaN tick period or tolerance would silently
+    /// the event heap (where a NaN tolerance or bid would silently
     /// corrupt comparisons instead of failing loudly).
     pub fn validate(&self) -> Result<(), ConductorError> {
-        if !self.monitor_period_hours.is_finite() || self.monitor_period_hours <= 0.0 {
-            return Err(ConductorError::InvalidInput(format!(
-                "monitor period must be a finite positive number of hours, got {}",
-                self.monitor_period_hours
-            )));
-        }
         if !self.monitor_tolerance.is_finite() || !(0.0..=1.0).contains(&self.monitor_tolerance) {
             return Err(ConductorError::InvalidInput(format!(
                 "monitor tolerance must be finite and within [0, 1], got {}",
                 self.monitor_tolerance
-            )));
-        }
-        if !self.replan_margin_hours.is_finite() || self.replan_margin_hours < 0.0 {
-            return Err(ConductorError::InvalidInput(format!(
-                "re-plan margin must be finite and non-negative, got {}",
-                self.replan_margin_hours
-            )));
-        }
-        if !self.monitor_conservatism.is_finite() || self.monitor_conservatism < 0.0 {
-            return Err(ConductorError::InvalidInput(format!(
-                "monitor conservatism must be finite and non-negative, got {}",
-                self.monitor_conservatism
             )));
         }
         if let Some(bid) = self.spot_bid {

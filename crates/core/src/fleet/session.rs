@@ -19,6 +19,26 @@ use conductor_sim::{ProcessId, ProcessRegistry, Simulator, TIME_EPSILON};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Hours between monitor ticks: the paper's planning interval, the hour
+/// EC2 bills by (§4.8, §5.4).
+pub(super) const MONITOR_PERIOD_HOURS: f64 = 1.0;
+
+/// Safety margin subtracted from the remaining deadline when re-planning.
+/// The model is deliberately optimistic (fluid upload/processing, no task
+/// granularity), so a re-plan that exactly fills the remaining time
+/// finishes its node ramp-down too early and leaves the real engine a long
+/// single-node tail. Planning one interval short absorbs that optimism; it
+/// mirrors how the paper's controller keeps monitoring after each re-plan
+/// instead of trusting a single projection (§5.4). The monitor also leaves
+/// a job alone once fewer than this margin plus one interval remain.
+pub(super) const REPLAN_MARGIN_HOURS: f64 = 1.0;
+
+/// Fractional inflation of the *remaining* work the monitor reports at
+/// re-plan time (0.15 = plan for 15 % more work). Covers the node-hours the
+/// task-granular engine loses to data starvation and interval-boundary
+/// stragglers, which the fluid model cannot see.
+pub(super) const MONITOR_CONSERVATISM: f64 = 0.15;
+
 /// Events on the fleet clock (internal wakeups; the public, typed stream
 /// is [`FleetEvent`]). Serializable because a
 /// [`FleetSnapshot`](super::FleetSnapshot) carries the pending heap
@@ -317,9 +337,8 @@ impl Fleet {
     /// effective arrival `arrival`. Tick times live on the iterated grid
     /// anchored at the earliest arrival, which is what keeps the
     /// incremental driver's tick times bit-identical to the batch
-    /// driver's `t += period` chain.
+    /// driver's `t += MONITOR_PERIOD_HOURS` chain.
     pub(super) fn ensure_monitor_chain(&mut self, arrival: f64) {
-        let period = self.config.monitor_period_hours;
         let state = &mut self.state;
         let anchor = match state.monitor_anchor {
             // Until the first tick fires the grid can still be re-anchored
@@ -329,7 +348,7 @@ impl Fleet {
             _ => arrival,
         };
         state.monitor_anchor = Some(anchor);
-        let mut next = anchor + period;
+        let mut next = anchor + MONITOR_PERIOD_HOURS;
         if let Some(scheduled) = state.monitor_next {
             if state.monitor_fired || next + TIME_EPSILON >= scheduled {
                 return; // the live chain already ticks soon enough
@@ -338,7 +357,7 @@ impl Fleet {
             // Iterate (never multiply) so revived chains reproduce the
             // batch driver's floating-point tick values exactly.
             while next <= state.stepped_to + TIME_EPSILON {
-                next += period;
+                next += MONITOR_PERIOD_HOURS;
             }
         }
         state.monitor_gen += 1;
@@ -687,7 +706,7 @@ impl Fleet {
         self.monitor(now);
         self.state.monitor_next = None;
         if !self.active.is_empty() || self.state.arrivals_pending > 0 {
-            let next = now + self.config.monitor_period_hours;
+            let next = now + MONITOR_PERIOD_HOURS;
             self.state.monitor_next = Some(next);
             let tick = ClockEvent::MonitorTick(self.state.monitor_gen);
             schedule(&mut self.sim, next, tick);
@@ -723,7 +742,7 @@ impl Fleet {
                 continue;
             }
             // Too late to act? Leave the schedule alone and let it ride.
-            if deadline - rel <= self.config.replan_margin_hours + 1.0 {
+            if deadline - rel <= REPLAN_MARGIN_HOURS + 1.0 {
                 job.info.storm_hit = false;
                 continue;
             }

@@ -53,7 +53,10 @@ impl Fleet {
     /// be the ones the session was opened with — they are inputs, not
     /// state — and the snapshot supplies everything else: the restored
     /// fleet continues *bit for bit* where the checkpointed one stood
-    /// (same events, same floats, same report).
+    /// (same events, same floats, same report). `plan_cache` is the one
+    /// config field that may differ from the session's: with it off, the
+    /// restored fleet decides the next admission by a fresh solve from the
+    /// same fleet state.
     ///
     /// Construction-time schedules (revocation sweeps, fault events) are
     /// deliberately *not* re-derived here: the pending instances live in
@@ -73,7 +76,7 @@ impl Fleet {
         pool.validate().map_err(ConductorError::InvalidInput)?;
         config.validate()?;
         snapshot.validate()?;
-        let admission = AdmissionControl::import(&snapshot.admission, config.plan_cache)?;
+        let admission = AdmissionControl::import(&snapshot.admission)?;
         let entries: Vec<ScheduledEvent<ClockEvent>> = snapshot
             .heap
             .iter()

@@ -60,7 +60,7 @@ pub use controller::{DeploymentOutcome, JobController};
 pub use error::ConductorError;
 pub use fleet::{
     Fleet, FleetConfig, FleetEvent, FleetJobRequest, FleetObserver, FleetReport, FleetSnapshot,
-    OutcomeClass, PlanCacheKey, PlanCacheMode, TenantId, TenantOutcome, TenantState, TenantStatus,
+    OutcomeClass, PlanCacheKey, TenantId, TenantOutcome, TenantState, TenantStatus,
 };
 pub use goal::Goal;
 pub use model::{InitialState, ModelConfig, ModelInstance};

@@ -102,8 +102,7 @@ pub struct FailedPlanning {
     /// Why there is no plan.
     pub error: ConductorError,
     /// The failed solve's effort (boxed to keep the error small). `None`
-    /// when planning failed before the solver ran, or ran without a
-    /// [`SolveContext`] to keep the counters.
+    /// only when planning failed before the solver ran.
     pub planning: Option<Box<PlanningReport>>,
 }
 
@@ -207,8 +206,9 @@ impl Planner {
     /// [`SolveContext`]: a stream of look-alike admissions drains through
     /// one standard-form skeleton and factorized basis, each solve
     /// warm-starting its root from the previous solve's optimum instead of
-    /// a cold two-phase fill. A failure also reports the solver effort it
-    /// cost (see [`FailedPlanning`]).
+    /// a cold two-phase fill; without one each solve runs through a fresh
+    /// context. A failure also reports the solver effort it cost (see
+    /// [`FailedPlanning`]).
     pub fn plan_or_effort(
         &self,
         spec: &JobSpec,
@@ -287,24 +287,16 @@ impl Planner {
         let model = ModelInstance::build(&self.pool, spec, config)?;
         let model_build_time = build_start.elapsed();
         let report = |stats: &SolveStats| PlanningReport::of_solve(&model, model_build_time, stats);
-        let solved = match ctx {
-            Some(ctx) => model
-                .problem
-                .solve_with_context(&self.solve_options, ctx)
-                .map_err(|e| (e, ctx.last_solve_stats())),
-            None => model
-                .problem
-                .solve_with(&self.solve_options)
-                .map_err(|e| (e, None)),
-        };
-        match solved {
+        let mut fresh = SolveContext::new();
+        let ctx = ctx.unwrap_or(&mut fresh);
+        match model.problem.solve_with_context(&self.solve_options, ctx) {
             Ok(solution) => {
                 let plan = ExecutionPlan::from_solution(&model, &solution);
                 Ok((plan, report(solution.stats())))
             }
-            Err((e, stats)) => Err(FailedPlanning {
+            Err(e) => Err(FailedPlanning {
                 error: e.into(),
-                planning: stats.as_ref().map(|stats| Box::new(report(stats))),
+                planning: ctx.last_solve_stats().map(|stats| Box::new(report(&stats))),
             }),
         }
     }
@@ -401,6 +393,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::FleetConfig;
     use conductor_cloud::Catalog;
     use conductor_mapreduce::Workload;
 
@@ -411,12 +404,7 @@ mod tests {
     }
 
     fn fast_options() -> SolveOptions {
-        SolveOptions {
-            relative_gap: 0.02,
-            max_nodes: 2_000,
-            time_limit: Duration::from_secs(30),
-            ..Default::default()
-        }
+        FleetConfig::default().solve_options
     }
 
     #[test]
@@ -461,6 +449,28 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, ConductorError::Planning(_)));
+    }
+
+    #[test]
+    fn a_refused_goal_reports_its_effort_without_a_context() {
+        let failed = planner()
+            .with_solve_options(fast_options())
+            .plan_or_effort(
+                &Workload::KMeans32Gb.spec(),
+                Goal::MinimizeCost {
+                    deadline_hours: 2.0,
+                },
+                &ModelConfig::default(),
+                None,
+            )
+            .unwrap_err();
+        assert!(matches!(failed.error, ConductorError::Planning(_)));
+        let planning = failed.planning.expect("a failed solve's effort is kept");
+        // The root relaxation is refused after one factorization.
+        assert!(
+            planning.model_vars > 0 && planning.basis_factorizations > 0,
+            "{planning:?}"
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::controller::DeploymentOutcome;
 use crate::error::ConductorError;
-use crate::fleet::{Fleet, FleetConfig, PlanCacheMode};
+use crate::fleet::{Fleet, FleetConfig};
 use crate::goal::Goal;
 use crate::resources::ResourcePool;
 use conductor_cloud::{Catalog, SpotMarket};
@@ -95,31 +95,18 @@ impl ConductorService {
         self
     }
 
-    /// Serves admissions from the plan cache ([`PlanCacheMode::Serve`]) when
-    /// `enable`, else switches the cache off (the default).
-    pub fn with_plan_cache(self, enable: bool) -> Self {
-        self.with_plan_cache_mode(enable, PlanCacheMode::Serve)
-    }
-
-    /// Shadow-validates the plan cache ([`PlanCacheMode::Shadow`]) when
-    /// `enable`, else switches the cache off; query the comparison through
-    /// [`Fleet::plan_cache_shadow_stats`](crate::fleet::Fleet::plan_cache_shadow_stats).
-    pub fn with_plan_cache_shadow(self, enable: bool) -> Self {
-        self.with_plan_cache_mode(enable, PlanCacheMode::Shadow)
-    }
-
-    fn with_plan_cache_mode(mut self, enable: bool, mode: PlanCacheMode) -> Self {
-        self.config.plan_cache = if enable { mode } else { PlanCacheMode::Off };
+    /// Serves admissions from the plan cache ([`FleetConfig::plan_cache`])
+    /// when `enable`, else switches the cache off (the default).
+    pub fn with_plan_cache(mut self, enable: bool) -> Self {
+        self.config.plan_cache = enable;
         self
     }
 
-    /// Overrides the monitor cadence and re-plan trigger tolerance. The
-    /// values are validated when the fleet is opened ([`Self::open`] /
-    /// [`Self::run`]): the period must be finite and positive, the
-    /// tolerance finite and within `[0, 1]` — NaN no longer reaches the
-    /// event heap.
-    pub fn with_monitor(mut self, period_hours: f64, tolerance: f64) -> Self {
-        self.config.monitor_period_hours = period_hours;
+    /// Overrides the monitor's re-plan trigger tolerance
+    /// ([`FleetConfig::monitor_tolerance`]). The value is validated when
+    /// the fleet is opened ([`Self::open`] / [`Self::run`]): it must be
+    /// finite and within `[0, 1]` — NaN never reaches the event heap.
+    pub fn with_monitor_tolerance(mut self, tolerance: f64) -> Self {
         self.config.monitor_tolerance = tolerance;
         self
     }
@@ -245,23 +232,13 @@ mod tests {
     use super::*;
     use conductor_cloud::SpotTrace;
     use conductor_mapreduce::Workload;
-    use std::time::Duration;
-
-    fn fast_options() -> SolveOptions {
-        SolveOptions {
-            relative_gap: 0.02,
-            max_nodes: 2_000,
-            time_limit: Duration::from_secs(30),
-            ..Default::default()
-        }
-    }
 
     fn service(cap: usize) -> ConductorService {
         let catalog = Catalog::aws_july_2011();
         let pool = ResourcePool::from_catalog(&catalog, 1.0)
             .with_compute_only(&["m1.large"])
             .with_compute_cap("m1.large", cap);
-        ConductorService::new(catalog, pool).with_solve_options(fast_options())
+        ConductorService::new(catalog, pool)
     }
 
     fn request(tenant: &str, arrival: f64, deadline: f64) -> FleetJobRequest {
@@ -326,14 +303,12 @@ mod tests {
 
     #[test]
     fn invalid_monitor_knobs_fail_at_open_not_silently() {
-        let svc = service(50).with_monitor(f64::NAN, 0.25);
+        let svc = service(50).with_monitor_tolerance(f64::NAN);
         assert!(matches!(
             svc.run(&[request("a", 0.0, 6.0)]),
             Err(ConductorError::InvalidInput(_))
         ));
-        let svc = service(50).with_monitor(1.0, f64::NAN);
-        assert!(matches!(svc.open(), Err(ConductorError::InvalidInput(_))));
-        let svc = service(50).with_monitor(-2.0, 0.25);
+        let svc = service(50).with_monitor_tolerance(-0.5);
         assert!(matches!(svc.open(), Err(ConductorError::InvalidInput(_))));
         // An invalid arrival hour is refused before anything runs.
         let svc = service(50);

@@ -82,14 +82,6 @@ pub struct SolveOptions {
     pub max_simplex_iterations: usize,
     /// Wall-clock limit for the whole solve.
     pub time_limit: Duration,
-    /// Integrality tolerance: values within this distance of an integer count as integral.
-    pub integrality_tol: f64,
-    /// Warm-start each branch & bound node from its parent's final simplex
-    /// basis (skipping phase 1 when the basis is still feasible). On by
-    /// default; disable to measure the cold path or to rule the machinery
-    /// out while debugging.
-    #[serde(default = "default_true")]
-    pub warm_start: bool,
     /// Bounded-variable simplex: handle finite upper bounds implicitly via
     /// a nonbasic-at-upper status and a bound-flip ratio test instead of
     /// materializing a span row per bounded variable in the standard form.
@@ -110,10 +102,6 @@ pub struct SolveOptions {
     pub dual_steepest_edge: bool,
 }
 
-fn default_true() -> bool {
-    true
-}
-
 impl Default for SolveOptions {
     fn default() -> Self {
         Self {
@@ -121,8 +109,6 @@ impl Default for SolveOptions {
             max_nodes: 50_000,
             max_simplex_iterations: 200_000,
             time_limit: Duration::from_secs(180),
-            integrality_tol: 1e-6,
-            warm_start: true,
             bounded_variables: false,
             dual_steepest_edge: false,
         }

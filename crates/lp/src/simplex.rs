@@ -30,6 +30,8 @@ use crate::problem::{ConstraintOp, Problem, Sense, VarKind};
 pub(crate) const PIVOT_TOL: f64 = 1e-9;
 pub(crate) const COST_TOL: f64 = 1e-9;
 pub(crate) const FEAS_TOL: f64 = 1e-7;
+/// Values within this distance of an integer count as integral.
+pub(crate) const INTEGRALITY_TOL: f64 = 1e-6;
 /// Minimum pivot magnitude accepted by the dual-repair ratio test. Stricter
 /// than `PIVOT_TOL`: reused factorizations accumulate drift across nodes,
 /// and a tiny dual pivot amplifies it by its reciprocal.

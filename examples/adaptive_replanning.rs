@@ -27,7 +27,6 @@ fn main() {
             },
             1.44, // predicted GB/h per node
             0.44, // actual GB/h per node
-            1.0,  // the monitor ticks every hour
         )
         .expect("adaptive run");
 

@@ -147,11 +147,12 @@ fn snapshot_bytes_are_pinned() {
     // Solver-state format 0x03. The solver context carries no scratch, so a
     // debug build — which re-derives the carried reduced costs at every use
     // and leaves other duals behind — writes the same bytes as a release
-    // build.
+    // build. The admission section carries the solver context and the plan
+    // cache, nothing else.
     let expected = [
-        (12_803_053_579_712_215_146, 165_035),
-        (17_696_260_910_189_706_813, 245_920),
-        (16_810_435_405_677_956_674, 290_605),
+        (11_939_773_664_365_454_641, 165_021),
+        (16_600_951_097_466_413_538, 245_906),
+        (14_427_740_440_009_176_473, 290_591),
     ];
     assert_eq!(pins, expected);
 }

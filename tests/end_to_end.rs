@@ -132,7 +132,6 @@ fn figure_12_report(predicted_gbph: f64) -> AdaptationReport {
             },
             predicted_gbph,
             0.44,
-            1.0,
         )
         .unwrap()
 }
@@ -268,7 +267,7 @@ fn fleet_monitor_rescues_a_pool_that_overstates_the_catalog() {
         pool.compute[0].capacity_gbph = pool_gbph;
         let mut fleet = ConductorService::new(catalog, pool)
             .with_solve_options(fast_options())
-            .with_monitor(1.0, tolerance)
+            .with_monitor_tolerance(tolerance)
             .open()
             .unwrap();
         let goal = Goal::MinimizeCost {

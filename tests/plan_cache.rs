@@ -1,15 +1,13 @@
-//! Admission plan cache: shadow-mode equivalence and fast-path pins on
-//! the canonical Poisson-churn fixture.
+//! Admission plan cache: hit quality and fast-path pins on the canonical
+//! Poisson-churn fixture.
 //!
 //! Two complementary properties:
 //!
-//! 1. **Shadow mode** probes the cache at every admission but lets the
-//!    full solve keep deciding, routing the probe's root relaxation
-//!    through a *separate* solve context — so the session trajectory must
-//!    stay bitwise identical to a cache-off run, while the recorded
-//!    probe-vs-solve comparisons bound how a would-be hit's re-priced
-//!    cost relates to the fresh solve it would replace. This is the
-//!    rigorous reading of "cache-on admits the same tenants at
+//! 1. **Hits track a fresh solve at the same fleet state.** The fleet runs
+//!    with the cache serving and is checkpointed before every arrival.
+//!    Each admission the cache decided is re-decided by a fresh solve: the
+//!    checkpoint is restored with the cache off and the arrival's batch is
+//!    stepped again. This is the rigorous reading of "cache-on admits at
 //!    equal-or-better cost": the comparison happens at *identical* fleet
 //!    state, per decision, instead of across two closed-loop runs whose
 //!    trajectories diverge the moment one reused shape changes the
@@ -22,7 +20,7 @@
 //!    more residual for later arrivals) — and reruns stay deterministic.
 
 use conductor_bench::experiments::{churn_fixture, run_fleet_online};
-use conductor_core::FleetReport;
+use conductor_core::{Fleet, FleetEvent, FleetReport, TenantId};
 
 /// The solver's relative MIP gap in the churn fixture — the indifference
 /// band of the cache certificate.
@@ -59,44 +57,91 @@ fn bitwise_equal(a: &FleetReport, b: &FleetReport) {
     }
 }
 
-#[test]
-fn shadow_probes_never_perturb_the_trajectory_and_hits_track_fresh_solves() {
-    let (requests, service) = churn_fixture(48, 1.0);
-    let off = run_fleet_online(&service, &requests);
-    // Cache off by default: the counters must stay silent.
-    assert_eq!(off.plan_cache_hits, 0);
-    assert_eq!(off.plan_cache_misses, 0);
+/// The plan the batch just stepped admitted `tenant` under: its cost, and
+/// whether the cache served it. `None` when the tenant was refused.
+fn admission_in(fleet: &Fleet, from: usize, tenant: TenantId) -> Option<(f64, bool)> {
+    let mut served = None;
+    let mut cost = None;
+    for event in fleet.events_since(from) {
+        match event {
+            FleetEvent::Admitted {
+                tenant: t,
+                cache_key,
+                ..
+            } if *t == tenant => served = Some(cache_key.is_some()),
+            FleetEvent::Planned {
+                tenant: t,
+                expected_cost,
+                ..
+            } if *t == tenant => cost = Some(*expected_cost),
+            FleetEvent::Rejected { tenant: t, .. } if *t == tenant => return None,
+            _ => {}
+        }
+    }
+    let served = served.expect("the arrival settles in the batch after its submission");
+    Some((cost.expect("an admission records its plan"), served))
+}
 
+#[test]
+fn serving_hits_track_a_fresh_solve_at_the_same_fleet_state() {
+    let (requests, service) = churn_fixture(48, 1.0);
+    let fresh_service = service.clone().with_plan_cache(false);
     let mut fleet = service
-        .clone()
-        .with_plan_cache_shadow(true)
+        .with_plan_cache(true)
         .open()
         .expect("fixture config is valid");
+
+    // Per-decision quality of the hits, measured against the very solve
+    // each one replaced. (`checked < hits` is expected: some hits land
+    // where the fresh solve rejects outright — the cache certifying a
+    // feasible shape where the node-capped search found nothing is a win,
+    // not a comparison.)
+    let (mut checked, mut worse) = (0usize, 0usize);
+    let (mut excess_sum, mut max_excess) = (0.0, f64::NEG_INFINITY);
     for r in &requests {
         fleet.step_until(r.arrival_hours);
-        fleet.submit(r.clone()).expect("fixture requests are valid");
+        let tenant = fleet.submit(r.clone()).expect("fixture requests are valid");
+        let before = fleet.checkpoint();
+        let from = fleet.events().len();
+        fleet.step_one_batch();
+        let Some((hit_cost, true)) = admission_in(&fleet, from, tenant) else {
+            continue;
+        };
+        let mut fresh = fresh_service
+            .restore(&before)
+            .expect("the session's own checkpoint restores");
+        fresh.step_one_batch();
+        let Some((fresh_cost, served)) = admission_in(&fresh, from, tenant) else {
+            continue;
+        };
+        assert!(!served, "{tenant}: the cache served with the cache off");
+        if fresh_cost.is_finite() && fresh_cost.abs() > f64::EPSILON {
+            let excess = (hit_cost - fresh_cost) / fresh_cost;
+            checked += 1;
+            if excess > GAP {
+                worse += 1;
+            }
+            excess_sum += excess;
+            max_excess = max_excess.max(excess);
+        }
     }
     fleet.run_to_quiescence();
-    let shadow = fleet.report();
+    let report = fleet.report();
 
-    // The pin: probing (and recording) changes nothing the fleet does.
-    bitwise_equal(&off, &shadow);
-
-    // Every arrival was probed; a healthy share would have hit.
-    assert_eq!(shadow.plan_cache_hits + shadow.plan_cache_misses, 48);
+    // Every arrival was probed; a healthy share hit.
+    assert_eq!(report.plan_cache_hits + report.plan_cache_misses, 48);
     assert!(
-        shadow.plan_cache_hits >= 10,
-        "only {} would-be hits on the 48-job fixture",
-        shadow.plan_cache_hits
+        report.plan_cache_hits >= 10,
+        "only {} hits on the 48-job fixture",
+        report.plan_cache_hits
     );
-
-    // Per-decision quality of the would-be hits, measured at identical
-    // fleet state against the very solve each would have replaced.
-    // (`checked < hits` is expected: some hits land where the fresh solve
-    // rejects outright — the cache certifying a feasible shape where the
-    // node-capped search found nothing is a win, not a comparison.)
-    let (checked, worse, max_excess, mean_excess) = fleet.plan_cache_shadow_stats();
-    assert!(checked >= 10, "only {checked} probe-vs-solve comparisons");
+    let mean_excess = excess_sum / checked.max(1) as f64;
+    println!(
+        "{} hits, {checked} compared, {worse} worse than fresh by more than the gap, \
+         mean excess {mean_excess:.4}, max {max_excess:.4}",
+        report.plan_cache_hits
+    );
+    assert!(checked >= 10, "only {checked} hit-vs-fresh comparisons");
     assert!(
         worse * 4 <= checked,
         "{worse} of {checked} hits re-priced worse than fresh by more than the gap"

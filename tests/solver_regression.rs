@@ -20,7 +20,7 @@ fn bounds(p: &Problem) -> (Vec<f64>, Vec<f64>) {
     )
 }
 
-/// All 16 revised configurations at the tightest gap.
+/// All 4 revised configurations at the tightest gap.
 fn configs() -> Vec<(String, SolveOptions)> {
     support::revised_configs(&SolveOptions {
         relative_gap: 0.0,

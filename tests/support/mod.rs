@@ -8,30 +8,23 @@ pub mod oracle;
 
 use conductor_lp::SolveOptions;
 
-/// Every configuration of the revised engine on top of `base`: warm and cold
-/// node starts × bounded-variables × dual steepest-edge.
+/// Every configuration of the revised engine on top of `base`:
+/// bounded-variables × dual steepest-edge.
 pub fn revised_configs(base: &SolveOptions) -> Vec<(String, SolveOptions)> {
-    let mut cfgs = Vec::with_capacity(8);
-    for warm_start in [true, false] {
-        for bounded_variables in [false, true] {
-            for dual_steepest_edge in [false, true] {
-                let label = format!(
-                    "{}{}{}",
-                    if warm_start { "warm" } else { "cold" },
-                    if bounded_variables { "+bv" } else { "" },
-                    if dual_steepest_edge { "+dse" } else { "" },
-                );
-                cfgs.push((
-                    label,
-                    SolveOptions {
-                        warm_start,
-                        bounded_variables,
-                        dual_steepest_edge,
-                        ..base.clone()
-                    },
-                ));
-            }
-        }
-    }
-    cfgs
+    [
+        ("default", false, false),
+        ("dse", false, true),
+        ("bv", true, false),
+        ("bv+dse", true, true),
+    ]
+    .into_iter()
+    .map(|(label, bounded_variables, dual_steepest_edge)| {
+        let options = SolveOptions {
+            bounded_variables,
+            dual_steepest_edge,
+            ..base.clone()
+        };
+        (label.to_string(), options)
+    })
+    .collect()
 }
