@@ -172,8 +172,8 @@ impl BillingAccount {
     /// Stops a rental session that the *provider* terminated (a spot
     /// instance out-bid by the market): completed whole hours are charged,
     /// but the partial hour in which the termination happened is free —
-    /// EC2's out-of-bid rule, mirroring
-    /// [`crate::SpotMarket::run_instance`]. Contrast with
+    /// EC2's out-of-bid rule. Every revoked session of a fleet is settled
+    /// here (`JobExecution::kill_cloud_nodes`). Contrast with
     /// [`Self::stop_instance`], which rounds *up* (the customer chose to
     /// stop and pays to the end of the started hour).
     ///

@@ -25,7 +25,7 @@ pub mod spot;
 pub use billing::{BillingAccount, CostBreakdown, CostCategory, TransferDirection};
 pub use catalog::{Catalog, InstanceType, StorageKind, StorageService, TransferPricing};
 pub use description::ServiceDescription;
-pub use spot::{SpotInstanceOutcome, SpotMarket, SpotTrace, TraceKind};
+pub use spot::{SpotMarket, SpotTrace, TraceKind};
 
 /// Gigabytes, the data unit used throughout the model (the paper reports all
 /// data sizes in GB).

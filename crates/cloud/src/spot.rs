@@ -5,10 +5,11 @@
 //! hard to predict) and a synthetic trace derived from an electricity spot
 //! market (clamped non-negative and capped below the on-demand price), which
 //! *does* have exploitable daily regularity. [`SpotTrace`] generates both
-//! shapes reproducibly from a seed; [`SpotMarket`] simulates allocating spot
-//! instances against a trace with a maximum bid, including out-bid
-//! termination and the EC2 rule that a partial hour is not charged when the
-//! provider terminates the instance.
+//! shapes reproducibly from a seed; [`SpotMarket`] answers what a fleet
+//! bidding a maximum price asks of a trace — which hours out-bid it, when a
+//! bid is granted again, what to plan with. The EC2 rule that a partial hour
+//! is not charged when the provider terminates the instance is billing's
+//! ([`crate::BillingAccount::stop_instance_revoked`]).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -141,20 +142,6 @@ impl SpotTrace {
     }
 }
 
-/// Result of running one spot instance request against a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SpotInstanceOutcome {
-    /// Whole hours the instance actually ran before completing or being
-    /// out-bid.
-    pub hours_run: usize,
-    /// Amount charged (spot price of each completed hour; the final partial
-    /// hour is free if the provider terminated the instance).
-    pub cost: f64,
-    /// `true` if the instance was terminated because the spot price exceeded
-    /// the bid before the requested hours completed.
-    pub out_bid: bool,
-}
-
 /// A spot market driven by a price trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpotMarket {
@@ -183,59 +170,6 @@ impl SpotMarket {
         self.trace.price_at(t)
     }
 
-    /// `true` if a request with maximum bid `bid` would be granted at hour `t`.
-    pub fn bid_accepted(&self, t: usize, bid: f64) -> bool {
-        bid >= self.trace.price_at(t)
-    }
-
-    /// Runs one instance starting at hour `start` for up to `hours_needed`
-    /// whole hours with maximum bid `bid`.
-    ///
-    /// Each hour the instance is charged the *spot price of that hour* (not
-    /// the bid). If the spot price rises above the bid the instance is
-    /// terminated at the start of that hour and the customer is **not**
-    /// charged for it (EC2's out-of-bid rule).
-    pub fn run_instance(&self, start: usize, hours_needed: usize, bid: f64) -> SpotInstanceOutcome {
-        let mut cost = 0.0;
-        let mut hours_run = 0;
-        for h in 0..hours_needed {
-            let t = start + h;
-            let price = self.trace.price_at(t);
-            if price > bid {
-                return SpotInstanceOutcome {
-                    hours_run,
-                    cost,
-                    out_bid: true,
-                };
-            }
-            cost += price;
-            hours_run += 1;
-        }
-        SpotInstanceOutcome {
-            hours_run,
-            cost,
-            out_bid: false,
-        }
-    }
-
-    /// Cost of running the same instance on-demand for `hours` whole hours.
-    pub fn on_demand_cost(&self, hours: usize) -> f64 {
-        self.on_demand_price * hours as f64
-    }
-
-    /// First hour `>= from` at which a session with maximum bid `bid` is
-    /// out-bid (spot price strictly above the bid) — the hour at which the
-    /// provider would terminate it, [`Self::run_instance`]-style. Returns
-    /// `None` when no such hour exists on the trace. Past the trace end the
-    /// price clamps to the last known value, so an out-bid verdict there
-    /// holds forever.
-    pub fn next_revocation(&self, from: usize, bid: f64) -> Option<usize> {
-        if from >= self.trace.len() {
-            return (self.trace.price_at(from) > bid).then_some(from);
-        }
-        (from..self.trace.len()).find(|&t| self.trace.price_at(t) > bid)
-    }
-
     /// First hour `>= from` at which a request with maximum bid `bid` would
     /// be granted again (spot price at or below the bid). Returns `None`
     /// when the price never comes back down on the trace — a fleet whose
@@ -251,7 +185,7 @@ impl SpotMarket {
     /// bidding `bid`: the hours at which the trace would terminate such a
     /// session. This is the trace-driven revocation schedule a fleet driver
     /// turns into simulation events — each yielded hour is one per-hour
-    /// out-bid check from [`Self::run_instance`], detached from any single
+    /// out-bid check ([`Self::out_bid_at`]), detached from any single
     /// instance so many concurrent sessions can share it.
     pub fn revocation_hours(&self, start: usize, end: usize, bid: f64) -> RevocationHours<'_> {
         RevocationHours {
@@ -266,18 +200,6 @@ impl SpotMarket {
     /// terminated (the spot price rose strictly above the bid).
     pub fn out_bid_at(&self, t: usize, bid: f64) -> bool {
         self.trace.price_at(t) > bid
-    }
-
-    /// Number of consecutive hours ending at `t` (inclusive, walking
-    /// backwards) in which a session bidding `bid` would have survived —
-    /// 0 when hour `t` itself is out-bid. A circuit breaker deciding
-    /// whether the market has calmed down asks exactly this question:
-    /// "how long has the trace been clean?".
-    pub fn clean_streak_ending_at(&self, t: usize, bid: f64) -> usize {
-        (0..=t)
-            .rev()
-            .take_while(|&h| !self.out_bid_at(h, bid))
-            .count()
     }
 
     /// Expected spot prices for hours `[start, start + len)`, each capped at
@@ -320,32 +242,6 @@ impl Iterator for RevocationHours<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clean_streak_counts_back_from_the_query_hour() {
-        // Hours:           0    1    2    3    4    5
-        let prices = vec![0.1, 0.5, 0.1, 0.1, 0.1, 0.5];
-        let market = SpotMarket::new(SpotTrace::from_prices(TraceKind::AwsLike, prices), 0.34);
-        let bid = 0.3;
-        assert_eq!(market.clean_streak_ending_at(0, bid), 1);
-        assert_eq!(
-            market.clean_streak_ending_at(1, bid),
-            0,
-            "hour 1 is out-bid"
-        );
-        assert_eq!(market.clean_streak_ending_at(2, bid), 1);
-        assert_eq!(
-            market.clean_streak_ending_at(4, bid),
-            3,
-            "hours 2..=4 clean"
-        );
-        assert_eq!(market.clean_streak_ending_at(5, bid), 0);
-        // Past the trace end the price clamps to the last value (out-bid
-        // here), so the streak stays zero forever.
-        assert_eq!(market.clean_streak_ending_at(100, bid), 0);
-        // A bid above every price sees the whole history as clean.
-        assert_eq!(market.clean_streak_ending_at(4, 1.0), 5);
-    }
 
     #[test]
     fn traces_are_reproducible_and_sized() {
@@ -424,35 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn out_bid_terminates_without_charging_partial_hour() {
-        let t = SpotTrace::from_prices(TraceKind::AwsLike, vec![0.2, 0.2, 0.5, 0.2]);
-        let m = SpotMarket::new(t, 0.34);
-        let o = m.run_instance(0, 4, 0.25);
-        assert!(o.out_bid);
-        assert_eq!(o.hours_run, 2);
-        assert!((o.cost - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn successful_run_charges_spot_not_bid() {
-        let t = SpotTrace::from_prices(TraceKind::AwsLike, vec![0.2, 0.18, 0.22]);
-        let m = SpotMarket::new(t, 0.34);
-        let o = m.run_instance(0, 3, 0.34);
-        assert!(!o.out_bid);
-        assert_eq!(o.hours_run, 3);
-        assert!((o.cost - 0.6).abs() < 1e-12);
-        assert!(o.cost < m.on_demand_cost(3));
-    }
-
-    #[test]
-    fn bid_acceptance_matches_current_price() {
-        let t = SpotTrace::from_prices(TraceKind::AwsLike, vec![0.2, 0.4]);
-        let m = SpotMarket::new(t, 0.34);
-        assert!(m.bid_accepted(0, 0.25));
-        assert!(!m.bid_accepted(1, 0.25));
-    }
-
-    #[test]
     fn revocation_hours_match_per_hour_out_bid_checks() {
         let t = SpotTrace::from_prices(TraceKind::AwsLike, vec![0.2, 0.4, 0.5, 0.2, 0.6, 0.1]);
         let m = SpotMarket::new(t, 0.34);
@@ -469,25 +336,24 @@ mod tests {
     fn next_revocation_and_acceptance_scan_forward() {
         let t = SpotTrace::from_prices(TraceKind::AwsLike, vec![0.2, 0.5, 0.5, 0.2]);
         let m = SpotMarket::new(t, 0.34);
-        assert_eq!(m.next_revocation(0, 0.34), Some(1));
-        assert_eq!(m.next_revocation(2, 0.34), Some(2));
+        assert_eq!(m.next_acceptance(0, 0.34), Some(0));
         assert_eq!(m.next_acceptance(1, 0.34), Some(3));
         // Past the trace end the clamped last price (0.2) rules.
         assert_eq!(m.next_acceptance(10, 0.34), Some(10));
-        assert_eq!(m.next_revocation(10, 0.34), None);
         // A trace that ends expensive never readmits a low bid.
         let stuck = SpotMarket::new(
             SpotTrace::from_prices(TraceKind::AwsLike, vec![0.2, 0.9]),
             0.34,
         );
         assert_eq!(stuck.next_acceptance(1, 0.34), None);
-        assert_eq!(stuck.next_revocation(5, 0.34), Some(5));
     }
 
     #[test]
     fn spot_is_cheaper_than_on_demand_on_average() {
         // The headline observation of §6.5: spot allocation reduces cost
-        // substantially versus regular instances.
+        // substantially versus regular instances. Six-hour windows priced
+        // at the forecast the fleet plans with (each hour's spot price,
+        // capped at on-demand) against the same hours on demand.
         for kind in [TraceKind::AwsLike, TraceKind::ElectricityLike] {
             let trace = match kind {
                 TraceKind::AwsLike => SpotTrace::aws_like(11, 24 * 30),
@@ -497,9 +363,8 @@ mod tests {
             let mut spot_total = 0.0;
             let mut regular_total = 0.0;
             for start in (0..600).step_by(24) {
-                let o = m.run_instance(start, 6, 0.34);
-                spot_total += o.cost;
-                regular_total += m.on_demand_cost(6);
+                spot_total += m.price_forecast(start, 6).iter().sum::<f64>();
+                regular_total += m.on_demand_price * 6.0;
             }
             assert!(
                 spot_total < 0.8 * regular_total,

@@ -91,12 +91,9 @@ struct PlanCacheEntry {
 }
 
 /// How many shapes each key retains (oldest evicted first, so the pool
-/// tracks the price regimes arrivals actually solve under).
+/// tracks the price regimes arrivals actually solve under, and its ratios
+/// are the recent fresh solves' the certification bar is taken from).
 const PLAN_CACHE_POOL: usize = 8;
-
-/// How many recent fresh-solve quality ratios each key remembers for the
-/// certification bar.
-const PLAN_CACHE_RATIO_WINDOW: usize = 8;
 
 /// What a probe learned: the certified sibling plan, if one qualified, and
 /// what the insert after a miss needs to grade the fresh solve it records.
@@ -111,35 +108,29 @@ struct Probed {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct PlanCache {
     entries: BTreeMap<PlanCacheKey, Vec<PlanCacheEntry>>,
-    /// Rolling window of `cost / root bound` ratios fresh solves achieved
-    /// per key. The *median* of this window is what a typical branch &
-    /// bound delivers on this key — the bar a reused shape must meet.
-    fresh_ratios: BTreeMap<PlanCacheKey, Vec<f64>>,
     hits: usize,
     misses: usize,
 }
 
 impl PlanCache {
-    /// Median fresh-solve quality ratio observed for `key` (`None` until a
-    /// fresh solve has been recorded).
-    fn typical_ratio(&self, key: &PlanCacheKey) -> Option<f64> {
-        let window = self.fresh_ratios.get(key)?;
-        if window.is_empty() {
-            return None;
-        }
-        let mut sorted = window.clone();
+    /// Median `cost / root bound` ratio of `pool`'s entries — what a
+    /// typical fresh branch & bound delivers on their key, the bar a reused
+    /// shape must meet (`None` for an empty pool).
+    fn typical_ratio(pool: &[PlanCacheEntry]) -> Option<f64> {
+        let mut sorted: Vec<f64> = pool.iter().map(|entry| entry.ratio).collect();
         sorted.sort_by(|a, b| a.total_cmp(b));
-        Some(sorted[sorted.len() / 2])
+        sorted.get(sorted.len() / 2).copied()
     }
 
     /// Probes for a certified sibling plan. A hit must pass two screens
     /// against *this* admission's state: the shape's peak allocations fit
-    /// the current residual caps, and its re-priced objective is within
-    /// the solver's relative gap of the fresh model's root LP bound — a
-    /// certificate of near-optimality that the cold path's node-cap
-    /// terminations do not even carry. Among qualifying entries the
-    /// cheapest re-priced shape wins. `root` is this admission's root
-    /// relaxation.
+    /// the current residual caps, and its re-priced objective is at most
+    /// the key's median fresh-solve ratio × (1 + the solver's relative
+    /// gap) × the fresh model's root LP bound — no worse than the solve it
+    /// replaces typically delivers, measured against a bound the cold
+    /// path's node-cap terminations do not even carry. Among qualifying
+    /// entries the cheapest re-priced shape wins. `root` is this
+    /// admission's root relaxation.
     fn probe(
         &mut self,
         root: RootBound,
@@ -149,7 +140,8 @@ impl PlanCache {
         gap: f64,
     ) -> Probed {
         let mut best: Option<(f64, usize)> = None;
-        if let (Some(pool), Some(typical)) = (self.entries.get(&key), self.typical_ratio(&key)) {
+        let pool = self.entries.get(&key).map_or(&[][..], Vec::as_slice);
+        if let Some(typical) = Self::typical_ratio(pool) {
             // The certification bar: what a *typical* fresh branch &
             // bound delivers on this key (median cost-to-bound ratio of
             // the recent fresh solves), scaled by today's root bound. A
@@ -171,7 +163,7 @@ impl PlanCache {
         }
         let hit = best.map(|(repriced, i)| ExecutionPlan {
             expected_cost: repriced,
-            ..self.entries[&key][i].plan.clone()
+            ..pool[i].plan.clone()
         });
         match hit {
             Some(_) => self.hits += 1,
@@ -209,11 +201,6 @@ impl PlanCache {
             prices,
             peaks,
         };
-        let ratios = self.fresh_ratios.entry(key.clone()).or_default();
-        ratios.push(entry.ratio);
-        if ratios.len() > PLAN_CACHE_RATIO_WINDOW {
-            ratios.remove(0);
-        }
         let pool = self.entries.entry(key).or_default();
         pool.push(entry);
         if pool.len() > PLAN_CACHE_POOL {

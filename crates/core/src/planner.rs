@@ -261,11 +261,7 @@ impl Planner {
         let model_build_time = build_start.elapsed();
         let solve_start = std::time::Instant::now();
         let bound = ctx
-            .relaxation_bound(
-                &model.problem,
-                &self.solve_options,
-                self.solve_options.max_simplex_iterations,
-            )
+            .relaxation_bound(&model.problem, &self.solve_options)
             .map_err(ConductorError::Planning)?;
         Ok(RootBound {
             bound,

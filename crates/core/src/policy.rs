@@ -585,14 +585,6 @@ pub struct FailurePolicy {
 }
 
 impl FailurePolicy {
-    /// `true` when every sub-policy is disabled (the default).
-    pub fn is_inert(&self) -> bool {
-        self.fault_plan.is_none()
-            && self.retry.is_none()
-            && self.failure_threshold.is_none()
-            && self.circuit_breaker.is_none()
-    }
-
     /// Checks every enabled sub-policy once at fleet construction.
     pub fn validate(&self) -> Result<(), ConductorError> {
         if let Some(plan) = &self.fault_plan {
@@ -703,7 +695,6 @@ mod tests {
             ..FailurePolicy::default()
         };
         assert!(policy.validate().is_err());
-        assert!(FailurePolicy::default().is_inert());
         assert!(FailurePolicy::default().validate().is_ok());
     }
 

@@ -38,12 +38,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-/// Solves `problem` (LP or MIP) under `options`: a one-shot
-/// [`solve_with_context`] whose fresh context is dropped afterwards.
-pub fn solve(problem: &Problem, options: &SolveOptions) -> Result<Solution, LpError> {
-    solve_with_context(problem, options, &mut SolveContext::new())
-}
-
 /// First byte of every [`SolveContext::export_state`] blob. The layout is
 /// positional, so a blob written under another one must be refused before
 /// any field is read; the value is neither `0x00` nor `0x01` because blobs
@@ -67,7 +61,7 @@ pub struct SolveContext {
     root_warm: bool,
     skeleton_reuses: usize,
     skeleton_rebuilds: usize,
-    /// Effort of the most recent [`solve_with_context`], failed or not.
+    /// Effort of the most recent solve, failed or not.
     /// Observational only: not part of [`SolveContext::export_state`].
     last_stats: Option<SolveStats>,
 }
@@ -77,10 +71,10 @@ impl SolveContext {
         Self::default()
     }
 
-    /// The effort of the most recent [`solve_with_context`] through this
-    /// context — also when that solve returned an error, whose branch &
-    /// bound nodes would otherwise go unreported. `None` before the first
-    /// solve and after one that failed before reaching the solver.
+    /// The effort of the most recent solve through this context — also
+    /// when that solve returned an error, whose branch & bound nodes would
+    /// otherwise go unreported. `None` before the first solve and after one
+    /// that failed before reaching the solver.
     pub fn last_solve_stats(&self) -> Option<SolveStats> {
         self.last_stats
     }
@@ -132,12 +126,22 @@ impl SolveContext {
             }
             ws.invalidate();
             self.root_warm = false;
-            let skeleton = Box::new(build_skeleton(problem, options, lower, upper)?);
+            let skeleton = Box::new(StandardFormSkeleton::build(
+                problem,
+                lower,
+                upper,
+                options.bounded_variables,
+            )?);
             self.skeleton_rebuilds += 1;
             return Ok((skeleton, ws));
         }
         self.skeleton_rebuilds += 1;
-        let skeleton = Box::new(build_skeleton(problem, options, lower, upper)?);
+        let skeleton = Box::new(StandardFormSkeleton::build(
+            problem,
+            lower,
+            upper,
+            options.bounded_variables,
+        )?);
         Ok((skeleton, fresh_workspace(options)))
     }
 
@@ -146,11 +150,11 @@ impl SolveContext {
     /// sense — the bound a plan-cache certificate compares a reused plan
     /// against. The workspace keeps the optimal factorized state, so a full
     /// solve of the same problem immediately afterwards warm-starts from it.
+    /// The LP takes at most `options.max_simplex_iterations` pivots.
     pub fn relaxation_bound(
         &mut self,
         problem: &Problem,
         options: &SolveOptions,
-        max_iterations: usize,
     ) -> Result<f64, LpError> {
         let lower: Vec<f64> = problem.variables().iter().map(|v| v.lower).collect();
         let upper: Vec<f64> = problem.variables().iter().map(|v| v.upper).collect();
@@ -161,10 +165,10 @@ impl SolveContext {
             &lower,
             &upper,
             self.root_warm,
-            max_iterations,
+            options.max_simplex_iterations,
             &mut Vec::new(),
         );
-        self.root_warm = result.is_ok() && !ws.last_basis().is_empty();
+        self.root_warm = result.is_ok() && ws.has_basis();
         self.cached = Some((skeleton, ws));
         result.map(|r| r.objective)
     }
@@ -235,11 +239,12 @@ impl SolveContext {
     }
 }
 
-/// Like [`solve`], but shares `ctx`'s skeleton, factorized workspace and
-/// final basis across calls: each successive solve of a matching problem
-/// warm-starts its root from the previous solve's optimum instead of a cold
-/// two-phase fill.
-pub fn solve_with_context(
+/// Solves `problem` (LP or MIP) under `options`, sharing `ctx`'s skeleton,
+/// factorized workspace and final basis across calls: each successive solve
+/// of a matching problem warm-starts its root from the previous solve's
+/// optimum instead of a cold two-phase fill. Every solve of the crate comes
+/// through here; a one-shot solve passes a fresh context.
+pub(crate) fn solve_with_context(
     problem: &Problem,
     options: &SolveOptions,
     ctx: &mut SolveContext,
@@ -293,7 +298,7 @@ pub fn solve_with_context(
         bound_flips: exit.bound_flips - entry.bound_flips,
         replayed_nodes,
     };
-    ctx.root_warm = !solver.workspace.last_basis().is_empty();
+    ctx.root_warm = solver.workspace.has_basis();
     ctx.cached = Some((solver.skeleton, solver.workspace));
     let solution = result.map(|(status, objective, values, gap)| {
         stats.relative_gap = gap;
@@ -323,21 +328,6 @@ impl WorkspaceCounts {
 /// What a search found: status, objective, variable values, final relative
 /// gap.
 type Found = (SolveStatus, f64, Vec<f64>, f64);
-
-/// The skeleton layout `options` selects: implicit column bounds in
-/// bounded-variable mode, span rows otherwise.
-fn build_skeleton(
-    problem: &Problem,
-    options: &SolveOptions,
-    lower: &[f64],
-    upper: &[f64],
-) -> Result<StandardFormSkeleton, LpError> {
-    if options.bounded_variables {
-        StandardFormSkeleton::new_bounded(problem, lower, upper)
-    } else {
-        StandardFormSkeleton::new(problem, lower, upper)
-    }
-}
 
 fn fresh_workspace(options: &SolveOptions) -> RevisedWorkspace {
     let mut ws = RevisedWorkspace::default();
@@ -394,7 +384,7 @@ impl NodeSolver<'_> {
             return Ok(Relaxation {
                 objective: r.objective,
                 iterations: r.iterations,
-                inheritable: !self.workspace.last_basis().is_empty(),
+                inheritable: self.workspace.has_basis(),
                 replayable: r.replayable,
             });
         }
@@ -403,7 +393,12 @@ impl NodeSolver<'_> {
         // fixed): build a one-off skeleton and solve it cold with a fresh
         // workspace. Such a solve leaves nothing in the shared workspace,
         // so children must not inherit a warm start from it.
-        let fresh = build_skeleton(self.problem, self.options, lower, upper)?;
+        let fresh = StandardFormSkeleton::build(
+            self.problem,
+            lower,
+            upper,
+            self.options.bounded_variables,
+        )?;
         let mut ws = fresh_workspace(self.options);
         let r = solve_node_revised(&fresh, &mut ws, lower, upper, false, max_iterations, values)?;
         Ok(Relaxation {
@@ -596,12 +591,15 @@ impl<'a> BranchAndBound<'a> {
         let mut attempted_any_node = false;
         let mut saw_unbounded = false;
 
-        while let Some(HeapEntry { node, .. }) = heap.pop() {
-            if self.nodes_explored >= self.options.max_nodes
-                || self.start.elapsed() >= self.options.time_limit
-            {
+        // The limits are tested before a node leaves the heap: a capped
+        // search keeps its open nodes there, and the final gap reads the
+        // best of their bounds.
+        while self.nodes_explored < self.options.max_nodes
+            && self.start.elapsed() < self.options.time_limit
+        {
+            let Some(HeapEntry { node, .. }) = heap.pop() else {
                 break;
-            }
+            };
             // Prune against the incumbent (in minimization orientation).
             if let Some((inc_obj, _)) = &self.incumbent {
                 let inc_min = self.min_obj(*inc_obj);
@@ -1144,7 +1142,7 @@ mod tests {
                 (result, effort)
             }
             Step::Certify(problem) => {
-                let bound = ctx.relaxation_bound(problem, &opts, 10_000);
+                let bound = ctx.relaxation_bound(problem, &opts);
                 (bound.map(|b| (b.to_bits(), Vec::new())), None)
             }
         }
@@ -1315,8 +1313,8 @@ mod tests {
 
         // The plan cache's certify step takes the same road.
         let mut ctx = SolveContext::new();
-        ctx.relaxation_bound(&first, &opts, 10_000).unwrap();
-        let bound = ctx.relaxation_bound(&twin, &opts, 10_000).unwrap();
+        ctx.relaxation_bound(&first, &opts).unwrap();
+        let bound = ctx.relaxation_bound(&twin, &opts).unwrap();
         assert!((bound - fresh.objective()).abs() < 1e-9, "bound {bound}");
         assert_eq!(ctx.warm_start_counts(), (1, 0));
     }
@@ -1608,12 +1606,14 @@ mod tests {
         };
         let sol = spinning_model(true).solve_with(&capped).unwrap();
         let stats = *sol.stats();
-        // `Optimal` although the spinning node's bound (about 3.1) is far
-        // outside the 1 % gap: the node popped when the cap is reached is
-        // dropped, so the heap the final gap is read from is empty.
-        assert_eq!(
-            (sol.status(), stats.relative_gap),
-            (SolveStatus::Optimal, 0.0)
+        // The cap stops the search with the spinning node still open: its
+        // bound, the root LP's 3.100004, is far outside the 1 % gap under
+        // the 4.1 incumbent, so the answer is feasible, not proven optimal.
+        assert_eq!(sol.status(), SolveStatus::Feasible);
+        assert!(
+            stats.relative_gap > 0.01 && (stats.relative_gap - (4.1 - 3.100004) / 4.1).abs() < 1e-9,
+            "gap {}",
+            stats.relative_gap
         );
         assert_eq!(
             sol.objective().to_bits(),
@@ -1641,6 +1641,51 @@ mod tests {
         let tight = spinning_model(false).solve_with(&capped).unwrap();
         assert_eq!(tight.stats().nodes_explored, 6);
         assert_eq!(tight.stats().replayed_nodes, 0);
+    }
+
+    /// An integer variable bounded only above is mirrored in the span-row
+    /// layout, so the up child's finite lower bound is a layout the root
+    /// skeleton cannot express: [`NodeSolver::solve_node`] solves that child
+    /// on a one-off skeleton. (The bounded-variable layout takes the child as
+    /// a column bound.) Every configuration must still reach the oracle's
+    /// optimum, which lies in that child.
+    #[test]
+    fn an_up_child_the_span_row_layout_cannot_express_solves_on_a_one_off_skeleton() {
+        // min x + 0.5y s.t. x + y ≥ 2.5, y ≤ 0.2, x ≤ 10 integer and free
+        // below: the root puts x at 2.3, its down child is infeasible and
+        // the optimum is x = 3 in its up child.
+        let mut p = Problem::new("mirrored", Sense::Minimize);
+        let x = p.add_int_var("x", f64::NEG_INFINITY, 10.0);
+        let y = p.add_var("y", 0.0, 0.2);
+        p.set_objective([(x, 1.0), (y, 0.5)]);
+        p.add_constraint("need", [(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 2.5);
+        let lower: Vec<f64> = p.variables().iter().map(|v| v.lower).collect();
+        let upper: Vec<f64> = p.variables().iter().map(|v| v.upper).collect();
+        let mut up_lower = lower.clone();
+        up_lower[x.index()] = 3.0;
+        let spans = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
+        assert!(spans.compatible(&lower, &upper));
+        assert!(!spans.compatible(&up_lower, &upper));
+        let bounded = StandardFormSkeleton::build(&p, &lower, &upper, true).unwrap();
+        assert!(bounded.compatible(&up_lower, &upper));
+
+        let optimum = crate::oracle::solve(&p).objective();
+        assert!((optimum - 3.0).abs() < 1e-9, "oracle {optimum}");
+        for (bounded_variables, dual_steepest_edge) in CONFIGURATIONS {
+            let opts = SolveOptions {
+                relative_gap: 0.0,
+                bounded_variables,
+                dual_steepest_edge,
+                ..Default::default()
+            };
+            let sol = p.solve_with(&opts).unwrap();
+            assert!(
+                (sol.objective() - optimum).abs() < 1e-9,
+                "bounded {bounded_variables}, dse {dual_steepest_edge}: {} vs oracle {optimum}",
+                sol.objective()
+            );
+            assert!((sol.value(x) - 3.0).abs() < 1e-9);
+        }
     }
 
     #[test]

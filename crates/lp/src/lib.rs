@@ -11,11 +11,30 @@
 //! * linear constraints (`<=`, `>=`, `=`),
 //! * linear objectives (minimize or maximize),
 //! * one LP-relaxation engine — a **sparse revised simplex** with an
-//!   LU-factorized basis ([`revised`]), solved against a once-per-problem
-//!   standard-form skeleton ([`simplex::StandardFormSkeleton`]) — and
+//!   LU-factorized basis, solved against a once-per-problem standard-form
+//!   rewrite of the model — and
 //! * branch & bound with a relative gap tolerance, node limit and wall-clock
 //!   time limit (mirroring the paper's "bound the solving time to three
 //!   minutes and use the best solution computed so far", §4.8).
+//!
+//! # The public surface
+//!
+//! A model goes in and a plan comes out, as in the paper's hand-off to an
+//! off-the-shelf solver. There are two ways in:
+//!
+//! * [`Problem`] — build the model, then [`Problem::solve`],
+//!   [`Problem::solve_with`] (explicit [`SolveOptions`]) or
+//!   [`Problem::solve_with_context`];
+//! * [`SolveContext`] — the reuse state a stream of look-alike problems
+//!   shares: its factorized basis warm-starts the next solve's root, its
+//!   [`SolveContext::relaxation_bound`] solves the root LP alone, and
+//!   [`SolveContext::export_state`] / [`SolveContext::import_state`]
+//!   checkpoint it bit for bit.
+//!
+//! The answer is a [`Solution`] (status, objective, point, [`SolveStats`])
+//! or an [`LpError`]. The modules `error`, `expr`, `problem` and `solution`
+//! hold these types; the engine behind them — standard form, revised
+//! simplex, LU factors, branch & bound, the checkpoint codec — is private.
 //!
 //! The API is deliberately small and builder-style:
 //!
@@ -33,23 +52,21 @@
 //! assert!((sol.value(y) - 2.0).abs() < 1e-6);
 //! ```
 
-pub mod branch_bound;
+mod branch_bound;
 pub mod error;
 pub mod expr;
-pub mod lu;
+mod lu;
 pub mod problem;
-pub mod revised;
-pub mod simplex;
+mod revised;
+mod simplex;
 pub mod solution;
-pub mod sparse;
-pub mod state;
+mod sparse;
+mod state;
 
 pub use branch_bound::SolveContext;
 pub use error::LpError;
 pub use expr::{LinExpr, VarId};
 pub use problem::{ConstraintOp, Problem, Sense, SolveOptions, VarKind};
-pub use revised::RevisedWorkspace;
-pub use simplex::{StandardFormSkeleton, WarmStart};
 pub use solution::{Solution, SolveStats, SolveStatus};
 pub use state::StateError;
 

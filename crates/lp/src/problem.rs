@@ -1,6 +1,6 @@
 //! The [`Problem`] builder: variables, constraints, objective, solve options.
 
-use crate::branch_bound::{self};
+use crate::branch_bound::{self, SolveContext};
 use crate::error::LpError;
 use crate::expr::{LinExpr, VarId};
 use crate::solution::Solution;
@@ -323,17 +323,16 @@ impl Problem {
     /// integer or semi-continuous variables are present, and to branch &
     /// bound otherwise.
     pub fn solve_with(&self, options: &SolveOptions) -> Result<Solution, LpError> {
-        self.validate()?;
-        branch_bound::solve(self, options)
+        self.solve_with_context(options, &mut SolveContext::new())
     }
 
-    /// Solves with explicit options through a [`branch_bound::SolveContext`],
+    /// Solves with explicit options through a [`SolveContext`],
     /// sharing one skeleton/factorization with the context's previous solves
     /// and warm-starting the root from the last final basis.
     pub fn solve_with_context(
         &self,
         options: &SolveOptions,
-        ctx: &mut branch_bound::SolveContext,
+        ctx: &mut SolveContext,
     ) -> Result<Solution, LpError> {
         self.validate()?;
         branch_bound::solve_with_context(self, options, ctx)

@@ -34,8 +34,8 @@
 //! Two optional upgrades, each flagged in
 //! [`crate::problem::SolveOptions`], modernize the hot path:
 //!
-//! * **Bounded-variable simplex** (skeleton built with
-//!   [`StandardFormSkeleton::new_bounded`]): upper bounds live as a
+//! * **Bounded-variable simplex** (skeleton built by
+//!   [`StandardFormSkeleton::build`] with `bounded`): upper bounds live as a
 //!   nonbasic-at-upper status plus a bound-flip ratio test instead of
 //!   explicit span rows, so the effective RHS is
 //!   `b_eff = b − Σ_{j at upper} u_j·A_j` and branch & bound bound
@@ -105,10 +105,9 @@
 use crate::error::LpError;
 use crate::lu::{eta_limit, BasisFactorization};
 use crate::problem::ConstraintOp;
-use crate::problem::Problem;
 use crate::simplex::{
-    repair_pivot_cap, SimplexResult, StandardFormSkeleton, VarMap, WarmStart, COST_TOL,
-    DUAL_PIVOT_TOL, FEAS_TOL, PIVOT_TOL, REUSE_HEALTH_LIMIT,
+    repair_pivot_cap, StandardFormSkeleton, VarMap, COST_TOL, DUAL_PIVOT_TOL, FEAS_TOL, PIVOT_TOL,
+    REUSE_HEALTH_LIMIT,
 };
 use crate::sparse::CscMatrix;
 
@@ -260,11 +259,10 @@ impl RevisedWorkspace {
         (self.bf.factorizations, self.bf.refactorizations)
     }
 
-    /// The basis left by the last successful solve (empty before any).
-    /// A caller holding this basis is authorized to pass it as the
-    /// `basis_hint` of a later solve against the *same* skeleton.
-    pub fn last_basis(&self) -> &[usize] {
-        &self.basis
+    /// `true` once a solve has left a basis here: a later solve against the
+    /// *same* skeleton may then be asked to warm-start from it.
+    pub(crate) fn has_basis(&self) -> bool {
+        !self.basis.is_empty()
     }
 
     /// Declares the factorized state stale so the next solve takes the cold
@@ -310,12 +308,11 @@ enum RepairResult {
 }
 
 /// One relaxation's outcome when the point itself went into the caller's
-/// buffer: objective in the original sense, simplex iterations (both phases
-/// plus warm-start repair pivots), and how the starting basis was obtained.
+/// buffer: objective in the original sense and simplex iterations (both
+/// phases plus warm-start repair pivots).
 pub(crate) struct NodeLp {
     pub(crate) objective: f64,
     pub(crate) iterations: usize,
-    pub(crate) warm: WarmStart,
     /// `true` when the solve was a warm start whose repair needed no pivot
     /// under a certificate that survived it, so the polish was skipped. Such
     /// a solve changed nothing its inputs feed on: solving the same bounds
@@ -325,45 +322,14 @@ pub(crate) struct NodeLp {
 }
 
 /// Solves the continuous relaxation described by `skeleton` under the given
-/// bound overrides with the sparse revised simplex.
+/// bound overrides with the sparse revised simplex, writing the point into
+/// `values` (cleared first); the final basis stays in the workspace.
 ///
-/// `basis_hint` (a basis returned by a previous solve against the *same*
-/// skeleton) authorizes a warm start from the workspace's last optimal
-/// basis; `None` forces the cold two-phase path. The caller must ensure
-/// `skeleton.compatible(lower, upper)` holds; branch & bound guarantees it
-/// structurally.
-pub fn solve_with_skeleton_revised(
-    skeleton: &StandardFormSkeleton,
-    ws: &mut RevisedWorkspace,
-    lower: &[f64],
-    upper: &[f64],
-    basis_hint: Option<&[usize]>,
-    max_iterations: usize,
-) -> Result<SimplexResult, LpError> {
-    let mut values = Vec::new();
-    let node = solve_node_revised(
-        skeleton,
-        ws,
-        lower,
-        upper,
-        basis_hint.is_some(),
-        max_iterations,
-        &mut values,
-    )?;
-    Ok(SimplexResult {
-        values,
-        objective: node.objective,
-        iterations: node.iterations,
-        basis: ws.basis.clone(),
-        warm: node.warm,
-    })
-}
-
-/// [`solve_with_skeleton_revised`] for a caller that solves node after node:
-/// the point is written into `values` (cleared first), the final basis stays
-/// in the workspace ([`RevisedWorkspace::last_basis`]), and `warm` is all a
-/// basis hint ever said — the warm start resumes from the workspace's own
-/// last optimal basis, whatever the hint held.
+/// `warm` authorizes a warm start from the workspace's own last optimal
+/// basis, taken only when that basis was left against this same skeleton;
+/// `false` forces the cold two-phase path. The caller must
+/// ensure `skeleton.compatible(lower, upper)` holds; branch & bound
+/// guarantees it structurally.
 pub(crate) fn solve_node_revised(
     skeleton: &StandardFormSkeleton,
     ws: &mut RevisedWorkspace,
@@ -386,7 +352,6 @@ pub(crate) fn solve_node_revised(
     let tag = skeleton as *const StandardFormSkeleton as usize;
     let mut solver = RSolver { sk: skeleton, ws };
 
-    let mut start = WarmStart::Cold;
     let mut warm_iterations: Option<usize> = None;
     let mut replayable = false;
     if warm && solver.ws.reusable && solver.ws.skeleton_tag == tag {
@@ -407,14 +372,10 @@ pub(crate) fn solve_node_revised(
                 } else {
                     solver.optimize(&skeleton.c, polish_cap, false)
                 };
-                match polished {
-                    Ok(n) => {
-                        start = WarmStart::Hit;
-                        warm_iterations = Some(n + pivots);
-                        replayable = shortcut;
-                        solver.ws.warm_hits += 1;
-                    }
-                    Err(_) => start = WarmStart::Miss,
+                if let Ok(n) = polished {
+                    warm_iterations = Some(n + pivots);
+                    replayable = shortcut;
+                    solver.ws.warm_hits += 1;
                 }
             }
             ReuseOutcome::Infeasible => {
@@ -422,9 +383,11 @@ pub(crate) fn solve_node_revised(
                 solver.ws.reusable = true;
                 return Err(LpError::Infeasible);
             }
-            ReuseOutcome::Fallback => start = WarmStart::Miss,
+            ReuseOutcome::Fallback => {}
         }
-        if start == WarmStart::Miss {
+        // A warm start that neither succeeded nor proved the node
+        // infeasible falls back to the cold path below.
+        if warm_iterations.is_none() {
             solver.ws.warm_misses += 1;
         }
     }
@@ -474,22 +437,8 @@ pub(crate) fn solve_node_revised(
     Ok(NodeLp {
         objective: min_obj * skeleton.sense_factor,
         iterations,
-        warm: start,
         replayable,
     })
-}
-
-/// One-shot convenience: builds a fresh span-row skeleton and workspace and
-/// solves the relaxation of `problem` under the given bound overrides cold.
-pub fn solve_relaxation_revised(
-    problem: &Problem,
-    lower: &[f64],
-    upper: &[f64],
-    max_iterations: usize,
-) -> Result<SimplexResult, LpError> {
-    let skeleton = StandardFormSkeleton::new(problem, lower, upper)?;
-    let mut ws = RevisedWorkspace::default();
-    solve_with_skeleton_revised(&skeleton, &mut ws, lower, upper, None, max_iterations)
 }
 
 /// The operator a constraint row takes once its sign is flipped (to make
@@ -1796,14 +1745,13 @@ mod tests {
         )
     }
 
-    /// Checks one engine answer against the dense reference simplex (the
+    /// Checks one engine objective against the dense reference simplex (the
     /// workspace's test-only oracle): same status, same objective.
-    fn assert_same_as_dense(label: &str, dense: &Outcome, revised: Result<SimplexResult, LpError>) {
+    fn assert_same_as_dense(label: &str, dense: &Outcome, revised: Result<f64, LpError>) {
         match (dense, revised) {
             (Outcome::Optimal { objective, .. }, Ok(r)) => assert!(
-                (objective - r.objective).abs() < 1e-7,
-                "{label}: dense {objective} vs revised {}",
-                r.objective
+                (objective - r).abs() < 1e-7,
+                "{label}: dense {objective} vs revised {r}"
             ),
             (Outcome::Infeasible, Err(LpError::Infeasible))
             | (Outcome::Unbounded, Err(LpError::Unbounded)) => {}
@@ -1811,10 +1759,11 @@ mod tests {
         }
     }
 
+    /// The LP `p` solved with default options agrees with the oracle.
     fn assert_matches_dense(p: &Problem) {
         let (lower, upper) = bounds(p);
         let dense = oracle::solve_lp(p, &lower, &upper);
-        let revised = solve_relaxation_revised(p, &lower, &upper, 100_000);
+        let revised = p.solve().map(|sol| sol.objective());
         assert_same_as_dense("span rows", &dense, revised);
     }
 
@@ -1874,12 +1823,11 @@ mod tests {
             0.0,
         );
         p.add_constraint("c3", [(x3, 1.0)], ConstraintOp::Le, 1.0);
-        let (lower, upper) = bounds(&p);
-        let r = solve_relaxation_revised(&p, &lower, &upper, 100_000).unwrap();
+        let r = p.solve().unwrap();
         assert!(
-            (r.objective + 0.05).abs() < 1e-6,
+            (r.objective() + 0.05).abs() < 1e-6,
             "objective {}",
-            r.objective
+            r.objective()
         );
     }
 
@@ -1897,28 +1845,30 @@ mod tests {
             10.0,
         );
         let (lower, upper) = bounds(&p);
-        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
+        let sk = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
         let mut ws = RevisedWorkspace::default();
-        let root = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
-        assert_eq!(root.warm, WarmStart::Cold);
+        let mut x = Vec::new();
+        solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut x).unwrap();
+        assert_eq!(ws.warm_start_counts(), (0, 0), "the root solve is cold");
 
         for (var, lo, hi) in [(1usize, 0.0, 0.0), (1, 1.0, 1.0), (0, 1.0, 1.0)] {
             let mut l = lower.clone();
             let mut u = upper.clone();
             l[var] = lo;
             u[var] = hi;
-            let warm = solve_with_skeleton_revised(&sk, &mut ws, &l, &u, Some(&root.basis), 10_000)
-                .unwrap();
+            let attempts = ws.warm_start_counts();
+            let warm = solve_node_revised(&sk, &mut ws, &l, &u, true, 10_000, &mut x).unwrap();
+            let (hits, misses) = ws.warm_start_counts();
+            assert_eq!(hits + misses, attempts.0 + attempts.1 + 1);
             let mut cold_ws = RevisedWorkspace::default();
             let cold =
-                solve_with_skeleton_revised(&sk, &mut cold_ws, &l, &u, None, 10_000).unwrap();
+                solve_node_revised(&sk, &mut cold_ws, &l, &u, false, 10_000, &mut x).unwrap();
             assert!(
                 (warm.objective - cold.objective).abs() < 1e-7,
                 "var {var} in [{lo},{hi}]: warm {} cold {}",
                 warm.objective,
                 cold.objective
             );
-            assert_ne!(warm.warm, WarmStart::Cold);
         }
         let (hits, misses) = ws.warm_start_counts();
         assert!(hits > 0, "hits {hits} misses {misses}");
@@ -1933,38 +1883,32 @@ mod tests {
         p.set_objective([(x, 1.0)]);
         p.add_constraint("lb", [(x, 1.0)], ConstraintOp::Ge, 3.0);
         let (lower, upper) = bounds(&p);
-        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
+        let sk = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
         let mut ws = RevisedWorkspace::default();
-        let r = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+        let mut v = Vec::new();
+        let r = solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut v).unwrap();
         assert!((r.objective - 3.0).abs() < 1e-6);
-        let r2 = solve_with_skeleton_revised(&sk, &mut ws, &lower, &[5.0], Some(&r.basis), 10_000)
-            .unwrap();
+        let r2 = solve_node_revised(&sk, &mut ws, &lower, &[5.0], true, 10_000, &mut v).unwrap();
         assert!((r2.objective - 3.0).abs() < 1e-6);
         // Tightening below the optimum moves it.
-        let r3 = solve_with_skeleton_revised(
-            &sk,
-            &mut ws,
-            &[4.0],
-            &[f64::INFINITY],
-            Some(&r2.basis),
-            10_000,
-        )
-        .unwrap();
+        let r3 = solve_node_revised(&sk, &mut ws, &[4.0], &[f64::INFINITY], true, 10_000, &mut v)
+            .unwrap();
         assert!((r3.objective - 4.0).abs() < 1e-6);
     }
 
-    /// Solves `p` through a bounded-variable skeleton with the given
-    /// pricing flag, from a cold workspace.
+    /// Solves the relaxation of `p` cold through a bounded-variable skeleton
+    /// with the given pricing flag.
     fn solve_bounded_with(
         p: &Problem,
         lower: &[f64],
         upper: &[f64],
         dse: bool,
-    ) -> Result<SimplexResult, LpError> {
-        let sk = StandardFormSkeleton::new_bounded(p, lower, upper)?;
+    ) -> Result<f64, LpError> {
+        let sk = StandardFormSkeleton::build(p, lower, upper, true)?;
         let mut ws = RevisedWorkspace::default();
         ws.configure(dse);
-        solve_with_skeleton_revised(&sk, &mut ws, lower, upper, None, 100_000)
+        solve_node_revised(&sk, &mut ws, lower, upper, false, 100_000, &mut Vec::new())
+            .map(|node| node.objective)
     }
 
     fn assert_bounded_matches_dense(p: &Problem) {
@@ -2007,12 +1951,12 @@ mod tests {
     fn bounded_skeleton_eliminates_span_rows() {
         let p = fig16_class_model(12, 5);
         let (lower, upper) = bounds(&p);
-        let legacy = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-        let bounded = StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap();
+        let legacy = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
+        let bounded = StandardFormSkeleton::build(&p, &lower, &upper, true).unwrap();
         // Every branchable doubly-bounded variable costs the legacy skeleton
         // a span row; the bounded skeleton holds the structural rows only.
-        assert_eq!(legacy.num_rows(), 5 + 12);
-        assert_eq!(bounded.num_rows(), 5);
+        assert_eq!(legacy.m_total, 5 + 12);
+        assert_eq!(bounded.m_total, 5);
         assert!(bounded.is_bounded() && !legacy.is_bounded());
     }
 
@@ -2064,15 +2008,16 @@ mod tests {
         p.set_objective([(x, 3.0), (y, 2.0)]);
         p.add_constraint("c", [(x, 1.0), (y, 1.0)], ConstraintOp::Le, 20.0);
         let (lower, upper) = bounds(&p);
-        let sk = StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap();
+        let sk = StandardFormSkeleton::build(&p, &lower, &upper, true).unwrap();
         let mut ws = RevisedWorkspace::default();
-        let r = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+        let mut v = Vec::new();
+        let r = solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut v).unwrap();
         assert!(
             (r.objective - 23.0).abs() < 1e-7,
             "objective {}",
             r.objective
         );
-        assert!((r.values[0] - 5.0).abs() < 1e-7 && (r.values[1] - 4.0).abs() < 1e-7);
+        assert!((v[0] - 5.0).abs() < 1e-7 && (v[1] - 4.0).abs() < 1e-7);
         let bound_flips = ws.bound_flips();
         assert!(bound_flips >= 2, "bound_flips {bound_flips}");
     }
@@ -2081,13 +2026,13 @@ mod tests {
     fn bounded_warm_start_branching_is_a_status_flip() {
         let p = fig16_class_model(8, 3);
         let (lower, upper) = bounds(&p);
-        let sk = StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap();
+        let sk = StandardFormSkeleton::build(&p, &lower, &upper, true).unwrap();
         let mut ws = RevisedWorkspace::default();
         ws.configure(true);
-        let root = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
-        assert_eq!(root.warm, WarmStart::Cold);
+        let mut x = Vec::new();
+        solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut x).unwrap();
+        assert_eq!(ws.warm_start_counts(), (0, 0), "the root solve is cold");
 
-        let mut basis = root.basis;
         for (var, lo, hi) in [
             (0usize, 0.0, 2.0),
             (3, 1.0, 3.0),
@@ -2102,11 +2047,10 @@ mod tests {
             // Tightened child bounds reach the engine as implicit column
             // bounds — no RHS patch, no skeleton rebuild.
             assert!(sk.compatible(&l, &u));
-            let warm =
-                solve_with_skeleton_revised(&sk, &mut ws, &l, &u, Some(&basis), 10_000).unwrap();
-            basis = warm.basis.clone();
+            let warm = solve_node_revised(&sk, &mut ws, &l, &u, true, 10_000, &mut x)
+                .map(|node| node.objective);
             let dense = oracle::solve_lp(&p, &l, &u);
-            assert_same_as_dense(&format!("var {var} in [{lo},{hi}]"), &dense, Ok(warm));
+            assert_same_as_dense(&format!("var {var} in [{lo},{hi}]"), &dense, warm);
         }
         let (hits, misses) = ws.warm_start_counts();
         assert!(hits > 0, "hits {hits} misses {misses}");
@@ -2130,15 +2074,13 @@ mod tests {
             );
         }
         let (lower, upper) = bounds(&p);
-        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
+        let sk = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
         let mut ws = RevisedWorkspace::default();
-        let reference = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000)
+        let mut x = Vec::new();
+        let reference = solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut x)
             .unwrap()
             .objective;
-        let mut last_basis =
-            solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000)
-                .unwrap()
-                .basis;
+        solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut x).unwrap();
         for round in 0..300 {
             let var = round % vars.len();
             let mut l = lower.clone();
@@ -2149,14 +2091,218 @@ mod tests {
             } else {
                 l[var] = 0.0;
             }
-            let r = solve_with_skeleton_revised(&sk, &mut ws, &l, &u, Some(&last_basis), 10_000)
-                .unwrap();
+            let r = solve_node_revised(&sk, &mut ws, &l, &u, true, 10_000, &mut x).unwrap();
             assert!(
                 (r.objective - reference).abs() < 1e-6,
                 "round {round}: {} vs {reference}",
                 r.objective
             );
-            last_basis = r.basis;
+        }
+    }
+
+    /// The branched-variable pattern branch & bound produces: the warm path
+    /// must agree with a cold solve — and both with the oracle's LP — on
+    /// every child, including infeasible children.
+    #[test]
+    fn warm_and_cold_agree_on_branching_children() {
+        let mut p = Problem::new("children", Sense::Maximize);
+        let a = p.add_int_var("a", 0.0, 4.0);
+        let b = p.add_int_var("b", 0.0, 4.0);
+        let c = p.add_var("c", 0.0, 10.0);
+        p.set_objective([(a, 3.0), (b, 5.0), (c, 0.25)]);
+        p.add_constraint("r1", [(a, 2.0), (b, 3.0), (c, 1.0)], ConstraintOp::Le, 12.0);
+        p.add_constraint("r2", [(a, 1.0), (b, 1.0)], ConstraintOp::Ge, 1.0);
+        let (lower, upper) = bounds(&p);
+        let sk = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
+        let mut ws = RevisedWorkspace::default();
+        let mut x = Vec::new();
+        solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut x).unwrap();
+
+        // Sweep bound overrides a branch-and-bound run could produce.
+        for (var, lo, hi) in [
+            (0usize, 0.0, 1.0),
+            (0, 2.0, 4.0),
+            (1, 0.0, 0.0),
+            (1, 4.0, 4.0),
+            (0, 3.0, 2.0), // crossed: infeasible child
+        ] {
+            let mut l = lower.clone();
+            let mut u = upper.clone();
+            l[var] = lo;
+            u[var] = hi;
+            let warm = solve_node_revised(&sk, &mut ws, &l, &u, true, 10_000, &mut x)
+                .map(|node| node.objective);
+            let mut cold_ws = RevisedWorkspace::default();
+            let cold = solve_node_revised(&sk, &mut cold_ws, &l, &u, false, 10_000, &mut x)
+                .map(|node| node.objective);
+            match (warm, cold, oracle::solve_lp(&p, &l, &u)) {
+                (Ok(w), Ok(c), Outcome::Optimal { objective, .. }) => {
+                    assert!(
+                        (w - objective).abs() < 1e-6 && (c - objective).abs() < 1e-6,
+                        "var {var} in [{lo}, {hi}]: warm {w} cold {c} oracle {objective}"
+                    );
+                }
+                (Err(LpError::Infeasible), Err(LpError::Infeasible), Outcome::Infeasible) => {}
+                (w, c, o) => panic!("var {var} in [{lo}, {hi}]: warm {w:?} vs cold {c:?} vs {o:?}"),
+            }
+        }
+    }
+
+    /// A cold solve attempts no warm start; a warm re-solve of the same
+    /// bounds counts one attempt and reproduces the objective.
+    #[test]
+    fn warm_start_outcomes_are_reported() {
+        let mut p = Problem::new("outcome", Sense::Minimize);
+        let x = p.add_int_var("x", 0.0, 9.0);
+        p.set_objective([(x, 1.0)]);
+        p.add_constraint("lo", [(x, 2.0)], ConstraintOp::Ge, 7.0);
+        let (lower, upper) = bounds(&p);
+        let sk = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
+        let mut ws = RevisedWorkspace::default();
+        let mut v = Vec::new();
+        let first =
+            solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut v).unwrap();
+        assert_eq!(ws.warm_start_counts(), (0, 0));
+        let again = solve_node_revised(&sk, &mut ws, &lower, &upper, true, 10_000, &mut v).unwrap();
+        assert!((first.objective - again.objective).abs() < 1e-9);
+        let (hits, misses) = ws.warm_start_counts();
+        assert_eq!(hits + misses, 1);
+    }
+
+    /// Long-horizon drift regression for the revised engine: thousands of
+    /// consecutive warm reuses through one `RevisedWorkspace` must stay within
+    /// the stale-state tolerance (1e-6) of the oracle's independent dense solve
+    /// of every node, with the factorization *refresh policy* (periodic
+    /// refactorization on the eta limit plus the per-reuse residual check) as
+    /// the only safety mechanism.
+    #[test]
+    fn revised_warm_reuse_never_drifts_over_thousands_of_reuses() {
+        let mut p = Problem::new("drift-horizon", Sense::Maximize);
+        let vars: Vec<_> = (0..8)
+            .map(|i| p.add_int_var(format!("x{i}"), 0.0, 6.0))
+            .collect();
+        p.set_objective(
+            vars.iter()
+                .enumerate()
+                .map(|(i, &v)| (v, 2.0 + ((i * 5) % 7) as f64 + 0.25)),
+        );
+        for k in 0..4 {
+            p.add_constraint(
+                format!("cap{k}"),
+                vars.iter()
+                    .enumerate()
+                    .map(|(i, &v)| (v, 0.5 + ((i + k) % 3) as f64 * 0.75)),
+                ConstraintOp::Le,
+                // Roomy enough that every bound pattern below stays feasible.
+                40.0 + 3.0 * k as f64,
+            );
+        }
+        let (lower, upper) = bounds(&p);
+        let sk = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
+
+        let mut revised = RevisedWorkspace::default();
+        let mut x = Vec::new();
+        let root =
+            solve_node_revised(&sk, &mut revised, &lower, &upper, false, 100_000, &mut x).unwrap();
+        let mut total_iterations = root.iterations;
+
+        const ROUNDS: usize = 3000;
+        let mut worst = 0.0f64;
+        for round in 0..ROUNDS {
+            // A rolling branching-like bound pattern: tighten one variable per
+            // round, cycling lowers in {0,1,2} and uppers in {3..6}.
+            let var = round % vars.len();
+            let mut lo = lower.clone();
+            let mut hi = upper.clone();
+            lo[var] = (round / 8 % 3) as f64;
+            hi[var] = 3.0 + (round / 8 % 4) as f64;
+            let warm = solve_node_revised(&sk, &mut revised, &lo, &hi, true, 100_000, &mut x)
+                .unwrap_or_else(|e| panic!("round {round}: revised warm solve failed: {e:?}"));
+            let reference = oracle::solve_lp(&p, &lo, &hi).objective();
+            let dev = (warm.objective - reference).abs() / (1.0 + reference.abs());
+            worst = worst.max(dev);
+            assert!(
+                dev < 1e-6,
+                "round {round}: revised warm {} drifted from the oracle's {reference} (relative {dev:e})",
+                warm.objective
+            );
+            total_iterations += warm.iterations;
+        }
+
+        let (hits, misses) = revised.warm_start_counts();
+        assert_eq!(hits + misses, ROUNDS, "every round should attempt a reuse");
+        assert!(
+            hits as f64 >= 0.95 * ROUNDS as f64,
+            "warm reuse should almost always succeed: {hits} hits / {misses} misses"
+        );
+
+        // Pin the refresh policy. Every mid-stream refactorization consumes at
+        // least `eta_limit(m)` accumulated pivots, so the count is bounded by
+        // the pivot budget; and with thousands of reuses each pushing a few
+        // pivots the policy must actually fire rather than never refresh.
+        let (factorizations, refactorizations) = revised.factorization_counts();
+        let m = sk.m_total;
+        assert!(
+            refactorizations >= 1,
+            "the eta-limit refresh policy never fired over {ROUNDS} reuses \
+             ({total_iterations} pivots, eta limit {})",
+            eta_limit(m)
+        );
+        assert!(
+            refactorizations <= total_iterations / eta_limit(m) + 1,
+            "more refreshes ({refactorizations}) than the pivot budget admits \
+             ({total_iterations} pivots / eta limit {})",
+            eta_limit(m)
+        );
+        // Cold fills are the only other factorization source: the root solve
+        // plus one per warm miss.
+        assert!(
+            factorizations <= refactorizations + misses + 1,
+            "unexpected extra factorizations: {factorizations} vs {refactorizations} refreshes + {misses} misses + root"
+        );
+        eprintln!(
+            "drift regression: worst relative deviation {worst:e}, {hits}/{ROUNDS} reuses, \
+             {factorizations} factorizations ({refactorizations} refreshes)"
+        );
+    }
+
+    /// Crossed bounds, as branching produces them, are infeasible and never
+    /// solved to a bogus optimum: a skeleton refuses them as root bounds, and
+    /// a node solve refuses them as overrides, warm or cold, in either
+    /// layout. (`Problem::validate` refuses them before the engine sees a
+    /// model, so this is checked at node level.)
+    #[test]
+    fn crossed_bounds_are_infeasible() {
+        let mut p = Problem::new("crossed", Sense::Minimize);
+        let x = p.add_var("x", 0.0, 10.0);
+        p.set_objective([(x, 1.0)]);
+        let (lower, upper) = bounds(&p);
+        for bounded in [false, true] {
+            let sk = StandardFormSkeleton::build(&p, &lower, &upper, bounded).unwrap();
+            let mut ws = RevisedWorkspace::default();
+            let mut v = Vec::new();
+            solve_node_revised(&sk, &mut ws, &lower, &upper, false, 1_000, &mut v).unwrap();
+            for lo in [1.0, 2.5, 4.99] {
+                for delta in [0.1, 0.7, 1.99] {
+                    let crossed = ([lo], [lo - delta]);
+                    let root = StandardFormSkeleton::build(&p, &crossed.0, &crossed.1, bounded);
+                    assert!(
+                        matches!(root, Err(LpError::Infeasible)),
+                        "[{lo}, {}]",
+                        lo - delta
+                    );
+                    for warm in [false, true] {
+                        let node = solve_node_revised(
+                            &sk, &mut ws, &crossed.0, &crossed.1, warm, 1_000, &mut v,
+                        );
+                        assert!(
+                            matches!(node, Err(LpError::Infeasible)),
+                            "[{lo}, {}] warm {warm}",
+                            lo - delta
+                        );
+                    }
+                }
+            }
         }
     }
 }

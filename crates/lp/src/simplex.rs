@@ -1,15 +1,15 @@
 //! The standard-form rewrite every LP relaxation is solved against, and the
-//! small types a relaxation solve hands back.
+//! solver's numerical tolerances.
 //!
 //! [`StandardFormSkeleton`] rewrites a user problem into *standard form*
 //! once per problem: every variable is shifted/split so that it is
 //! non-negative, each row receives a slack and/or artificial column, and the
 //! sparse row scatter layout and objective mapping are precomputed. Finite
-//! upper bounds become extra *span rows* ([`StandardFormSkeleton::new`]) or
-//! implicit column bounds ([`StandardFormSkeleton::new_bounded`]). Branch &
-//! bound nodes only patch shifts and right-hand sides (or flip column
-//! statuses) against it instead of re-walking every constraint expression
-//! per node; [`crate::revised`] is the solver that consumes it.
+//! upper bounds become extra *span rows* or, in bounded-variable mode,
+//! implicit column bounds ([`StandardFormSkeleton::build`]). Branch & bound
+//! nodes only patch shifts and right-hand sides (or flip column statuses)
+//! against it instead of re-walking every constraint expression per node;
+//! [`crate::revised`] is the solver that consumes it.
 //!
 //! The column layout is *stable across nodes of one skeleton*: branching
 //! only tightens variable bounds, which the skeleton expresses as per-node
@@ -20,8 +20,8 @@
 //! warm-start from its parent's final basis: the objective never changes
 //! between nodes, the last optimal basis stays *dual feasible* for every
 //! sibling, and a handful of dual simplex pivots repair the re-derived
-//! right-hand side. The outcome is reported in [`SimplexResult::warm`] so
-//! callers can track hit rates.
+//! right-hand side. The workspace counts each warm start's hit or miss, and
+//! a solve reports them in its [`crate::SolveStats`].
 
 use crate::error::LpError;
 use crate::problem::{ConstraintOp, Problem, Sense, VarKind};
@@ -42,37 +42,6 @@ pub(crate) const REUSE_HEALTH_LIMIT: f64 = 1e10;
 /// Cap on dual-simplex repair pivots before giving up on a warm start.
 pub(crate) fn repair_pivot_cap(rows: usize, cols: usize) -> usize {
     4 * (rows + cols)
-}
-
-/// How a solve obtained its starting basis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WarmStart {
-    /// No basis hint was supplied (or no reusable basis existed yet); the
-    /// classic two-phase path ran.
-    Cold,
-    /// The previous optimal basis was reused (RHS re-derived, dual-simplex
-    /// repaired if needed): phase 1 was skipped.
-    Hit,
-    /// A warm start was attempted but could not be completed; the solver
-    /// fell back to the cold two-phase path.
-    Miss,
-}
-
-/// Result of solving one LP relaxation.
-#[derive(Debug, Clone)]
-pub struct SimplexResult {
-    /// Values of the *original* problem variables, indexed by `VarId::index`.
-    pub values: Vec<f64>,
-    /// Objective value in the original sense (including the objective's constant term).
-    pub objective: f64,
-    /// Simplex iterations used (both phases, plus warm-start installation pivots).
-    pub iterations: usize,
-    /// Final basis (basic column per row) — feed to the next
-    /// [`crate::revised::solve_with_skeleton_revised`] call against the same
-    /// skeleton as a warm-start hint.
-    pub basis: Vec<usize>,
-    /// Whether this solve warm-started from a parent basis.
-    pub warm: WarmStart,
 }
 
 /// How an original variable was mapped into standard form.
@@ -182,10 +151,6 @@ pub struct StandardFormSkeleton {
     pub(crate) obj_base: f64,
     /// `+1` when the original problem minimizes, `-1` when it maximizes.
     pub(crate) sense_factor: f64,
-    /// `true` when every branchable (integer / semi-continuous) variable is
-    /// `Shifted` with a span row, i.e. any branch-and-bound bound override
-    /// stays expressible against this skeleton.
-    nodes_stable: bool,
     /// How many times [`Self::rebind`] has rewritten `c` and the rows'
     /// `base_rhs` under this address. A workspace that carries reduced costs
     /// or right-hand sides from one solve to the next records the epoch
@@ -212,26 +177,12 @@ fn rows_by_var(rows: &[SkelRow], n: usize) -> Vec<Vec<usize>> {
 
 impl StandardFormSkeleton {
     /// Builds the skeleton for `problem` with the given root bound vectors
-    /// (typically the declared variable bounds).
-    pub fn new(problem: &Problem, lower: &[f64], upper: &[f64]) -> Result<Self, LpError> {
-        Self::build(problem, lower, upper, false)
-    }
-
-    /// Builds a *bounded-variable* skeleton: no span rows are allocated —
-    /// finite upper bounds (and branch & bound bound overrides) are handled
-    /// implicitly by the revised engine as nonbasic-at-upper statuses, so
-    /// `m_total == m_constraints` (about half the rows of [`Self::new`] on
-    /// integer-heavy models).
-    pub fn new_bounded(problem: &Problem, lower: &[f64], upper: &[f64]) -> Result<Self, LpError> {
-        Self::build(problem, lower, upper, true)
-    }
-
-    /// `true` when this skeleton was built by [`Self::new_bounded`].
-    pub fn is_bounded(&self) -> bool {
-        self.bounded
-    }
-
-    fn build(
+    /// (typically the declared variable bounds). With `bounded` no span rows
+    /// are allocated: finite upper bounds (and branch & bound bound
+    /// overrides) are handled implicitly by the revised engine as
+    /// nonbasic-at-upper statuses, so `m_total == m_constraints` (about half
+    /// the rows of a span-row skeleton on integer-heavy models).
+    pub(crate) fn build(
         problem: &Problem,
         lower: &[f64],
         upper: &[f64],
@@ -241,7 +192,6 @@ impl StandardFormSkeleton {
         // Per structural column, allocated in variable order: does it get a
         // span row?
         let mut span_cols = Vec::new();
-        let mut nodes_stable = true;
 
         for (i, v) in problem.variables().iter().enumerate() {
             let (lo, hi) = (lower[i], upper[i]);
@@ -251,11 +201,6 @@ impl StandardFormSkeleton {
             let branchable = !matches!(v.kind, VarKind::Continuous);
             let col = span_cols.len();
             let map = if lo.is_finite() && hi.is_finite() && (hi - lo).abs() <= 1e-12 {
-                if branchable {
-                    // Branching could move this away from the fixed point;
-                    // nodes with widened-looking bounds fall back.
-                    nodes_stable = false;
-                }
                 VarMap::Fixed
             } else if lo.is_finite() {
                 // Branchable variables always get a span row so a later
@@ -266,18 +211,9 @@ impl StandardFormSkeleton {
                 span_cols.push(!bounded && (hi.is_finite() || branchable));
                 VarMap::Shifted { col }
             } else if hi.is_finite() {
-                if branchable && !bounded {
-                    // In bounded mode a later finite *lower* bound on a
-                    // mirrored variable is an implicit column bound too, so
-                    // branching stays expressible.
-                    nodes_stable = false;
-                }
                 span_cols.push(false);
                 VarMap::Mirrored { col }
             } else {
-                if branchable {
-                    nodes_stable = false;
-                }
                 span_cols.extend([false, false]);
                 VarMap::Split {
                     pos: col,
@@ -300,7 +236,7 @@ impl StandardFormSkeleton {
             })
             .collect();
         let mut skeleton = Self::from_layout(var_map, rows, span_cols, bounded);
-        skeleton.bind(problem, lower, upper, nodes_stable);
+        skeleton.bind(problem, lower, upper);
         Ok(skeleton)
     }
 
@@ -351,7 +287,6 @@ impl StandardFormSkeleton {
             obj_terms: Vec::new(),
             obj_base: 0.0,
             sense_factor: 1.0,
-            nodes_stable: true,
             epoch: 0,
         }
     }
@@ -361,11 +296,9 @@ impl StandardFormSkeleton {
         &self.var_rows[var]
     }
 
-    /// `true` when branch & bound can solve every node of this problem
-    /// against this skeleton (all branchable variables have a finite lower
-    /// bound at the root).
-    pub fn nodes_stable(&self) -> bool {
-        self.nodes_stable
+    /// `true` when this skeleton was built in bounded-variable mode.
+    pub(crate) fn is_bounded(&self) -> bool {
+        self.bounded
     }
 
     /// Re-targets this skeleton at `problem` under new root bounds without
@@ -381,8 +314,8 @@ impl StandardFormSkeleton {
     /// success a workspace previously filled against this skeleton remains
     /// valid for warm reuse, because the constraint matrix is bit-for-bit
     /// identical — this is what lets a stream of admission solves share one
-    /// factorization (see [`crate::branch_bound::SolveContext`]).
-    pub fn rebind(&mut self, problem: &Problem, lower: &[f64], upper: &[f64]) -> bool {
+    /// factorization (see [`crate::SolveContext`]).
+    pub(crate) fn rebind(&mut self, problem: &Problem, lower: &[f64], upper: &[f64]) -> bool {
         let n = problem.num_vars();
         if n != self.var_map.len()
             || lower.len() != n
@@ -394,7 +327,6 @@ impl StandardFormSkeleton {
         // Verify the classification each (bound pattern, kind) pair would
         // get matches the existing layout. A bound flip that changes the
         // layout (or makes the root infeasible) must take the rebuild path.
-        let mut nodes_stable = true;
         for (i, v) in problem.variables().iter().enumerate() {
             let (lo, hi) = (lower[i], upper[i]);
             if lo > hi + FEAS_TOL {
@@ -403,12 +335,7 @@ impl StandardFormSkeleton {
             let branchable = !matches!(v.kind, VarKind::Continuous);
             let fixed = lo.is_finite() && hi.is_finite() && (hi - lo).abs() <= 1e-12;
             let ok = match self.var_map[i] {
-                VarMap::Fixed => {
-                    if branchable {
-                        nodes_stable = false;
-                    }
-                    fixed
-                }
+                VarMap::Fixed => fixed,
                 VarMap::Shifted { col } => {
                     if self.bounded {
                         !fixed && lo.is_finite()
@@ -421,18 +348,10 @@ impl StandardFormSkeleton {
                     if self.bounded {
                         !fixed && hi.is_finite()
                     } else {
-                        if branchable {
-                            nodes_stable = false;
-                        }
                         !fixed && !lo.is_finite() && hi.is_finite()
                     }
                 }
-                VarMap::Split { .. } => {
-                    if branchable {
-                        nodes_stable = false;
-                    }
-                    !lo.is_finite() && !hi.is_finite()
-                }
+                VarMap::Split { .. } => !lo.is_finite() && !hi.is_finite(),
             };
             if !ok {
                 return false;
@@ -451,21 +370,20 @@ impl StandardFormSkeleton {
             }
         }
 
-        self.bind(problem, lower, upper, nodes_stable);
+        self.bind(problem, lower, upper);
         self.epoch += 1;
         true
     }
 
     /// Writes what a problem of this layout may vary — the per-row RHS, the
     /// objective (phase-2 costs `c`, zeroed slot by slot, and the constant's
-    /// terms), the sense and the root bounds — plus `nodes_stable`.
-    fn bind(&mut self, problem: &Problem, lower: &[f64], upper: &[f64], nodes_stable: bool) {
+    /// terms), the sense and the root bounds.
+    fn bind(&mut self, problem: &Problem, lower: &[f64], upper: &[f64]) {
         let sense_factor = match problem.sense() {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
         self.sense_factor = sense_factor;
-        self.nodes_stable = nodes_stable;
         for (row, c) in self.rows.iter_mut().zip(problem.constraints()) {
             row.base_rhs = c.rhs - c.expr.constant();
         }
@@ -495,7 +413,7 @@ impl StandardFormSkeleton {
 
     /// `true` when the given bound overrides are expressible against this
     /// skeleton's fixed layout (classification per variable unchanged).
-    pub fn compatible(&self, lower: &[f64], upper: &[f64]) -> bool {
+    pub(crate) fn compatible(&self, lower: &[f64], upper: &[f64]) -> bool {
         if lower.len() != self.var_map.len() || upper.len() != self.var_map.len() {
             return false;
         }
@@ -514,11 +432,6 @@ impl StandardFormSkeleton {
             }
         })
     }
-
-    /// Number of standard-form rows (the length of basis vectors).
-    pub fn num_rows(&self) -> usize {
-        self.m_total
-    }
 }
 
 // --- Checkpoint codec -------------------------------------------------------
@@ -529,8 +442,8 @@ impl StandardFormSkeleton {
 // rows, the dimensions, `var_rows`, and `c` at its length. Left out, because
 // the next solve's `rebind` writes them before anything reads them: the
 // values of `c`, `obj_terms`, `obj_base`, `sense_factor`, every `base_rhs`,
-// the root bounds and `nodes_stable` (a next problem of another layout
-// rebuilds the skeleton instead). `epoch` only orders rebinds within one
+// and the root bounds (a next problem of another layout rebuilds the
+// skeleton instead). `epoch` only orders rebinds within one
 // process.
 
 use crate::state::{ensure, Reader, StateError, Writer};
@@ -621,7 +534,10 @@ impl StandardFormSkeleton {
 mod tests {
     use super::*;
     use crate::expr::LinExpr;
-    use crate::revised::{solve_relaxation_revised, solve_with_skeleton_revised, RevisedWorkspace};
+    use crate::oracle;
+    use crate::problem::SolveOptions;
+    use crate::revised::{solve_node_revised, RevisedWorkspace};
+    use crate::solution::Solution;
 
     fn bounds(p: &Problem) -> (Vec<f64>, Vec<f64>) {
         (
@@ -630,23 +546,21 @@ mod tests {
         )
     }
 
-    /// Solves the relaxation of `p` cold through both skeleton layouts (span
-    /// rows and implicit column bounds), which must agree, and returns the
-    /// span-row result.
-    fn try_solve(p: &Problem) -> Result<SimplexResult, LpError> {
-        let (lower, upper) = bounds(p);
-        let run = |sk: StandardFormSkeleton| {
-            let mut ws = RevisedWorkspace::default();
-            solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 100_000)
-        };
-        let spans = run(StandardFormSkeleton::new(p, &lower, &upper)?);
-        let bounded = run(StandardFormSkeleton::new_bounded(p, &lower, &upper)?);
+    /// Solves the LP `p` through both skeleton layouts (span rows and
+    /// implicit column bounds), which must agree, and returns the span-row
+    /// answer.
+    fn try_solve(p: &Problem) -> Result<Solution, LpError> {
+        let spans = p.solve();
+        let bounded = p.solve_with(&SolveOptions {
+            bounded_variables: true,
+            ..Default::default()
+        });
         match (&spans, &bounded) {
             (Ok(a), Ok(b)) => assert!(
-                (a.objective - b.objective).abs() < 1e-7,
+                (a.objective() - b.objective()).abs() < 1e-7,
                 "span rows {} vs bounded {}",
-                a.objective,
-                b.objective
+                a.objective(),
+                b.objective()
             ),
             (Err(a), Err(b)) => assert_eq!(std::mem::discriminant(a), std::mem::discriminant(b)),
             (a, b) => panic!("span rows {a:?} vs bounded {b:?}"),
@@ -654,7 +568,7 @@ mod tests {
         spans
     }
 
-    fn solve(p: &Problem) -> SimplexResult {
+    fn solve(p: &Problem) -> Solution {
         try_solve(p).unwrap()
     }
 
@@ -669,11 +583,11 @@ mod tests {
         p.add_constraint("c2", [(x, 1.0), (y, 1.0)], ConstraintOp::Le, 10.0);
         let r = solve(&p);
         assert!(
-            (r.objective - 6.0).abs() < 1e-6,
+            (r.objective() - 6.0).abs() < 1e-6,
             "objective {}",
-            r.objective
+            r.objective()
         );
-        assert!((r.values[y.index()] - 2.0).abs() < 1e-6);
+        assert!((r.value(y) - 2.0).abs() < 1e-6);
     }
 
     #[test]
@@ -687,9 +601,9 @@ mod tests {
         p.add_constraint("c2", [(y, 2.0)], ConstraintOp::Le, 12.0);
         p.add_constraint("c3", [(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
         let r = solve(&p);
-        assert!((r.objective - 36.0).abs() < 1e-6);
-        assert!((r.values[x.index()] - 2.0).abs() < 1e-6);
-        assert!((r.values[y.index()] - 6.0).abs() < 1e-6);
+        assert!((r.objective() - 36.0).abs() < 1e-6);
+        assert!((r.value(x) - 2.0).abs() < 1e-6);
+        assert!((r.value(y) - 6.0).abs() < 1e-6);
     }
 
     #[test]
@@ -720,8 +634,8 @@ mod tests {
         p.add_constraint("sum", [(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 5.0);
         p.add_constraint("diff", [(x, 1.0), (y, -1.0)], ConstraintOp::Eq, 1.0);
         let r = solve(&p);
-        assert!((r.values[x.index()] - 3.0).abs() < 1e-6);
-        assert!((r.values[y.index()] - 2.0).abs() < 1e-6);
+        assert!((r.value(x) - 3.0).abs() < 1e-6);
+        assert!((r.value(y) - 2.0).abs() < 1e-6);
     }
 
     #[test]
@@ -733,9 +647,9 @@ mod tests {
         p.set_objective([(x, 1.0), (y, 1.0)]);
         p.add_constraint("cap", [(x, 1.0), (y, 1.0)], ConstraintOp::Le, 4.0);
         let r = solve(&p);
-        assert!((r.objective - 4.0).abs() < 1e-6);
-        assert!(r.values[x.index()] <= 2.0 + 1e-9);
-        assert!(r.values[y.index()] <= 3.0 + 1e-9);
+        assert!((r.objective() - 4.0).abs() < 1e-6);
+        assert!(r.value(x) <= 2.0 + 1e-9);
+        assert!(r.value(y) <= 3.0 + 1e-9);
     }
 
     #[test]
@@ -747,9 +661,9 @@ mod tests {
         p.set_objective([(x, 1.0), (y, 1.0)]);
         p.add_constraint("c", [(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 7.0);
         let r = solve(&p);
-        assert!((r.objective - 7.0).abs() < 1e-6);
-        assert!(r.values[x.index()] >= 2.0 - 1e-9);
-        assert!(r.values[y.index()] >= 3.0 - 1e-9);
+        assert!((r.objective() - 7.0).abs() < 1e-6);
+        assert!(r.value(x) >= 2.0 - 1e-9);
+        assert!(r.value(y) >= 3.0 - 1e-9);
     }
 
     #[test]
@@ -760,8 +674,8 @@ mod tests {
         p.set_objective([(x, 1.0)]);
         p.add_constraint("lb", [(x, 1.0)], ConstraintOp::Ge, -5.0);
         let r = solve(&p);
-        assert!((r.objective + 5.0).abs() < 1e-6);
-        assert!((r.values[x.index()] + 5.0).abs() < 1e-6);
+        assert!((r.objective() + 5.0).abs() < 1e-6);
+        assert!((r.value(x) + 5.0).abs() < 1e-6);
     }
 
     #[test]
@@ -772,7 +686,7 @@ mod tests {
         p.set_objective([(x, 1.0)]);
         p.add_constraint("lb", [(x, 1.0)], ConstraintOp::Ge, 1.0);
         let r = solve(&p);
-        assert!((r.objective - 9.0).abs() < 1e-6);
+        assert!((r.objective() - 9.0).abs() < 1e-6);
     }
 
     #[test]
@@ -783,9 +697,9 @@ mod tests {
         p.set_objective([(x, 1.0), (y, 1.0)]);
         p.add_constraint("c", [(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 10.0);
         let r = solve(&p);
-        assert!((r.values[x.index()] - 4.0).abs() < 1e-9);
-        assert!((r.values[y.index()] - 6.0).abs() < 1e-6);
-        assert!((r.objective - 10.0).abs() < 1e-6);
+        assert!((r.value(x) - 4.0).abs() < 1e-9);
+        assert!((r.value(y) - 6.0).abs() < 1e-6);
+        assert!((r.objective() - 10.0).abs() < 1e-6);
     }
 
     #[test]
@@ -798,7 +712,7 @@ mod tests {
         e.add_constant(1.0);
         p.add_constraint_expr("c", e, ConstraintOp::Le, 3.0);
         let r = solve(&p);
-        assert!((r.objective - 2.0).abs() < 1e-6);
+        assert!((r.objective() - 2.0).abs() < 1e-6);
     }
 
     #[test]
@@ -810,7 +724,7 @@ mod tests {
         p.set_objective_expr(obj);
         p.add_constraint("c", [(x, 1.0)], ConstraintOp::Ge, 1.0);
         let r = solve(&p);
-        assert!((r.objective - 101.0).abs() < 1e-6);
+        assert!((r.objective() - 101.0).abs() < 1e-6);
     }
 
     #[test]
@@ -837,9 +751,9 @@ mod tests {
         p.add_constraint("c3", [(x3, 1.0)], ConstraintOp::Le, 1.0);
         let r = solve(&p);
         assert!(
-            (r.objective + 0.05).abs() < 1e-6,
+            (r.objective() + 0.05).abs() < 1e-6,
             "objective {}",
-            r.objective
+            r.objective()
         );
     }
 
@@ -853,8 +767,8 @@ mod tests {
         p.add_constraint("c1", [(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 2.0);
         p.add_constraint("c2", [(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 2.0);
         let r = solve(&p);
-        assert!((r.objective - 2.0).abs() < 1e-6);
-        assert!((r.values[x.index()] - 2.0).abs() < 1e-6);
+        assert!((r.objective() - 2.0).abs() < 1e-6);
+        assert!((r.value(x) - 2.0).abs() < 1e-6);
     }
 
     // ----- skeleton / warm-start specific coverage -----
@@ -884,42 +798,48 @@ mod tests {
     #[test]
     fn skeleton_solve_matches_one_shot() {
         let (p, lower, upper) = knapsack();
-        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-        assert!(sk.nodes_stable());
+        let sk = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
         let mut ws = RevisedWorkspace::default();
-        let a = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
-        let b = solve_relaxation_revised(&p, &lower, &upper, 10_000).unwrap();
-        assert!((a.objective - b.objective).abs() < 1e-9);
-        assert_eq!(a.warm, WarmStart::Cold);
+        let mut x = Vec::new();
+        let node = solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut x).unwrap();
+        let reference = oracle::solve_lp(&p, &lower, &upper).objective();
+        assert!((node.objective - reference).abs() < 1e-9);
+        assert_eq!(x.len(), 3);
+        // A cold solve attempts no warm start.
+        assert_eq!(ws.warm_start_counts(), (0, 0));
     }
 
     #[test]
     fn warm_start_child_matches_cold_child() {
         let (p, lower, upper) = knapsack();
-        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
+        let sk = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
         let mut ws = RevisedWorkspace::default();
-        let root = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+        let mut x = Vec::new();
+        solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut x).unwrap();
 
         // Branch b (index 1) down to 0 and up to 1, warm-starting each child.
-        for (lo_b, hi_b) in [(0.0, 0.0), (1.0, 1.0)] {
+        for (attempts, (lo_b, hi_b)) in [(0.0, 0.0), (1.0, 1.0)].into_iter().enumerate() {
             let mut lo = lower.clone();
             let mut hi = upper.clone();
             lo[1] = lo_b;
             hi[1] = hi_b;
             assert!(sk.compatible(&lo, &hi));
-            let warm =
-                solve_with_skeleton_revised(&sk, &mut ws, &lo, &hi, Some(&root.basis), 10_000)
-                    .unwrap();
+            let warm = solve_node_revised(&sk, &mut ws, &lo, &hi, true, 10_000, &mut x).unwrap();
             let mut cold_ws = RevisedWorkspace::default();
             let cold =
-                solve_with_skeleton_revised(&sk, &mut cold_ws, &lo, &hi, None, 10_000).unwrap();
+                solve_node_revised(&sk, &mut cold_ws, &lo, &hi, false, 10_000, &mut x).unwrap();
             assert!(
                 (warm.objective - cold.objective).abs() < 1e-7,
                 "warm {} vs cold {} for b in [{lo_b}, {hi_b}]",
                 warm.objective,
                 cold.objective
             );
-            assert_ne!(warm.warm, WarmStart::Cold);
+            let (hits, misses) = ws.warm_start_counts();
+            assert_eq!(
+                hits + misses,
+                attempts + 1,
+                "each child attempts a warm start"
+            );
         }
     }
 
@@ -934,16 +854,16 @@ mod tests {
         p.add_constraint("lb", [(x, 1.0)], ConstraintOp::Ge, 3.0);
         let lower = vec![0.0];
         let upper = vec![f64::INFINITY];
-        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-        assert_eq!(sk.num_rows(), 2, "constraint row + span row");
-        let bounded = StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap();
-        assert_eq!(bounded.num_rows(), 1, "constraint row only");
+        let sk = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
+        assert_eq!(sk.m_total, 2, "constraint row + span row");
+        let bounded = StandardFormSkeleton::build(&p, &lower, &upper, true).unwrap();
+        assert_eq!(bounded.m_total, 1, "constraint row only");
         let mut ws = RevisedWorkspace::default();
-        let r = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+        let mut v = Vec::new();
+        let r = solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut v).unwrap();
         assert!((r.objective - 3.0).abs() < 1e-6);
         // Tightening the upper bound is a pure RHS patch on the span row.
-        let r2 = solve_with_skeleton_revised(&sk, &mut ws, &lower, &[5.0], Some(&r.basis), 10_000)
-            .unwrap();
+        let r2 = solve_node_revised(&sk, &mut ws, &lower, &[5.0], true, 10_000, &mut v).unwrap();
         assert!((r2.objective - 3.0).abs() < 1e-6);
     }
 
@@ -954,10 +874,8 @@ mod tests {
         // in either layout.
         let mut lo = lower.clone();
         lo[0] = f64::NEG_INFINITY;
-        for sk in [
-            StandardFormSkeleton::new(&p, &lower, &upper).unwrap(),
-            StandardFormSkeleton::new_bounded(&p, &lower, &upper).unwrap(),
-        ] {
+        for bounded in [false, true] {
+            let sk = StandardFormSkeleton::build(&p, &lower, &upper, bounded).unwrap();
             assert!(!sk.compatible(&lo, &upper));
             assert!(sk.compatible(&lower, &upper));
         }
@@ -966,28 +884,26 @@ mod tests {
     #[test]
     fn rebind_takes_a_new_rhs_and_objective_but_not_a_new_matrix() {
         let (p, lower, upper) = knapsack();
-        let mut sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
+        let mut sk = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
         let mut ws = RevisedWorkspace::default();
-        let first =
-            solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+        let mut x = Vec::new();
+        solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut x).unwrap();
 
         // Same matrix, new capacity and prices: rebinds in place, and a warm
-        // solve against the rebound skeleton matches a fresh build.
+        // solve against the rebound skeleton matches the relaxation's optimum.
         let repriced = knapsack_with([9.0, 10.0, 7.0], 7.0, 12.0);
         assert!(sk.rebind(&repriced, &lower, &upper));
-        let warm =
-            solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, Some(&first.basis), 10_000)
-                .unwrap();
-        assert_ne!(warm.warm, WarmStart::Cold);
-        assert!((warm.objective - solve(&repriced).objective).abs() < 1e-7);
+        let warm = solve_node_revised(&sk, &mut ws, &lower, &upper, true, 10_000, &mut x).unwrap();
+        let (hits, misses) = ws.warm_start_counts();
+        assert_eq!(hits + misses, 1, "the rebound solve attempts a warm start");
+        let reference = oracle::solve_lp(&repriced, &lower, &upper).objective();
+        assert!((warm.objective - reference).abs() < 1e-7);
 
         // A changed coefficient or a changed bound pattern is a different
         // layout: refused, and the skeleton keeps serving the bound problem.
         assert!(!sk.rebind(&knapsack_with([9.0, 10.0, 7.0], 7.5, 12.0), &lower, &upper));
         assert!(!sk.rebind(&repriced, &[f64::NEG_INFINITY, 0.0, 0.0], &upper));
-        let again =
-            solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, Some(&warm.basis), 10_000)
-                .unwrap();
+        let again = solve_node_revised(&sk, &mut ws, &lower, &upper, true, 10_000, &mut x).unwrap();
         assert!((again.objective - warm.objective).abs() < 1e-9);
     }
 
@@ -1004,7 +920,7 @@ mod tests {
         a.set_objective([(x, 1.0), (y, 0.0)]);
         a.add_constraint("lo", [(x, 1.0)], ConstraintOp::Ge, 1.0);
         let (la, ua) = (vec![f64::NEG_INFINITY; 2], vec![f64::INFINITY; 2]);
-        let sk_a = StandardFormSkeleton::new(&a, &la, &ua).unwrap();
+        let sk_a = StandardFormSkeleton::build(&a, &la, &ua, false).unwrap();
 
         let mut b = Problem::new("b", Sense::Minimize);
         let z = b.add_var("z", f64::NEG_INFINITY, f64::INFINITY);
@@ -1012,26 +928,28 @@ mod tests {
         b.add_constraint("e1", [(z, 1.0)], ConstraintOp::Eq, 5.0);
         b.add_constraint("e2", [(z, 1.0)], ConstraintOp::Eq, 3.0);
         let (lb, ub) = (vec![f64::NEG_INFINITY], vec![f64::INFINITY]);
-        let sk_b = StandardFormSkeleton::new(&b, &lb, &ub).unwrap();
+        let sk_b = StandardFormSkeleton::build(&b, &lb, &ub, false).unwrap();
 
         let mut ws = RevisedWorkspace::default();
-        let ra = solve_with_skeleton_revised(&sk_a, &mut ws, &la, &ua, None, 1_000).unwrap();
+        let mut v = Vec::new();
+        let ra = solve_node_revised(&sk_a, &mut ws, &la, &ua, false, 1_000, &mut v).unwrap();
         assert!((ra.objective - 1.0).abs() < 1e-6);
-        let rb = solve_with_skeleton_revised(&sk_b, &mut ws, &lb, &ub, Some(&ra.basis), 1_000);
-        assert!(matches!(rb, Err(LpError::Infeasible)), "{rb:?}");
+        let rb = solve_node_revised(&sk_b, &mut ws, &lb, &ub, true, 1_000, &mut v);
+        assert!(matches!(rb, Err(LpError::Infeasible)), "{:?}", rb.err());
     }
 
     #[test]
     fn workspace_is_reusable_across_many_solves() {
         let (p, lower, upper) = knapsack();
-        let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
+        let sk = StandardFormSkeleton::build(&p, &lower, &upper, false).unwrap();
         let mut ws = RevisedWorkspace::default();
-        let reference = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000)
+        let mut x = Vec::new();
+        let reference = solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut x)
             .unwrap()
             .objective;
         for _ in 0..50 {
             let r =
-                solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
+                solve_node_revised(&sk, &mut ws, &lower, &upper, false, 10_000, &mut x).unwrap();
             assert!((r.objective - reference).abs() < 1e-9);
         }
     }

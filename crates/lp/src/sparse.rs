@@ -64,12 +64,6 @@ impl CscMatrix {
         self.cols
     }
 
-    /// Stored entries.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.row_idx.len()
-    }
-
     /// `(row indices, values)` of column `j`.
     #[inline]
     pub fn col(&self, j: usize) -> (&[usize], &[f64]) {
@@ -124,7 +118,7 @@ mod tests {
             (1, 1, 3.0),
         ];
         m.assemble(3, 3, &triplets);
-        assert_eq!(m.nnz(), 5);
+        assert_eq!(m.row_idx.len(), 5);
         let (idx, val) = m.col(0);
         assert_eq!(idx, &[1, 0]);
         assert_eq!(val, &[1.0, 2.0]);

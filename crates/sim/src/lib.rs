@@ -109,19 +109,6 @@ impl<E> Simulator<E> {
         }
     }
 
-    /// Schedules an event from *outside* the simulation — an open-world
-    /// driver injecting work between steps (a job submission, an operator
-    /// action). Unlike [`Simulator::schedule`], the requested time is
-    /// clamped to the current clock, so an external injection can never
-    /// land in the simulated past and violate the monotonic-handling
-    /// contract `pop_due` callers rely on. Returns the effective time the
-    /// event was scheduled at.
-    pub fn inject(&mut self, at: f64, class: u8, event: E) -> f64 {
-        let t = at.max(self.clock.now());
-        self.heap.push(t, class, event);
-        t
-    }
-
     /// Time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<f64> {
         self.heap.peek_time()
@@ -263,22 +250,6 @@ mod tests {
         let ev = sim.pop().unwrap();
         assert_eq!(ev.at, 1.0);
         assert_eq!(sim.now(), 5.0);
-    }
-
-    #[test]
-    fn inject_clamps_external_events_to_the_present() {
-        let mut sim: Simulator<&str> = Simulator::new();
-        sim.schedule(5.0, 0, "advance");
-        assert!(sim.pop().is_some());
-        assert_eq!(sim.now(), 5.0);
-        // An external injection aimed at the past lands *now*, not then.
-        assert_eq!(sim.inject(1.0, 0, "late-submission"), 5.0);
-        let ev = sim.pop().unwrap();
-        assert_eq!(ev.at, 5.0);
-        assert_eq!(ev.event, "late-submission");
-        // Future injections keep their requested time.
-        assert_eq!(sim.inject(7.5, 0, "future"), 7.5);
-        assert_eq!(sim.pop().unwrap().at, 7.5);
     }
 
     #[test]

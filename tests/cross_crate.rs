@@ -66,7 +66,7 @@ fn plan_estimates_agree_with_engine_measurements() {
     let upper: Vec<f64> = problem.variables().iter().map(|v| v.upper).collect();
     let bound = oracle::solve_lp(problem, &lower, &upper).objective();
     let root = SolveContext::new()
-        .relaxation_bound(problem, &SolveOptions::default(), 200_000)
+        .relaxation_bound(problem, &SolveOptions::default())
         .unwrap();
     assert!(
         (root - bound).abs() <= 1e-6 * (1.0 + bound.abs()),

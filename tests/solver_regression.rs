@@ -1,24 +1,14 @@
-//! Fixed regression instances for the LP/MIP solver: the infeasible /
-//! unbounded / iteration-limit error paths under every revised
-//! configuration, agreement with the independent oracle, and the
-//! skeleton/warm-start machinery of `conductor_lp::revised`.
+//! Fixed regression instances for the LP/MIP solver, through its public
+//! API: the infeasible / unbounded / iteration-limit error paths under every
+//! revised configuration, the time limit, degenerate pivoting and agreement
+//! with the independent oracle. (The engine's warm-start machinery is
+//! tested at node level in `crates/lp/src/revised.rs`.)
 
-use conductor_lp::lu::eta_limit;
-use conductor_lp::revised::{solve_with_skeleton_revised, RevisedWorkspace};
-use conductor_lp::{
-    ConstraintOp, LpError, Problem, Sense, SolveOptions, StandardFormSkeleton, WarmStart,
-};
+use conductor_lp::{ConstraintOp, LpError, Problem, Sense, SolveOptions};
 use std::time::Duration;
 
 mod support;
 use support::oracle::{self, Outcome};
-
-fn bounds(p: &Problem) -> (Vec<f64>, Vec<f64>) {
-    (
-        p.variables().iter().map(|v| v.lower).collect(),
-        p.variables().iter().map(|v| v.upper).collect(),
-    )
-}
 
 /// All 4 revised configurations at the tightest gap.
 fn configs() -> Vec<(String, SolveOptions)> {
@@ -154,76 +144,6 @@ fn time_limit_returns_best_feasible_solution() {
     }
 }
 
-/// The branched-variable pattern branch & bound produces: the warm path must
-/// agree with a cold solve — and both with the oracle's LP — on every child,
-/// including infeasible children.
-#[test]
-fn warm_and_cold_agree_on_branching_children() {
-    let mut p = Problem::new("children", Sense::Maximize);
-    let a = p.add_int_var("a", 0.0, 4.0);
-    let b = p.add_int_var("b", 0.0, 4.0);
-    let c = p.add_var("c", 0.0, 10.0);
-    p.set_objective([(a, 3.0), (b, 5.0), (c, 0.25)]);
-    p.add_constraint("r1", [(a, 2.0), (b, 3.0), (c, 1.0)], ConstraintOp::Le, 12.0);
-    p.add_constraint("r2", [(a, 1.0), (b, 1.0)], ConstraintOp::Ge, 1.0);
-    let (lower, upper) = bounds(&p);
-    let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-    let mut ws = RevisedWorkspace::default();
-    let root = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
-
-    // Sweep bound overrides a branch-and-bound run could produce.
-    for (var, lo, hi) in [
-        (0usize, 0.0, 1.0),
-        (0, 2.0, 4.0),
-        (1, 0.0, 0.0),
-        (1, 4.0, 4.0),
-        (0, 3.0, 2.0), // crossed: infeasible child
-    ] {
-        let mut l = lower.clone();
-        let mut u = upper.clone();
-        l[var] = lo;
-        u[var] = hi;
-        let warm = solve_with_skeleton_revised(&sk, &mut ws, &l, &u, Some(&root.basis), 10_000);
-        let mut cold_ws = RevisedWorkspace::default();
-        let cold = solve_with_skeleton_revised(&sk, &mut cold_ws, &l, &u, None, 10_000);
-        match (warm, cold, oracle::solve_lp(&p, &l, &u)) {
-            (Ok(w), Ok(c), Outcome::Optimal { objective, .. }) => {
-                assert!(
-                    (w.objective - objective).abs() < 1e-6
-                        && (c.objective - objective).abs() < 1e-6,
-                    "var {var} in [{lo}, {hi}]: warm {} cold {} oracle {objective}",
-                    w.objective,
-                    c.objective
-                );
-            }
-            (Err(LpError::Infeasible), Err(LpError::Infeasible), Outcome::Infeasible) => {}
-            (w, c, o) => panic!("var {var} in [{lo}, {hi}]: warm {w:?} vs cold {c:?} vs {o:?}"),
-        }
-    }
-}
-
-/// The first skeleton solve is always cold; a hinted resolve reports a
-/// non-cold outcome.
-#[test]
-fn warm_start_outcomes_are_reported() {
-    let mut p = Problem::new("outcome", Sense::Minimize);
-    let x = p.add_int_var("x", 0.0, 9.0);
-    p.set_objective([(x, 1.0)]);
-    p.add_constraint("lo", [(x, 2.0)], ConstraintOp::Ge, 7.0);
-    let (lower, upper) = bounds(&p);
-    let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-    let mut ws = RevisedWorkspace::default();
-    let first = solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, None, 10_000).unwrap();
-    assert_eq!(first.warm, WarmStart::Cold);
-    let again =
-        solve_with_skeleton_revised(&sk, &mut ws, &lower, &upper, Some(&first.basis), 10_000)
-            .unwrap();
-    assert_ne!(again.warm, WarmStart::Cold);
-    assert!((first.objective - again.objective).abs() < 1e-9);
-    let (hits, misses) = ws.warm_start_counts();
-    assert_eq!(hits + misses, 1);
-}
-
 /// A degenerate LP that cycled the pre-rework ratio test into the iteration
 /// limit must now solve (stable pivoting + Bland fallback).
 #[test]
@@ -253,105 +173,6 @@ fn degenerate_instances_terminate() {
         (sol.objective() + 0.05).abs() < 1e-6,
         "objective {}",
         sol.objective()
-    );
-}
-
-/// Long-horizon drift regression for the revised engine: thousands of
-/// consecutive warm reuses through one `RevisedWorkspace` must stay within
-/// the stale-state tolerance (1e-6) of the oracle's independent dense solve
-/// of every node, with the factorization *refresh policy* (periodic
-/// refactorization on the eta limit plus the per-reuse residual check) as
-/// the only safety mechanism.
-#[test]
-fn revised_warm_reuse_never_drifts_over_thousands_of_reuses() {
-    let mut p = Problem::new("drift-horizon", Sense::Maximize);
-    let vars: Vec<_> = (0..8)
-        .map(|i| p.add_int_var(format!("x{i}"), 0.0, 6.0))
-        .collect();
-    p.set_objective(
-        vars.iter()
-            .enumerate()
-            .map(|(i, &v)| (v, 2.0 + ((i * 5) % 7) as f64 + 0.25)),
-    );
-    for k in 0..4 {
-        p.add_constraint(
-            format!("cap{k}"),
-            vars.iter()
-                .enumerate()
-                .map(|(i, &v)| (v, 0.5 + ((i + k) % 3) as f64 * 0.75)),
-            ConstraintOp::Le,
-            // Roomy enough that every bound pattern below stays feasible.
-            40.0 + 3.0 * k as f64,
-        );
-    }
-    let (lower, upper) = bounds(&p);
-    let sk = StandardFormSkeleton::new(&p, &lower, &upper).unwrap();
-
-    let mut revised = RevisedWorkspace::default();
-    let root =
-        solve_with_skeleton_revised(&sk, &mut revised, &lower, &upper, None, 100_000).unwrap();
-    let mut last_basis = root.basis;
-    let mut total_iterations = root.iterations;
-
-    const ROUNDS: usize = 3000;
-    let mut worst = 0.0f64;
-    for round in 0..ROUNDS {
-        // A rolling branching-like bound pattern: tighten one variable per
-        // round, cycling lowers in {0,1,2} and uppers in {3..6}.
-        let var = round % vars.len();
-        let mut lo = lower.clone();
-        let mut hi = upper.clone();
-        lo[var] = (round / 8 % 3) as f64;
-        hi[var] = 3.0 + (round / 8 % 4) as f64;
-        let warm =
-            solve_with_skeleton_revised(&sk, &mut revised, &lo, &hi, Some(&last_basis), 100_000)
-                .unwrap_or_else(|e| panic!("round {round}: revised warm solve failed: {e:?}"));
-        let reference = oracle::solve_lp(&p, &lo, &hi).objective();
-        let dev = (warm.objective - reference).abs() / (1.0 + reference.abs());
-        worst = worst.max(dev);
-        assert!(
-            dev < 1e-6,
-            "round {round}: revised warm {} drifted from the oracle's {reference} (relative {dev:e})",
-            warm.objective
-        );
-        total_iterations += warm.iterations;
-        last_basis = warm.basis;
-    }
-
-    let (hits, misses) = revised.warm_start_counts();
-    assert_eq!(hits + misses, ROUNDS, "every round should attempt a reuse");
-    assert!(
-        hits as f64 >= 0.95 * ROUNDS as f64,
-        "warm reuse should almost always succeed: {hits} hits / {misses} misses"
-    );
-
-    // Pin the refresh policy. Every mid-stream refactorization consumes at
-    // least `eta_limit(m)` accumulated pivots, so the count is bounded by
-    // the pivot budget; and with thousands of reuses each pushing a few
-    // pivots the policy must actually fire rather than never refresh.
-    let (factorizations, refactorizations) = revised.factorization_counts();
-    let m = sk.num_rows();
-    assert!(
-        refactorizations >= 1,
-        "the eta-limit refresh policy never fired over {ROUNDS} reuses \
-         ({total_iterations} pivots, eta limit {})",
-        eta_limit(m)
-    );
-    assert!(
-        refactorizations <= total_iterations / eta_limit(m) + 1,
-        "more refreshes ({refactorizations}) than the pivot budget admits \
-         ({total_iterations} pivots / eta limit {})",
-        eta_limit(m)
-    );
-    // Cold fills are the only other factorization source: the root solve
-    // plus one per warm miss.
-    assert!(
-        factorizations <= refactorizations + misses + 1,
-        "unexpected extra factorizations: {factorizations} vs {refactorizations} refreshes + {misses} misses + root"
-    );
-    eprintln!(
-        "drift regression: worst relative deviation {worst:e}, {hits}/{ROUNDS} reuses, \
-         {factorizations} factorizations ({refactorizations} refreshes)"
     );
 }
 
