@@ -247,6 +247,42 @@ fn splice_while_busy() -> Scenario {
     }
 }
 
+/// Two hundred spot nodes of two cloud types: 100 c1.xlarge plus an
+/// m1.large ramp 60 → 100. A re-plan at hour 1 drops c1.xlarge for 150
+/// m1.large (its nodes leave as their tasks retire); the market out-bids the
+/// job for hours 2 and 3, so the sweep at hour 2 kills the m1.large nodes
+/// and they are re-acquired at hour 4. Reconciliation walks both types, in
+/// name order, at every wakeup.
+fn two_cloud_types_splice_and_kill() -> Scenario {
+    let mut prices = vec![0.2; 48];
+    prices[2] = 0.5;
+    prices[3] = 0.5;
+    let market = SpotMarket::new(SpotTrace::from_prices(TraceKind::AwsLike, prices), 0.34);
+    Scenario {
+        catalog: Catalog::aws_july_2011(),
+        spec: Workload::KMeansScaled { input_gb: 256 }.spec(),
+        options: DeploymentOptions::new("two-types", mbps_to_gb_per_hour(200.0))
+            .with_nodes("c1.xlarge", 100, 0.0)
+            .with_nodes("m1.large", 60, 0.0)
+            .with_nodes("m1.large", 100, 0.25),
+        scheduler: plan_following,
+        pricing: SessionPricing::Spot {
+            market,
+            start_offset_hours: 0.0,
+            bid: 0.34,
+        },
+        kill_at: vec![2.0],
+        splice: Some((
+            1.0,
+            vec![NodeAllocation {
+                from_hour: 1.0,
+                instance_type: "m1.large".into(),
+                nodes: 150,
+            }],
+        )),
+    }
+}
+
 /// Runs the scenario straight and resumed-every-97th-wakeup; both must give
 /// the pinned report and the pinned wakeup/event counts.
 fn check(
@@ -408,4 +444,30 @@ fn mid_run_snapshot_bytes_are_unchanged() {
             json
         );
     }
+}
+
+#[test]
+fn two_cloud_types_with_a_splice_and_a_kill() {
+    let (report, driven) = check(
+        &two_cloud_types_splice_and_kill(),
+        14_814_338_974_006_980_543,
+        6_514,
+        9_928,
+    );
+    assert_eq!(driven.nodes_killed, 150);
+    let during = |from: f64, to: f64| {
+        report
+            .allocation_timeline
+            .iter()
+            .filter(move |&&(t, _)| t >= from && t < to)
+            .map(|&(_, n)| n)
+    };
+    // Both types at full strength before the re-plan; at hour 1 the extra
+    // m1.large nodes join at once while c1.xlarge drains node by node.
+    assert_eq!(during(0.25, 1.0).max(), Some(200));
+    assert_eq!(during(1.0, 2.0).max(), Some(230));
+    assert_eq!(during(1.0, 2.0).last(), Some(150));
+    // Nothing but m1.large was left for the sweep; it is back at recovery.
+    assert_eq!(during(2.0, 4.0).max(), Some(0));
+    assert_eq!(during(4.0, 4.5).max(), Some(150));
 }
