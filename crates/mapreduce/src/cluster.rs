@@ -77,25 +77,6 @@ impl Cluster {
         ids
     }
 
-    /// Removes up to `count` nodes of the given instance type at hour `now`,
-    /// newest first (so long-running nodes keep their data). Returns the ids
-    /// actually removed.
-    pub fn remove_nodes(&mut self, instance_type: &str, count: usize, now: f64) -> Vec<NodeId> {
-        let mut removed = Vec::new();
-        // Iterate from the end so the most recently added nodes leave first.
-        let mut i = self.nodes.len();
-        while i > 0 && removed.len() < count {
-            i -= 1;
-            if self.nodes[i].instance_type == instance_type {
-                removed.push(self.nodes.remove(i).id);
-            }
-        }
-        if !removed.is_empty() {
-            self.record(now);
-        }
-        removed
-    }
-
     /// Removes exactly the listed nodes (ids not present are ignored) at hour
     /// `now` and returns the ids actually removed, in cluster order.
     pub fn remove_specific(&mut self, ids: &[NodeId], now: f64) -> Vec<NodeId> {
@@ -197,18 +178,23 @@ mod tests {
         assert_eq!(ids.len(), 3);
         assert_eq!(c.len(), 3);
         assert_eq!(c.count_of("m1.large"), 3);
-        let removed = c.remove_nodes("m1.large", 2, 1.0);
-        assert_eq!(removed.len(), 2);
+        let removed = c.remove_specific(&[ids[2], ids[0]], 1.0);
+        assert_eq!(
+            removed,
+            vec![ids[0], ids[2]],
+            "removed ids come back in cluster order"
+        );
         assert_eq!(c.len(), 1);
-        // Removing an absent type is a no-op.
-        assert!(c.remove_nodes("c1.xlarge", 1, 1.0).is_empty());
+        // Removing an absent id is a no-op and records no sample.
+        assert!(c.remove_specific(&[NodeId(99)], 1.0).is_empty());
+        assert_eq!(c.allocation_timeline().len(), 2);
     }
 
     #[test]
     fn node_ids_are_unique_across_membership_changes() {
         let mut c = Cluster::new();
         let first = c.add_nodes(&m1_large(), 2, 0.0);
-        c.remove_nodes("m1.large", 2, 1.0);
+        c.remove_specific(&first, 1.0);
         let second = c.add_nodes(&m1_large(), 2, 2.0);
         for id in &second {
             assert!(!first.contains(id));
@@ -225,21 +211,11 @@ mod tests {
     #[test]
     fn allocation_timeline_records_changes() {
         let mut c = Cluster::new();
-        c.add_nodes(&m1_large(), 3, 0.0);
-        c.add_nodes(&m1_large(), 2, 1.0);
-        c.remove_nodes("m1.large", 4, 2.0);
+        let first = c.add_nodes(&m1_large(), 3, 0.0);
+        let second = c.add_nodes(&m1_large(), 2, 1.0);
+        c.remove_specific(&[first[1], first[2], second[0], second[1]], 2.0);
         let tl = c.allocation_timeline();
         assert_eq!(tl, &[(0.0, 3), (1.0, 5), (2.0, 1)]);
-    }
-
-    #[test]
-    fn newest_nodes_are_removed_first() {
-        let mut c = Cluster::new();
-        let old = c.add_nodes(&m1_large(), 1, 0.0);
-        let young = c.add_nodes(&m1_large(), 1, 1.0);
-        let removed = c.remove_nodes("m1.large", 1, 2.0);
-        assert_eq!(removed, young);
-        assert!(c.node(old[0]).is_some());
     }
 
     #[test]

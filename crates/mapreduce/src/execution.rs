@@ -51,6 +51,15 @@
 //! does not carry it, [`ExecutionSnapshot::restore`] rebuilds it, and debug
 //! builds check it against the serialized state after every wakeup.
 //!
+//! A second derived index keeps reconciliation free of string comparisons
+//! and of counts over the cluster. The *schedule view* holds, per compute
+//! type in the schedule and in name order, its catalog entry, its steps
+//! sorted by hour and its current cluster count; it is rebuilt when the
+//! schedule changes and its counts are kept current where nodes join or
+//! leave, so a wakeup reads a number instead of matching names. It is not
+//! serialized either: restore rebuilds it, and debug builds re-derive both
+//! indexes after every wakeup, kill, splice and restore.
+//!
 //! # Spot revocations
 //!
 //! Under [`SessionPricing::Spot`] the shared market can take the cluster
@@ -70,7 +79,7 @@ use crate::engine::{
 use crate::scheduler::{Scheduler, SchedulerSnapshot};
 use crate::task::{build_tasks, Task, TaskKind, TaskState};
 use crate::workload::JobSpec;
-use conductor_cloud::{BillingAccount, Catalog, SpotMarket, TransferDirection};
+use conductor_cloud::{BillingAccount, Catalog, InstanceType, SpotMarket, TransferDirection};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -270,6 +279,70 @@ fn idle_nodes(cluster: &Cluster, running: &[Running]) -> BTreeSet<NodeId> {
     idle
 }
 
+/// One compute type of the node schedule, as reconciliation reads it.
+#[derive(Debug, Clone, PartialEq)]
+struct ScheduleType {
+    name: String,
+    itype: InstanceType,
+    /// `(from_hour, nodes)` of this type's steps, stably sorted by hour: the
+    /// step in force at an hour is the last one at or before it, ties going
+    /// to the later step in the schedule, exactly as [`nodes_at`] picks.
+    steps: Vec<(f64, usize)>,
+    /// This type's nodes in the cluster now.
+    count: usize,
+}
+
+impl ScheduleType {
+    /// [`nodes_at`] for this type.
+    fn nodes_at(&self, hour: f64) -> usize {
+        let in_force = self.steps.partition_point(|&(from, _)| from <= hour + 1e-9);
+        in_force.checked_sub(1).map_or(0, |at| self.steps[at].1)
+    }
+
+    /// The node count reconciliation aims for at `hour`: the schedule's,
+    /// capped at what the catalog can rent.
+    fn desired(&self, hour: f64) -> usize {
+        let desired = self.nodes_at(hour);
+        match self.itype.max_instances {
+            Some(cap) => desired.min(cap),
+            None => desired,
+        }
+    }
+
+    fn is_cloud(&self) -> bool {
+        !self.itype.is_local()
+    }
+}
+
+/// The schedule view: every type of `schedule` the catalog knows, in name
+/// order, with its cluster count.
+fn schedule_view(
+    schedule: &[NodeAllocation],
+    catalog: &Catalog,
+    cluster: &Cluster,
+) -> Vec<ScheduleType> {
+    let mut steps: BTreeMap<&str, Vec<(f64, usize)>> = BTreeMap::new();
+    for a in schedule {
+        steps
+            .entry(a.instance_type.as_str())
+            .or_default()
+            .push((a.from_hour, a.nodes));
+    }
+    steps
+        .into_iter()
+        .filter_map(|(name, mut steps)| {
+            let itype = catalog.instance(name)?;
+            steps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            Some(ScheduleType {
+                name: name.to_string(),
+                itype: itype.clone(),
+                steps,
+                count: cluster.count_of(name),
+            })
+        })
+        .collect()
+}
+
 /// The full runtime state of one deployment, advanced by wakeups.
 pub struct JobExecution<'a> {
     catalog: Catalog,
@@ -329,6 +402,9 @@ pub struct JobExecution<'a> {
     /// order — the order `dispatch` hands out work in. Invariant: equals
     /// `cluster.nodes()` minus the nodes of `running`.
     idle: BTreeSet<NodeId>,
+    /// Per scheduled compute type: catalog entry, steps, cluster count.
+    /// Invariant: equals `schedule_view(node_schedule, catalog, cluster)`.
+    schedule: Vec<ScheduleType>,
 
     phase: JobPhase,
     report: Option<ExecutionReport>,
@@ -416,6 +492,8 @@ impl<'a> JobExecution<'a> {
             }
         }
         upload_pending.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        let cluster = Cluster::new();
+        let schedule = schedule_view(&options.node_schedule, catalog, &cluster);
         Ok(Self {
             catalog: catalog.clone(),
             spec: spec.clone(),
@@ -427,7 +505,7 @@ impl<'a> JobExecution<'a> {
             scheduler,
             pricing,
             billing,
-            cluster: Cluster::new(),
+            cluster,
             sessions: BTreeMap::new(),
             tasks,
             splits,
@@ -448,6 +526,7 @@ impl<'a> JobExecution<'a> {
             straggler_extensions: 0,
             schedule_epoch: 0,
             idle: BTreeSet::new(),
+            schedule,
             phase: JobPhase::Processing,
             report: None,
         })
@@ -536,12 +615,8 @@ impl<'a> JobExecution<'a> {
                     .iter()
                     .map(|r| r.finish_at)
                     .fold(f64::INFINITY, f64::min);
-                let next_schedule = self
-                    .schedule_points
-                    .iter()
-                    .copied()
-                    .filter(|&t| t > now + EPS)
-                    .fold(f64::INFINITY, f64::min);
+                let next_schedule = self.schedule_points_after(now).first().copied();
+                let next_schedule = next_schedule.unwrap_or(f64::INFINITY);
                 // `upload_pending` holds every split that is ever uploaded,
                 // sorted by availability: the next arrival is the first
                 // entry past `now`.
@@ -608,18 +683,44 @@ impl<'a> JobExecution<'a> {
             self.phase = JobPhase::Downloading { completion };
             out.push((completion, JobEvent::DownloadDone));
         }
-        self.debug_check_idle_index();
+        self.debug_check_indexes(&[now]);
         out
     }
 
-    /// Debug builds re-derive the idle index from the serialized state
-    /// after every wakeup (and every kill) and compare.
-    fn debug_check_idle_index(&self) {
-        debug_assert_eq!(self.idle, idle_nodes(&self.cluster, &self.running));
+    /// Debug builds re-derive the idle index and the schedule view from the
+    /// serialized state after every wakeup, kill, splice and restore, and
+    /// compare; the view's demand is also checked against [`nodes_at`] at
+    /// each of `hours`.
+    fn debug_check_indexes(&self, hours: &[f64]) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        assert_eq!(self.idle, idle_nodes(&self.cluster, &self.running));
+        assert_eq!(
+            self.schedule,
+            schedule_view(&self.options.node_schedule, &self.catalog, &self.cluster)
+        );
+        for t in &self.schedule {
+            assert_eq!(t.count, self.cluster.count_of(&t.name));
+            for &hour in hours {
+                assert_eq!(
+                    t.nodes_at(hour),
+                    nodes_at(&self.options.node_schedule, &t.name, hour),
+                    "{} at {hour} h",
+                    t.name
+                );
+            }
+        }
+    }
+
+    /// The sorted step markers strictly after `now`.
+    fn schedule_points_after(&self, now: f64) -> &[f64] {
+        let past = self.schedule_points.partition_point(|&t| t <= now + EPS);
+        &self.schedule_points[past..]
     }
 
     /// The node schedule was edited: bumps [`Self::schedule_epoch`] and
-    /// re-derives the step markers.
+    /// re-derives the step markers and the schedule view.
     fn schedule_changed(&mut self) {
         self.schedule_epoch += 1;
         self.schedule_points = self
@@ -631,15 +732,14 @@ impl<'a> JobExecution<'a> {
         self.schedule_points
             .sort_by(|a, b| a.partial_cmp(b).unwrap());
         self.schedule_points.dedup();
+        self.schedule = schedule_view(&self.options.node_schedule, &self.catalog, &self.cluster);
     }
 
     /// The `ScheduleChange` wakeups for every schedule step after `now`.
     fn schedule_wakeups_after(&self, now: f64) -> Vec<(f64, JobEvent)> {
-        self.schedule_points
+        self.schedule_points_after(now)
             .iter()
-            .copied()
-            .filter(|&t| t > now + EPS)
-            .map(|t| (t, JobEvent::ScheduleChange))
+            .map(|&t| (t, JobEvent::ScheduleChange))
             .collect()
     }
 
@@ -672,27 +772,26 @@ impl<'a> JobExecution<'a> {
         let stragglers = self.tasks.len() - self.completed;
         // Any cloud type still demanded at `now` means nodes are on the way
         // (or the market is starving us for good) — nothing to extend.
-        let cloud_types: std::collections::BTreeSet<&str> = self
-            .options
-            .node_schedule
+        if self
+            .schedule
             .iter()
-            .map(|a| a.instance_type.as_str())
-            .filter(|name| self.catalog.instance(name).is_some_and(|i| !i.is_local()))
-            .collect();
-        if cloud_types
-            .iter()
-            .any(|name| nodes_at(&self.options.node_schedule, name, now) > 0)
+            .any(|t| t.is_cloud() && t.nodes_at(now) > 0)
         {
             return false;
         }
         // The most recent positive cloud allocation, capped at the
         // straggler count: enough to finish, never more than the plan ever
-        // fielded at once.
+        // fielded at once. (This runs only when the job would be stuck.)
+        let is_cloud = |name: &str| {
+            self.schedule
+                .binary_search_by(|t| t.name.as_str().cmp(name))
+                .is_ok_and(|at| self.schedule[at].is_cloud())
+        };
         let last_positive = self
             .options
             .node_schedule
             .iter()
-            .filter(|a| cloud_types.contains(a.instance_type.as_str()) && a.nodes > 0)
+            .filter(|a| a.nodes > 0 && is_cloud(&a.instance_type))
             .max_by(|a, b| a.from_hour.partial_cmp(&b.from_hour).unwrap());
         let Some(step) = last_positive else {
             return false; // local-only deployments keep the classic stuck semantics
@@ -816,6 +915,7 @@ impl<'a> JobExecution<'a> {
             .node_schedule
             .sort_by(|a, b| a.from_hour.partial_cmp(&b.from_hour).unwrap());
         self.schedule_changed();
+        self.debug_check_indexes(&self.schedule_points);
         self.schedule_wakeups_after(now)
     }
 
@@ -882,6 +982,11 @@ impl<'a> JobExecution<'a> {
             }
         }
         let removed = self.cluster.remove_specific(&doomed, now);
+        for t in &mut self.schedule {
+            if t.is_cloud() {
+                t.count = 0;
+            }
+        }
         for rid in &removed {
             self.idle.remove(rid);
             if let Some(session) = self.sessions.remove(rid) {
@@ -906,7 +1011,7 @@ impl<'a> JobExecution<'a> {
                 wakeups = self.schedule_wakeups_after(now);
             }
         }
-        self.debug_check_idle_index();
+        self.debug_check_indexes(&[now]);
         (removed.len(), wakeups)
     }
 
@@ -983,26 +1088,9 @@ impl<'a> JobExecution<'a> {
     /// the cluster currently holds — the state in which an out-bid spot
     /// market (rather than the schedule) is what limits the job.
     fn wants_more_cloud_nodes(&self, now: f64) -> bool {
-        let types: std::collections::BTreeSet<&str> = self
-            .options
-            .node_schedule
+        self.schedule
             .iter()
-            .map(|a| a.instance_type.as_str())
-            .collect();
-        types.into_iter().any(|itype_name| {
-            let Some(itype) = self.catalog.instance(itype_name) else {
-                return false;
-            };
-            if itype.is_local() {
-                return false;
-            }
-            let desired = nodes_at(&self.options.node_schedule, itype_name, now);
-            let desired = match itype.max_instances {
-                Some(cap) => desired.min(cap),
-                None => desired,
-            };
-            desired > self.cluster.count_of(itype_name)
-        })
+            .any(|t| t.is_cloud() && t.desired(now) > t.count)
     }
 
     /// Adds/removes nodes so the cluster matches the schedule at time
@@ -1012,28 +1100,12 @@ impl<'a> JobExecution<'a> {
     /// bid) are skipped, and a retry wakeup for the recovery hour is pushed
     /// onto `out` instead.
     fn reconcile_cluster(&mut self, now: f64, out: &mut Vec<(f64, JobEvent)>) {
-        // Per wakeup this still builds the set of type names and counts the
-        // cluster once per type (`count_of`): linear, a few ns a node. Read
-        // EXPERIMENTS.md, *Execution kernel*, before caching either.
-        let types: Vec<String> = self
-            .options
-            .node_schedule
-            .iter()
-            .map(|a| a.instance_type.clone())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        for itype_name in types {
-            let Some(itype) = self.catalog.instance(&itype_name) else {
-                continue;
-            };
-            let desired = nodes_at(&self.options.node_schedule, &itype_name, now);
-            let desired = match itype.max_instances {
-                Some(cap) => desired.min(cap),
-                None => desired,
-            };
-            let current = self.cluster.count_of(&itype_name);
+        for at in 0..self.schedule.len() {
+            let t = &self.schedule[at];
+            let desired = t.desired(now);
+            let current = t.count;
             if desired > current {
+                let itype = &t.itype;
                 if self.pricing.acquisition_blocked(itype, now) {
                     if let Some(recovery) = self.pricing.recovery_hours(now) {
                         if recovery > now + EPS {
@@ -1049,6 +1121,7 @@ impl<'a> JobExecution<'a> {
                         .insert(id, self.billing.start_instance_at_price(itype, now, price));
                     self.idle.insert(id);
                 }
+                self.schedule[at].count = desired;
             } else if desired < current {
                 // Remove idle nodes only (busy nodes finish their task
                 // first; the reconciliation is retried at the next wakeup),
@@ -1061,11 +1134,12 @@ impl<'a> JobExecution<'a> {
                     .filter(|&id| {
                         self.cluster
                             .node(id)
-                            .is_some_and(|n| n.instance_type == itype_name)
+                            .is_some_and(|n| n.instance_type == t.name)
                     })
                     .take(current - desired)
                     .collect();
                 let removed = self.cluster.remove_specific(&leaving, now);
+                self.schedule[at].count -= removed.len();
                 for rid in removed {
                     self.idle.remove(&rid);
                     if let Some(session) = self.sessions.remove(&rid) {
@@ -1379,11 +1453,12 @@ impl JobExecution<'_> {
 impl ExecutionSnapshot {
     /// Rebuilds the execution exactly as captured; the scheduler is
     /// reconstructed from its snapshot, so the result owns all its state
-    /// (hence the `'static` lifetime). The idle-node index is not part of
-    /// the snapshot and is recomputed here.
+    /// (hence the `'static` lifetime). The derived indexes are not part of
+    /// the snapshot and are recomputed here.
     pub fn restore(&self) -> JobExecution<'static> {
-        JobExecution {
+        let job = JobExecution {
             idle: idle_nodes(&self.cluster, &self.running),
+            schedule: schedule_view(&self.options.node_schedule, &self.catalog, &self.cluster),
             catalog: self.catalog.clone(),
             spec: self.spec.clone(),
             options: self.options.clone(),
@@ -1413,7 +1488,9 @@ impl ExecutionSnapshot {
             schedule_epoch: self.schedule_epoch,
             phase: self.phase,
             report: self.report.clone(),
-        }
+        };
+        job.debug_check_indexes(&job.schedule_points);
+        job
     }
 }
 
@@ -1698,31 +1775,100 @@ mod tests {
         let prices = vec![0.2, 0.5, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2];
         let mut live = spot_execution(prices, 0.34);
         live.on_wakeup(0.0);
-        let mut horizon = 0.0;
-        for _ in 0..3 {
-            if let Some(t) = live.next_event_hours(horizon) {
-                live.on_wakeup(t);
-                horizon = t;
-            }
-        }
-        let snap = snapshot_roundtrip(&live.snapshot());
-        let mut resumed = snap.restore();
+        let horizon = drive_from(&mut live, 0.0, 3);
+        assert_resumes_bit_for_bit(live, horizon);
+    }
 
-        let drive = |exec: &mut JobExecution<'_>, mut horizon: f64| {
-            let mut guard = 0;
-            while !exec.is_done() && guard < 10_000 {
-                match exec.next_event_hours(horizon) {
-                    Some(t) => {
-                        exec.on_wakeup(t);
-                        horizon = t;
-                    }
-                    None => break,
-                }
-                guard += 1;
-            }
+    #[test]
+    fn scale_down_releases_the_newest_idle_nodes_first() {
+        // Processing waits for the whole upload, so every node stays idle.
+        let options = DeploymentOptions {
+            upload_before_processing: true,
+            ..DeploymentOptions::new(
+                "scale-down",
+                conductor_cloud::catalog::mbps_to_gb_per_hour(16.0),
+            )
+            .with_nodes("m1.large", 2, 0.0)
+            .with_nodes("m1.large", 4, 0.1)
+            .with_nodes("m1.large", 3, 0.2)
         };
-        drive(&mut live, horizon);
-        drive(&mut resumed, horizon);
+        let mut exec = JobExecution::new(
+            &Catalog::aws_july_2011(),
+            &Workload::KMeans32Gb.spec(),
+            options,
+            Box::new(LocalityScheduler),
+            SessionPricing::OnDemand,
+        )
+        .unwrap();
+        for hour in [0.0, 0.1, 0.2] {
+            exec.on_wakeup(hour);
+        }
+        let ids: Vec<usize> = exec.cluster.nodes().iter().map(|n| n.id.0).collect();
+        assert_eq!(ids, vec![0, 1, 2], "the youngest node leaves");
+        assert_eq!(
+            exec.cluster.allocation_timeline(),
+            &[(0.0, 2), (0.1, 4), (0.2, 3)]
+        );
+    }
+
+    /// Steps `exec` from `horizon` through its own event horizon until it is
+    /// done (or `max_wakeups` ran); returns the last hour it woke at.
+    fn drive_from(exec: &mut JobExecution<'_>, mut horizon: f64, max_wakeups: usize) -> f64 {
+        for _ in 0..max_wakeups {
+            if exec.is_done() {
+                break;
+            }
+            let Some(t) = exec.next_event_hours(horizon) else {
+                break;
+            };
+            exec.on_wakeup(t);
+            horizon = t;
+        }
+        horizon
+    }
+
+    #[test]
+    fn restore_after_a_splice_finishes_like_the_straight_run() {
+        // Four m1.large and five local nodes; at hour 1 a re-plan drops
+        // m1.large for two c1.xlarge, so the schedule view changes types.
+        let mut live = execution();
+        live.on_wakeup(0.0);
+        let mut horizon = 0.0;
+        for _ in 0..10_000 {
+            if horizon >= 1.0 {
+                break;
+            }
+            horizon = drive_from(&mut live, horizon, 1);
+        }
+        assert!(horizon >= 1.0 && !live.is_done());
+        live.splice_node_schedule(
+            horizon,
+            horizon,
+            vec![
+                NodeAllocation {
+                    from_hour: horizon,
+                    instance_type: "c1.xlarge".into(),
+                    nodes: 2,
+                },
+                NodeAllocation {
+                    from_hour: horizon,
+                    instance_type: "local".into(),
+                    nodes: 5,
+                },
+            ],
+        );
+        live.on_wakeup(horizon);
+        assert_eq!(live.cluster.count_of("c1.xlarge"), 2);
+        let horizon = drive_from(&mut live, horizon, 3);
+        assert_resumes_bit_for_bit(live, horizon);
+    }
+
+    /// Snapshots `live` through JSON, restores it, drives both copies to
+    /// completion from `horizon` and demands the same end state.
+    fn assert_resumes_bit_for_bit(mut live: JobExecution<'static>, horizon: f64) {
+        let mut resumed = snapshot_roundtrip(&live.snapshot()).restore();
+        drive_from(&mut live, horizon, 10_000);
+        drive_from(&mut resumed, horizon, 10_000);
         assert!(live.is_done());
         assert!(resumed.is_done());
         // The whole end state — report, billing ledger, timeline — must be
