@@ -118,3 +118,25 @@ fn fig16_solve_time_grows_with_input() {
         }
     }
 }
+
+/// Figure 15 pin: every cell of the storage-throughput table, bit for bit
+/// (four rows × {throughput MB/s, copy time s}). Moving the storage-layer
+/// model must not move a single bit of the figure.
+#[test]
+fn fig15_table_bits_are_pinned() {
+    let t = experiments::fig15_storage_throughput();
+    let bits: Vec<(&str, u64, u64)> = t
+        .rows
+        .iter()
+        .map(|(label, v)| (label.as_str(), v[0].to_bits(), v[1].to_bits()))
+        .collect();
+    assert_eq!(
+        bits,
+        vec![
+            ("conductor", 4625055207114720975, 4656793950769426561),
+            ("hdfs", 4626637969190257951, 4654538451245398078),
+            ("s3-via-hadoop", 4619579561460072342, 4661861002230436585),
+            ("s3-via-s3cmd", 4624787547197526707, 4656936390592446233),
+        ]
+    );
+}
