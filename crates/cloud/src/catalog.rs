@@ -97,25 +97,6 @@ impl StorageService {
     pub fn storage_cost(&self, gb: Gigabytes, hours: Hours) -> f64 {
         self.cost_per_gb_hour * gb.max(0.0) * hours.max(0.0)
     }
-
-    /// Request cost of uploading `gb` as objects of `object_size_mb` MB each
-    /// (the per-byte translation of per-operation pricing described in §4.2).
-    pub fn put_cost(&self, gb: Gigabytes, object_size_mb: f64) -> f64 {
-        if object_size_mb <= 0.0 {
-            return 0.0;
-        }
-        let ops = (gb.max(0.0) * 1024.0 / object_size_mb).ceil();
-        self.cost_put * ops
-    }
-
-    /// Request cost of downloading `gb` as objects of `object_size_mb` MB each.
-    pub fn get_cost(&self, gb: Gigabytes, object_size_mb: f64) -> f64 {
-        if object_size_mb <= 0.0 {
-            return 0.0;
-        }
-        let ops = (gb.max(0.0) * 1024.0 / object_size_mb).ceil();
-        self.cost_get * ops
-    }
 }
 
 /// Wide-area and intra-cloud transfer pricing.
@@ -331,11 +312,6 @@ mod tests {
         let c1 = s3.storage_cost(32.0, 2.0);
         let c2 = s3.storage_cost(64.0, 2.0);
         assert!((c2 - 2.0 * c1).abs() < 1e-12);
-        // 1 GB in 64 MB objects = 16 PUTs.
-        assert!((s3.put_cost(1.0, 64.0) - 16.0 * s3.cost_put).abs() < 1e-12);
-        // Partial objects still cost one request.
-        assert!((s3.put_cost(0.001, 64.0) - s3.cost_put).abs() < 1e-12);
-        assert_eq!(s3.put_cost(1.0, 0.0), 0.0);
         // Negative inputs are clamped.
         assert_eq!(s3.storage_cost(-5.0, 1.0), 0.0);
     }

@@ -127,11 +127,6 @@ impl Cluster {
             .count()
     }
 
-    /// Aggregate processing throughput of the current membership in GB/h.
-    pub fn total_throughput_gbph(&self) -> f64 {
-        self.nodes.iter().map(|n| n.throughput_gbph).sum()
-    }
-
     /// Looks up a node by id. Ids are handed out in increasing order and
     /// removals keep the survivors' order, so `nodes` is always sorted by
     /// id and the lookup is a binary search.
@@ -199,13 +194,6 @@ mod tests {
         for id in &second {
             assert!(!first.contains(id));
         }
-    }
-
-    #[test]
-    fn throughput_aggregates_over_members() {
-        let mut c = Cluster::new();
-        c.add_nodes(&m1_large(), 16, 0.0);
-        assert!((c.total_throughput_gbph() - 16.0 * 0.44).abs() < 1e-9);
     }
 
     #[test]

@@ -807,19 +807,11 @@ impl<'a> JobExecution<'a> {
         true
     }
 
-    /// The charges this job's billing account has recorded so far: WAN
-    /// transfers, storage residency and every *closed* rental session
-    /// (open sessions settle when they close or the job ends). Fleet
-    /// drivers read this for live `status`/`fleet_bill` snapshots without
-    /// consuming the execution.
-    pub fn cost_so_far(&self) -> f64 {
-        self.billing.total_cost()
-    }
-
     /// The bill an [`abort`](Self::abort) (or any customer-initiated
-    /// stop) at job-relative hour `now` would settle at:
-    /// [`cost_so_far`](Self::cost_so_far) plus the round-up charge of
-    /// every still-open rental session. Fleet drivers quote this for
+    /// stop) at job-relative hour `now` would settle at: the charges the
+    /// job's billing account has recorded so far (WAN transfers, storage
+    /// residency and every closed rental session) plus the round-up charge
+    /// of every still-open rental session. Fleet drivers quote this for
     /// live status and fleet-bill snapshots, so a cancellation's final
     /// bill equals the last live quote at the same instant.
     pub fn cost_so_far_at(&self, now: f64) -> f64 {

@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn hdfs_is_fastest_hadoop_s3_is_slowest() {
         // The ordering of Figure 15 (excluding Conductor's own layer, which
-        // lives in `conductor-storage`).
+        // is modelled beside the figure in `conductor-bench`).
         let m = HdfsModel::default();
         let hdfs = m.write_throughput_mbps(StoragePath::Hdfs, 64.0);
         let s3cmd = m.write_throughput_mbps(StoragePath::S3ViaS3cmd, 64.0);

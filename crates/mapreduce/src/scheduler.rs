@@ -164,15 +164,6 @@ impl PlanFollowingScheduler {
         s
     }
 
-    /// Convenience: permissions for a hybrid plan (cloud nodes as above, local
-    /// nodes read from the local disks).
-    pub fn hybrid_defaults() -> Self {
-        let mut s = Self::cloud_only_defaults();
-        s.allow("local", DataLocation::LocalDisk);
-        s.allow("local", DataLocation::ClientSite);
-        s
-    }
-
     /// The allowed locations for an instance type (empty if none configured).
     pub fn allowed_for(&self, instance_type: &str) -> &[DataLocation] {
         self.allowed
@@ -220,17 +211,6 @@ mod tests {
         }
     }
 
-    fn local_node() -> SimNode {
-        SimNode {
-            id: NodeId(1),
-            instance_type: "local".into(),
-            throughput_gbph: 0.44,
-            disk_gb: 250.0,
-            joined_at: 0.0,
-            is_local: true,
-        }
-    }
-
     fn task() -> Task {
         Task::new(TaskId(0), TaskKind::Map, 0.0625)
     }
@@ -259,14 +239,6 @@ mod tests {
         // Reading from the customer site was not part of the plan.
         assert!(!s.may_run(&task(), DataLocation::ClientSite, &node));
         assert_eq!(s.kind(), SchedulerKind::PlanFollowing);
-    }
-
-    #[test]
-    fn hybrid_defaults_let_local_nodes_read_local_data() {
-        let s = PlanFollowingScheduler::hybrid_defaults();
-        assert!(s.may_run(&task(), DataLocation::LocalDisk, &local_node()));
-        assert!(s.may_run(&task(), DataLocation::ClientSite, &local_node()));
-        assert!(!s.may_run(&task(), DataLocation::LocalDisk, &ec2_node()));
     }
 
     #[test]

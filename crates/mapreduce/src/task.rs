@@ -70,14 +70,6 @@ impl Task {
     pub fn is_running(&self) -> bool {
         matches!(self.state, TaskState::Running { .. })
     }
-
-    /// Completion hour, if completed.
-    pub fn completed_at(&self) -> Option<f64> {
-        match self.state {
-            TaskState::Completed { at } => Some(at),
-            _ => None,
-        }
-    }
 }
 
 /// Builds the task list for a job: `map_tasks` map tasks splitting
@@ -154,7 +146,6 @@ mod tests {
         assert!(t.is_running());
         t.state = TaskState::Completed { at: 1.5 };
         assert!(t.is_completed());
-        assert_eq!(t.completed_at(), Some(1.5));
     }
 
     #[test]

@@ -8,4 +8,3 @@ pub use conductor_cloud as cloud;
 pub use conductor_core as core;
 pub use conductor_lp as lp;
 pub use conductor_mapreduce as mapreduce;
-pub use conductor_storage as storage;

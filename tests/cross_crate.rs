@@ -1,7 +1,7 @@
 //! Cross-crate integration tests below the planner level: the service
-//! descriptions feed the resource layer, the plan drives the engine, the
-//! storage layer backs the figures, and the model's estimates agree with the
-//! engine's measurements within the expected tolerances.
+//! descriptions feed the resource layer, the plan drives the engine, and the
+//! model's estimates agree with the engine's measurements within the expected
+//! tolerances.
 
 use conductor_cloud::{Catalog, ServiceDescription};
 use conductor_core::{ExecutionPlan, Goal, ModelConfig, ModelInstance, Planner, ResourcePool};
@@ -9,7 +9,6 @@ use conductor_lp::{SolveContext, SolveOptions};
 use conductor_mapreduce::engine::{DataLocation, DeploymentOptions, Engine};
 use conductor_mapreduce::scheduler::{LocalityScheduler, PlanFollowingScheduler};
 use conductor_mapreduce::Workload;
-use conductor_storage::{FileSystemShim, InMemoryBackend, StorageClient};
 
 #[path = "support/oracle.rs"]
 mod oracle;
@@ -118,38 +117,6 @@ fn plan_following_scheduler_bounds_wan_traffic() {
     };
     let unplanned = engine.run(&spec, &remote_opts, &LocalityScheduler).unwrap();
     assert!(unplanned.wan_in_gb > spec.input_gb * 0.95);
-}
-
-/// The storage layer can hold a job's input: write the splits of a (scaled
-/// down) job through the FS shim, then verify the chunk locations cover every
-/// split with the configured replication.
-#[test]
-fn storage_layer_holds_job_input_with_replication() {
-    let mut client = StorageClient::new();
-    client.add_backend(InMemoryBackend::local_disk(1), true);
-    client.add_backend(InMemoryBackend::local_disk(2), false);
-    client.add_backend(InMemoryBackend::local_disk(3), false);
-    client.add_backend(InMemoryBackend::object_store(10), false);
-    let mut fs = FileSystemShim::with_chunk_size(client, 64 * 1024);
-
-    // A scaled-down "input": 8 splits of 256 KiB.
-    let split = vec![0xABu8; 256 * 1024];
-    for i in 0..8 {
-        fs.write_file(&format!("input/part-{i:04}"), &split)
-            .unwrap();
-    }
-    for i in 0..8 {
-        let locations = fs.chunk_locations(&format!("input/part-{i:04}")).unwrap();
-        assert_eq!(locations.len(), 4); // 256 KiB / 64 KiB chunks
-        for chunk_locs in locations {
-            assert!(
-                chunk_locs.len() >= 3,
-                "under-replicated chunk: {chunk_locs:?}"
-            );
-        }
-        let data = fs.read_file(&format!("input/part-{i:04}")).unwrap();
-        assert_eq!(data.len(), split.len());
-    }
 }
 
 /// Planning with the minimize-time goal never violates the budget and planning

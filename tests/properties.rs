@@ -1,9 +1,8 @@
 //! Property-based tests over the core data structures and invariants:
-//! the LP solver, the billing rules, the spot traces and the storage layer.
+//! the LP solver, the billing rules and the spot traces.
 
 use conductor_cloud::{BillingAccount, Catalog, SpotTrace, TraceKind};
 use conductor_lp::{ConstraintOp, LpError, Problem, Sense, Solution, SolveOptions};
-use conductor_storage::{BlockKey, FileSystemShim, InMemoryBackend, StorageClient};
 use proptest::prelude::*;
 
 mod support;
@@ -454,43 +453,6 @@ proptest! {
         for &p in el.prices() {
             prop_assert!((0.0..0.34).contains(&p));
         }
-    }
-
-    /// Files written through the storage shim always read back identically,
-    /// regardless of content or chunk size (round-trip invariant).
-    #[test]
-    fn storage_files_roundtrip(
-        data in proptest::collection::vec(any::<u8>(), 0..4096),
-        chunk in 1usize..512,
-    ) {
-        let mut client = StorageClient::new();
-        client.add_backend(InMemoryBackend::local_disk(1), true);
-        client.add_backend(InMemoryBackend::local_disk(2), false);
-        client.add_backend(InMemoryBackend::object_store(3), false);
-        let mut fs = FileSystemShim::with_chunk_size(client, chunk);
-        fs.write_file("prop/file", &data).unwrap();
-        let back = fs.read_file("prop/file").unwrap();
-        prop_assert_eq!(back, data);
-    }
-
-    /// Every block written through the client keeps at least one readable
-    /// replica after any single backend is removed (3-way replication over
-    /// three or more backends).
-    #[test]
-    fn storage_survives_single_backend_loss(
-        payload in proptest::collection::vec(any::<u8>(), 1..512),
-        victim in 0usize..3,
-    ) {
-        let mut client = StorageClient::new();
-        let ids = [
-            client.add_backend(InMemoryBackend::local_disk(1), true),
-            client.add_backend(InMemoryBackend::local_disk(2), false),
-            client.add_backend(InMemoryBackend::local_disk(3), false),
-        ];
-        let key = BlockKey::chunk("prop", 0);
-        client.write(key.clone(), payload.clone()).unwrap();
-        client.remove_backend(ids[victim]);
-        prop_assert_eq!(client.read(&key).unwrap(), payload);
     }
 }
 
