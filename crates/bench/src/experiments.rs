@@ -1115,10 +1115,10 @@ mod tests {
 
     #[test]
     fn overhead_is_roughly_a_quarter_for_64mb_blocks() {
-        let overhead = 1.0 - conductor_layer_mbps(64.0) / LAYER_BASELINE_MBPS;
+        let t = conductor_layer_mbps(64.0);
+        let overhead = 1.0 - t / LAYER_BASELINE_MBPS;
         assert!(overhead > 0.2 && overhead < 0.3, "overhead {overhead}");
         // Throughput lands in the band the paper plots (~15-16 MB/s).
-        let t = conductor_layer_mbps(64.0);
         assert!(t > 14.0 && t < 17.0, "throughput {t}");
     }
 
