@@ -60,6 +60,19 @@
 //! serialized either: restore rebuilds it, and debug builds re-derive both
 //! indexes after every wakeup, kill, splice and restore.
 //!
+//! # The running set
+//!
+//! The tasks in flight are kept by dispatch sequence number and, beside
+//! that, in a min-heap by finish time. Retirement pops only the due tasks
+//! off the heap and retires them sorted by sequence number, so the report's
+//! float sums and task timeline accumulate in dispatch order, as they
+//! always have; [`JobExecution::next_event_hours`] peeks the heap. Neither
+//! walks the busy nodes, so a wakeup costs the same at 200 nodes as at 50.
+//! A kill takes its tasks out in dispatch order and rebuilds the heap. The
+//! snapshot carries the tasks as a dispatch-ordered list and restore
+//! numbers them afresh; debug builds check that heap and map hold the same
+//! `(finish, sequence)` pairs wherever the other indexes are checked.
+//!
 //! # Spot revocations
 //!
 //! Under [`SessionPricing::Spot`] the shared market can take the cluster
@@ -81,7 +94,8 @@ use crate::task::{build_tasks, Task, TaskKind, TaskState};
 use crate::workload::JobSpec;
 use conductor_cloud::{BillingAccount, Catalog, InstanceType, SpotMarket, TransferDirection};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// Time tolerance for simultaneity, shared with the kernel.
 const EPS: f64 = conductor_sim::TIME_EPSILON;
@@ -270,8 +284,150 @@ struct Running {
     on_cloud_node: bool,
 }
 
+/// A finish time ordered by [`f64::total_cmp`], so it can key a heap. For
+/// the non-negative, non-NaN hours a dispatch produces this is the order of
+/// `<`, and the least key is what a fold with [`f64::min`] finds.
+#[derive(Debug, Clone, Copy)]
+struct FinishAt(f64);
+
+impl PartialEq for FinishAt {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for FinishAt {}
+
+impl PartialOrd for FinishAt {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for FinishAt {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// The tasks in flight, kept twice: by dispatch sequence number (the order
+/// the report's float sums and task timeline accumulate in) and in a
+/// min-heap by finish time, so a wakeup touches only the tasks that are due.
+/// Invariant: the heap holds exactly `(finish_at, seq)` of every entry of
+/// `by_dispatch`.
+#[derive(Debug, Default)]
+struct RunningTasks {
+    by_dispatch: BTreeMap<u64, Running>,
+    by_finish: BinaryHeap<Reverse<(FinishAt, u64)>>,
+    /// The sequence number the next dispatch gets.
+    next_seq: u64,
+    /// Scratch for [`Self::pop_due`]: the due sequence numbers, reused so a
+    /// wakeup allocates nothing.
+    due: Vec<u64>,
+}
+
+impl RunningTasks {
+    /// The set holding `running`, taken to be in dispatch order.
+    fn from_dispatch_order(running: &[Running]) -> Self {
+        let mut set = Self::default();
+        for &r in running {
+            set.push(r);
+        }
+        set
+    }
+
+    fn len(&self) -> usize {
+        self.by_dispatch.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.by_dispatch.is_empty()
+    }
+
+    /// The running tasks in dispatch order.
+    fn iter(&self) -> impl Iterator<Item = &Running> {
+        self.by_dispatch.values()
+    }
+
+    /// Adds a task dispatched after every task already in the set.
+    fn push(&mut self, r: Running) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.by_dispatch.insert(seq, r);
+        self.by_finish.push(Reverse((FinishAt(r.finish_at), seq)));
+    }
+
+    /// The earliest finish time, if anything runs.
+    fn next_finish(&self) -> Option<f64> {
+        self.by_finish.peek().map(|Reverse((finish, _))| finish.0)
+    }
+
+    /// Takes out every task finishing at or before `until` and yields them
+    /// in dispatch order.
+    fn pop_due(&mut self, until: f64) -> impl Iterator<Item = Running> + '_ {
+        while let Some(&Reverse((finish, seq))) = self.by_finish.peek() {
+            if finish.0 > until {
+                break;
+            }
+            self.by_finish.pop();
+            self.due.push(seq);
+        }
+        self.due.sort_unstable();
+        let by_dispatch = &mut self.by_dispatch;
+        self.due.drain(..).map(move |seq| {
+            by_dispatch
+                .remove(&seq)
+                .expect("a due task is in the dispatch map")
+        })
+    }
+
+    /// Takes out every task on one of `nodes` (sorted) and returns them in
+    /// dispatch order; the heap is rebuilt from the survivors.
+    fn remove_on(&mut self, nodes: &[NodeId]) -> Vec<Running> {
+        let mut removed = Vec::new();
+        self.by_dispatch.retain(|_, r| {
+            let doomed = nodes.binary_search(&r.node).is_ok();
+            if doomed {
+                removed.push(*r);
+            }
+            !doomed
+        });
+        self.by_finish = self
+            .by_dispatch
+            .iter()
+            .map(|(&seq, r)| Reverse((FinishAt(r.finish_at), seq)))
+            .collect();
+        removed
+    }
+
+    /// Re-derives the invariant: the heap and the dispatch map hold the same
+    /// `(finish, seq)` pairs, and every sequence number was handed out.
+    fn debug_check(&self) {
+        let mut heap: Vec<(u64, u64)> = self
+            .by_finish
+            .iter()
+            .map(|Reverse((finish, seq))| (finish.0.to_bits(), *seq))
+            .collect();
+        heap.sort_unstable();
+        let mut map: Vec<(u64, u64)> = self
+            .by_dispatch
+            .iter()
+            .map(|(&seq, r)| (r.finish_at.to_bits(), seq))
+            .collect();
+        map.sort_unstable();
+        assert_eq!(heap, map, "finish heap disagrees with the dispatch map");
+        assert!(self
+            .by_dispatch
+            .last_key_value()
+            .is_none_or(|(&seq, _)| seq < self.next_seq));
+    }
+}
+
 /// The cluster's nodes that run no task, in cluster (= ascending id) order.
-fn idle_nodes(cluster: &Cluster, running: &[Running]) -> BTreeSet<NodeId> {
+fn idle_nodes<'r>(
+    cluster: &Cluster,
+    running: impl IntoIterator<Item = &'r Running>,
+) -> BTreeSet<NodeId> {
     let mut idle: BTreeSet<NodeId> = cluster.nodes().iter().map(|n| n.id).collect();
     for r in running {
         idle.remove(&r.node);
@@ -356,9 +512,9 @@ pub struct JobExecution<'a> {
     sessions: BTreeMap<NodeId, u64>,
     tasks: Vec<Task>,
     splits: Vec<Split>,
-    /// Tasks in flight, in dispatch order (load-bearing: the report's float
-    /// sums and task timeline accumulate in it).
-    running: Vec<Running>,
+    /// Tasks in flight, by dispatch order (load-bearing: the report's float
+    /// sums and task timeline accumulate in it) and by finish time.
+    running: RunningTasks,
     schedule_points: Vec<f64>,
 
     // ---- dispatch index -------------------------------------------------
@@ -509,7 +665,7 @@ impl<'a> JobExecution<'a> {
             sessions: BTreeMap::new(),
             tasks,
             splits,
-            running: Vec::new(),
+            running: RunningTasks::default(),
             schedule_points,
             runnable_maps,
             runnable_reduces,
@@ -610,11 +766,7 @@ impl<'a> JobExecution<'a> {
     pub fn next_event_hours(&self, now: f64) -> Option<f64> {
         match self.phase {
             JobPhase::Processing => {
-                let next_finish = self
-                    .running
-                    .iter()
-                    .map(|r| r.finish_at)
-                    .fold(f64::INFINITY, f64::min);
+                let next_finish = self.running.next_finish().unwrap_or(f64::INFINITY);
                 let next_schedule = self.schedule_points_after(now).first().copied();
                 let next_schedule = next_schedule.unwrap_or(f64::INFINITY);
                 // `upload_pending` holds every split that is ever uploaded,
@@ -695,7 +847,8 @@ impl<'a> JobExecution<'a> {
         if !cfg!(debug_assertions) {
             return;
         }
-        assert_eq!(self.idle, idle_nodes(&self.cluster, &self.running));
+        self.running.debug_check();
+        assert_eq!(self.idle, idle_nodes(&self.cluster, self.running.iter()));
         assert_eq!(
             self.schedule,
             schedule_view(&self.options.node_schedule, &self.catalog, &self.cluster)
@@ -950,12 +1103,7 @@ impl<'a> JobExecution<'a> {
             return (0, Vec::new());
         }
         // `doomed` is in cluster order, i.e. sorted by id.
-        let (killed, survivors): (Vec<Running>, Vec<Running>) = self
-            .running
-            .iter()
-            .partition(|r| doomed.binary_search(&r.node).is_ok());
-        self.running = survivors;
-        for r in killed {
+        for r in self.running.remove_on(&doomed) {
             self.tasks[r.task_idx].state = TaskState::Runnable;
             // Back into the dispatch index: a map task re-buckets under
             // its split's location (already uploaded — it was running),
@@ -1042,18 +1190,9 @@ impl<'a> JobExecution<'a> {
     // ---- event handlers -------------------------------------------------
 
     /// Retires every running task whose finish time is due at `now`, in
-    /// dispatch order; the others stay where they are.
+    /// dispatch order; the others are not looked at.
     fn retire_finished(&mut self, now: f64) {
-        let mut kept = 0;
-        for at in 0..self.running.len() {
-            if self.running[at].finish_at > now + EPS {
-                if kept != at {
-                    self.running[kept] = self.running[at];
-                }
-                kept += 1;
-                continue;
-            }
-            let r = self.running[at];
+        for r in self.running.pop_due(now + EPS) {
             let idx = r.task_idx;
             self.tasks[idx].state = TaskState::Completed { at: r.finish_at };
             self.completed += 1;
@@ -1073,7 +1212,6 @@ impl<'a> JobExecution<'a> {
             self.task_timeline.push((r.finish_at, self.completed));
             self.idle.insert(r.node);
         }
-        self.running.truncate(kept);
     }
 
     /// `true` while the schedule demands more cloud nodes of some type than
@@ -1419,7 +1557,7 @@ impl JobExecution<'_> {
             sessions: self.sessions.clone(),
             tasks: self.tasks.clone(),
             splits: self.splits.clone(),
-            running: self.running.clone(),
+            running: self.running.iter().copied().collect(),
             schedule_points: self.schedule_points.clone(),
             runnable_maps: self.runnable_maps.clone(),
             runnable_reduces: self.runnable_reduces.clone(),
@@ -1461,7 +1599,7 @@ impl ExecutionSnapshot {
             sessions: self.sessions.clone(),
             tasks: self.tasks.clone(),
             splits: self.splits.clone(),
-            running: self.running.clone(),
+            running: RunningTasks::from_dispatch_order(&self.running),
             schedule_points: self.schedule_points.clone(),
             runnable_maps: self.runnable_maps.clone(),
             runnable_reduces: self.runnable_reduces.clone(),
@@ -1644,32 +1782,44 @@ mod tests {
         assert_eq!(exec.cluster.count_of("local"), 5);
     }
 
-    fn spot_execution(prices: Vec<f64>, bid: f64) -> JobExecution<'static> {
-        let catalog = Catalog::aws_july_2011();
-        let uplink = conductor_cloud::catalog::mbps_to_gb_per_hour(16.0);
-        // Remote reads from the client site: every map task is dispatchable
-        // at hour zero and the event horizon has no upload arrivals, so
-        // these tests observe the market effects in isolation.
+    /// Four m1.large nodes reading `spec`'s input from the client site:
+    /// every map task is dispatchable at hour zero, the event horizon has no
+    /// upload arrivals, and equal splits on equal nodes finish at the same
+    /// instant.
+    fn client_site_execution(spec: &JobSpec, pricing: SessionPricing) -> JobExecution<'static> {
         let options = DeploymentOptions {
             upload_plan: vec![],
-            ..DeploymentOptions::new("spot-test", uplink).with_nodes("m1.large", 4, 0.0)
+            ..DeploymentOptions::new(
+                "client-site",
+                conductor_cloud::catalog::mbps_to_gb_per_hour(16.0),
+            )
+            .with_nodes("m1.large", 4, 0.0)
         };
+        JobExecution::new(
+            &Catalog::aws_july_2011(),
+            spec,
+            options,
+            Box::new(LocalityScheduler),
+            pricing,
+        )
+        .unwrap()
+    }
+
+    /// Client-site reads, so these tests observe the market effects in
+    /// isolation.
+    fn spot_execution(prices: Vec<f64>, bid: f64) -> JobExecution<'static> {
         let market = SpotMarket::new(
             conductor_cloud::SpotTrace::from_prices(conductor_cloud::TraceKind::AwsLike, prices),
             0.34,
         );
-        JobExecution::new(
-            &catalog,
+        client_site_execution(
             &Workload::KMeans32Gb.spec(),
-            options,
-            Box::new(LocalityScheduler),
             SessionPricing::Spot {
                 market,
                 start_offset_hours: 0.0,
                 bid,
             },
         )
-        .unwrap()
     }
 
     #[test]
@@ -1853,6 +2003,91 @@ mod tests {
         assert_eq!(live.cluster.count_of("c1.xlarge"), 2);
         let horizon = drive_from(&mut live, horizon, 3);
         assert_resumes_bit_for_bit(live, horizon);
+    }
+
+    /// 0.25 GB in 64 MB splits: four map tasks, one per node, then a reduce.
+    fn four_map_spec() -> JobSpec {
+        JobSpec {
+            input_gb: 0.25,
+            reduce_tasks: 1,
+            ..Workload::KMeans32Gb.spec()
+        }
+    }
+
+    #[test]
+    fn tasks_due_at_one_instant_retire_in_dispatch_order() {
+        let mut exec = client_site_execution(&four_map_spec(), SessionPricing::OnDemand);
+        exec.on_wakeup(0.0);
+        let dispatched: Vec<Running> = exec.running.iter().copied().collect();
+        assert_eq!(dispatched.len(), 4);
+        let finish = dispatched[0].finish_at;
+        assert!(dispatched.iter().all(|r| r.finish_at == finish));
+        // Later dispatches finish earlier, all within the kernel's
+        // simultaneity tolerance of `finish`: the heap pops them in the
+        // reverse of dispatch order, and retirement must not follow it.
+        let nudged: Vec<Running> = dispatched
+            .iter()
+            .enumerate()
+            .map(|(seq, &r)| Running {
+                finish_at: finish - seq as f64 * 1e-10,
+                ..r
+            })
+            .collect();
+        for r in &nudged {
+            exec.tasks[r.task_idx].state = TaskState::Running {
+                node: r.node,
+                finish_at: r.finish_at,
+            };
+        }
+        exec.running = RunningTasks::from_dispatch_order(&nudged);
+        assert_eq!(exec.next_event_hours(0.0), Some(nudged[3].finish_at));
+
+        exec.on_wakeup(finish);
+        let expected: Vec<(f64, usize)> = nudged
+            .iter()
+            .enumerate()
+            .map(|(at, r)| (r.finish_at, at + 1))
+            .collect();
+        assert_eq!(exec.task_timeline, expected);
+        // The map barrier closes on the last map retired, which is the last
+        // one dispatched, not the last one to finish.
+        assert_eq!(
+            exec.phases.map_done_at.to_bits(),
+            nudged[3].finish_at.to_bits()
+        );
+        assert_eq!(exec.completed, 4);
+    }
+
+    #[test]
+    fn restore_while_running_tasks_share_a_finish_time_resumes_bit_for_bit() {
+        let mut live =
+            client_site_execution(&Workload::KMeans32Gb.spec(), SessionPricing::OnDemand);
+        live.on_wakeup(0.0);
+        let horizon = drive_from(&mut live, 0.0, 5);
+        let next = live.running.next_finish().expect("tasks in flight");
+        let tied = live.running.iter().filter(|r| r.finish_at == next).count();
+        assert!(tied >= 2, "{tied} running tasks finish at {next}");
+        assert_resumes_bit_for_bit(live, horizon);
+    }
+
+    #[test]
+    fn a_zero_gb_task_finishing_at_hour_zero_retires_first() {
+        let mut exec = client_site_execution(&four_map_spec(), SessionPricing::OnDemand);
+        // The last map dispatched at hour zero has no data to read.
+        exec.tasks[3].data_gb = 0.0;
+        exec.on_wakeup(0.0);
+        let dispatched: Vec<usize> = exec.running.iter().map(|r| r.task_idx).collect();
+        assert_eq!(dispatched, vec![0, 1, 2, 3]);
+        assert_eq!(exec.next_event_hours(0.0), Some(0.0));
+
+        exec.on_wakeup(0.0);
+        assert_eq!(exec.task_timeline, vec![(0.0, 1)]);
+        assert!(matches!(
+            exec.tasks[3].state,
+            TaskState::Completed { at } if at == 0.0
+        ));
+        assert_eq!(exec.running.len(), 3);
+        assert!(exec.running.next_finish().is_some_and(|t| t > 0.0));
     }
 
     /// Snapshots `live` through JSON, restores it, drives both copies to
