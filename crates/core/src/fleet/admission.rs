@@ -1,14 +1,14 @@
 //! Admission: the one module that plans.
 //!
-//! [`AdmissionControl`] owns what a planning decision reads or warms — the
-//! cross-solve [`SolveContext`], the certified plan cache, the residual
-//! index — and answers three questions: *admit this request now*, *re-plan
-//! this job now*, *what is left of the pool at hour t*. The cache's entry
-//! format and certification rule are private to this file; the session
-//! sees a plan, or a reason there is none.
+//! [`AdmissionControl`] owns what a planning decision warms — the
+//! cross-solve [`SolveContext`] and the certified plan cache — and answers
+//! two questions: *admit this request now*, *re-plan this job now*. Both
+//! plan against [`residual_at`], what the other jobs leave of the pool,
+//! resampled per call. The cache's entry format and certification rule are
+//! private to this file; the session sees a plan, or a reason there is none.
 
 use super::request::{FleetConfig, FleetJobRequest};
-use super::residual::ResidualIndex;
+use super::residual::residual_at;
 use super::session::{ActiveJob, MONITOR_CONSERVATISM, REPLAN_MARGIN_HOURS};
 use crate::error::ConductorError;
 use crate::model::{InitialState, ModelConfig};
@@ -23,7 +23,6 @@ use conductor_mapreduce::scheduler::PlanFollowingScheduler;
 use conductor_mapreduce::{DataLocation, JobSpec};
 use conductor_sim::{ProcessId, TIME_EPSILON};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Key of the admission plan cache: the planning horizon plus the exact
@@ -296,21 +295,9 @@ pub(super) struct AdmissionControl {
     /// Admission plan cache (stays empty while
     /// [`FleetConfig::plan_cache`] is off).
     cache: PlanCache,
-    /// Interior mutability: queries lazily refresh the index but are
-    /// logically reads.
-    residual: RefCell<ResidualIndex>,
 }
 
 impl AdmissionControl {
-    /// The capacity left at fleet hour `at` once every active job's future
-    /// node commitments are subtracted, `exclude` excepted (the job being
-    /// re-planned: its schedule is about to be replaced).
-    pub(super) fn residual(&self, env: &Env, at: f64, exclude: Option<ProcessId>) -> ResourcePool {
-        self.residual
-            .borrow_mut()
-            .residual_at(env.pool, env.active, at, exclude)
-    }
-
     /// Plan-cache `(hits, misses)`, for reports.
     pub(super) fn cache_stats(&self) -> (usize, usize) {
         (self.cache.hits, self.cache.misses)
@@ -324,7 +311,7 @@ impl AdmissionControl {
         request: &FleetJobRequest,
         now: f64,
     ) -> Result<Admitted, Refused> {
-        let residual = self.residual(env, now, None);
+        let residual = residual_at(env.pool, env.active, now, None);
         if let Err(reason) = residual.validate() {
             return Err(Refused(format!("no residual capacity: {reason}"), None));
         }
@@ -450,8 +437,7 @@ impl AdmissionControl {
         let job = env.active.get(&pid)?;
         let spec = &job.info.spec;
 
-        let residual = self
-            .residual(env, now, Some(pid))
+        let residual = residual_at(env.pool, env.active, now, Some(pid))
             .with_observed_throughput(spec, observed_gbph);
         if residual.validate().is_err() {
             return None;
@@ -485,7 +471,7 @@ impl AdmissionControl {
             .map(|(updated, _)| updated)
     }
 
-    /// Everything above but the residual index (rebuilt lazily on use).
+    /// The solver context's bytes and the plan cache.
     pub(super) fn export(&self) -> AdmissionSnapshot {
         AdmissionSnapshot {
             solve_ctx: self.solve_ctx.export_state(),
@@ -501,7 +487,6 @@ impl AdmissionControl {
         Ok(Self {
             solve_ctx,
             cache: snapshot.plan_cache.clone(),
-            ..Self::default()
         })
     }
 }

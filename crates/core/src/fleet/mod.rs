@@ -90,7 +90,7 @@ use crate::wal::WalWriter;
 use admission::AdmissionControl;
 use conductor_cloud::Catalog;
 use conductor_sim::{ProcessId, Simulator};
-use session::{env_of, schedule, ActiveJob, ClockEvent, SessionState};
+use session::{schedule, ActiveJob, ClockEvent, SessionState};
 use std::collections::BTreeMap;
 
 /// A long-lived, incremental multi-tenant orchestration session — see the
@@ -105,7 +105,7 @@ pub struct Fleet {
     active: BTreeMap<ProcessId, ActiveJob>,
     /// Tenants, monitor grid, policy runtime, clock, event log.
     state: SessionState,
-    /// Solve context, plan cache, residual index.
+    /// Solve context and plan cache.
     admission: AdmissionControl,
     observers: Vec<Box<dyn FleetObserver + Send>>,
     /// Write-ahead log tailing every emitted event (see
@@ -535,8 +535,7 @@ impl Fleet {
     /// sharded rebalancer's slack metric (uncapped resources contribute
     /// nothing; they are never the bottleneck).
     pub(crate) fn residual_capped_nodes(&self, at: f64) -> usize {
-        self.admission
-            .residual(&env_of!(self), at, None)
+        residual::residual_at(&self.pool, &self.active, at, None)
             .compute
             .iter()
             .filter_map(|c| c.max_nodes)
@@ -593,7 +592,7 @@ mod tests {
     use crate::policy::RetryPolicy;
     use crate::policy::{FailurePolicy, FailureThreshold, FaultEvent, FaultKind, FaultPlan};
     use conductor_cloud::{SpotMarket, SpotTrace, TraceKind};
-    use conductor_mapreduce::Workload;
+    use conductor_mapreduce::{NodeAllocation, Workload};
 
     fn fleet_with(cap: usize, config: FleetConfig) -> Fleet {
         let catalog = Catalog::aws_july_2011();
@@ -629,7 +628,7 @@ mod tests {
     fn residual_capacity_shrinks_under_load() {
         let mut f = fleet(20);
         let left = |f: &Fleet, exclude| {
-            let residual = f.admission.residual(&env_of!(f), 0.0, exclude);
+            let residual = residual::residual_at(&f.pool, &f.active, 0.0, exclude);
             residual.compute_resource("m1.large").unwrap().max_nodes
         };
         assert_eq!(left(&f, None), Some(20));
@@ -648,6 +647,52 @@ mod tests {
         assert_eq!(left(&f, None), Some(20 - peak));
         // Excluding the job restores the full fleet cap.
         assert_eq!(left(&f, Some(pid)), Some(20));
+    }
+
+    /// Two jobs whose peaks fall at different hours, on hand-written
+    /// schedules: the residual subtracts the peak of their *summed*
+    /// commitment, ignores steps before the query hour, and `exclude`
+    /// drops exactly the excluded job's steps.
+    #[test]
+    fn residual_subtracts_the_peak_of_the_summed_commitment() {
+        let mut f = fleet(20);
+        f.submit(small_request("a", 0.0, 8.0)).unwrap();
+        f.submit(small_request("b", 0.0, 8.0)).unwrap();
+        f.step_one_batch();
+        let step = |from_hour, nodes| NodeAllocation {
+            from_hour,
+            instance_type: "m1.large".to_string(),
+            nodes,
+        };
+        // Committed nodes, a + b: 9 + 1 on [0, 2), 2 + 1 on [2, 3),
+        // 2 + 6 on [3, 4), 0 + 6 on [4, 5), none from 5 on.
+        let schedules = [
+            vec![step(0.0, 9), step(2.0, 2), step(4.0, 0)],
+            vec![step(0.0, 1), step(3.0, 6), step(5.0, 0)],
+        ];
+        let mut pids = Vec::new();
+        for (idx, schedule) in schedules.iter().enumerate() {
+            let (pid, _) = f.running_job(idx).expect("admission succeeds");
+            let job = f.active.get_mut(&pid).unwrap();
+            assert_eq!(job.info.start, 0.0);
+            job.exec.splice_node_schedule(0.0, 0.0, schedule.clone());
+            assert_eq!(job.exec.node_schedule(), &schedule[..]);
+            pids.push(pid);
+        }
+        let left = |at, exclude| {
+            let residual = residual::residual_at(&f.pool, &f.active, at, exclude);
+            residual.compute_resource("m1.large").unwrap().max_nodes
+        };
+        // 20 − 10, not 20 − (9 + 6).
+        assert_eq!(left(0.0, None), Some(10));
+        // From 2.5 the 9-node step is past: the peak is 2 + 6.
+        assert_eq!(left(2.5, None), Some(12));
+        assert_eq!(left(4.5, None), Some(14));
+        // Excluding a leaves b's peak; excluding b leaves a's, or what is
+        // left of a's at 2.5.
+        assert_eq!(left(0.0, Some(pids[0])), Some(14));
+        assert_eq!(left(0.0, Some(pids[1])), Some(11));
+        assert_eq!(left(2.5, Some(pids[1])), Some(18));
     }
 
     #[test]

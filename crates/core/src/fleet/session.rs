@@ -193,7 +193,6 @@ macro_rules! env_of {
         }
     };
 }
-pub(super) use env_of;
 
 impl Fleet {
     /// Aborts every still-active job as stalled (nothing running, nothing

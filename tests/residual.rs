@@ -1,24 +1,17 @@
-//! The incremental residual-capacity index against the full recompute it
-//! replaced.
+//! Planning against the residual capacity stays deterministic through every
+//! way a running job's node schedule changes.
 //!
-//! `Fleet::residual_pool` is now served by a maintained commitment index
-//! (`ResidualIndex`): per-job schedule views cached by `(schedule_epoch,
-//! start)` and merged with an event sweep, instead of re-deriving every
-//! active job's node commitments from scratch on each admission,
-//! re-plan, monitor probe and mid-run submission. In debug builds every
-//! call *cross-checks the index bitwise* against the retained
-//! O(active² · steps) recompute via `debug_assert_eq!` — so driving the
-//! fixtures below through admission, monitor re-planning, revocation
-//! recovery (schedule shifts), straggler splices and mid-run
-//! cancellation IS the equivalence property: any divergence between the
-//! incremental and recomputed peaks panics the run. These tests pin that
-//! the fixtures traverse every schedule-epoch mutation site, and that
-//! the trajectories they produce stay deterministic.
+//! `residual_at` (in `fleet/residual.rs`) resamples every active job's node
+//! schedule per query, and its unit tests pin the arithmetic. These tests
+//! drive it through the fleet: admissions, completions, monitor re-plans
+//! (schedule splices), revocation recovery (schedule shifts) and mid-run
+//! cancellations all change what later arrivals plan against, and each
+//! fixture must reproduce its trajectory bit for bit when run twice.
 
 mod support;
 
 use conductor_bench::experiments::{churn_fixture, run_fleet_online};
-use conductor_core::{FleetJobRequest, FleetReport, Goal};
+use conductor_core::{FleetEvent, FleetJobRequest, FleetReport, Goal};
 use conductor_mapreduce::Workload;
 use support::fleet::storm_service;
 
@@ -40,12 +33,10 @@ fn assert_same_fleet(a: &FleetReport, b: &FleetReport) {
     assert_eq!(a.deadlines_met, b.deadlines_met);
 }
 
-/// Poisson churn: arrivals keyed off live residual capacity while other
-/// tenants run, finish, get revoked by storms and re-plan — every
-/// admission's residual goes through the index (and, in debug, through
-/// the bitwise cross-check against the recompute).
+/// Poisson churn: arrivals plan against the live residual while other
+/// tenants run and finish.
 #[test]
-fn incremental_residual_matches_recompute_across_poisson_churn() {
+fn residual_planning_is_deterministic_across_poisson_churn() {
     let (requests, service) = churn_fixture(16, 1.0);
     let first = run_fleet_online(&service, &requests);
     assert!(first.jobs_admitted > 0, "fixture admitted nothing");
@@ -54,12 +45,11 @@ fn incremental_residual_matches_recompute_across_poisson_churn() {
 }
 
 /// Revocation storm plus a mid-run cancellation: the storm shifts the
-/// victim's remaining node schedule (a schedule-epoch bump via the
-/// recovery path), the re-plan splices a new schedule (another bump),
-/// and the cancel drops a live commitment from the index — all while a
+/// victim's remaining node schedule (the recovery path), the re-plan
+/// splices a new one, and the cancel drops a live commitment — all while a
 /// later arrival plans against the post-storm residual.
 #[test]
-fn incremental_residual_survives_storms_replans_and_cancels() {
+fn residual_planning_is_deterministic_through_storms_replans_and_cancels() {
     let run = || {
         let prices: Vec<f64> = (0..48)
             .map(|t| if (2..4).contains(&t) { 0.5 } else { 0.2 })
@@ -71,16 +61,29 @@ fn incremental_residual_survives_storms_replans_and_cancels() {
         let mut fleet = service.open().expect("storm fixture is valid");
         fleet.submit(request("victim", 0.0, 12.0)).unwrap();
         // Step past the [2, 4) blackout: the victim's remaining schedule
-        // has been recovery-shifted and re-planned (two epoch bumps).
+        // has been recovery-shifted and re-planned.
         fleet.step_until(5.0);
-        // Two newcomers plan against the post-storm residual the index
-        // now serves, then one is cancelled mid-run: its commitments must
-        // leave the index before the next admission or monitor probe.
+        // Two newcomers plan against the post-storm residual, then one is
+        // cancelled mid-run: its commitments must leave the residual before
+        // the next admission or monitor probe.
         let doomed = fleet.submit(request("doomed", 5.0, 20.0)).unwrap();
         fleet.submit(request("latecomer", 5.5, 22.0)).unwrap();
         fleet.step_until(7.0);
         let _ = fleet.cancel(doomed);
         fleet.run_to_quiescence();
+        let events = fleet.events();
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, FleetEvent::Replanned { .. })),
+            "the victim must be re-planned"
+        );
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, FleetEvent::Cancelled { .. })),
+            "the cancel must land"
+        );
         let report = fleet.report();
         assert_eq!(
             report.tenant("victim").unwrap().revoked_at_hours,
