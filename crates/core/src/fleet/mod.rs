@@ -592,6 +592,8 @@ mod tests {
     use crate::policy::RetryPolicy;
     use crate::policy::{FailurePolicy, FailureThreshold, FaultEvent, FaultKind, FaultPlan};
     use conductor_cloud::{SpotMarket, SpotTrace, TraceKind};
+    use conductor_mapreduce::execution::{JobExecution, SessionPricing};
+    use conductor_mapreduce::scheduler::LocalityScheduler;
     use conductor_mapreduce::{NodeAllocation, Workload};
 
     fn fleet_with(cap: usize, config: FleetConfig) -> Fleet {
@@ -649,10 +651,10 @@ mod tests {
         assert_eq!(left(&f, Some(pid)), Some(20));
     }
 
-    /// Two jobs whose peaks fall at different hours, on hand-written
-    /// schedules: the residual subtracts the peak of their *summed*
-    /// commitment, ignores steps before the query hour, and `exclude`
-    /// drops exactly the excluded job's steps.
+    /// Two admitted jobs re-deployed on hand-written schedules whose peaks
+    /// fall at different hours: the residual subtracts the peak of their
+    /// *summed* commitment, ignores steps before the query hour, and
+    /// `exclude` drops exactly the excluded job's steps.
     #[test]
     fn residual_subtracts_the_peak_of_the_summed_commitment() {
         let mut f = fleet(20);
@@ -675,8 +677,16 @@ mod tests {
             let (pid, _) = f.running_job(idx).expect("admission succeeds");
             let job = f.active.get_mut(&pid).unwrap();
             assert_eq!(job.info.start, 0.0);
-            job.exec.splice_node_schedule(0.0, 0.0, schedule.clone());
-            assert_eq!(job.exec.node_schedule(), &schedule[..]);
+            let mut options = job.exec.options().clone();
+            options.node_schedule = schedule.clone();
+            job.exec = JobExecution::new(
+                &f.catalog,
+                &job.info.spec,
+                options,
+                Box::new(LocalityScheduler),
+                SessionPricing::OnDemand,
+            )
+            .unwrap();
             pids.push(pid);
         }
         let left = |at, exclude| {
