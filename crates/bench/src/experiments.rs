@@ -4,6 +4,7 @@
 //! the rows/series the corresponding figure plots, so the `figNN_*` binaries
 //! and EXPERIMENTS.md all draw from the same code.
 
+use crate::hdfs::{HdfsModel, StoragePath};
 use crate::table::Table;
 use conductor_cloud::{catalog::mbps_to_gb_per_hour, Catalog, CostCategory, SpotMarket, SpotTrace};
 use conductor_core::{
@@ -12,10 +13,9 @@ use conductor_core::{
     Planner, ResourcePool, RetryPolicy, ShardedFleet, ShardedFleetConfig, SpotDeploymentSimulator,
 };
 use conductor_lp::SolveOptions;
-use conductor_mapreduce::engine::{DataLocation, DeploymentOptions, Engine, ExecutionReport};
-use conductor_mapreduce::hdfs::{HdfsModel, StoragePath};
-use conductor_mapreduce::scheduler::LocalityScheduler;
-use conductor_mapreduce::{JobSpec, Workload};
+use conductor_mapreduce::{
+    DataLocation, DeploymentOptions, Engine, ExecutionReport, JobSpec, LocalityScheduler, Workload,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;

@@ -1,20 +1,18 @@
-//! An analytical model of HDFS and the other Hadoop storage paths, used as
-//! the baseline in the storage-layer throughput comparison of Figure 15.
+//! An analytical model of HDFS and the other Hadoop storage paths: the
+//! baselines of the storage-layer throughput comparison of Figure 15
+//! (`experiments::fig15_storage_throughput`).
 //!
 //! The paper copies 32 GB of 64 MB files into each storage option on large
 //! EC2 instances and measures sustained throughput: HDFS is fastest
 //! (~21 MB/s), Conductor's storage layer loses ~25% to its abstraction
 //! overhead, S3 via `s3cmd` is comparable to Conductor, and S3 through
 //! Hadoop's built-in driver is much slower because it defaults to SSL
-//! transfers. [`HdfsModel`] captures those paths so the benchmark can
-//! regenerate the figure and so the HDFS baseline deployments in §6.2/§6.3
-//! have a throughput model.
-
-use serde::{Deserialize, Serialize};
+//! transfers. [`HdfsModel`] captures the three baseline paths; Conductor's
+//! own layer is modelled beside the figure.
 
 /// Which write path is being modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum StoragePath {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StoragePath {
     /// Hadoop's own HDFS with pipeline replication.
     Hdfs,
     /// Amazon S3 through Hadoop's integrated driver (SSL by default).
@@ -24,18 +22,17 @@ pub enum StoragePath {
 }
 
 /// Analytical throughput model for the baseline storage paths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HdfsModel {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct HdfsModel {
     /// Raw disk/network bandwidth available to one writer, MB/s.
-    pub raw_bandwidth_mbps: f64,
-    /// Replication factor (3 in the paper's setup).
-    pub replication: u32,
-    /// Fraction of raw bandwidth lost to pipelining/checksumming overhead.
-    pub pipeline_overhead: f64,
+    raw_bandwidth_mbps: f64,
+    /// Fraction of raw bandwidth lost to pipelining/checksumming overhead
+    /// (three-way replication in the paper's setup).
+    pipeline_overhead: f64,
     /// Fraction of bandwidth lost to SSL when Hadoop's S3 driver is used.
-    pub ssl_penalty: f64,
+    ssl_penalty: f64,
     /// Per-object request latency in seconds (dominates small objects on S3).
-    pub per_object_latency_s: f64,
+    per_object_latency_s: f64,
 }
 
 impl Default for HdfsModel {
@@ -44,7 +41,6 @@ impl Default for HdfsModel {
             // Chosen so the modelled HDFS throughput lands near the ~21 MB/s
             // the paper measures on large EC2 instances.
             raw_bandwidth_mbps: 24.0,
-            replication: 3,
             pipeline_overhead: 0.12,
             ssl_penalty: 0.55,
             per_object_latency_s: 0.15,
@@ -54,7 +50,7 @@ impl Default for HdfsModel {
 
 impl HdfsModel {
     /// Sustained write throughput in MB/s for the given path and object size.
-    pub fn write_throughput_mbps(&self, path: StoragePath, object_size_mb: f64) -> f64 {
+    pub(crate) fn write_throughput_mbps(&self, path: StoragePath, object_size_mb: f64) -> f64 {
         let base = self.raw_bandwidth_mbps * (1.0 - self.pipeline_overhead);
         match path {
             StoragePath::Hdfs => base,
@@ -70,16 +66,6 @@ impl HdfsModel {
             }
         }
     }
-
-    /// Time in seconds to copy `total_gb` of data split into `object_size_mb`
-    /// objects through the given path.
-    pub fn copy_time_s(&self, path: StoragePath, total_gb: f64, object_size_mb: f64) -> f64 {
-        let mbps = self.write_throughput_mbps(path, object_size_mb);
-        if mbps <= 0.0 {
-            return f64::INFINITY;
-        }
-        total_gb * 1024.0 / mbps
-    }
 }
 
 #[cfg(test)]
@@ -89,7 +75,7 @@ mod tests {
     #[test]
     fn hdfs_is_fastest_hadoop_s3_is_slowest() {
         // The ordering of Figure 15 (excluding Conductor's own layer, which
-        // is modelled beside the figure in `conductor-bench`).
+        // is modelled beside the figure).
         let m = HdfsModel::default();
         let hdfs = m.write_throughput_mbps(StoragePath::Hdfs, 64.0);
         let s3cmd = m.write_throughput_mbps(StoragePath::S3ViaS3cmd, 64.0);
@@ -114,15 +100,5 @@ mod tests {
         let big = m.write_throughput_mbps(StoragePath::S3ViaS3cmd, 64.0);
         let small = m.write_throughput_mbps(StoragePath::S3ViaS3cmd, 4.0);
         assert!(small < big);
-    }
-
-    #[test]
-    fn copy_time_scales_linearly_with_volume() {
-        let m = HdfsModel::default();
-        let t32 = m.copy_time_s(StoragePath::Hdfs, 32.0, 64.0);
-        let t64 = m.copy_time_s(StoragePath::Hdfs, 64.0, 64.0);
-        assert!((t64 - 2.0 * t32).abs() < 1e-6);
-        // 32 GB at ~21 MB/s is around 1,500-1,800 seconds.
-        assert!(t32 > 1200.0 && t32 < 2000.0, "t32 {t32}");
     }
 }

@@ -10,6 +10,7 @@
 //! recorded in one place only, the repo's `benchmark/` package.
 
 pub mod experiments;
+mod hdfs;
 pub mod solver_bench;
 pub mod table;
 

@@ -203,15 +203,10 @@ impl BillingAccount {
         cost
     }
 
-    /// Number of rental sessions still open.
-    pub fn open_sessions(&self) -> usize {
-        self.open_sessions.len()
-    }
-
     /// What the open rental sessions *would* charge if the customer
     /// stopped them all at time `now`: elapsed time rounded up to whole
-    /// hours (minimum one), exactly like [`Self::stop_instance`] /
-    /// [`Self::close_all`]. Nothing is recorded — this is the live-bill
+    /// hours (minimum one), exactly like [`Self::stop_instance`].
+    /// Nothing is recorded — this is the live-bill
     /// preview a fleet driver adds to [`Self::total_cost`], so that an
     /// abort at the same instant settles at the same figure the last
     /// status query quoted.
@@ -266,9 +261,8 @@ impl BillingAccount {
         self.breakdown.add(CostCategory::NetworkTransfer, cost);
     }
 
-    /// Total cost across all categories, including open sessions *not yet*
-    /// stopped (they are not counted — call [`Self::close_all`] first if the
-    /// deployment is finished).
+    /// Total cost across all categories. Open sessions are not counted until
+    /// they are stopped (see [`Self::open_accrual`]).
     pub fn total_cost(&self) -> f64 {
         self.breakdown.total()
     }
@@ -284,13 +278,6 @@ impl BillingAccount {
             .get(instance_name)
             .copied()
             .unwrap_or(0.0)
-    }
-
-    /// Closes every open rental session at time `now` and returns the total
-    /// amount charged for them.
-    pub fn close_all(&mut self, now: Hours) -> f64 {
-        let ids: Vec<u64> = self.open_sessions.keys().copied().collect();
-        ids.into_iter().map(|id| self.stop_instance(id, now)).sum()
     }
 }
 
@@ -412,32 +399,20 @@ mod tests {
         let large = cat.instance("m1.large").unwrap();
         let local = cat.instance("local").unwrap();
         let mut acct = BillingAccount::new(cat.transfer);
-        acct.start_instance_at_price(large, 0.0, 0.2);
-        acct.start_instance(large, 0.5);
-        acct.start_instance(local, 0.0);
+        let sessions = [
+            acct.start_instance_at_price(large, 0.0, 0.2),
+            acct.start_instance(large, 0.5),
+            acct.start_instance(local, 0.0),
+        ];
         // 2.3h elapsed → 3h, 1.8h elapsed → 2h; the local node is free.
         let preview = acct.open_accrual(2.3);
         assert!((preview - (3.0 * 0.2 + 2.0 * 0.34)).abs() < 1e-9);
-        // The preview matches what closing at the same instant charges,
-        // and recorded nothing itself.
+        // The preview matches what stopping every session at the same
+        // instant charges, and recorded nothing itself.
         assert_eq!(acct.total_cost(), 0.0);
-        let charged = acct.close_all(2.3);
+        let charged: f64 = sessions.map(|id| acct.stop_instance(id, 2.3)).iter().sum();
         assert!((charged - preview).abs() < 1e-9);
         assert_eq!(acct.open_accrual(5.0), 0.0);
-    }
-
-    #[test]
-    fn close_all_sweeps_open_sessions() {
-        let cat = catalog();
-        let large = cat.instance("m1.large").unwrap();
-        let mut acct = BillingAccount::new(cat.transfer);
-        for _ in 0..3 {
-            acct.start_instance(large, 0.0);
-        }
-        assert_eq!(acct.open_sessions(), 3);
-        let cost = acct.close_all(2.0);
-        assert_eq!(acct.open_sessions(), 0);
-        assert!((cost - 3.0 * 2.0 * 0.34).abs() < 1e-9);
     }
 
     #[test]

@@ -44,14 +44,6 @@ impl InstanceType {
         reference.measured_throughput_gbph * self.ecu / reference.ecu
     }
 
-    /// Price-performance ratio in USD per GB processed (lower is better).
-    pub fn dollars_per_gb(&self) -> f64 {
-        if self.measured_throughput_gbph <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.hourly_price / self.measured_throughput_gbph
-    }
-
     /// `true` for customer-owned machines that incur no rental cost.
     pub fn is_local(&self) -> bool {
         self.hourly_price == 0.0
@@ -94,7 +86,7 @@ pub struct StorageService {
 
 impl StorageService {
     /// Storage cost of keeping `gb` gigabytes for `hours` hours.
-    pub fn storage_cost(&self, gb: Gigabytes, hours: Hours) -> f64 {
+    pub(crate) fn storage_cost(&self, gb: Gigabytes, hours: Hours) -> f64 {
         self.cost_per_gb_hour * gb.max(0.0) * hours.max(0.0)
     }
 }
@@ -274,7 +266,8 @@ mod tests {
         let cat = Catalog::aws_july_2011();
         let large = cat.instance("m1.large").unwrap();
         let xlarge = cat.instance("m1.xlarge").unwrap();
-        assert!(xlarge.dollars_per_gb() > large.dollars_per_gb());
+        let dollars_per_gb = |i: &InstanceType| i.hourly_price / i.measured_throughput_gbph;
+        assert!(dollars_per_gb(xlarge) > dollars_per_gb(large));
     }
 
     #[test]

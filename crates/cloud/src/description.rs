@@ -50,21 +50,6 @@ fn default_capacity() -> i64 {
 }
 
 impl ServiceDescription {
-    /// The S3 description from Figure 3 of the paper.
-    pub fn s3_example() -> Self {
-        Self {
-            name: "S3".into(),
-            cost_get: 1.0e-6,
-            cost_put: 1.0e-5,
-            cost_tstore: 2.083_333_32e-4,
-            can_compute: false,
-            storage_capacity: -1,
-            hourly_price: 0.0,
-            capacity_gbph: 0.0,
-            max_instances: -1,
-        }
-    }
-
     /// Builds a description from a typed storage service.
     pub fn from_storage(s: &StorageService) -> Self {
         Self {
@@ -168,20 +153,14 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
 
-    #[test]
-    fn s3_example_matches_figure_3() {
-        let d = ServiceDescription::s3_example();
-        assert_eq!(d.name, "S3");
-        assert!((d.cost_get - 1.0e-6).abs() < 1e-15);
-        assert!((d.cost_put - 1.0e-5).abs() < 1e-15);
-        assert!((d.cost_tstore - 2.083_333_32e-4).abs() < 1e-12);
-        assert!(!d.can_compute);
-        assert_eq!(d.storage_capacity, -1);
+    /// S3 as a provider would publish it (Figure 3).
+    fn s3_description() -> ServiceDescription {
+        ServiceDescription::from_storage(Catalog::aws_july_2011().storage("S3").unwrap())
     }
 
     #[test]
     fn json_roundtrip() {
-        let d = ServiceDescription::s3_example();
+        let d = s3_description();
         let json = d.to_json();
         let back = ServiceDescription::from_json(&json).unwrap();
         assert_eq!(d, back);
@@ -221,7 +200,7 @@ mod tests {
 
     #[test]
     fn pure_storage_description_is_not_an_instance() {
-        let d = ServiceDescription::s3_example();
+        let d = s3_description();
         assert!(d.to_instance().is_none());
         assert!(d.to_storage().is_some());
     }

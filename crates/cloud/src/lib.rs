@@ -16,11 +16,25 @@
 //! * **spot markets**: price traces (an AWS-like non-diurnal trace and an
 //!   electricity-derived diurnal trace, Figure 13) and a bid/termination
 //!   simulator used by the spot-savings experiment (Figure 14).
+//!
+//! # The public surface
+//!
+//! A caller starts from [`Catalog`] — [`Catalog::aws_july_2011`] is the
+//! paper's price sheet — and meters a deployment in a [`BillingAccount`].
+//! The catalog lists [`InstanceType`]s and [`StorageService`]s (of a
+//! [`StorageKind`]) under a [`TransferPricing`]; [`ServiceDescription`] is
+//! the published form of one entry. The account reports a
+//! [`CostBreakdown`] by [`CostCategory`] and meters transfers by
+//! [`TransferDirection`]. [`SpotMarket`] prices spot instances from a
+//! [`SpotTrace`] of a [`TraceKind`]. The `catalog` module is public only
+//! for [`catalog::mbps_to_gb_per_hour`]; the others are private.
 
-pub mod billing;
+mod billing;
+// Public as a path: `benchmark/src/fixtures.rs` imports
+// `conductor_cloud::catalog::mbps_to_gb_per_hour`.
 pub mod catalog;
-pub mod description;
-pub mod spot;
+mod description;
+mod spot;
 
 pub use billing::{BillingAccount, CostBreakdown, CostCategory, TransferDirection};
 pub use catalog::{Catalog, InstanceType, StorageKind, StorageService, TransferPricing};
@@ -29,8 +43,8 @@ pub use spot::{SpotMarket, SpotTrace, TraceKind};
 
 /// Gigabytes, the data unit used throughout the model (the paper reports all
 /// data sizes in GB).
-pub type Gigabytes = f64;
+type Gigabytes = f64;
 
 /// Simulation time is measured in hours (fractional), matching the paper's
 /// one-hour planning intervals and EC2's hourly billing granularity.
-pub type Hours = f64;
+type Hours = f64;

@@ -20,8 +20,7 @@ use crate::plan::ExecutionPlan;
 use crate::resources::ResourcePool;
 use crate::service::ConductorService;
 use conductor_cloud::Catalog;
-use conductor_mapreduce::engine::ExecutionReport;
-use conductor_mapreduce::JobSpec;
+use conductor_mapreduce::{ExecutionReport, JobSpec};
 use serde::{Deserialize, Serialize};
 
 /// The result of an adaptive run: the plan the job started under, the
@@ -50,11 +49,6 @@ impl AdaptationReport {
     pub fn adaptation_rescued_deadline(&self) -> bool {
         self.execution.met_deadline == Some(true)
             && self.without_adaptation.met_deadline == Some(false)
-    }
-
-    /// `true` when the monitor detected a deviation and re-planned.
-    pub fn replanned(&self) -> bool {
-        self.replanned_at_hours.is_some()
     }
 }
 
@@ -189,11 +183,10 @@ mod tests {
         // re-plan, and the monitored execution is the un-monitored one bit
         // for bit: same allocation, same cost, same completion.
         let report = figure_12(0.44);
-        assert!(
-            !report.replanned(),
+        assert_eq!(
+            report.replanned_at_hours, None,
             "monitor re-planned without a deviation"
         );
-        assert_eq!(report.replanned_at_hours, None);
         let (monitored, unmonitored) = (&report.execution, &report.without_adaptation);
         assert_eq!(
             monitored.allocation_timeline,
@@ -209,7 +202,6 @@ mod tests {
         // has no fielded node-hours to measure a throughput from; the
         // shortfall is observable — and acted on — at the second.
         let report = figure_12(1.44);
-        assert!(report.replanned());
         assert_eq!(report.replanned_at_hours, Some(2.0));
     }
 }

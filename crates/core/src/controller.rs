@@ -14,8 +14,7 @@ use crate::plan::ExecutionPlan;
 use crate::planner::{Planner, PlanningReport};
 use crate::service::ConductorService;
 use conductor_cloud::Catalog;
-use conductor_mapreduce::engine::ExecutionReport;
-use conductor_mapreduce::JobSpec;
+use conductor_mapreduce::{ExecutionReport, JobSpec};
 use serde::{Deserialize, Serialize};
 
 /// The outcome of planning and deploying one job with Conductor.
@@ -27,19 +26,6 @@ pub struct DeploymentOutcome {
     pub planning: PlanningReport,
     /// The measured execution (timings, cost breakdown, timelines).
     pub execution: ExecutionReport,
-}
-
-impl DeploymentOutcome {
-    /// Difference between measured and planned cost (positive = the run cost
-    /// more than the plan expected).
-    pub fn cost_error(&self) -> f64 {
-        self.execution.total_cost - self.plan.expected_cost
-    }
-
-    /// Difference between measured and planned completion time in hours.
-    pub fn completion_error_hours(&self) -> f64 {
-        self.execution.completion_hours - self.plan.expected_completion_hours
-    }
 }
 
 /// Orchestrates planning and deployment of MapReduce jobs (Figure 2).

@@ -1,7 +1,7 @@
 //! The error type of the Conductor core.
 
 use conductor_lp::LpError;
-use conductor_mapreduce::engine::EngineError;
+use conductor_mapreduce::EngineError;
 use std::fmt;
 
 /// Errors produced while planning, deploying or adapting a job.

@@ -18,9 +18,9 @@ use crate::policy::{FallbackTier, SpotBreaker};
 use crate::resources::ResourcePool;
 use conductor_cloud::Catalog;
 use conductor_lp::SolveContext;
-use conductor_mapreduce::execution::{ExecutionProgress, JobExecution, SessionPricing};
-use conductor_mapreduce::scheduler::PlanFollowingScheduler;
-use conductor_mapreduce::{DataLocation, JobSpec};
+use conductor_mapreduce::{
+    DataLocation, ExecutionProgress, JobExecution, JobSpec, PlanFollowingScheduler, SessionPricing,
+};
 use conductor_sim::{ProcessId, TIME_EPSILON};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

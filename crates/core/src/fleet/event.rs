@@ -201,8 +201,7 @@ pub enum FleetEvent {
         /// The admission hour.
         at_hours: f64,
     },
-    /// A queued tenant left this session via [`Fleet::migrate_out`](super::Fleet::migrate_out) — a
-    /// sharded runtime moved it to another shard before its arrival
+    /// A queued tenant left this session — a sharded runtime moved it to another shard before its arrival
     /// fired. The submission is recorded as terminal here (rejection
     /// "migrated to another shard"); the receiving shard logs its own
     /// [`Submitted`](Self::Submitted) with the carried request.
@@ -213,8 +212,7 @@ pub enum FleetEvent {
         at_hours: f64,
     },
     /// The monitor-tick grid was aligned with a fleet-level arrival
-    /// observed outside this session ([`Fleet::align_monitor`](super::Fleet::align_monitor)): a
-    /// sharded runtime broadcasts every arrival so all shards tick on
+    /// observed outside this session: a sharded runtime broadcasts every arrival so all shards tick on
     /// the same grid regardless of which shard the tenant landed on.
     MonitorAligned {
         /// Hour the alignment was applied (the submission hour).

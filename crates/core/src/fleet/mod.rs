@@ -93,8 +93,8 @@ use conductor_sim::{ProcessId, Simulator};
 use session::{schedule, ActiveJob, ClockEvent, SessionState};
 use std::collections::BTreeMap;
 
-/// A long-lived, incremental multi-tenant orchestration session — see the
-/// [module docs](self) for the API tour and the determinism contract. The
+/// A long-lived, incremental multi-tenant orchestration session — the
+/// `fleet` module's docs give the API tour and the determinism contract. The
 /// client API lives here; the state machine behind it in `session`,
 /// planning in `admission`, persistence in `snapshot`.
 pub struct Fleet {
@@ -329,7 +329,7 @@ impl Fleet {
     /// sharded rebalancer moves queued work only. Fails with
     /// [`ConductorError::InvalidInput`] on unknown handles or
     /// non-queued tenants.
-    pub fn migrate_out(&mut self, id: TenantId) -> Result<FleetJobRequest, ConductorError> {
+    pub(crate) fn migrate_out(&mut self, id: TenantId) -> Result<FleetJobRequest, ConductorError> {
         let idx = self.known(id)?;
         if self.tenant_state(idx) != TenantState::Queued {
             return Err(ConductorError::InvalidInput(format!(
@@ -426,7 +426,7 @@ impl Fleet {
     ///
     /// Fails with [`ConductorError::InvalidInput`] on non-finite or
     /// negative hours.
-    pub fn align_monitor(&mut self, arrival_hours: f64) -> Result<(), ConductorError> {
+    pub(crate) fn align_monitor(&mut self, arrival_hours: f64) -> Result<(), ConductorError> {
         if !arrival_hours.is_finite() || arrival_hours < 0.0 {
             return Err(ConductorError::InvalidInput(format!(
                 "invalid monitor alignment hour {arrival_hours}"
@@ -592,9 +592,9 @@ mod tests {
     use crate::policy::RetryPolicy;
     use crate::policy::{FailurePolicy, FailureThreshold, FaultEvent, FaultKind, FaultPlan};
     use conductor_cloud::{SpotMarket, SpotTrace, TraceKind};
-    use conductor_mapreduce::execution::{JobExecution, SessionPricing};
-    use conductor_mapreduce::scheduler::LocalityScheduler;
-    use conductor_mapreduce::{NodeAllocation, Workload};
+    use conductor_mapreduce::{
+        JobExecution, LocalityScheduler, NodeAllocation, SessionPricing, Workload,
+    };
 
     fn fleet_with(cap: usize, config: FleetConfig) -> Fleet {
         let catalog = Catalog::aws_july_2011();

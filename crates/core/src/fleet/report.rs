@@ -4,7 +4,7 @@
 use crate::plan::ExecutionPlan;
 use crate::planner::PlanningReport;
 use conductor_cloud::CostBreakdown;
-use conductor_mapreduce::execution::ExecutionProgress;
+use conductor_mapreduce::ExecutionProgress;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -106,9 +106,8 @@ pub struct FleetReport {
     /// Per-tenant outcomes, in submission order.
     pub tenants: Vec<TenantOutcome>,
     /// Name → index into [`tenants`](Self::tenants) (first occurrence
-    /// wins). Built by
-    /// [`from_outcomes`](Self::from_outcomes); hand-built reports may
-    /// leave it empty — [`tenant`](Self::tenant) falls back to a scan.
+    /// wins). Built when the fleet closes its report; hand-built reports
+    /// may leave it empty — [`tenant`](Self::tenant) falls back to a scan.
     #[serde(default)]
     pub tenant_index: BTreeMap<String, usize>,
     /// Sum of all tenant bills (USD), including partial bills of jobs
@@ -148,7 +147,7 @@ pub struct FleetReport {
 impl FleetReport {
     /// Builds the report (aggregates + name index) from per-tenant
     /// outcomes in submission order.
-    pub fn from_outcomes(tenants: Vec<TenantOutcome>) -> Self {
+    pub(crate) fn from_outcomes(tenants: Vec<TenantOutcome>) -> Self {
         let mut fleet_breakdown = CostBreakdown::default();
         let mut fleet_cost = 0.0;
         let mut makespan: f64 = 0.0;

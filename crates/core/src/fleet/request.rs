@@ -102,7 +102,7 @@ pub struct FleetConfig {
     pub monitor_tolerance: f64,
     /// The failure policy: fault injection, retry/backoff with
     /// dead-lettering, the admission gate and the spot-market circuit
-    /// breaker (see [`crate::policy`]). The default is completely inert,
+    /// breaker (see [`FailurePolicy`]). The default is completely inert,
     /// so unpolicied sessions replay the pre-policy trajectories bit for
     /// bit.
     pub policy: FailurePolicy,

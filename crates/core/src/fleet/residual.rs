@@ -5,7 +5,7 @@
 
 use super::session::ActiveJob;
 use crate::resources::ResourcePool;
-use conductor_mapreduce::cluster::nodes_at;
+use conductor_mapreduce::nodes_at;
 use conductor_sim::{ProcessId, TIME_EPSILON};
 use std::collections::BTreeMap;
 

@@ -13,8 +13,7 @@ use crate::policy::{
     AdmissionChange, BreakerState, BreakerTransition, DeadLetter, FailureWindow, FaultKind,
     RetryPolicy, SpotBreaker,
 };
-use conductor_mapreduce::execution::{JobExecution, JobPhase};
-use conductor_mapreduce::{JobSpec, NodeAllocation};
+use conductor_mapreduce::{JobExecution, JobPhase, JobSpec, NodeAllocation};
 use conductor_sim::{ProcessId, ProcessRegistry, Simulator, TIME_EPSILON};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};

@@ -11,7 +11,7 @@ use super::Fleet;
 use crate::error::ConductorError;
 use crate::resources::ResourcePool;
 use conductor_cloud::Catalog;
-use conductor_mapreduce::execution::ExecutionSnapshot;
+use conductor_mapreduce::ExecutionSnapshot;
 use conductor_sim::{ProcessId, ScheduledEvent, Simulator};
 use serde::{Deserialize, Serialize};
 

@@ -26,7 +26,7 @@ pub enum Goal {
 
 impl Goal {
     /// The planning horizon in whole hours implied by the goal.
-    pub fn horizon_hours(&self) -> usize {
+    pub(crate) fn horizon_hours(&self) -> usize {
         match self {
             Goal::MinimizeCost { deadline_hours } => deadline_hours.ceil().max(1.0) as usize,
             Goal::MinimizeTime { max_hours, .. } => max_hours.ceil().max(1.0) as usize,
@@ -53,14 +53,6 @@ impl Goal {
         }) = &mut self;
         *bound = (*bound - elapsed_hours - margin_hours).max(1.0);
         self
-    }
-
-    /// The budget, if this goal has one.
-    pub fn budget_usd(&self) -> Option<f64> {
-        match self {
-            Goal::MinimizeCost { .. } => None,
-            Goal::MinimizeTime { budget_usd, .. } => Some(*budget_usd),
-        }
     }
 }
 
@@ -107,12 +99,10 @@ mod tests {
             deadline_hours: 6.0,
         };
         assert_eq!(cost.deadline_hours(), Some(6.0));
-        assert_eq!(cost.budget_usd(), None);
         let time = Goal::MinimizeTime {
             budget_usd: 40.0,
             max_hours: 10.0,
         };
         assert_eq!(time.deadline_hours(), None);
-        assert_eq!(time.budget_usd(), Some(40.0));
     }
 }

@@ -9,8 +9,7 @@
 
 use crate::model::ModelInstance;
 use conductor_lp::Solution;
-use conductor_mapreduce::cluster::NodeAllocation;
-use conductor_mapreduce::engine::{DataLocation, DeploymentOptions};
+use conductor_mapreduce::{DataLocation, DeploymentOptions, NodeAllocation};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 

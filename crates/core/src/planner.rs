@@ -98,7 +98,7 @@ impl PlanningReport {
 /// branch & bound that ends at its node cap without an incumbent has done
 /// as much work as one that found a plan.
 #[derive(Debug)]
-pub struct FailedPlanning {
+pub(crate) struct FailedPlanning {
     /// Why there is no plan.
     pub error: ConductorError,
     /// The failed solve's effort (boxed to keep the error small). `None`
@@ -209,7 +209,7 @@ impl Planner {
     /// a cold two-phase fill; without one each solve runs through a fresh
     /// context. A failure also reports the solver effort it cost (see
     /// [`FailedPlanning`]).
-    pub fn plan_or_effort(
+    pub(crate) fn plan_or_effort(
         &self,
         spec: &JobSpec,
         goal: Goal,

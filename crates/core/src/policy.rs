@@ -168,7 +168,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The deterministic backoff delay before retry `attempt` (1-based):
     /// `base * factor^(attempt-1)`.
-    pub fn delay_hours(&self, attempt: usize) -> f64 {
+    pub(crate) fn delay_hours(&self, attempt: usize) -> f64 {
         self.backoff_base_hours * self.backoff_factor.powi(attempt.saturating_sub(1) as i32)
     }
 
@@ -272,7 +272,7 @@ impl FailureThreshold {
 /// The admission gate's edge transitions, as reported by
 /// [`FailureWindow::record`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionChange {
+pub(crate) enum AdmissionChange {
     /// The failure fraction crossed above `pause_above`: stop admitting.
     Paused,
     /// The fraction sank below `resume_below`: admit again.
@@ -282,7 +282,7 @@ pub enum AdmissionChange {
 /// Runtime state of the [`FailureThreshold`] gate: a sliding window of
 /// the last-N terminal outcomes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FailureWindow {
+pub(crate) struct FailureWindow {
     config: FailureThreshold,
     samples: VecDeque<bool>,
     paused: bool,
@@ -290,7 +290,7 @@ pub struct FailureWindow {
 
 impl FailureWindow {
     /// An empty (admitting) window under `config`.
-    pub fn new(config: FailureThreshold) -> Self {
+    pub(crate) fn new(config: FailureThreshold) -> Self {
         Self {
             config,
             samples: VecDeque::with_capacity(config.window),
@@ -301,7 +301,7 @@ impl FailureWindow {
     /// Records one terminal outcome (`failed = true` for failures and
     /// missed deadlines) and returns the gate transition it caused, if
     /// any. Below `min_samples` the gate never acts.
-    pub fn record(&mut self, failed: bool) -> Option<AdmissionChange> {
+    pub(crate) fn record(&mut self, failed: bool) -> Option<AdmissionChange> {
         self.samples.push_back(failed);
         while self.samples.len() > self.config.window {
             self.samples.pop_front();
@@ -322,7 +322,7 @@ impl FailureWindow {
     }
 
     /// Fraction of failures in the current window (zero when empty).
-    pub fn failure_fraction(&self) -> f64 {
+    pub(crate) fn failure_fraction(&self) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
@@ -330,12 +330,12 @@ impl FailureWindow {
     }
 
     /// `true` while the gate refuses new admissions.
-    pub fn is_paused(&self) -> bool {
+    pub(crate) fn is_paused(&self) -> bool {
         self.paused
     }
 
     /// The gate's configuration.
-    pub fn config(&self) -> &FailureThreshold {
+    pub(crate) fn config(&self) -> &FailureThreshold {
         &self.config
     }
 }
@@ -420,7 +420,7 @@ pub enum BreakerState {
 /// [`on_strike`](SpotBreaker::on_strike) /
 /// [`on_probe`](SpotBreaker::on_probe).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerTransition {
+pub(crate) enum BreakerTransition {
     /// Closed → Open: the strike threshold was reached.
     Opened,
     /// Open → HalfOpen: the clean-hour streak reached the success
@@ -439,7 +439,7 @@ pub enum BreakerTransition {
 /// check the trace hour just elapsed. Everything is driven by the
 /// deterministic event loop — the breaker holds no clock of its own.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SpotBreaker {
+pub(crate) struct SpotBreaker {
     config: CircuitBreakerConfig,
     state: BreakerState,
     /// Strike hours within the sliding window, oldest first.
@@ -454,7 +454,7 @@ pub struct SpotBreaker {
 
 impl SpotBreaker {
     /// A closed breaker under `config`.
-    pub fn new(config: CircuitBreakerConfig) -> Self {
+    pub(crate) fn new(config: CircuitBreakerConfig) -> Self {
         Self {
             config,
             state: BreakerState::Closed,
@@ -466,30 +466,30 @@ impl SpotBreaker {
     }
 
     /// Current state.
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.state
     }
 
     /// The breaker's configuration.
-    pub fn config(&self) -> &CircuitBreakerConfig {
+    pub(crate) fn config(&self) -> &CircuitBreakerConfig {
         &self.config
     }
 
     /// `true` while planning must avoid the spot market (forecast at the
     /// ceiling, fallback tier engaged). Half-open probation buys spot
     /// again — that *is* the probe.
-    pub fn is_engaged(&self) -> bool {
+    pub(crate) fn is_engaged(&self) -> bool {
         self.state == BreakerState::Open
     }
 
     /// Strikes currently inside the sliding window.
-    pub fn strikes_in_window(&self) -> usize {
+    pub(crate) fn strikes_in_window(&self) -> usize {
         self.strikes.len()
     }
 
     /// Records a revocation strike at fleet hour `hour` and returns the
     /// transition it caused, if any.
-    pub fn on_strike(&mut self, hour: f64) -> Option<BreakerTransition> {
+    pub(crate) fn on_strike(&mut self, hour: f64) -> Option<BreakerTransition> {
         self.strikes.push_back(hour);
         let cutoff = hour - self.config.window_hours;
         while self.strikes.front().is_some_and(|&h| h < cutoff) {
@@ -523,7 +523,7 @@ impl SpotBreaker {
     /// Records one hourly probe of the trace (`clean = true` when the
     /// elapsed hour was not out-bid at the fleet's bid) and returns the
     /// transition it caused, if any. Probes while closed are no-ops.
-    pub fn on_probe(&mut self, hour: f64, clean: bool) -> Option<BreakerTransition> {
+    pub(crate) fn on_probe(&mut self, hour: f64, clean: bool) -> Option<BreakerTransition> {
         match (self.state, clean) {
             (BreakerState::Closed, _) => None,
             (BreakerState::Open, true) => {
@@ -559,7 +559,7 @@ impl SpotBreaker {
 
     /// Total fleet hours spent in the open state, counting a still-open
     /// episode up to `now`.
-    pub fn open_hours(&self, now: f64) -> f64 {
+    pub(crate) fn open_hours(&self, now: f64) -> f64 {
         self.open_hours_accum
             + self
                 .opened_at

@@ -16,12 +16,12 @@ use serde::{Deserialize, Serialize};
 /// on the same instance, so the ratio scales every instance's capacity to
 /// the workload at hand (§4.2, Figure 1). Shared with the execution
 /// simulator, which applies the identical scaling.
-pub const REFERENCE_WORKLOAD_GBPH: f64 = conductor_mapreduce::REFERENCE_INSTANCE_GBPH;
+pub(crate) const REFERENCE_WORKLOAD_GBPH: f64 = conductor_mapreduce::REFERENCE_INSTANCE_GBPH;
 
 /// HDFS-style replication factor assumed for data resident on instance
 /// disks: each stored GB pins disk (and therefore a slice of a running
 /// instance) on this many nodes (§4.6).
-pub const INSTANCE_DISK_REPLICATION: f64 = 3.0;
+pub(crate) const INSTANCE_DISK_REPLICATION: f64 = 3.0;
 
 /// A compute resource: something that can run MapReduce tasks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -203,7 +203,7 @@ impl ResourcePool {
     /// concurrent tenant already plans against the full uplink timetable,
     /// so a shard keeps that same view. Returns an empty vector for
     /// `n == 0`; every returned slice validates whenever `self` does.
-    pub fn split(&self, n: usize) -> Vec<ResourcePool> {
+    pub(crate) fn split(&self, n: usize) -> Vec<ResourcePool> {
         (0..n)
             .map(|shard| {
                 let mut slice = self.clone();
@@ -251,7 +251,7 @@ impl ComputeResource {
     /// m1.large throughput is `spec_reference_gbph`. Instances scale by
     /// their measured ratio to the reference workload; a non-positive spec
     /// throughput falls back to the calibration capacity.
-    pub fn capacity_for_spec(&self, spec_reference_gbph: f64) -> f64 {
+    pub(crate) fn capacity_for_spec(&self, spec_reference_gbph: f64) -> f64 {
         if spec_reference_gbph > 0.0 {
             self.capacity_gbph * (spec_reference_gbph / REFERENCE_WORKLOAD_GBPH)
         } else {

@@ -25,10 +25,9 @@ use crate::goal::Goal;
 use crate::resources::ResourcePool;
 use conductor_cloud::{Catalog, SpotMarket};
 use conductor_lp::SolveOptions;
-use conductor_mapreduce::engine::EngineError;
-use conductor_mapreduce::JobSpec;
+use conductor_mapreduce::{EngineError, JobSpec};
 
-pub use crate::fleet::{FleetJobRequest, FleetReport, TenantOutcome};
+use crate::fleet::{FleetJobRequest, FleetReport};
 
 /// The multi-tenant orchestration service: a configured fleet factory
 /// whose [`run`](Self::run) executes one closed-world batch.
@@ -88,7 +87,8 @@ impl ConductorService {
     /// retry with exponential backoff and a dead-letter queue, an
     /// admission gate over a sliding window of outcomes, and a
     /// spot-market circuit breaker with on-demand fallback (see
-    /// [`crate::policy`]). The default policy is inert; the knobs are
+    /// [`FailurePolicy`](crate::FailurePolicy)). The default policy is
+    /// inert; the knobs are
     /// validated when the fleet is opened.
     pub fn with_failure_policy(mut self, policy: crate::policy::FailurePolicy) -> Self {
         self.config.policy = policy;
@@ -159,11 +159,11 @@ impl ConductorService {
         Fleet::new(self.catalog.clone(), self.pool.clone(), self.config.clone())
     }
 
-    /// Opens a [`ShardedFleet`](crate::shards::ShardedFleet) over this
-    /// service's catalog, pool and configuration: the pool is split into
-    /// `config.shards` slices and one shard session opens per slice. See
-    /// the [`crate::shards`] module for placement, transfer and
-    /// determinism semantics.
+    /// Opens a [`ShardedFleet`](crate::ShardedFleet) over this service's
+    /// catalog, pool and configuration: the pool is split into
+    /// `config.shards` slices and one shard session opens per slice. The
+    /// `shards` module's docs give the placement, transfer and determinism
+    /// semantics.
     pub fn open_sharded(
         &self,
         config: crate::shards::ShardedFleetConfig,

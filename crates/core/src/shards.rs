@@ -77,7 +77,7 @@ pub trait ShardRouter: Send + Sync {
 /// count. Stateless and seed-free, so placement is stable across runs,
 /// processes and platforms.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct HashRouter;
+pub(crate) struct HashRouter;
 
 impl ShardRouter for HashRouter {
     fn route(&self, request: &FleetJobRequest, shards: usize) -> usize {
@@ -120,7 +120,7 @@ pub struct TransferEvent {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardedFleetConfig {
     /// Number of shards (≥ 1). The capacity pool is cut into this many
-    /// slices by [`ResourcePool::split`].
+    /// slices.
     pub shards: usize,
     /// Rebalance cadence on the fleet clock. `None` disables the
     /// rebalancer entirely: shards never interact and
@@ -194,7 +194,8 @@ impl std::fmt::Debug for ShardedFleet {
 }
 
 impl ShardedFleet {
-    /// Opens a sharded session with the default [`HashRouter`]: the pool
+    /// Opens a sharded session with the default router (a hash of the
+    /// tenant name modulo the shard count): the pool
     /// is split into `config.shards` slices and one [`Fleet`] opens per
     /// slice, each with a clone of the catalog and fleet config (so every
     /// shard schedules the identical revocation sweeps and fault plan on
@@ -261,7 +262,7 @@ impl ShardedFleet {
     /// Routes and submits a job. The returned [`TenantId`] is global —
     /// fleet-wide submission order — and stays valid if the rebalancer
     /// later migrates the job. Other shards get their monitor grid
-    /// aligned to this arrival ([`Fleet::align_monitor`]), so per-shard
+    /// aligned to this arrival, so per-shard
     /// re-plan tick times match what a single unsharded fleet seeing
     /// every submission would produce.
     pub fn submit(&mut self, request: FleetJobRequest) -> Result<TenantId, ConductorError> {

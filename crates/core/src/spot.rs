@@ -114,7 +114,7 @@ impl SpotDeploymentSimulator {
     /// hour at the spot price; otherwise the job waits (hoping for cheaper
     /// prices) unless waiting would bust the deadline, in which case it falls
     /// back to on-demand instances for the remaining work.
-    pub fn run_once(&self, start: usize, predictor: BidPredictor) -> (f64, bool) {
+    pub(crate) fn run_once(&self, start: usize, predictor: BidPredictor) -> (f64, bool) {
         let hours_needed = self.node_hours.div_ceil(self.concurrency.max(1));
         if predictor == BidPredictor::Regular {
             return (self.market.on_demand_price * self.node_hours as f64, false);

@@ -12,7 +12,7 @@
 //! bytes) and is reported as an error, never silently skipped.
 //!
 //! ```no_run
-//! use conductor_core::wal::{WalReader, WalWriter};
+//! use conductor_core::{WalReader, WalWriter};
 //! # fn demo(fleet: &conductor_core::Fleet) -> Result<(), conductor_core::ConductorError> {
 //! let mut wal = WalWriter::create("session.wal")?;
 //! wal.log_all(fleet.events())?;
@@ -72,7 +72,7 @@ impl WalWriter {
     }
 
     /// Appends one event as a JSON line and flushes it to the OS.
-    pub fn log(&mut self, event: &FleetEvent) -> Result<(), ConductorError> {
+    pub(crate) fn log(&mut self, event: &FleetEvent) -> Result<(), ConductorError> {
         self.log_all(std::slice::from_ref(event))
     }
 

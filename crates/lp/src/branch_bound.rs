@@ -79,29 +79,6 @@ impl SolveContext {
         self.last_stats
     }
 
-    /// Lifetime `(factorizations, refactorizations)` of the shared
-    /// workspace; each solve's [`SolveStats`] carries its own share.
-    pub fn factorization_counts(&self) -> (usize, usize) {
-        self.cached
-            .as_ref()
-            .map(|(_, ws)| ws.factorization_counts())
-            .unwrap_or((0, 0))
-    }
-
-    /// `(reuses, rebuilds)` — how many solves rebound the cached skeleton in
-    /// place vs. paid for a fresh build.
-    pub fn reuse_counts(&self) -> (usize, usize) {
-        (self.skeleton_reuses, self.skeleton_rebuilds)
-    }
-
-    /// Warm-start counts accumulated by the shared workspace.
-    pub fn warm_start_counts(&self) -> (usize, usize) {
-        self.cached
-            .as_ref()
-            .map(|(_, ws)| ws.warm_start_counts())
-            .unwrap_or((0, 0))
-    }
-
     /// Takes the cached engine, rebinding the skeleton to `problem` when the
     /// layout matches; otherwise rebuilds the skeleton (keeping the
     /// workspace's allocations, but invalidating its factorized state — the
@@ -1015,6 +992,29 @@ mod tests {
     use super::*;
     use crate::problem::{ConstraintOp, Problem, Sense};
 
+    /// `(reuses, rebuilds)` — how many solves rebound the cached skeleton in
+    /// place vs. paid for a fresh build.
+    fn reuse_counts(ctx: &SolveContext) -> (usize, usize) {
+        (ctx.skeleton_reuses, ctx.skeleton_rebuilds)
+    }
+
+    /// Lifetime `(factorizations, refactorizations)` of the shared
+    /// workspace; each solve's [`SolveStats`] carries its own share.
+    fn factorization_counts(ctx: &SolveContext) -> (usize, usize) {
+        ctx.cached
+            .as_ref()
+            .map(|(_, ws)| ws.factorization_counts())
+            .unwrap_or((0, 0))
+    }
+
+    /// Warm-start counts accumulated by the shared workspace.
+    fn warm_start_counts(ctx: &SolveContext) -> (usize, usize) {
+        ctx.cached
+            .as_ref()
+            .map(|(_, ws)| ws.warm_start_counts())
+            .unwrap_or((0, 0))
+    }
+
     #[test]
     fn pure_lp_dispatch() {
         let mut p = Problem::new("lp", Sense::Maximize);
@@ -1058,9 +1058,9 @@ mod tests {
             misses += stats.warm_start_misses;
             assert_eq!(
                 (factorizations, refactorizations),
-                ctx.factorization_counts()
+                factorization_counts(ctx)
             );
-            assert_eq!((hits, misses), ctx.warm_start_counts());
+            assert_eq!((hits, misses), warm_start_counts(ctx));
         };
         for (cap, c) in [(14.0, [8.0, 11.0, 6.0, 4.0]), (12.0, [7.0, 10.0, 6.5, 4.0])] {
             let sol = solve_with_context(&knapsack(ConstraintOp::Le, cap, c), &opts, &mut ctx);
@@ -1160,9 +1160,9 @@ mod tests {
             let mut replayed = 0;
             for (k, step) in roundtrip_steps().iter().enumerate() {
                 let mut twin = SolveContext::import_state(&live.export_state()).unwrap();
-                assert_eq!(twin.reuse_counts(), live.reuse_counts());
-                assert_eq!(twin.warm_start_counts(), live.warm_start_counts());
-                assert_eq!(twin.factorization_counts(), live.factorization_counts());
+                assert_eq!(reuse_counts(&twin), reuse_counts(&live));
+                assert_eq!(warm_start_counts(&twin), warm_start_counts(&live));
+                assert_eq!(factorization_counts(&twin), factorization_counts(&live));
                 let ours = run_step(step, config, &mut live);
                 let theirs = run_step(step, config, &mut twin);
                 assert_eq!(ours, theirs, "step {k} under {config:?}");
@@ -1301,7 +1301,7 @@ mod tests {
         let before = solve_with_context(&first, &opts, &mut ctx).unwrap();
         assert!((before.objective() - 15.0).abs() < 1e-9);
         let after = solve_with_context(&twin, &opts, &mut ctx).unwrap();
-        assert_eq!(ctx.reuse_counts(), (1, 1), "the twin must rebind");
+        assert_eq!(reuse_counts(&ctx), (1, 1), "the twin must rebind");
         assert_eq!(after.status(), SolveStatus::Optimal);
         assert!(
             (after.objective() - fresh.objective()).abs() < 1e-9,
@@ -1316,7 +1316,7 @@ mod tests {
         ctx.relaxation_bound(&first, &opts).unwrap();
         let bound = ctx.relaxation_bound(&twin, &opts).unwrap();
         assert!((bound - fresh.objective()).abs() < 1e-9, "bound {bound}");
-        assert_eq!(ctx.warm_start_counts(), (1, 0));
+        assert_eq!(warm_start_counts(&ctx), (1, 0));
     }
 
     /// A well-framed blob with one damaged byte — a length, an index, a flag,

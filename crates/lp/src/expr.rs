@@ -31,8 +31,7 @@ impl VarId {
 /// let x = p.add_var("x", 0.0, 10.0);
 /// let y = p.add_var("y", 0.0, 10.0);
 /// let e = LinExpr::from(x) * 2.0 + LinExpr::from(y) - 1.0;
-/// assert_eq!(e.coeff(x), 2.0);
-/// assert_eq!(e.coeff(y), 1.0);
+/// assert_eq!(e.terms().collect::<Vec<_>>(), [(x, 2.0), (y, 1.0)]);
 /// assert_eq!(e.constant(), -1.0);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -47,16 +46,8 @@ impl LinExpr {
         Self::default()
     }
 
-    /// A constant expression.
-    pub fn constant_expr(c: f64) -> Self {
-        Self {
-            terms: BTreeMap::new(),
-            constant: c,
-        }
-    }
-
     /// Builds an expression from an iterator of `(variable, coefficient)` terms.
-    pub fn from_terms<I: IntoIterator<Item = (VarId, f64)>>(terms: I) -> Self {
+    pub(crate) fn from_terms<I: IntoIterator<Item = (VarId, f64)>>(terms: I) -> Self {
         let mut e = Self::new();
         for (v, c) in terms {
             e.add_term(v, c);
@@ -74,17 +65,6 @@ impl LinExpr {
             }
         }
         self
-    }
-
-    /// Adds a constant to the expression.
-    pub fn add_constant(&mut self, c: f64) -> &mut Self {
-        self.constant += c;
-        self
-    }
-
-    /// Coefficient of `var` (zero if absent).
-    pub fn coeff(&self, var: VarId) -> f64 {
-        self.terms.get(&var).copied().unwrap_or(0.0)
     }
 
     /// The constant term.
@@ -122,7 +102,7 @@ impl LinExpr {
     }
 
     /// Largest variable index referenced, if any.
-    pub fn max_var_index(&self) -> Option<usize> {
+    pub(crate) fn max_var_index(&self) -> Option<usize> {
         self.terms.keys().next_back().map(|v| v.0)
     }
 }
@@ -137,7 +117,10 @@ impl From<VarId> for LinExpr {
 
 impl From<f64> for LinExpr {
     fn from(c: f64) -> Self {
-        LinExpr::constant_expr(c)
+        Self {
+            constant: c,
+            ..Self::default()
+        }
     }
 }
 
@@ -225,14 +208,19 @@ mod tests {
         VarId(i)
     }
 
+    /// Coefficient of `var` in `e` (zero if absent).
+    fn coeff(e: &LinExpr, var: VarId) -> f64 {
+        e.terms.get(&var).copied().unwrap_or(0.0)
+    }
+
     #[test]
     fn merge_terms() {
         let mut e = LinExpr::new();
         e.add_term(v(0), 1.0)
             .add_term(v(0), 2.0)
             .add_term(v(1), -1.0);
-        assert_eq!(e.coeff(v(0)), 3.0);
-        assert_eq!(e.coeff(v(1)), -1.0);
+        assert_eq!(coeff(&e, v(0)), 3.0);
+        assert_eq!(coeff(&e, v(1)), -1.0);
         assert_eq!(e.len(), 2);
     }
 
@@ -250,15 +238,15 @@ mod tests {
         let a = LinExpr::from_terms([(v(0), 1.0), (v(1), 2.0)]) + 3.0;
         let b = LinExpr::from_terms([(v(1), 1.0)]);
         let s = a.clone() + b.clone();
-        assert_eq!(s.coeff(v(1)), 3.0);
+        assert_eq!(coeff(&s, v(1)), 3.0);
         assert_eq!(s.constant(), 3.0);
         let d = a.clone() - b;
-        assert_eq!(d.coeff(v(1)), 1.0);
+        assert_eq!(coeff(&d, v(1)), 1.0);
         let m = a * 2.0;
-        assert_eq!(m.coeff(v(0)), 2.0);
+        assert_eq!(coeff(&m, v(0)), 2.0);
         assert_eq!(m.constant(), 6.0);
         let n = -m;
-        assert_eq!(n.coeff(v(0)), -2.0);
+        assert_eq!(coeff(&n, v(0)), -2.0);
         assert_eq!(n.constant(), -6.0);
     }
 
@@ -272,10 +260,9 @@ mod tests {
 
     #[test]
     fn finiteness_check() {
-        let mut e = LinExpr::from_terms([(v(0), 1.0)]);
+        let e = LinExpr::from_terms([(v(0), 1.0)]);
         assert!(e.is_finite());
-        e.add_constant(f64::NAN);
-        assert!(!e.is_finite());
+        assert!(!(e + f64::NAN).is_finite());
     }
 
     #[test]

@@ -31,10 +31,12 @@
 //!   [`SolveContext::export_state`] / [`SolveContext::import_state`]
 //!   checkpoint it bit for bit.
 //!
-//! The answer is a [`Solution`] (status, objective, point, [`SolveStats`])
-//! or an [`LpError`]. The modules `error`, `expr`, `problem` and `solution`
-//! hold these types; the engine behind them — standard form, revised
-//! simplex, LU factors, branch & bound, the checkpoint codec — is private.
+//! A model is written with [`VarId`]s, [`VarKind`]s, [`LinExpr`]s, a
+//! [`ConstraintOp`] per row and a [`Sense`]. The answer is a [`Solution`]
+//! (a [`SolveStatus`], the objective, the point and [`SolveStats`]) or an
+//! [`LpError`]; a blob that does not decode is a [`StateError`]. Every
+//! module is private, and so is the engine behind these types — standard
+//! form, revised simplex, LU factors, branch & bound, the checkpoint codec.
 //!
 //! The API is deliberately small and builder-style:
 //!
@@ -53,13 +55,13 @@
 //! ```
 
 mod branch_bound;
-pub mod error;
-pub mod expr;
+mod error;
+mod expr;
 mod lu;
-pub mod problem;
+mod problem;
 mod revised;
 mod simplex;
-pub mod solution;
+mod solution;
 mod sparse;
 mod state;
 

@@ -30,7 +30,7 @@ use crate::sparse::CscMatrix;
 /// Scales with √m — the break-even between the O(m²+fill) refactorization
 /// (amortized over the interval) and the O(nnz(w)) ≈ O(m) cost every
 /// FTRAN/BTRAN pays per eta.
-pub fn eta_limit(m: usize) -> usize {
+pub(crate) fn eta_limit(m: usize) -> usize {
     12 + (m as f64).sqrt() as usize
 }
 
@@ -42,7 +42,7 @@ const DROP_TOL: f64 = 1e-13;
 
 /// The basis factorization could not be computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Singular {
+pub(crate) struct Singular {
     /// Elimination step at which no admissible pivot remained.
     pub step: usize,
 }
@@ -301,7 +301,7 @@ impl Eta {
 
 /// The live factorized basis `B = B₀·E₁·…·E_k` plus refresh bookkeeping.
 #[derive(Debug, Clone, Default)]
-pub struct BasisFactorization {
+pub(crate) struct BasisFactorization {
     lu: LuFactors,
     /// Staging area so a failed refactorization never corrupts the live
     /// factors (the old LU + eta file still represent the current basis).
@@ -328,7 +328,7 @@ impl BasisFactorization {
     /// Factorizes `B = A[:, basis]` from scratch and clears the eta file.
     /// `refresh` marks eta-limit/drift-triggered rebuilds for the stats.
     /// On failure the previous factorization (if any) remains usable.
-    pub fn refactorize(
+    pub(crate) fn refactorize(
         &mut self,
         a: &CscMatrix,
         basis: &[usize],
@@ -356,14 +356,14 @@ impl BasisFactorization {
     /// Eta-file length: pivot updates since the last refactorization.
     /// Compare against [`eta_limit`].
     #[inline]
-    pub fn eta_count(&self) -> usize {
+    pub(crate) fn eta_count(&self) -> usize {
         self.etas.len()
     }
 
     /// Records the pivot `(position r, w = B⁻¹·a_entering)` as an eta.
     /// `w[r]` must be safely away from zero (the caller's ratio test
     /// guarantees it).
-    pub fn push_eta(&mut self, r: usize, w: &[f64]) {
+    pub(crate) fn push_eta(&mut self, r: usize, w: &[f64]) {
         let mut nz = self.spare_nz.pop().unwrap_or_default();
         nz.extend(
             w.iter()
@@ -383,7 +383,7 @@ impl BasisFactorization {
     }
 
     /// `x ← B⁻¹·x` (row space in, basis-position space out).
-    pub fn ftran(&mut self, x: &mut [f64]) {
+    pub(crate) fn ftran(&mut self, x: &mut [f64]) {
         self.lu.ftran(x, &mut self.solve_scratch);
         for e in &self.etas {
             e.ftran(x);
@@ -391,7 +391,7 @@ impl BasisFactorization {
     }
 
     /// `x ← B⁻ᵀ·x` (basis-position space in, row space out).
-    pub fn btran(&mut self, x: &mut [f64]) {
+    pub(crate) fn btran(&mut self, x: &mut [f64]) {
         for e in self.etas.iter().rev() {
             e.btran(x);
         }

@@ -196,11 +196,6 @@ impl Problem {
         self.constraints.len()
     }
 
-    /// Read access to a variable record.
-    pub fn var(&self, id: VarId) -> &Variable {
-        &self.variables[id.0]
-    }
-
     /// Iterates all variable records in index order.
     pub fn variables(&self) -> &[Variable] {
         &self.variables
@@ -209,16 +204,6 @@ impl Problem {
     /// Iterates all constraints.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
-    }
-
-    /// Tightens (replaces) the bounds of an existing variable.
-    ///
-    /// Used by branch & bound and by Conductor's re-planning step, which pins
-    /// already-elapsed intervals of the plan to their observed values.
-    pub fn set_bounds(&mut self, id: VarId, lower: f64, upper: f64) {
-        let v = &mut self.variables[id.0];
-        v.lower = lower;
-        v.upper = upper;
     }
 
     /// Sets the objective from an iterator of `(variable, coefficient)` terms.
@@ -339,7 +324,7 @@ impl Problem {
     }
 
     /// `true` if any variable requires branch & bound (integer or semi-continuous).
-    pub fn is_mip(&self) -> bool {
+    pub(crate) fn is_mip(&self) -> bool {
         self.variables
             .iter()
             .any(|v| !matches!(v.kind, VarKind::Continuous))
@@ -363,7 +348,10 @@ mod tests {
         assert!(p.is_mip());
         p.add_constraint("c", [(x, 1.0), (y, 1.0)], ConstraintOp::Le, 5.0);
         assert_eq!(p.num_constraints(), 1);
-        assert_eq!(p.var(z).kind, VarKind::SemiContinuous { threshold: 2.0 });
+        assert_eq!(
+            p.variables()[z.index()].kind,
+            VarKind::SemiContinuous { threshold: 2.0 }
+        );
     }
 
     #[test]
@@ -399,15 +387,6 @@ mod tests {
         // `x` does not exist in `q`.
         q.set_objective([(x, 1.0)]);
         assert!(matches!(q.validate(), Err(LpError::UnknownVariable { .. })));
-    }
-
-    #[test]
-    fn set_bounds_replaces() {
-        let mut p = Problem::new("t", Sense::Minimize);
-        let x = p.add_var("x", 0.0, 10.0);
-        p.set_bounds(x, 3.0, 4.0);
-        assert_eq!(p.var(x).lower, 3.0);
-        assert_eq!(p.var(x).upper, 4.0);
     }
 
     #[test]

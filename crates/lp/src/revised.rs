@@ -138,7 +138,7 @@ impl From<LpError> for SolveAbort {
 /// The fields fall in three groups, by what a checkpoint does with them
 /// (`crate::state`'s module doc states the rule).
 #[derive(Debug, Clone, Default)]
-pub struct RevisedWorkspace {
+pub(crate) struct RevisedWorkspace {
     // Rebuilt on decode, from the skeleton's layout and the carried fields.
     /// The constraint matrix, from the skeleton and `fill_flip`
     /// ([`assemble_matrix`]).
@@ -249,13 +249,13 @@ pub struct RevisedWorkspace {
 
 impl RevisedWorkspace {
     /// Cumulative `(hits, misses)` of warm-start attempts.
-    pub fn warm_start_counts(&self) -> (usize, usize) {
+    pub(crate) fn warm_start_counts(&self) -> (usize, usize) {
         (self.warm_hits, self.warm_misses)
     }
 
     /// Cumulative `(factorizations, refactorizations)`: total LU builds and
     /// the subset triggered mid-stream by the eta limit or a drift check.
-    pub fn factorization_counts(&self) -> (usize, usize) {
+    pub(crate) fn factorization_counts(&self) -> (usize, usize) {
         (self.bf.factorizations, self.bf.refactorizations)
     }
 
@@ -269,7 +269,7 @@ impl RevisedWorkspace {
     /// path. Must be called whenever the skeleton this workspace was filled
     /// against is dropped or rebuilt: the warm-reuse guard compares skeleton
     /// *addresses*, and a fresh allocation can legally reuse a freed one.
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.reusable = false;
         self.d_certified = None;
         self.rhs_epoch = None;
@@ -278,12 +278,12 @@ impl RevisedWorkspace {
 
     /// Selects the repair pricing rule for every subsequent solve. The
     /// weights restart at every repair, so toggling needs no invalidation.
-    pub fn configure(&mut self, dual_steepest_edge: bool) {
+    pub(crate) fn configure(&mut self, dual_steepest_edge: bool) {
         self.use_dse = dual_steepest_edge;
     }
 
     /// Cumulative bound flips by the bounded-variable ratio test.
-    pub fn bound_flips(&self) -> usize {
+    pub(crate) fn bound_flips(&self) -> usize {
         self.bound_flips
     }
 

@@ -117,7 +117,7 @@ impl SkelRow {
 /// Building this walks every constraint expression exactly once; solving a
 /// node against it only touches the solver's workspace.
 #[derive(Debug, Clone)]
-pub struct StandardFormSkeleton {
+pub(crate) struct StandardFormSkeleton {
     pub(crate) var_map: Vec<VarMap>,
     /// Bounds the classification was derived from (used by
     /// [`StandardFormSkeleton::compatible`]).
@@ -708,9 +708,7 @@ mod tests {
         let mut p = Problem::new("t", Sense::Maximize);
         let x = p.add_var("x", 0.0, f64::INFINITY);
         p.set_objective([(x, 1.0)]);
-        let mut e = LinExpr::from(x);
-        e.add_constant(1.0);
-        p.add_constraint_expr("c", e, ConstraintOp::Le, 3.0);
+        p.add_constraint_expr("c", LinExpr::from(x) + 1.0, ConstraintOp::Le, 3.0);
         let r = solve(&p);
         assert!((r.objective() - 2.0).abs() < 1e-6);
     }
@@ -719,9 +717,7 @@ mod tests {
     fn objective_constant_is_reported() {
         let mut p = Problem::new("t", Sense::Minimize);
         let x = p.add_var("x", 0.0, f64::INFINITY);
-        let mut obj = LinExpr::from(x);
-        obj.add_constant(100.0);
-        p.set_objective_expr(obj);
+        p.set_objective_expr(LinExpr::from(x) + 100.0);
         p.add_constraint("c", [(x, 1.0)], ConstraintOp::Ge, 1.0);
         let r = solve(&p);
         assert!((r.objective() - 101.0).abs() < 1e-6);

@@ -13,7 +13,7 @@
 /// A sparse matrix stored by columns: `col_ptr[j]..col_ptr[j+1]` indexes the
 /// `(row_idx, values)` pairs of column `j`.
 #[derive(Debug, Clone, Default)]
-pub struct CscMatrix {
+pub(crate) struct CscMatrix {
     rows: usize,
     cols: usize,
     col_ptr: Vec<usize>,
@@ -27,7 +27,7 @@ impl CscMatrix {
     /// Rebuilds the matrix from `(column, row, value)` triplets (any order;
     /// duplicates are kept as separate entries, which the solve kernels
     /// accumulate naturally). Buffers are reused across calls.
-    pub fn assemble(&mut self, rows: usize, cols: usize, triplets: &[(usize, usize, f64)]) {
+    pub(crate) fn assemble(&mut self, rows: usize, cols: usize, triplets: &[(usize, usize, f64)]) {
         self.rows = rows;
         self.cols = cols;
         self.col_ptr.clear();
@@ -54,26 +54,26 @@ impl CscMatrix {
 
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// `(row indices, values)` of column `j`.
     #[inline]
-    pub fn col(&self, j: usize) -> (&[usize], &[f64]) {
+    pub(crate) fn col(&self, j: usize) -> (&[usize], &[f64]) {
         let (s, e) = (self.col_ptr[j], self.col_ptr[j + 1]);
         (&self.row_idx[s..e], &self.values[s..e])
     }
 
     /// `Σ_r y[r] · A[r, j]` — one pricing dot product.
     #[inline]
-    pub fn col_dot(&self, j: usize, y: &[f64]) -> f64 {
+    pub(crate) fn col_dot(&self, j: usize, y: &[f64]) -> f64 {
         let (idx, val) = self.col(j);
         let mut acc = 0.0;
         for (&r, &v) in idx.iter().zip(val) {
@@ -85,7 +85,7 @@ impl CscMatrix {
     /// Scatters column `j` into the dense vector `x` (which the caller has
     /// zeroed), accumulating duplicates.
     #[inline]
-    pub fn scatter_col(&self, j: usize, x: &mut [f64]) {
+    pub(crate) fn scatter_col(&self, j: usize, x: &mut [f64]) {
         let (idx, val) = self.col(j);
         for (&r, &v) in idx.iter().zip(val) {
             x[r] += v;
@@ -94,7 +94,7 @@ impl CscMatrix {
 
     /// `x += factor · A[:, j]` — used by residual checks.
     #[inline]
-    pub fn axpy_col(&self, j: usize, factor: f64, x: &mut [f64]) {
+    pub(crate) fn axpy_col(&self, j: usize, factor: f64, x: &mut [f64]) {
         let (idx, val) = self.col(j);
         for (&r, &v) in idx.iter().zip(val) {
             x[r] += factor * v;

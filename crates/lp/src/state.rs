@@ -91,78 +91,78 @@ impl std::error::Error for StateError {}
 
 /// Append-only little-endian byte sink.
 #[derive(Debug, Default)]
-pub struct Writer {
+pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    pub fn bool(&mut self, v: bool) {
+    pub(crate) fn bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
 
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn usize(&mut self, v: usize) {
+    pub(crate) fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// Raw bit pattern — non-finite values and `-0.0` round-trip exactly.
-    pub fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Length-prefixed sequence; `f` encodes each item.
-    pub fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
+    pub(crate) fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
         self.usize(items.len());
         for item in items {
             f(self, item);
         }
     }
 
-    pub fn vec_f64(&mut self, items: &[f64]) {
+    pub(crate) fn vec_f64(&mut self, items: &[f64]) {
         self.seq(items, |w, &v| w.f64(v));
     }
 
-    pub fn vec_usize(&mut self, items: &[usize]) {
+    pub(crate) fn vec_usize(&mut self, items: &[usize]) {
         self.seq(items, |w, &v| w.usize(v));
     }
 
-    pub fn vec_bool(&mut self, items: &[bool]) {
+    pub(crate) fn vec_bool(&mut self, items: &[bool]) {
         self.seq(items, |w, &v| w.bool(v));
     }
 
     /// Sparse-entry list: `(index, value)` pairs.
-    pub fn vec_idx_f64(&mut self, items: &[(usize, f64)]) {
+    pub(crate) fn vec_idx_f64(&mut self, items: &[(usize, f64)]) {
         self.seq(items, |w, &(i, v)| {
             w.usize(i);
             w.f64(v);
         });
     }
 
-    pub fn into_hex(self) -> String {
+    pub(crate) fn into_hex(self) -> String {
         to_hex(&self.buf)
     }
 }
 
 /// Cursor over a decoded byte buffer; every accessor checks bounds.
 #[derive(Debug)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
@@ -177,11 +177,11 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    pub fn u8(&mut self) -> Result<u8, StateError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, StateError> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn bool(&mut self) -> Result<bool, StateError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, StateError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -189,21 +189,21 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub fn u64(&mut self) -> Result<u64, StateError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, StateError> {
         let bytes = self.take(8)?;
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
-    pub fn usize(&mut self) -> Result<usize, StateError> {
+    pub(crate) fn usize(&mut self) -> Result<usize, StateError> {
         usize::try_from(self.u64()?).map_err(|_| StateError::new("usize overflow"))
     }
 
-    pub fn f64(&mut self) -> Result<f64, StateError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, StateError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Length-prefixed sequence; `f` decodes each item.
-    pub fn seq<T>(
+    pub(crate) fn seq<T>(
         &mut self,
         mut f: impl FnMut(&mut Self) -> Result<T, StateError>,
     ) -> Result<Vec<T>, StateError> {
@@ -217,25 +217,25 @@ impl<'a> Reader<'a> {
         Ok(items)
     }
 
-    pub fn vec_f64(&mut self) -> Result<Vec<f64>, StateError> {
+    pub(crate) fn vec_f64(&mut self) -> Result<Vec<f64>, StateError> {
         self.seq(|r| r.f64())
     }
 
-    pub fn vec_usize(&mut self) -> Result<Vec<usize>, StateError> {
+    pub(crate) fn vec_usize(&mut self) -> Result<Vec<usize>, StateError> {
         self.seq(|r| r.usize())
     }
 
-    pub fn vec_bool(&mut self) -> Result<Vec<bool>, StateError> {
+    pub(crate) fn vec_bool(&mut self) -> Result<Vec<bool>, StateError> {
         self.seq(|r| r.bool())
     }
 
-    pub fn vec_idx_f64(&mut self) -> Result<Vec<(usize, f64)>, StateError> {
+    pub(crate) fn vec_idx_f64(&mut self) -> Result<Vec<(usize, f64)>, StateError> {
         self.seq(|r| Ok((r.usize()?, r.f64()?)))
     }
 
     /// Asserts every byte was consumed — a decoder that stops early read a
     /// blob written by a different layout.
-    pub fn finish(self) -> Result<(), StateError> {
+    pub(crate) fn finish(self) -> Result<(), StateError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
@@ -247,7 +247,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-pub fn to_hex(bytes: &[u8]) -> String {
+pub(crate) fn to_hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
         s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
@@ -256,7 +256,7 @@ pub fn to_hex(bytes: &[u8]) -> String {
     s
 }
 
-pub fn from_hex(s: &str) -> Result<Vec<u8>, StateError> {
+pub(crate) fn from_hex(s: &str) -> Result<Vec<u8>, StateError> {
     if !s.len().is_multiple_of(2) {
         return Err(StateError::new("odd-length hex blob"));
     }

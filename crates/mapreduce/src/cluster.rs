@@ -43,7 +43,7 @@ pub struct NodeAllocation {
 /// the engine can bill rentals correctly and the Figure 12 timeline can be
 /// reconstructed.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Cluster {
+pub(crate) struct Cluster {
     nodes: Vec<SimNode>,
     next_id: usize,
     /// `(hour, node_count)` samples recorded at every membership change.
@@ -52,13 +52,18 @@ pub struct Cluster {
 
 impl Cluster {
     /// Creates an empty cluster.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds `count` nodes of the given instance type at simulation hour `now`,
     /// using the instance's measured throughput. Returns the new node ids.
-    pub fn add_nodes(&mut self, itype: &InstanceType, count: usize, now: f64) -> Vec<NodeId> {
+    pub(crate) fn add_nodes(
+        &mut self,
+        itype: &InstanceType,
+        count: usize,
+        now: f64,
+    ) -> Vec<NodeId> {
         let mut ids = Vec::with_capacity(count);
         for _ in 0..count {
             let id = NodeId(self.next_id);
@@ -79,7 +84,7 @@ impl Cluster {
 
     /// Removes exactly the listed nodes (ids not present are ignored) at hour
     /// `now` and returns the ids actually removed, in cluster order.
-    pub fn remove_specific(&mut self, ids: &[NodeId], now: f64) -> Vec<NodeId> {
+    pub(crate) fn remove_specific(&mut self, ids: &[NodeId], now: f64) -> Vec<NodeId> {
         if ids.is_empty() {
             // A scale-down waiting on busy nodes asks at every wakeup.
             return Vec::new();
@@ -105,22 +110,17 @@ impl Cluster {
     }
 
     /// All current member nodes.
-    pub fn nodes(&self) -> &[SimNode] {
+    pub(crate) fn nodes(&self) -> &[SimNode] {
         &self.nodes
     }
 
     /// Current number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
 
-    /// `true` when no nodes are allocated.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Number of nodes of a given instance type.
-    pub fn count_of(&self, instance_type: &str) -> usize {
+    pub(crate) fn count_of(&self, instance_type: &str) -> usize {
         self.nodes
             .iter()
             .filter(|n| n.instance_type == instance_type)
@@ -130,14 +130,14 @@ impl Cluster {
     /// Looks up a node by id. Ids are handed out in increasing order and
     /// removals keep the survivors' order, so `nodes` is always sorted by
     /// id and the lookup is a binary search.
-    pub fn node(&self, id: NodeId) -> Option<&SimNode> {
+    pub(crate) fn node(&self, id: NodeId) -> Option<&SimNode> {
         let at = self.nodes.binary_search_by_key(&id, |n| n.id).ok()?;
         Some(&self.nodes[at])
     }
 
     /// The `(hour, node_count)` membership-change samples recorded so far —
     /// the "allocated EC2 instances" series of Figure 12(a).
-    pub fn allocation_timeline(&self) -> &[(f64, usize)] {
+    pub(crate) fn allocation_timeline(&self) -> &[(f64, usize)] {
         &self.allocation_timeline
     }
 }

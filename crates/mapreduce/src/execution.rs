@@ -1325,7 +1325,7 @@ impl<'a> JobExecution<'a> {
                     let Some(&idx) = pending.first() else {
                         continue;
                     };
-                    if !self.scheduler.may_run(&self.tasks[idx], location, node) {
+                    if !self.scheduler.may_run(location, node) {
                         continue;
                     }
                     consider(idx, location, self.scheduler.preference(location, node));
@@ -1339,7 +1339,7 @@ impl<'a> JobExecution<'a> {
                     } else {
                         DataLocation::InstanceDisk
                     };
-                    if self.scheduler.may_run(&self.tasks[idx], location, node) {
+                    if self.scheduler.may_run(location, node) {
                         consider(idx, location, self.scheduler.preference(location, node));
                     }
                 }
@@ -1818,7 +1818,7 @@ mod tests {
         // Revoked half an hour in: no completed hour, so nothing charged.
         let (killed, _) = exec.kill_cloud_nodes(0.5);
         assert_eq!(killed, 4);
-        assert!(exec.cluster.is_empty());
+        assert_eq!(exec.cluster.len(), 0);
         assert!(exec.running.is_empty());
         assert_eq!(
             exec.billing
@@ -1852,7 +1852,7 @@ mod tests {
         // Price above the bid for hours 0-1, back down at hour 2.
         let mut exec = spot_execution(vec![0.5, 0.5, 0.2, 0.2, 0.2], 0.34);
         let wakeups = exec.on_wakeup(0.0);
-        assert!(exec.cluster.is_empty(), "acquired while out-bid");
+        assert_eq!(exec.cluster.len(), 0, "acquired while out-bid");
         // The reconciliation scheduled a retry at the recovery hour...
         assert!(
             wakeups
@@ -1873,7 +1873,7 @@ mod tests {
         // price never comes back to the bid and the job truly starves.
         let mut exec = spot_execution(vec![0.5], 0.34);
         exec.on_wakeup(0.0);
-        assert!(exec.cluster.is_empty());
+        assert_eq!(exec.cluster.len(), 0);
         assert_eq!(exec.next_event_hours(0.0), None);
     }
 

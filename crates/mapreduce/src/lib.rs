@@ -21,22 +21,44 @@
 //! * per-task completion timelines (Figure 12) and node-allocation timelines,
 //! * billing integration through [`conductor_cloud::BillingAccount`].
 
-pub mod cluster;
-pub mod engine;
-pub mod execution;
-pub mod hdfs;
-pub mod scheduler;
-pub mod task;
-pub mod workload;
+//!
+//! # The public surface
+//!
+//! There are two ways in:
+//!
+//! * [`Engine::run`] — deploy one [`JobSpec`] under [`DeploymentOptions`]
+//!   with a [`LocalityScheduler`] or [`PlanFollowingScheduler`] on a private
+//!   clock, start to finish, and get an [`ExecutionReport`] (or an
+//!   [`EngineError`]);
+//! * [`JobExecution`] — the same deployment as a process on the caller's
+//!   clock, advanced by [`JobEvent`] wakeups: what the fleet runs many of
+//!   at once. It reports [`JobPhase`] and [`ExecutionProgress`] as it goes,
+//!   bills under a [`SessionPricing`], and checkpoints bit for bit through
+//!   [`ExecutionSnapshot`].
+//!
+//! [`Workload`] names the paper's jobs, [`DataLocation`] where input lives,
+//! [`NodeAllocation`] one step of a node schedule and [`nodes_at`] reads a
+//! schedule at an hour; [`REFERENCE_INSTANCE_GBPH`] is the throughput a
+//! [`JobSpec`] is measured against. [`PhaseBreakdown`], [`Scheduler`],
+//! [`SchedulerSnapshot`], [`SimNode`] and [`NodeId`] appear in the
+//! signatures above. The cluster, the tasks and the kernel behind them are
+//! private.
 
-pub use cluster::{Cluster, NodeAllocation, NodeId, SimNode};
-pub use engine::{DataLocation, DeploymentOptions, Engine, ExecutionReport, PhaseBreakdown};
+mod cluster;
+// Public as a path: `benchmark/src/fixtures.rs` imports
+// `conductor_mapreduce::engine::DeploymentOptions`.
+pub mod engine;
+mod execution;
+mod scheduler;
+mod task;
+mod workload;
+
+pub use cluster::{nodes_at, NodeAllocation, NodeId, SimNode};
+pub use engine::{
+    DataLocation, DeploymentOptions, Engine, EngineError, ExecutionReport, PhaseBreakdown,
+};
 pub use execution::{
     ExecutionProgress, ExecutionSnapshot, JobEvent, JobExecution, JobPhase, SessionPricing,
 };
-pub use hdfs::HdfsModel;
-pub use scheduler::{
-    LocalityScheduler, PlanFollowingScheduler, Scheduler, SchedulerKind, SchedulerSnapshot,
-};
-pub use task::{Task, TaskId, TaskKind, TaskState};
+pub use scheduler::{LocalityScheduler, PlanFollowingScheduler, Scheduler, SchedulerSnapshot};
 pub use workload::{JobSpec, Workload, REFERENCE_INSTANCE_GBPH};

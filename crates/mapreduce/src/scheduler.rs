@@ -9,43 +9,27 @@
 
 use crate::cluster::SimNode;
 use crate::engine::DataLocation;
-use crate::task::Task;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Which scheduler implementation is in use (for reports and ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedulerKind {
-    /// Hadoop's default behaviour: locality preferred, remote reads allowed.
-    Locality,
-    /// Conductor's extension: only plan-approved locations are acceptable.
-    PlanFollowing,
-}
 
 /// Decides whether a task may run on a node given where its input currently
 /// lives, and ranks candidate locations by preference.
 ///
-/// Implementations must decide from `(location, node)` alone — the `task`
-/// argument is context, not a discriminator. The engine's dispatch index
-/// buckets pending tasks per location and probes one representative task
-/// per bucket, which is only equivalent to scanning every task under this
-/// contract (both schedulers here honor it).
+/// A decision depends on `(location, node)` alone, never on the task: the
+/// engine's dispatch index buckets pending tasks per location and probes
+/// one representative task per bucket.
 pub trait Scheduler {
     /// `true` if a task whose input is available at `location` may be
-    /// dispatched to `node` right now. Must not vary across tasks at the
-    /// same `location` (see the trait docs).
-    fn may_run(&self, task: &Task, location: DataLocation, node: &SimNode) -> bool;
+    /// dispatched to `node` right now.
+    fn may_run(&self, location: DataLocation, node: &SimNode) -> bool;
 
     /// Preference score for running a task whose data is at `location` on
     /// `node` (higher is better); used to break ties between runnable tasks.
     fn preference(&self, location: DataLocation, node: &SimNode) -> i32;
 
-    /// Which implementation this is.
-    fn kind(&self) -> SchedulerKind;
-
-    /// A serializable image of this scheduler's configuration;
-    /// [`SchedulerSnapshot::rebuild`] reconstructs an equivalent scheduler.
-    /// Both implementations are pure policy over small data, so the image
+    /// A serializable image of this scheduler's configuration, from which
+    /// a restored execution rebuilds an equivalent scheduler. Both
+    /// implementations are pure policy over small data, so the image
     /// is the kind plus (for the plan follower) the permission map.
     fn snapshot(&self) -> SchedulerSnapshot;
 }
@@ -65,7 +49,7 @@ pub enum SchedulerSnapshot {
 impl SchedulerSnapshot {
     /// Reconstructs a scheduler equivalent to the one the snapshot was
     /// taken from.
-    pub fn rebuild(&self) -> Box<dyn Scheduler + Send + 'static> {
+    pub(crate) fn rebuild(&self) -> Box<dyn Scheduler + Send + 'static> {
         match self {
             SchedulerSnapshot::Locality => Box::new(LocalityScheduler),
             SchedulerSnapshot::PlanFollowing { allowed } => Box::new(PlanFollowingScheduler {
@@ -79,16 +63,12 @@ impl SchedulerSnapshot {
 // a `Box<dyn Scheduler + '_>` (the execution process owns its scheduler;
 // `Engine::run` passes one in by reference).
 impl<S: Scheduler + ?Sized> Scheduler for &S {
-    fn may_run(&self, task: &Task, location: DataLocation, node: &SimNode) -> bool {
-        (**self).may_run(task, location, node)
+    fn may_run(&self, location: DataLocation, node: &SimNode) -> bool {
+        (**self).may_run(location, node)
     }
 
     fn preference(&self, location: DataLocation, node: &SimNode) -> i32 {
         (**self).preference(location, node)
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        (**self).kind()
     }
 
     fn snapshot(&self) -> SchedulerSnapshot {
@@ -102,7 +82,7 @@ impl<S: Scheduler + ?Sized> Scheduler for &S {
 pub struct LocalityScheduler;
 
 impl Scheduler for LocalityScheduler {
-    fn may_run(&self, _task: &Task, _location: DataLocation, _node: &SimNode) -> bool {
+    fn may_run(&self, _location: DataLocation, _node: &SimNode) -> bool {
         true
     }
 
@@ -114,10 +94,6 @@ impl Scheduler for LocalityScheduler {
             DataLocation::ClientSite => 0,
             _ => 1,
         }
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Locality
     }
 
     fn snapshot(&self) -> SchedulerSnapshot {
@@ -174,17 +150,13 @@ impl PlanFollowingScheduler {
 }
 
 impl Scheduler for PlanFollowingScheduler {
-    fn may_run(&self, _task: &Task, location: DataLocation, node: &SimNode) -> bool {
+    fn may_run(&self, location: DataLocation, node: &SimNode) -> bool {
         self.allowed_for(&node.instance_type).contains(&location)
     }
 
     fn preference(&self, location: DataLocation, node: &SimNode) -> i32 {
         // Same locality preference as Hadoop among the allowed locations.
         LocalityScheduler.preference(location, node)
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::PlanFollowing
     }
 
     fn snapshot(&self) -> SchedulerSnapshot {
@@ -198,7 +170,6 @@ impl Scheduler for PlanFollowingScheduler {
 mod tests {
     use super::*;
     use crate::cluster::NodeId;
-    use crate::task::{TaskId, TaskKind};
 
     fn ec2_node() -> SimNode {
         SimNode {
@@ -211,40 +182,34 @@ mod tests {
         }
     }
 
-    fn task() -> Task {
-        Task::new(TaskId(0), TaskKind::Map, 0.0625)
-    }
-
     #[test]
     fn locality_scheduler_runs_anything_but_prefers_local_data() {
         let s = LocalityScheduler;
         let node = ec2_node();
-        assert!(s.may_run(&task(), DataLocation::ClientSite, &node));
-        assert!(s.may_run(&task(), DataLocation::S3, &node));
+        assert!(s.may_run(DataLocation::ClientSite, &node));
+        assert!(s.may_run(DataLocation::S3, &node));
         assert!(
             s.preference(DataLocation::InstanceDisk, &node) > s.preference(DataLocation::S3, &node)
         );
         assert!(
             s.preference(DataLocation::S3, &node) > s.preference(DataLocation::ClientSite, &node)
         );
-        assert_eq!(s.kind(), SchedulerKind::Locality);
     }
 
     #[test]
     fn plan_following_scheduler_blocks_unplanned_locations() {
         let s = PlanFollowingScheduler::cloud_only_defaults();
         let node = ec2_node();
-        assert!(s.may_run(&task(), DataLocation::InstanceDisk, &node));
-        assert!(s.may_run(&task(), DataLocation::S3, &node));
+        assert!(s.may_run(DataLocation::InstanceDisk, &node));
+        assert!(s.may_run(DataLocation::S3, &node));
         // Reading from the customer site was not part of the plan.
-        assert!(!s.may_run(&task(), DataLocation::ClientSite, &node));
-        assert_eq!(s.kind(), SchedulerKind::PlanFollowing);
+        assert!(!s.may_run(DataLocation::ClientSite, &node));
     }
 
     #[test]
     fn empty_plan_permits_nothing() {
         let s = PlanFollowingScheduler::new();
-        assert!(!s.may_run(&task(), DataLocation::InstanceDisk, &ec2_node()));
+        assert!(!s.may_run(DataLocation::InstanceDisk, &ec2_node()));
         assert!(s.allowed_for("m1.large").is_empty());
     }
 

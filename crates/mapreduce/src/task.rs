@@ -5,11 +5,11 @@ use serde::{Deserialize, Serialize};
 
 /// Identifier of a task within a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct TaskId(pub usize);
+pub(crate) struct TaskId(pub usize);
 
 /// Map or Reduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TaskKind {
+pub(crate) enum TaskKind {
     /// Processes one input split.
     Map,
     /// Processes one partition of the shuffled intermediate data.
@@ -18,7 +18,7 @@ pub enum TaskKind {
 
 /// Lifecycle of a task.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum TaskState {
+pub(crate) enum TaskState {
     /// Input data is not yet at an acceptable location.
     WaitingForData,
     /// Ready to be assigned to a free slot.
@@ -39,7 +39,7 @@ pub enum TaskState {
 
 /// A schedulable unit of work.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Task {
+pub(crate) struct Task {
     /// Identifier within the job.
     pub id: TaskId,
     /// Map or Reduce.
@@ -52,7 +52,7 @@ pub struct Task {
 
 impl Task {
     /// Creates a task in the `WaitingForData` state.
-    pub fn new(id: TaskId, kind: TaskKind, data_gb: f64) -> Self {
+    pub(crate) fn new(id: TaskId, kind: TaskKind, data_gb: f64) -> Self {
         Self {
             id,
             kind,
@@ -62,20 +62,15 @@ impl Task {
     }
 
     /// `true` once the task has completed.
-    pub fn is_completed(&self) -> bool {
+    pub(crate) fn is_completed(&self) -> bool {
         matches!(self.state, TaskState::Completed { .. })
-    }
-
-    /// `true` while the task is executing.
-    pub fn is_running(&self) -> bool {
-        matches!(self.state, TaskState::Running { .. })
     }
 }
 
 /// Builds the task list for a job: `map_tasks` map tasks splitting
 /// `input_gb` evenly, plus `reduce_tasks` reduce tasks splitting `shuffle_gb`
 /// evenly.
-pub fn build_tasks(
+pub(crate) fn build_tasks(
     map_tasks: usize,
     input_gb: f64,
     reduce_tasks: usize,
@@ -138,12 +133,10 @@ mod tests {
     fn state_transitions_and_queries() {
         let mut t = Task::new(TaskId(0), TaskKind::Map, 0.0625);
         assert!(!t.is_completed());
-        assert!(!t.is_running());
         t.state = TaskState::Running {
             node: NodeId(3),
             finish_at: 1.5,
         };
-        assert!(t.is_running());
         t.state = TaskState::Completed { at: 1.5 };
         assert!(t.is_completed());
     }

@@ -41,7 +41,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Number of map tasks (one per input split, last split may be partial).
-    pub fn map_tasks(&self) -> usize {
+    pub(crate) fn map_tasks(&self) -> usize {
         let split_gb = self.split_mb / 1024.0;
         if self.input_gb <= 0.0 || split_gb <= 0.0 {
             return 0;
@@ -52,11 +52,6 @@ impl JobSpec {
     /// Total task count (map + reduce), the denominator of Figure 12(b).
     pub fn total_tasks(&self) -> usize {
         self.map_tasks() + self.reduce_tasks
-    }
-
-    /// Size of one full input split in GB.
-    pub fn split_gb(&self) -> f64 {
-        self.split_mb / 1024.0
     }
 
     /// Volume of intermediate (shuffle) data in GB.
@@ -79,16 +74,6 @@ impl JobSpec {
         } else {
             1.0
         }
-    }
-
-    /// Idealized processing time in hours on `nodes` reference nodes working
-    /// at full efficiency with all data local (a lower bound used for sanity
-    /// checks and by the planner's estimates).
-    pub fn ideal_processing_hours(&self, nodes: usize) -> f64 {
-        if nodes == 0 || self.reference_throughput_gbph <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.input_gb / (nodes as f64 * self.reference_throughput_gbph)
     }
 }
 
@@ -173,17 +158,6 @@ mod tests {
         let b = Workload::KMeansScaled { input_gb: 128 }.spec();
         assert_eq!(b.map_tasks(), 2 * a.map_tasks());
         assert!((b.shuffle_gb() - 2.0 * a.shuffle_gb()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ideal_processing_time_matches_hand_calculation() {
-        let spec = Workload::KMeans32Gb.spec();
-        // 32 GB on 16 nodes at 0.44 GB/h/node ≈ 4.55 h (the paper's 6-hour
-        // deadline scenario uses 16 nodes).
-        let t = spec.ideal_processing_hours(16);
-        assert!((t - 32.0 / (16.0 * 0.44)).abs() < 1e-9);
-        assert!(t > 4.0 && t < 5.0);
-        assert_eq!(spec.ideal_processing_hours(0), f64::INFINITY);
     }
 
     #[test]

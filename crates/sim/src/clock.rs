@@ -9,24 +9,24 @@ use serde::{Deserialize, Serialize};
 /// [`SimClock::advance_to`] with a time in the past is a no-op, so a stale
 /// event can never rewind the world.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct SimClock {
+pub(crate) struct SimClock {
     now: f64,
 }
 
 impl SimClock {
     /// A clock at hour zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Current time in hours.
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.now
     }
 
     /// Advances the clock to `at` hours; never moves backwards. Returns the
     /// (possibly unchanged) current time.
-    pub fn advance_to(&mut self, at: f64) -> f64 {
+    pub(crate) fn advance_to(&mut self, at: f64) -> f64 {
         if at > self.now {
             self.now = at;
         }

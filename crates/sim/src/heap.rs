@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// One scheduled event, as returned by [`EventHeap::pop`].
+/// One scheduled event, as returned by [`Simulator::pop`](crate::Simulator::pop).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledEvent<E> {
     /// Absolute simulation hour at which the event fires.
@@ -97,14 +97,14 @@ impl<E> Eq for Entry<E> {}
 /// kinds (e.g. "data arrivals settle before allocation steps"); within one
 /// class, simultaneous events pop in the order they were pushed.
 #[derive(Debug, Clone, Default)]
-pub struct EventHeap<E> {
+pub(crate) struct EventHeap<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
 
 impl<E> EventHeap<E> {
     /// An empty heap.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
             next_seq: 0,
@@ -113,12 +113,12 @@ impl<E> EventHeap<E> {
 
     /// Makes room for `additional` more events, so that scheduling a known
     /// number of them at once does not grow the heap by doubling.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
     }
 
     /// Schedules `event` at absolute hour `at` in ordering class `class`.
-    pub fn push(&mut self, at: f64, class: u8, event: E) {
+    pub(crate) fn push(&mut self, at: f64, class: u8, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry {
@@ -129,7 +129,7 @@ impl<E> EventHeap<E> {
     }
 
     /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<f64> {
+    pub(crate) fn peek_time(&self) -> Option<f64> {
         self.heap.peek().map(|e| e.at)
     }
 
@@ -138,12 +138,12 @@ impl<E> EventHeap<E> {
     /// barrier-stepping driver uses this to bound its stepping loop
     /// instead of guessing an end time. O(n) scan; the heap is ordered by
     /// earliest, not latest.
-    pub fn max_time(&self) -> Option<f64> {
+    pub(crate) fn max_time(&self) -> Option<f64> {
         self.heap.iter().map(|e| e.at).reduce(f64::max)
     }
 
     /// Removes and returns the earliest pending event.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+    pub(crate) fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         self.heap.pop().map(|e| ScheduledEvent {
             at: e.at,
             class: e.key.class,
@@ -153,19 +153,19 @@ impl<E> EventHeap<E> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// `true` when nothing is pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
     /// The sequence number the next [`EventHeap::push`] will take. Part of
     /// a heap checkpoint: restoring it means pushes after resume continue
     /// the FIFO tie-break exactly where the original run left off.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
@@ -173,7 +173,7 @@ impl<E> EventHeap<E> {
     /// original `(at, class, seq)` key — including the bit-exact `f64` time
     /// mapping — so the restored heap pops in the identical order, and
     /// `next_seq` resumes the insertion counter for subsequent pushes.
-    pub fn restore(entries: Vec<ScheduledEvent<E>>, next_seq: u64) -> Self {
+    pub(crate) fn restore(entries: Vec<ScheduledEvent<E>>, next_seq: u64) -> Self {
         let mut heap = BinaryHeap::with_capacity(entries.len());
         for e in entries {
             heap.push(Entry {
@@ -190,7 +190,7 @@ impl<E: Clone> EventHeap<E> {
     /// Every pending event in deterministic pop order, with its original
     /// insertion sequence. Feeding the result to [`EventHeap::restore`]
     /// (with [`EventHeap::next_seq`]) reproduces this heap exactly.
-    pub fn snapshot_entries(&self) -> Vec<ScheduledEvent<E>> {
+    pub(crate) fn snapshot_entries(&self) -> Vec<ScheduledEvent<E>> {
         let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
         entries.sort_by_key(|e| e.key);
         entries

@@ -34,13 +34,23 @@
 //! splice new event kinds between existing layers — exactly how
 //! revocations landed at 2 — without renumbering, which would silently
 //! reorder previously recorded simulations.
+//!
+//! # The public surface
+//!
+//! [`Simulator`] is the one way in: schedule events, pop them one at a time
+//! ([`Simulator::pop`], a [`ScheduledEvent`]) or in simultaneous batches
+//! ([`Simulator::pop_due`], within [`TIME_EPSILON`]), and checkpoint or
+//! restore the pending set. [`ProcessRegistry`] hands out the
+//! [`ProcessId`]s that address events to the state machines sharing one
+//! clock. The heap and the clock behind the simulator are private.
 
 mod clock;
 mod heap;
 mod process;
 
-pub use clock::SimClock;
-pub use heap::{EventHeap, ScheduledEvent};
+use clock::SimClock;
+use heap::EventHeap;
+pub use heap::ScheduledEvent;
 pub use process::{ProcessId, ProcessRegistry};
 
 /// Default time tolerance (in simulated hours) within which two events are
@@ -49,7 +59,7 @@ pub use process::{ProcessId, ProcessRegistry};
 /// with the engine's availability/retirement checks.
 pub const TIME_EPSILON: f64 = 1e-9;
 
-/// A discrete-event simulator: an [`EventHeap`] plus a [`SimClock`].
+/// A discrete-event simulator: an event heap plus a monotonic clock.
 ///
 /// The typical driver loop pops *batches* of simultaneous events (within
 /// [`TIME_EPSILON`]), advances the clock to the batch time, and lets the

@@ -8,9 +8,9 @@
 
 use conductor_cloud::{catalog::mbps_to_gb_per_hour, Catalog};
 use conductor_core::{Goal, JobController, Planner, ResourcePool};
-use conductor_mapreduce::engine::{DataLocation, DeploymentOptions, Engine, ExecutionReport};
-use conductor_mapreduce::scheduler::LocalityScheduler;
-use conductor_mapreduce::Workload;
+use conductor_mapreduce::{
+    DataLocation, DeploymentOptions, Engine, ExecutionReport, LocalityScheduler, Workload,
+};
 
 fn print_report(report: &ExecutionReport) {
     println!(

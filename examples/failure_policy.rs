@@ -14,10 +14,9 @@
 //! Run with: `cargo run --release --example failure_policy`
 
 use conductor_cloud::{Catalog, SpotMarket, SpotTrace, TraceKind};
-use conductor_core::policy::FaultEvent;
 use conductor_core::{
-    BreakerState, CircuitBreakerConfig, FailurePolicy, FallbackTier, FaultKind, FaultPlan, Fleet,
-    FleetConfig, FleetEvent, FleetJobRequest, Goal, ResourcePool, RetryPolicy,
+    BreakerState, CircuitBreakerConfig, FailurePolicy, FallbackTier, FaultEvent, FaultKind,
+    FaultPlan, Fleet, FleetConfig, FleetEvent, FleetJobRequest, Goal, ResourcePool, RetryPolicy,
 };
 use conductor_mapreduce::Workload;
 

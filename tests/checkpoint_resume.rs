@@ -16,10 +16,9 @@
 mod support;
 
 use conductor_bench::experiments::{churn_fixture, faulted_churn_fixture, run_fleet_session};
-use conductor_core::policy::FaultKind;
 use conductor_core::{
-    ConductorError, ConductorService, Fleet, FleetEvent, FleetJobRequest, FleetSnapshot, Goal,
-    TenantId,
+    ConductorError, ConductorService, FaultKind, Fleet, FleetEvent, FleetJobRequest, FleetSnapshot,
+    Goal, TenantId,
 };
 use conductor_mapreduce::Workload;
 use proptest::prelude::*;

@@ -26,7 +26,7 @@ fn temp_wal(tag: &str) -> PathBuf {
 }
 
 /// Writes `bytes` as a WAL file and reads it back.
-fn read_wal(tag: &str, bytes: &[u8]) -> Result<conductor_core::wal::WalReadout, ConductorError> {
+fn read_wal(tag: &str, bytes: &[u8]) -> Result<conductor_core::WalReadout, ConductorError> {
     let path = temp_wal(tag);
     std::fs::write(&path, bytes).unwrap();
     let readout = WalReader::read(&path);

@@ -6,9 +6,9 @@
 use conductor_cloud::{Catalog, ServiceDescription};
 use conductor_core::{ExecutionPlan, Goal, ModelConfig, ModelInstance, Planner, ResourcePool};
 use conductor_lp::{SolveContext, SolveOptions};
-use conductor_mapreduce::engine::{DataLocation, DeploymentOptions, Engine};
-use conductor_mapreduce::scheduler::{LocalityScheduler, PlanFollowingScheduler};
-use conductor_mapreduce::Workload;
+use conductor_mapreduce::{
+    DataLocation, DeploymentOptions, Engine, LocalityScheduler, PlanFollowingScheduler, Workload,
+};
 
 #[path = "support/oracle.rs"]
 mod oracle;

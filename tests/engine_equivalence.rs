@@ -8,9 +8,9 @@
 //! accident of event ordering.
 
 use conductor_cloud::{catalog::mbps_to_gb_per_hour, Catalog};
-use conductor_mapreduce::engine::{DeploymentOptions, Engine};
-use conductor_mapreduce::scheduler::{LocalityScheduler, PlanFollowingScheduler};
-use conductor_mapreduce::{DataLocation, Workload};
+use conductor_mapreduce::{
+    DataLocation, DeploymentOptions, Engine, LocalityScheduler, PlanFollowingScheduler, Workload,
+};
 
 fn assert_close(label: &str, got: f64, pinned: f64) {
     assert!(

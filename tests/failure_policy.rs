@@ -10,11 +10,10 @@ mod support;
 
 use conductor_bench::experiments::{churn_fixture, churn_policy, run_fleet_online};
 use conductor_cloud::Catalog;
-use conductor_core::policy::FaultEvent;
 use conductor_core::{
     BreakerState, CircuitBreakerConfig, ConductorService, FailurePolicy, FailureThreshold,
-    FallbackTier, FaultKind, FaultPlan, FleetEvent, FleetJobRequest, Goal, OutcomeClass,
-    ResourcePool, RetryPolicy, TenantState,
+    FallbackTier, FaultEvent, FaultKind, FaultPlan, FleetEvent, FleetJobRequest, Goal,
+    OutcomeClass, ResourcePool, RetryPolicy, TenantState,
 };
 use conductor_mapreduce::Workload;
 use support::fleet::{canonical_json, fast_options, storm_prices, storm_service};

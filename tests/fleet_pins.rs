@@ -18,11 +18,10 @@
 mod support;
 
 use conductor_bench::experiments::{churn_fixture, faulted_churn_fixture, run_fleet_session};
-use conductor_core::policy::FaultEvent;
 use conductor_core::{
     CircuitBreakerConfig, ConductorService, FailurePolicy, FailureThreshold, FallbackTier,
-    FaultKind, FaultPlan, Fleet, FleetEvent, FleetJobRequest, FleetReport, FleetSnapshot, Goal,
-    RetryPolicy, ShardRouter, ShardedFleet, ShardedFleetConfig, TenantId,
+    FaultEvent, FaultKind, FaultPlan, Fleet, FleetEvent, FleetJobRequest, FleetReport,
+    FleetSnapshot, Goal, RetryPolicy, ShardRouter, ShardedFleet, ShardedFleetConfig, TenantId,
 };
 use conductor_mapreduce::Workload;
 use support::fleet::assert_accounts_balance;

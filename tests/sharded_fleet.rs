@@ -7,9 +7,8 @@ mod support;
 
 use conductor_bench::experiments::{churn_fixture, churn_requests, run_sharded_session};
 use conductor_cloud::{Catalog, SpotMarket, SpotTrace};
-use conductor_core::policy::FaultEvent;
 use conductor_core::{
-    ConductorService, FailurePolicy, FaultKind, FaultPlan, FleetEvent, FleetJobRequest,
+    ConductorService, FailurePolicy, FaultEvent, FaultKind, FaultPlan, FleetEvent, FleetJobRequest,
     FleetSnapshot, Goal, OutcomeClass, ResourcePool, RetryPolicy, ShardedFleetConfig, TenantId,
     WalReader, WalWriter,
 };

@@ -2,12 +2,12 @@
 //! report rendering the determinism tests compare, and the accounting
 //! invariants every finished fleet must satisfy.
 
-pub use conductor_bench::experiments::solver_options as fast_options;
+pub(crate) use conductor_bench::experiments::solver_options as fast_options;
 use conductor_cloud::{Catalog, SpotMarket, SpotTrace, TraceKind};
 use conductor_core::{ConductorService, FleetReport, ResourcePool};
 
 /// A service over an explicit hourly price trace with the given fleet bid.
-pub fn storm_service(prices: Vec<f64>, bid: f64, cap: usize) -> ConductorService {
+pub(crate) fn storm_service(prices: Vec<f64>, bid: f64, cap: usize) -> ConductorService {
     let catalog = Catalog::aws_july_2011();
     let pool = ResourcePool::from_catalog(&catalog, 1.0)
         .with_compute_only(&["m1.large"])
@@ -22,7 +22,7 @@ pub fn storm_service(prices: Vec<f64>, bid: f64, cap: usize) -> ConductorService
 }
 
 /// Cheap everywhere except a storm at hours `[storm_start, storm_end)`.
-pub fn storm_prices(hours: usize, storm_start: usize, storm_end: usize) -> Vec<f64> {
+pub(crate) fn storm_prices(hours: usize, storm_start: usize, storm_end: usize) -> Vec<f64> {
     (0..hours)
         .map(|t| {
             if (storm_start..storm_end).contains(&t) {
@@ -39,7 +39,7 @@ pub fn storm_prices(hours: usize, storm_start: usize, storm_end: usize) -> Vec<f
 /// simulation state, and are the only fields allowed to vary between
 /// reruns. Every simulated float still participates bit for bit (the
 /// renderer's shortest-round-trip float formatting is injective).
-pub fn canonical_json(report: &FleetReport) -> String {
+pub(crate) fn canonical_json(report: &FleetReport) -> String {
     fn strip(v: &mut serde_json::Json) {
         match v {
             serde_json::Json::Object(fields) => {
@@ -63,7 +63,7 @@ pub fn canonical_json(report: &FleetReport) -> String {
 /// only admitted tenants fail, every admitted job either completed or
 /// failed, and the tenant bills, the fleet bill and the category roll-up
 /// are one number.
-pub fn assert_accounts_balance(report: &FleetReport) {
+pub(crate) fn assert_accounts_balance(report: &FleetReport) {
     let mut failed = 0;
     for t in &report.tenants {
         if t.admitted {

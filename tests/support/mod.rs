@@ -3,14 +3,14 @@
 //! and invariants of the fleet suites.
 #![allow(dead_code)]
 
-pub mod fleet;
-pub mod oracle;
+pub(crate) mod fleet;
+pub(crate) mod oracle;
 
 use conductor_lp::SolveOptions;
 
 /// Every configuration of the revised engine on top of `base`:
 /// bounded-variables × dual steepest-edge.
-pub fn revised_configs(base: &SolveOptions) -> Vec<(String, SolveOptions)> {
+pub(crate) fn revised_configs(base: &SolveOptions) -> Vec<(String, SolveOptions)> {
     [
         ("default", false, false),
         ("dse", false, true),

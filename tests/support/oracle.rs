@@ -22,7 +22,7 @@ const MAX_PIVOTS: usize = 200_000;
 
 /// What the oracle concluded about a problem.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Outcome {
+pub(crate) enum Outcome {
     Optimal { objective: f64, values: Vec<f64> },
     Infeasible,
     Unbounded,
@@ -30,7 +30,7 @@ pub enum Outcome {
 
 impl Outcome {
     /// The optimal objective; panics on an infeasible or unbounded outcome.
-    pub fn objective(&self) -> f64 {
+    pub(crate) fn objective(&self) -> f64 {
         match self {
             Outcome::Optimal { objective, .. } => *objective,
             other => panic!("oracle: no optimum ({other:?})"),
@@ -47,7 +47,7 @@ fn sense_sign(p: &Problem) -> f64 {
 
 /// Solves the continuous relaxation of `p` with every variable's declared
 /// bounds replaced by `lower[i]..=upper[i]` (kinds are ignored).
-pub fn solve_lp(p: &Problem, lower: &[f64], upper: &[f64]) -> Outcome {
+pub(crate) fn solve_lp(p: &Problem, lower: &[f64], upper: &[f64]) -> Outcome {
     let sign = sense_sign(p);
     let mut cost = vec![0.0; p.num_vars()];
     for (v, c) in p.objective().terms() {
@@ -63,7 +63,7 @@ pub fn solve_lp(p: &Problem, lower: &[f64], upper: &[f64]) -> Outcome {
 }
 
 /// Solves `p` to proven optimality by enumeration (see the module docs).
-pub fn solve(p: &Problem) -> Outcome {
+pub(crate) fn solve(p: &Problem) -> Outcome {
     let mut lower: Vec<f64> = p.variables().iter().map(|v| v.lower).collect();
     let mut upper: Vec<f64> = p.variables().iter().map(|v| v.upper).collect();
     // An unbounded relaxation is reported as an unbounded problem.
