@@ -150,7 +150,7 @@ impl Planner {
     /// The default solver configuration follows the spirit of the paper's
     /// CPLEX setup (return the best plan found when limits are hit, §4.8) but
     /// with bounds tuned for the bundled branch & bound solver: a 2 %
-    /// optimality gap, a 2,000-node search limit and a 60-second cap. Use
+    /// optimality gap, a 4,000-node search limit and a 60-second cap. Use
     /// [`Planner::with_solve_options`] to reproduce the exact 1 %/3-minute
     /// CPLEX configuration.
     pub fn new(pool: ResourcePool) -> Self {

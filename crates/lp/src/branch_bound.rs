@@ -27,6 +27,23 @@
 //! prune checks, branching and gap test run as for any node
 //! ([`SolveStats::replayed_nodes`]; `crates/lp/src/revised.rs`'s module doc
 //! states the rule).
+//!
+//! An open node does not own bound vectors. The tree keeps an arena of
+//! branching records, each `(parent, depth, var, prev, next)`: the child of
+//! `parent` that moved variable `var`'s bounds from `prev` to `next`. A node
+//! is one record plus its parent's relaxation bound, and one `lower`/`upper`
+//! pair is materialized, for the record in focus ([`BoundTree`]). Popping a
+//! node climbs from the focused record and from the node's record to their
+//! common ancestor, undoing `prev` on the way up and redoing `next` root to
+//! leaf on the way down: O(tree distance), O(1) for a child of the node just
+//! solved. A child whose bounds equal its parent's shares the parent's
+//! record, so a spin of repeats grows neither the arena nor the walk. The
+//! records hold the values a copied vector held (the same `f64`s, written
+//! by the same expressions), so every node is solved, rounded and branched
+//! under the same bits, and the heap sees the same pushes and pops with the
+//! same keys; no pivot, node count or answer depends on how a node is
+//! stored. Debug builds rebuild the focused bounds from the root along the
+//! record chain after every walk and assert them bit for bit.
 
 use crate::error::LpError;
 use crate::expr::LinExpr;
@@ -241,8 +258,8 @@ pub(crate) fn solve_with_context(
         workspace,
     };
     let (result, nodes_explored, simplex_iterations, replayed_nodes) = if problem.is_mip() {
-        let mut bb = BranchAndBound::new(problem, options, start, solver);
-        let result = bb.run(lower, upper, root_warm);
+        let mut bb = BranchAndBound::new(problem, options, start, solver, lower, upper);
+        let result = bb.run(root_warm);
         solver = bb.node_solver;
         (
             result,
@@ -387,47 +404,162 @@ impl NodeSolver<'_> {
     }
 }
 
-/// A pending search node: bound overrides plus the parent relaxation bound
-/// and whether the parent left a basis to warm-start from.
+/// A pending search node: its branching record, the parent's relaxation
+/// bound, and whether the parent left a basis to warm-start from. The heap
+/// is a max-heap ordered so that the node with the smallest minimization
+/// bound (the most promising) pops first.
 struct Node {
-    lower: Vec<f64>,
-    upper: Vec<f64>,
+    /// The record whose chain from the root gives this node's bounds.
+    record: usize,
     /// Relaxation objective of the parent, in *minimization* orientation
     /// (used for best-bound ordering and pruning).
     bound: f64,
-    depth: usize,
     /// `true` when the parent's solve left the shared workspace on a basis
     /// this node may resume from.
     warm: bool,
-    /// `Some(k)` when these bound vectors are bit-identical to the parent's
-    /// and the parent's relaxation came from engine solve number `k`.
+    /// `Some(k)` when this node's bounds are bit-identical to the parent's
+    /// (it shares the parent's record) and the parent's relaxation came
+    /// from engine solve number `k`.
     repeats: Option<usize>,
 }
 
-/// Max-heap entry ordered so the node with the smallest minimization bound
-/// (i.e. the most promising) pops first.
-struct HeapEntry {
-    node: Node,
-    order: f64,
-}
-
-impl PartialEq for HeapEntry {
+impl PartialEq for Node {
     fn eq(&self, other: &Self) -> bool {
-        self.order.total_cmp(&other.order) == Ordering::Equal
+        self.bound.total_cmp(&other.bound) == Ordering::Equal
     }
 }
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
+impl Eq for Node {}
+impl PartialOrd for Node {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapEntry {
+impl Ord for Node {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: smaller bound = higher priority. `total_cmp` gives a
         // total order even for NaN, so a corrupt bound can no longer poison
         // the heap invariants (NaN sorts last and simply pops last).
-        other.order.total_cmp(&self.order)
+        other.bound.total_cmp(&self.bound)
+    }
+}
+
+/// The record of the root node: it branches nothing and is its own parent.
+const ROOT: usize = 0;
+
+/// One branching decision: the child of record `parent` that moved variable
+/// `var`'s bounds from `prev` to `next`, `depth` records below the root.
+#[derive(Clone, Copy)]
+struct Record {
+    parent: usize,
+    depth: usize,
+    var: usize,
+    prev: (f64, f64),
+    next: (f64, f64),
+}
+
+/// The bounds of every node of one search: an arena of branching records,
+/// and the `lower`/`upper` pair of the record in focus, materialized. The
+/// arena is per-solve scratch; nothing of it is exported.
+struct BoundTree {
+    records: Vec<Record>,
+    /// The focused record's chain below the root, root to leaf: `path[d]`
+    /// is its ancestor at depth `d + 1`, and the last entry is the record.
+    path: Vec<usize>,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+}
+
+impl BoundTree {
+    /// A tree holding only the root, in focus, with these bounds.
+    fn new(lower: Vec<f64>, upper: Vec<f64>) -> Self {
+        let root = Record {
+            parent: ROOT,
+            depth: 0,
+            var: usize::MAX,
+            prev: (0.0, 0.0),
+            next: (0.0, 0.0),
+        };
+        Self {
+            records: vec![root],
+            path: Vec::new(),
+            lower,
+            upper,
+        }
+    }
+
+    fn focused(&self) -> usize {
+        self.path.last().copied().unwrap_or(ROOT)
+    }
+
+    /// Records a child of the focused record that sets `var`'s bounds to
+    /// `next`, and returns it.
+    fn child(&mut self, var: usize, next: (f64, f64)) -> usize {
+        self.records.push(Record {
+            parent: self.focused(),
+            depth: self.path.len() + 1,
+            var,
+            prev: (self.lower[var], self.upper[var]),
+            next,
+        });
+        self.records.len() - 1
+    }
+
+    /// Materializes `target`'s bounds: climbs from `target` to the first
+    /// record on the focused chain, undoes the focused records below that
+    /// ancestor leaf to root, then redoes the target's root to leaf.
+    fn focus(&mut self, target: usize) {
+        let focused = self.path.len();
+        // The target's records to redo go past the chain's end, leaf first.
+        let mut at = target;
+        while at != ROOT {
+            let depth = self.records[at].depth;
+            if depth <= focused && self.path[depth - 1] == at {
+                break;
+            }
+            self.path.push(at);
+            at = self.records[at].parent;
+        }
+        let shared = self.records[at].depth;
+        for &r in self.path[shared..focused].iter().rev() {
+            let Record { var, prev, .. } = self.records[r];
+            (self.lower[var], self.upper[var]) = prev;
+        }
+        self.path.drain(shared..focused);
+        self.path[shared..].reverse();
+        for &r in &self.path[shared..] {
+            let Record { var, next, .. } = self.records[r];
+            (self.lower[var], self.upper[var]) = next;
+        }
+    }
+
+    /// Debug builds' proof of a walk: `target` is in focus, the chain is its
+    /// parent links, and every variable's materialized bounds are, bit for
+    /// bit, the `next` of the deepest record on that chain that branched it
+    /// — or `root(var)` when none did.
+    fn check_focus(&self, target: usize, root: impl Fn(usize) -> (f64, f64)) {
+        let chain = || {
+            std::iter::successors(Some(target), |&r| Some(self.records[r].parent))
+                .take_while(|&r| r != ROOT)
+        };
+        assert!(
+            chain().eq(self.path.iter().rev().copied()),
+            "focused chain {:?}, record {target}'s {:?}",
+            self.path,
+            chain().collect::<Vec<_>>()
+        );
+        let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+        for var in 0..self.lower.len() {
+            let rebuilt = chain()
+                .map(|r| &self.records[r])
+                .find(|r| r.var == var)
+                .map_or_else(|| root(var), |r| r.next);
+            assert_eq!(
+                bits(rebuilt),
+                bits((self.lower[var], self.upper[var])),
+                "variable {var} of record {target}: rebuilt {rebuilt:?}, materialized {:?}",
+                (self.lower[var], self.upper[var])
+            );
+        }
     }
 }
 
@@ -490,7 +622,8 @@ struct BranchAndBound<'a> {
     sense_factor: f64,
     node_solver: NodeSolver<'a>,
     incumbent: Option<(f64, Vec<f64>)>,
-    best_bound: f64,
+    /// Every open node's bounds, and the focused node's materialized.
+    tree: BoundTree,
     nodes_explored: usize,
     simplex_iterations: usize,
     /// Relaxations solved by the engine so far, failed ones included.
@@ -515,6 +648,8 @@ impl<'a> BranchAndBound<'a> {
         options: &'a SolveOptions,
         start: Instant,
         node_solver: NodeSolver<'a>,
+        root_lower: Vec<f64>,
+        root_upper: Vec<f64>,
     ) -> Self {
         let sense_factor = match problem.sense() {
             Sense::Minimize => 1.0,
@@ -527,7 +662,7 @@ impl<'a> BranchAndBound<'a> {
             sense_factor,
             node_solver,
             incumbent: None,
-            best_bound: f64::NEG_INFINITY,
+            tree: BoundTree::new(root_lower, root_upper),
             nodes_explored: 0,
             simplex_iterations: 0,
             solves: 0,
@@ -545,23 +680,13 @@ impl<'a> BranchAndBound<'a> {
         objective * self.sense_factor
     }
 
-    fn run(
-        &mut self,
-        root_lower: Vec<f64>,
-        root_upper: Vec<f64>,
-        root_warm: bool,
-    ) -> Result<Found, LpError> {
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-        heap.push(HeapEntry {
-            order: f64::NEG_INFINITY,
-            node: Node {
-                lower: root_lower,
-                upper: root_upper,
-                bound: f64::NEG_INFINITY,
-                depth: 0,
-                warm: root_warm,
-                repeats: None,
-            },
+    fn run(&mut self, root_warm: bool) -> Result<Found, LpError> {
+        let mut heap: BinaryHeap<Node> = BinaryHeap::new();
+        heap.push(Node {
+            record: ROOT,
+            bound: f64::NEG_INFINITY,
+            warm: root_warm,
+            repeats: None,
         });
 
         let mut root_infeasible = true;
@@ -574,7 +699,7 @@ impl<'a> BranchAndBound<'a> {
         while self.nodes_explored < self.options.max_nodes
             && self.start.elapsed() < self.options.time_limit
         {
-            let Some(HeapEntry { node, .. }) = heap.pop() else {
+            let Some(node) = heap.pop() else {
                 break;
             };
             // Prune against the incumbent (in minimization orientation).
@@ -586,6 +711,12 @@ impl<'a> BranchAndBound<'a> {
             }
 
             attempted_any_node = true;
+            self.tree.focus(node.record);
+            if cfg!(debug_assertions) {
+                let variables = self.problem.variables();
+                self.tree
+                    .check_focus(node.record, |i| (variables[i].lower, variables[i].upper));
+            }
             // Nothing has touched the workspace or `values` since the solve
             // this node repeats, so that solve's result is this node's.
             let replay = match (node.warm, node.repeats, self.replayable) {
@@ -598,8 +729,8 @@ impl<'a> BranchAndBound<'a> {
                     self.solves += 1;
                     self.replayable = None;
                     self.node_solver.solve_node(
-                        &node.lower,
-                        &node.upper,
+                        &self.tree.lower,
+                        &self.tree.upper,
                         node.warm,
                         &mut self.values,
                     )
@@ -627,9 +758,6 @@ impl<'a> BranchAndBound<'a> {
             self.simplex_iterations += relax.iterations;
 
             let relax_min = self.min_obj(relax.objective);
-            if node.depth == 0 {
-                self.best_bound = relax_min;
-            }
 
             // Prune by bound.
             if let Some((inc_obj, _)) = &self.incumbent {
@@ -652,9 +780,9 @@ impl<'a> BranchAndBound<'a> {
                     // A replayed node's point, bounds and incumbent are the
                     // ones the heuristic was just offered.
                     if replay.is_none() {
-                        self.try_rounding_heuristic(&node);
+                        self.try_rounding_heuristic();
                     }
-                    self.branch(node, branch_var, relax.inheritable, relax_min, &mut heap);
+                    self.branch(branch_var, relax.inheritable, relax_min, &mut heap);
                 }
             }
 
@@ -664,7 +792,7 @@ impl<'a> BranchAndBound<'a> {
                 let inc_min = self.min_obj(*inc_obj);
                 let bound = heap
                     .peek()
-                    .map(|e| e.node.bound)
+                    .map(|n| n.bound)
                     .unwrap_or(f64::INFINITY)
                     .min(inc_min);
                 let gap = relative_gap(inc_min, bound);
@@ -677,7 +805,7 @@ impl<'a> BranchAndBound<'a> {
         let sense_factor = self.sense_factor;
         match self.incumbent.take() {
             Some((obj, values)) => {
-                let remaining_bound = heap.peek().map(|e| e.node.bound).unwrap_or(f64::INFINITY);
+                let remaining_bound = heap.peek().map(|n| n.bound).unwrap_or(f64::INFINITY);
                 let inc_min = obj * sense_factor;
                 let gap = relative_gap(inc_min, remaining_bound.min(inc_min));
                 let status = if gap <= self.options.relative_gap {
@@ -775,7 +903,7 @@ impl<'a> BranchAndBound<'a> {
         let mut point = std::mem::take(&mut self.rounded);
         let fresh = self
             .node_solver
-            .solve_node(&node.lower, &node.upper, node.warm, &mut point)
+            .solve_node(&self.tree.lower, &self.tree.upper, node.warm, &mut point)
             .expect("a replayed node re-solves");
         assert_eq!(
             (
@@ -799,66 +927,38 @@ impl<'a> BranchAndBound<'a> {
         self.rounded = point;
     }
 
-    /// Pushes the two children of `node` on `var`. The node's own bound
-    /// vectors become the second child's; the first child's are the one copy.
-    /// A child whose bounds are the node's own is tagged with the engine
-    /// solve the node's relaxation came from.
-    fn branch(
-        &mut self,
-        node: Node,
-        var: usize,
-        warm: bool,
-        relax_min: f64,
-        heap: &mut BinaryHeap<HeapEntry>,
-    ) {
+    /// Pushes the two children of the focused node on `var`, each a new
+    /// record under the focused one — except a child whose bounds are the
+    /// node's own, which shares the node's record and is tagged with the
+    /// engine solve the node's relaxation came from.
+    fn branch(&mut self, var: usize, warm: bool, relax_min: f64, heap: &mut BinaryHeap<Node>) {
         let x = self.values[var];
-        let kind = self.problem.variables()[var].kind;
-        let (left, right): ((f64, f64), (f64, f64)) = match kind {
+        let own = (self.tree.lower[var], self.tree.upper[var]);
+        let children: [(f64, f64); 2] = match self.problem.variables()[var].kind {
             VarKind::Integer => {
                 let fl = x.floor();
-                ((node.lower[var], fl), (fl + 1.0, node.upper[var]))
+                [(own.0, fl), (fl + 1.0, own.1)]
             }
-            VarKind::SemiContinuous { threshold } => {
-                // Either exactly zero, or at least the threshold.
-                ((0.0, 0.0), (threshold, node.upper[var]))
-            }
+            // Either exactly zero, or at least the threshold.
+            VarKind::SemiContinuous { threshold } => [(0.0, 0.0), (threshold, own.1)],
             VarKind::Continuous => unreachable!("continuous variables are never branched on"),
         };
-        let empty = |(lo, hi): (f64, f64)| lo > hi + 1e-12;
-        let own = (node.lower[var].to_bits(), node.upper[var].to_bits());
-        let solve = self.solves;
-        let repeats = |(lo, hi): (f64, f64)| (own == (lo.to_bits(), hi.to_bits())).then_some(solve);
-        let Node {
-            mut lower,
-            mut upper,
-            depth,
-            ..
-        } = node;
-        let mut push = |lower: Vec<f64>, upper: Vec<f64>, repeats: Option<usize>| {
-            heap.push(HeapEntry {
-                order: relax_min,
-                node: Node {
-                    lower,
-                    upper,
-                    bound: relax_min,
-                    depth: depth + 1,
-                    warm,
-                    repeats,
-                },
-            });
-        };
-        if !empty(left) {
-            let (mut l, mut u) = if empty(right) {
-                (std::mem::take(&mut lower), std::mem::take(&mut upper))
+        let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+        for (lo, hi) in children {
+            if lo > hi + 1e-12 {
+                continue;
+            }
+            let (record, repeats) = if bits((lo, hi)) == bits(own) {
+                (self.tree.focused(), Some(self.solves))
             } else {
-                (lower.clone(), upper.clone())
+                (self.tree.child(var, (lo, hi)), None)
             };
-            (l[var], u[var]) = left;
-            push(l, u, repeats(left));
-        }
-        if !empty(right) {
-            (lower[var], upper[var]) = right;
-            push(lower, upper, repeats(right));
+            heap.push(Node {
+                record,
+                bound: relax_min,
+                warm,
+                repeats,
+            });
         }
     }
 
@@ -867,7 +967,7 @@ impl<'a> BranchAndBound<'a> {
     /// roundings are tried: nearest-integer and ceiling (rounding resource
     /// counts *up* is usually the safe direction in Conductor's
     /// capacity-style constraints).
-    fn try_rounding_heuristic(&mut self, node: &Node) {
+    fn try_rounding_heuristic(&mut self) {
         let mut values = std::mem::take(&mut self.rounded);
         for ceiling in [false, true] {
             values.clear();
@@ -881,13 +981,13 @@ impl<'a> BranchAndBound<'a> {
                         } else {
                             values[i].round()
                         };
-                        values[i] = rounded.clamp(node.lower[i], node.upper[i]);
+                        values[i] = rounded.clamp(self.tree.lower[i], self.tree.upper[i]);
                     }
                     VarKind::SemiContinuous { threshold } => {
                         if values[i] < threshold / 2.0 && !ceiling {
                             values[i] = 0.0;
                         } else if values[i] > 1e-9 && values[i] < threshold {
-                            values[i] = threshold.min(node.upper[i]);
+                            values[i] = threshold.min(self.tree.upper[i]);
                         }
                     }
                 }
@@ -1688,28 +1788,93 @@ mod tests {
         }
     }
 
+    /// The walk between records, on a hand-built tree over four variables
+    /// bounded `[0, 10]` at the root: every focus must leave the bounds a
+    /// node built from explicit vectors would hold.
+    ///
+    /// ```text
+    /// root ─┬─ a: x0 ∈ [0, 4] ── c: x1 ∈ [0, 2] ── d: x0 ∈ [0, 1] ── e: x2 ∈ [3, 10] ── f: x3 ∈ [7, 7]
+    ///       └─ b: x0 ∈ [5, 10]
+    /// ```
+    #[test]
+    fn a_focus_walk_materializes_explicit_bounds() {
+        let root = |_: usize| (0.0, 10.0);
+        let explicit = |set: &[(usize, (f64, f64))]| {
+            let (mut lower, mut upper) = (vec![0.0; 4], vec![10.0; 4]);
+            for &(var, (lo, hi)) in set {
+                (lower[var], upper[var]) = (lo, hi);
+            }
+            (lower, upper)
+        };
+        let mut tree = BoundTree::new(vec![0.0; 4], vec![10.0; 4]);
+        let focus = |tree: &mut BoundTree, record: usize, set: &[(usize, (f64, f64))]| {
+            tree.focus(record);
+            tree.check_focus(record, root);
+            assert_eq!(tree.focused(), record);
+            assert_eq!(
+                (tree.lower.clone(), tree.upper.clone()),
+                explicit(set),
+                "record {record}"
+            );
+        };
+        let a = tree.child(0, (0.0, 4.0));
+        let b = tree.child(0, (5.0, 10.0));
+        focus(&mut tree, a, &[(0, (0.0, 4.0))]);
+        let c = tree.child(1, (0.0, 2.0));
+        focus(&mut tree, c, &[(0, (0.0, 4.0)), (1, (0.0, 2.0))]);
+        // One variable branched twice on one path: the deeper record wins,
+        // and undoing it restores the shallower one's bounds, not the root's.
+        let d = tree.child(0, (0.0, 1.0));
+        assert_eq!(tree.records[d].prev, (0.0, 4.0));
+        let e_set = [(0, (0.0, 1.0)), (1, (0.0, 2.0)), (2, (3.0, 10.0))];
+        focus(&mut tree, d, &e_set[..2]);
+        let e = tree.child(2, (3.0, 10.0));
+        focus(&mut tree, e, &e_set);
+
+        // Sibling jump, both at depth one.
+        focus(&mut tree, a, &[(0, (0.0, 4.0))]);
+        focus(&mut tree, b, &[(0, (5.0, 10.0))]);
+        // Shallow → deep across the root, deep → shallow back.
+        focus(&mut tree, e, &e_set);
+        focus(&mut tree, b, &[(0, (5.0, 10.0))]);
+        // Deep → its own ancestor, then deep → the root: x0 is undone twice
+        // on the way up, and only leaf-to-root order ends at the root's.
+        focus(&mut tree, e, &e_set);
+        focus(&mut tree, c, &[(0, (0.0, 4.0)), (1, (0.0, 2.0))]);
+        focus(&mut tree, e, &e_set);
+        focus(&mut tree, ROOT, &[]);
+
+        // A repeat child shares its parent's record: focusing it again walks
+        // nothing, and its own children hang under the shared record.
+        focus(&mut tree, e, &e_set);
+        let (records, path) = (tree.records.len(), tree.path.clone());
+        focus(&mut tree, e, &e_set);
+        assert_eq!((tree.records.len(), &tree.path), (records, &path));
+        let f = tree.child(3, (7.0, 7.0));
+        assert_eq!(tree.records[f].parent, e);
+        let f_set = [e_set[0], e_set[1], e_set[2], (3, (7.0, 7.0))];
+        focus(&mut tree, f, &f_set);
+        focus(&mut tree, b, &[(0, (5.0, 10.0))]);
+        focus(&mut tree, f, &f_set);
+    }
+
     #[test]
     fn heap_entry_ordering_is_total_even_for_nan() {
-        let entry = |order: f64| HeapEntry {
-            order,
-            node: Node {
-                lower: vec![],
-                upper: vec![],
-                bound: order,
-                depth: 0,
-                warm: false,
-                repeats: None,
-            },
+        let entry = |bound: f64| Node {
+            record: ROOT,
+            bound,
+            warm: false,
+            repeats: None,
         };
         let mut heap = BinaryHeap::new();
         for order in [1.0, f64::NAN, -3.0, 2.0, f64::NEG_INFINITY] {
             heap.push(entry(order));
         }
         // Smallest bound pops first; NaN sorts after every real number.
-        assert_eq!(heap.pop().unwrap().order, f64::NEG_INFINITY);
-        assert_eq!(heap.pop().unwrap().order, -3.0);
-        assert_eq!(heap.pop().unwrap().order, 1.0);
-        assert_eq!(heap.pop().unwrap().order, 2.0);
-        assert!(heap.pop().unwrap().order.is_nan());
+        assert_eq!(heap.pop().unwrap().bound, f64::NEG_INFINITY);
+        assert_eq!(heap.pop().unwrap().bound, -3.0);
+        assert_eq!(heap.pop().unwrap().bound, 1.0);
+        assert_eq!(heap.pop().unwrap().bound, 2.0);
+        assert!(heap.pop().unwrap().bound.is_nan());
     }
 }

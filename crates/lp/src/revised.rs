@@ -98,7 +98,7 @@
 //! `0.0 / u_diag[k]` is `−0.0` under a negative pivot, `(−0.0) − (−0.0)` is
 //! `+0.0`, `f64::max(-0.0, 0.0)` in `extract_original_values` may return
 //! either, the vendored `serde_json` prints `-0.0`, and branch & bound's
-//! `HeapEntry` orders nodes with `total_cmp`, for which the two zeros
+//! `Node` orders open nodes with `total_cmp`, for which the two zeros
 //! differ. The `!= 0.0` guards the LU solves already carry are part of the
 //! pinned arithmetic; adding another one is a behaviour change.
 

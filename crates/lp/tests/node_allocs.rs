@@ -8,27 +8,33 @@
 //! (it never repeats a node), a Figure-16-class model (48 intervals, 192
 //! variables) solved to a 2 % gap in 481 nodes, and a four-variable model
 //! whose every node repeats the one before it, spun to a 200-node cap with
-//! 195 of them replayed. The gate is heap allocations per explored node over
+//! 195 of them replayed. One gate is heap allocations per explored node over
 //! all three — skeleton, workspace and heap growth included, so it also
-//! bounds the per-solve set-up.
+//! bounds the per-solve set-up. The other is the Figure-16-class solve's
+//! peak live bytes: the high-water mark of bytes allocated and not yet
+//! freed while it runs, over those live when it starts.
 //!
-//! Readings (a count, so they repeat exactly, debug or release):
+//! Readings (counts, so they repeat exactly, debug or release):
 //!
-//! | commit                                         | allocations | nodes | per node |
-//! |------------------------------------------------|------------:|------:|---------:|
-//! | parent `228560d`, before the node loop changed |      60 506 | 2 481 |    24.39 |
-//! | `d683251`, the node loop's allocations removed |       6 666 | 2 481 |     2.69 |
-//! | the spin added, before nodes were replayed     |       6 703 | 2 681 |     2.50 |
-//! | replayed nodes                                 |       6 703 | 2 681 |     2.50 |
+//! | commit                                         | allocations | nodes | per node | Fig-16 peak bytes |
+//! |------------------------------------------------|------------:|------:|---------:|------------------:|
+//! | parent `228560d`, before the node loop changed |      60 506 | 2 481 |    24.39 |                 — |
+//! | `d683251`, the node loop's allocations removed |       6 666 | 2 481 |     2.69 |                 — |
+//! | the spin added, before nodes were replayed     |       6 703 | 2 681 |     2.50 |                 — |
+//! | replayed nodes                                 |       6 703 | 2 681 |     2.50 |                 — |
+//! | `120300f`, an open node owns two bound vectors |       6 716 | 2 681 |     2.51 |         1 655 395 |
+//! | an open node is one branching record           |       1 786 | 2 681 |     0.67 |           206 691 |
 //!
-//! What is left is the one copy of the bound vectors a branch makes for its
-//! first child (two `Vec`s; the second child takes the parent's own) and the
-//! search heap's growth. The bound is the 2.69 reading plus one: it fails
-//! the day a `clone()` or a `collect()` goes back into the node loop. A
-//! replayed node's only child is the node itself, which takes its vectors,
-//! so a replay allocates nothing: 200 more nodes of the spin cost 0
-//! allocations, and the test asserts exactly that (in debug builds too,
-//! whose re-solve of every replayed node writes into a reused buffer).
+//! What is left is the growth of the search heap, of the arena of branching
+//! records and of the focused chain — amortized doublings, none per node.
+//! Each gate is the newest reading plus a margin (one allocation per node;
+//! half the bytes): the first fails the day a `clone()` or a `collect()`
+//! goes back into the node loop, the second the day an open node owns a
+//! vector again. A replayed node's only child is the node itself, which
+//! shares its record, so a replay allocates nothing: 200 more nodes of the
+//! spin cost 0 allocations, and the test asserts exactly that (in debug
+//! builds too, whose re-solve of every replayed node writes into a reused
+//! buffer and whose check of every walk allocates nothing).
 
 use conductor_lp::{
     ConstraintOp, LpError, Problem, Sense, SolveContext, SolveOptions, SolveStatus,
@@ -39,24 +45,39 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes allocated and not yet freed, and their high-water mark.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a relaxed statistic that publishes
+// `GlobalAlloc` contract; the counters are relaxed statistics that publish
 // no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: same layout, forwarded as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if new_size >= layout.size() {
+            grow(new_size - layout.size());
+        } else {
+            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+        }
         // SAFETY: same block, layout and size, forwarded as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -64,6 +85,11 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Peak live bytes of the Figure-16-class solve when its gate was set, and
+/// the gate: that reading plus half.
+const FIG16_PEAK_READING: usize = 206_691;
+const FIG16_PEAK_GATE: usize = FIG16_PEAK_READING * 3 / 2;
 
 /// A deployment-plan look-alike over `intervals` hours: integer node counts
 /// `n_t`, continuous processing `w_t <= 0.44 n_t`, rate-capped uploads `u_t`
@@ -188,7 +214,10 @@ fn a_node_allocates_next_to_nothing() {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let refused = capped.solve_with_context(&cap, &mut ctx);
     let capped_stats = ctx.last_solve_stats().expect("searched");
+    let floor = LIVE.load(Ordering::Relaxed);
+    PEAK.store(floor, Ordering::Relaxed);
     let planned = fig16.solve_with_context(&to_gap, &mut ctx);
+    let fig16_peak = PEAK.load(Ordering::Relaxed) - floor;
     let spun = spinning.solve_with_context(&spin_cap, &mut ctx);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
@@ -206,12 +235,18 @@ fn a_node_allocates_next_to_nothing() {
     let per_node = allocations as f64 / nodes as f64;
     println!("{allocations} allocations over {nodes} nodes: {per_node:.2} per node");
     assert!(
-        per_node <= 3.69,
+        per_node <= 1.67,
         "{allocations} allocations over {nodes} explored nodes is {per_node:.2} per node; \
-         the node loop read 2.69 when this gate was set"
+         the node loop read 0.67 when this gate was set"
+    );
+    println!("the Figure-16-class solve peaks at {fig16_peak} live bytes");
+    assert!(
+        fig16_peak <= FIG16_PEAK_GATE,
+        "the Figure-16-class solve peaked at {fig16_peak} live bytes; it read \
+         {FIG16_PEAK_READING} when this gate was set"
     );
 
-    // A replayed node's self-child takes its vectors, and nothing else in
+    // A replayed node's self-child shares its record, and nothing else in
     // the node loop allocates: 200 more nodes of the spin, all replayed,
     // cost no allocation at all (debug builds' re-solve included).
     let (short, short_replays) = spin(200);
