@@ -18,7 +18,10 @@ use std::time::Instant;
 /// the schedule view 2.1×, the slope then being two passes over the running
 /// tasks (one task per busy node). The finish-ordered running set removed
 /// both passes: on a shared two-core Xeon the ratio reads 1.08 – 1.10, so a
-/// reading above 1.5× means a wakeup walks the busy nodes again.
+/// reading above 1.5× means a wakeup walks the busy nodes again. With no
+/// event heap in `Engine::run` and a bitmap idle index, the same host reads
+/// 0.625 – 0.631 µs per task at 50 nodes and 0.633 – 0.635 µs at 200, a
+/// ratio of 1.00 – 1.01 (0.92 – 0.93 and 1.01 µs, 1.09, before).
 const MAX_RATIO: f64 = 1.5;
 const REPETITIONS: usize = 25;
 

@@ -7,6 +7,59 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub usize);
 
+/// A set of node ids, one bit per id in 64-bit words. Ids are handed out
+/// densely from zero, so the words span the ids a job has ever used; trailing
+/// empty words are dropped, which keeps equal sets equal word for word.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct NodeSet {
+    words: Vec<u64>,
+}
+
+impl NodeSet {
+    pub(crate) fn insert(&mut self, id: NodeId) {
+        let (word, bit) = (id.0 / 64, id.0 % 64);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << bit;
+    }
+
+    pub(crate) fn remove(&mut self, id: NodeId) {
+        let (word, bit) = (id.0 / 64, id.0 % 64);
+        if let Some(w) = self.words.get_mut(word) {
+            *w &= !(1 << bit);
+        }
+        while self.words.last() == Some(&0) {
+            self.words.pop();
+        }
+    }
+
+    /// The least id in the set that is `from` or above.
+    pub(crate) fn first_from(&self, from: NodeId) -> Option<NodeId> {
+        let (word, bit) = (from.0 / 64, from.0 % 64);
+        let first = self.words.get(word)? & (u64::MAX << bit);
+        std::iter::once(first)
+            .chain(self.words[word + 1..].iter().copied())
+            .enumerate()
+            .find(|&(_, w)| w != 0)
+            .map(|(at, w)| NodeId((word + at) * 64 + w.trailing_zeros() as usize))
+    }
+
+    /// The ids in descending order.
+    pub(crate) fn iter_rev(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.words.iter().enumerate().rev().flat_map(|(word, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = 63 - rest.leading_zeros() as usize;
+                    rest ^= 1 << bit;
+                    NodeId(word * 64 + bit)
+                })
+            })
+        })
+    }
+}
+
 /// One simulated worker node (an EC2 instance or a local-cluster machine).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimNode {
@@ -204,6 +257,64 @@ mod tests {
         c.remove_specific(&[first[1], first[2], second[0], second[1]], 2.0);
         let tl = c.allocation_timeline();
         assert_eq!(tl, &[(0.0, 3), (1.0, 5), (2.0, 1)]);
+    }
+
+    /// Seeded inserts and removes over ids 0..=200 (four words, a partial
+    /// last one), with `first_from` checked at every id and past the end and
+    /// the reverse walk checked against a `BTreeSet` after every step.
+    #[test]
+    fn node_set_agrees_with_a_btreeset() {
+        use std::collections::BTreeSet;
+        const IDS: usize = 201;
+        let check = |set: &NodeSet, model: &BTreeSet<NodeId>| {
+            for from in 0..IDS + 70 {
+                assert_eq!(
+                    set.first_from(NodeId(from)),
+                    model.range(NodeId(from)..).next().copied(),
+                    "first_from({from}) of {model:?}"
+                );
+            }
+            assert!(set.iter_rev().eq(model.iter().rev().copied()));
+            // Equal sets are equal bitmaps, whatever was removed.
+            let mut rebuilt = NodeSet::default();
+            for &id in model {
+                rebuilt.insert(id);
+            }
+            assert_eq!(*set, rebuilt);
+        };
+        let mut set = NodeSet::default();
+        let mut model = BTreeSet::new();
+        for id in [0, 63, 64, 127, 128, 200] {
+            set.insert(NodeId(id));
+            model.insert(NodeId(id));
+            check(&set, &model);
+        }
+        // A linear congruential generator: the sequence is the same in
+        // every run.
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        for _ in 0..600 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let id = NodeId((state >> 33) as usize % IDS);
+            if state >> 63 == 1 {
+                set.insert(id);
+                model.insert(id);
+            } else {
+                set.remove(id);
+                model.remove(&id);
+            }
+            check(&set, &model);
+        }
+        // Removing an id past the last word is a no-op.
+        set.remove(NodeId(10_000));
+        check(&set, &model);
+        for id in model.clone() {
+            set.remove(id);
+            model.remove(&id);
+        }
+        check(&set, &model);
+        assert_eq!(set, NodeSet::default());
     }
 
     #[test]

@@ -7,18 +7,17 @@
 //! [`conductor_cloud::BillingAccount`] and records the task-completion and
 //! node-allocation timelines plotted in Figure 12.
 //!
-//! Since the event-kernel refactor the engine is a thin driver: all job
-//! state lives in a [`crate::execution::JobExecution`] process advanced by
-//! wakeups on a private [`conductor_sim::Simulator`]. The fleet-level
-//! service in `conductor-core` reuses the same process type to run many
-//! jobs on one shared clock.
+//! The engine is a thin driver: all job state lives in a
+//! [`crate::execution::JobExecution`] process, and the engine wakes it at
+//! the hours the process itself names as its next event. The fleet-level
+//! service in `conductor-core` runs many of the same processes on one
+//! shared [`conductor_sim::Simulator`] clock.
 
 use crate::cluster::NodeAllocation;
-use crate::execution::{JobEvent, JobExecution, JobPhase, SessionPricing};
+use crate::execution::{JobExecution, JobPhase, SessionPricing};
 use crate::scheduler::Scheduler;
 use crate::workload::JobSpec;
 use conductor_cloud::{Catalog, CostBreakdown};
-use conductor_sim::Simulator;
 use serde::{Deserialize, Serialize};
 
 /// Where a piece of data currently lives.
@@ -183,10 +182,10 @@ impl Engine {
     /// Simulates one deployment of `spec` under `options`, with `scheduler`
     /// deciding task placement.
     ///
-    /// The run is a standard discrete-event loop: the job seeds the kernel
-    /// with its upload/schedule wakeups, and every popped batch advances the
-    /// [`JobExecution`] process (retire finishes, reconcile the cluster,
-    /// dispatch tasks) until the download completes.
+    /// The run is a discrete-event loop over one process: every wakeup
+    /// advances the [`JobExecution`] (retire finishes, reconcile the
+    /// cluster, dispatch tasks), and the process's own next-event hour is
+    /// the next wakeup, until the download completes.
     pub fn run(
         &self,
         spec: &JobSpec,
@@ -204,45 +203,76 @@ impl Engine {
     }
 }
 
-/// Drives one [`JobExecution`] on a private simulator until it finishes (or
-/// fails). Shared by [`Engine::run`] and the engine-level tests; the
-/// fleet-level service implements the same loop over many jobs at once.
+/// Drives one [`JobExecution`] until it finishes (or fails). Shared by
+/// [`Engine::run`] and the engine-level tests.
+///
+/// The loop keeps no event heap. It wakes the job at the earliest of its
+/// [`JobExecution::initial_events`], and after each wakeup at
+/// [`JobExecution::next_event_hours`]: that one value is both the stuck
+/// check (`None` while processing) and the next wakeup hour. This wakes
+/// the job at exactly the hours, and with exactly the `now`, that popping
+/// the job's own events off a [`conductor_sim::Simulator`] in batches
+/// ([`conductor_sim::Simulator::pop_due`]) would, so every report is the
+/// same bit for bit:
+///
+/// - A run here is on-demand, with no kill and no splice, so every event
+///   the heap would hold is one of five wakeup sources: the kickoff, a
+///   schedule step marker above `EPS` (the kernel's simultaneity tolerance
+///   [`conductor_sim::TIME_EPSILON`]), a distinct split availability above
+///   `EPS`, a dispatched task's finish, and the download.
+/// - While processing, `next_event_hours` returns the least of exactly the
+///   future ones: the earliest running finish (including a task dispatched
+///   at `now` that finishes within `EPS` of it, which the heap would pop
+///   next), the first step marker and the first split availability above
+///   `now + EPS`. A spot recovery hour, its fourth term, never arises
+///   on-demand. A straggler extension adds a step *at* `now`, which is
+///   never a future marker.
+/// - `pop_due` takes every event within `EPS` of the batch's first, and
+///   the handlers retire and promote with the same `now + EPS` window
+///   (`retire_finished`, `promote_available`), so an event the heap would
+///   have swallowed into a batch is one the wakeup at the batch's first
+///   hour already settled, and the least remaining event is the least
+///   value `next_event_hours` names.
+/// - While downloading, `next_event_hours` names the download's end. The
+///   heap could still hold step markers between the last retirement and
+///   that hour; their wakeups do nothing in the `Downloading` phase, and
+///   [`JobExecution::into_report`] does not read the clock, so skipping
+///   them changes nothing.
+///
+/// The `max_hours` cap is checked before each processing wakeup, as the
+/// heap loop checked it on each popped batch.
 pub(crate) fn drive_to_completion(
     mut job: JobExecution<'_>,
 ) -> Result<ExecutionReport, EngineError> {
-    let mut sim: Simulator<JobEvent> = Simulator::new();
-    sim.schedule_all(
-        job.initial_events()
-            .into_iter()
-            .map(|(t, e)| (t, e.class(), e)),
-    );
-    let mut batch = Vec::new();
+    let mut now = job
+        .initial_events()
+        .into_iter()
+        .map(|(t, _)| t)
+        .fold(f64::INFINITY, f64::min);
+    // The follow-ups are the heap's entries; the next-event hour already
+    // covers them, so one buffer is cleared and reused.
+    let mut follow_ups = Vec::new();
     loop {
-        let Some(now) = sim.pop_due(&mut batch) else {
-            // Nothing is pending and the job never finished.
-            return Err(EngineError::DidNotFinish {
-                simulated_hours: sim.now(),
-                completed_tasks: job.completed_tasks(),
-            });
-        };
         if matches!(job.phase(), JobPhase::Processing) && now > job.max_hours() {
             return Err(EngineError::DidNotFinish {
                 simulated_hours: job.max_hours(),
                 completed_tasks: job.completed_tasks(),
             });
         }
-        let follow_ups = job.on_wakeup(now);
-        sim.schedule_all(follow_ups.into_iter().map(|(t, e)| (t, e.class(), e)));
+        follow_ups.clear();
+        job.wakeup_into(now, &mut follow_ups);
         if job.is_done() {
             return Ok(job.into_report());
         }
-        if matches!(job.phase(), JobPhase::Processing) && job.next_event_hours(now).is_none() {
-            // Nothing is running and nothing will change: the job is stuck.
+        // `None` only while processing: nothing is running and nothing
+        // will change, so the job is stuck.
+        let Some(next) = job.next_event_hours(now) else {
             return Err(EngineError::DidNotFinish {
                 simulated_hours: now,
                 completed_tasks: job.completed_tasks(),
             });
-        }
+        };
+        now = next;
     }
 }
 

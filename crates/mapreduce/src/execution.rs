@@ -5,11 +5,13 @@
 //! tenant's [`BillingAccount`] — and advances it in response to *wakeups*
 //! scheduled on a [`conductor_sim::Simulator`]: split-upload completions,
 //! node-schedule steps, task finishes and the final result download. The
-//! single-job [`crate::engine::Engine`] drives one `JobExecution` on a
-//! private simulator; the fleet-level `ConductorService` in
-//! `conductor-core` drives many of them on one shared clock, which is what
-//! makes multi-job contention over a shared spot market and catalog
-//! possible.
+//! fleet-level `ConductorService` in `conductor-core` drives many of them
+//! on one shared clock, which is what makes multi-job contention over a
+//! shared spot market and catalog possible. The single-job
+//! [`crate::engine::Engine`] keeps no heap: it wakes its one job at the
+//! hour [`JobExecution::next_event_hours`] names, which is the hour the
+//! job's own events would pop at (`drive_to_completion` gives the
+//! argument).
 //!
 //! # The wakeup-handler protocol
 //!
@@ -46,8 +48,9 @@
 //! nodes² or the number of tasks. `dispatch` and scale-downs used to find
 //! the idle nodes by asking, for every cluster node, whether any running
 //! task held it; the idle set is now kept current where it changes (node
-//! added / removed / killed, task dispatched / retired), in cluster order —
-//! the order work is handed out in. It is *derived*: [`ExecutionSnapshot`]
+//! added / removed / killed, task dispatched / retired), as a bitmap over
+//! node ids read upward in cluster order — the order work is handed out
+//! in — and downward for scale-downs. It is *derived*: [`ExecutionSnapshot`]
 //! does not carry it, [`ExecutionSnapshot::restore`] rebuilds it, and debug
 //! builds check it against the serialized state after every wakeup.
 //!
@@ -86,7 +89,7 @@
 //! the straggler extension re-raises the last allocation instead of
 //! stranding it.
 
-use crate::cluster::{nodes_at, Cluster, NodeAllocation, NodeId};
+use crate::cluster::{nodes_at, Cluster, NodeAllocation, NodeId, NodeSet};
 use crate::engine::{
     DataLocation, DeploymentOptions, EngineError, ExecutionReport, PhaseBreakdown,
 };
@@ -424,14 +427,14 @@ impl RunningTasks {
     }
 }
 
-/// The cluster's nodes that run no task, in cluster (= ascending id) order.
-fn idle_nodes<'r>(
-    cluster: &Cluster,
-    running: impl IntoIterator<Item = &'r Running>,
-) -> BTreeSet<NodeId> {
-    let mut idle: BTreeSet<NodeId> = cluster.nodes().iter().map(|n| n.id).collect();
+/// The cluster's nodes that run no task.
+fn idle_nodes<'r>(cluster: &Cluster, running: impl IntoIterator<Item = &'r Running>) -> NodeSet {
+    let mut idle = NodeSet::default();
+    for n in cluster.nodes() {
+        idle.insert(n.id);
+    }
     for r in running {
-        idle.remove(&r.node);
+        idle.remove(r.node);
     }
     idle
 }
@@ -561,10 +564,11 @@ pub struct JobExecution<'a> {
     /// `ScheduleChange` wakeups. Invariant: equals
     /// `schedule_points(node_schedule)`.
     schedule_points: Vec<f64>,
-    /// Cluster nodes with no running task, in cluster (= ascending id)
-    /// order — the order `dispatch` hands out work in. Invariant: equals
-    /// `cluster.nodes()` minus the nodes of `running`.
-    idle: BTreeSet<NodeId>,
+    /// Cluster nodes with no running task, as a bitmap read in ascending id
+    /// (= cluster) order — the order `dispatch` hands out work in — and in
+    /// descending order for scale-downs. Invariant: equals `cluster.nodes()`
+    /// minus the nodes of `running`.
+    idle: NodeSet,
     /// Per scheduled compute type: catalog entry, steps, cluster count.
     /// Invariant: equals `schedule_view(node_schedule, catalog, cluster)`.
     schedule: Vec<ScheduleType>,
@@ -683,7 +687,7 @@ impl<'a> JobExecution<'a> {
             s3_gb,
             straggler_extensions: 0,
             schedule_points,
-            idle: BTreeSet::new(),
+            idle: NodeSet::default(),
             schedule,
             phase: JobPhase::Processing,
             report: None,
@@ -802,26 +806,33 @@ impl<'a> JobExecution<'a> {
     /// to push onto the kernel, in job-relative hours.
     pub fn on_wakeup(&mut self, now: f64) -> Vec<(f64, JobEvent)> {
         let mut out = Vec::new();
+        self.wakeup_into(now, &mut out);
+        out
+    }
+
+    /// [`Self::on_wakeup`], appending the follow-ups to `out` so a driver
+    /// can reuse one buffer across wakeups.
+    pub(crate) fn wakeup_into(&mut self, now: f64, out: &mut Vec<(f64, JobEvent)>) {
         match self.phase {
-            JobPhase::Done => return out,
+            JobPhase::Done => return,
             JobPhase::Downloading { completion } => {
                 if now + EPS >= completion {
                     self.phase = JobPhase::Done;
                 }
-                return out;
+                return;
             }
             JobPhase::Processing => {}
         }
 
         self.retire_finished(now);
-        self.reconcile_cluster(now, &mut out);
-        self.dispatch(now, &mut out);
+        self.reconcile_cluster(now, out);
+        self.dispatch(now, out);
         if self.extend_for_stragglers(now) {
             // The extension must take effect *within* this wakeup: the
             // driver's stuck check runs right after, and a step at `now`
             // only helps if the nodes (or a recovery retry) exist by then.
-            self.reconcile_cluster(now, &mut out);
-            self.dispatch(now, &mut out);
+            self.reconcile_cluster(now, out);
+            self.dispatch(now, out);
         }
 
         if self.completed == self.tasks.len() {
@@ -830,7 +841,6 @@ impl<'a> JobExecution<'a> {
             out.push((completion, JobEvent::DownloadDone));
         }
         self.debug_check_indexes(&[now]);
-        out
     }
 
     /// Debug builds re-derive the idle index and the schedule view from the
@@ -1116,9 +1126,9 @@ impl<'a> JobExecution<'a> {
                 t.count = 0;
             }
         }
-        for rid in &removed {
+        for &rid in &removed {
             self.idle.remove(rid);
-            if let Some(session) = self.sessions.remove(rid) {
+            if let Some(session) = self.sessions.remove(&rid) {
                 self.billing.stop_instance_revoked(session, now);
             }
         }
@@ -1247,9 +1257,7 @@ impl<'a> JobExecution<'a> {
                 // newest first so long-lived nodes keep their data.
                 let leaving: Vec<NodeId> = self
                     .idle
-                    .iter()
-                    .rev()
-                    .copied()
+                    .iter_rev()
                     .filter(|&id| {
                         self.cluster
                             .node(id)
@@ -1260,7 +1268,7 @@ impl<'a> JobExecution<'a> {
                 let removed = self.cluster.remove_specific(&leaving, now);
                 self.schedule[at].count -= removed.len();
                 for rid in removed {
-                    self.idle.remove(&rid);
+                    self.idle.remove(rid);
                     if let Some(session) = self.sessions.remove(&rid) {
                         self.billing.stop_instance(session, now);
                     }
@@ -1304,7 +1312,7 @@ impl<'a> JobExecution<'a> {
             if !maps_waiting && !reduces_waiting {
                 break;
             }
-            let Some(&node_id) = self.idle.range(next..).next() else {
+            let Some(node_id) = self.idle.first_from(next) else {
                 break;
             };
             next = NodeId(node_id.0 + 1);
@@ -1385,7 +1393,7 @@ impl<'a> JobExecution<'a> {
                     s3_gets,
                     on_cloud_node: !node.is_local,
                 });
-                self.idle.remove(&node_id);
+                self.idle.remove(node_id);
                 out.push((now + duration, JobEvent::TaskFinish));
             }
         }

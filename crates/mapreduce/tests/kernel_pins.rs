@@ -9,12 +9,14 @@
 //! reconciliation still matched type names and counted the cluster per
 //! type at every wakeup, for the same reason.
 //!
-//! The driver is `Engine::run`'s loop rebuilt from public pieces (the
-//! engine's own `drive_to_completion` is crate-private) with three hooks:
-//! a spot revocation (`kill_cloud_nodes`), a schedule splice
+//! The driver is a heap loop over public pieces, as the fleet drives a job
+//! (`Engine::run` steps by the job's next-event hour instead), with three
+//! hooks: a spot revocation (`kill_cloud_nodes`), a schedule splice
 //! (`splice_node_schedule`) and a `snapshot()` → JSON → `restore()` round
-//! trip at every [`RESUME_EVERY`]th wakeup. In debug builds every wakeup
-//! also runs the kernel's own index-vs-state `debug_assert`.
+//! trip at every [`RESUME_EVERY`]th wakeup. On the four scenarios with no
+//! kill and no splice, `Engine::run` itself must give the pinned report
+//! too. In debug builds every wakeup also runs the kernel's own
+//! index-vs-state `debug_assert`.
 
 use conductor_cloud::catalog::mbps_to_gb_per_hour;
 use conductor_cloud::{Catalog, SpotMarket, SpotTrace, TraceKind};
@@ -319,45 +321,61 @@ fn check(
     (report, driven)
 }
 
+/// `Engine::run` on an intervention-free scenario: its own loop, which
+/// steps the job by its next-event hour instead of a heap, must give the
+/// pinned report too.
+fn check_engine_run(s: &Scenario, scheduler: &(dyn Scheduler + Sync), report_fnv: u64) {
+    let direct = Engine::new(s.catalog.clone())
+        .run(&s.spec, &s.options, scheduler)
+        .unwrap();
+    assert_eq!(
+        report_hash(&direct),
+        report_fnv,
+        "{}: Engine::run moved",
+        s.options.name
+    );
+}
+
 #[test]
 fn cloud_only_50_nodes() {
     let s = cloud_only(64, 50);
-    let (report, _) = check(&s, 18_348_507_108_554_342_235, 2_051, 2_066);
-    // The hooked driver is `Engine::run`'s loop: same report.
-    let engine = Engine::new(s.catalog.clone());
-    let direct = engine
-        .run(
-            &s.spec,
-            &s.options,
-            &PlanFollowingScheduler::cloud_only_defaults(),
-        )
-        .unwrap();
-    assert_eq!(report_hash(&direct), report_hash(&report));
+    check(&s, 18_348_507_108_554_342_235, 2_051, 2_066);
+    check_engine_run(
+        &s,
+        &PlanFollowingScheduler::cloud_only_defaults(),
+        18_348_507_108_554_342_235,
+    );
 }
 
 #[test]
 fn cloud_only_200_nodes() {
-    check(
-        &cloud_only(256, 200),
+    let s = cloud_only(256, 200);
+    check(&s, 15_542_924_081_298_422_978, 8_195, 8_210);
+    check_engine_run(
+        &s,
+        &PlanFollowingScheduler::cloud_only_defaults(),
         15_542_924_081_298_422_978,
-        8_195,
-        8_210,
     );
 }
 
 #[test]
 fn cloud_only_400_nodes() {
-    check(
-        &cloud_only(512, 400),
+    let s = cloud_only(512, 400);
+    check(&s, 18_145_477_823_242_500_563, 16_387, 16_402);
+    check_engine_run(
+        &s,
+        &PlanFollowingScheduler::cloud_only_defaults(),
         18_145_477_823_242_500_563,
-        16_387,
-        16_402,
     );
 }
 
 #[test]
 fn hybrid_local_and_cloud_with_s3_and_client_site_reads() {
-    let (report, _) = check(&hybrid(), 13_869_901_782_454_339_003, 441, 865);
+    let s = hybrid();
+    // 865 heap events coalesce into 441 wakeups: `Engine::run` must
+    // reproduce that batching without a heap.
+    let (report, _) = check(&s, 13_869_901_782_454_339_003, 441, 865);
+    check_engine_run(&s, &LocalityScheduler, 13_869_901_782_454_339_003);
     // Cloud nodes did read client-site splits over the WAN (the
     // order-sensitive `wan_in_extra` accumulation is exercised) and S3 was
     // billed.
