@@ -1741,7 +1741,94 @@ mod tests {
         let tight = spinning_model(false).solve_with(&capped).unwrap();
         assert_eq!(tight.stats().nodes_explored, 6);
         assert_eq!(tight.stats().replayed_nodes, 0);
+
+        // The same spin under every configuration, cut at three caps.
+        let spins = CONFIGURATIONS.map(|config| [7, 200, 2_000].map(|cap| spin(config, cap)));
+        assert_eq!(spins, SPIN_PINS);
     }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in bytes {
+            hash ^= u64::from(*b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// What one spin returned and cost, to the bit: its status, objective
+    /// and point bits; `(nodes, pivots, warm hits, warm misses,
+    /// factorizations)`; its replayed nodes; and the FNV-1a of the context's
+    /// exported state after it.
+    type SpinPin = (SolveStatus, u64, [u64; 4], [usize; 5], usize, u64);
+
+    /// [`spinning_model`] (with `s`) solved under `config` through a fresh
+    /// context, capped at `max_nodes`.
+    fn spin(config: (bool, bool), max_nodes: usize) -> SpinPin {
+        let (bounded_variables, dual_steepest_edge) = config;
+        let opts = SolveOptions {
+            bounded_variables,
+            dual_steepest_edge,
+            max_nodes,
+            ..Default::default()
+        };
+        let mut ctx = SolveContext::new();
+        let sol = solve_with_context(&spinning_model(true), &opts, &mut ctx).unwrap();
+        let s = sol.stats();
+        let point: Vec<u64> = sol.values().iter().map(|v| v.to_bits()).collect();
+        (
+            sol.status(),
+            sol.objective().to_bits(),
+            point.try_into().unwrap(),
+            [
+                s.nodes_explored,
+                s.simplex_iterations,
+                s.warm_start_hits,
+                s.warm_start_misses,
+                s.basis_factorizations,
+            ],
+            s.replayed_nodes,
+            fnv1a(ctx.export_state().as_bytes()),
+        )
+    }
+
+    /// A spin's answer: `Feasible` at objective 4.1, point
+    /// `[4.0, -0.0, 1.32000176, 100.0]`, with `counts` and `replayed` nodes
+    /// and the state hash `state`.
+    const fn spun(counts: [usize; 5], replayed: usize, state: u64) -> SpinPin {
+        let point = [
+            4_616_189_618_054_758_400,
+            9_223_372_036_854_775_808,
+            4_608_623_578_607_111_311,
+            4_636_737_291_354_636_288,
+        ];
+        let objective = 4_616_302_208_045_442_662;
+        (
+            SolveStatus::Feasible,
+            objective,
+            point,
+            counts,
+            replayed,
+            state,
+        )
+    }
+
+    /// [`spin`] per configuration (rows, in [`CONFIGURATIONS`] order) at caps
+    /// 7, 200 and 2 000, taken while every replayed node was still popped
+    /// from the heap; never edit a value.
+    const SPIN_PINS: [[SpinPin; 3]; 4] = {
+        let legacy = [
+            spun([7, 6, 6, 0, 1], 2, 4_508_875_270_289_097_432),
+            spun([200, 6, 199, 0, 1], 195, 3_664_301_037_344_398_948),
+            spun([2_000, 6, 1_999, 0, 1], 1_995, 16_620_977_850_497_973_910),
+        ];
+        let bounded = [
+            spun([7, 6, 6, 0, 1], 2, 16_131_465_528_223_564_851),
+            spun([200, 6, 199, 0, 1], 195, 12_845_180_968_684_785_623),
+            spun([2_000, 6, 1_999, 0, 1], 1_995, 9_530_413_608_184_152_985),
+        ];
+        [legacy, legacy, bounded, bounded]
+    };
 
     /// An integer variable bounded only above is mirrored in the span-row
     /// layout, so the up child's finite lower bound is a layout the root
