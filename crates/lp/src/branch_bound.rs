@@ -632,6 +632,8 @@ struct BranchAndBound<'a> {
     /// replayable: its point is still in `values`.
     replayable: Option<(usize, f64)>,
     replayed_nodes: usize,
+    /// Nodes popped off the heap, pruned ones included.
+    pops: usize,
     rows: FlatRows,
     /// The current node's relaxation point.
     values: Vec<f64>,
@@ -668,6 +670,7 @@ impl<'a> BranchAndBound<'a> {
             solves: 0,
             replayable: None,
             replayed_nodes: 0,
+            pops: 0,
             rows: FlatRows::new(problem),
             values: Vec::new(),
             rounded: Vec::new(),
@@ -702,12 +705,9 @@ impl<'a> BranchAndBound<'a> {
             let Some(node) = heap.pop() else {
                 break;
             };
-            // Prune against the incumbent (in minimization orientation).
-            if let Some((inc_obj, _)) = &self.incumbent {
-                let inc_min = self.min_obj(*inc_obj);
-                if node.bound >= inc_min - self.gap_slack(inc_min) {
-                    continue;
-                }
+            self.pops += 1;
+            if self.prunes(node.bound) {
+                continue;
             }
 
             attempted_any_node = true;
@@ -758,21 +758,17 @@ impl<'a> BranchAndBound<'a> {
             self.simplex_iterations += relax.iterations;
 
             let relax_min = self.min_obj(relax.objective);
-
-            // Prune by bound.
-            if let Some((inc_obj, _)) = &self.incumbent {
-                let inc_min = self.min_obj(*inc_obj);
-                if relax_min >= inc_min - self.gap_slack(inc_min) {
-                    continue;
-                }
+            if self.prunes(relax_min) {
+                continue;
             }
 
-            match self.most_violated() {
+            let rebranched_alone = match self.most_violated() {
                 None => {
                     // Integral (and semi-continuous feasible): candidate incumbent.
                     if self.improves_incumbent(relax.objective) {
                         set_incumbent(&mut self.incumbent, relax.objective, &self.values);
                     }
+                    false
                 }
                 Some(branch_var) => {
                     // Cheap rounding heuristics give early incumbents and keep
@@ -782,32 +778,33 @@ impl<'a> BranchAndBound<'a> {
                     if replay.is_none() {
                         self.try_rounding_heuristic();
                     }
-                    self.branch(branch_var, relax.inheritable, relax_min, &mut heap);
+                    self.branch(branch_var, relax.inheritable, relax_min, &mut heap)
                 }
-            }
+            };
 
             // Gap check. The heap is ordered by bound, so the global best
             // bound is an O(1) peek instead of a full scan.
-            if let Some((inc_obj, _)) = &self.incumbent {
-                let inc_min = self.min_obj(*inc_obj);
-                let bound = heap
-                    .peek()
-                    .map(|n| n.bound)
-                    .unwrap_or(f64::INFINITY)
-                    .min(inc_min);
-                let gap = relative_gap(inc_min, bound);
-                if gap <= self.options.relative_gap {
-                    break;
-                }
+            if self
+                .gap(&heap)
+                .is_some_and(|gap| gap <= self.options.relative_gap)
+            {
+                break;
+            }
+
+            // A replayed node that re-branched into itself alone, now the
+            // strictly best open node, is a fixed point of this loop.
+            if replay.is_some()
+                && rebranched_alone
+                && self.nodes_explored < self.options.max_nodes
+                && top_is_strict(&heap)
+            {
+                self.fast_forward(&mut heap);
+                break;
             }
         }
 
-        let sense_factor = self.sense_factor;
-        match self.incumbent.take() {
-            Some((obj, values)) => {
-                let remaining_bound = heap.peek().map(|n| n.bound).unwrap_or(f64::INFINITY);
-                let inc_min = obj * sense_factor;
-                let gap = relative_gap(inc_min, remaining_bound.min(inc_min));
+        match (self.gap(&heap), self.incumbent.take()) {
+            (Some(gap), Some((obj, values))) => {
                 let status = if gap <= self.options.relative_gap {
                     SolveStatus::Optimal
                 } else {
@@ -815,7 +812,7 @@ impl<'a> BranchAndBound<'a> {
                 };
                 Ok((status, obj, values, gap))
             }
-            None => {
+            _ => {
                 if saw_unbounded {
                     Err(LpError::Unbounded)
                 } else if root_infeasible && attempted_any_node {
@@ -830,9 +827,76 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
-    /// Absolute slack implied by the relative gap around an incumbent value.
-    fn gap_slack(&self, inc_min: f64) -> f64 {
-        self.options.relative_gap * inc_min.abs().max(1e-9)
+    /// `true` when a node whose bound (in minimization orientation) is
+    /// `bound_min` cannot improve the incumbent by more than the gap.
+    fn prunes(&self, bound_min: f64) -> bool {
+        self.incumbent.as_ref().is_some_and(|(inc_obj, _)| {
+            let inc_min = self.min_obj(*inc_obj);
+            bound_min >= inc_min - self.options.relative_gap * inc_min.abs().max(1e-9)
+        })
+    }
+
+    /// The relative gap between the incumbent and the best open bound, or
+    /// `None` before there is an incumbent.
+    fn gap(&self, heap: &BinaryHeap<Node>) -> Option<f64> {
+        let (inc_obj, _) = self.incumbent.as_ref()?;
+        let inc_min = self.min_obj(*inc_obj);
+        let bound = heap.peek().map_or(f64::INFINITY, |n| n.bound).min(inc_min);
+        Some(relative_gap(inc_min, bound))
+    }
+
+    /// Jumps a spin to the node cap: the remaining `k` iterations would each
+    /// pop the node on top, replay the solve it repeats, and push it back
+    /// bit for bit, so they count `k` explored, replayed nodes and `k` warm
+    /// hits, and leave the node open on the heap. The one read they would
+    /// make that this skips is the clock.
+    fn fast_forward(&mut self, heap: &mut BinaryHeap<Node>) {
+        debug_assert!(
+            self.pops >= self.nodes_explored,
+            "{} nodes explored from {} pops",
+            self.nodes_explored,
+            self.pops
+        );
+        if cfg!(debug_assertions) {
+            self.check_fixed_point(heap);
+        }
+        let k = self.options.max_nodes - self.nodes_explored;
+        self.nodes_explored += k;
+        self.replayed_nodes += k;
+        self.node_solver.workspace.count_replayed_hits(k);
+    }
+
+    /// Debug builds' proof of a jump: one more iteration the slow way —
+    /// pop, the prune tests, the replay (which re-solves and compares),
+    /// branching, the gap test — must push back the node it popped, bit
+    /// for bit, as the strictly best open node, and leave the gap as it was.
+    fn check_fixed_point(&mut self, heap: &mut BinaryHeap<Node>) {
+        let key = |n: &Node| (n.record, n.bound.to_bits(), n.warm, n.repeats);
+        let before = (heap.peek().map(key), self.gap(heap).map(f64::to_bits));
+        let node = heap.pop().expect("a spin leaves its node open");
+        assert!(heap.iter().all(|n| *n < node), "an open node ties the spin");
+        self.pops += 1;
+        assert!(!self.prunes(node.bound));
+        self.tree.focus(node.record);
+        let (last, objective) = self.replayable.expect("a spin's solve is replayable");
+        assert_eq!((node.warm, node.repeats), (true, Some(last)));
+        let relax = self.replay(&node, objective);
+        self.nodes_explored += 1;
+        let relax_min = self.min_obj(relax.objective);
+        assert!(!self.prunes(relax_min));
+        let var = self
+            .most_violated()
+            .expect("a spin's point stays fractional");
+        let alone = self.branch(var, relax.inheritable, relax_min, heap);
+        assert!(
+            alone && top_is_strict(heap),
+            "a spin stopped re-branching alone"
+        );
+        assert_eq!(
+            (heap.peek().map(key), self.gap(heap).map(f64::to_bits)),
+            before,
+            "a spin left its fixed point"
+        );
     }
 
     /// Returns the index of the integrality/semi-continuity-violating variable
@@ -930,8 +994,15 @@ impl<'a> BranchAndBound<'a> {
     /// Pushes the two children of the focused node on `var`, each a new
     /// record under the focused one — except a child whose bounds are the
     /// node's own, which shares the node's record and is tagged with the
-    /// engine solve the node's relaxation came from.
-    fn branch(&mut self, var: usize, warm: bool, relax_min: f64, heap: &mut BinaryHeap<Node>) {
+    /// engine solve the node's relaxation came from. Returns `true` when
+    /// that child is the only one pushed.
+    fn branch(
+        &mut self,
+        var: usize,
+        warm: bool,
+        relax_min: f64,
+        heap: &mut BinaryHeap<Node>,
+    ) -> bool {
         let x = self.values[var];
         let own = (self.tree.lower[var], self.tree.upper[var]);
         let children: [(f64, f64); 2] = match self.problem.variables()[var].kind {
@@ -944,11 +1015,13 @@ impl<'a> BranchAndBound<'a> {
             VarKind::Continuous => unreachable!("continuous variables are never branched on"),
         };
         let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+        let (mut pushed, mut itself) = (0, false);
         for (lo, hi) in children {
             if lo > hi + 1e-12 {
                 continue;
             }
             let (record, repeats) = if bits((lo, hi)) == bits(own) {
+                itself = true;
                 (self.tree.focused(), Some(self.solves))
             } else {
                 (self.tree.child(var, (lo, hi)), None)
@@ -959,7 +1032,9 @@ impl<'a> BranchAndBound<'a> {
                 warm,
                 repeats,
             });
+            pushed += 1;
         }
+        itself && pushed == 1
     }
 
     /// Rounds the relaxation point to a MIP-feasible one and makes it the
@@ -1077,6 +1152,17 @@ fn set_incumbent(incumbent: &mut Option<(f64, Vec<f64>)>, objective: f64, values
             point.extend_from_slice(values);
         }
         None => *incumbent = Some((objective, values.to_vec())),
+    }
+}
+
+/// `true` when the heap's top node is strictly better than every other
+/// open node. A tie is not: the heap's sift order could pop the other node
+/// first. In a binary heap the runner-up is one of the top's two children,
+/// the second and third entries of its slice.
+fn top_is_strict(heap: &BinaryHeap<Node>) -> bool {
+    match heap.as_slice() {
+        [top, rest @ ..] => rest.iter().take(2).all(|n| n < top),
+        [] => false,
     }
 }
 
@@ -1829,6 +1915,89 @@ mod tests {
         ];
         [legacy, legacy, bounded, bounded]
     };
+
+    /// Branch & bound over `problem` on a fresh engine, cold at the root:
+    /// what it found, and the search itself, whose private counts a test
+    /// may read.
+    fn search<'a>(
+        problem: &'a Problem,
+        options: &'a SolveOptions,
+    ) -> (Result<Found, LpError>, BranchAndBound<'a>) {
+        let lower: Vec<f64> = problem.variables().iter().map(|v| v.lower).collect();
+        let upper: Vec<f64> = problem.variables().iter().map(|v| v.upper).collect();
+        let skeleton =
+            StandardFormSkeleton::build(problem, &lower, &upper, options.bounded_variables);
+        let solver = NodeSolver {
+            problem,
+            options,
+            skeleton: Box::new(skeleton.unwrap()),
+            workspace: fresh_workspace(options),
+        };
+        let mut bb = BranchAndBound::new(problem, options, Instant::now(), solver, lower, upper);
+        let found = bb.run(false);
+        (found, bb)
+    }
+
+    /// A spin is jumped to its cap, not looped there: capped at 2 000 or at
+    /// 2 000 000 nodes, the search pops the same nodes and ends on the same
+    /// answer, every node past the first five replayed.
+    #[test]
+    fn a_spin_pops_the_same_nodes_whatever_its_cap() {
+        let problem = spinning_model(true);
+        let pops = [2_000, 2_000_000].map(|max_nodes| {
+            let opts = SolveOptions {
+                max_nodes,
+                ..Default::default()
+            };
+            let (found, bb) = search(&problem, &opts);
+            let (status, objective, ..) = found.unwrap();
+            assert_eq!(
+                (status, objective.to_bits()),
+                (SolveStatus::Feasible, 4.1f64.to_bits())
+            );
+            assert_eq!(
+                (bb.nodes_explored, bb.replayed_nodes),
+                (max_nodes, max_nodes - 5)
+            );
+            bb.pops
+        });
+        assert_eq!(pops[0], pops[1]);
+    }
+
+    /// A tie is not a fixed point: with another open node at the spin's
+    /// bound, the heap may pop that node next, so the search must go on the
+    /// slow way. `std`'s heap stops a pushed node below an equal one, so a
+    /// node popped straight after its push was strictly best and a replay
+    /// never leaves its self-child tied: the heaps are laid out by hand,
+    /// with the tie as the top's first child, as its second, and a worse
+    /// node at both places.
+    #[test]
+    fn a_spin_tied_with_another_open_node_is_not_fast_forwarded() {
+        let node = |bound: f64| Node {
+            record: 1,
+            bound,
+            warm: true,
+            repeats: Some(3),
+        };
+        let heap =
+            |bounds: &[f64]| BinaryHeap::from(bounds.iter().map(|&b| node(b)).collect::<Vec<_>>());
+        for (bounds, strict) in [
+            (&[3.1][..], true),
+            (&[3.1, 4.0, 5.0], true),
+            (&[3.1, 3.1, 5.0], false),
+            (&[3.1, 5.0, 3.1], false),
+            // The heap orders the two zeros apart, so they do not tie.
+            (&[-0.0, 0.0], true),
+        ] {
+            let heap = heap(bounds);
+            assert_eq!(
+                heap.peek().map(|n| n.bound.to_bits()),
+                Some(bounds[0].to_bits())
+            );
+            assert_eq!(top_is_strict(&heap), strict, "{bounds:?}");
+        }
+        assert!(!top_is_strict(&BinaryHeap::new()));
+    }
 
     /// An integer variable bounded only above is mirrored in the span-row
     /// layout, so the up child's finite lower bound is a layout the root

@@ -292,6 +292,12 @@ impl RevisedWorkspace {
     pub(crate) fn count_replayed_hit(&mut self) {
         self.warm_hits += 1;
     }
+
+    /// Counts the warm hits of `k` replays of one solve that its caller
+    /// jumped over at once (a spin fast-forwarded to the node cap).
+    pub(crate) fn count_replayed_hits(&mut self, k: usize) {
+        self.warm_hits += k;
+    }
 }
 
 /// Outcome of a warm-start attempt.
