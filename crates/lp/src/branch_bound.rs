@@ -28,6 +28,23 @@
 //! ([`SolveStats::replayed_nodes`]; `crates/lp/src/revised.rs`'s module doc
 //! states the rule).
 //!
+//! A replayed node that re-branches into its own record alone, leaving that
+//! child the strictly best open node, is a fixed point of the loop, and the
+//! loop jumps it to the node cap. Every later iteration would pop the same
+//! child and replay the same objective and point. It would skip the
+//! rounding heuristic, and the point stays fractional, so the incumbent
+//! cannot change. It would pick the same branching variable and push an
+//! identical child: same record, bound bits, `warm` and `repeats`, because
+//! no engine solve runs. The gap test would read the same incumbent and the
+//! same top of the heap. So the `k` nodes left under the cap are counted as
+//! explored and replayed at once, the workspace counts their `k` warm hits,
+//! and the search stops with the child still open. A tie is no fixed point
+//! (the heap may pop the other node first), so the child must be strictly
+//! best. The one read the jump skips is the per-iteration clock of the time
+//! limit, which no churn solve comes near: the largest uses under 1 % of
+//! it. Debug builds first run one more iteration the slow way and assert
+//! that it returns to the same heap top and gap.
+//!
 //! An open node does not own bound vectors. The tree keeps an arena of
 //! branching records, each `(parent, depth, var, prev, next)`: the child of
 //! `parent` that moved variable `var`'s bounds from `prev` to `next`. A node

@@ -83,6 +83,14 @@
 //!   it already holds and counts the warm hit the solve would have counted
 //!   (`count_replayed_hit`). Debug builds re-solve every replayed node and
 //!   assert bit equality;
+//! * a *fixed point* may be jumped: when the loop's next iteration would
+//!   leave every value it reads as it found it, all the iterations left
+//!   under a count limit add their counts at once. Branch & bound does this
+//!   for a replayed node that re-branches into itself alone and stays the
+//!   strictly best open node (`count_replayed_hits`; its module doc gives
+//!   the argument). The limit must be a count: the jump skips the clock
+//!   reads of the iterations it stands for. Debug builds run one more
+//!   iteration the slow way first and assert it changed nothing;
 //! * *storage* may change shape — reused buffers, pooled eta entry lists,
 //!   an ascending list of the non-basic columns instead of a flag test per
 //!   column, a bitmap instead of a binary heap for a drain whose order is

@@ -34,7 +34,9 @@
 //! shares its record, so a replay allocates nothing: 200 more nodes of the
 //! spin cost 0 allocations, and the test asserts exactly that (in debug
 //! builds too, whose re-solve of every replayed node writes into a reused
-//! buffer and whose check of every walk allocates nothing).
+//! buffer and whose check of every walk allocates nothing). Since branch &
+//! bound jumps such a spin to its cap, the 200 more nodes also cost no
+//! iteration of the node loop: they are counted, not popped.
 
 use conductor_lp::{
     ConstraintOp, LpError, Problem, Sense, SolveContext, SolveOptions, SolveStatus,
