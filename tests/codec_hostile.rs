@@ -175,3 +175,23 @@ fn flipped_snapshot_bytes_are_refused_or_restore() {
         }
     }
 }
+
+/// A snapshot's upload cursor is a number from disk, not an index the
+/// kernel handed out: one far past the job's pending splits must restore
+/// and step like any other value, never index out of range.
+#[test]
+fn an_upload_cursor_past_the_pending_splits_restores_and_steps() {
+    let (service, fleet) = mid_run();
+    let json = fleet.checkpoint().to_json();
+    let key = "\"upload_cursor\":";
+    let start = json.find(key).expect("an active job") + key.len();
+    let end = start + json[start..].find([',', '}']).unwrap();
+    let tampered = format!("{}999999{}", &json[..start], &json[end..]);
+    let snapshot = FleetSnapshot::from_json(&tampered).expect("a cursor is any usize");
+    let mut fleet = service
+        .restore(&snapshot)
+        .expect("the tampered snapshot restores");
+    for _ in 0..200 {
+        fleet.step_one_batch();
+    }
+}
