@@ -188,6 +188,22 @@ impl Cluster {
         Some(&self.nodes[at])
     }
 
+    /// The position of node `id` in [`Self::nodes`], looking from position
+    /// `from` on. Ids rise by at least one a position, so the node lies at
+    /// most as many places past `from` as its id is past that node's, and
+    /// exactly there while no id between them has left: that place is read
+    /// first, and only a gap left by a removal costs a binary search.
+    pub(crate) fn position_from(&self, from: usize, id: NodeId) -> Option<usize> {
+        let tail = self.nodes.get(from..)?;
+        let gap = id.0.checked_sub(tail.first()?.id.0)?;
+        let guess = gap.min(tail.len() - 1);
+        if tail[guess].id == id {
+            return Some(from + guess);
+        }
+        let at = tail[..guess].binary_search_by_key(&id, |n| n.id).ok()?;
+        Some(from + at)
+    }
+
     /// The `(hour, node_count)` membership-change samples recorded so far —
     /// the "allocated EC2 instances" series of Figure 12(a).
     pub(crate) fn allocation_timeline(&self) -> &[(f64, usize)] {
@@ -315,6 +331,30 @@ mod tests {
         }
         check(&set, &model);
         assert_eq!(set, NodeSet::default());
+    }
+
+    /// Before and after removals leave gaps in the ids, `position_from`
+    /// finds every member from every position at or before it, and nothing
+    /// else.
+    #[test]
+    fn position_from_agrees_with_the_lookup() {
+        let mut c = Cluster::new();
+        let ids = c.add_nodes(&m1_large(), 12, 0.0);
+        let check = |c: &Cluster| {
+            for id in (0..16).map(NodeId) {
+                let at = c.nodes().iter().position(|n| n.id == id);
+                for from in 0..c.len() + 2 {
+                    let expected = at.filter(|&at| from <= at);
+                    assert_eq!(c.position_from(from, id), expected, "{id:?} from {from}");
+                }
+                assert_eq!(at.map(|at| &c.nodes()[at]), c.node(id));
+            }
+        };
+        check(&c);
+        c.remove_specific(&[ids[0], ids[3], ids[4], ids[11]], 1.0);
+        check(&c);
+        c.add_nodes(&m1_large(), 2, 2.0);
+        check(&c);
     }
 
     #[test]

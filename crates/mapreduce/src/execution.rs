@@ -37,10 +37,15 @@
 //!    it (the accrued spend stays on the bill).
 //!
 //! Dispatch itself is index-driven: pending tasks are bucketed per data
-//! location (maps) plus one reduce set, so a wakeup pays for the few
+//! location (maps) plus one reduce queue, so a wakeup pays for the few
 //! lowest-index candidates instead of a full O(tasks · idle nodes) scan —
 //! the distinction that keeps fleet-churn simulations flat as executions
-//! grow.
+//! grow. A bucket is an ascending queue of task indexes: dispatch takes
+//! from the front and uploads arrive in task order at the back, so neither
+//! touches a tree; the snapshot carries each bucket as the ordered set it
+//! always carried. Splits still uploading wait in a list sorted by
+//! availability, and a cursor marks the first one not yet promoted: the
+//! next arrival is read from there.
 //!
 //! # The idle-node index
 //!
@@ -67,14 +72,18 @@
 //! # The running set
 //!
 //! The tasks in flight are kept by dispatch sequence number and, beside
-//! that, in a min-heap by finish time. Retirement pops only the due tasks
-//! off the heap and retires them sorted by sequence number, so the report's
-//! float sums and task timeline accumulate in dispatch order, as they
-//! always have; [`JobExecution::next_event_hours`] peeks the heap. Neither
-//! walks the busy nodes, so a wakeup costs the same at 200 nodes as at 50.
-//! A kill takes its tasks out in dispatch order and rebuilds the heap. The
+//! that, in a min-heap by finish time. Sequence numbers only rise, so the
+//! first is a ring of slots indexed by `sequence - base`, a retired task's
+//! slot emptied and the empty slots at the front dropped: a dispatch is a
+//! push at the back and a retirement a slot taken, with no tree to grow or
+//! shrink. Retirement pops only the due tasks off the heap and retires them
+//! sorted by sequence number, so the report's float sums and task timeline
+//! accumulate in dispatch order, as they always have;
+//! [`JobExecution::next_event_hours`] peeks the heap. Neither walks the
+//! busy nodes, so a wakeup costs the same at 200 nodes as at 50. A kill
+//! takes its tasks out in dispatch order and rebuilds the heap. The
 //! snapshot carries the tasks as a dispatch-ordered list and restore
-//! numbers them afresh; debug builds check that heap and map hold the same
+//! numbers them afresh; debug builds check that heap and ring hold the same
 //! `(finish, sequence)` pairs wherever the other indexes are checked.
 //!
 //! # Spot revocations
@@ -99,7 +108,7 @@ use crate::workload::JobSpec;
 use conductor_cloud::{BillingAccount, Catalog, InstanceType, SpotMarket, TransferDirection};
 use serde::{Deserialize, Serialize};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 /// Time tolerance for simultaneity, shared with the kernel.
 const EPS: f64 = conductor_sim::TIME_EPSILON;
@@ -317,17 +326,22 @@ impl Ord for FinishAt {
 /// The tasks in flight, kept twice: by dispatch sequence number (the order
 /// the report's float sums and task timeline accumulate in) and in a
 /// min-heap by finish time, so a wakeup touches only the tasks that are due.
-/// Invariant: the heap holds exactly `(finish_at, seq)` of every entry of
-/// `by_dispatch`.
+/// Sequence numbers only ever rise, so the first view is a ring of slots:
+/// slot `seq - base` holds the task dispatched `seq`th, or `None` once it
+/// retired. Invariants: the front slot is live (empty ones are trimmed),
+/// `live` counts the live slots, and the heap holds exactly `(finish_at,
+/// seq)` of every live slot.
 #[derive(Debug, Default)]
 struct RunningTasks {
-    by_dispatch: BTreeMap<u64, Running>,
+    by_dispatch: VecDeque<Option<Running>>,
+    /// The sequence number of the front slot; the next dispatch gets
+    /// `base + by_dispatch.len()`.
+    base: u64,
+    live: usize,
     by_finish: BinaryHeap<Reverse<(FinishAt, u64)>>,
-    /// The sequence number the next dispatch gets.
-    next_seq: u64,
-    /// Scratch for [`Self::pop_due`]: the due sequence numbers, reused so a
-    /// wakeup allocates nothing.
-    due: Vec<u64>,
+    /// Scratch for [`Self::pop_due`]: the due tasks with their sequence
+    /// numbers, reused so a wakeup allocates nothing.
+    due: Vec<(u64, Running)>,
 }
 
 impl RunningTasks {
@@ -341,24 +355,32 @@ impl RunningTasks {
     }
 
     fn len(&self) -> usize {
-        self.by_dispatch.len()
+        self.live
     }
 
     fn is_empty(&self) -> bool {
-        self.by_dispatch.is_empty()
+        self.live == 0
     }
 
     /// The running tasks in dispatch order.
     fn iter(&self) -> impl Iterator<Item = &Running> {
-        self.by_dispatch.values()
+        self.by_dispatch.iter().flatten()
     }
 
     /// Adds a task dispatched after every task already in the set.
     fn push(&mut self, r: Running) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.by_dispatch.insert(seq, r);
+        let seq = self.base + self.by_dispatch.len() as u64;
+        self.by_dispatch.push_back(Some(r));
+        self.live += 1;
         self.by_finish.push(Reverse((FinishAt(r.finish_at), seq)));
+    }
+
+    /// Drops the retired slots at the front.
+    fn trim(&mut self) {
+        while let Some(None) = self.by_dispatch.front() {
+            self.by_dispatch.pop_front();
+            self.base += 1;
+        }
     }
 
     /// The earliest finish time, if anything runs.
@@ -374,56 +396,103 @@ impl RunningTasks {
                 break;
             }
             self.by_finish.pop();
-            self.due.push(seq);
+            let r = self.by_dispatch[(seq - self.base) as usize]
+                .take()
+                .expect("a due task is in the dispatch ring");
+            self.due.push((seq, r));
         }
-        self.due.sort_unstable();
-        let by_dispatch = &mut self.by_dispatch;
-        self.due.drain(..).map(move |seq| {
-            by_dispatch
-                .remove(&seq)
-                .expect("a due task is in the dispatch map")
-        })
+        self.live -= self.due.len();
+        self.trim();
+        self.due.sort_unstable_by_key(|&(seq, _)| seq);
+        self.due.drain(..).map(|(_, r)| r)
     }
 
     /// Takes out every task on one of `nodes` (sorted) and returns them in
     /// dispatch order; the heap is rebuilt from the survivors.
     fn remove_on(&mut self, nodes: &[NodeId]) -> Vec<Running> {
         let mut removed = Vec::new();
-        self.by_dispatch.retain(|_, r| {
-            let doomed = nodes.binary_search(&r.node).is_ok();
-            if doomed {
-                removed.push(*r);
+        for slot in &mut self.by_dispatch {
+            if slot.is_some_and(|r| nodes.binary_search(&r.node).is_ok()) {
+                removed.extend(slot.take());
             }
-            !doomed
-        });
-        self.by_finish = self
-            .by_dispatch
-            .iter()
-            .map(|(&seq, r)| Reverse((FinishAt(r.finish_at), seq)))
-            .collect();
+        }
+        self.live -= removed.len();
+        self.trim();
+        self.by_finish = self.entries().collect();
         removed
     }
 
-    /// Re-derives the invariant: the heap and the dispatch map hold the same
-    /// `(finish, seq)` pairs, and every sequence number was handed out.
+    /// `(finish, seq)` of every task in flight, in dispatch order.
+    fn entries(&self) -> impl Iterator<Item = Reverse<(FinishAt, u64)>> + '_ {
+        (self.base..)
+            .zip(&self.by_dispatch)
+            .filter_map(|(seq, slot)| slot.map(|r| Reverse((FinishAt(r.finish_at), seq))))
+    }
+
+    /// Re-derives the invariants: the front slot is live, `live` counts the
+    /// live slots, and the heap and the ring hold the same `(finish, seq)`
+    /// pairs.
     fn debug_check(&self) {
-        let mut heap: Vec<(u64, u64)> = self
-            .by_finish
-            .iter()
-            .map(|Reverse((finish, seq))| (finish.0.to_bits(), *seq))
-            .collect();
+        assert!(self.by_dispatch.front().is_none_or(Option::is_some));
+        assert_eq!(self.live, self.iter().count());
+        let key = |Reverse((finish, seq)): &Reverse<(FinishAt, u64)>| (finish.0.to_bits(), *seq);
+        let mut heap: Vec<(u64, u64)> = self.by_finish.iter().map(key).collect();
         heap.sort_unstable();
-        let mut map: Vec<(u64, u64)> = self
-            .by_dispatch
-            .iter()
-            .map(|(&seq, r)| (r.finish_at.to_bits(), seq))
-            .collect();
-        map.sort_unstable();
-        assert_eq!(heap, map, "finish heap disagrees with the dispatch map");
-        assert!(self
-            .by_dispatch
-            .last_key_value()
-            .is_none_or(|(&seq, _)| seq < self.next_seq));
+        let mut ring = Vec::with_capacity(self.live);
+        ring.extend(self.entries().map(|e| key(&e)));
+        ring.sort_unstable();
+        assert_eq!(heap, ring, "finish heap disagrees with the dispatch ring");
+    }
+}
+
+/// Pending task indexes in ascending order: one dispatch bucket. Dispatch
+/// takes the least index and a task becomes runnable mostly in index order
+/// (splits upload in task order), so both ends are O(1); a task a
+/// revocation returns goes back at its binary-search position. Inserting an
+/// index already present changes nothing, as for a set.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct TaskQueue(VecDeque<usize>);
+
+impl TaskQueue {
+    fn insert(&mut self, idx: usize) {
+        match self.0.back() {
+            Some(&last) if last >= idx => {
+                if let Err(at) = self.0.binary_search(&idx) {
+                    self.0.insert(at, idx);
+                }
+            }
+            _ => self.0.push_back(idx),
+        }
+    }
+
+    /// The least index.
+    fn first(&self) -> Option<usize> {
+        self.0.front().copied()
+    }
+
+    /// Takes out the least index.
+    fn pop_first(&mut self) -> Option<usize> {
+        self.0.pop_front()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().copied()
+    }
+}
+
+impl From<&BTreeSet<usize>> for TaskQueue {
+    fn from(set: &BTreeSet<usize>) -> Self {
+        Self(set.iter().copied().collect())
+    }
+}
+
+impl From<&TaskQueue> for BTreeSet<usize> {
+    fn from(queue: &TaskQueue) -> Self {
+        queue.iter().collect()
     }
 }
 
@@ -531,13 +600,14 @@ pub struct JobExecution<'a> {
     // ---- dispatch index -------------------------------------------------
     // Exactly the dispatchable tasks, bucketed the way `dispatch` consumes
     // them: pending map tasks by the location their input is available at,
-    // pending reduce tasks in one set (their location is a function of the
-    // node). Sets are ordered, so "lowest task index at this location" is
+    // pending reduce tasks in one queue (their location is a function of the
+    // node). Queues are ascending, so "lowest task index at this location" is
     // `first()` — the tie-breaking of a scan over every task, without it.
+    // A location keeps its bucket once emptied, as the snapshot does.
     /// Pending map tasks whose input is available now, by location.
-    runnable_maps: BTreeMap<DataLocation, BTreeSet<usize>>,
+    runnable_maps: BTreeMap<DataLocation, TaskQueue>,
     /// Pending reduce tasks (dispatchable once `map_remaining == 0`).
-    runnable_reduces: BTreeSet<usize>,
+    runnable_reduces: TaskQueue,
     /// `(available_at, task_idx, location)` for splits still uploading,
     /// sorted by availability; promoted into `runnable_maps` as the clock
     /// passes them.
@@ -635,8 +705,8 @@ impl<'a> JobExecution<'a> {
         }
 
         let map_remaining = spec.map_tasks();
-        let mut runnable_maps: BTreeMap<DataLocation, BTreeSet<usize>> = BTreeMap::new();
-        let mut runnable_reduces = BTreeSet::new();
+        let mut runnable_maps: BTreeMap<DataLocation, TaskQueue> = BTreeMap::new();
+        let mut runnable_reduces = TaskQueue::default();
         let mut upload_pending: Vec<(f64, usize, DataLocation)> = Vec::with_capacity(map_remaining);
         for (idx, task) in tasks.iter().enumerate() {
             match task.kind {
@@ -767,15 +837,9 @@ impl<'a> JobExecution<'a> {
                 let next_finish = self.running.next_finish().unwrap_or(f64::INFINITY);
                 let next_schedule = self.schedule_points_after(now).first().copied();
                 let next_schedule = next_schedule.unwrap_or(f64::INFINITY);
-                // `upload_pending` holds every split that is ever uploaded,
-                // sorted by availability: the next arrival is the first
-                // entry past `now`.
-                let arrived = self
-                    .upload_pending
-                    .partition_point(|&(available_at, ..)| available_at <= now + EPS);
                 let next_split = self
                     .upload_pending
-                    .get(arrived)
+                    .get(self.arrived_by(now))
                     .map_or(f64::INFINITY, |&(available_at, ..)| available_at);
                 // A spot job starved by an out-bid market is not stuck: its
                 // next state change is the hour the price readmits its bid.
@@ -853,6 +917,22 @@ impl<'a> JobExecution<'a> {
         }
         self.running.debug_check();
         assert_eq!(self.idle, idle_nodes(&self.cluster, self.running.iter()));
+        for queue in self.runnable_maps.values().chain([&self.runnable_reduces]) {
+            assert!(queue.iter().is_sorted_by(|a, b| a < b), "{queue:?}");
+        }
+        // The cursor's answer is the full search's wherever that is defined:
+        // a snapshot from disk may hold any list.
+        if self.upload_pending.is_sorted_by(|a, b| a.0 <= b.0) {
+            for &hour in hours {
+                assert_eq!(
+                    self.arrived_by(hour),
+                    self.upload_pending
+                        .partition_point(|&(available_at, ..)| available_at <= hour + EPS),
+                    "arrivals by {hour} h from cursor {}",
+                    self.upload_cursor
+                );
+            }
+        }
         assert_eq!(
             self.schedule_points,
             schedule_points(&self.options.node_schedule)
@@ -871,6 +951,28 @@ impl<'a> JobExecution<'a> {
                     t.name
                 );
             }
+        }
+    }
+
+    /// How many `upload_pending` entries are available by `now`: the
+    /// `partition_point` of `available_at <= now + EPS`. `upload_pending`
+    /// holds every split that is ever uploaded, sorted by availability, so
+    /// the next arrival is the entry at this position. A wakeup leaves the
+    /// cursor on exactly that entry, so the search starts there: it reads
+    /// one entry when `now` is the last wakeup's hour, searches the tail when
+    /// the clock has moved past more arrivals and the head when `now` is
+    /// earlier. The cursor comes from a snapshot too, so it may lie past the
+    /// end.
+    fn arrived_by(&self, now: f64) -> usize {
+        let due = |&(available_at, ..): &(f64, usize, DataLocation)| available_at <= now + EPS;
+        let pending = &self.upload_pending;
+        let at = self.upload_cursor.min(pending.len());
+        if pending.get(at).is_some_and(due) {
+            at + 1 + pending[at + 1..].partition_point(due)
+        } else if at > 0 && !due(&pending[at - 1]) {
+            pending[..at - 1].partition_point(due)
+        } else {
+            at
         }
     }
 
@@ -1106,7 +1208,7 @@ impl<'a> JobExecution<'a> {
             self.tasks[r.task_idx].state = TaskState::Runnable;
             // Back into the dispatch index: a map task re-buckets under
             // its split's location (already uploaded — it was running),
-            // a reduce under the shared reduce set.
+            // a reduce into the shared reduce queue.
             match self.tasks[r.task_idx].kind {
                 TaskKind::Map => {
                     let split = &self.splits[r.task_idx.min(self.splits.len().saturating_sub(1))];
@@ -1301,8 +1403,10 @@ impl<'a> JobExecution<'a> {
         self.promote_available(now);
         let upload_gate_open =
             !self.options.upload_before_processing || now >= self.upload_done_at - EPS;
-        // Idle nodes in cluster order, the set shrinking as they take work.
+        // Idle nodes in cluster order, the set shrinking as they take work;
+        // `at` follows them through `cluster.nodes()`.
         let mut next = NodeId(0);
+        let mut at = 0;
         loop {
             // With no task left to hand out every remaining node would come
             // up empty: most wakeups end here, whatever the cluster's size.
@@ -1316,10 +1420,11 @@ impl<'a> JobExecution<'a> {
                 break;
             };
             next = NodeId(node_id.0 + 1);
-            let node = self
+            at = self
                 .cluster
-                .node(node_id)
+                .position_from(at, node_id)
                 .expect("idle node still in cluster");
+            let node = &self.cluster.nodes()[at];
             // Find the best dispatchable task for this node: max preference,
             // ties to the lowest task index (the order the old linear scan
             // produced, since preference depends only on location + node).
@@ -1330,7 +1435,7 @@ impl<'a> JobExecution<'a> {
             };
             if upload_gate_open {
                 for (&location, pending) in &self.runnable_maps {
-                    let Some(&idx) = pending.first() else {
+                    let Some(idx) = pending.first() else {
                         continue;
                     };
                     if !self.scheduler.may_run(location, node) {
@@ -1341,7 +1446,7 @@ impl<'a> JobExecution<'a> {
             }
             if self.map_remaining == 0 {
                 // Barrier open: reduces read shuffled data local to the node.
-                if let Some(&idx) = self.runnable_reduces.first() {
+                if let Some(idx) = self.runnable_reduces.first() {
                     let location = if node.is_local {
                         DataLocation::LocalDisk
                     } else {
@@ -1375,16 +1480,15 @@ impl<'a> JobExecution<'a> {
                     node: node_id,
                     finish_at: now + duration,
                 };
-                match self.tasks[idx].kind {
-                    TaskKind::Map => {
-                        if let Some(pending) = self.runnable_maps.get_mut(&location) {
-                            pending.remove(&idx);
-                        }
-                    }
-                    TaskKind::Reduce => {
-                        self.runnable_reduces.remove(&idx);
-                    }
-                }
+                // `idx` is the least index of the queue it came from.
+                let taken = match self.tasks[idx].kind {
+                    TaskKind::Map => self
+                        .runnable_maps
+                        .get_mut(&location)
+                        .and_then(TaskQueue::pop_first),
+                    TaskKind::Reduce => self.runnable_reduces.pop_first(),
+                };
+                debug_assert_eq!(taken, Some(idx));
                 self.running.push(Running {
                     task_idx: idx,
                     node: node_id,
@@ -1555,8 +1659,12 @@ impl JobExecution<'_> {
             tasks: self.tasks.clone(),
             splits: self.splits.clone(),
             running: self.running.iter().copied().collect(),
-            runnable_maps: self.runnable_maps.clone(),
-            runnable_reduces: self.runnable_reduces.clone(),
+            runnable_maps: self
+                .runnable_maps
+                .iter()
+                .map(|(&location, queue)| (location, queue.into()))
+                .collect(),
+            runnable_reduces: (&self.runnable_reduces).into(),
             upload_pending: self.upload_pending.clone(),
             upload_cursor: self.upload_cursor,
             task_timeline: self.task_timeline.clone(),
@@ -1596,8 +1704,12 @@ impl ExecutionSnapshot {
             tasks: self.tasks.clone(),
             splits: self.splits.clone(),
             running: RunningTasks::from_dispatch_order(&self.running),
-            runnable_maps: self.runnable_maps.clone(),
-            runnable_reduces: self.runnable_reduces.clone(),
+            runnable_maps: self
+                .runnable_maps
+                .iter()
+                .map(|(&location, set)| (location, set.into()))
+                .collect(),
+            runnable_reduces: (&self.runnable_reduces).into(),
             upload_pending: self.upload_pending.clone(),
             upload_cursor: self.upload_cursor,
             task_timeline: self.task_timeline.clone(),
@@ -1776,6 +1888,28 @@ mod tests {
         assert_eq!(exec.cluster.count_of("local"), 5);
     }
 
+    #[test]
+    fn arrivals_read_from_any_cursor_equal_the_full_search() {
+        let mut exec = execution();
+        let pending: Vec<f64> = exec.upload_pending.iter().map(|p| p.0).collect();
+        assert!(pending.len() > 100);
+        let mut hours = vec![-1.0, 0.0, f64::INFINITY];
+        for &t in pending.iter().step_by(7).chain(pending.last()) {
+            hours.extend([t - EPS, t - EPS / 2.0, t, t + EPS / 2.0, t + EPS, t + 0.001]);
+        }
+        let n = pending.len();
+        for cursor in [0, 1, 2, n / 2, n - 1, n, n + 1, 999_999] {
+            exec.upload_cursor = cursor;
+            for &hour in &hours {
+                assert_eq!(
+                    exec.arrived_by(hour),
+                    pending.partition_point(|&t| t <= hour + EPS),
+                    "cursor {cursor} at {hour} h"
+                );
+            }
+        }
+    }
+
     /// Four m1.large nodes reading `spec`'s input from the client site:
     /// every map task is dispatchable at hour zero, the event horizon has no
     /// upload arrivals, and equal splits on equal nodes finish at the same
@@ -1841,7 +1975,7 @@ mod tests {
             .filter(|t| matches!(t.state, TaskState::Runnable))
             .count();
         assert_eq!(runnable, running_before);
-        let indexed: usize = exec.runnable_maps.values().map(|s| s.len()).sum();
+        let indexed: usize = exec.runnable_maps.values().map(|q| q.iter().count()).sum();
         assert_eq!(
             indexed,
             exec.tasks
