@@ -89,6 +89,7 @@ use crate::resources::ResourcePool;
 use crate::wal::WalWriter;
 use admission::AdmissionControl;
 use conductor_cloud::Catalog;
+use conductor_mapreduce::JobEvent;
 use conductor_sim::{ProcessId, Simulator};
 use session::{schedule, ActiveJob, ClockEvent, SessionState};
 use std::collections::BTreeMap;
@@ -113,6 +114,9 @@ pub struct Fleet {
     wal: Option<WalWriter>,
     /// The write failure that detached the WAL, if one occurred.
     wal_error: Option<String>,
+    /// One job wakeup's follow-ups, cleared and reused by every wakeup;
+    /// scratch, not session state, so no snapshot carries it.
+    follow_ups: Vec<(f64, JobEvent)>,
 }
 
 impl std::fmt::Debug for Fleet {
@@ -166,6 +170,7 @@ impl Fleet {
             observers: Vec::new(),
             wal: None,
             wal_error: None,
+            follow_ups: Vec::new(),
         };
         // The trace-driven revocation schedule: one sweep per hour the spot
         // price sits above the fleet bid, shared by every tenant. These are

@@ -429,7 +429,7 @@ impl Fleet {
             exec: admitted.exec,
         };
         let pid = self.state.registry.register();
-        schedule_wakeups(&mut self.sim, pid, now, job.exec.initial_events());
+        schedule_wakeups(&mut self.sim, pid, now, &job.exec.initial_events());
         self.state.tenant_pids.insert(i, pid);
         self.active.insert(pid, job);
         let planned = FleetEvent::Planned {
@@ -484,8 +484,9 @@ impl Fleet {
             return self.fail_job(pid, now, reason);
         }
         let extensions_before = job.exec.straggler_extensions();
-        let follow_ups = job.exec.on_wakeup(rel);
-        schedule_wakeups(&mut self.sim, pid, job.info.start, follow_ups);
+        self.follow_ups.clear();
+        job.exec.wakeup_into(rel, &mut self.follow_ups);
+        schedule_wakeups(&mut self.sim, pid, job.info.start, &self.follow_ups);
         let idx = job.info.request_idx;
         let extended = job.exec.straggler_extensions() > extensions_before;
         let done = job.exec.is_done();
@@ -571,7 +572,7 @@ impl Fleet {
                 at_hours: now,
                 nodes_killed: killed,
             });
-            schedule_wakeups(&mut self.sim, *pid, job.info.start, wakeups);
+            schedule_wakeups(&mut self.sim, *pid, job.info.start, &wakeups);
             // Wake the victim immediately: it reconciles against the
             // out-bid market and schedules its own recovery-hour retry,
             // instead of sleeping on wakeups for tasks that no longer run.
@@ -677,7 +678,7 @@ impl Fleet {
                 let rel = (now - job.info.start).max(0.0);
                 let (killed, wakeups) = job.exec.kill_cloud_nodes(rel);
                 job.info.storm_hit = true;
-                schedule_wakeups(&mut self.sim, pid, job.info.start, wakeups);
+                schedule_wakeups(&mut self.sim, pid, job.info.start, &wakeups);
                 // Wake the victim immediately, like a revocation: it
                 // reconciles and schedules its own recovery.
                 schedule(&mut self.sim, now, ClockEvent::Job(pid));
@@ -773,7 +774,7 @@ impl Fleet {
                 })
                 .collect();
             let wakeups = job.exec.splice_node_schedule(rel, rel, new_steps);
-            schedule_wakeups(&mut self.sim, pid, job.info.start, wakeups);
+            schedule_wakeups(&mut self.sim, pid, job.info.start, &wakeups);
             // Wake the job at the splice point so an immediate scale-up at
             // `rel` takes effect without waiting for the next old event.
             schedule(&mut self.sim, now, ClockEvent::Job(pid));
@@ -899,9 +900,9 @@ fn schedule_wakeups<E>(
     sim: &mut Simulator<ClockEvent>,
     pid: ProcessId,
     start: f64,
-    wakeups: Vec<(f64, E)>,
+    wakeups: &[(f64, E)],
 ) {
-    for (t, _) in wakeups {
+    for &(t, _) in wakeups {
         schedule(sim, start + t, ClockEvent::Job(pid));
     }
 }

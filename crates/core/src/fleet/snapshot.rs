@@ -109,6 +109,7 @@ impl Fleet {
             observers: Vec::new(),
             wal: None,
             wal_error: None,
+            follow_ups: Vec::new(),
         })
     }
 

@@ -121,7 +121,9 @@ pub struct ExecutionReport {
     pub cost_breakdown: CostBreakdown,
     /// Whether the deadline was met (`None` when no deadline was set).
     pub met_deadline: Option<bool>,
-    /// `(hour, cumulative completed tasks)` samples (Figure 12b).
+    /// `(hour, cumulative completed tasks)` samples (Figure 12b): one
+    /// sample per distinct completion hour, the count after every task
+    /// finishing at that hour.
     pub task_timeline: Vec<(f64, usize)>,
     /// `(hour, allocated nodes)` samples (Figure 12a).
     pub allocation_timeline: Vec<(f64, usize)>,
@@ -571,9 +573,15 @@ mod tests {
         let mut prev_c = 0;
         for &(t, c) in &report.task_timeline {
             assert!(t >= prev_t - 1e-9);
-            assert!(c >= prev_c);
+            assert!(c > prev_c, "count {c} after {prev_c}");
             prev_t = t;
             prev_c = c;
         }
+        // One sample per distinct completion hour: tasks finishing at the
+        // same instant share a sample.
+        for pair in report.task_timeline.windows(2) {
+            assert_ne!(pair[0].0.to_bits(), pair[1].0.to_bits(), "{pair:?}");
+        }
+        assert_eq!(report.task_timeline.last().unwrap().1, report.total_tasks);
     }
 }

@@ -86,6 +86,13 @@
 //! numbers them afresh; debug builds check that heap and ring hold the same
 //! `(finish, sequence)` pairs wherever the other indexes are checked.
 //!
+//! The task timeline keeps one sample per distinct completion hour, the
+//! count after every task finishing at that hour: a task retired at the
+//! bits of the last sample's hour overwrites its count instead of pushing a
+//! pair. The step function is the per-task one with each run of equal hours
+//! collapsed to its last, so reports and snapshots grow with the hours at
+//! which tasks finish, not with the tasks.
+//!
 //! # Spot revocations
 //!
 //! Under [`SessionPricing::Spot`] the shared market can take the cluster
@@ -324,8 +331,9 @@ impl Ord for FinishAt {
 }
 
 /// The tasks in flight, kept twice: by dispatch sequence number (the order
-/// the report's float sums and task timeline accumulate in) and in a
-/// min-heap by finish time, so a wakeup touches only the tasks that are due.
+/// the report's float sums and per-hour task timeline accumulate in) and
+/// in a min-heap by finish time, so a wakeup touches only the tasks that
+/// are due.
 /// Sequence numbers only ever rise, so the first view is a ring of slots:
 /// slot `seq - base` holds the task dispatched `seq`th, or `None` once it
 /// retired. Invariants: the front slot is live (empty ones are trimmed),
@@ -594,7 +602,8 @@ pub struct JobExecution<'a> {
     tasks: Vec<Task>,
     splits: Vec<Split>,
     /// Tasks in flight, by dispatch order (load-bearing: the report's float
-    /// sums and task timeline accumulate in it) and by finish time.
+    /// sums and per-hour task timeline accumulate in it) and by finish
+    /// time.
     running: RunningTasks,
 
     // ---- dispatch index -------------------------------------------------
@@ -615,6 +624,8 @@ pub struct JobExecution<'a> {
     /// First `upload_pending` entry not yet promoted.
     upload_cursor: usize,
 
+    /// One `(hour, completed)` sample per distinct completion hour, the
+    /// count after every task finishing at that hour.
     task_timeline: Vec<(f64, usize)>,
     completed: usize,
     map_remaining: usize,
@@ -876,7 +887,7 @@ impl<'a> JobExecution<'a> {
 
     /// [`Self::on_wakeup`], appending the follow-ups to `out` so a driver
     /// can reuse one buffer across wakeups.
-    pub(crate) fn wakeup_into(&mut self, now: f64, out: &mut Vec<(f64, JobEvent)>) {
+    pub fn wakeup_into(&mut self, now: f64, out: &mut Vec<(f64, JobEvent)>) {
         match self.phase {
             JobPhase::Done => return,
             JobPhase::Downloading { completion } => {
@@ -1310,7 +1321,10 @@ impl<'a> JobExecution<'a> {
             if r.on_cloud_node && self.tasks[idx].kind == TaskKind::Map {
                 self.cloud_processed_gb += self.tasks[idx].data_gb;
             }
-            self.task_timeline.push((r.finish_at, self.completed));
+            match self.task_timeline.last_mut() {
+                Some((at, done)) if at.to_bits() == r.finish_at.to_bits() => *done = self.completed,
+                _ => self.task_timeline.push((r.finish_at, self.completed)),
+            }
             self.idle.insert(r.node);
         }
     }
@@ -2216,6 +2230,40 @@ mod tests {
         ));
         assert_eq!(exec.running.len(), 3);
         assert!(exec.running.next_finish().is_some_and(|t| t > 0.0));
+    }
+
+    #[test]
+    fn the_timeline_is_the_per_task_one_with_equal_hours_collapsed() {
+        for spec in [four_map_spec(), Workload::KMeans32Gb.spec()] {
+            let mut exec = client_site_execution(&spec, SessionPricing::OnDemand);
+            exec.on_wakeup(0.0);
+            drive_from(&mut exec, 0.0, 100_000);
+            assert!(exec.is_done());
+            // One `(finish_at, k)` sample per task in finish order, then each
+            // run of equal hours collapsed to its last.
+            let mut finishes: Vec<f64> = exec
+                .tasks
+                .iter()
+                .map(|t| match t.state {
+                    TaskState::Completed { at } => at,
+                    ref other => panic!("{other:?} in a finished job"),
+                })
+                .collect();
+            finishes.sort_by(f64::total_cmp);
+            let mut collapsed: Vec<(f64, usize)> = Vec::new();
+            for (k, at) in finishes.into_iter().enumerate() {
+                match collapsed.last_mut() {
+                    Some((hour, done)) if hour.to_bits() == at.to_bits() => *done = k + 1,
+                    _ => collapsed.push((at, k + 1)),
+                }
+            }
+            assert!(
+                collapsed.len() < exec.tasks.len(),
+                "no two of {} tasks share a finish hour",
+                exec.tasks.len()
+            );
+            assert_eq!(exec.into_report().task_timeline, collapsed);
+        }
     }
 
     /// Snapshots `live` through JSON, restores it, drives both copies to

@@ -7,7 +7,11 @@
 //! the snapshot bytes and the wakeup counts of these runs are fixed. The
 //! two-cloud-type scenario was pinned later, on the last commit whose
 //! reconciliation still matched type names and counted the cluster per
-//! type at every wakeup, for the same reason.
+//! type at every wakeup, for the same reason. The report hashes and the
+//! hybrid snapshot were re-taken once, when the task timeline went from one
+//! sample per task to one per completion hour: each new value hashes the
+//! old report or snapshot with every run of equal-hour timeline samples
+//! collapsed to its last. Wakeup and event counts did not move.
 //!
 //! The driver is a heap loop over public pieces, as the fleet drives a job
 //! (`Engine::run` steps by the job's next-event hour instead), with three
@@ -339,33 +343,33 @@ fn check_engine_run(s: &Scenario, scheduler: &(dyn Scheduler + Sync), report_fnv
 #[test]
 fn cloud_only_50_nodes() {
     let s = cloud_only(64, 50);
-    check(&s, 18_348_507_108_554_342_235, 2_051, 2_066);
+    check(&s, 15_765_271_049_605_904_562, 2_051, 2_066);
     check_engine_run(
         &s,
         &PlanFollowingScheduler::cloud_only_defaults(),
-        18_348_507_108_554_342_235,
+        15_765_271_049_605_904_562,
     );
 }
 
 #[test]
 fn cloud_only_200_nodes() {
     let s = cloud_only(256, 200);
-    check(&s, 15_542_924_081_298_422_978, 8_195, 8_210);
+    check(&s, 13_475_240_884_801_796_949, 8_195, 8_210);
     check_engine_run(
         &s,
         &PlanFollowingScheduler::cloud_only_defaults(),
-        15_542_924_081_298_422_978,
+        13_475_240_884_801_796_949,
     );
 }
 
 #[test]
 fn cloud_only_400_nodes() {
     let s = cloud_only(512, 400);
-    check(&s, 18_145_477_823_242_500_563, 16_387, 16_402);
+    check(&s, 7_047_631_986_097_300_056, 16_387, 16_402);
     check_engine_run(
         &s,
         &PlanFollowingScheduler::cloud_only_defaults(),
-        18_145_477_823_242_500_563,
+        7_047_631_986_097_300_056,
     );
 }
 
@@ -374,8 +378,8 @@ fn hybrid_local_and_cloud_with_s3_and_client_site_reads() {
     let s = hybrid();
     // 865 heap events coalesce into 441 wakeups: `Engine::run` must
     // reproduce that batching without a heap.
-    let (report, _) = check(&s, 13_869_901_782_454_339_003, 441, 865);
-    check_engine_run(&s, &LocalityScheduler, 13_869_901_782_454_339_003);
+    let (report, _) = check(&s, 16_681_052_583_823_439_071, 441, 865);
+    check_engine_run(&s, &LocalityScheduler, 16_681_052_583_823_439_071);
     // Cloud nodes did read client-site splits over the WAN (the
     // order-sensitive `wan_in_extra` accumulation is exercised) and S3 was
     // billed.
@@ -395,7 +399,7 @@ fn hybrid_local_and_cloud_with_s3_and_client_site_reads() {
 
 #[test]
 fn spot_run_with_a_mid_run_kill_and_recovery() {
-    let (report, driven) = check(&spot_with_kill(), 9_607_735_784_684_375_788, 869, 1_350);
+    let (report, driven) = check(&spot_with_kill(), 5_475_224_379_636_584_903, 869, 1_350);
     assert_eq!(driven.nodes_killed, 16);
     // 21 nodes before the sweep, the 5 local ones through the blackout,
     // the cloud nodes back at hour 4.
@@ -415,7 +419,7 @@ fn spot_run_with_a_mid_run_kill_and_recovery() {
 fn splice_scales_down_while_nodes_are_busy() {
     let (report, _) = check(
         &splice_while_busy(),
-        15_117_270_676_143_943_373,
+        12_462_354_810_588_383_640,
         1_029,
         1_043,
     );
@@ -446,7 +450,7 @@ fn mid_run_snapshot_bytes_are_unchanged() {
             3_000,
             (896_051, 1_167_004_996_699_177_577),
         ),
-        (hybrid(), 200, (90_377, 998_804_777_855_812_627)),
+        (hybrid(), 200, (89_508, 9_558_818_175_474_070_237)),
         (spot_with_kill(), 450, (108_027, 17_339_751_037_822_652_351)),
     ];
     for (s, at, pinned) in pins {
@@ -473,7 +477,7 @@ fn mid_run_snapshot_bytes_are_unchanged() {
 fn two_cloud_types_with_a_splice_and_a_kill() {
     let (report, driven) = check(
         &two_cloud_types_splice_and_kill(),
-        14_814_338_974_006_980_543,
+        14_399_693_468_926_527_720,
         6_514,
         9_928,
     );

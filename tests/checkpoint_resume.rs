@@ -240,6 +240,134 @@ fn a_snapshot_with_the_retired_schedule_keys_still_restores() {
     );
 }
 
+/// A checkpoint written when task timelines held one sample per task still
+/// restores and runs the same: one active job's timeline is expanded back to
+/// a sample per task, and the session drains to the same event log, bills
+/// and deadline verdicts as the checkpoint as written. Only that job's report
+/// timeline differs, and it collapses to the other one.
+#[test]
+fn a_checkpoint_with_one_timeline_sample_per_task_still_restores() {
+    use serde_json::Json;
+
+    /// `(h, k)` after a sample with count `j` becomes `(h, j + 1) … (h, k)`.
+    fn per_task(timeline: &[Json]) -> Vec<Json> {
+        let mut out = Vec::new();
+        let mut done = 0;
+        for sample in timeline {
+            let pair = sample.as_array().expect("a sample is a pair");
+            let (hour, count) = (&pair[0], pair[1].as_f64().expect("a count") as usize);
+            for k in done + 1..=count {
+                out.push(Json::Array(vec![hour.clone(), Json::Number(k as f64)]));
+            }
+            done = count;
+        }
+        out
+    }
+
+    /// Expands the first active job whose timeline holds a collapsed run;
+    /// returns its request index.
+    fn expand_one_timeline(snapshot: &mut Json) -> usize {
+        let Json::Object(fields) = snapshot else {
+            panic!("a snapshot is an object")
+        };
+        let (_, Json::Array(active)) = fields.iter_mut().find(|(k, _)| k == "active").unwrap()
+        else {
+            panic!("`active` is a list")
+        };
+        for job in active {
+            let Json::Array(job) = job else {
+                panic!("an active job is a triple")
+            };
+            let request_idx = match &job[2] {
+                Json::Object(info) => info.iter().find(|(k, _)| k == "request_idx"),
+                _ => None,
+            }
+            .and_then(|(_, v)| v.as_f64())
+            .expect("a job records its request") as usize;
+            let Json::Object(exec) = &mut job[1] else {
+                panic!("an execution is an object")
+            };
+            let (_, Json::Array(timeline)) =
+                exec.iter_mut().find(|(k, _)| k == "task_timeline").unwrap()
+            else {
+                panic!("`task_timeline` is a list")
+            };
+            let expanded = per_task(timeline);
+            if expanded.len() > timeline.len() {
+                *timeline = expanded;
+                return request_idx;
+            }
+        }
+        panic!("no active job finished two tasks at one hour")
+    }
+
+    /// Restores `json`, submits the arrivals after the 16th and drains.
+    fn drain(service: &ConductorService, json: &str, rest: &[FleetJobRequest]) -> Fleet {
+        let snapshot = FleetSnapshot::from_json(json).expect("the checkpoint decodes");
+        let mut fleet = service.restore(&snapshot).expect("the checkpoint restores");
+        for request in rest {
+            fleet.step_until(request.arrival_hours);
+            fleet.submit(request.clone()).unwrap();
+        }
+        fleet.run_to_quiescence();
+        fleet
+    }
+
+    let (requests, service) = faulted_churn_fixture(32, 1.0);
+    let service = service.with_plan_cache(true);
+    let mut fleet = service.open().unwrap();
+    for request in &requests[..16] {
+        fleet.step_until(request.arrival_hours);
+        fleet.submit(request.clone()).unwrap();
+    }
+    let json = fleet.checkpoint().to_json();
+    let mut older = serde_json::parse(&json).unwrap();
+    let tenant = expand_one_timeline(&mut older);
+    let older = serde_json::to_string(&older).unwrap();
+
+    let current = drain(&service, &json, &requests[16..]);
+    let restored = drain(&service, &older, &requests[16..]);
+    assert_eq!(restored.events(), current.events(), "event logs differ");
+    let (a, b) = (current.report(), restored.report());
+    assert_eq!(a.fleet_cost.to_bits(), b.fleet_cost.to_bits());
+    for (ta, tb) in a.tenants.iter().zip(&b.tenants) {
+        let (Some(ea), Some(eb)) = (&ta.execution, &tb.execution) else {
+            assert_eq!(ta.execution.is_some(), tb.execution.is_some());
+            continue;
+        };
+        assert_eq!(
+            ea.total_cost.to_bits(),
+            eb.total_cost.to_bits(),
+            "{}",
+            ta.tenant
+        );
+        assert_eq!(ea.met_deadline, eb.met_deadline, "{}", ta.tenant);
+    }
+
+    let expected = a.tenants[tenant]
+        .execution
+        .as_ref()
+        .expect("the job finished");
+    let timeline = &b.tenants[tenant]
+        .execution
+        .as_ref()
+        .expect("the job finished")
+        .task_timeline;
+    assert!(timeline.len() > expected.task_timeline.len());
+    assert_eq!(timeline.last().map(|&(_, k)| k), Some(expected.total_tasks));
+    assert!(timeline
+        .windows(2)
+        .all(|p| p[0].0 <= p[1].0 && p[0].1 < p[1].1));
+    let mut collapsed: Vec<(f64, usize)> = Vec::new();
+    for &(hour, done) in timeline {
+        match collapsed.last_mut() {
+            Some(last) if last.0.to_bits() == hour.to_bits() => last.1 = done,
+            _ => collapsed.push((hour, done)),
+        }
+    }
+    assert_eq!(collapsed, expected.task_timeline);
+}
+
 // ---- tentpole: replay from the event log -----------------------------
 
 /// Replays a finished session's log and checks the reconstruction is

@@ -151,10 +151,13 @@ fn snapshot_bytes_are_pinned() {
     // cache, nothing else; the plan cache's ratios are its entries'. An
     // execution no longer carries its step markers or its schedule mutation
     // counter: these values are the earlier bytes with those keys cut out.
+    // A task timeline keeps one sample per completion hour: the last two
+    // values are the earlier bytes with each run of equal-hour samples
+    // collapsed to its last (the first checkpoint had none).
     let expected = [
         (8_906_432_389_443_707_884, 164_505),
-        (13_276_504_224_545_875_050, 245_009),
-        (16_944_378_293_409_300_508, 289_467),
+        (13_832_050_781_339_358_592, 210_265),
+        (4_999_531_336_581_227_320, 237_907),
     ];
     assert_eq!(pins, expected);
 }

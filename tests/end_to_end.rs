@@ -182,8 +182,9 @@ fn minimize_time_budget_tradeoff() {
     assert!(poor.expected_cost <= 30.0 + 1e-6);
 }
 
-/// Plan cost, bill, completion (exact bits), task-timeline length and the
-/// last allocation sample of one deployment.
+/// Plan cost, bill, completion (exact bits), task-timeline length (one
+/// sample per completion hour) and the last allocation sample of one
+/// deployment.
 fn fingerprint(outcome: &DeploymentOutcome) -> String {
     let exec = &outcome.execution;
     let &(released_at, nodes_left) = exec.allocation_timeline.last().unwrap();
@@ -199,7 +200,10 @@ fn fingerprint(outcome: &DeploymentOutcome) -> String {
 
 /// Absolute pins of `JobController::run`, taken at the commit before the
 /// controller became a one-tenant fleet. Never edit a value: a mismatch
-/// means the single-job front end's behaviour moved.
+/// means the single-job front end's behaviour moved. The timeline lengths
+/// were re-taken once, when the timeline went from one sample per task to
+/// one per completion hour: each is the old timeline with its equal-hour
+/// runs collapsed.
 #[test]
 fn job_controller_outcomes_are_pinned() {
     let run = |catalog: Catalog, types: Option<&[&str]>, goal: Goal| {
@@ -216,7 +220,7 @@ fn job_controller_outcomes_are_pinned() {
     // Cloud-only, 6 h: plan $26.052733, bill $29.4184, done at 5.802509549 h.
     assert_eq!(
         run(cloud(), Some(&["m1.large"]), deadline(6.0)),
-        "403a0d7fe5520d14 403d6b1c432ca578 401735c51026da33 528 4014091629f98c9a:2"
+        "403a0d7fe5520d14 403d6b1c432ca578 401735c51026da33 464 4014091629f98c9a:2"
     );
     // Hybrid, 5 free local nodes, 4 h: $19.768032 / $39.4748 / 1.827338844 h.
     assert_eq!(
@@ -225,7 +229,7 @@ fn job_controller_outcomes_are_pinned() {
             Some(&["m1.large", "local"]),
             deadline(4.0)
         ),
-        "4033c49dbec2480f 4043bcc63f141204 3ffd3cc7a7c4478b 528 3ff22e8ba2e8ba2f:5"
+        "4033c49dbec2480f 4043bcc63f141204 3ffd3cc7a7c4478b 14 3ff22e8ba2e8ba2f:5"
     );
     // Fastest plan under $60 within 12 h: the cloud-only 6 h deployment.
     let fastest = Goal::MinimizeTime {
@@ -234,12 +238,12 @@ fn job_controller_outcomes_are_pinned() {
     };
     assert_eq!(
         run(cloud(), Some(&["m1.large"]), fastest),
-        "403a0d7fe5520d14 403d6b1c432ca578 401735c51026da33 528 4014091629f98c9a:2"
+        "403a0d7fe5520d14 403d6b1c432ca578 401735c51026da33 464 4014091629f98c9a:2"
     );
     // Every instance type, 8 h: $22.305997 / $30.7784 / 7.138630950 h.
     assert_eq!(
         run(cloud(), None, deadline(8.0)),
-        "40364e55ce274e23 403ec74538ef34d6 401c8df5458d9e92 528 401c1111111110fd:2"
+        "40364e55ce274e23 403ec74538ef34d6 401c8df5458d9e92 185 401c1111111110fd:2"
     );
 }
 

@@ -40,6 +40,12 @@ pub(crate) fn storm_prices(hours: usize, storm_start: usize, storm_end: usize) -
 /// reruns. Every simulated float still participates bit for bit (the
 /// renderer's shortest-round-trip float formatting is injective).
 pub(crate) fn canonical_json(report: &FleetReport) -> String {
+    without_wall_clock(&serde_json::to_string(report).unwrap())
+}
+
+/// `json` with every `solve_time` / `model_build_time` key removed, at any
+/// depth: the text a report or snapshot renders to on every host.
+pub(crate) fn without_wall_clock(json: &str) -> String {
     fn strip(v: &mut serde_json::Json) {
         match v {
             serde_json::Json::Object(fields) => {
@@ -52,8 +58,7 @@ pub(crate) fn canonical_json(report: &FleetReport) -> String {
             _ => {}
         }
     }
-    let rendered = serde_json::to_string(report).unwrap();
-    let mut v = serde_json::parse(&rendered).unwrap();
+    let mut v = serde_json::parse(json).unwrap();
     strip(&mut v);
     serde_json::to_string(&v).unwrap()
 }
